@@ -770,11 +770,12 @@ type Stats struct {
 	ChannelWords    int
 	SpilledChannels int
 	// BlockEdges counts edges statically capable of carrying columnar
-	// blocks: every producer and every consumer is a source or selection
-	// (the vectorized m-op kinds) and the channel width fits one inline
-	// membership word. The engine additionally gates on per-instance
-	// predicate kernelizability at lowering, so this is an upper bound on
-	// the edges the block path actually uses.
+	// blocks: every producer is a source or selection (the m-op kinds whose
+	// outputs are blocks), every consumer is a selection, ; or µ (the kinds
+	// that take blocks), and the channel width fits one inline membership
+	// word. The engine additionally gates on per-instance predicate
+	// kernelizability at lowering, so this is an upper bound on the edges
+	// the block path actually uses.
 	BlockEdges int
 }
 
@@ -812,7 +813,8 @@ func (p *Physical) Stats() Stats {
 		capable[e.ID] = ok
 	}
 	for _, n := range p.Nodes {
-		if n.Kind == KindSource || n.Kind == KindSelect {
+		switch n.Kind {
+		case KindSource, KindSelect, KindSeq, KindMu:
 			continue
 		}
 		for _, o := range n.Ops {

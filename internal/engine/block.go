@@ -5,17 +5,18 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/stream"
 )
 
 // Block routing: the vectorized execution path. Ingest builds columnar
 // blocks instead of exploding batches into tuples; drain carries blocks
-// along edges whose consumer speaks BatchMOp (one dense-edge lookup per
-// block instead of per tuple); and at the boundary to scalar m-ops the
-// block→scalar adapter materializes pooled row tuples, so join/agg/seq see
-// exactly the tuples the scalar path would have delivered.
+// along edges whose consumer speaks BatchMOp — selection, whose outputs are
+// blocks again, and ;/µ, which dispatch on the columns and emit row tuples
+// (one dense-edge lookup per block instead of per tuple); and at the
+// boundary to the scalar m-ops the block→scalar adapter materializes pooled
+// row tuples, so join/agg/project see exactly the tuples the scalar path
+// would have delivered.
 
 // blockSizeScalar is the SetBlockSize argument that disables the
 // vectorized path entirely (every ingest call takes the scalar path).
@@ -200,10 +201,10 @@ func (e *Engine) deliverBlock(edge *core.Edge, b *stream.Block) {
 		n.processed += live
 		if e.obsOn {
 			t0 := time.Now()
-			n.bm.ProcessBlock(c.port, b, e.bpool, n.emitB)
+			n.bm.ProcessBlock(c.port, b, e.bpool, n.emit, n.emitB)
 			n.busyNS += time.Since(t0).Nanoseconds()
 		} else {
-			n.bm.ProcessBlock(c.port, b, e.bpool, n.emitB)
+			n.bm.ProcessBlock(c.port, b, e.bpool, n.emit, n.emitB)
 		}
 	}
 	if len(r.scalarConsumers) > 0 || rowSinks {
@@ -223,12 +224,7 @@ func (e *Engine) deliverBlockRows(r *edgeRoute, b *stream.Block, rowSinks bool) 
 			w &^= 1 << uint(bit)
 			i := base + bit
 			t := e.pool.Get(b.TS[i], len(b.Cols))
-			for a, col := range b.Cols {
-				t.Vals[a] = col[i]
-			}
-			if b.Member != nil {
-				t.Member = e.memberSet(b.Member[i])
-			}
+			b.CopyRow(t, i, e.bpool)
 			t.Owned = !r.rowClearsOwned
 			if rowSinks {
 				for si := range r.sinks {
@@ -258,31 +254,4 @@ func (e *Engine) deliverBlockRows(r *edgeRoute, b *stream.Block, rowSinks bool) 
 			}
 		}
 	}
-}
-
-// memberSet interns the bitset.Set for one packed membership word. Stored
-// memberships must be shared read-only objects (the scalar path already
-// shares interned singletons across every ingest tuple), so the adapter
-// hands out one set per distinct word: singletons from the global interning
-// table, wider words from a per-engine cache with a last-word memo in
-// front, since consecutive rows of a block usually agree.
-func (e *Engine) memberSet(w uint64) *bitset.Set {
-	if w == 0 {
-		return nil
-	}
-	if w == e.lastMemberWord {
-		return e.lastMemberSet
-	}
-	var s *bitset.Set
-	if w&(w-1) == 0 {
-		s = bitset.Singleton(bits.TrailingZeros64(w))
-	} else if s = e.memberSets[w]; s == nil {
-		if e.memberSets == nil {
-			e.memberSets = make(map[uint64]*bitset.Set)
-		}
-		s = bitset.FromWord(w)
-		e.memberSets[w] = s
-	}
-	e.lastMemberWord, e.lastMemberSet = w, s
-	return s
 }

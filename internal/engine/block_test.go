@@ -1,0 +1,144 @@
+package engine
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/expr"
+	"repro/internal/rules"
+	"repro/internal/workload"
+)
+
+// w1Engine lowers the optimized 1000-query Workload 1 plan (§5.2): one
+// predicate-index select m-op over S feeding one shared ; m-op, whose right
+// port reads T through the AN index.
+func w1Engine(t *testing.T) (*Engine, workload.Params) {
+	t.Helper()
+	params := workload.DefaultParams()
+	qs, err := workload.ToRUMOR(params.Workload1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPhysical(params.Catalog())
+	for _, q := range qs {
+		if err := p.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rules.Optimize(p, rules.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, params
+}
+
+// columns returns n rows of arity attributes, every value v.
+func columns(n, arity int, v int64) (ts []int64, cols [][]int64) {
+	ts = make([]int64, n)
+	cols = make([][]int64, arity)
+	for a := range cols {
+		cols[a] = make([]int64, n)
+		for i := range cols[a] {
+			cols[a][i] = v
+		}
+	}
+	return ts, cols
+}
+
+// TestW1BlockEdges pins Stats.BlockEdges on the Workload 1 plan: the two
+// source edges and every σ output carry blocks (their consumers are the
+// select and ; m-ops); only the ; outputs, which are tuples, do not. It also
+// shows the engine using the T→; edge: a T batch is delivered as a block.
+func TestW1BlockEdges(t *testing.T) {
+	e, params := w1Engine(t)
+	st := e.plan.Stats()
+	selectOuts, seqOuts := 0, 0
+	for _, n := range e.plan.Nodes {
+		seen := map[int]bool{}
+		for _, o := range n.Ops {
+			ed, _ := e.plan.EdgeOf(o.Out)
+			if o.Out == nil || seen[ed.ID] {
+				continue
+			}
+			seen[ed.ID] = true
+			switch n.Kind {
+			case core.KindSelect:
+				selectOuts++
+			case core.KindSeq:
+				seqOuts++
+			}
+		}
+	}
+	if selectOuts < 2 || seqOuts < 2 {
+		t.Fatalf("unexpected W1 plan shape: %d σ output edges, %d ; output edges", selectOuts, seqOuts)
+	}
+	if want := 2 + selectOuts; st.BlockEdges != want || st.Edges != want+seqOuts {
+		t.Fatalf("BlockEdges = %d of %d edges, want %d (S, T and %d σ outputs) of %d",
+			st.BlockEdges, st.Edges, want, selectOuts, want+seqOuts)
+	}
+
+	ts, cols := columns(8, params.NumAttrs, 1)
+	before := e.BlocksProcessed()
+	if err := e.PushColumns("T", ts, cols); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.BlocksProcessed() - before; got != 1 {
+		t.Fatalf("a T batch moved %d blocks, want 1 (the T→; edge)", got)
+	}
+}
+
+// TestSeqBlockMissMaterializesNothing is the zero-materialization guard: a T
+// batch whose a0 no θ3 constant names reaches no state group, so pushing it
+// through the 1000-query plan builds no tuple — no allocation, and the tuple
+// pool neither shrinks nor grows. The pool is empty when the misses start,
+// which makes a draw visible even if the tuple were handed back: Get would
+// have to allocate it and the release would leave it in the pool.
+func TestSeqBlockMissMaterializesNothing(t *testing.T) {
+	e, params := w1Engine(t)
+	// Store instances of one query first, so a hit has something to match.
+	var c1, c3 int64
+	for _, n := range e.plan.Nodes {
+		if n.Kind == core.KindSeq {
+			o := n.Ops[0]
+			_, c1, _, _ = expr.IndexableEq(o.In[0].Producer.Def.Pred)
+			_, c3, _, _ = expr.RightIndexableEq(o.Def.Pred2)
+		}
+	}
+	sts, scols := columns(64, params.NumAttrs, c1)
+	if err := e.PushColumns("S", sts, scols); err != nil {
+		t.Fatal(err)
+	}
+	miss := int64(params.ConstDomain) + 5 // outside the constant domain
+	ts, cols := columns(256, params.NumAttrs, miss)
+	push := func() {
+		if err := e.PushColumns("T", ts, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := e.pool.FreeCount(); free != 0 {
+		t.Fatalf("tuple pool holds %d tuples after the S batch, want an empty pool to start from", free)
+	}
+	push() // warm the block pool
+	results := e.TotalResults()
+	if n := testing.AllocsPerRun(50, push); n != 0 {
+		t.Fatalf("an all-miss T batch allocates %v times per push, want 0", n)
+	}
+	if free := e.pool.FreeCount(); free != 0 {
+		t.Fatalf("all-miss batches left %d tuples in the pool: rows were materialized", free)
+	}
+	if got := e.TotalResults(); got != results {
+		t.Fatalf("all-miss batches produced %d results", got-results)
+	}
+
+	// The same batch on that query's θ3 constant does reach its group.
+	for i := range cols[0] {
+		cols[0][i] = c3
+	}
+	push()
+	if e.TotalResults() == results {
+		t.Fatal("a T batch on a named constant matched nothing: the guard above proves nothing")
+	}
+}

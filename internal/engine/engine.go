@@ -40,8 +40,9 @@ type runtimeNode struct {
 	uses []mop.PortUse // input port → how delivered tuples are used
 	// bm is non-nil when the m-op takes the vectorized path (implements
 	// BatchMOp and reported BlockReady at lowering); emitB is its block
-	// emission closure. Edges into a bm node carry blocks, everything else
-	// goes through the block→scalar adapter (see block.go).
+	// emission closure, handed to ProcessBlock beside emit. Edges into a bm
+	// node carry blocks, everything else goes through the block→scalar
+	// adapter (see block.go).
 	bm        mop.BatchMOp
 	emitB     mop.EmitBlock
 	processed int64 // tuples delivered to this m-op
@@ -147,18 +148,13 @@ type Engine struct {
 	// recycles blocks; pure scalar drains keep their bulk path.
 	qHasBlocks bool
 
-	// Vectorized-path state. bpool recycles block headers and columns;
-	// blockRows is the ingest segmentation (0 = stream.MaxBlockRows,
-	// blockSizeScalar = vectorization disabled). memberSets interns the
-	// multi-bit membership sets the block→scalar adapter attaches to
-	// materialized rows (single bits use bitset.Singleton), with a
-	// last-word memo in front since consecutive rows of a channel block
-	// usually share a membership word.
+	// Vectorized-path state. bpool recycles block headers and columns and
+	// interns the membership sets of rows leaving the columnar
+	// representation (the block→scalar adapter and the ;/µ kernel share the
+	// one cache); blockRows is the ingest segmentation (0 =
+	// stream.MaxBlockRows, blockSizeScalar = vectorization disabled).
 	bpool           *stream.BlockPool
 	blockRows       int
-	memberSets      map[uint64]*bitset.Set
-	lastMemberWord  uint64
-	lastMemberSet   *bitset.Set
 	blocksProcessed int64 // blocks delivered along block-capable edges
 
 	// Telemetry. obsOn caches obs.Enabled() — refreshed once per drain, so

@@ -47,9 +47,19 @@ type EmitBlock func(outPort int, b *stream.Block)
 
 // BatchMOp is implemented by m-ops that can additionally consume columnar
 // blocks (the vectorized execution path). ProcessBlock consumes the live
-// rows of one block arriving on the given input port and emits any output
-// blocks via emit, allocating block capacity only from bp. The observable
-// behaviour must equal calling Process once per live row in row order.
+// rows of one block arriving on the given input port. An m-op whose outputs
+// stay columnar (selection) emits blocks through emitB, allocating block
+// capacity only from bp; one whose outputs are freshly built tuples (;/µ)
+// emits them through emit, the same row closure Process is handed. The
+// observable behaviour must equal calling Process once per live row in row
+// order.
+//
+// A stateful implementation forks dispatch only: it decides per row, from
+// the columns, whether Process would have touched any operator state, and
+// for the rows that would it runs the very same state transitions in the
+// very same order (for SeqMOp: the same sequence of insert and matchGroup
+// calls). There is no second matching implementation, so operator state,
+// expiry and exported payloads after a block equal those after the rows.
 //
 // BlockReady reports whether this lowered instance can actually take the
 // block path: implementations answer false when some operator needs the
@@ -59,7 +69,7 @@ type EmitBlock func(outPort int, b *stream.Block)
 type BatchMOp interface {
 	MOp
 	BlockReady() bool
-	ProcessBlock(port int, b *stream.Block, bp *stream.BlockPool, emit EmitBlock)
+	ProcessBlock(port int, b *stream.Block, bp *stream.BlockPool, emit Emit, emitB EmitBlock)
 }
 
 // PortUse classifies what an m-op does with tuples delivered on one input

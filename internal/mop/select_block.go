@@ -20,8 +20,9 @@ import (
 // BlockReady implements BatchMOp.
 func (m *SelectMOp) BlockReady() bool { return m.vec }
 
-// ProcessBlock implements BatchMOp: the vectorized sσ/cσ kernel.
-func (m *SelectMOp) ProcessBlock(port int, in *stream.Block, bp *stream.BlockPool, emit EmitBlock) {
+// ProcessBlock implements BatchMOp: the vectorized sσ/cσ kernel. Outputs
+// are derived blocks, so the row closure is unused.
+func (m *SelectMOp) ProcessBlock(port int, in *stream.Block, bp *stream.BlockPool, _ Emit, emit EmitBlock) {
 	sp := &m.ports[port]
 	outs := m.blkOuts
 

@@ -157,18 +157,29 @@ type leftDispatch struct {
 
 // SeqMOp executes a set of Cayuga sequence (;) or iteration (µ) operators.
 type SeqMOp struct {
-	mu     bool
-	lefts  map[int]*leftDispatch
-	rights map[int]*rightDispatch
+	mu bool
+	// lefts and rights are indexed by input port; an entry is nil when no
+	// operator reads the port on that side.
+	lefts  []*leftDispatch
+	rights []*rightDispatch
 	ce     *chanEmitter
+	pool   *stream.Pool
+
+	// Vectorized dispatch (seq_block.go). vec is decided once at lowering
+	// time: every membership position within the inline word. probe is the
+	// scratch tuple a probe-only port materializes its hit rows into.
+	vec   bool
+	probe stream.Tuple
 }
 
 func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu bool) (*SeqMOp, error) {
 	m := &SeqMOp{
 		mu:     mu,
-		lefts:  make(map[int]*leftDispatch),
-		rights: make(map[int]*rightDispatch),
+		lefts:  make([]*leftDispatch, len(pm.inEdges)),
+		rights: make([]*rightDispatch, len(pm.inEdges)),
 		ce:     newChanEmitter(len(pm.outEdges), tp),
+		pool:   tp,
+		vec:    true,
 	}
 	type gkey struct {
 		lport, rport int
@@ -251,15 +262,23 @@ func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu 
 			tg:       pm.outLoc(p, o.Out),
 		})
 		g.opIDs = append(g.opIDs, o.ID)
+		// Blocks pack memberships one word per row.
+		if lpos >= 64 || rpos >= 64 {
+			m.vec = false
+		}
 	}
 	for _, g := range groups {
 		g.seal()
 	}
 	for _, ld := range m.lefts {
-		sealGroupIndexes(ld.fr)
+		if ld != nil {
+			sealGroupIndexes(ld.fr)
+		}
 	}
 	for _, rd := range m.rights {
-		sealGroupIndexes(rd.an)
+		if rd != nil {
+			sealGroupIndexes(rd.an)
+		}
 	}
 	return m, nil
 }
@@ -310,16 +329,15 @@ func (g *stateGroup) extractLeftPred(pred expr.Pred2, info *seqGroupInfo) expr.P
 // retainsPort reports whether tuples arriving on the port may be stored:
 // left tuples become instances; right tuples only feed fresh outputs.
 func (m *SeqMOp) retainsPort(port int) bool {
-	_, isLeft := m.lefts[port]
-	return isLeft
+	return m.lefts[port] != nil
 }
 
 // Process implements MOp.
 func (m *SeqMOp) Process(port int, t *stream.Tuple, emit Emit) {
-	if ld, ok := m.lefts[port]; ok {
+	if ld := m.lefts[port]; ld != nil {
 		m.processLeft(ld, t)
 	}
-	if rd, ok := m.rights[port]; ok {
+	if rd := m.rights[port]; rd != nil {
 		m.processRight(rd, t, emit)
 	}
 }
@@ -631,6 +649,9 @@ func (g *stateGroup) maybeCompact() {
 func (m *SeqMOp) groups() []*stateGroup {
 	var out []*stateGroup
 	for _, ld := range m.lefts {
+		if ld == nil {
+			continue
+		}
 		out = append(out, ld.rest...)
 		for i := range ld.fr {
 			ld.fr[i].byConst.forEach(func(g *stateGroup) { out = append(out, g) })
@@ -845,25 +866,12 @@ func (g *stateGroup) discardState() {
 
 // Size reports the number of live stored instances (for tests).
 func (m *SeqMOp) Size() int {
-	seen := map[*stateGroup]bool{}
 	n := 0
-	count := func(g *stateGroup) {
-		if seen[g] {
-			return
-		}
-		seen[g] = true
+	for _, g := range m.groups() {
 		for _, inst := range g.insts {
 			if !inst.dead {
 				n++
 			}
-		}
-	}
-	for _, ld := range m.lefts {
-		for _, g := range ld.rest {
-			count(g)
-		}
-		for i := range ld.fr {
-			ld.fr[i].byConst.forEach(count)
 		}
 	}
 	return n
@@ -876,4 +884,7 @@ var (
 	_ MOp = (*ProjectMOp)(nil)
 	_ MOp = (*AggMOp)(nil)
 	_ MOp = (*JoinMOp)(nil)
+
+	_ BatchMOp = (*SeqMOp)(nil)
+	_ BatchMOp = (*SelectMOp)(nil)
 )

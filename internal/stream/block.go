@@ -1,6 +1,10 @@
 package stream
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/bitset"
+)
 
 // Block is a columnar batch of tuples flowing along one edge: the unit of
 // the vectorized execution path. Where a Tuple is one row, a Block is up to
@@ -18,8 +22,10 @@ import "math/bits"
 //     spilled (>64-slot) memberships — such tuples take the scalar path.
 //
 // Blocks are transient: they live within one engine drain, are never stored
-// by m-ops (stateful operators receive materialized tuples at the
-// block→scalar boundary), and return to their pool when the drain ends.
+// by m-ops, and return to their pool when the drain ends. A stateful
+// operator that takes blocks (;/µ) copies each row it keeps into a pooled
+// tuple of its own; the others (join, aggregation, projection) receive
+// materialized tuples at the engine's block→scalar boundary.
 // Derived blocks (a kernel's outputs) share TS and Cols with their input
 // and own only Sel and Member, so narrowing a block allocates nothing in
 // steady state.
@@ -83,6 +89,13 @@ func (b *Block) SelAll() {
 // paths shared with pool-less callers need no branching.
 type BlockPool struct {
 	free []*Block
+
+	// memberSets interns the multi-bit membership sets handed out by
+	// MemberSet, with a last-word memo in front since consecutive rows of a
+	// channel block usually share a membership word.
+	memberSets     map[uint64]*bitset.Set
+	lastMemberWord uint64
+	lastMemberSet  *bitset.Set
 }
 
 // maxBlockFree bounds the free list; blocks beyond it go to the collector.
@@ -203,16 +216,67 @@ func (p *BlockPool) GetMember(b *Block) {
 	}
 }
 
-// Put returns b to the pool. Owned capacity (Sel, Member, and — for blocks
-// built by Get — TS and the columns) is kept for reuse; shared or borrowed
-// references are dropped. The caller must be past the block's last read:
-// blocks deriving from b must be Put no later than b itself is reused,
-// which the engine guarantees by recycling all of a drain's blocks at once.
+// MemberSet interns the bitset.Set for one packed membership word of a
+// channel block (nil for the zero word). A row leaving the columnar
+// representation — at the engine's block→scalar adapter or inside a
+// stateful kernel — needs its membership as a set, and stored memberships
+// must be shared read-only objects (the scalar path already shares interned
+// singletons across every ingest tuple), so the pool hands out one set per
+// distinct word: singletons from the global interning table, wider words
+// from a per-pool cache.
+func (p *BlockPool) MemberSet(w uint64) *bitset.Set {
+	if w == 0 {
+		return nil
+	}
+	if w&(w-1) == 0 {
+		return bitset.Singleton(bits.TrailingZeros64(w))
+	}
+	if p == nil {
+		return bitset.FromWord(w)
+	}
+	if w == p.lastMemberWord {
+		return p.lastMemberSet
+	}
+	s := p.memberSets[w]
+	if s == nil {
+		if p.memberSets == nil {
+			p.memberSets = make(map[uint64]*bitset.Set)
+		}
+		s = bitset.FromWord(w)
+		p.memberSets[w] = s
+	}
+	p.lastMemberWord, p.lastMemberSet = w, s
+	return s
+}
+
+// CopyRow copies row i of b into t — the one place a row leaves the columnar
+// representation. t.Vals must already have the block's arity; the timestamp
+// is the caller's to set. A channel block's membership word becomes a set
+// from bp's interner, a plain block's row gets none.
+//
+//rumor:noalloc
+func (b *Block) CopyRow(t *Tuple, i int, bp *BlockPool) {
+	for a, col := range b.Cols {
+		t.Vals[a] = col[i]
+	}
+	t.Member = nil
+	if b.Member != nil {
+		t.Member = bp.MemberSet(b.Member[i])
+	}
+}
+
+// Put returns b to the pool. Owned capacity (Sel, Member, the outer column
+// slice, and — for blocks built by Get — TS and the columns) is kept for
+// reuse; shared or borrowed references are dropped. The caller must be past
+// the block's last read: blocks deriving from b must be Put no later than b
+// itself is reused, which the engine guarantees by recycling all of a
+// drain's blocks at once.
 //rumor:noalloc
 func (p *BlockPool) Put(b *Block) {
 	if !b.ownData {
 		b.TS = nil
-		b.Cols = nil
+		clear(b.Cols)
+		b.Cols = b.Cols[:0]
 	}
 	b.n = 0
 	if p != nil && len(p.free) < maxBlockFree {

@@ -73,6 +73,15 @@ func (p *Pool) Put(t *Tuple) {
 	}
 }
 
+// FreeCount returns the number of recycled tuples the pool holds (0 for the
+// nil pool). Tests use it to show that a path neither draws nor leaks tuples.
+func (p *Pool) FreeCount() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.free)
+}
+
 // Clone returns a deep copy of t (values and membership) drawn from the
 // pool.
 func (p *Pool) Clone(t *Tuple) *Tuple {

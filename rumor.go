@@ -115,10 +115,10 @@ type PlanInfo struct {
 	MulticastKeys int
 
 	// BlockEdges counts plan edges statically capable of carrying
-	// columnar blocks (producer and all consumers vectorize, membership
-	// fits one word); BlocksProcessed is the number of blocks the engine
-	// has actually delivered along such edges — 0 when every push took
-	// the scalar path.
+	// columnar blocks (produced by a source or selection, read only by
+	// selections and ;/µ, membership fits one word); BlocksProcessed is
+	// the number of blocks the engine has actually delivered along such
+	// edges — 0 when every push took the scalar path.
 	BlockEdges      int
 	BlocksProcessed int64
 }
