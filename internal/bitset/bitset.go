@@ -215,6 +215,7 @@ func (s *Set) Clear(i int) {
 }
 
 // Test reports whether bit i is set.
+//
 //rumor:noalloc
 func (s *Set) Test(i int) bool {
 	if s == nil || i < 0 {
@@ -230,6 +231,7 @@ func (s *Set) Test(i int) bool {
 }
 
 // Count returns the number of set bits.
+//
 //rumor:noalloc
 func (s *Set) Count() int {
 	if s == nil {
@@ -246,6 +248,7 @@ func (s *Set) Count() int {
 }
 
 // Empty reports whether no bit is set.
+//
 //rumor:noalloc
 func (s *Set) Empty() bool {
 	if s == nil {
@@ -373,6 +376,7 @@ func (s *Set) Difference(o *Set) {
 }
 
 // Intersects reports whether s ∩ o is non-empty, without allocating.
+//
 //rumor:noalloc
 func (s *Set) Intersects(o *Set) bool {
 	if s == nil || o == nil {
@@ -396,6 +400,7 @@ func (s *Set) Intersects(o *Set) bool {
 }
 
 // Equal reports whether s and o contain exactly the same bits.
+//
 //rumor:noalloc
 func (s *Set) Equal(o *Set) bool {
 	if s != nil && o != nil && s.spill == nil && o.spill == nil {
@@ -423,6 +428,7 @@ func (s *Set) Equal(o *Set) bool {
 }
 
 // SubsetOf reports whether every bit of s is also set in o.
+//
 //rumor:noalloc
 func (s *Set) SubsetOf(o *Set) bool {
 	if s == nil {

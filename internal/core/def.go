@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/expr"
 )
@@ -106,6 +107,11 @@ func (f AggFn) String() string {
 //	Seq:     Pred2 (θ, no duration), Window (duration predicate θ2)
 //	Mu:      Pred2 (forward/rebind predicate θr over (instance, event)),
 //	         Filter2 (filter-edge predicate θf), Window
+//
+// A Def is immutable once built: Key is computed on first use and cached,
+// so no field may change after the Def has been handed to a plan (the
+// wire decoder only fills a fresh Def before returning it). The cache is
+// safe for concurrent use: sharded replicas key the same Defs in parallel.
 type Def struct {
 	Kind OpKind
 
@@ -122,11 +128,27 @@ type Def struct {
 	// Window is the time window: sliding-window length for Agg/Join, the
 	// duration predicate for Seq/Mu. 0 means unbounded.
 	Window int64
+
+	key atomic.Pointer[string] // cached Key, built on first use
 }
 
-// Key returns the canonical full-definition key.
+// Key returns the canonical full-definition key. It is built once per Def;
+// racing first callers build equal strings, and either may be kept.
 func (d *Def) Key() string {
-	return fmt.Sprintf("%s|%s|w=%d", d.Kind, d.keyModuloWindow(), d.Window)
+	if k := d.key.Load(); k != nil {
+		return *k
+	}
+	k := fmt.Sprintf("%s|%s|w=%d", d.Kind, d.keyModuloWindow(), d.Window)
+	d.key.Store(&k)
+	return k
+}
+
+// shareKey makes d hold o's cached key, which it must equal: CSE calls it
+// on the Defs of the ops it collapses, so their retained keys are one copy.
+func (d *Def) shareKey(o *Def) {
+	if k := o.key.Load(); k != nil && d != o {
+		d.key.Store(k)
+	}
 }
 
 // keyModuloWindow is the definition key with the window excluded.
@@ -156,9 +178,11 @@ func (d *Def) keyModuloWindow() string {
 
 // KeyModuloWindow returns the definition key ignoring the window length.
 // Used by the shared-join rule s⨝ ("same join predicate but potentially
-// different window lengths", Table 1) and its Seq/Mu analogue.
+// different window lengths", Table 1) and its Seq/Mu analogue. It is the
+// prefix of Key before the "|w=N" suffix, so it shares Key's cached bytes.
 func (d *Def) KeyModuloWindow() string {
-	return fmt.Sprintf("%s|%s", d.Kind, d.keyModuloWindow())
+	k := d.Key()
+	return k[:strings.LastIndex(k, "|w=")]
 }
 
 // KeyModuloRightConst returns the definition key with any right-side

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -333,8 +334,8 @@ func (p *Physical) RemoveQuery(queryID int) error {
 		}
 	}
 
-	p.Queries = append(p.Queries[:idx], p.Queries[idx+1:]...)
-	delete(p.outStream, queryID)
+	p.Queries = slices.Delete(p.Queries, idx, idx+1)
+	p.dropOutput(queryID)
 	if p.rec != nil {
 		p.rec.RemovedQueries = append(p.rec.RemovedQueries, queryID)
 	}
@@ -345,8 +346,9 @@ func (p *Physical) RemoveQuery(queryID int) error {
 // node's op list, and its output stream (tombstoned in place on shared
 // channel edges; single-stream and fully-dead edges are dropped).
 func (p *Physical) removeDeadOp(o *Op) {
+	isOp := func(x *Op) bool { return x == o }
 	for _, in := range o.In {
-		p.consumersOf[in.ID] = removeOp(p.consumersOf[in.ID], o)
+		p.consumersOf[in.ID] = slices.DeleteFunc(p.consumersOf[in.ID], isOp)
 		if len(p.consumersOf[in.ID]) == 0 {
 			delete(p.consumersOf, in.ID)
 		}
@@ -354,7 +356,7 @@ func (p *Physical) removeDeadOp(o *Op) {
 	if o.Out != nil {
 		dead := o.Out
 		dead.Dead = true
-		p.dropClassStream(dead)
+		p.dropClassStreams(dead.ShareClass, func(s *StreamRef) bool { return s == dead })
 		p.noteDroppedStream(dead.ID)
 		delete(p.consumersOf, dead.ID)
 		if e := p.streamEdge[dead.ID]; e != nil {
@@ -370,7 +372,7 @@ func (p *Physical) removeDeadOp(o *Op) {
 			// channel memberships inside running m-ops remain valid.
 		}
 	}
-	o.Node.Ops = removeOp(o.Node.Ops, o)
+	o.Node.Ops = slices.DeleteFunc(o.Node.Ops, isOp)
 }
 
 // OpRefcounts returns, per operator ID, the number of registered queries

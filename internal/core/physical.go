@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -95,6 +96,9 @@ type Physical struct {
 	sourceNode  map[string]*Node // source name → source node
 	sourceRef   map[string]*StreamRef
 	outStream   map[int]*StreamRef // query ID → output stream
+	// outQueries is outStream's reverse: stream ID → the queries whose
+	// output it is, so CSE remaps only a dead stream's own queries.
+	outQueries map[int][]int
 	// classStreams indexes live streams by their ∼ share class, so the
 	// incremental channel rule finds a dirty operator's sharing partners
 	// without scanning the plan.
@@ -118,6 +122,7 @@ func NewPhysical(catalog map[string]SourceDecl) *Physical {
 		sourceNode:   make(map[string]*Node),
 		sourceRef:    make(map[string]*StreamRef),
 		outStream:    make(map[int]*StreamRef),
+		outQueries:   make(map[int][]int),
 		classStreams: make(map[string][]*StreamRef),
 	}
 }
@@ -131,19 +136,14 @@ func (p *Physical) addClassStream(s *StreamRef) {
 	p.classStreams[s.ShareClass] = append(p.classStreams[s.ShareClass], s)
 }
 
-// dropClassStream removes a dead stream from the share-class index.
-func (p *Physical) dropClassStream(s *StreamRef) {
-	list := p.classStreams[s.ShareClass]
-	out := list[:0]
-	for _, x := range list {
-		if x != s {
-			out = append(out, x)
-		}
-	}
-	if len(out) == 0 {
-		delete(p.classStreams, s.ShareClass)
+// dropClassStreams removes the streams dead reports true for from one
+// share class's index entry.
+func (p *Physical) dropClassStreams(class string, dead func(*StreamRef) bool) {
+	list := slices.DeleteFunc(p.classStreams[class], dead)
+	if len(list) == 0 {
+		delete(p.classStreams, class)
 	} else {
-		p.classStreams[s.ShareClass] = out
+		p.classStreams[class] = list
 	}
 }
 
@@ -170,7 +170,7 @@ func (p *Physical) AddQuery(q *Query) error {
 		return fmt.Errorf("query %q: %w", q.Name, err)
 	}
 	p.Queries = append(p.Queries, q)
-	p.outStream[q.ID] = out
+	p.setOutput(q.ID, out)
 	if p.rec != nil {
 		p.rec.NewQueries = append(p.rec.NewQueries, q.ID)
 	}
@@ -366,6 +366,10 @@ func (p *Physical) EdgeOf(s *StreamRef) (*Edge, int) {
 	return e, e.Pos(s)
 }
 
+// StreamEdge returns the edge carrying stream s (nil if none): EdgeOf
+// without the position scan over the edge's streams.
+func (p *Physical) StreamEdge(s *StreamRef) *Edge { return p.streamEdge[s.ID] }
+
 // Consumers returns the operators reading stream s.
 func (p *Physical) Consumers(s *StreamRef) []*Op {
 	return p.consumersOf[s.ID]
@@ -377,14 +381,30 @@ func (p *Physical) OutputOf(queryID int) *StreamRef { return p.outStream[queryID
 // OutputQueries returns, for stream s, the IDs of queries whose output is
 // s, in ascending order.
 func (p *Physical) OutputQueries(s *StreamRef) []int {
-	var ids []int
-	for qid, o := range p.outStream {
-		if o == s {
-			ids = append(ids, qid)
-		}
-	}
+	ids := slices.Clone(p.outQueries[s.ID])
 	sort.Ints(ids)
 	return ids
+}
+
+// setOutput registers s as query qid's output stream in both directions.
+func (p *Physical) setOutput(qid int, s *StreamRef) {
+	p.outStream[qid] = s
+	p.outQueries[s.ID] = append(p.outQueries[s.ID], qid)
+}
+
+// dropOutput unregisters query qid's output stream.
+func (p *Physical) dropOutput(qid int) {
+	s := p.outStream[qid]
+	if s == nil {
+		return
+	}
+	delete(p.outStream, qid)
+	ids := slices.DeleteFunc(p.outQueries[s.ID], func(id int) bool { return id == qid })
+	if len(ids) == 0 {
+		delete(p.outQueries, s.ID)
+	} else {
+		p.outQueries[s.ID] = ids
+	}
 }
 
 // SourceStream returns the stream of the named source (nil if unused).
@@ -462,60 +482,100 @@ func (p *Physical) MergeNodes(nodes []*Node) (*Node, error) {
 // removed from their nodes (empty nodes are deleted). Used by s; and sµ
 // (§4.3, prefix state merging) and to share identical aggregates (Fig 6).
 func (p *Physical) CollapseOps(ops []*Op) (*Op, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("CollapseOps: empty set")
+	if err := p.CollapseGroups([][]*Op{ops}); err != nil {
+		return nil, err
 	}
-	keep := ops[0]
-	for _, o := range ops[1:] {
-		if o.Def.Key() != keep.Def.Key() {
-			return nil, fmt.Errorf("CollapseOps: definitions differ: %s vs %s", o.Def.Key(), keep.Def.Key())
+	return ops[0], nil
+}
+
+// CollapseGroups applies CollapseOps to each of a list of disjoint groups,
+// each valid on the plan as given, with the same result as collapsing them
+// one after the other. All groups are collapsed together, so each
+// consumer, share-class, edge and node list is filtered once for the whole
+// batch instead of once per group or per op.
+func (p *Physical) CollapseGroups(groups [][]*Op) error {
+	deadOps := make(map[*Op]bool)
+	deadStreams := make(map[*StreamRef]bool)
+	for _, ops := range groups {
+		if err := checkCollapse(ops); err != nil {
+			return err
 		}
-		if len(o.In) != len(keep.In) {
-			return nil, fmt.Errorf("CollapseOps: arity mismatch")
+		for _, o := range ops[1:] {
+			deadOps[o] = true
+			deadStreams[o.Out] = true
 		}
-		for i := range o.In {
-			if o.In[i] != keep.In[i] {
-				return nil, fmt.Errorf("CollapseOps: input streams differ")
+	}
+	// The lists to filter; each is filtered once, in any order.
+	classes := make(map[string]bool)
+	edges := make(map[*Edge]bool)
+	nodes := make(map[*Node]bool)
+	for _, ops := range groups {
+		keep := ops[0]
+		for _, o := range ops[1:] {
+			o.Def.shareKey(keep.Def)
+			dead := o.Out
+			if dead.ShareClass != "" {
+				classes[dead.ShareClass] = true
 			}
-		}
-	}
-	for _, o := range ops[1:] {
-		dead := o.Out
-		p.dropClassStream(dead)
-		p.noteDroppedStream(dead.ID)
-		// Rewire consumers of the dead stream to keep.Out.
-		for _, c := range p.consumersOf[dead.ID] {
-			for i, s := range c.In {
-				if s == dead {
-					c.In[i] = keep.Out
+			p.noteDroppedStream(dead.ID)
+			// Rewire consumers of the dead stream to keep.Out. A consumer
+			// that is itself redundant in another group is dropped with
+			// its group, whichever of the two comes first.
+			for _, c := range p.consumersOf[dead.ID] {
+				if deadOps[c] {
+					continue
 				}
+				for i, s := range c.In {
+					if s == dead {
+						c.In[i] = keep.Out
+					}
+				}
+				p.consumersOf[keep.Out.ID] = append(p.consumersOf[keep.Out.ID], c)
+				p.noteDirty(c.Node.ID)
 			}
-			p.consumersOf[keep.Out.ID] = append(p.consumersOf[keep.Out.ID], c)
-			p.noteDirty(c.Node.ID)
-		}
-		delete(p.consumersOf, dead.ID)
-		// Remap query outputs.
-		for qid, s := range p.outStream {
-			if s == dead {
-				p.outStream[qid] = keep.Out
+			delete(p.consumersOf, dead.ID)
+			// Remap the dead stream's query outputs.
+			if qids, ok := p.outQueries[dead.ID]; ok {
+				for _, qid := range qids {
+					p.outStream[qid] = keep.Out
+				}
+				p.outQueries[keep.Out.ID] = append(p.outQueries[keep.Out.ID], qids...)
+				delete(p.outQueries, dead.ID)
 			}
-		}
-		// Remove the dead op from input-consumer indexes.
-		for _, in := range o.In {
-			p.consumersOf[in.ID] = removeOp(p.consumersOf[in.ID], o)
-		}
-		// Drop the dead edge and stream.
-		if e := p.streamEdge[dead.ID]; e != nil {
-			e.Streams = removeStream(e.Streams, dead)
-			if len(e.Streams) == 0 {
-				delete(p.Edges, e.ID)
-				p.noteRemovedEdge(e.ID)
+			if e := p.streamEdge[dead.ID]; e != nil {
+				edges[e] = true
 			}
+			delete(p.streamEdge, dead.ID)
+			nodes[o.Node] = true
 		}
-		delete(p.streamEdge, dead.ID)
-		// Remove the op from its node.
-		n := o.Node
-		n.Ops = removeOp(n.Ops, o)
+	}
+	isDeadOp := func(o *Op) bool { return deadOps[o] }
+	isDeadStream := func(s *StreamRef) bool { return deadStreams[s] }
+	for class := range classes {
+		p.dropClassStreams(class, isDeadStream)
+	}
+	// Remove the dead ops from their inputs' consumer indexes: the kept
+	// ops' inputs, read after the rewiring above.
+	ins := make(map[*StreamRef]bool)
+	for _, ops := range groups {
+		for _, in := range ops[0].In {
+			ins[in] = true
+		}
+	}
+	for in := range ins {
+		p.consumersOf[in.ID] = slices.DeleteFunc(p.consumersOf[in.ID], isDeadOp)
+	}
+	// Drop the dead streams from their edges; an emptied edge goes.
+	for e := range edges {
+		e.Streams = slices.DeleteFunc(e.Streams, isDeadStream)
+		if len(e.Streams) == 0 {
+			delete(p.Edges, e.ID)
+			p.noteRemovedEdge(e.ID)
+		}
+	}
+	// Remove the dead ops from their nodes; an emptied node goes.
+	for n := range nodes {
+		n.Ops = slices.DeleteFunc(n.Ops, isDeadOp)
 		if len(n.Ops) == 0 {
 			delete(p.Nodes, n.ID)
 			p.noteRemovedNode(n.ID)
@@ -523,7 +583,29 @@ func (p *Physical) CollapseOps(ops []*Op) (*Op, error) {
 			p.noteDirty(n.ID)
 		}
 	}
-	return keep, nil
+	return nil
+}
+
+// checkCollapse verifies that ops is a valid CollapseOps group.
+func checkCollapse(ops []*Op) error {
+	if len(ops) == 0 {
+		return fmt.Errorf("CollapseOps: empty set")
+	}
+	keep := ops[0]
+	for _, o := range ops[1:] {
+		if o.Def.Key() != keep.Def.Key() {
+			return fmt.Errorf("CollapseOps: definitions differ: %s vs %s", o.Def.Key(), keep.Def.Key())
+		}
+		if len(o.In) != len(keep.In) {
+			return fmt.Errorf("CollapseOps: arity mismatch")
+		}
+		for i := range o.In {
+			if o.In[i] != keep.In[i] {
+				return fmt.Errorf("CollapseOps: input streams differ")
+			}
+		}
+	}
+	return nil
 }
 
 // EncodeChannel merges the edges carrying the given streams into a single
@@ -722,26 +804,6 @@ func (p *Physical) compactEdge(e *Edge, live int) {
 			p.noteDirty(c.Node.ID)
 		}
 	}
-}
-
-func removeOp(s []*Op, o *Op) []*Op {
-	out := s[:0]
-	for _, x := range s {
-		if x != o {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func removeStream(s []*StreamRef, r *StreamRef) []*StreamRef {
-	out := s[:0]
-	for _, x := range s {
-		if x != r {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ func RebuildPhysical(catalog map[string]SourceDecl, s *PlanSnapshot) (*Physical,
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot query %d outputs unknown stream %d", qid, sid)
 		}
-		p.outStream[qid] = st
+		p.setOutput(qid, st)
 	}
 
 	if err := p.Validate(); err != nil {

@@ -50,6 +50,7 @@ func (o CmpOp) String() string {
 }
 
 // Apply evaluates "a o b".
+//
 //rumor:noalloc
 func (o CmpOp) Apply(a, b int64) bool {
 	switch o {
@@ -88,6 +89,7 @@ type ConstCmp struct {
 }
 
 // Eval implements Pred.
+//
 //rumor:noalloc
 func (p ConstCmp) Eval(t *stream.Tuple) bool { return p.Op.Apply(t.Vals[p.Attr], p.C) }
 
@@ -102,6 +104,7 @@ type AttrCmp struct {
 }
 
 // Eval implements Pred.
+//
 //rumor:noalloc
 func (p AttrCmp) Eval(t *stream.Tuple) bool { return p.Op.Apply(t.Vals[p.A], t.Vals[p.B]) }
 
@@ -152,6 +155,7 @@ func NewAnd(parts ...Pred) Pred {
 }
 
 // Eval implements Pred.
+//
 //rumor:noalloc
 func (p And) Eval(t *stream.Tuple) bool {
 	for _, q := range p.Parts {
@@ -176,6 +180,7 @@ func (p And) Key() string {
 type Or struct{ Parts []Pred }
 
 // Eval implements Pred.
+//
 //rumor:noalloc
 func (p Or) Eval(t *stream.Tuple) bool {
 	for _, q := range p.Parts {
@@ -200,6 +205,7 @@ func (p Or) Key() string {
 type Not struct{ P Pred }
 
 // Eval implements Pred.
+//
 //rumor:noalloc
 func (p Not) Eval(t *stream.Tuple) bool { return !p.P.Eval(t) }
 
@@ -296,6 +302,7 @@ type AttrCmp2 struct {
 }
 
 // Eval2 implements Pred2.
+//
 //rumor:noalloc
 func (p AttrCmp2) Eval2(l, r *stream.Tuple) bool { return p.Op.Apply(l.Vals[p.L], r.Vals[p.R]) }
 
@@ -325,6 +332,7 @@ func (p Right) Key() string { return "R:" + p.P.Key() }
 type Duration struct{ W int64 }
 
 // Eval2 implements Pred2.
+//
 //rumor:noalloc
 func (p Duration) Eval2(l, r *stream.Tuple) bool {
 	d := r.TS - l.TS
@@ -379,6 +387,7 @@ func NewAnd2(parts ...Pred2) Pred2 {
 }
 
 // Eval2 implements Pred2.
+//
 //rumor:noalloc
 func (p And2) Eval2(l, r *stream.Tuple) bool {
 	for _, q := range p.Parts {
@@ -403,6 +412,7 @@ func (p And2) Key() string {
 type Or2 struct{ Parts []Pred2 }
 
 // Eval2 implements Pred2.
+//
 //rumor:noalloc
 func (p Or2) Eval2(l, r *stream.Tuple) bool {
 	for _, q := range p.Parts {

@@ -11,6 +11,7 @@ import "math/bits"
 // Columnar reports whether p can be evaluated against column-major data by
 // FilterSel/EvalAt: every node is one of the package's standard combinators
 // (ConstCmp, AttrCmp, True, False, And, Or, Not).
+//
 //rumor:noalloc
 func Columnar(p Pred) bool {
 	switch q := p.(type) {
@@ -39,6 +40,7 @@ func Columnar(p Pred) bool {
 // EvalAt evaluates p against row i of column-major data: cols[a][i] is the
 // row's value of attribute a. It mirrors Pred.Eval exactly (including the
 // panic on an out-of-range attribute). p must be Columnar.
+//
 //rumor:noalloc
 func EvalAt(p Pred, cols [][]int64, i int) bool {
 	switch q := p.(type) {
@@ -75,6 +77,7 @@ func EvalAt(p Pred, cols [][]int64, i int) bool {
 // per-conjunct column passes — each pass reads one attribute contiguously
 // and the selection only narrows, so later conjuncts touch fewer rows.
 // p must be Columnar. Bits past the row count must be (and stay) zero.
+//
 //rumor:noalloc
 func FilterSel(p Pred, cols [][]int64, sel []uint64) {
 	switch q := p.(type) {

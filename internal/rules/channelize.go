@@ -1,8 +1,8 @@
 package rules
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -40,78 +40,87 @@ func (Channelize) Name() string { return "channelize" }
 
 // Apply implements Rule.
 func (r Channelize) Apply(p *core.Physical) (bool, error) {
-	return applyChannelize(p, allNodes(p), r.MinStreams, false)
+	return applyChannelize(p, nodesOf(p, notSource), r.MinStreams, false)
 }
 
 func (r Channelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
 	return applyChannelize(p, nodes, r.MinStreams, false)
 }
 
-// partnerStreams: channel partners consume the live streams of the
-// input's ∼ share class (both sides for joins, which channelize both
-// inputs), found through the plan's share-class index.
-func (r Channelize) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
-	return channelPartnerStreams(p, o)
+// partners: channel partners consume the live streams of the input's ∼
+// share class (both sides for joins, which channelize both inputs), found
+// through the plan's share-class index.
+func (r Channelize) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
+	return channelPartners(o, dst)
 }
 
-func channelPartnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+func channelPartners(o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
-		return nil
+		return dst
 	}
 	sides := o.In[:1]
 	if o.Def.Kind == core.KindJoin {
 		sides = o.In
 	}
-	var out []*core.StreamRef
 	for _, in := range sides {
-		out = append(out, p.StreamsOfClass(in.ShareClass)...)
+		dst = append(dst, partnerSet{class: in.ShareClass})
 	}
-	return out
+	return dst
+}
+
+// chanKey groups the candidate ops of one channel action: kind,
+// definition and first input's share class, plus the second input's share
+// class for joins (c⨝ channelizes both sides) or the second input's edge
+// for ; and µ (which must read it identically).
+type chanKey struct {
+	kind   core.OpKind
+	def    string
+	class0 string
+	class1 string // joins only
+	edge1  int    // ; and µ only, else -1
+}
+
+func (k chanKey) String() string {
+	s := k.kind.String() + "|" + k.def + "|" + k.class0
+	switch k.kind {
+	case core.KindJoin:
+		s += "|" + k.class1
+	case core.KindSeq, core.KindMu:
+		s += "|re" + strconv.Itoa(k.edge1)
+	}
+	return s
 }
 
 func applyChannelize(p *core.Physical, nodes []*core.Node, minStreams int, live bool) (bool, error) {
 	if minStreams < 2 {
 		minStreams = 2
 	}
-	groups := make(map[string][]*core.Op)
-	joinSides := make(map[string]bool) // group keys that channelize both inputs
+	groups := make(map[chanKey][]*core.Op)
 	for _, n := range nodes {
 		if n.Kind == core.KindSource {
 			continue
 		}
 		for _, o := range n.Ops {
-			var k string
+			k := chanKey{kind: o.Def.Kind, def: o.Def.Key(), class0: o.In[0].ShareClass, edge1: -1}
 			switch o.Def.Kind {
 			case core.KindJoin:
 				// c⨝ (Table 1): "join operators which read sharable
 				// streams, with the same definition" — both sides are
 				// grouped by share class and channelized together.
-				k = fmt.Sprintf("join|%s|%s|%s", o.Def.Key(), o.In[0].ShareClass, o.In[1].ShareClass)
-				joinSides[k] = true
+				k.class1 = o.In[1].ShareClass
 			case core.KindSeq, core.KindMu:
 				// c;/cµ (§4.4): sharable first inputs, identical second
 				// input stream.
-				oe, _ := p.EdgeOf(o.In[1])
-				k = fmt.Sprintf("%s|%s|%s|re%d", o.Def.Kind, o.Def.Key(), o.In[0].ShareClass, oe.ID)
-			default:
-				k = fmt.Sprintf("%s|%s|%s", o.Def.Kind, o.Def.Key(), o.In[0].ShareClass)
+				k.edge1 = p.StreamEdge(o.In[1]).ID
 			}
 			groups[k] = append(groups[k], o)
 		}
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	changed := false
-	for _, k := range keys {
+	for _, k := range fireable(groups, minStreams, chanKey.String) {
 		ops := groups[k]
-		if len(ops) < minStreams {
-			continue
-		}
 		sides := []int{0}
-		if joinSides[k] {
+		if k.kind == core.KindJoin {
 			sides = []int{0, 1}
 		}
 		for _, idx := range sides {
@@ -152,8 +161,7 @@ func channelizeGroup(p *core.Physical, ops []*core.Op, inIdx, minStreams int, li
 			seenStream[s.ID] = true
 			streams = append(streams, s)
 		}
-		e, _ := p.EdgeOf(s)
-		edgeIDs[e.ID] = true
+		edgeIDs[p.StreamEdge(s).ID] = true
 	}
 	if len(streams) < minStreams {
 		return false, nil
@@ -179,9 +187,7 @@ func channelizeGroup(p *core.Physical, ops []*core.Op, inIdx, minStreams int, li
 		// preserves their membership positions and the delta-new streams
 		// are appended after them.
 		sort.SliceStable(streams, func(i, j int) bool {
-			ei, _ := p.EdgeOf(streams[i])
-			ej, _ := p.EdgeOf(streams[j])
-			return !p.NewEdge(ei.ID) && p.NewEdge(ej.ID)
+			return !p.NewEdge(p.StreamEdge(streams[i]).ID) && p.NewEdge(p.StreamEdge(streams[j]).ID)
 		})
 	}
 

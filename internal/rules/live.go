@@ -34,16 +34,16 @@ func (LiveChannelize) Name() string { return "channelize-live" }
 
 // Apply implements Rule.
 func (r LiveChannelize) Apply(p *core.Physical) (bool, error) {
-	return applyChannelize(p, allNodes(p), r.MinStreams, true)
+	return applyChannelize(p, nodesOf(p, notSource), r.MinStreams, true)
 }
 
 func (r LiveChannelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
 	return applyChannelize(p, nodes, r.MinStreams, true)
 }
 
-// partnerStreams: same sharing partners as the offline channel rule.
-func (r LiveChannelize) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
-	return channelPartnerStreams(p, o)
+// partners: same sharing partners as the offline channel rule.
+func (r LiveChannelize) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
+	return channelPartners(o, dst)
 }
 
 // LiveRules returns the rule set for incremental optimization of a running

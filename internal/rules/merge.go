@@ -1,8 +1,8 @@
 package rules
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 )
@@ -19,48 +19,60 @@ func (CSE) Name() string { return "cse" }
 
 // Apply implements Rule.
 func (r CSE) Apply(p *core.Physical) (bool, error) {
-	return r.applyNodes(p, allNodes(p))
+	return r.applyNodes(p, nodesOf(p, notSource))
+}
+
+// cseKey groups ops with identical definitions reading identical streams.
+type cseKey struct {
+	def string
+	in  inIDs
 }
 
 // applyNodes runs the rule over the ops of the given nodes only (the full
 // plan for Apply; a dirty-seeded candidate set for the live pass).
 func (CSE) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	groups := make(map[string][]*core.Op)
+	// Bucket by inputs first: that key hashes cheaply, and most buckets
+	// hold one op, which then never has its definition key hashed.
+	byIn := make(map[inIDs][]*core.Op)
 	for _, n := range nodes {
 		if n.Kind == core.KindSource {
 			continue
 		}
 		for _, o := range n.Ops {
-			k := o.Def.Key() + "|" + inStreamKey(o)
-			groups[k] = append(groups[k], o)
+			in := inStreamIDs(o)
+			byIn[in] = append(byIn[in], o)
 		}
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	changed := false
-	for _, k := range keys {
-		ops := groups[k]
+	groups := make(map[cseKey][]*core.Op)
+	for in, ops := range byIn {
 		if len(ops) < 2 {
 			continue
 		}
-		sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
-		if _, err := p.CollapseOps(ops); err != nil {
-			return changed, err
+		for _, o := range ops {
+			k := cseKey{o.Def.Key(), in}
+			groups[k] = append(groups[k], o)
 		}
-		changed = true
 	}
-	return changed, nil
+	render := func(k cseKey) string { return k.def + "|" + k.in.render("s") }
+	keys := fireable(groups, 2, render)
+	if len(keys) == 0 {
+		return false, nil
+	}
+	batch := make([][]*core.Op, len(keys))
+	for i, k := range keys {
+		ops := groups[k]
+		sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+		batch[i] = ops
+	}
+	return true, p.CollapseGroups(batch)
 }
 
-// partnerStreams: CSE partners read the same first input stream.
-func (CSE) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+// partners: CSE partners read the same first input stream.
+func (CSE) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
-		return nil
+		return dst
 	}
-	return o.In[:1]
+	return append(dst, partnerSet{stream: o.In[0]})
 }
 
 // MergeSameInput is the sτ rule for unary operator kinds: operators of
@@ -76,29 +88,29 @@ func (r MergeSameInput) Name() string { return "s" + r.Kind.String() }
 
 // Apply implements Rule.
 func (r MergeSameInput) Apply(p *core.Physical) (bool, error) {
-	return r.applyNodes(p, allNodes(p))
+	return r.applyNodes(p, nodesOf(p, kindIs(r.Kind)))
 }
 
 func (r MergeSameInput) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	groups := make(map[string][]*core.Node)
+	groups := make(map[int][]*core.Node)
 	for _, n := range nodes {
 		if n.Kind != r.Kind {
 			continue
 		}
 		for _, o := range n.Ops {
-			e, _ := p.EdgeOf(o.In[0])
-			groups[fmt.Sprintf("e%d", e.ID)] = append(groups[fmt.Sprintf("e%d", e.ID)], n)
+			e := p.StreamEdge(o.In[0]).ID
+			groups[e] = append(groups[e], n)
 		}
 	}
-	return mergeNodeGroups(p, groups)
+	return mergeNodeGroups(p, groups, edgeGroup)
 }
 
-// partnerStreams: partners read any stream of the same input edge.
-func (r MergeSameInput) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+// partners: partners read any stream of the same input edge.
+func (r MergeSameInput) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
-		return nil
+		return dst
 	}
-	return edgeStreams(p, o.In[0])
+	return edgePartners(p, o.In[0], dst)
 }
 
 // MergeAgg is sα (shared aggregate evaluation, [22]): aggregation
@@ -112,30 +124,42 @@ func (MergeAgg) Name() string { return "sagg" }
 
 // Apply implements Rule.
 func (r MergeAgg) Apply(p *core.Physical) (bool, error) {
-	return r.applyNodes(p, allNodes(p))
+	return r.applyNodes(p, nodesOf(p, kindIs(core.KindAgg)))
+}
+
+// aggKey groups aggregations by input edge, function, attribute and window.
+type aggKey struct {
+	edge   int
+	fn     core.AggFn
+	attr   int
+	window int64
+}
+
+func (k aggKey) String() string {
+	return edgeGroup(k.edge) + "|" + k.fn.String() + "|a" + strconv.Itoa(k.attr) +
+		"|w" + strconv.FormatInt(k.window, 10)
 }
 
 func (MergeAgg) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	groups := make(map[string][]*core.Node)
+	groups := make(map[aggKey][]*core.Node)
 	for _, n := range nodes {
 		if n.Kind != core.KindAgg {
 			continue
 		}
 		for _, o := range n.Ops {
-			e, _ := p.EdgeOf(o.In[0])
-			k := fmt.Sprintf("e%d|%s|a%d|w%d", e.ID, o.Def.Agg, o.Def.AggAttr, o.Def.Window)
+			k := aggKey{p.StreamEdge(o.In[0]).ID, o.Def.Agg, o.Def.AggAttr, o.Def.Window}
 			groups[k] = append(groups[k], n)
 		}
 	}
-	return mergeNodeGroups(p, groups)
+	return mergeNodeGroups(p, groups, aggKey.String)
 }
 
-// partnerStreams: partners read any stream of the same input edge.
-func (MergeAgg) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+// partners: partners read any stream of the same input edge.
+func (MergeAgg) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
-		return nil
+		return dst
 	}
-	return edgeStreams(p, o.In[0])
+	return edgePartners(p, o.In[0], dst)
 }
 
 // MergeJoin is s⨝ (shared join evaluation, [12]): join operators reading
@@ -149,29 +173,35 @@ func (MergeJoin) Name() string { return "sjoin" }
 
 // Apply implements Rule.
 func (r MergeJoin) Apply(p *core.Physical) (bool, error) {
-	return r.applyNodes(p, allNodes(p))
+	return r.applyNodes(p, nodesOf(p, kindIs(core.KindJoin)))
+}
+
+// joinKey groups joins by input edges and window-free definition.
+type joinKey struct {
+	in  inIDs
+	def string
 }
 
 func (MergeJoin) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	groups := make(map[string][]*core.Node)
+	groups := make(map[joinKey][]*core.Node)
 	for _, n := range nodes {
 		if n.Kind != core.KindJoin {
 			continue
 		}
 		for _, o := range n.Ops {
-			k := inEdgeKey(p, o) + "|" + o.Def.KeyModuloWindow()
+			k := joinKey{inEdgeIDs(p, o), o.Def.KeyModuloWindow()}
 			groups[k] = append(groups[k], n)
 		}
 	}
-	return mergeNodeGroups(p, groups)
+	return mergeNodeGroups(p, groups, func(k joinKey) string { return k.in.render("e") + "|" + k.def })
 }
 
-// partnerStreams: partners read any stream of the same left edge.
-func (MergeJoin) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+// partners: partners read any stream of the same left edge.
+func (MergeJoin) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
-		return nil
+		return dst
 	}
-	return edgeStreams(p, o.In[0])
+	return edgePartners(p, o.In[0], dst)
 }
 
 // MergeSeq merges ; (or µ) operators that read the same right stream into
@@ -196,28 +226,27 @@ func (r MergeSeq) Name() string {
 
 // Apply implements Rule.
 func (r MergeSeq) Apply(p *core.Physical) (bool, error) {
-	return r.applyNodes(p, allNodes(p))
+	return r.applyNodes(p, nodesOf(p, kindIs(r.Kind)))
 }
 
 func (r MergeSeq) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	groups := make(map[string][]*core.Node)
+	groups := make(map[int][]*core.Node)
 	for _, n := range nodes {
 		if n.Kind != r.Kind {
 			continue
 		}
 		for _, o := range n.Ops {
-			e, _ := p.EdgeOf(o.In[1])
-			k := fmt.Sprintf("e%d", e.ID)
-			groups[k] = append(groups[k], n)
+			e := p.StreamEdge(o.In[1]).ID
+			groups[e] = append(groups[e], n)
 		}
 	}
-	return mergeNodeGroups(p, groups)
+	return mergeNodeGroups(p, groups, edgeGroup)
 }
 
-// partnerStreams: partners read any stream of the same right edge.
-func (r MergeSeq) partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef {
+// partners: partners read any stream of the same right edge.
+func (r MergeSeq) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) < 2 {
-		return nil
+		return dst
 	}
-	return edgeStreams(p, o.In[1])
+	return edgePartners(p, o.In[1], dst)
 }

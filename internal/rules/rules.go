@@ -33,7 +33,9 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -141,36 +143,69 @@ func Optimize(p *core.Physical, opt Options) error {
 // helpers
 // ---------------------------------------------------------------------------
 
-// allNodes returns every plan node in ID order (the full-scan candidate
-// set of the standard rules).
-func allNodes(p *core.Physical) []*core.Node {
-	out := make([]*core.Node, 0, len(p.Nodes))
+// nodesOf returns the plan nodes whose kind passes want, in ID order: the
+// full-scan candidate set of a standard rule, restricted to the kinds the
+// rule can group so that it sorts no node it would skip.
+func nodesOf(p *core.Physical, want func(core.OpKind) bool) []*core.Node {
+	var out []*core.Node
 	for _, n := range p.Nodes {
-		out = append(out, n)
+		if want(n.Kind) {
+			out = append(out, n)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *core.Node) int { return a.ID - b.ID })
 	return out
 }
 
-// edgeStreams returns every stream carried by the edge of s (whose
-// consumers are the sharing partners of the edge-keyed merge rules).
-func edgeStreams(p *core.Physical, s *core.StreamRef) []*core.StreamRef {
-	e, _ := p.EdgeOf(s)
-	if e == nil {
-		return nil
-	}
-	return e.Streams
+// notSource selects every operator node: the kinds CSE and the channel
+// rules group.
+func notSource(k core.OpKind) bool { return k != core.KindSource }
+
+// kindIs selects the nodes of one kind.
+func kindIs(kind core.OpKind) func(core.OpKind) bool {
+	return func(k core.OpKind) bool { return k == kind }
 }
 
-// mergeNodeGroups merges each group of ≥2 distinct live nodes.
-func mergeNodeGroups(p *core.Physical, groups map[string][]*core.Node) (bool, error) {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+// edgePartners names the edge of s (whose consumers are the sharing
+// partners of the edge-keyed merge rules) as a partner set.
+func edgePartners(p *core.Physical, s *core.StreamRef, dst []partnerSet) []partnerSet {
+	if e := p.StreamEdge(s); e != nil {
+		dst = append(dst, partnerSet{edge: e})
 	}
-	sort.Strings(keys)
+	return dst
+}
+
+// fireable returns the keys of the groups with at least min members,
+// ordered by their rendering: the groups are keyed by comparable structs
+// so that building a group costs no string formatting, and only the few
+// groups that can fire pay for the string that fixes their order.
+func fireable[K comparable, V any](groups map[K][]V, min int, render func(K) string) []K {
+	type entry struct {
+		k K
+		s string
+	}
+	var es []entry
+	for k, g := range groups {
+		if len(g) >= min {
+			es = append(es, entry{k, render(k)})
+		}
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].s < es[j].s })
+	keys := make([]K, len(es))
+	for i, e := range es {
+		keys[i] = e.k
+	}
+	return keys
+}
+
+// edgeGroup renders an edge-ID group key as the merge rules order it.
+func edgeGroup(id int) string { return "e" + strconv.Itoa(id) }
+
+// mergeNodeGroups merges each group of ≥2 distinct live nodes, in the
+// order render gives their keys.
+func mergeNodeGroups[K comparable](p *core.Physical, groups map[K][]*core.Node, render func(K) string) (bool, error) {
 	changed := false
-	for _, k := range keys {
+	for _, k := range fireable(groups, 2, render) {
 		nodes := dedupeLive(p, groups[k])
 		if len(nodes) < 2 {
 			continue
@@ -199,21 +234,35 @@ func dedupeLive(p *core.Physical, nodes []*core.Node) []*core.Node {
 	return out
 }
 
-// inEdgeKey renders the input edge IDs of an op.
-func inEdgeKey(p *core.Physical, o *core.Op) string {
-	parts := make([]string, len(o.In))
+// inIDs holds the IDs of an op's inputs (streams or their edges); every
+// operator kind has at most two. Unused slots are -1.
+type inIDs [2]int
+
+// inStreamIDs returns the input stream IDs of an op.
+func inStreamIDs(o *core.Op) inIDs {
+	ids := inIDs{-1, -1}
 	for i, s := range o.In {
-		e, _ := p.EdgeOf(s)
-		parts[i] = fmt.Sprintf("e%d", e.ID)
+		ids[i] = s.ID
 	}
-	return strings.Join(parts, ",")
+	return ids
 }
 
-// inStreamKey renders the input stream IDs of an op.
-func inStreamKey(o *core.Op) string {
-	parts := make([]string, len(o.In))
+// inEdgeIDs returns the IDs of the edges carrying an op's inputs.
+func inEdgeIDs(p *core.Physical, o *core.Op) inIDs {
+	ids := inIDs{-1, -1}
 	for i, s := range o.In {
-		parts[i] = fmt.Sprintf("s%d", s.ID)
+		ids[i] = p.StreamEdge(s).ID
+	}
+	return ids
+}
+
+// render joins the used IDs, each behind prefix, with commas.
+func (ids inIDs) render(prefix string) string {
+	var parts []string
+	for _, id := range ids {
+		if id >= 0 {
+			parts = append(parts, prefix+strconv.Itoa(id))
+		}
 	}
 	return strings.Join(parts, ",")
 }

@@ -16,12 +16,31 @@ type candidateRule interface {
 	// given nodes only. Groups are formed exactly as by Apply, so passing
 	// a superset of any fireable group's nodes preserves behaviour.
 	applyNodes(p *core.Physical, nodes []*core.Node) (bool, error)
-	// partnerStreams returns the streams whose consumers could share with
-	// o under this rule (the op's input stream, its edge's streams, or its
-	// share class). Seeded dedupes the streams across a dirty node's ops
-	// before walking consumers, keeping the expansion linear even when a
-	// merge just produced a node with hundreds of operators.
-	partnerStreams(p *core.Physical, o *core.Op) []*core.StreamRef
+	// partners appends to dst the stream sets whose consumers could share
+	// with o under this rule: the op's input stream, its input edge, or
+	// its input's share class.
+	partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet
+}
+
+// partnerSet names one set of streams whose consumers are sharing
+// partners: exactly one of its fields is set. It is comparable, so Seeded
+// walks each set once however many dirty ops name it — the ops of one
+// merged m-op typically all name the same edge or share class.
+type partnerSet struct {
+	stream *core.StreamRef // this one stream
+	edge   *core.Edge      // every stream of this edge
+	class  string          // every live stream of this ∼ share class
+}
+
+// streams returns the set's members; the result must not be mutated.
+func (ps partnerSet) streams(p *core.Physical) []*core.StreamRef {
+	switch {
+	case ps.stream != nil:
+		return []*core.StreamRef{ps.stream}
+	case ps.edge != nil:
+		return ps.edge.Streams
+	}
+	return p.StreamsOfClass(ps.class)
 }
 
 // Seeded restricts a rule to the neighbourhood of the active delta's dirty
@@ -29,8 +48,9 @@ type candidateRule interface {
 // sharing partners. On a plan at the rule set's fixpoint before the delta,
 // every fireable group contains a dirty operator, so the restriction is
 // behaviour-preserving — and an AddQueryLive touches O(|query| + partners)
-// operators instead of the whole plan. Without an active delta recording,
-// Seeded degrades to the full scan.
+// operators instead of the whole plan, each partner set walked once however
+// many dirty operators name it. Without an active delta recording, Seeded
+// degrades to the full scan.
 type Seeded struct {
 	inner candidateRule
 }
@@ -44,14 +64,23 @@ func (s Seeded) Apply(p *core.Physical) (bool, error) {
 		return s.inner.Apply(p)
 	}
 	cand := make(map[int]*core.Node)
+	var last *core.Node // consecutive partners mostly share one m-op
 	add := func(n *core.Node) {
-		if n != nil {
-			if cur, ok := p.Nodes[n.ID]; ok && cur == n {
-				cand[n.ID] = n
-			}
+		if n == nil || n == last {
+			return
+		}
+		last = n
+		if cur, ok := p.Nodes[n.ID]; ok && cur == n {
+			cand[n.ID] = n
 		}
 	}
-	seen := make(map[int]bool) // partner stream IDs already expanded
+	// The sets of one rule are disjoint (a stream has one edge and one
+	// class), so deduping the sets dedupes the streams walked. The ops of
+	// one m-op mostly name the set the previous op named, which the
+	// lastSet check settles without hashing a share-class string.
+	seen := make(map[partnerSet]bool)
+	var lastSet partnerSet
+	var sets []partnerSet
 	for _, id := range p.DirtyNodes() {
 		n, ok := p.Nodes[id]
 		if !ok {
@@ -59,13 +88,17 @@ func (s Seeded) Apply(p *core.Physical) (bool, error) {
 		}
 		add(n)
 		for _, o := range n.Ops {
-			for _, ps := range s.inner.partnerStreams(p, o) {
-				if seen[ps.ID] {
+			sets = s.inner.partners(p, o, sets[:0])
+			for _, ps := range sets {
+				if ps == lastSet || seen[ps] {
 					continue
 				}
-				seen[ps.ID] = true
-				for _, po := range p.Consumers(ps) {
-					add(po.Node)
+				lastSet = ps
+				seen[ps] = true
+				for _, st := range ps.streams(p) {
+					for _, po := range p.Consumers(st) {
+						add(po.Node)
+					}
 				}
 			}
 		}

@@ -52,6 +52,7 @@ const MaxBlockRows = 256
 func (b *Block) Len() int { return b.n }
 
 // SelCount returns the number of live rows.
+//
 //rumor:noalloc
 func (b *Block) SelCount() int {
 	c := 0
@@ -72,6 +73,7 @@ func selWords(n int) int { return (n + 63) / 64 }
 
 // SelAll sets every row of the block live (and clears the tail bits past
 // the row count, which every bulk operation relies on being zero).
+//
 //rumor:noalloc
 func (b *Block) SelAll() {
 	full := b.n >> 6
@@ -117,6 +119,7 @@ func (p *BlockPool) get() *Block {
 }
 
 // sizeSel (re)sizes b.Sel for n rows, zeroed.
+//
 //rumor:noalloc
 func sizeSel(b *Block, n int) {
 	w := selWords(n)
@@ -132,6 +135,7 @@ func sizeSel(b *Block, n int) {
 // columns. TS and the columns have length n with unspecified contents
 // (callers overwrite every slot); Sel is zeroed; Member is nil (call
 // GetMember to attach one).
+//
 //rumor:noalloc
 func (p *BlockPool) Get(n, arity int) *Block {
 	b := p.get()
@@ -193,6 +197,7 @@ func (p *BlockPool) Wrap(ts []int64, cols [][]int64, off, n int) *Block {
 // Derive returns a block sharing src's rows (TS and the column arrays)
 // with a fresh, zeroed selection and no membership. This is how kernels
 // build their outputs: narrowing allocates nothing in steady state.
+//
 //rumor:noalloc
 func (p *BlockPool) Derive(src *Block) *Block {
 	b := p.get()
@@ -206,6 +211,7 @@ func (p *BlockPool) Derive(src *Block) *Block {
 }
 
 // GetMember attaches an owned, zeroed membership column to b.
+//
 //rumor:noalloc
 func (p *BlockPool) GetMember(b *Block) {
 	if cap(b.Member) < b.n {
@@ -271,6 +277,7 @@ func (b *Block) CopyRow(t *Tuple, i int, bp *BlockPool) {
 // the block's last read: blocks deriving from b must be Put no later than b
 // itself is reused, which the engine guarantees by recycling all of a
 // drain's blocks at once.
+//
 //rumor:noalloc
 func (p *BlockPool) Put(b *Block) {
 	if !b.ownData {

@@ -33,6 +33,7 @@ func NewPool() *Pool { return &Pool{} }
 // Get returns a recycled tuple with the given timestamp and a Vals slice
 // of length n whose contents are unspecified (callers overwrite every
 // slot). The contract matches GetTuple.
+//
 //rumor:noalloc
 func (p *Pool) Get(ts int64, n int) *Tuple {
 	if p == nil {
@@ -59,6 +60,7 @@ func (p *Pool) Get(ts int64, n int) *Tuple {
 
 // Put returns t to the pool. The caller must own t and its Vals array
 // exclusively (same contract as Tuple.Release).
+//
 //rumor:noalloc
 func (p *Pool) Put(t *Tuple) {
 	if p == nil {

@@ -70,6 +70,7 @@ func GetTuple(ts int64, n int) *Tuple {
 // Vals array exclusively: no other goroutine, m-op buffer, queue, or
 // shallow copy (WithMember shares Vals) may still reference either, since
 // the value capacity is recycled into future GetTuple results.
+//
 //rumor:noalloc
 func (t *Tuple) Release() {
 	t.Member = nil
@@ -104,6 +105,7 @@ func (t *Tuple) WithMember(m *bitset.Set) *Tuple {
 
 // ContentEqual reports whether two tuples have the same timestamp and
 // attribute values (membership is ignored; it is identity, not content).
+//
 //rumor:noalloc
 func (t *Tuple) ContentEqual(o *Tuple) bool {
 	if t.TS != o.TS || len(t.Vals) != len(o.Vals) {
@@ -128,6 +130,7 @@ const (
 // ignored). It replaces string-built keys on hot comparison paths: equal
 // contents always hash equal, and collisions are as unlikely as for any
 // 64-bit hash.
+//
 //rumor:noalloc
 func (t *Tuple) ContentHash() uint64 {
 	h := uint64(fnvOffset)
