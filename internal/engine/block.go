@@ -161,8 +161,9 @@ func fillMember(bp *stream.BlockPool, b *stream.Block, word uint64) {
 }
 
 // deliverBlock is the block counterpart of deliver: sinks are counted in
-// bulk, batch consumers get the whole block, and scalar consumers (or a
-// result callback) get materialized rows through the adapter.
+// bulk, one add per sink, batch consumers get the whole block, and scalar
+// consumers (or a result callback) get materialized rows through the
+// adapter.
 func (e *Engine) deliverBlock(edge *core.Edge, b *stream.Block) {
 	r := &e.routes[edge.ID]
 	e.blocksProcessed++
@@ -188,12 +189,7 @@ func (e *Engine) deliverBlock(edge *core.Edge, b *stream.Block) {
 					}
 				}
 			}
-			if cnt == 0 {
-				continue
-			}
-			for _, qid := range s.queries {
-				e.counts[qid] += cnt
-			}
+			s.n += cnt
 		}
 	}
 	for _, c := range r.batchConsumers {
@@ -232,8 +228,8 @@ func (e *Engine) deliverBlockRows(r *edgeRoute, b *stream.Block, rowSinks bool) 
 					if s.pos >= 0 && !t.Member.Test(s.pos) {
 						continue
 					}
+					s.n++
 					for _, qid := range s.queries {
-						e.counts[qid]++
 						e.OnResult(qid, t)
 					}
 				}

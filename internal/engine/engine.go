@@ -38,6 +38,11 @@ type runtimeNode struct {
 	out  []*core.Edge  // output port → edge
 	emit mop.Emit      // built once at lowering: enqueues on out[port]
 	uses []mop.PortUse // input port → how delivered tuples are used
+	// count is, per output port, the result counter of a count-only edge:
+	// no consumer and exactly one plain sink. While no result callback is
+	// installed, emit bumps it instead of enqueueing (nil: enqueue).
+	// rebuildRoutes resets it for every node, since it points into routes.
+	count []*int64
 	// bm is non-nil when the m-op takes the vectorized path (implements
 	// BatchMOp and reported BlockReady at lowering); emitB is its block
 	// emission closure, handed to ProcessBlock beside emit. Edges into a bm
@@ -58,9 +63,14 @@ type runtimeNode struct {
 const busyMask = 1<<10 - 1
 
 // sink records that a stream on an edge is the output of some queries.
+// Results are counted per sink, not per query: n is what the sink
+// delivered since the routes were last rebuilt, shared by all its queries,
+// and a query's count is its folded base plus its current sink's n, summed
+// on read (ResultCount).
 type sink struct {
 	pos     int // membership position on the edge, -1 for plain
 	queries []int
+	n       int64
 }
 
 // sourceInfo is the precomputed per-source injection state: the carrying
@@ -131,10 +141,23 @@ type Engine struct {
 	srcList []namedSource
 	nodes   []*runtimeNode
 
-	// OnResult, if set, receives every query result tuple.
+	// OnResult, if set, receives every query result tuple, once per query
+	// of the sink that delivered it. Counting does not need it: counts are
+	// kept per sink and summed on read, and while OnResult is nil a
+	// count-only edge (no consumer, one plain sink) is counted at emission
+	// and skips the work queue.
 	OnResult func(queryID int, t *stream.Tuple)
 
-	counts []int64 // query ID → result count (query IDs are dense)
+	// base is, per query ID (dense), the count folded in from the sinks of
+	// earlier routing tables; sinkOf is the query's current sink, nil once
+	// the query is removed.
+	base   []int64
+	sinkOf []*sink
+	// spent holds the Owned tuples counted at emission during this drain;
+	// they return to the pool when the drain ends, not at emission, since
+	// a forwarding m-op may emit its input while later consumers of that
+	// input still have to read it.
+	spent []*stream.Tuple
 
 	// pool is the engine-private tuple pool: every tuple the engine's
 	// m-ops build or recycle stays within the engine's single-threaded
@@ -208,6 +231,12 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 	rn := &runtimeNode{id: n.ID, m: low.MOp, in: low.InEdges, out: low.OutEdges, uses: low.PortUses}
 	rn.emit = func(outPort int, out *stream.Tuple) {
 		rn.emitted++
+		if e.OnResult == nil {
+			if c := rn.count[outPort]; c != nil {
+				e.countEmitted(c, out)
+				return
+			}
+		}
 		e.enqueue(rn.out[outPort], out)
 	}
 	if bm, ok := low.MOp.(mop.BatchMOp); ok && bm.BlockReady() {
@@ -222,11 +251,13 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 
 // rebuildRoutes recomputes the dense routing state — per-edge consumer
 // lists, query sinks, source injection info, release analysis, and the
-// result-counter table — from the current plan and runtime nodes. It runs
-// at lowering time and once per live plan delta, never on the push path.
+// count-only output ports — from the current plan and runtime nodes. It
+// runs at lowering time and once per live plan delta, never on the push
+// path.
 func (e *Engine) rebuildRoutes() {
 	p := e.plan
-	maxEdge, maxQuery := -1, len(e.counts)-1
+	e.foldSinks()
+	maxEdge, maxQuery := -1, len(e.base)-1
 	for id := range p.Edges {
 		if id > maxEdge {
 			maxEdge = id
@@ -238,13 +269,13 @@ func (e *Engine) rebuildRoutes() {
 		}
 	}
 	e.routes = make([]edgeRoute, maxEdge+1)
-	// Result counters are kept across deltas: a removed query's slot holds
-	// its final count.
-	if maxQuery+1 > len(e.counts) {
-		counts := make([]int64, maxQuery+1)
-		copy(counts, e.counts)
-		e.counts = counts
+	// Folded counts are kept across deltas: a removed query's slot holds
+	// its final count, a query added live starts at zero.
+	if maxQuery+1 > len(e.base) {
+		e.base = append(e.base, make([]int64, maxQuery+1-len(e.base))...)
+		e.sinkOf = append(e.sinkOf, make([]*sink, maxQuery+1-len(e.sinkOf))...)
 	}
+	clear(e.sinkOf)
 	for _, rn := range e.nodes {
 		for port, in := range rn.in {
 			r := &e.routes[in.ID]
@@ -297,6 +328,14 @@ func (e *Engine) rebuildRoutes() {
 			r.sinks = append(r.sinks, sink{pos: pos, queries: []int{q.ID}})
 		}
 	}
+	for i := range e.routes {
+		for j := range e.routes[i].sinks {
+			s := &e.routes[i].sinks[j]
+			for _, qid := range s.queries {
+				e.sinkOf[qid] = s
+			}
+		}
+	}
 	// Release analysis. An edge is releasable when every consumer port
 	// only reads delivered tuples. Ownership may pass through exactly one
 	// forwarding consumer (a selection re-emitting the tuple); with a
@@ -345,6 +384,33 @@ func (e *Engine) rebuildRoutes() {
 		}
 		if rowForwarders > 1 || (rowForwarders == 1 && r.hasSink) {
 			r.rowClearsOwned = true
+		}
+	}
+	// Count-only output ports.
+	for _, rn := range e.nodes {
+		if len(rn.count) != len(rn.out) {
+			rn.count = make([]*int64, len(rn.out))
+		}
+		for port, out := range rn.out {
+			r := &e.routes[out.ID]
+			rn.count[port] = nil
+			if len(r.consumers) == 0 && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
+				rn.count[port] = &r.sinks[0].n
+			}
+		}
+	}
+}
+
+// foldSinks moves every sink's count into its queries' base counts before
+// the routing table that holds the sinks is replaced.
+func (e *Engine) foldSinks() {
+	for i := range e.routes {
+		for j := range e.routes[i].sinks {
+			s := &e.routes[i].sinks[j]
+			for _, qid := range s.queries {
+				e.base[qid] += s.n
+			}
+			s.n = 0
 		}
 	}
 }
@@ -611,6 +677,21 @@ func (e *Engine) enqueue(edge *core.Edge, t *stream.Tuple) {
 	e.queue = append(e.queue, queued{edge: edge, t: t})
 }
 
+// countEmitted stands in for the delivery of t to a count-only edge whose
+// sink counter is c: the count is all that delivery would have done.
+func (e *Engine) countEmitted(c *int64, t *stream.Tuple) {
+	*c++
+	if e.obsOn {
+		e.delivered++
+		if t.Member != nil && t.Member.Spilled() {
+			e.memberSpills++
+		}
+	}
+	if t.Owned {
+		e.spent = append(e.spent, t)
+	}
+}
+
 // drain propagates queued tuples until quiescence. The queue's backing
 // array is reused across calls; references are released in one bulk clear
 // after the loop instead of a per-element store.
@@ -651,6 +732,13 @@ func (e *Engine) drain() {
 	}
 	clear(e.queue)
 	e.queue = e.queue[:0]
+	if len(e.spent) > 0 {
+		for _, t := range e.spent {
+			e.pool.Put(t)
+		}
+		clear(e.spent)
+		e.spent = e.spent[:0]
+	}
 }
 
 func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
@@ -666,9 +754,9 @@ func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
 		if s.pos >= 0 && !t.Member.Test(s.pos) {
 			continue
 		}
-		for _, qid := range s.queries {
-			e.counts[qid]++
-			if e.OnResult != nil {
+		s.n++
+		if e.OnResult != nil {
+			for _, qid := range s.queries {
 				e.OnResult(qid, t)
 			}
 		}
@@ -768,41 +856,68 @@ func (e *Engine) MetricsInto(s *obs.Snapshot) {
 }
 
 // ResultCount returns the number of result tuples produced for a query.
+// Counts are kept per sink, not per query: this is the query's base count,
+// folded in from earlier routing tables, plus what its current sink has
+// delivered. It only reads, so a quiescent engine may be read from any
+// goroutine.
 func (e *Engine) ResultCount(queryID int) int64 {
-	if queryID < 0 || queryID >= len(e.counts) {
+	if queryID < 0 || queryID >= len(e.base) {
 		return 0
 	}
-	return e.counts[queryID]
+	n := e.base[queryID]
+	if s := e.sinkOf[queryID]; s != nil {
+		n += s.n
+	}
+	return n
 }
 
 // TotalResults returns the number of result tuples across all queries.
 func (e *Engine) TotalResults() int64 {
 	var n int64
-	for _, c := range e.counts {
+	for _, c := range e.base {
 		n += c
+	}
+	for i := range e.routes {
+		for _, s := range e.routes[i].sinks {
+			n += s.n * int64(len(s.queries))
+		}
 	}
 	return n
 }
 
 // ResetCounts clears result counters (e.g. after a warm-up pass).
 func (e *Engine) ResetCounts() {
-	clear(e.counts)
+	clear(e.base)
+	e.zeroSinks()
 }
 
-// SnapshotCounts returns a copy of the per-query result counters, indexed
-// by query ID (checkpoint support).
+// zeroSinks clears every sink counter.
+func (e *Engine) zeroSinks() {
+	for i := range e.routes {
+		for j := range e.routes[i].sinks {
+			e.routes[i].sinks[j].n = 0
+		}
+	}
+}
+
+// SnapshotCounts returns the per-query result counters, indexed by query
+// ID (checkpoint support).
 func (e *Engine) SnapshotCounts() []int64 {
-	return append([]int64(nil), e.counts...)
+	out := make([]int64, len(e.base))
+	for qid := range out {
+		out[qid] = e.ResultCount(qid)
+	}
+	return out
 }
 
 // RestoreCounts overwrites the per-query result counters from a snapshot,
 // growing the counter table as needed (restore support).
 func (e *Engine) RestoreCounts(counts []int64) {
-	if len(counts) > len(e.counts) {
-		grown := make([]int64, len(counts))
-		copy(grown, e.counts)
-		e.counts = grown
+	if len(counts) > len(e.base) {
+		e.base = append(e.base, make([]int64, len(counts)-len(e.base))...)
+		e.sinkOf = append(e.sinkOf, make([]*sink, len(counts)-len(e.sinkOf))...)
 	}
-	clear(e.counts)
-	copy(e.counts, counts)
+	clear(e.base)
+	copy(e.base, counts)
+	e.zeroSinks()
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -204,6 +205,9 @@ type Engine struct {
 	// pendingRows[i] is the row count of pending[i] (a columnar run entry
 	// stands for many rows); batch flushing triggers on rows, not entries.
 	pendingRows []int
+	// rowMask is routeColumns' scratch: each row's destination shard mask.
+	// Guarded by mu.
+	rowMask []uint64
 
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
@@ -830,9 +834,6 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 			return fmt.Errorf("shard: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
 		}
 	}
-	if len(ts) == 0 {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sr, ok := e.lookupRoute(source)
@@ -849,6 +850,9 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 		if err := e.unreachableErr(); err != nil {
 			return err
 		}
+	}
+	if len(ts) == 0 {
+		return nil
 	}
 	e.routeColumns(sr, ts, cols)
 	return nil
@@ -867,19 +871,13 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 		return
 	}
 	// Scatter rows into per-shard runs. Each shard gets a fresh run (no
-	// sharing — its slices are owned by that shard's WAL record alone).
-	runs := make([]*colRun, len(e.workers))
-	addRow := func(shard, row int) {
-		r := runs[shard]
-		if r == nil {
-			r = &colRun{cols: make([][]int64, len(cols))}
-			runs[shard] = r
-		}
-		r.ts = append(r.ts, ts[row])
-		for a := range cols {
-			r.cols[a] = append(r.cols[a], cols[a][row])
-		}
-	}
+	// sharing — its slices are owned by that shard's WAL record alone),
+	// carved to its exact size from one slab: first every row's
+	// destinations are decided (shardOfAt advances the round-robin state,
+	// so it runs exactly once per row), then the rows are counted per shard,
+	// then copied.
+	masks := slices.Grow(e.rowMask[:0], len(ts))[:len(ts)]
+	e.rowMask = masks
 	obsOn := obs.Enabled()
 	for row := range ts {
 		switch sr.mode {
@@ -897,16 +895,43 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 					e.mcHits++
 				}
 			}
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &^= 1 << uint(i)
-				addRow(i, row)
-			}
+			masks[row] = mask
 		default:
-			addRow(e.shardOfAt(sr, cols, row), row)
+			masks[row] = 1 << uint(e.shardOfAt(sr, cols, row))
 		}
 	}
-	for i, r := range runs {
+	var rows [64]int
+	for _, mask := range masks {
+		for mask != 0 {
+			rows[bits.TrailingZeros64(mask)]++
+			mask &= mask - 1
+		}
+	}
+	var runs [64]*colRun
+	for i := range e.workers {
+		if n := rows[i]; n > 0 {
+			slab := make([]int64, (len(cols)+1)*n)
+			r := &colRun{ts: slab[:n:n], cols: make([][]int64, len(cols))}
+			for a := range cols {
+				r.cols[a] = slab[(a+1)*n : (a+2)*n : (a+2)*n]
+			}
+			runs[i] = r
+		}
+	}
+	var fill [64]int
+	for row, mask := range masks {
+		for mask != 0 {
+			i := bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			r, k := runs[i], fill[i]
+			fill[i]++
+			r.ts[k] = ts[row]
+			for a, col := range cols {
+				r.cols[a][k] = col[row]
+			}
+		}
+	}
+	for i, r := range runs[:len(e.workers)] {
 		if r != nil {
 			e.append(i, entry{src: sr.id, ts: r.ts[0], run: r})
 		}

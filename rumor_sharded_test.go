@@ -1,6 +1,7 @@
 package rumor_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,71 @@ func TestShardedSystemBuildersUnkeyed(t *testing.T) {
 		}
 		if err := sh.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPushColumnsRejects holds PushColumns to the checks PushBatch makes,
+// on both systems and whatever the batch size: an unknown source and a
+// closed engine are errors even for an empty batch, and an empty batch to
+// a known source of a running system is accepted.
+func TestPushColumnsRejects(t *testing.T) {
+	type pusher interface {
+		PushBatch(streamName string, ts []int64, vals [][]int64) error
+		PushColumns(streamName string, ts []int64, cols [][]int64) error
+	}
+	system := func(t *testing.T) pusher {
+		sys := rumor.New()
+		if err := sys.ExecScript(perfScript); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sharded := func(t *testing.T) pusher {
+		sys := buildShardedPerf(t, 2)
+		t.Cleanup(func() { sys.Close() })
+		return sys
+	}
+	closed := func(t *testing.T) pusher {
+		sys := buildShardedPerf(t, 2)
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for _, tc := range []struct {
+		name   string
+		mk     func(t *testing.T) pusher
+		source string
+		ok     bool
+	}{
+		{"system/unknown", system, "nope", false},
+		{"system/known", system, "CPU", true},
+		{"sharded/unknown", sharded, "nope", false},
+		{"sharded/known", sharded, "CPU", true},
+		{"sharded/closed", closed, "CPU", false},
+	} {
+		for _, rows := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%s/rows=%d", tc.name, rows), func(t *testing.T) {
+				sys := tc.mk(t)
+				ts := make([]int64, rows)
+				cols := [][]int64{make([]int64, rows), make([]int64, rows)}
+				vals := make([][]int64, rows)
+				for i := range vals {
+					ts[i] = int64(i)
+					vals[i] = []int64{int64(i), 95}
+				}
+				colErr := sys.PushColumns(tc.source, ts, cols)
+				if (colErr == nil) != tc.ok {
+					t.Fatalf("PushColumns: err = %v, want ok = %v", colErr, tc.ok)
+				}
+				if batchErr := sys.PushBatch(tc.source, ts, vals); (batchErr == nil) != tc.ok {
+					t.Fatalf("PushBatch: err = %v, want ok = %v", batchErr, tc.ok)
+				}
+			})
 		}
 	}
 }
