@@ -328,6 +328,8 @@ func (e *Engine) rebuildRoutes() {
 			r.sinks = append(r.sinks, sink{pos: pos, queries: []int{q.ID}})
 		}
 	}
+	// Only now are the sinks in place: appending to an edge's sinks may
+	// move them.
 	for i := range e.routes {
 		for j := range e.routes[i].sinks {
 			s := &e.routes[i].sinks[j]
@@ -887,17 +889,8 @@ func (e *Engine) TotalResults() int64 {
 
 // ResetCounts clears result counters (e.g. after a warm-up pass).
 func (e *Engine) ResetCounts() {
+	e.foldSinks()
 	clear(e.base)
-	e.zeroSinks()
-}
-
-// zeroSinks clears every sink counter.
-func (e *Engine) zeroSinks() {
-	for i := range e.routes {
-		for j := range e.routes[i].sinks {
-			e.routes[i].sinks[j].n = 0
-		}
-	}
 }
 
 // SnapshotCounts returns the per-query result counters, indexed by query
@@ -917,7 +910,7 @@ func (e *Engine) RestoreCounts(counts []int64) {
 		e.base = append(e.base, make([]int64, len(counts)-len(e.base))...)
 		e.sinkOf = append(e.sinkOf, make([]*sink, len(counts)-len(e.sinkOf))...)
 	}
+	e.foldSinks()
 	clear(e.base)
 	copy(e.base, counts)
-	e.zeroSinks()
 }
