@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -82,7 +83,17 @@ func scatterRef(e *Engine, sr srcRoute, ts []int64, cols [][]int64) []*colRun {
 }
 
 func TestRouteColumnsScatter(t *testing.T) {
-	const shards, rows, arity = 4, 256, 10
+	for _, shards := range []int{4, 65} {
+		testRouteColumnsScatter(t, shards)
+	}
+}
+
+// testRouteColumnsScatter runs the scatter cases on an engine of the given
+// shard count. Past 64 shards multicast sources are broadcast (their masks
+// cannot name every shard), so only hash and round-robin run there; the
+// subtests carry the shard count in their name from then on.
+func testRouteColumnsScatter(t *testing.T, shards int) {
+	const rows, arity = 256, 10
 	e := scatterEngine(t, shards)
 	ts := make([]int64, rows)
 	cols := make([][]int64, arity)
@@ -94,15 +105,20 @@ func TestRouteColumnsScatter(t *testing.T) {
 		for a := range cols {
 			cols[a][i] = int64((i*7 + a*3 + i*i) % 16)
 		}
+		cols[3][i] = int64(i * 37) // distinct keys, so hashing reaches every shard
 	}
 	hashed := e.part
-	moved := hashed.WithMoves(map[int64][]int{3: {2}, 5: {0, 1, 3}, 9: {1, 2}})
+	moved := hashed.WithMoves(map[int64][]int{3: {2}, 5: {0, 1, 3}, 9: {1, 2}, 10: {shards - 1}, 12: {0, shards - 1}})
+	suffix := ""
+	if shards > 64 {
+		suffix = fmt.Sprintf("-%d-shards", shards)
+	}
 	for _, tc := range []struct {
 		name string
 		sr   srcRoute
 		part *core.PartitionPlan
 	}{
-		{"hash", srcRoute{mode: core.PartitionHash, attr: 0}, hashed},
+		{"hash", srcRoute{mode: core.PartitionHash, attr: 3}, hashed},
 		{"round-robin", srcRoute{mode: core.PartitionRoundRobin}, hashed},
 		{"multicast", srcRoute{mode: core.PartitionMulticast, attr: 1,
 			table: map[int64]uint64{0: 0b0011, 4: 0b1000, 7: 0b1111}, alwaysMask: 0b0100}, hashed},
@@ -110,7 +126,10 @@ func TestRouteColumnsScatter(t *testing.T) {
 			table: map[int64]uint64{1: 0b0001, 2: 0b0110}}, hashed},
 		{"moved", srcRoute{mode: core.PartitionHash, attr: 0}, moved},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		if tc.sr.mode == core.PartitionMulticast && shards > 64 {
+			continue
+		}
+		t.Run(tc.name+suffix, func(t *testing.T) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			e.part = tc.part
@@ -163,6 +182,9 @@ func TestRouteColumnsScatter(t *testing.T) {
 			}
 			if nonEmpty < 2 {
 				t.Fatalf("only %d shards received rows; the case is vacuous", nonEmpty)
+			}
+			if tc.sr.mode != core.PartitionMulticast && want[shards-1] == nil {
+				t.Fatalf("no rows reached the last shard (%d); the case is vacuous", shards-1)
 			}
 		})
 	}

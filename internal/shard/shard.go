@@ -90,6 +90,14 @@ type colRun struct {
 	cols [][]int64
 }
 
+// set writes row of the batch (ts, cols) into position k of the run.
+func (r *colRun) set(k int, ts []int64, cols [][]int64, row int) {
+	r.ts[k] = ts[row]
+	for a, col := range cols {
+		r.cols[a][k] = col[row]
+	}
+}
+
 // rows returns the number of rows an entry stands for.
 func (en *entry) rows() int {
 	if en.run != nil {
@@ -205,9 +213,13 @@ type Engine struct {
 	// pendingRows[i] is the row count of pending[i] (a columnar run entry
 	// stands for many rows); batch flushing triggers on rows, not entries.
 	pendingRows []int
-	// rowMask is routeColumns' scratch: each row's destination shard mask.
-	// Guarded by mu.
-	rowMask []uint64
+	// routeColumns' scratch, guarded by mu: each row's destination shard
+	// (rowDst) or multicast shard mask (rowMask), and per shard its row
+	// count (shardRows) and run (shardRuns).
+	rowDst    []int32
+	rowMask   []uint64
+	shardRows []int
+	shardRuns []*colRun
 
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
@@ -239,8 +251,10 @@ type Engine struct {
 	// busyBase snapshots each worker's busy time at the last rebalance, so
 	// Imbalance measures drift since then, not since startup.
 	busyBase []int64
-	// statsMu guards part, maxQuery, frozen, and base against readers
-	// (ResultCount/TotalResults) running concurrently with a live delta.
+	// statsMu guards part, maxQuery, frozen, and base — and the local
+	// replicas' result counters while a delta splice rebuilds them —
+	// against readers (ResultCount/TotalResults) running concurrently with
+	// a live delta.
 	// Per-worker counters are NOT guarded: their values are stable (and
 	// meaningful) only after Drain, as documented.
 	statsMu sync.RWMutex
@@ -873,15 +887,22 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 	// Scatter rows into per-shard runs. Each shard gets a fresh run (no
 	// sharing — its slices are owned by that shard's WAL record alone),
 	// carved to its exact size from one slab: first every row's
-	// destinations are decided (shardOfAt advances the round-robin state,
-	// so it runs exactly once per row), then the rows are counted per shard,
-	// then copied.
-	masks := slices.Grow(e.rowMask[:0], len(ts))[:len(ts)]
-	e.rowMask = masks
-	obsOn := obs.Enabled()
-	for row := range ts {
-		switch sr.mode {
-		case core.PartitionMulticast:
+	// destinations are decided and counted per shard (shardOfAt advances
+	// the round-robin state, so it runs exactly once per row), then the
+	// rows are copied. A hash or round-robin row has one destination shard;
+	// a multicast row has a mask of them (multicast routes exist only up to
+	// 64 shards, see rebuildSourceRoutes).
+	multicast := sr.mode == core.PartitionMulticast
+	counts := slices.Grow(e.shardRows[:0], len(e.workers))[:len(e.workers)]
+	e.shardRows = counts
+	clear(counts)
+	var masks []uint64
+	var dst []int32
+	if multicast {
+		masks = slices.Grow(e.rowMask[:0], len(ts))[:len(ts)]
+		e.rowMask = masks
+		obsOn := obs.Enabled()
+		for row := range ts {
 			mask := sr.alwaysMask
 			var v int64
 			if sr.attr < len(cols) {
@@ -896,20 +917,24 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 				}
 			}
 			masks[row] = mask
-		default:
-			masks[row] = 1 << uint(e.shardOfAt(sr, cols, row))
+			for ; mask != 0; mask &= mask - 1 {
+				counts[bits.TrailingZeros64(mask)]++
+			}
+		}
+	} else {
+		dst = slices.Grow(e.rowDst[:0], len(ts))[:len(ts)]
+		e.rowDst = dst
+		for row := range ts {
+			i := e.shardOfAt(sr, cols, row)
+			dst[row] = int32(i)
+			counts[i]++
 		}
 	}
-	var rows [64]int
-	for _, mask := range masks {
-		for mask != 0 {
-			rows[bits.TrailingZeros64(mask)]++
-			mask &= mask - 1
-		}
-	}
-	var runs [64]*colRun
-	for i := range e.workers {
-		if n := rows[i]; n > 0 {
+	runs := slices.Grow(e.shardRuns[:0], len(e.workers))[:len(e.workers)]
+	e.shardRuns = runs
+	for i, n := range counts {
+		runs[i] = nil
+		if n > 0 {
 			slab := make([]int64, (len(cols)+1)*n)
 			r := &colRun{ts: slab[:n:n], cols: make([][]int64, len(cols))}
 			for a := range cols {
@@ -917,25 +942,28 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 			}
 			runs[i] = r
 		}
+		counts[i] = 0 // now the shard's fill position
 	}
-	var fill [64]int
-	for row, mask := range masks {
-		for mask != 0 {
-			i := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			r, k := runs[i], fill[i]
-			fill[i]++
-			r.ts[k] = ts[row]
-			for a, col := range cols {
-				r.cols[a][k] = col[row]
+	if multicast {
+		for row, mask := range masks {
+			for ; mask != 0; mask &= mask - 1 {
+				i := bits.TrailingZeros64(mask)
+				runs[i].set(counts[i], ts, cols, row)
+				counts[i]++
 			}
 		}
+	} else {
+		for row, i := range dst {
+			runs[i].set(counts[i], ts, cols, row)
+			counts[i]++
+		}
 	}
-	for i, r := range runs[:len(e.workers)] {
+	for i, r := range runs {
 		if r != nil {
 			e.append(i, entry{src: sr.id, ts: r.ts[0], run: r})
 		}
 	}
+	clear(runs)
 }
 
 // shardOfAt mirrors shardOf for one row of a column-major batch.
@@ -1280,14 +1308,20 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	// unsplice — for local replicas such errors are structurally
 	// unreachable for well-formed plans; for remote replicas a lost worker
 	// mid-splice lands here too — so the engine is poisoned rather than
-	// left inconsistent.
+	// left inconsistent. The splice holds statsMu: a local replica folds
+	// its sink counters into its per-query base as it swaps routing
+	// tables, and a concurrent reader must see the counts before or after
+	// that fold, never halfway.
 	sh := &deltaShipment{d: d, names: e.projectedSrcNamesLocked()}
+	e.statsMu.Lock()
 	for i, w := range e.workers {
 		if err := w.rep.applyDelta(e.plan, sh); err != nil {
+			e.statsMu.Unlock()
 			e.poisonLocked()
 			return fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
 		}
 	}
+	e.statsMu.Unlock()
 	if rebalance {
 		if _, err := e.migrateStateLocked(e.registriesLocked(), e.part.OpSideDists(e.plan), part); err != nil {
 			return err

@@ -270,3 +270,77 @@ func TestChurnConcurrentPush(t *testing.T) {
 		t.Fatal("no results under concurrent churn")
 	}
 }
+
+// TestResultCountDuringLiveChurn reads result counts while live adds and
+// removes splice the replicas of a quiescent sharded system (run under
+// -race). Every splice folds the local engines' per-sink counters into
+// their per-query bases; with no pushes in flight, a reader must keep
+// seeing exactly the counts the feed produced, never a count caught
+// halfway through a fold.
+func TestResultCountDuringLiveChurn(t *testing.T) {
+	catalog, qs, events := churnWorkload(t, "w2", 20, 3000, 5)
+	sys := rumor.NewSharded(rumor.ShardConfig{Shards: 2})
+	defer sys.Close()
+	declareAll(t, sys, catalog)
+	for _, q := range qs[:10] {
+		if err := sys.AddQuery(q.Name, q.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, 10)
+	for i, q := range qs[:10] {
+		want[i] = sys.ResultCount(q.Name)
+	}
+	wantTotal := sys.TotalResults()
+	if wantTotal == 0 {
+		t.Fatal("no results before the churn; the check is vacuous")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, q := range qs[:10] {
+				if got := sys.ResultCount(q.Name); got != want[i] {
+					t.Errorf("%s: count %d during churn, %d before", q.Name, got, want[i])
+					return
+				}
+			}
+			if got := sys.TotalResults(); got != wantTotal {
+				t.Errorf("total %d during churn, %d before", got, wantTotal)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("c_%d", i)
+		if err := sys.AddQueryLive(name, qs[10+i%10].Root); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 2 {
+			if err := sys.RemoveQuery(fmt.Sprintf("c_%d", i-2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
