@@ -163,6 +163,103 @@ func clusterPush(t *testing.T, sh *Engine, ev workload.Event) {
 	}
 }
 
+// feedStep is one push of a cluster feed: the rows it carries, in the
+// order the reference engine consumes them, and the cluster push.
+type feedStep struct {
+	rows []workload.Event
+	push func(sh *Engine) error
+}
+
+func (s feedStep) pushRef(t *testing.T, ref *engine.Engine) {
+	t.Helper()
+	for _, ev := range s.rows {
+		if err := ref.Push(ev.Source, ev.Tuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// clusterFeed cuts an event sequence into cluster pushes.
+type clusterFeed func(events []workload.Event) []feedStep
+
+// rowFeed pushes one event at a time through Push.
+func rowFeed(events []workload.Event) []feedStep {
+	steps := make([]feedStep, len(events))
+	for i, ev := range events {
+		steps[i] = feedStep{rows: events[i : i+1], push: func(sh *Engine) error {
+			return sh.Push(ev.Source, int64(ev.Tuple.TS), ev.Tuple.Vals)
+		}}
+	}
+	return steps
+}
+
+// colFeedRows is the row count of one column-feed push.
+const colFeedRows = 64
+
+// columnFeed cuts events into windows of colFeedRows rows per source and
+// pushes each source's rows of a window as one PushColumns call. The
+// reference consumes the rows in the same order, so the grouping is part
+// of the input, not of the system under test.
+func columnFeed(events []workload.Event) []feedStep {
+	var steps []feedStep
+	for off := 0; off < len(events); off += 2 * colFeedRows {
+		window := events[off:min(off+2*colFeedRows, len(events))]
+		bySource := map[string][]workload.Event{}
+		var order []string
+		for _, ev := range window {
+			if bySource[ev.Source] == nil {
+				order = append(order, ev.Source)
+			}
+			bySource[ev.Source] = append(bySource[ev.Source], ev)
+		}
+		for _, src := range order {
+			rows := bySource[src]
+			steps = append(steps, feedStep{rows: rows, push: func(sh *Engine) error {
+				// The engine keeps what it is handed, so every attempt
+				// transposes a fresh copy.
+				ts := make([]int64, len(rows))
+				cols := make([][]int64, len(rows[0].Tuple.Vals))
+				for a := range cols {
+					cols[a] = make([]int64, len(rows))
+				}
+				for r, ev := range rows {
+					ts[r] = int64(ev.Tuple.TS)
+					for a, v := range ev.Tuple.Vals {
+						cols[a][r] = v
+					}
+				}
+				return sh.PushColumns(src, ts, cols)
+			}})
+		}
+	}
+	return steps
+}
+
+// pushSteps is pushAll over a feed.
+func pushSteps(t *testing.T, ref *engine.Engine, sh *Engine, steps []feedStep) {
+	t.Helper()
+	for _, s := range steps {
+		s.pushRef(t, ref)
+		stepPush(t, sh, s)
+	}
+}
+
+// stepPush is clusterPush over a feed step.
+func stepPush(t *testing.T, sh *Engine, s feedStep) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		err := s.push(sh)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrShardUnreachable) || time.Now().After(deadline) {
+			t.Fatalf("Push: %v", err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func checkClusterEquivalence(t *testing.T, ref *engine.Engine, sh *Engine, qs []*core.Query) {
 	t.Helper()
 	if err := sh.Drain(); err != nil {
@@ -261,7 +358,14 @@ func TestClusterEquivalenceTCP(t *testing.T) {
 // unfaulted reference exactly; the at-least-once call layer, the worker's
 // seq dedup, and the reply cache (for destructive exports) absorb every
 // fault.
-func TestClusterNetFaultMatrix(t *testing.T) {
+func TestClusterNetFaultMatrix(t *testing.T) { runNetFaultMatrix(t, rowFeed) }
+
+// TestClusterColumnsNetFaultMatrix is the fault matrix over a column
+// feed: every push is a PushColumns window, so the faults redeliver and
+// re-dedup whole column runs.
+func TestClusterColumnsNetFaultMatrix(t *testing.T) { runNetFaultMatrix(t, columnFeed) }
+
+func runNetFaultMatrix(t *testing.T, feed clusterFeed) {
 	actions := []struct {
 		name string
 		act  faultpoint.NetAction
@@ -289,11 +393,11 @@ func TestClusterNetFaultMatrix(t *testing.T) {
 				ref, sh := buildClusterPair(t, catalog, qs, false, shards, h, Config{}, tune)
 				defer sh.Close()
 				mid := len(events) / 2
-				pushAll(t, ref, sh, events[:mid])
+				pushSteps(t, ref, sh, feed(events[:mid]))
 				if _, err := sh.Rebalance(nil); err != nil {
 					t.Fatal(err)
 				}
-				pushAll(t, ref, sh, events[mid:])
+				pushSteps(t, ref, sh, feed(events[mid:]))
 				checkClusterEquivalence(t, ref, sh, qs)
 				if h.fs.Hits("link0") == 0 || h.fs.Hits("link1") == 0 {
 					t.Fatalf("faults fired %d/%d times on link0/link1; matrix is vacuous",
@@ -378,6 +482,16 @@ func TestClusterOutageFailFastThenResume(t *testing.T) {
 // migrates its state to the survivor over the wire. Results match the
 // unfaulted reference exactly.
 func TestClusterDeadDeclareAndRecoverOverWire(t *testing.T) {
+	runDeadDeclareAndRecover(t, rowFeed)
+}
+
+// TestClusterColumnsDeadDeclareAndRecoverOverWire is the same outage over
+// a column feed: recovery replays WAL column runs into the revived worker.
+func TestClusterColumnsDeadDeclareAndRecoverOverWire(t *testing.T) {
+	runDeadDeclareAndRecover(t, columnFeed)
+}
+
+func runDeadDeclareAndRecover(t *testing.T, feed clusterFeed) {
 	catalog, qs, events := tortureWorkload(t, "w2")
 	h := &clusterHarness{}
 	tune := func(i int, nc *cluster.Config) {
@@ -388,21 +502,19 @@ func TestClusterDeadDeclareAndRecoverOverWire(t *testing.T) {
 	defer sh.Close()
 
 	mid := len(events) / 2
-	pushAll(t, ref, sh, events[:mid])
+	pushSteps(t, ref, sh, feed(events[:mid]))
 	if err := sh.Drain(); err != nil {
 		t.Fatal(err)
 	}
 
 	h.cut(1)
+	steps := feed(events[mid:])
 	rejected := -1
 	deadline := time.Now().Add(time.Minute)
-	for i := mid; i < len(events) && rejected < 0; i++ {
-		ev := events[i]
-		if err := ref.Push(ev.Source, ev.Tuple); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < len(steps) && rejected < 0; i++ {
+		steps[i].pushRef(t, ref)
 		for {
-			err := sh.Push(ev.Source, int64(ev.Tuple.TS), ev.Tuple.Vals)
+			err := steps[i].push(sh)
 			if err == nil {
 				break
 			}
@@ -420,7 +532,14 @@ func TestClusterDeadDeclareAndRecoverOverWire(t *testing.T) {
 		}
 	}
 	if rejected < 0 {
-		t.Fatal("workload ended before the death was declared")
+		// The feed ran out first: a column feed hands the router whole
+		// windows, so its remainder can sit in the queues and the WAL before
+		// the worker first writes to the cut link. The barrier waits for the
+		// loss, and recovery then replays all of it from the WAL.
+		if err := sh.Drain(); !errors.Is(err, ErrShardDead) {
+			t.Fatalf("Drain during outage: %v, want ErrShardDead", err)
+		}
+		rejected = len(steps)
 	}
 
 	// Still partitioned: recovery cannot reach the corpse's state. The
@@ -442,12 +561,9 @@ func TestClusterDeadDeclareAndRecoverOverWire(t *testing.T) {
 		t.Fatalf("recovered shard %d, want 1", st.Shard)
 	}
 
-	clusterPush(t, sh, events[rejected])
-	for _, ev := range events[rejected+1:] {
-		if err := ref.Push(ev.Source, ev.Tuple); err != nil {
-			t.Fatal(err)
-		}
-		clusterPush(t, sh, ev)
+	if rejected < len(steps) {
+		stepPush(t, sh, steps[rejected])
+		pushSteps(t, ref, sh, steps[rejected+1:])
 	}
 	checkClusterEquivalence(t, ref, sh, qs)
 }
