@@ -96,6 +96,10 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
+// maxKeptFrame bounds the call-frame buffer a client keeps between calls;
+// a larger frame (a state import) is encoded once and let go.
+const maxKeptFrame = 1 << 20
+
 // Client is the coordinator's handle on one remote shard worker: it owns
 // the connection, redials with bounded exponential backoff plus jitter,
 // retries calls at-least-once (the worker dedups), and declares the
@@ -113,6 +117,8 @@ type Client struct {
 	// rng drives backoff jitter; guarded by callMu.
 	rng        *rand.Rand
 	nextCallID int64
+	// frame is the reused call-frame buffer; guarded by callMu.
+	frame wire.Buffer
 
 	// mu guards the connection and reachability state.
 	mu        sync.Mutex
@@ -493,12 +499,21 @@ func (c *Client) sleepBackoff(outageStart time.Time) {
 // call performs one RPC, retrying across reconnects until it succeeds or
 // the worker is declared lost. The worker's reply cache plus the batch
 // seq dedup make retried calls execute at most once.
-func (c *Client) call(op byte, body []byte) ([]byte, error) {
+//
+// body writes the call's body straight into the frame (nil for an empty
+// body). The frame buffer is reused from call to call under callMu, and a
+// retry re-sends it as is, so it stays untouched until call returns.
+func (c *Client) call(op byte, body func(*wire.Buffer)) ([]byte, error) {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	c.nextCallID++
 	callID := c.nextCallID
-	frame := encodeCall(callID, op, body)
+	c.frame.Reset()
+	putCall(&c.frame, callID, op, body)
+	frame := c.frame.Bytes()
+	if cap(frame) > maxKeptFrame {
+		c.frame = wire.Buffer{} // let a one-off state transfer's buffer go
+	}
 	for {
 		conn, err := c.ensureConn()
 		if err != nil {
@@ -509,42 +524,59 @@ func (c *Client) call(op byte, body []byte) ([]byte, error) {
 			c.noteFailure(err)
 			continue
 		}
-		errStr, reply, err := c.awaitReply(conn, callID)
+		werr, reply, err := c.awaitReply(conn, callID)
 		if err != nil {
 			c.noteFailure(err)
 			continue
 		}
 		conn.SetDeadline(time.Time{})
-		if errStr != "" {
+		if werr != nil {
 			// An application-level error from the worker: the call executed
 			// and failed deterministically; retrying would not help.
-			return nil, fmt.Errorf("cluster: worker shard %d: %s", c.cfg.ShardIdx, errStr)
+			return nil, werr
 		}
 		return reply, nil
 	}
 }
 
+// workerError is an error a worker returned for a call. One that rejected
+// undecodable input matches wire.ErrCorrupt under errors.Is.
+type workerError struct {
+	shard   int
+	msg     string
+	corrupt bool
+}
+
+func (e *workerError) Error() string {
+	return fmt.Sprintf("cluster: worker shard %d: %s", e.shard, e.msg)
+}
+
+func (e *workerError) Is(target error) bool { return e.corrupt && target == wire.ErrCorrupt }
+
 // awaitReply reads frames until the reply matching callID arrives,
 // skipping heartbeat acks, stale replies, and unknown frame types.
-func (c *Client) awaitReply(conn *transport.Conn, callID int64) (string, []byte, error) {
+func (c *Client) awaitReply(conn *transport.Conn, callID int64) (*workerError, []byte, error) {
 	for {
 		typ, payload, err := conn.ReadFrame()
 		if err != nil {
-			return "", nil, err
+			return nil, nil, err
 		}
 		switch typ {
 		case frameReply:
-			id, errStr, body, err := decodeReply(payload)
+			id, errStr, corrupt, body, err := decodeReply(payload)
 			if err != nil {
-				return "", nil, err
+				return nil, nil, err
 			}
 			if id < callID {
 				continue // stale reply from an abandoned attempt
 			}
 			if id != callID {
-				return "", nil, fmt.Errorf("reply for call %d, want %d", id, callID)
+				return nil, nil, fmt.Errorf("reply for call %d, want %d", id, callID)
 			}
-			return errStr, body, nil
+			if errStr != "" {
+				return &workerError{shard: c.cfg.ShardIdx, msg: errStr, corrupt: corrupt}, nil, nil
+			}
+			return nil, body, nil
 		case frameHeartbeatAck:
 			continue
 		default:
@@ -612,7 +644,7 @@ func (c *Client) probe() {
 // Replay delivers one WAL batch. Delivery is at-least-once; the worker
 // dedups by seq, so duplicated or re-sent batches replay exactly once.
 func (c *Client) Replay(seq int64, entries []Entry) error {
-	_, err := c.call(opBatch, encodeBatch(seq, entries))
+	_, err := c.call(opBatch, func(b *wire.Buffer) { putBatch(b, seq, entries) })
 	return err
 }
 
@@ -646,7 +678,9 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 // cached one, and planBytes/srcNames become what future fresh handshakes
 // rebuild from.
 func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]mop.GroupRef, error) {
-	reply, err := c.call(opApplyDelta, encodeDeltaCall(planBytes, deltaBytes, srcNames))
+	reply, err := c.call(opApplyDelta, func(b *wire.Buffer) {
+		putDeltaCall(b, planBytes, deltaBytes, srcNames)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -670,7 +704,7 @@ func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]
 // worker (nil when it stores nothing). Safe to retry: the worker's reply
 // cache re-sends the exported payload instead of re-exporting.
 func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
-	reply, err := c.call(opExport, encodeSideCall(opID, side, keyAttr))
+	reply, err := c.call(opExport, func(b *wire.Buffer) { putSideCall(b, opID, side, keyAttr) })
 	if err != nil {
 		return nil, err
 	}
@@ -693,14 +727,14 @@ func (c *Client) Import(opID int, pl *mop.StatePayload) error {
 	if pl != nil && pl.Len() > 0 {
 		raw = wire.EncodePayloadBytes(pl)
 	}
-	_, err := c.call(opImport, encodeImportCall(opID, raw))
+	_, err := c.call(opImport, func(b *wire.Buffer) { putImportCall(b, opID, raw) })
 	return err
 }
 
 // Histogram merges the worker's keyed-state histogram of one group side
 // into h.
 func (c *Client) Histogram(opID, side, keyAttr int, h map[int64]int64) error {
-	reply, err := c.call(opHistogram, encodeSideCall(opID, side, keyAttr))
+	reply, err := c.call(opHistogram, func(b *wire.Buffer) { putSideCall(b, opID, side, keyAttr) })
 	if err != nil {
 		return err
 	}

@@ -148,9 +148,11 @@ func dialRaw(t *testing.T, lis *transport.PipeListener, h *hello) (*rawConn, *he
 
 // callRaw sends a call with an explicit ID and returns the raw reply
 // payload (for byte-level reply-cache checks).
-func (rc *rawConn) callRaw(callID int64, op byte, body []byte) []byte {
+func (rc *rawConn) callRaw(callID int64, op byte, body func(*wire.Buffer)) []byte {
 	rc.t.Helper()
-	if err := rc.fc.WriteFrame(frameCall, encodeCall(callID, op, body)); err != nil {
+	var frame wire.Buffer
+	putCall(&frame, callID, op, body)
+	if err := rc.fc.WriteFrame(frameCall, frame.Bytes()); err != nil {
 		rc.t.Fatal(err)
 	}
 	typ, payload, err := rc.fc.ReadFrame()
@@ -161,11 +163,11 @@ func (rc *rawConn) callRaw(callID int64, op byte, body []byte) []byte {
 }
 
 // call sends a call with the next fresh ID and decodes the reply.
-func (rc *rawConn) call(op byte, body []byte) (string, []byte) {
+func (rc *rawConn) call(op byte, body func(*wire.Buffer)) (string, []byte) {
 	rc.t.Helper()
 	rc.callID++
 	raw := rc.callRaw(rc.callID, op, body)
-	id, errStr, reply, err := decodeReply(raw)
+	id, errStr, _, reply, err := decodeReply(raw)
 	if err != nil || id != rc.callID {
 		rc.t.Fatalf("decoding reply: id=%d want %d err=%v", id, rc.callID, err)
 	}
@@ -198,6 +200,11 @@ func (rc *rawConn) drainEquals(w *testWorkload) error {
 	return nil
 }
 
+// batchBody is a call body carrying one WAL batch.
+func batchBody(seq int64, entries []Entry) func(*wire.Buffer) {
+	return func(b *wire.Buffer) { putBatch(b, seq, entries) }
+}
+
 func freshHello(w *testWorkload) *hello {
 	return &hello{
 		Proto:      ProtoVersion,
@@ -223,23 +230,23 @@ func TestWorkerSeqDedup(t *testing.T) {
 	}
 	for i, batch := range w.batches {
 		seq := int64(i + 1)
-		if errStr, _ := rc.call(opBatch, encodeBatch(seq, batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, batchBody(seq, batch)); errStr != "" {
 			t.Fatalf("batch %d: %s", seq, errStr)
 		}
 		// Duplicate delivery of the same seq.
-		if errStr, _ := rc.call(opBatch, encodeBatch(seq, batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, batchBody(seq, batch)); errStr != "" {
 			t.Fatalf("dup batch %d: %s", seq, errStr)
 		}
 		// Reordered stale delivery of the previous seq.
 		if i > 0 {
-			if errStr, _ := rc.call(opBatch, encodeBatch(seq-1, w.batches[i-1])); errStr != "" {
+			if errStr, _ := rc.call(opBatch, batchBody(seq-1, w.batches[i-1])); errStr != "" {
 				t.Fatalf("stale batch %d: %s", seq-1, errStr)
 			}
 		}
 	}
 	// A gap must be rejected, not silently applied.
 	gapSeq := int64(len(w.batches) + 5)
-	if errStr, _ := rc.call(opBatch, encodeBatch(gapSeq, w.batches[0])); !strings.Contains(errStr, "gap") {
+	if errStr, _ := rc.call(opBatch, batchBody(gapSeq, w.batches[0])); !strings.Contains(errStr, "gap") {
 		t.Fatalf("gap seq accepted (err %q)", errStr)
 	}
 	if err := rc.drainEquals(w); err != nil {
@@ -259,7 +266,7 @@ func TestWorkerReplyCache(t *testing.T) {
 		t.Fatal(ack.Err)
 	}
 	for i, batch := range w.batches {
-		if errStr, _ := rc.call(opBatch, encodeBatch(int64(i+1), batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, batchBody(int64(i+1), batch)); errStr != "" {
 			t.Fatalf("batch %d: %s", i+1, errStr)
 		}
 	}
@@ -269,7 +276,7 @@ func TestWorkerReplyCache(t *testing.T) {
 	nonEmpty := 0
 	for _, g := range ack.Groups {
 		for _, side := range g.Sides {
-			body := encodeSideCall(g.OpID, side, -1)
+			body := func(b *wire.Buffer) { putSideCall(b, g.OpID, side, -1) }
 			rc.callID++
 			first := rc.callRaw(rc.callID, opExport, body)
 			retry := rc.callRaw(rc.callID, opExport, body)
@@ -277,7 +284,7 @@ func TestWorkerReplyCache(t *testing.T) {
 				t.Fatalf("group %d side %d: retried export reply differs (%d vs %d bytes)",
 					g.OpID, side, len(first), len(retry))
 			}
-			_, errStr, reply, err := decodeReply(first)
+			_, errStr, _, reply, err := decodeReply(first)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +300,7 @@ func TestWorkerReplyCache(t *testing.T) {
 			}
 			// Put the state back so the final drain proves nothing was
 			// double-exported or lost.
-			if errStr, _ := rc.call(opImport, encodeImportCall(g.OpID, raw)); errStr != "" {
+			if errStr, _ := rc.call(opImport, func(b *wire.Buffer) { putImportCall(b, g.OpID, raw) }); errStr != "" {
 				t.Fatalf("import group %d: %s", g.OpID, errStr)
 			}
 		}

@@ -35,7 +35,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/mop"
@@ -45,8 +47,9 @@ import (
 
 // ProtoVersion is checked in the handshake; mismatched peers refuse to
 // talk (the codec's unknown-field skip covers additive evolution inside a
-// version).
-const ProtoVersion = 1
+// version). Version 2 carries column runs in WAL batches: a version 1
+// worker would skip them as an unknown field and silently drop their rows.
+const ProtoVersion = 2
 
 // Frame types.
 //
@@ -77,11 +80,39 @@ const (
 
 // Entry is one routed tuple of a WAL batch: the coordinator-assigned
 // source ID (resolved through the handshake's source-name table), the
-// timestamp, and the values.
+// timestamp, and the values — or, when Run is set, a whole column run of
+// that source (TS and Vals are then unused). A run stands for many rows
+// in one entry, so queues, the WAL and the wire pay per run, not per row.
 type Entry struct {
 	Src  int32
 	TS   int64
 	Vals []int64
+	Run  *Run
+}
+
+// Run is a column-major run of rows of one source: TS[i] pairs with
+// Cols[a][i]. Runs held in a WAL are never mutated, so a redelivered
+// batch re-encodes to the same bytes.
+type Run struct {
+	TS   []int64
+	Cols [][]int64
+}
+
+// Rows returns the number of rows the entry stands for.
+func (en *Entry) Rows() int {
+	if en.Run != nil {
+		return len(en.Run.TS)
+	}
+	return 1
+}
+
+// BatchRows counts the rows across a batch of entries.
+func BatchRows(es []Entry) int64 {
+	var n int64
+	for i := range es {
+		n += int64(es[i].Rows())
+	}
+	return n
 }
 
 // hello is the coordinator's handshake.
@@ -268,13 +299,16 @@ func readGroup(r *wire.Reader) (mop.GroupRef, error) {
 	return g, nil
 }
 
-// call frame: {1: callID, 2: op, 3: body}.
-func encodeCall(callID int64, op byte, body []byte) []byte {
-	var b wire.Buffer
+// call frame: {1: callID, 2: op, 3: body}; body writes field 3 in place
+// (nil writes an empty body).
+func putCall(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) {
 	b.PutVarintField(1, callID)
 	b.PutVarintField(2, int64(op))
-	b.PutBytesField(3, body)
-	return b.Bytes()
+	b.PutMsgField(3, func(b *wire.Buffer) {
+		if body != nil {
+			body(b)
+		}
+	})
 }
 
 func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
@@ -290,6 +324,9 @@ func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
 		case 2:
 			var v int64
 			v, err = r.Varint()
+			if err == nil && (v < 0 || v > math.MaxUint8) {
+				err = fmt.Errorf("%w: opcode %d", wire.ErrCorrupt, v)
+			}
 			op = byte(v)
 		case 3:
 			body, err = r.Bytes()
@@ -303,23 +340,27 @@ func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
 	return callID, op, body, nil
 }
 
-// reply frame: {1: callID, 2: errStr, 3: body}.
-func encodeReply(callID int64, errStr string, body []byte) []byte {
+// reply frame: {1: callID, 2: errStr, 3: body, 4: corrupt}; corrupt
+// marks an error that rejected undecodable input (wire.ErrCorrupt).
+func encodeReply(callID int64, callErr error, body []byte) []byte {
 	var b wire.Buffer
 	b.PutVarintField(1, callID)
-	if errStr != "" {
-		b.PutStringField(2, errStr)
+	if callErr != nil {
+		b.PutStringField(2, callErr.Error())
 	}
 	b.PutBytesField(3, body)
+	if errors.Is(callErr, wire.ErrCorrupt) {
+		b.PutBoolField(4, true)
+	}
 	return b.Bytes()
 }
 
-func decodeReply(p []byte) (callID int64, errStr string, body []byte, err error) {
+func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []byte, err error) {
 	r := wire.NewReader(p)
 	for !r.Done() {
 		field, wt, ferr := r.Field()
 		if ferr != nil {
-			return 0, "", nil, ferr
+			return 0, "", false, nil, ferr
 		}
 		switch field {
 		case 1:
@@ -328,87 +369,184 @@ func decodeReply(p []byte) (callID int64, errStr string, body []byte, err error)
 			errStr, err = r.String()
 		case 3:
 			body, err = r.Bytes()
+		case 4:
+			var v int64
+			v, err = r.Varint()
+			corrupt = v != 0
 		default:
 			err = r.Skip(wt)
 		}
 		if err != nil {
-			return 0, "", nil, err
+			return 0, "", false, nil, err
 		}
 	}
-	return callID, errStr, body, nil
+	return callID, errStr, corrupt, body, nil
 }
 
-// batch body: {1: seq, 2*: entry{1: src, 2: ts, 3: vals}}; reply {1:
-// completed}.
-func encodeBatch(seq int64, entries []Entry) []byte {
-	var b wire.Buffer
+// batch body: {1: seq, 2*: row{1: src, 2: ts, 3: vals}, 3*: run{1: src,
+// 2: packed ts, 3*: packed column}}, rows and runs in entry order; reply
+// {1: completed}.
+func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 	b.PutVarintField(1, seq)
 	for i := range entries {
 		en := &entries[i]
-		b.PutMsgField(2, func(sub *wire.Buffer) {
-			sub.PutVarintField(1, int64(en.Src))
-			sub.PutVarintField(2, en.TS)
-			sub.PutInt64sField(3, en.Vals)
+		if run := en.Run; run != nil {
+			b.PutMsgField(3, func(b *wire.Buffer) {
+				b.PutVarintField(1, int64(en.Src))
+				b.PutInt64sField(2, run.TS)
+				for _, col := range run.Cols {
+					b.PutInt64sField(3, col)
+				}
+			})
+			continue
+		}
+		b.PutMsgField(2, func(b *wire.Buffer) {
+			b.PutVarintField(1, int64(en.Src))
+			b.PutVarintField(2, en.TS)
+			b.PutInt64sField(3, en.Vals)
 		})
 	}
-	return b.Bytes()
 }
 
-func decodeBatch(p []byte) (seq int64, entries []Entry, err error) {
+// batchDecoder decodes batch bodies into storage it reuses from one batch
+// to the next: the entry slice, the runs, and one slab that holds every
+// run's timestamps and columns. A decoded batch is valid until the next
+// decode. Reusing the slab is sound only because engine.PushColumns
+// borrows a run's columns just until it returns. A row's values get an
+// exact-size allocation of their own, because PushBatch may keep them in
+// operator state.
+type batchDecoder struct {
+	entries []Entry
+	runs    []*Run
+	slab    []int64
+}
+
+// decode decodes one batch body. A source id outside [0, MaxInt32], or a
+// run whose columns differ in length from its timestamps, is corrupt.
+func (d *batchDecoder) decode(p []byte) (seq int64, entries []Entry, err error) {
+	clear(d.entries)
+	d.entries = d.entries[:0]
+	d.slab = d.slab[:0]
+	runs := 0
 	r := wire.NewReader(p)
 	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return 0, nil, ferr
+		field, wt, err := r.Field()
+		if err != nil {
+			return 0, nil, err
 		}
 		switch field {
 		case 1:
-			seq, err = r.Varint()
-			if err != nil {
+			if seq, err = r.Varint(); err != nil {
 				return 0, nil, err
 			}
 		case 2:
-			sub, merr := r.Msg()
-			if merr != nil {
-				return 0, nil, merr
+			en, err := decodeRow(r)
+			if err != nil {
+				return 0, nil, err
 			}
-			var en Entry
-			for !sub.Done() {
-				f2, wt2, err2 := sub.Field()
-				if err2 != nil {
-					return 0, nil, err2
-				}
-				switch f2 {
-				case 1:
-					v, err2 := sub.Varint()
-					if err2 != nil {
-						return 0, nil, err2
-					}
-					en.Src = int32(v)
-				case 2:
-					en.TS, err2 = sub.Varint()
-					if err2 != nil {
-						return 0, nil, err2
-					}
-				case 3:
-					en.Vals, err2 = sub.Int64s()
-					if err2 != nil {
-						return 0, nil, err2
-					}
-				default:
-					if err2 := sub.Skip(wt2); err2 != nil {
-						return 0, nil, err2
-					}
-				}
+			d.entries = append(d.entries, en)
+		case 3:
+			if runs == len(d.runs) {
+				d.runs = append(d.runs, &Run{})
 			}
-			entries = append(entries, en)
+			run := d.runs[runs]
+			runs++
+			src, err := d.decodeRun(r, run)
+			if err != nil {
+				return 0, nil, err
+			}
+			d.entries = append(d.entries, Entry{Src: src, Run: run})
 		default:
 			if err := r.Skip(wt); err != nil {
 				return 0, nil, err
 			}
 		}
 	}
-	return seq, entries, nil
+	return seq, d.entries, nil
+}
+
+// srcID range-checks a decoded source id.
+func srcID(v int64) (int32, error) {
+	if v < 0 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: source id %d", wire.ErrCorrupt, v)
+	}
+	return int32(v), nil
+}
+
+func decodeRow(r *wire.Reader) (en Entry, err error) {
+	sub, err := r.Msg()
+	if err != nil {
+		return en, err
+	}
+	for !sub.Done() {
+		field, wt, err := sub.Field()
+		if err != nil {
+			return en, err
+		}
+		switch field {
+		case 1:
+			var v int64
+			if v, err = sub.Varint(); err == nil {
+				en.Src, err = srcID(v)
+			}
+		case 2:
+			en.TS, err = sub.Varint()
+		case 3:
+			en.Vals, err = sub.Int64s()
+		default:
+			err = sub.Skip(wt)
+		}
+		if err != nil {
+			return en, err
+		}
+	}
+	return en, nil
+}
+
+// decodeRun decodes one run message into run, its slices cut from the
+// slab. Each slice is capped at its own length; a slab that grows
+// mid-batch leaves earlier slices in the old array, where they stay valid.
+func (d *batchDecoder) decodeRun(r *wire.Reader, run *Run) (src int32, err error) {
+	sub, err := r.Msg()
+	if err != nil {
+		return 0, err
+	}
+	clear(run.Cols)
+	run.TS, run.Cols = nil, run.Cols[:0]
+	for !sub.Done() {
+		field, wt, err := sub.Field()
+		if err != nil {
+			return 0, err
+		}
+		switch field {
+		case 1:
+			var v int64
+			if v, err = sub.Varint(); err == nil {
+				src, err = srcID(v)
+			}
+		case 2, 3:
+			start := len(d.slab)
+			if d.slab, err = sub.AppendInt64s(d.slab); err == nil {
+				vs := d.slab[start:len(d.slab):len(d.slab)]
+				if field == 2 {
+					run.TS = vs
+				} else {
+					run.Cols = append(run.Cols, vs)
+				}
+			}
+		default:
+			err = sub.Skip(wt)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	for a, col := range run.Cols {
+		if len(col) != len(run.TS) {
+			return 0, fmt.Errorf("%w: run column %d has %d rows, %d timestamps", wire.ErrCorrupt, a, len(col), len(run.TS))
+		}
+	}
+	return src, nil
 }
 
 // drain reply body: {1: counts, 2: total, 3: firstErr}.
@@ -449,14 +587,12 @@ func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, e
 // delta body: {1: planBytes, 2: deltaBytes, 3*: srcNames}; reply: groups
 // at field 1. srcNames is the full post-delta source table (a delta can
 // add sources; the worker's handshake table must follow).
-func encodeDeltaCall(planBytes, deltaBytes []byte, srcNames []string) []byte {
-	var b wire.Buffer
+func putDeltaCall(b *wire.Buffer, planBytes, deltaBytes []byte, srcNames []string) {
 	b.PutBytesField(1, planBytes)
 	b.PutBytesField(2, deltaBytes)
 	for _, name := range srcNames {
 		b.PutStringField(3, name)
 	}
-	return b.Bytes()
 }
 
 func decodeDeltaCall(p []byte) (planBytes, deltaBytes []byte, srcNames []string, err error) {
@@ -519,12 +655,10 @@ func decodeGroupsReply(p []byte) ([]mop.GroupRef, error) {
 // import body: {1: opID, 2: payloadBytes}; reply empty.
 // histogram body: {1: opID, 2: side, 3: keyAttr}; reply {1: keys, 2:
 // counts}.
-func encodeSideCall(opID, side, keyAttr int) []byte {
-	var b wire.Buffer
+func putSideCall(b *wire.Buffer, opID, side, keyAttr int) {
 	b.PutVarintField(1, int64(opID))
 	b.PutVarintField(2, int64(side))
 	b.PutVarintField(3, int64(keyAttr))
-	return b.Bytes()
 }
 
 func decodeSideCall(p []byte) (opID, side, keyAttr int, err error) {
@@ -586,11 +720,9 @@ func decodeBytesField1(p []byte) ([]byte, error) {
 	return out, nil
 }
 
-func encodeImportCall(opID int, payloadBytes []byte) []byte {
-	var b wire.Buffer
+func putImportCall(b *wire.Buffer, opID int, payloadBytes []byte) {
 	b.PutVarintField(1, int64(opID))
 	b.PutBytesField(2, payloadBytes)
-	return b.Bytes()
 }
 
 func decodeImportCall(p []byte) (opID int, payloadBytes []byte, err error) {

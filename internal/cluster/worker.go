@@ -118,15 +118,15 @@ type workerState struct {
 	lastCallID int64
 	lastReply  []byte
 
-	// replay scratch
-	ts   []int64
-	vals [][]int64
+	// Batch decode and replay scratch, reused across batches.
+	batch    batchDecoder
+	replayer Replayer
 
 	// Telemetry. Atomics because Worker.Metrics reads them from an
 	// arbitrary goroutine while serveConn is live; everything else in this
 	// struct is owned by the serving goroutine.
 	batchesApplied  atomic.Int64
-	entriesReplayed atomic.Int64
+	entriesReplayed atomic.Int64 // rows: a column run counts every row
 	dedupSkips      atomic.Int64
 	replyCacheHits  atomic.Int64
 }
@@ -208,12 +208,8 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 				continue // stale duplicate of an already-superseded call
 			}
 			respBody, callErr := st.handle(op, body)
-			errStr := ""
-			if callErr != nil {
-				errStr = callErr.Error()
-			}
 			st.lastCallID = callID
-			st.lastReply = encodeReply(callID, errStr, respBody)
+			st.lastReply = encodeReply(callID, callErr, respBody)
 			if err := fc.WriteFrame(frameReply, st.lastReply); err != nil {
 				return false
 			}
@@ -288,7 +284,7 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 	}
 	switch op {
 	case opBatch:
-		seq, entries, err := decodeBatch(body)
+		seq, entries, err := st.batch.decode(body)
 		if err != nil {
 			return nil, err
 		}
@@ -298,10 +294,12 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 			if st.lastApplied != 0 && seq != st.lastApplied+1 {
 				return nil, fmt.Errorf("batch seq %d after %d: gap in WAL delivery", seq, st.lastApplied)
 			}
-			st.replay(entries)
+			if err := st.replayer.Replay(st.eng, st.srcNames, entries); err != nil && st.firstErr == nil {
+				st.firstErr = err
+			}
 			st.lastApplied = seq
 			st.batchesApplied.Add(1)
-			st.entriesReplayed.Add(int64(len(entries)))
+			st.entriesReplayed.Add(BatchRows(entries))
 		} else {
 			st.dedupSkips.Add(1)
 		}
@@ -403,32 +401,48 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("unknown opcode %d", op)
 }
 
-// replay pushes one batch through the replica, grouping maximal
-// same-source runs into PushBatch calls — the same replay the local shard
-// worker performs.
-func (st *workerState) replay(entries []Entry) {
-	i := 0
-	for i < len(entries) {
-		src := entries[i].Src
+// Replayer pushes WAL batches into an engine replica — the one replay
+// loop behind both the in-process shard replica and the remote worker. A
+// run goes to PushColumns in one call; a maximal stretch of same-source
+// rows goes to PushBatch. Its scratch is reused across batches, so a
+// Replayer serves one replica at a time.
+type Replayer struct {
+	ts   []int64
+	vals [][]int64
+}
+
+// Replay pushes entries into eng, naming sources through srcNames. It
+// replays every entry even after a failure and returns the first error.
+func (rp *Replayer) Replay(eng *engine.Engine, srcNames []string, entries []Entry) error {
+	var first error
+	for i := 0; i < len(entries); {
+		src, run := entries[i].Src, entries[i].Run
 		j := i + 1
-		for j < len(entries) && entries[j].Src == src {
-			j++
-		}
-		st.ts = st.ts[:0]
-		st.vals = st.vals[:0]
-		for k := i; k < j; k++ {
-			st.ts = append(st.ts, entries[k].TS)
-			st.vals = append(st.vals, entries[k].Vals)
-		}
-		if int(src) >= len(st.srcNames) {
-			if st.firstErr == nil {
-				st.firstErr = fmt.Errorf("source id %d outside handshake table (%d names)", src, len(st.srcNames))
+		if run == nil {
+			for j < len(entries) && entries[j].Src == src && entries[j].Run == nil {
+				j++
 			}
-		} else if err := st.eng.PushBatch(st.srcNames[src], st.ts, st.vals); err != nil && st.firstErr == nil {
-			st.firstErr = err
+		}
+		var err error
+		switch {
+		case src < 0 || int(src) >= len(srcNames):
+			err = fmt.Errorf("source id %d outside the source table (%d names)", src, len(srcNames))
+		case run != nil:
+			err = eng.PushColumns(srcNames[src], run.TS, run.Cols)
+		default:
+			rp.ts, rp.vals = rp.ts[:0], rp.vals[:0]
+			for k := i; k < j; k++ {
+				rp.ts = append(rp.ts, entries[k].TS)
+				rp.vals = append(rp.vals, entries[k].Vals)
+			}
+			err = eng.PushBatch(srcNames[src], rp.ts, rp.vals)
+		}
+		if err != nil && first == nil {
+			first = err
 		}
 		i = j
 	}
-	clear(st.vals)
-	st.vals = st.vals[:0]
+	clear(rp.vals)
+	rp.vals = rp.vals[:0]
+	return first
 }

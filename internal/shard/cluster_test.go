@@ -135,34 +135,6 @@ func buildClusterPair(t *testing.T, catalog map[string]core.SourceDecl, qs []*co
 	return ref, sh
 }
 
-// pushAll drives the reference and the cluster through the same event
-// sequence like a real embedder: ErrShardUnreachable pushes retry after a
-// pause (rejected pushes were never ingested), anything else is fatal.
-func pushAll(t *testing.T, ref *engine.Engine, sh *Engine, events []workload.Event) {
-	t.Helper()
-	for _, ev := range events {
-		if err := ref.Push(ev.Source, ev.Tuple); err != nil {
-			t.Fatal(err)
-		}
-		clusterPush(t, sh, ev)
-	}
-}
-
-func clusterPush(t *testing.T, sh *Engine, ev workload.Event) {
-	t.Helper()
-	deadline := time.Now().Add(time.Minute)
-	for {
-		err := sh.Push(ev.Source, int64(ev.Tuple.TS), ev.Tuple.Vals)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, ErrShardUnreachable) || time.Now().After(deadline) {
-			t.Fatalf("Push: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // feedStep is one push of a cluster feed: the rows it carries, in the
 // order the reference engine consumes them, and the cluster push.
 type feedStep struct {
@@ -235,7 +207,9 @@ func columnFeed(events []workload.Event) []feedStep {
 	return steps
 }
 
-// pushSteps is pushAll over a feed.
+// pushSteps drives the reference and the cluster through the same feed
+// like a real embedder: ErrShardUnreachable pushes retry after a pause
+// (rejected pushes were never ingested), anything else is fatal.
 func pushSteps(t *testing.T, ref *engine.Engine, sh *Engine, steps []feedStep) {
 	t.Helper()
 	for _, s := range steps {
@@ -244,7 +218,8 @@ func pushSteps(t *testing.T, ref *engine.Engine, sh *Engine, steps []feedStep) {
 	}
 }
 
-// stepPush is clusterPush over a feed step.
+// stepPush pushes one feed step into the cluster alone, retrying while
+// its shard is unreachable.
 func stepPush(t *testing.T, sh *Engine, s feedStep) {
 	t.Helper()
 	deadline := time.Now().Add(time.Minute)
@@ -258,6 +233,18 @@ func stepPush(t *testing.T, sh *Engine, s feedStep) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// pushAll is pushSteps over a row feed.
+func pushAll(t *testing.T, ref *engine.Engine, sh *Engine, events []workload.Event) {
+	t.Helper()
+	pushSteps(t, ref, sh, rowFeed(events))
+}
+
+// clusterPush is stepPush of one row.
+func clusterPush(t *testing.T, sh *Engine, ev workload.Event) {
+	t.Helper()
+	stepPush(t, sh, rowFeed([]workload.Event{ev})[0])
 }
 
 func checkClusterEquivalence(t *testing.T, ref *engine.Engine, sh *Engine, qs []*core.Query) {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
@@ -118,7 +119,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 				w.err = err
 			}
 		}
-		st.Replayed += int(entriesRows(rec.entries))
+		st.Replayed += int(cluster.BatchRows(rec.entries))
 	}
 	if w.err != errBefore {
 		e.poisonLocked()

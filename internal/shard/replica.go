@@ -71,7 +71,7 @@ type replica interface {
 	// replayBatch replays one WAL batch. An error wrapping ErrShardDead is
 	// fatal (the worker loop exits and the dead-shard machinery takes
 	// over); any other error is a sticky application replay error.
-	replayBatch(seq int64, entries []entry) error
+	replayBatch(seq int64, entries []cluster.Entry) error
 	// refresh re-snapshots the replica's result counters at a barrier. An
 	// error wrapping ErrShardDead means the replica is gone.
 	refresh() error
@@ -145,43 +145,14 @@ type localReplica struct {
 
 	// replay scratch, reused across batches. Owned by the worker goroutine
 	// while it runs, by the recovery caller after done is observed closed.
-	ts   []int64
-	vals [][]int64
+	replayer cluster.Replayer
 }
 
-func (r *localReplica) replayBatch(_ int64, entries []entry) error {
-	var first error
-	fail := func(err error) {
-		if err != nil && first == nil {
-			first = fmt.Errorf("shard %d: %w", r.idx, err)
-		}
+func (r *localReplica) replayBatch(_ int64, entries []cluster.Entry) error {
+	if err := r.replayer.Replay(r.eng, r.e.srcNames, entries); err != nil {
+		return fmt.Errorf("shard %d: %w", r.idx, err)
 	}
-	i := 0
-	for i < len(entries) {
-		// Columnar runs feed the engine's block path directly, one run per
-		// call (the run already is a maximal same-source batch).
-		if run := entries[i].run; run != nil {
-			fail(r.eng.PushColumns(r.e.srcNames[entries[i].src], run.ts, run.cols))
-			i++
-			continue
-		}
-		src := entries[i].src
-		j := i + 1
-		for j < len(entries) && entries[j].src == src && entries[j].run == nil {
-			j++
-		}
-		r.ts = r.ts[:0]
-		r.vals = r.vals[:0]
-		for k := i; k < j; k++ {
-			r.ts = append(r.ts, entries[k].ts)
-			r.vals = append(r.vals, entries[k].vals)
-		}
-		fail(r.eng.PushBatch(r.e.srcNames[src], r.ts, r.vals))
-		i = j
-	}
-	clear(r.vals)
-	r.vals = r.vals[:0]
-	return first
+	return nil
 }
 
 func (r *localReplica) refresh() error                { return nil }
@@ -220,10 +191,6 @@ type remoteReplica struct {
 	unreach atomic.Bool
 	down    atomic.Value
 
-	// buf converts WAL entries to wire entries; same ownership rules as
-	// the local replica's replay scratch.
-	buf []cluster.Entry
-
 	// Cached counter snapshot from the worker's last drain, refreshed at
 	// barriers. countsMu keeps concurrent readers race-free; the values
 	// are meaningful only after Drain, like every shard counter.
@@ -240,27 +207,9 @@ func remoteFatal(err error) bool {
 		errors.Is(err, cluster.ErrClosed)
 }
 
-func (r *remoteReplica) replayBatch(seq int64, entries []entry) error {
-	// Columnar runs flatten to wire rows: the wire protocol (and the
-	// remote worker's replay loop) stays row-oriented and unchanged.
-	r.buf = r.buf[:0]
-	for _, en := range entries {
-		if run := en.run; run != nil {
-			for i, ts := range run.ts {
-				vals := make([]int64, len(run.cols))
-				for a, col := range run.cols {
-					vals[a] = col[i]
-				}
-				r.buf = append(r.buf, cluster.Entry{Src: en.src, TS: ts, Vals: vals})
-			}
-			continue
-		}
-		r.buf = append(r.buf, cluster.Entry{Src: en.src, TS: en.ts, Vals: en.vals})
-	}
-	err := r.cli.Replay(seq, r.buf)
-	clear(r.buf)
-	r.buf = r.buf[:0]
-	if err != nil {
+func (r *remoteReplica) replayBatch(seq int64, entries []cluster.Entry) error {
+	// WAL entries are wire entries: a column run crosses as columns.
+	if err := r.cli.Replay(seq, entries); err != nil {
 		// Any replay failure is fatal: transport-terminal errors mean the
 		// worker is lost, and a batch the worker rejects (e.g. a WAL seq
 		// gap) is a delivery-invariant violation. Application errors inside

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/rules"
 	"repro/internal/workload"
@@ -40,11 +41,11 @@ func scatterEngine(tb testing.TB, shards int) *Engine {
 }
 
 // takeRuns removes the column runs routed since the last call, by shard.
-func takeRuns(e *Engine) []*colRun {
-	runs := make([]*colRun, len(e.workers))
+func takeRuns(e *Engine) []*cluster.Run {
+	runs := make([]*cluster.Run, len(e.workers))
 	for i := range e.pending {
 		for _, en := range e.pending[i] {
-			runs[i] = en.run
+			runs[i] = en.Run
 		}
 		e.pending[i] = e.pending[i][:0]
 		e.pendingRows[i] = 0
@@ -55,17 +56,17 @@ func takeRuns(e *Engine) []*colRun {
 // scatterRef is the per-row-append scatter: each row goes to its
 // destinations as routeColumns decides them, one append per row and
 // column.
-func scatterRef(e *Engine, sr srcRoute, ts []int64, cols [][]int64) []*colRun {
-	runs := make([]*colRun, len(e.workers))
+func scatterRef(e *Engine, sr srcRoute, ts []int64, cols [][]int64) []*cluster.Run {
+	runs := make([]*cluster.Run, len(e.workers))
 	add := func(shard, row int) {
 		r := runs[shard]
 		if r == nil {
-			r = &colRun{cols: make([][]int64, len(cols))}
+			r = &cluster.Run{Cols: make([][]int64, len(cols))}
 			runs[shard] = r
 		}
-		r.ts = append(r.ts, ts[row])
+		r.TS = append(r.TS, ts[row])
 		for a := range cols {
-			r.cols[a] = append(r.cols[a], cols[a][row])
+			r.Cols[a] = append(r.Cols[a], cols[a][row])
 		}
 	}
 	for row := range ts {
@@ -154,29 +155,29 @@ func testRouteColumnsScatter(t *testing.T, shards int) {
 				nonEmpty++
 				check := func(stage string) {
 					t.Helper()
-					if !slices.Equal(g.ts, w.ts) {
-						t.Fatalf("%s: shard %d ts %v, reference %v", stage, i, g.ts, w.ts)
+					if !slices.Equal(g.TS, w.TS) {
+						t.Fatalf("%s: shard %d ts %v, reference %v", stage, i, g.TS, w.TS)
 					}
-					for a := range w.cols {
-						if !slices.Equal(g.cols[a], w.cols[a]) {
-							t.Fatalf("%s: shard %d column %d %v, reference %v", stage, i, a, g.cols[a], w.cols[a])
+					for a := range w.Cols {
+						if !slices.Equal(g.Cols[a], w.Cols[a]) {
+							t.Fatalf("%s: shard %d column %d %v, reference %v", stage, i, a, g.Cols[a], w.Cols[a])
 						}
 					}
 				}
 				check("scatter")
-				if cap(g.ts) != len(g.ts) {
-					t.Fatalf("shard %d: ts cap %d, len %d", i, cap(g.ts), len(g.ts))
+				if cap(g.TS) != len(g.TS) {
+					t.Fatalf("shard %d: ts cap %d, len %d", i, cap(g.TS), len(g.TS))
 				}
-				for a, col := range g.cols {
+				for a, col := range g.Cols {
 					if cap(col) != len(col) {
 						t.Fatalf("shard %d column %d: cap %d, len %d", i, a, cap(col), len(col))
 					}
 				}
 				// The slab is one array: an append past a column's end
 				// must reallocate, not write into the next column.
-				_ = append(g.ts, -1)
-				for a := range g.cols {
-					_ = append(g.cols[a], -1)
+				_ = append(g.TS, -1)
+				for a := range g.Cols {
+					_ = append(g.Cols[a], -1)
 				}
 				check("after appends")
 			}

@@ -68,56 +68,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one routed item awaiting replay on a shard: a single tuple
-// (vals), or — on the columnar ingest path — a whole run of same-source
-// rows carried column-major (run != nil; ts then holds the run's first
-// timestamp and vals is nil). Carrying runs as single entries is what lets
-// the ingest queues, WAL, and worker loop amortize per-block: a PushColumns
-// batch costs one queue element and one WAL record slot per shard instead
-// of one per row.
-type entry struct {
-	src  int32
-	ts   int64
-	vals []int64
-	run  *colRun
-}
+// WAL entries are cluster.Entry values: a single tuple, or — on the
+// columnar ingest path — a whole run of same-source rows carried
+// column-major (Run set). Carrying runs as single entries is what lets the
+// ingest queues, WAL, worker loop and wire amortize per-block: a
+// PushColumns batch costs one queue element and one WAL record slot per
+// shard instead of one per row. The shard engine owns a run's slices once
+// routed (the caller handed them over at PushColumns).
 
-// colRun is a column-major run of rows for one source: ts[i] pairs with
-// cols[a][i]. The shard engine owns the slices once routed (the caller
-// handed them over at PushColumns).
-type colRun struct {
-	ts   []int64
-	cols [][]int64
-}
-
-// set writes row of the batch (ts, cols) into position k of the run.
-func (r *colRun) set(k int, ts []int64, cols [][]int64, row int) {
-	r.ts[k] = ts[row]
+// setRow writes row of the batch (ts, cols) into position k of run.
+func setRow(run *cluster.Run, k int, ts []int64, cols [][]int64, row int) {
+	run.TS[k] = ts[row]
 	for a, col := range cols {
-		r.cols[a][k] = col[row]
+		run.Cols[a][k] = col[row]
 	}
-}
-
-// rows returns the number of rows an entry stands for.
-func (en *entry) rows() int {
-	if en.run != nil {
-		return len(en.run.ts)
-	}
-	return 1
-}
-
-// entriesRows counts the rows across a batch of entries.
-func entriesRows(es []entry) int64 {
-	var n int64
-	for i := range es {
-		n += int64(es[i].rows())
-	}
-	return n
 }
 
 // msg is one queue element: a batch of entries, or a drain marker.
 type msg struct {
-	entries []entry
+	entries []cluster.Entry
 	seq     int64        // WAL sequence number of the batch
 	ack     chan<- error // drain marker when non-nil
 }
@@ -130,7 +99,7 @@ type msg struct {
 // buffers pooled) on the next flush.
 type walRec struct {
 	seq     int64
-	entries []entry
+	entries []cluster.Entry
 }
 
 // worker is one shard: an engine replica (in-process or a remote worker
@@ -193,7 +162,7 @@ type Engine struct {
 	srcs     map[string]srcRoute
 
 	mu      sync.Mutex // guards pending, rr, closed, wal, walSeq, dead
-	pending [][]entry
+	pending [][]cluster.Entry
 	rr      uint64
 	closed  bool
 
@@ -219,7 +188,7 @@ type Engine struct {
 	rowDst    []int32
 	rowMask   []uint64
 	shardRows []int
-	shardRuns []*colRun
+	shardRuns []*cluster.Run
 
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
@@ -288,7 +257,7 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		part:        part,
 		cfg:         cfg,
 		srcs:        make(map[string]srcRoute),
-		pending:     make([][]entry, cfg.Shards),
+		pending:     make([][]cluster.Entry, cfg.Shards),
 		pendingRows: make([]int, cfg.Shards),
 		base:        make(map[int]int64),
 		busyBase:    make([]int64, cfg.Shards),
@@ -297,7 +266,7 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		sent:        make([]int64, cfg.Shards),
 		dead:        make([]bool, cfg.Shards),
 	}
-	e.batchPool.New = func() any { s := make([]entry, 0, cfg.BatchSize); return &s }
+	e.batchPool.New = func() any { s := make([]cluster.Entry, 0, cfg.BatchSize); return &s }
 	// Source routes (and the source-name table the handshake ships) must
 	// exist before any replica is built or dialled.
 	e.rebuildSourceRoutes(part)
@@ -327,13 +296,7 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 			if err != nil {
 				return fail(fmt.Errorf("shard %d: %w", i, err))
 			}
-			rep = &localReplica{
-				e:    e,
-				idx:  i,
-				eng:  eng,
-				ts:   make([]int64, 0, cfg.BatchSize),
-				vals: make([][]int64, 0, cfg.BatchSize),
-			}
+			rep = &localReplica{e: e, idx: i, eng: eng}
 		} else {
 			nc := nodes[i]
 			nc.ShardIdx = i
@@ -517,7 +480,7 @@ func (w *worker) run() {
 		elapsed := time.Since(start).Nanoseconds()
 		w.busyNS.Add(elapsed)
 		w.flush.Observe(elapsed)
-		w.ingest.Observe(entriesRows(m.entries))
+		w.ingest.Observe(cluster.BatchRows(m.entries))
 		if err != nil && errors.Is(err, ErrShardDead) {
 			// Fatal replica loss (a remote worker declared lost): exit
 			// without completing the batch — it stays in the WAL, and the
@@ -532,13 +495,13 @@ func (w *worker) run() {
 		if err != nil && w.err == nil {
 			w.err = err // sticky application replay error
 		}
-		w.tuples.Add(entriesRows(m.entries))
+		w.tuples.Add(cluster.BatchRows(m.entries))
 		w.completed.Store(m.seq)
 	}
 }
 
-func (e *Engine) takeBatch() []entry {
-	return (*(e.batchPool.Get().(*[]entry)))[:0]
+func (e *Engine) takeBatch() []cluster.Entry {
+	return (*(e.batchPool.Get().(*[]cluster.Entry)))[:0]
 }
 
 // lookupRoute resolves a source name. A map lookup is plenty here: the
@@ -592,9 +555,9 @@ func (e *Engine) shardOf(sr srcRoute, vals []int64) int {
 // append adds one entry to a shard's pending buffer, handing the buffer to
 // the worker when its row count fills a batch. Called with mu held; the
 // queue send may block for backpressure.
-func (e *Engine) append(shard int, en entry) {
+func (e *Engine) append(shard int, en cluster.Entry) {
 	e.pending[shard] = append(e.pending[shard], en)
-	e.pendingRows[shard] += en.rows()
+	e.pendingRows[shard] += en.Rows()
 	if e.pendingRows[shard] >= e.cfg.BatchSize {
 		e.stageShard(shard)
 		e.deliverWAL(shard, true)
@@ -624,14 +587,14 @@ func (e *Engine) stageShard(shard int) {
 	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], entries: b})
 	if obs.Enabled() {
 		e.walBatches++
-		e.walEntries += entriesRows(b)
+		e.walEntries += cluster.BatchRows(b)
 		for i := range b {
 			// entry header (src, ts) + value words; close enough to track
 			// WAL growth and replay cost without serializing anything.
-			if r := b[i].run; r != nil {
-				e.walBytes += int64(len(r.ts)) * (16 + 8*int64(len(r.cols)))
+			if r := b[i].Run; r != nil {
+				e.walBytes += int64(len(r.TS)) * (16 + 8*int64(len(r.Cols)))
 			} else {
-				e.walBytes += 16 + 8*int64(len(b[i].vals))
+				e.walBytes += 16 + 8*int64(len(b[i].Vals))
 			}
 		}
 	}
@@ -775,7 +738,7 @@ func (e *Engine) route(sr srcRoute, ts int64, vals []int64) {
 		// Every shard gets the tuple. The value slice is shared: tuples
 		// are immutable throughout the engines.
 		for i := range e.workers {
-			e.append(i, entry{src: sr.id, ts: ts, vals: vals})
+			e.append(i, cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 		}
 	case core.PartitionMulticast:
 		// Content-based routing: only the shards whose instances can pair
@@ -797,10 +760,10 @@ func (e *Engine) route(sr srcRoute, ts int64, vals []int64) {
 		for mask != 0 {
 			i := bits.TrailingZeros64(mask)
 			mask &^= 1 << uint(i)
-			e.append(i, entry{src: sr.id, ts: ts, vals: vals})
+			e.append(i, cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 		}
 	default:
-		e.append(e.shardOf(sr, vals), entry{src: sr.id, ts: ts, vals: vals})
+		e.append(e.shardOf(sr, vals), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 	}
 }
 
@@ -878,9 +841,9 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 	if sr.mode == core.PartitionBroadcast || len(e.workers) == 1 {
 		// Every shard shares one run: rows are immutable throughout the
 		// engines, exactly like broadcast value slices.
-		run := &colRun{ts: ts, cols: cols}
+		run := &cluster.Run{TS: ts, Cols: cols}
 		for i := range e.workers {
-			e.append(i, entry{src: sr.id, ts: ts[0], run: run})
+			e.append(i, cluster.Entry{Src: sr.id, Run: run})
 		}
 		return
 	}
@@ -936,9 +899,9 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 		runs[i] = nil
 		if n > 0 {
 			slab := make([]int64, (len(cols)+1)*n)
-			r := &colRun{ts: slab[:n:n], cols: make([][]int64, len(cols))}
+			r := &cluster.Run{TS: slab[:n:n], Cols: make([][]int64, len(cols))}
 			for a := range cols {
-				r.cols[a] = slab[(a+1)*n : (a+2)*n : (a+2)*n]
+				r.Cols[a] = slab[(a+1)*n : (a+2)*n : (a+2)*n]
 			}
 			runs[i] = r
 		}
@@ -948,19 +911,19 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 		for row, mask := range masks {
 			for ; mask != 0; mask &= mask - 1 {
 				i := bits.TrailingZeros64(mask)
-				runs[i].set(counts[i], ts, cols, row)
+				setRow(runs[i], counts[i], ts, cols, row)
 				counts[i]++
 			}
 		}
 	} else {
 		for row, i := range dst {
-			runs[i].set(counts[i], ts, cols, row)
+			setRow(runs[i], counts[i], ts, cols, row)
 			counts[i]++
 		}
 	}
 	for i, r := range runs {
 		if r != nil {
-			e.append(i, entry{src: sr.id, ts: r.ts[0], run: r})
+			e.append(i, cluster.Entry{Src: sr.id, Run: r})
 		}
 	}
 	clear(runs)
@@ -996,7 +959,7 @@ func (e *Engine) shardOfAt(sr srcRoute, cols [][]int64, row int) int {
 // replica engine (see engine.Engine.SetBlockSize: 0 restores the default,
 // n < 0 disables the vectorized path). The change lands behind a quiesce
 // barrier so no replica is mid-drain. Remote replicas keep their own
-// default — the wire protocol is row-oriented either way.
+// default block size.
 func (e *Engine) SetBlockSize(n int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

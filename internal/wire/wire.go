@@ -13,12 +13,16 @@
 //
 // Decoding never panics on corrupt input: every primitive checks bounds
 // and returns ErrCorrupt, recursive structures carry a depth limit, and
-// repeated fields grow by append (no attacker-controlled preallocation).
+// every allocation is bounded by the length of the input itself (a packed
+// list is sized by counting its encoded values, never by a declared
+// count).
 package wire
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // ErrCorrupt reports malformed input. All decode errors wrap it.
@@ -58,6 +62,12 @@ func (b *Buffer) Bytes() []byte { return b.b }
 
 // Len returns the number of encoded bytes.
 func (b *Buffer) Len() int { return len(b.b) }
+
+// Reset empties the buffer, keeping its storage for reuse.
+func (b *Buffer) Reset() { b.b = b.b[:0] }
+
+// uvarintLen is the encoded width of v in bytes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // PutUvarint appends an unsigned varint.
 func (b *Buffer) PutUvarint(v uint64) {
@@ -102,29 +112,55 @@ func (b *Buffer) PutStringField(field int, s string) {
 	b.b = append(b.b, s...)
 }
 
-// PutMsgField appends a tagged nested message encoded by fn.
+// PutMsgField appends a tagged nested message encoded by fn. fn writes
+// straight into b after a one-byte length slot, which is back-patched
+// once the body's size is known; a body of 128 bytes or more shifts right
+// to make room for its wider length varint. The bytes are the same as
+// encoding the body separately and appending it with PutBytesField.
 func (b *Buffer) PutMsgField(field int, fn func(*Buffer)) {
-	var sub Buffer
-	fn(&sub)
-	b.PutBytesField(field, sub.b)
+	b.putTag(field, wtBytes)
+	at := len(b.b)
+	b.b = append(b.b, 0)
+	fn(b)
+	n := uint64(len(b.b) - at - 1)
+	w := uvarintLen(n)
+	if w > 1 {
+		b.b = append(b.b, make([]byte, w-1)...)
+		copy(b.b[at+w:], b.b[at+1:len(b.b)-w+1])
+	}
+	for i := at; n >= 0x80; i++ {
+		b.b[i] = byte(n) | 0x80
+		n >>= 7
+	}
+	b.b[at+w-1] = byte(n)
 }
 
 // PutIntsField appends a tagged packed list of signed integers.
 func (b *Buffer) PutIntsField(field int, vs []int) {
-	b.PutMsgField(field, func(sub *Buffer) {
-		for _, v := range vs {
-			sub.PutVarint(int64(v))
-		}
-	})
+	n := 0
+	for _, v := range vs {
+		n += uvarintLen(zigzag(int64(v)))
+	}
+	b.putTag(field, wtBytes)
+	b.PutUvarint(uint64(n))
+	for _, v := range vs {
+		b.PutVarint(int64(v))
+	}
 }
 
-// PutInt64sField appends a tagged packed list of int64s.
+// PutInt64sField appends a tagged packed list of int64s. The body's
+// length is the sum of its values' varint widths, known before the first
+// value, so the list is written straight into b.
 func (b *Buffer) PutInt64sField(field int, vs []int64) {
-	b.PutMsgField(field, func(sub *Buffer) {
-		for _, v := range vs {
-			sub.PutVarint(v)
-		}
-	})
+	n := 0
+	for _, v := range vs {
+		n += uvarintLen(zigzag(v))
+	}
+	b.putTag(field, wtBytes)
+	b.PutUvarint(uint64(n))
+	for _, v := range vs {
+		b.PutVarint(v)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -228,13 +264,31 @@ func (r *Reader) Msg() (*Reader, error) {
 	return &Reader{b: p}, nil
 }
 
-// Ints reads a packed list of signed integers.
+// packedLen counts the values of a packed varint list: one per byte
+// with the continuation bit clear. A truncated trailing varint is not
+// counted; decoding it reports the corruption.
+func packedLen(p []byte) int {
+	n := 0
+	for _, c := range p {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
+}
+
+// Ints reads a packed list of signed integers into a slice of exactly
+// its length (nil when the list is empty).
 func (r *Reader) Ints() ([]int, error) {
-	sub, err := r.Msg()
+	p, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
 	var out []int
+	if n := packedLen(p); n > 0 {
+		out = make([]int, 0, n)
+	}
+	sub := Reader{b: p}
 	for !sub.Done() {
 		v, err := sub.Varint()
 		if err != nil {
@@ -245,19 +299,25 @@ func (r *Reader) Ints() ([]int, error) {
 	return out, nil
 }
 
-// Int64s reads a packed list of int64s.
-func (r *Reader) Int64s() ([]int64, error) {
-	sub, err := r.Msg()
+// Int64s reads a packed list of int64s into a slice of exactly its
+// length (nil when the list is empty).
+func (r *Reader) Int64s() ([]int64, error) { return r.AppendInt64s(nil) }
+
+// AppendInt64s reads a packed list of int64s and appends its values to
+// dst, growing dst at most once.
+func (r *Reader) AppendInt64s(dst []int64) ([]int64, error) {
+	p, err := r.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	var out []int64
+	dst = slices.Grow(dst, packedLen(p))
+	sub := Reader{b: p}
 	for !sub.Done() {
 		v, err := sub.Varint()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
