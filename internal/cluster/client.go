@@ -96,10 +96,6 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
-// maxKeptFrame bounds the call-frame buffer a client keeps between calls;
-// a larger frame (a state import) is encoded once and let go.
-const maxKeptFrame = 1 << 20
-
 // Client is the coordinator's handle on one remote shard worker: it owns
 // the connection, redials with bounded exponential backoff plus jitter,
 // retries calls at-least-once (the worker dedups), and declares the
@@ -117,8 +113,6 @@ type Client struct {
 	// rng drives backoff jitter; guarded by callMu.
 	rng        *rand.Rand
 	nextCallID int64
-	// frame is the reused call-frame buffer; guarded by callMu.
-	frame wire.Buffer
 
 	// mu guards the connection and reachability state.
 	mu        sync.Mutex
@@ -499,21 +493,12 @@ func (c *Client) sleepBackoff(outageStart time.Time) {
 // call performs one RPC, retrying across reconnects until it succeeds or
 // the worker is declared lost. The worker's reply cache plus the batch
 // seq dedup make retried calls execute at most once.
-//
-// body writes the call's body straight into the frame (nil for an empty
-// body). The frame buffer is reused from call to call under callMu, and a
-// retry re-sends it as is, so it stays untouched until call returns.
-func (c *Client) call(op byte, body func(*wire.Buffer)) ([]byte, error) {
+func (c *Client) call(op byte, body []byte) ([]byte, error) {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	c.nextCallID++
 	callID := c.nextCallID
-	c.frame.Reset()
-	putCall(&c.frame, callID, op, body)
-	frame := c.frame.Bytes()
-	if cap(frame) > maxKeptFrame {
-		c.frame = wire.Buffer{} // let a one-off state transfer's buffer go
-	}
+	frame := encodeCall(callID, op, body)
 	for {
 		conn, err := c.ensureConn()
 		if err != nil {
@@ -644,7 +629,7 @@ func (c *Client) probe() {
 // Replay delivers one WAL batch. Delivery is at-least-once; the worker
 // dedups by seq, so duplicated or re-sent batches replay exactly once.
 func (c *Client) Replay(seq int64, entries []Entry) error {
-	_, err := c.call(opBatch, func(b *wire.Buffer) { putBatch(b, seq, entries) })
+	_, err := c.call(opBatch, encodeBatch(seq, entries))
 	return err
 }
 
@@ -678,9 +663,7 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 // cached one, and planBytes/srcNames become what future fresh handshakes
 // rebuild from.
 func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]mop.GroupRef, error) {
-	reply, err := c.call(opApplyDelta, func(b *wire.Buffer) {
-		putDeltaCall(b, planBytes, deltaBytes, srcNames)
-	})
+	reply, err := c.call(opApplyDelta, encodeDeltaCall(planBytes, deltaBytes, srcNames))
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +687,7 @@ func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]
 // worker (nil when it stores nothing). Safe to retry: the worker's reply
 // cache re-sends the exported payload instead of re-exporting.
 func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
-	reply, err := c.call(opExport, func(b *wire.Buffer) { putSideCall(b, opID, side, keyAttr) })
+	reply, err := c.call(opExport, encodeSideCall(opID, side, keyAttr))
 	if err != nil {
 		return nil, err
 	}
@@ -727,14 +710,14 @@ func (c *Client) Import(opID int, pl *mop.StatePayload) error {
 	if pl != nil && pl.Len() > 0 {
 		raw = wire.EncodePayloadBytes(pl)
 	}
-	_, err := c.call(opImport, func(b *wire.Buffer) { putImportCall(b, opID, raw) })
+	_, err := c.call(opImport, encodeImportCall(opID, raw))
 	return err
 }
 
 // Histogram merges the worker's keyed-state histogram of one group side
 // into h.
 func (c *Client) Histogram(opID, side, keyAttr int, h map[int64]int64) error {
-	reply, err := c.call(opHistogram, func(b *wire.Buffer) { putSideCall(b, opID, side, keyAttr) })
+	reply, err := c.call(opHistogram, encodeSideCall(opID, side, keyAttr))
 	if err != nil {
 		return err
 	}

@@ -148,11 +148,9 @@ func dialRaw(t *testing.T, lis *transport.PipeListener, h *hello) (*rawConn, *he
 
 // callRaw sends a call with an explicit ID and returns the raw reply
 // payload (for byte-level reply-cache checks).
-func (rc *rawConn) callRaw(callID int64, op byte, body func(*wire.Buffer)) []byte {
+func (rc *rawConn) callRaw(callID int64, op byte, body []byte) []byte {
 	rc.t.Helper()
-	var frame wire.Buffer
-	putCall(&frame, callID, op, body)
-	if err := rc.fc.WriteFrame(frameCall, frame.Bytes()); err != nil {
+	if err := rc.fc.WriteFrame(frameCall, encodeCall(callID, op, body)); err != nil {
 		rc.t.Fatal(err)
 	}
 	typ, payload, err := rc.fc.ReadFrame()
@@ -163,7 +161,7 @@ func (rc *rawConn) callRaw(callID int64, op byte, body func(*wire.Buffer)) []byt
 }
 
 // call sends a call with the next fresh ID and decodes the reply.
-func (rc *rawConn) call(op byte, body func(*wire.Buffer)) (string, []byte) {
+func (rc *rawConn) call(op byte, body []byte) (string, []byte) {
 	rc.t.Helper()
 	rc.callID++
 	raw := rc.callRaw(rc.callID, op, body)
@@ -200,11 +198,6 @@ func (rc *rawConn) drainEquals(w *testWorkload) error {
 	return nil
 }
 
-// batchBody is a call body carrying one WAL batch.
-func batchBody(seq int64, entries []Entry) func(*wire.Buffer) {
-	return func(b *wire.Buffer) { putBatch(b, seq, entries) }
-}
-
 func freshHello(w *testWorkload) *hello {
 	return &hello{
 		Proto:      ProtoVersion,
@@ -230,23 +223,23 @@ func TestWorkerSeqDedup(t *testing.T) {
 	}
 	for i, batch := range w.batches {
 		seq := int64(i + 1)
-		if errStr, _ := rc.call(opBatch, batchBody(seq, batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, encodeBatch(seq, batch)); errStr != "" {
 			t.Fatalf("batch %d: %s", seq, errStr)
 		}
 		// Duplicate delivery of the same seq.
-		if errStr, _ := rc.call(opBatch, batchBody(seq, batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, encodeBatch(seq, batch)); errStr != "" {
 			t.Fatalf("dup batch %d: %s", seq, errStr)
 		}
 		// Reordered stale delivery of the previous seq.
 		if i > 0 {
-			if errStr, _ := rc.call(opBatch, batchBody(seq-1, w.batches[i-1])); errStr != "" {
+			if errStr, _ := rc.call(opBatch, encodeBatch(seq-1, w.batches[i-1])); errStr != "" {
 				t.Fatalf("stale batch %d: %s", seq-1, errStr)
 			}
 		}
 	}
 	// A gap must be rejected, not silently applied.
 	gapSeq := int64(len(w.batches) + 5)
-	if errStr, _ := rc.call(opBatch, batchBody(gapSeq, w.batches[0])); !strings.Contains(errStr, "gap") {
+	if errStr, _ := rc.call(opBatch, encodeBatch(gapSeq, w.batches[0])); !strings.Contains(errStr, "gap") {
 		t.Fatalf("gap seq accepted (err %q)", errStr)
 	}
 	if err := rc.drainEquals(w); err != nil {
@@ -266,7 +259,7 @@ func TestWorkerReplyCache(t *testing.T) {
 		t.Fatal(ack.Err)
 	}
 	for i, batch := range w.batches {
-		if errStr, _ := rc.call(opBatch, batchBody(int64(i+1), batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, encodeBatch(int64(i+1), batch)); errStr != "" {
 			t.Fatalf("batch %d: %s", i+1, errStr)
 		}
 	}
@@ -276,7 +269,7 @@ func TestWorkerReplyCache(t *testing.T) {
 	nonEmpty := 0
 	for _, g := range ack.Groups {
 		for _, side := range g.Sides {
-			body := func(b *wire.Buffer) { putSideCall(b, g.OpID, side, -1) }
+			body := encodeSideCall(g.OpID, side, -1)
 			rc.callID++
 			first := rc.callRaw(rc.callID, opExport, body)
 			retry := rc.callRaw(rc.callID, opExport, body)
@@ -300,7 +293,7 @@ func TestWorkerReplyCache(t *testing.T) {
 			}
 			// Put the state back so the final drain proves nothing was
 			// double-exported or lost.
-			if errStr, _ := rc.call(opImport, func(b *wire.Buffer) { putImportCall(b, g.OpID, raw) }); errStr != "" {
+			if errStr, _ := rc.call(opImport, encodeImportCall(g.OpID, raw)); errStr != "" {
 				t.Fatalf("import group %d: %s", g.OpID, errStr)
 			}
 		}

@@ -42,12 +42,6 @@ func entriesEqual(a, b []Entry) bool {
 	return true
 }
 
-func encodeBatchBytes(seq int64, entries []Entry) []byte {
-	var b wire.Buffer
-	putBatch(&b, seq, entries)
-	return b.Bytes()
-}
-
 // testRun builds a run of n rows and arity columns with values spread over
 // the whole int64 range, extremes included.
 func testRun(n, arity int) *Run {
@@ -106,7 +100,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 	var rows []kept
 	for i, batch := range codecBatches() {
-		seq, got, err := d.decode(encodeBatchBytes(int64(i+1), batch))
+		seq, got, err := d.decode(encodeBatch(int64(i+1), batch))
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -131,30 +125,31 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 func TestBatchDecodeRejects(t *testing.T) {
 	for name, body := range corruptBatchBodies() {
 		var d batchDecoder
-		var b wire.Buffer
-		body(&b)
-		if _, _, err := d.decode(b.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+		if _, _, err := d.decode(body); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: %v, want wire.ErrCorrupt", name, err)
 		}
 	}
 }
 
 // corruptBatchBodies are batch bodies a worker must reject, by name.
-func corruptBatchBodies() map[string]func(*wire.Buffer) {
-	row := func(src int64) func(*wire.Buffer) {
-		return func(b *wire.Buffer) {
-			b.PutVarintField(1, 1)
-			b.PutMsgField(2, func(b *wire.Buffer) {
-				b.PutVarintField(1, src)
-				b.PutVarintField(2, 10)
-				b.PutInt64sField(3, []int64{1, 2})
-			})
-		}
+func corruptBatchBodies() map[string][]byte {
+	row := func(src int64) []byte {
+		var b wire.Buffer
+		b.PutVarintField(1, 1)
+		b.PutMsgField(2, func(b *wire.Buffer) {
+			b.PutVarintField(1, src)
+			b.PutVarintField(2, 10)
+			b.PutInt64sField(3, []int64{1, 2})
+		})
+		return b.Bytes()
 	}
-	run := func(src int64, ts []int64, cols ...[]int64) func(*wire.Buffer) {
-		return func(b *wire.Buffer) { putBatch(b, 1, nil); putRun(b, src, ts, cols) }
+	run := func(src int64, ts []int64, cols ...[]int64) []byte {
+		var b wire.Buffer
+		b.PutVarintField(1, 1)
+		putRun(&b, src, ts, cols)
+		return b.Bytes()
 	}
-	return map[string]func(*wire.Buffer){
+	return map[string][]byte{
 		"row source -1":          row(-1),
 		"row source 2^31":        row(1 << 31),
 		"row source MinInt64":    row(math.MinInt64),
@@ -168,7 +163,7 @@ func corruptBatchBodies() map[string]func(*wire.Buffer) {
 }
 
 // putRun writes a run message field by field, so tests can build runs
-// putBatch would never produce.
+// encodeBatch would never produce.
 func putRun(b *wire.Buffer, src int64, ts []int64, cols [][]int64) {
 	b.PutMsgField(3, func(b *wire.Buffer) {
 		b.PutVarintField(1, src)
@@ -185,14 +180,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	for i, batch := range codecBatches() {
 		// Minimizing a new input costs time quadratic in its length, so
 		// the long runs stay out of the seeds.
-		if p := encodeBatchBytes(int64(i), batch); len(p) <= 512 {
+		if p := encodeBatch(int64(i), batch); len(p) <= 512 {
 			f.Add(p)
 		}
 	}
 	for _, body := range corruptBatchBodies() {
-		var b wire.Buffer
-		body(&b)
-		f.Add(b.Bytes())
+		f.Add(body)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x1a, 0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -207,7 +200,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			return
 		}
-		seq2, again, err := d2.decode(encodeBatchBytes(seq, entries))
+		seq2, again, err := d2.decode(encodeBatch(seq, entries))
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -241,7 +234,7 @@ func TestWorkerRejectsCorruptCalls(t *testing.T) {
 	var frame wire.Buffer
 	frame.PutVarintField(1, rc.callID+1)
 	frame.PutVarintField(2, 257)
-	frame.PutMsgField(3, batchBody(1, w.batches[0]))
+	frame.PutBytesField(3, encodeBatch(1, w.batches[0]))
 	if err := rc.fc.WriteFrame(frameCall, frame.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +251,7 @@ func TestWorkerRejectsCorruptCalls(t *testing.T) {
 	rc.callID = lastID // the worker skips call IDs below its last one
 
 	for i, batch := range w.batches {
-		if errStr, _ := rc.call(opBatch, batchBody(int64(i+1), batch)); errStr != "" {
+		if errStr, _ := rc.call(opBatch, encodeBatch(int64(i+1), batch)); errStr != "" {
 			t.Fatalf("batch %d: %s", i+1, errStr)
 		}
 	}
@@ -320,7 +313,7 @@ func TestHandshakeRefusesV1(t *testing.T) {
 	}
 	if rc, ack := dialRaw(t, lis, freshHello(w)); ack.Err != "" {
 		t.Fatalf("v2 hello after a v1 one: %s", ack.Err)
-	} else if errStr, _ := rc.call(opBatch, batchBody(1, w.batches[0])); errStr != "" {
+	} else if errStr, _ := rc.call(opBatch, encodeBatch(1, w.batches[0])); errStr != "" {
 		t.Fatal(errStr)
 	}
 
@@ -375,17 +368,16 @@ func BenchmarkBatchCodec(b *testing.B) {
 		{"run", []Entry{{Src: 0, Run: run}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var buf wire.Buffer
+			var p []byte
 			var d batchDecoder
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				putBatch(&buf, int64(i), bc.entries)
-				if _, _, err := d.decode(buf.Bytes()); err != nil {
+				p = encodeBatch(int64(i), bc.entries)
+				if _, _, err := d.decode(p); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(buf.Len())/rows, "B/row")
+			b.ReportMetric(float64(len(p))/rows, "B/row")
 		})
 	}
 }

@@ -299,16 +299,13 @@ func readGroup(r *wire.Reader) (mop.GroupRef, error) {
 	return g, nil
 }
 
-// call frame: {1: callID, 2: op, 3: body}; body writes field 3 in place
-// (nil writes an empty body).
-func putCall(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) {
+// call frame: {1: callID, 2: op, 3: body}.
+func encodeCall(callID int64, op byte, body []byte) []byte {
+	var b wire.Buffer
 	b.PutVarintField(1, callID)
 	b.PutVarintField(2, int64(op))
-	b.PutMsgField(3, func(b *wire.Buffer) {
-		if body != nil {
-			body(b)
-		}
-	})
+	b.PutBytesField(3, body)
+	return b.Bytes()
 }
 
 func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
@@ -386,7 +383,8 @@ func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []by
 // batch body: {1: seq, 2*: row{1: src, 2: ts, 3: vals}, 3*: run{1: src,
 // 2: packed ts, 3*: packed column}}, rows and runs in entry order; reply
 // {1: completed}.
-func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
+func encodeBatch(seq int64, entries []Entry) []byte {
+	var b wire.Buffer
 	b.PutVarintField(1, seq)
 	for i := range entries {
 		en := &entries[i]
@@ -406,6 +404,7 @@ func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 			b.PutInt64sField(3, en.Vals)
 		})
 	}
+	return b.Bytes()
 }
 
 // batchDecoder decodes batch bodies into storage it reuses from one batch
@@ -587,12 +586,14 @@ func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, e
 // delta body: {1: planBytes, 2: deltaBytes, 3*: srcNames}; reply: groups
 // at field 1. srcNames is the full post-delta source table (a delta can
 // add sources; the worker's handshake table must follow).
-func putDeltaCall(b *wire.Buffer, planBytes, deltaBytes []byte, srcNames []string) {
+func encodeDeltaCall(planBytes, deltaBytes []byte, srcNames []string) []byte {
+	var b wire.Buffer
 	b.PutBytesField(1, planBytes)
 	b.PutBytesField(2, deltaBytes)
 	for _, name := range srcNames {
 		b.PutStringField(3, name)
 	}
+	return b.Bytes()
 }
 
 func decodeDeltaCall(p []byte) (planBytes, deltaBytes []byte, srcNames []string, err error) {
@@ -655,10 +656,12 @@ func decodeGroupsReply(p []byte) ([]mop.GroupRef, error) {
 // import body: {1: opID, 2: payloadBytes}; reply empty.
 // histogram body: {1: opID, 2: side, 3: keyAttr}; reply {1: keys, 2:
 // counts}.
-func putSideCall(b *wire.Buffer, opID, side, keyAttr int) {
+func encodeSideCall(opID, side, keyAttr int) []byte {
+	var b wire.Buffer
 	b.PutVarintField(1, int64(opID))
 	b.PutVarintField(2, int64(side))
 	b.PutVarintField(3, int64(keyAttr))
+	return b.Bytes()
 }
 
 func decodeSideCall(p []byte) (opID, side, keyAttr int, err error) {
@@ -720,9 +723,11 @@ func decodeBytesField1(p []byte) ([]byte, error) {
 	return out, nil
 }
 
-func putImportCall(b *wire.Buffer, opID int, payloadBytes []byte) {
+func encodeImportCall(opID int, payloadBytes []byte) []byte {
+	var b wire.Buffer
 	b.PutVarintField(1, int64(opID))
 	b.PutBytesField(2, payloadBytes)
+	return b.Bytes()
 }
 
 func decodeImportCall(p []byte) (opID int, payloadBytes []byte, err error) {

@@ -469,16 +469,23 @@ func TestClusterOutageFailFastThenResume(t *testing.T) {
 // migrates its state to the survivor over the wire. Results match the
 // unfaulted reference exactly.
 func TestClusterDeadDeclareAndRecoverOverWire(t *testing.T) {
-	runDeadDeclareAndRecover(t, rowFeed)
+	runDeadDeclareAndRecover(t, rowFeed, false)
 }
 
 // TestClusterColumnsDeadDeclareAndRecoverOverWire is the same outage over
 // a column feed: recovery replays WAL column runs into the revived worker.
+// A column feed hands the router whole windows, so its remainder can sit
+// in the queues and the WAL before the worker first writes to the cut
+// link; the feed may then run out before any push sees the death, and the
+// Drain barrier is what observes it.
 func TestClusterColumnsDeadDeclareAndRecoverOverWire(t *testing.T) {
-	runDeadDeclareAndRecover(t, columnFeed)
+	runDeadDeclareAndRecover(t, columnFeed, true)
 }
 
-func runDeadDeclareAndRecover(t *testing.T, feed clusterFeed) {
+// runDeadDeclareAndRecover runs the outage over feed. Unless
+// deathAtDrain is set, some push must be rejected with ErrShardDead and is
+// re-pushed after recovery.
+func runDeadDeclareAndRecover(t *testing.T, feed clusterFeed, deathAtDrain bool) {
 	catalog, qs, events := tortureWorkload(t, "w2")
 	h := &clusterHarness{}
 	tune := func(i int, nc *cluster.Config) {
@@ -519,10 +526,11 @@ func runDeadDeclareAndRecover(t *testing.T, feed clusterFeed) {
 		}
 	}
 	if rejected < 0 {
-		// The feed ran out first: a column feed hands the router whole
-		// windows, so its remainder can sit in the queues and the WAL before
-		// the worker first writes to the cut link. The barrier waits for the
-		// loss, and recovery then replays all of it from the WAL.
+		if !deathAtDrain {
+			t.Fatal("workload ended before the death was declared")
+		}
+		// The feed ran out first. The barrier waits for the loss, and
+		// recovery then replays all of the remainder from the WAL.
 		if err := sh.Drain(); !errors.Is(err, ErrShardDead) {
 			t.Fatalf("Drain during outage: %v, want ErrShardDead", err)
 		}

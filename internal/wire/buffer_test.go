@@ -133,5 +133,12 @@ func TestPackedListCorrupt(t *testing.T) {
 		if _, err := r.Ints(); err == nil {
 			t.Fatalf("Ints(% x): no error", p)
 		}
+		// The caller's scratch comes back at its own length.
+		r = wire.NewReader(p)
+		r.Field()
+		dst, err := r.AppendInt64s([]int64{7, 8})
+		if err == nil || !slices.Equal(dst, []int64{7, 8}) {
+			t.Fatalf("AppendInt64s(% x): %v, %v; want [7 8] and an error", p, dst, err)
+		}
 	}
 }

@@ -63,9 +63,6 @@ func (b *Buffer) Bytes() []byte { return b.b }
 // Len returns the number of encoded bytes.
 func (b *Buffer) Len() int { return len(b.b) }
 
-// Reset empties the buffer, keeping its storage for reuse.
-func (b *Buffer) Reset() { b.b = b.b[:0] }
-
 // uvarintLen is the encoded width of v in bytes.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
@@ -304,18 +301,20 @@ func (r *Reader) Ints() ([]int, error) {
 func (r *Reader) Int64s() ([]int64, error) { return r.AppendInt64s(nil) }
 
 // AppendInt64s reads a packed list of int64s and appends its values to
-// dst, growing dst at most once.
+// dst, growing dst at most once. On error it returns dst at its original
+// length, so a caller's scratch survives a corrupt input.
 func (r *Reader) AppendInt64s(dst []int64) ([]int64, error) {
 	p, err := r.Bytes()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
+	n := len(dst)
 	dst = slices.Grow(dst, packedLen(p))
 	sub := Reader{b: p}
 	for !sub.Done() {
 		v, err := sub.Varint()
 		if err != nil {
-			return nil, err
+			return dst[:n], err
 		}
 		dst = append(dst, v)
 	}
