@@ -19,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/rules"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -398,15 +399,24 @@ func BenchmarkAblationW1OptimizedPlan(b *testing.B) { benchW1Ablation(b, true) }
 
 // ---------------------------------------------------------------------------
 // Sharded runtime: parallel scaling over Workloads 1–3. Wall-clock
-// speedup needs one core per shard; on smaller hosts the per-shard busy
-// split (rumorbench -fig scale) is the scaling signal.
+// speedup needs one core per shard; the w2_sharded2 row of the benchmark
+// ledger (benchmark/run.sh) reports the per-shard busy split.
 // ---------------------------------------------------------------------------
 
 // benchSharded drives b.N events through a sharded engine (ingest + final
 // drain timed).
 func benchSharded(b *testing.B, catalog map[string]core.SourceDecl, qs []*core.Query, events []workload.Event, shards int) {
 	b.Helper()
-	e, err := bench.BuildSharded(catalog, qs, false, shards)
+	plan := core.NewPhysical(catalog)
+	for _, q := range qs {
+		if err := plan.AddQuery(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := rules.Optimize(plan, rules.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	e, err := shard.New(plan, nil, shard.Config{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}

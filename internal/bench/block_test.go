@@ -1,171 +1,6 @@
 package bench
 
-import (
-	"runtime"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/workload"
-)
-
-// blockSizes is the equivalence sweep: a degenerate 1-row block (every
-// adapter and pool edge case per row), two interior sizes, and the cap.
-var blockSizes = []int{1, 16, 64, 256}
-
-// feedColumns drives the window-grouped columnar feed through PushColumns.
-func feedColumns(t *testing.T, e *engine.Engine, feed []colPush) {
-	t.Helper()
-	for _, cp := range feed {
-		if err := e.PushColumns(cp.source, cp.ts, cp.cols); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// checkBlockEquivalence runs the identical columnar feed through a scalar
-// engine (block path disabled) and through block engines at every sweep
-// size, requiring byte-identical per-query result streams.
-func checkBlockEquivalence(t *testing.T, catalog map[string]core.SourceDecl, cqs []*core.Query, events []workload.Event, channels bool) {
-	t.Helper()
-	feed := buildColFeed(events, 100) // windows straddle word boundaries
-	ref, err := BuildRUMOR(catalog, cqs, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetBlockSize(-1)
-	lref := newResultLog()
-	ref.OnResult = lref.record
-	feedColumns(t, ref, feed)
-	if ref.TotalResults() == 0 {
-		t.Fatal("workload produced no results; equivalence check is vacuous")
-	}
-	for _, bs := range blockSizes {
-		e, err := BuildRUMOR(catalog, cqs, channels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetBlockSize(bs)
-		l := newResultLog()
-		e.OnResult = l.record
-		feedColumns(t, e, feed)
-		if d := lref.diff(l); d != "" {
-			t.Fatalf("block size %d: scalar vs block diverged: %s", bs, d)
-		}
-		if got, want := e.TotalResults(), ref.TotalResults(); got != want {
-			t.Fatalf("block size %d: total results %d, want %d", bs, got, want)
-		}
-	}
-}
-
-func TestBlockEquivalenceWorkload1(t *testing.T) {
-	for _, channels := range []bool{false, true} {
-		p := workload.DefaultParams()
-		p.NumQueries = 200
-		cqs, err := workload.ToRUMOR(p.Workload1())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkBlockEquivalence(t, p.Catalog(), cqs, p.GenStreams(5000), channels)
-	}
-}
-
-func TestBlockEquivalenceWorkload2(t *testing.T) {
-	for _, channels := range []bool{false, true} {
-		p := workload.DefaultParams()
-		p.NumQueries = 120
-		cqs, err := workload.ToRUMOR(p.Workload2Seq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkBlockEquivalence(t, p.Catalog(), cqs, p.GenStreams(4000), channels)
-		pm := workload.DefaultParams()
-		pm.NumQueries = 50
-		mqs, err := workload.ToRUMOR(pm.Workload2Mu())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkBlockEquivalence(t, pm.Catalog(), mqs, pm.GenStreams(3000), channels)
-	}
-}
-
-func TestBlockEquivalenceWorkload3(t *testing.T) {
-	const k = 8
-	for _, channels := range []bool{false, true} {
-		p := workload.DefaultParams()
-		p.NumQueries = 200
-		checkBlockEquivalence(t, p.Workload3Catalog(k), p.Workload3(k), p.Workload3Rounds(k, 400), channels)
-	}
-}
-
-// blockAllocPass measures allocs/event for the columnar feed at the given
-// block size and telemetry mode (the block-path counterpart of obsPass).
-func blockAllocPass(cfg Config, queries, blockSize int, enabled bool) (float64, error) {
-	p := workload.DefaultParams()
-	p.Seed = cfg.Seed
-	p.NumQueries = queries
-	cqs, err := workload.ToRUMOR(p.Workload1())
-	if err != nil {
-		return 0, err
-	}
-	e, err := BuildRUMOR(p.Catalog(), cqs, false)
-	if err != nil {
-		return 0, err
-	}
-	e.SetBlockSize(blockSize)
-	feed := buildColFeed(p.GenStreams(cfg.Tuples), batchWindow)
-
-	prev := obs.Enabled()
-	obs.Enable(enabled)
-	defer obs.Enable(prev)
-
-	warm := len(feed) / 10
-	measured := 0
-	for _, cp := range feed[:warm] {
-		if err := e.PushColumns(cp.source, cp.ts, cp.cols); err != nil {
-			return 0, err
-		}
-	}
-	for _, cp := range feed[warm:] {
-		measured += len(cp.ts)
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, cp := range feed[warm:] {
-		if err := e.PushColumns(cp.source, cp.ts, cp.cols); err != nil {
-			return 0, err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(measured), nil
-}
-
-// The block path must uphold the PR 8 telemetry contract: obs on vs off
-// malloc exactly the same number of times, and the block path must not
-// allocate more per event than the scalar path it replaces.
-func TestBlockPathAllocIdentity(t *testing.T) {
-	cfg := Config{Tuples: 4000, Seed: 1}
-	off, err := blockAllocPass(cfg, 50, 256, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := blockAllocPass(cfg, 50, 256, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on != off {
-		t.Fatalf("block path allocs/event differ with metrics enabled: off=%.6f on=%.6f", off, on)
-	}
-	scalar, err := blockAllocPass(cfg, 50, -1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off > scalar {
-		t.Fatalf("block path allocates more than scalar: block=%.6f scalar=%.6f", off, scalar)
-	}
-}
+import "testing"
 
 // The batch sweep itself must run end to end at test scale; Batch errors
 // out if any mode's result total diverges from the scalar baseline.

@@ -2,30 +2,6 @@ package bench
 
 import "testing"
 
-// The telemetry hot path must be allocation-free: feeding the identical
-// Workload 1 event sequence through two fresh engines — metrics disabled
-// and enabled — must malloc exactly the same number of times. Timing is
-// noisy on shared machines; allocation counts are deterministic, so this
-// is the hard form of the ≤3 % overhead acceptance check.
-func TestObsOverheadAllocIdentical(t *testing.T) {
-	cfg := Config{Tuples: 4000, Seed: 1}
-	_, offAllocs, err := cfg.obsPass(50, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, onAllocs, err := cfg.obsPass(50, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onAllocs != offAllocs {
-		t.Fatalf("allocs/event differ with metrics enabled: off=%.6f on=%.6f",
-			offAllocs, onAllocs)
-	}
-	if offAllocs == 0 {
-		t.Fatal("measured zero allocations per event; the pass measured nothing")
-	}
-}
-
 // The sweep itself must run end to end at test scale and keep the
 // allocation columns equal for every query count.
 func TestObsSweepRuns(t *testing.T) {

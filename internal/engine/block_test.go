@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/rules"
 	"repro/internal/workload"
 )
 
@@ -19,20 +18,7 @@ func w1Engine(t *testing.T) (*Engine, workload.Params) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.NewPhysical(params.Catalog())
-	for _, q := range qs {
-		if err := p.AddQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rules.Optimize(p, rules.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, params
+	return optimizedEngine(t, params.Catalog(), qs, false), params
 }
 
 // columns returns n rows of arity attributes, every value v.

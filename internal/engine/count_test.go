@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/rules"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -21,20 +20,7 @@ func w2Engine(tb testing.TB) (*Engine, workload.Params) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := core.NewPhysical(params.Catalog())
-	for _, q := range qs {
-		if err := p.AddQuery(q); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := rules.Optimize(p, rules.Options{}); err != nil {
-		tb.Fatal(err)
-	}
-	e, err := New(p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e, params
+	return optimizedEngine(tb, params.Catalog(), qs, false), params
 }
 
 // w2Ticks builds n ticks of 256 S rows then 256 T rows, every attribute
@@ -172,19 +158,7 @@ func TestResultCountForwardOutlivesItsInput(t *testing.T) {
 			if order == "swap-first" {
 				qs[0], qs[1] = qs[1], qs[0]
 			}
-			p := core.NewPhysical(map[string]core.SourceDecl{"S": {Schema: stream.MustSchema("S", "a", "b")}})
-			for _, q := range qs {
-				if err := p.AddQuery(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := rules.Optimize(p, rules.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			e, err := New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := optimizedEngine(t, map[string]core.SourceDecl{"S": {Schema: stream.MustSchema("S", "a", "b")}}, qs, false)
 			for ts := int64(0); ts < 64; ts++ {
 				if err := e.Push("S", stream.NewTuple(ts, ts%6, 10+ts)); err != nil {
 					t.Fatal(err)
