@@ -8,18 +8,6 @@
 //	rumorbench -fig all                 # every figure, default scale
 //	rumorbench -fig 9a -maxq 100000     # paper-scale query sweep
 //	rumorbench -fig 10c -rounds 5000
-//	rumorbench -fig scale -shards 4     # sharded-runtime scaling, 1..4 shards
-//	rumorbench -fig churn -shards 2     # live add/remove churn latency +
-//	                                    # channel width (live/total slots)
-//	rumorbench -fig rebalance -shards 4 # online rebalancing on skewed W1
-//	rumorbench -fig recover -shards 4   # checkpoint size, restore latency,
-//	                                    # recovery pause vs window size
-//	rumorbench -fig cluster -shards 4   # local vs networked (pipe) shard
-//	                                    # deployment: wire-protocol overhead
-//	rumorbench -fig obs                 # telemetry overhead: metrics
-//	                                    # disabled vs enabled, ns + allocs
-//	rumorbench -fig batch               # vectorized execution: scalar vs
-//	                                    # block path at sizes 1/16/64/256
 package main
 
 import (
@@ -31,16 +19,19 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 9a..9d, 10a..10d, 11a, 11b, scale, churn, rebalance, recover, cluster, obs, batch, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 9a..9d, 10a..10d, 11a, 11b, or all")
 	tuples := flag.Int("tuples", 20000, "input events per S/T measurement")
 	rounds := flag.Int("rounds", 2000, "workload-3 rounds per measurement")
 	trace := flag.Int("trace", 240, "perfmon trace length in seconds (figure 11)")
-	maxq := flag.Int("maxq", 10000, "cap for query-count sweeps")
+	maxq := flag.Int("maxq", 10000, "cap for query-count sweeps (at least 1)")
 	passes := flag.Int("passes", 3, "interleaved A/B passes per figure point (best kept)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	shards := flag.Int("shards", 4, "max shard count for -fig scale (doubling from 1)")
 	flag.Parse()
 
+	if *maxq < 1 {
+		fmt.Fprintf(os.Stderr, "rumorbench: -maxq must be at least 1, got %d\n", *maxq)
+		os.Exit(2)
+	}
 	cfg := bench.Config{
 		Tuples:       *tuples,
 		Rounds:       *rounds,
@@ -50,85 +41,6 @@ func main() {
 		Seed:         *seed,
 	}
 
-	if *fig == "batch" {
-		rows, err := cfg.Batch()
-		bench.FprintBatch(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "obs" {
-		rows, err := cfg.Obs()
-		bench.FprintObs(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "churn" {
-		rows, err := cfg.Churn(*shards)
-		bench.FprintChurn(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "rebalance" {
-		var counts []int
-		for n := 2; n <= *shards; n *= 2 {
-			counts = append(counts, n)
-		}
-		rows, err := cfg.Rebalance(counts)
-		bench.FprintRebalance(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "recover" {
-		var counts []int
-		for n := 2; n <= *shards; n *= 2 {
-			counts = append(counts, n)
-		}
-		rows, err := cfg.Recover(counts)
-		bench.FprintRecover(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "cluster" {
-		var counts []int
-		for n := 2; n <= *shards; n *= 2 {
-			counts = append(counts, n)
-		}
-		rows, err := cfg.Cluster(counts)
-		bench.FprintCluster(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig == "scale" {
-		var counts []int
-		for n := 1; n <= *shards; n *= 2 {
-			counts = append(counts, n)
-		}
-		rows, err := cfg.Scaling(counts)
-		bench.FprintScaling(os.Stdout, rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rumorbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *fig == "all" {
 		results, err := cfg.All()
 		for _, r := range results {

@@ -19,10 +19,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Config scales the experiments. The defaults keep a full run of all ten
-// figures in the range of a few minutes on a laptop; the paper's exact
-// sweep end-points (100 000 queries, 100 000+ tuples) can be requested via
-// the rumorbench flags.
+// Config scales the experiments. The rumorbench flag defaults keep a full
+// run of all ten figures in the range of a few minutes on a laptop; the
+// paper's exact sweep end-points (100 000 queries, 100 000+ tuples) can be
+// requested through the same flags.
 type Config struct {
 	Tuples       int // input events per S/T measurement (paper: ≥100 000)
 	Rounds       int // Workload 3 rounds per measurement
@@ -30,11 +30,6 @@ type Config struct {
 	MaxQueries   int // cap applied to query-count sweeps
 	Passes       int // interleaved A/B passes per point, best kept (≤1: single pass)
 	Seed         int64
-}
-
-// DefaultConfig returns the standard scaled-down configuration.
-func DefaultConfig() Config {
-	return Config{Tuples: 20000, Rounds: 2000, TraceSeconds: 240, MaxQueries: 10000, Passes: 3, Seed: 1}
 }
 
 // Point is one x position of a figure with its two series values.
@@ -100,23 +95,25 @@ func (r *Result) Fprint(w io.Writer) {
 // Measurement primitives
 // ---------------------------------------------------------------------------
 
-// throughput returns events/second for feeding events through fn, after a
-// warm-up over the first tenth of the input (the paper's JIT warm-up
-// analogue; here it also fills operator state toward steady state).
-func throughput(events []workload.Event, feed func(ev workload.Event)) float64 {
-	warm := len(events) / 10
-	for _, ev := range events[:warm] {
-		feed(ev)
+// throughput returns events/second for feeding n items of perItem events
+// each through feed, after a warm-up over the first tenth of the items
+// (the paper's JIT warm-up analogue; here it also fills operator state
+// toward steady state).
+func throughput(n, perItem int, feed func(i int) error) (float64, error) {
+	warm := n / 10
+	for i := 0; i < warm; i++ {
+		if err := feed(i); err != nil {
+			return 0, err
+		}
 	}
 	start := time.Now()
-	for _, ev := range events[warm:] {
-		feed(ev)
+	for i := warm; i < n; i++ {
+		if err := feed(i); err != nil {
+			return 0, err
+		}
 	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64(len(events)-warm) / elapsed.Seconds()
+	elapsed := max(time.Since(start), time.Nanosecond)
+	return float64((n-warm)*perItem) / elapsed.Seconds(), nil
 }
 
 // BuildRUMOR plans, optimizes, and lowers a RUMOR engine for the queries.
@@ -139,12 +136,9 @@ func rumorThroughput(catalog map[string]core.SourceDecl, qs []*core.Query, event
 	if err != nil {
 		return 0, err
 	}
-	tps := throughput(events, func(ev workload.Event) {
-		if err := e.Push(ev.Source, ev.Tuple); err != nil {
-			panic(err)
-		}
+	return throughput(len(events), 1, func(i int) error {
+		return e.Push(events[i].Source, events[i].Tuple)
 	})
-	return tps, nil
 }
 
 // cayugaThroughput measures the automaton baseline over the events.
@@ -155,9 +149,10 @@ func cayugaThroughput(p workload.Params, qs []*automaton.Query, events []workloa
 			return 0, err
 		}
 	}
-	return throughput(events, func(ev workload.Event) {
-		eng.Process(ev.Source, ev.Tuple)
-	}), nil
+	return throughput(len(events), 1, func(i int) error {
+		eng.Process(events[i].Source, events[i].Tuple)
+		return nil
+	})
 }
 
 // measureAB runs cfg.Passes interleaved A/B measurement passes — each pass
@@ -167,11 +162,7 @@ func cayugaThroughput(p workload.Params, qs []*automaton.Query, events []workloa
 // passes; a figure point is then reproducible to the noise of the best
 // pass, not of an arbitrary one.
 func (cfg Config) measureAB(fa, fb func() (float64, error)) (a, b float64, err error) {
-	passes := cfg.Passes
-	if passes < 1 {
-		passes = 1
-	}
-	for i := 0; i < passes; i++ {
+	for i := 0; i < max(cfg.Passes, 1); i++ {
 		pa, err := fa()
 		if err != nil {
 			return 0, 0, err
@@ -180,12 +171,7 @@ func (cfg Config) measureAB(fa, fb func() (float64, error)) (a, b float64, err e
 		if err != nil {
 			return 0, 0, err
 		}
-		if pa > a {
-			a = pa
-		}
-		if pb > b {
-			b = pb
-		}
+		a, b = max(a, pa), max(b, pb)
 	}
 	return a, b, nil
 }
@@ -198,9 +184,6 @@ func (cfg Config) capSweep(sweep []int) []int {
 			out = append(out, n)
 		}
 	}
-	if len(out) == 0 {
-		out = []int{cfg.MaxQueries}
-	}
 	return out
 }
 
@@ -210,49 +193,29 @@ func (cfg Config) capSweep(sweep []int) []int {
 // events — k+1 per round — in both cases, since the generated stream
 // content is identical by construction.
 func w3Throughput(p workload.Params, k int, rounds int, channels bool) (float64, error) {
-	qs := p.Workload3(k)
-	e, err := BuildRUMOR(p.Workload3Catalog(k), qs, channels)
+	e, err := BuildRUMOR(p.Workload3Catalog(k), p.Workload3(k), channels)
 	if err != nil {
 		return 0, err
 	}
 	events := p.Workload3Rounds(k, rounds)
 	perRound := k + 1
-	nRounds := len(events) / perRound
-	warmRounds := nRounds / 10
 	full := bitset.New(k)
 	for i := 0; i < k; i++ {
 		full.Set(i)
 	}
-	feedRound := func(r int) {
-		base := r * perRound
+	return throughput(len(events)/perRound, perRound, func(r int) error {
+		round := events[r*perRound : (r+1)*perRound]
 		if channels {
-			ev := events[base]
-			if err := e.PushChannel(ev.Source, ev.Tuple.WithMember(full)); err != nil {
-				panic(err)
+			if err := e.PushChannel(round[0].Source, round[0].Tuple.WithMember(full)); err != nil {
+				return err
 			}
 		} else {
-			for i := 0; i < k; i++ {
-				ev := events[base+i]
+			for _, ev := range round[:k] {
 				if err := e.Push(ev.Source, ev.Tuple); err != nil {
-					panic(err)
+					return err
 				}
 			}
 		}
-		tev := events[base+k]
-		if err := e.Push(tev.Source, tev.Tuple); err != nil {
-			panic(err)
-		}
-	}
-	for r := 0; r < warmRounds; r++ {
-		feedRound(r)
-	}
-	start := time.Now()
-	for r := warmRounds; r < nRounds; r++ {
-		feedRound(r)
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64((nRounds-warmRounds)*perRound) / elapsed.Seconds(), nil
+		return e.Push(round[k].Source, round[k].Tuple)
+	})
 }

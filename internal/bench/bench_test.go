@@ -1,15 +1,15 @@
-package bench_test
+package bench
 
 import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/workload"
 )
 
 // tinyConfig keeps unit-test runs fast.
-func tinyConfig() bench.Config {
-	return bench.Config{Tuples: 600, Rounds: 60, TraceSeconds: 40, MaxQueries: 100, Seed: 1}
+func tinyConfig() Config {
+	return Config{Tuples: 600, Rounds: 60, TraceSeconds: 40, MaxQueries: 100, Seed: 1}
 }
 
 func TestAllFiguresRun(t *testing.T) {
@@ -90,5 +90,18 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := cfg.ByName("nope"); ok {
 		t.Fatal("unknown figure must not resolve")
+	}
+}
+
+// A figure with no queries to run is an error, not a panic: the query cap
+// is checked before any plan is built, and a push the engine rejects
+// surfaces through throughput.
+func TestZeroQueryCapIsAnError(t *testing.T) {
+	if _, err := (Config{MaxQueries: 0}).Fig9a(); err == nil {
+		t.Fatal("Fig9a with MaxQueries 0 returned no error")
+	}
+	p := workload.DefaultParams()
+	if _, err := rumorThroughput(p.Catalog(), nil, p.GenStreams(100), false); err == nil {
+		t.Fatal("pushing into a zero-query plan returned no error")
 	}
 }

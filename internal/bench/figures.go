@@ -7,243 +7,168 @@ import (
 	"repro/internal/workload"
 )
 
-// fig9 runs one Workload 1 sweep: RUMOR query plans vs Cayuga automata,
-// normalized throughput (§5.2, Figure 9).
-func (cfg Config) fig9(vary func(x int, p *workload.Params), xs []int, fig, title, xlabel string) (*Result, error) {
-	res := &Result{
-		Figure: fig, Title: title, XLabel: xlabel,
-		ALabel: "RUMOR plan", BLabel: "Cayuga automata",
+// sweep measures one figure: for each x it runs measure and appends the
+// two series values, labelling the point with xfmt. A figure needs at
+// least one query, so cfg.MaxQueries below 1 is an error.
+func sweep[X int | float64](cfg Config, res *Result, xs []X, xfmt string, measure func(x X) (a, b float64, err error)) (*Result, error) {
+	if cfg.MaxQueries < 1 {
+		return nil, fmt.Errorf("bench: figure %s: MaxQueries must be at least 1, got %d", res.Figure, cfg.MaxQueries)
 	}
 	for _, x := range xs {
+		a, b, err := measure(x)
+		if err != nil {
+			return nil, fmt.Errorf("bench: figure %s at %s=%v: %w", res.Figure, res.XLabel, x, err)
+		}
+		res.Points = append(res.Points, Point{X: fmt.Sprintf(xfmt, x), A: a, B: b})
+	}
+	return res, nil
+}
+
+// fig9 runs one sweep of RUMOR query plans against Cayuga automata over
+// the same events, normalized (§5.2, Figures 9 and 10(a,b)): vary sets the
+// swept parameter to x, and queries draws the query set.
+func fig9[X int | float64](cfg Config, res *Result, xs []X, xfmt string, vary func(x X, p *workload.Params), queries func(workload.Params) []*automaton.Query) (*Result, error) {
+	res.ALabel, res.BLabel = "RUMOR plan", "Cayuga automata"
+	res, err := sweep(cfg, res, xs, xfmt, func(x X) (float64, float64, error) {
 		p := workload.DefaultParams()
 		p.Seed = cfg.Seed
 		vary(x, &p)
-		aqs := p.Workload1()
+		aqs := queries(p)
 		cqs, err := workload.ToRUMOR(aqs)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		events := p.GenStreams(cfg.Tuples)
-		a, b, err := cfg.measureAB(
+		return cfg.measureAB(
 			func() (float64, error) { return rumorThroughput(p.Catalog(), cqs, events, false) },
 			func() (float64, error) { return cayugaThroughput(p, aqs, events) })
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%d", x), A: a, B: b})
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.normalize()
 	return res, nil
 }
 
+func setQueries(x int, p *workload.Params) { p.NumQueries = x }
+
 // Fig9a: Workload 1, varying the number of queries.
 func (cfg Config) Fig9a() (*Result, error) {
-	xs := cfg.capSweep([]int{1, 10, 100, 1000, 10000, 100000})
-	return cfg.fig9(func(x int, p *workload.Params) { p.NumQueries = x },
-		xs, "9(a)", "Workload 1 (AN+FR index), varying number of queries", "#queries")
+	return fig9(cfg, &Result{Figure: "9(a)", Title: "Workload 1 (AN+FR index), varying number of queries", XLabel: "#queries"},
+		cfg.capSweep([]int{1, 10, 100, 1000, 10000, 100000}), "%d", setQueries, workload.Params.Workload1)
 }
 
 // Fig9b: Workload 1, varying the constant domain size.
 func (cfg Config) Fig9b() (*Result, error) {
-	return cfg.fig9(func(x int, p *workload.Params) { p.ConstDomain = x },
-		[]int{10, 100, 1000, 10000, 100000},
-		"9(b)", "Workload 1, varying constant domain size", "const domain")
+	return fig9(cfg, &Result{Figure: "9(b)", Title: "Workload 1, varying constant domain size", XLabel: "const domain"},
+		[]int{10, 100, 1000, 10000, 100000}, "%d",
+		func(x int, p *workload.Params) { p.ConstDomain = x }, workload.Params.Workload1)
 }
 
 // Fig9c: Workload 1, varying the window-length domain size.
 func (cfg Config) Fig9c() (*Result, error) {
-	return cfg.fig9(func(x int, p *workload.Params) { p.WindowDomain = x },
-		[]int{10, 100, 1000, 10000, 100000},
-		"9(c)", "Workload 1, varying window length domain size", "window domain")
+	return fig9(cfg, &Result{Figure: "9(c)", Title: "Workload 1, varying window length domain size", XLabel: "window domain"},
+		[]int{10, 100, 1000, 10000, 100000}, "%d",
+		func(x int, p *workload.Params) { p.WindowDomain = x }, workload.Params.Workload1)
 }
 
-// Fig9d: Workload 1, varying the Zipf parameter (x is the parameter ×10).
+// Fig9d: Workload 1, varying the Zipf parameter.
 func (cfg Config) Fig9d() (*Result, error) {
-	res := &Result{
-		Figure: "9(d)", Title: "Workload 1, varying Zipf parameter", XLabel: "zipf",
-		ALabel: "RUMOR plan", BLabel: "Cayuga automata",
-	}
-	for _, z := range []float64{1.2, 1.4, 1.6, 1.8, 2.0} {
-		p := workload.DefaultParams()
-		p.Seed = cfg.Seed
-		p.Zipf = z
-		aqs := p.Workload1()
-		cqs, err := workload.ToRUMOR(aqs)
-		if err != nil {
-			return nil, err
-		}
-		events := p.GenStreams(cfg.Tuples)
-		a, b, err := cfg.measureAB(
-			func() (float64, error) { return rumorThroughput(p.Catalog(), cqs, events, false) },
-			func() (float64, error) { return cayugaThroughput(p, aqs, events) })
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%.1f", z), A: a, B: b})
-	}
-	res.normalize()
-	return res, nil
+	return fig9(cfg, &Result{Figure: "9(d)", Title: "Workload 1, varying Zipf parameter", XLabel: "zipf"},
+		[]float64{1.2, 1.4, 1.6, 1.8, 2.0}, "%.1f",
+		func(z float64, p *workload.Params) { p.Zipf = z }, workload.Params.Workload1)
 }
 
-// fig10ab runs one Workload 2 sweep (AI index, §5.2, Figure 10(a,b)).
-func (cfg Config) fig10ab(mu bool) (*Result, error) {
-	fig, title := "10(a)", "Workload 2 (AI index), varying number of ; queries"
-	if mu {
-		fig, title = "10(b)", "Workload 2 (AI index), varying number of µ queries"
-	}
-	res := &Result{
-		Figure: fig, Title: title, XLabel: "#queries",
-		ALabel: "RUMOR plan", BLabel: "Cayuga automata",
-	}
-	xs := cfg.capSweep([]int{1, 10, 100, 1000, 10000})
-	for _, x := range xs {
-		p := workload.DefaultParams()
-		p.Seed = cfg.Seed
-		p.NumQueries = x
-		var aqs []*automaton.Query
-		if mu {
-			aqs = p.Workload2Mu()
-		} else {
-			aqs = p.Workload2Seq()
-		}
-		cqs, err := workload.ToRUMOR(aqs)
-		if err != nil {
-			return nil, err
-		}
-		events := p.GenStreams(cfg.Tuples)
-		a, b, err := cfg.measureAB(
-			func() (float64, error) { return rumorThroughput(p.Catalog(), cqs, events, false) },
-			func() (float64, error) { return cayugaThroughput(p, aqs, events) })
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%d", x), A: a, B: b})
-	}
-	res.normalize()
-	return res, nil
+// Fig10a: Workload 2 (AI index), sequence queries.
+func (cfg Config) Fig10a() (*Result, error) {
+	return fig9(cfg, &Result{Figure: "10(a)", Title: "Workload 2 (AI index), varying number of ; queries", XLabel: "#queries"},
+		cfg.capSweep([]int{1, 10, 100, 1000, 10000}), "%d", setQueries, workload.Params.Workload2Seq)
 }
 
-// Fig10a: Workload 2, sequence queries.
-func (cfg Config) Fig10a() (*Result, error) { return cfg.fig10ab(false) }
+// Fig10b: Workload 2 (AI index), µ queries.
+func (cfg Config) Fig10b() (*Result, error) {
+	return fig9(cfg, &Result{Figure: "10(b)", Title: "Workload 2 (AI index), varying number of µ queries", XLabel: "#queries"},
+		cfg.capSweep([]int{1, 10, 100, 1000, 10000}), "%d", setQueries, workload.Params.Workload2Mu)
+}
 
-// Fig10b: Workload 2, µ queries.
-func (cfg Config) Fig10b() (*Result, error) { return cfg.fig10ab(true) }
+// w3 measures one Workload 3 point with nq queries over a channel of
+// capacity k, with vs without the channel.
+func (cfg Config) w3(nq, k int) (withCh, withoutCh float64, err error) {
+	p := workload.DefaultParams()
+	p.Seed = cfg.Seed
+	p.NumQueries = nq
+	return cfg.measureAB(
+		func() (float64, error) { return w3Throughput(p, k, cfg.Rounds, true) },
+		func() (float64, error) { return w3Throughput(p, k, cfg.Rounds, false) })
+}
 
 // Fig10c: Workload 3, absolute throughput with vs without channels,
 // varying the number of queries (§5.2, Figure 10(c)).
 func (cfg Config) Fig10c() (*Result, error) {
-	res := &Result{
+	const k = 10 // default channel capacity (10 sharable streams, §5.2)
+	return sweep(cfg, &Result{
 		Figure: "10(c)", Title: "Workload 3, sequence queries with vs without channel",
 		XLabel: "#queries", ALabel: "Seq with channel", BLabel: "Seq w/o channel",
-	}
-	const k = 10 // default channel capacity (10 sharable streams, §5.2)
-	xs := cfg.capSweep([]int{1, 10, 100, 1000, 10000})
-	for _, x := range xs {
-		p := workload.DefaultParams()
-		p.Seed = cfg.Seed
-		p.NumQueries = x
-		a, b, err := cfg.measureAB(
-			func() (float64, error) { return w3Throughput(p, min(k, x), cfg.Rounds, true) },
-			func() (float64, error) { return w3Throughput(p, min(k, x), cfg.Rounds, false) })
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%d", x), A: a, B: b})
-	}
-	return res, nil
+	}, cfg.capSweep([]int{1, 10, 100, 1000, 10000}), "%d",
+		func(x int) (float64, float64, error) { return cfg.w3(x, min(k, x)) })
 }
 
 // Fig10d: Workload 3, varying the channel capacity (number of sharable
 // streams encoded by the channel).
 func (cfg Config) Fig10d() (*Result, error) {
-	res := &Result{
+	nq := min(1000, cfg.MaxQueries)
+	return sweep(cfg, &Result{
 		Figure: "10(d)", Title: "Workload 3, varying channel capacity",
 		XLabel: "capacity", ALabel: "Seq with channel", BLabel: "Seq w/o channel",
-	}
-	nq := 1000
-	if nq > cfg.MaxQueries {
-		nq = cfg.MaxQueries
-	}
-	for _, k := range []int{5, 10, 15, 20, 25} {
-		p := workload.DefaultParams()
-		p.Seed = cfg.Seed
-		p.NumQueries = nq
-		a, b, err := cfg.measureAB(
-			func() (float64, error) { return w3Throughput(p, k, cfg.Rounds, true) },
-			func() (float64, error) { return w3Throughput(p, k, cfg.Rounds, false) })
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%d", k), A: a, B: b})
-	}
-	return res, nil
+	}, []int{5, 10, 15, 20, 25}, "%d",
+		func(k int) (float64, float64, error) { return cfg.w3(nq, k) })
 }
 
 // fig11 measures the hybrid workload over the D1-style trace.
 func (cfg Config) fig11(n int, sel float64) (withCh, withoutCh float64, err error) {
 	events := workload.D1(cfg.TraceSeconds).Events()
-	pass := func(channels bool) (float64, error) {
-		qs := workload.DefaultHybrid(n, sel).Queries()
-		e, err := BuildRUMOR(workload.PerfCatalog(), qs, channels)
-		if err != nil {
-			return 0, err
-		}
-		return throughput(events, func(ev workload.Event) {
-			if err := e.Push(ev.Source, ev.Tuple); err != nil {
-				panic(err)
-			}
-		}), nil
-	}
+	qs := workload.DefaultHybrid(n, sel).Queries()
 	return cfg.measureAB(
-		func() (float64, error) { return pass(true) },
-		func() (float64, error) { return pass(false) })
+		func() (float64, error) { return rumorThroughput(workload.PerfCatalog(), qs, events, true) },
+		func() (float64, error) { return rumorThroughput(workload.PerfCatalog(), qs, events, false) })
 }
 
 // Fig11a: hybrid queries on the D1-style trace, sel = 0.5, varying the
 // number of queries (§5.3, Figure 11(a)). Each query monitors all
 // processes, i.e. corresponds to 104 instances of Query 2.
 func (cfg Config) Fig11a() (*Result, error) {
-	res := &Result{
+	return sweep(cfg, &Result{
 		Figure: "11(a)", Title: "Hybrid queries on perfmon trace (sel=0.5), varying number of queries",
 		XLabel: "#queries", ALabel: "Hybrid with channel", BLabel: "Hybrid w/o channel",
-	}
-	for _, n := range []int{5, 10, 15, 20, 25} {
-		a, b, err := cfg.fig11(n, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%d", n), A: a, B: b})
-	}
-	return res, nil
+	}, []int{5, 10, 15, 20, 25}, "%d",
+		func(n int) (float64, float64, error) { return cfg.fig11(n, 0.5) })
 }
 
 // Fig11b: hybrid queries, n = 10, varying the starting-condition
 // selectivity (§5.3, Figure 11(b)).
 func (cfg Config) Fig11b() (*Result, error) {
-	res := &Result{
+	return sweep(cfg, &Result{
 		Figure: "11(b)", Title: "Hybrid queries (n=10), varying starting-condition selectivity",
 		XLabel: "selectivity", ALabel: "Hybrid with channel", BLabel: "Hybrid w/o channel",
-	}
-	for _, sel := range []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		a, b, err := cfg.fig11(10, sel)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Point{X: fmt.Sprintf("%.1f", sel), A: a, B: b})
-	}
-	return res, nil
+	}, []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0}, "%.1f",
+		func(sel float64) (float64, float64, error) { return cfg.fig11(10, sel) })
+}
+
+// figures is every figure in print order, by its rumorbench name.
+var figures = []struct {
+	name string
+	run  func(Config) (*Result, error)
+}{
+	{"9a", Config.Fig9a}, {"9b", Config.Fig9b}, {"9c", Config.Fig9c}, {"9d", Config.Fig9d},
+	{"10a", Config.Fig10a}, {"10b", Config.Fig10b}, {"10c", Config.Fig10c}, {"10d", Config.Fig10d},
+	{"11a", Config.Fig11a}, {"11b", Config.Fig11b},
 }
 
 // All runs every figure in order.
 func (cfg Config) All() ([]*Result, error) {
-	runs := []func() (*Result, error){
-		cfg.Fig9a, cfg.Fig9b, cfg.Fig9c, cfg.Fig9d,
-		cfg.Fig10a, cfg.Fig10b, cfg.Fig10c, cfg.Fig10d,
-		cfg.Fig11a, cfg.Fig11b,
-	}
 	var out []*Result
-	for _, run := range runs {
-		r, err := run()
+	for _, f := range figures {
+		r, err := f.run(cfg)
 		if err != nil {
 			return out, err
 		}
@@ -254,11 +179,10 @@ func (cfg Config) All() ([]*Result, error) {
 
 // ByName returns the runner for a figure name like "9a" or "11b".
 func (cfg Config) ByName(name string) (func() (*Result, error), bool) {
-	m := map[string]func() (*Result, error){
-		"9a": cfg.Fig9a, "9b": cfg.Fig9b, "9c": cfg.Fig9c, "9d": cfg.Fig9d,
-		"10a": cfg.Fig10a, "10b": cfg.Fig10b, "10c": cfg.Fig10c, "10d": cfg.Fig10d,
-		"11a": cfg.Fig11a, "11b": cfg.Fig11b,
+	for _, f := range figures {
+		if f.name == name {
+			return func() (*Result, error) { return f.run(cfg) }, true
+		}
 	}
-	f, ok := m[name]
-	return f, ok
+	return nil, false
 }

@@ -14,7 +14,7 @@ import (
 // constant index is probed once per run of equal values, and the channel
 // select cσ gates and ORs packed membership words instead of bitset.Set
 // operations. The observable output equals row-by-row Process exactly —
-// the equivalence tests in internal/bench drive both paths over the
+// the equivalence tests in internal/engine drive both paths over the
 // benchmark workloads and diff the results.
 
 // BlockReady implements BatchMOp.
