@@ -399,8 +399,9 @@ func BenchmarkAblationW1OptimizedPlan(b *testing.B) { benchW1Ablation(b, true) }
 
 // ---------------------------------------------------------------------------
 // Sharded runtime: parallel scaling over Workloads 1–3. Wall-clock
-// speedup needs one core per shard; the w2_sharded2 row of the benchmark
-// ledger (benchmark/run.sh) reports the per-shard busy split.
+// speedup needs one core per shard; the traced w2_sharded2 row of the
+// benchmark ledger reports the per-shard busy split
+// (shard.worker_busy_max_frac).
 // ---------------------------------------------------------------------------
 
 // benchSharded drives b.N events through a sharded engine (ingest + final

@@ -13,11 +13,7 @@ import (
 // port reads T through the AN index.
 func w1Engine(t *testing.T) (*Engine, workload.Params) {
 	t.Helper()
-	params := workload.DefaultParams()
-	qs, err := workload.ToRUMOR(params.Workload1())
-	if err != nil {
-		t.Fatal(err)
-	}
+	params, qs := w1Queries(t, 1000)
 	return optimizedEngine(t, params.Catalog(), qs, false), params
 }
 

@@ -5,29 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/rules"
 	"repro/internal/workload"
 )
 
-// w1Plan plans n Workload 1 queries and runs the rule engine over them.
-func w1Plan(b *testing.B, n int, opt rules.Options) (*core.Physical, workload.Params) {
+// w1Queries is the Workload 1 query set over n queries.
+func w1Queries(b *testing.B, n int) (workload.Params, []*core.Query) {
 	p := workload.DefaultParams()
 	p.NumQueries = n
 	qs, err := workload.ToRUMOR(p.Workload1())
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := core.NewPhysical(p.Catalog())
-	for _, q := range qs {
-		if err := plan.AddQuery(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := rules.Optimize(plan, opt); err != nil {
-		b.Fatal(err)
-	}
-	return plan, p
+	return p, qs
 }
 
 // liveRoot is the root of one Workload 1 query drawn apart from the base
@@ -46,11 +36,8 @@ func liveRoot(b *testing.B) *core.Logical {
 // running Workload 1 plan with warm operator state, at a 500-query base
 // population (the add-latency scaling point ROADMAP tracks).
 func BenchmarkChurnAddRemove(b *testing.B) {
-	plan, p := w1Plan(b, 500, rules.Options{})
-	e, err := engine.New(plan)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, qs := w1Queries(b, 500)
+	plan, e := buildEngine(b, p.Catalog(), rules.Options{}, qs...)
 	for _, ev := range p.GenStreams(2000) {
 		if err := e.Push(ev.Source, ev.Tuple); err != nil {
 			b.Fatal(err)
@@ -88,7 +75,8 @@ func BenchmarkAddQueryLive(b *testing.B) {
 	for _, n := range []int{250, 1000} {
 		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
 			opt := rules.Options{Channels: true}
-			plan, _ := w1Plan(b, n, opt)
+			p, qs := w1Queries(b, n)
+			plan, _ := buildEngine(b, p.Catalog(), opt, qs...)
 			m := NewMaintainer(plan, opt)
 			root := liveRoot(b)
 			b.ResetTimer()

@@ -18,7 +18,7 @@ func catalogST() map[string]core.SourceDecl {
 	}
 }
 
-func buildEngine(t *testing.T, catalog map[string]core.SourceDecl, opt rules.Options, qs ...*core.Query) (*core.Physical, *engine.Engine) {
+func buildEngine(t testing.TB, catalog map[string]core.SourceDecl, opt rules.Options, qs ...*core.Query) (*core.Physical, *engine.Engine) {
 	t.Helper()
 	p := core.NewPhysical(catalog)
 	for _, q := range qs {
