@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -103,5 +106,79 @@ func TestZeroQueryCapIsAnError(t *testing.T) {
 	p := workload.DefaultParams()
 	if _, err := rumorThroughput(p.Catalog(), nil, p.GenStreams(100), false); err == nil {
 		t.Fatal("pushing into a zero-query plan returned no error")
+	}
+}
+
+// figAllocsPerEvent builds the engine Figure 9(a) measures at the given
+// query count through BuildRUMOR, feeds it the figure's event sequence,
+// and returns heap allocations per event after a warm-up tenth, with
+// metrics enabled or disabled. It keeps the lowest of three passes, each
+// on a fresh engine: the runtime can start an OS thread when the world
+// restarts after ReadMemStats, and its few heap objects land in the
+// window by chance. The collector is off while a pass counts, since each
+// collection empties the tuple sync.Pool at a timing-dependent point.
+func figAllocsPerEvent(t *testing.T, queries int, enabled bool) float64 {
+	t.Helper()
+	p := workload.DefaultParams()
+	p.Seed = 1
+	p.NumQueries = queries
+	cqs, err := workload.ToRUMOR(p.Workload1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := p.GenStreams(4000)
+	warm := len(events) / 10
+	prev := obs.Enabled()
+	obs.Enable(enabled)
+	defer obs.Enable(prev)
+	pass := func() float64 {
+		e, err := BuildRUMOR(p.Catalog(), cqs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		push := func(evs []workload.Event) {
+			for _, ev := range evs {
+				if err := e.Push(ev.Source, ev.Tuple); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		push(events[:warm])
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		push(events[warm:])
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(len(events)-warm)
+	}
+	return min(pass(), pass(), pass())
+}
+
+// The figures are measured with metrics off. The engine the figure
+// harness builds must malloc exactly as often with metrics on, so a run
+// with telemetry enabled still measures the same hot path.
+func TestObsOverheadAllocIdentical(t *testing.T) {
+	off, on := figAllocsPerEvent(t, 50, false), figAllocsPerEvent(t, 50, true)
+	if on != off {
+		t.Fatalf("allocs/event differ with metrics enabled: off=%.6f on=%.6f", off, on)
+	}
+	if off == 0 {
+		t.Fatal("measured zero allocations per event; the pass measured nothing")
+	}
+}
+
+// The same holds at every query count of Figure 9(a)'s sweep at test
+// scale.
+func TestObsSweepRuns(t *testing.T) {
+	cfg := tinyConfig()
+	sweep := cfg.capSweep([]int{1, 10, 100, 1000, 10000, 100000})
+	if len(sweep) == 0 {
+		t.Fatal("test-scale sweep has no query counts")
+	}
+	for _, queries := range sweep {
+		if off, on := figAllocsPerEvent(t, queries, false), figAllocsPerEvent(t, queries, true); on != off {
+			t.Errorf("queries=%d: allocs/event differ: off=%.6f on=%.6f", queries, off, on)
+		}
 	}
 }
