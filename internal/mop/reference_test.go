@@ -151,32 +151,146 @@ func refAgg(feed []refEvent, fn core.AggFn, attr int, window int64, groupBy []in
 	return out
 }
 
-func TestAggAgainstReference(t *testing.T) {
-	f := func(seed int64, fnRaw uint8, attrRaw uint8, winRaw uint8, grouped bool) bool {
-		r := rand.New(rand.NewSource(seed))
-		fn := core.AggFn(int(fnRaw) % 5)
-		attr := int(attrRaw) % 2
-		window := int64(winRaw)%16 + 1
-		var gb []int
-		if grouped {
-			gb = []int{1 - attr}
-		}
-		feed := randFeed(r, 80, 5)
-		got := runSingle(t, core.AggL(fn, attr, window, gb, core.Scan("S")), feed, true)
-		want := refAgg(feed, fn, attr, window, gb)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
+// aggFamilyCase checks k window variants of one aggregate — same function,
+// attribute and group-by, windows w[i] % 17 for i < k (duplicates allowed;
+// 0 is unbounded) — registered together and optimized with channels on, each
+// against refAgg. With gated set, variant i reads FILTER(b != i, S), so the
+// variants' inputs are distinct selections over S that channelize encodes
+// into one channel: the aggregate then runs in channel mode (cα).
+func aggFamilyCase(t *testing.T, seed int64, fnRaw, attrRaw, kRaw uint8, w [4]uint8, grouped, gated bool) error {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	fn := core.AggFn(int(fnRaw) % 5)
+	attr := int(attrRaw) % 2
+	k := int(kRaw)%4 + 1
+	var gb []int
+	if grouped {
+		gb = []int{1 - attr}
+	}
+	feed := randFeed(r, 80, 5)
+	roots := make([]*core.Logical, k)
+	wants := make([][]string, k)
+	for i := range roots {
+		window := int64(w[i]) % 17
+		in, ref := core.Scan("S"), feed
+		if gated {
+			pred := expr.ConstCmp{Attr: 1, Op: expr.Ne, C: int64(i)}
+			in = core.SelectL(pred, in)
+			ref = nil
+			for _, ev := range feed {
+				if ev.src != "S" || pred.Eval(ev.t) {
+					ref = append(ref, ev)
+				}
 			}
+		}
+		roots[i] = core.AggL(fn, attr, window, gb, in)
+		wants[i] = refAgg(ref, fn, attr, window, gb)
+	}
+	gots, p := runMany(t, roots, feed)
+	if gated && sharedWindow(w[:k]) && p.Stats().Channels == 0 {
+		return fmt.Errorf("gated variants planned without a channel:\n%s", p.String())
+	}
+	for i := range roots {
+		if err := sameResults(gots[i], wants[i]); err != nil {
+			return fmt.Errorf("%s(a%d) window %d of %v, by %v, gated %v: %w",
+				fn, attr, int64(w[i])%17, w[:k], gb, gated, err)
+		}
+	}
+	return nil
+}
+
+// sharedWindow reports whether two variants have the same window: their
+// gated inputs then always share one aggregate m-op, so they are channel
+// encoded.
+func sharedWindow(w []uint8) bool {
+	for i := range w {
+		for j := i + 1; j < len(w); j++ {
+			if w[i]%17 == w[j]%17 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// runMany registers every root as its own query, optimizes with channels
+// on, runs the feed and returns each query's sorted result keys.
+func runMany(t *testing.T, roots []*core.Logical, feed []refEvent) ([][]string, *core.Physical) {
+	t.Helper()
+	p := core.NewPhysical(catalog())
+	for i, root := range roots {
+		if err := p.AddQuery(core.NewQuery(fmt.Sprintf("q%d", i), root)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rules.Optimize(p, rules.Options{Channels: true}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]string, len(roots))
+	e.OnResult = func(qid int, tu *stream.Tuple) { got[qid] = append(got[qid], tu.ContentKey()) }
+	for _, ev := range feed {
+		if err := e.Push(ev.src, ev.t); err != nil {
+			continue // a source no query scans has no edge
+		}
+	}
+	for i := range got {
+		sort.Strings(got[i])
+	}
+	return got, p
+}
+
+func sameResults(got, want []string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("got %d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("result %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func TestAggAgainstReference(t *testing.T) {
+	f := func(seed int64, fnRaw, attrRaw, kRaw uint8, w [4]uint8, grouped, gated bool) bool {
+		if err := aggFamilyCase(t, seed, fnRaw, attrRaw, kRaw, w, grouped, gated); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+	// Every function, with and without BY, plain and gated, over a window
+	// set with a duplicate and an unbounded variant.
+	for fn := uint8(0); fn < 5; fn++ {
+		for _, grouped := range []bool{false, true} {
+			for _, gated := range []bool{false, true} {
+				if err := aggFamilyCase(t, int64(fn)+1, fn, 1, 3, [4]uint8{5, 0, 12, 5}, grouped, gated); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAggFamily runs TestAggAgainstReference's body on fuzzed inputs:
+//
+//	go test -run=NONE -fuzz=FuzzAggFamily -fuzztime=15s ./internal/mop/
+func FuzzAggFamily(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), uint8(12), uint8(5), true, false)
+	f.Add(int64(2), uint8(3), uint8(0), uint8(2), uint8(3), uint8(9), uint8(0), uint8(0), false, true)
+	f.Add(int64(3), uint8(4), uint8(1), uint8(1), uint8(16), uint8(16), uint8(1), uint8(2), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, fnRaw, attrRaw, kRaw, w0, w1, w2, w3 uint8, grouped, gated bool) {
+		if err := aggFamilyCase(t, seed, fnRaw, attrRaw, kRaw, [4]uint8{w0, w1, w2, w3}, grouped, gated); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // --- windowed join reference -------------------------------------------

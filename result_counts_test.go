@@ -24,7 +24,7 @@ import (
 // an intended change of the results themselves:
 //
 //	go test . -run ResultCount -update
-var updateCounts = flag.Bool("update", false, "rewrite testdata/result_counts.golden")
+var updateCounts = flag.Bool("update", false, "rewrite the testdata/*.golden files of the test run")
 
 // countSys is the surface the count runs need; satisfied by both
 // *rumor.System and *rumor.ShardedSystem.
