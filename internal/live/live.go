@@ -32,8 +32,12 @@
 // merged into an existing shared operator starts from the shared state
 // the sharing structure exposes: CSE reuses the running operator
 // outright; a plain-mode shared group serves its whole store to every
-// member; and a channel-mode member at a fresh membership position has
-// its view re-derived by full-window state replay (engine.ApplyDelta) —
+// member (an aggregate that differs from a running one only in its window
+// joins that aggregate's family, and the shared entry log serves it its
+// whole window when that is no longer than the family's largest, as the
+// shared join store serves a new join window); and a channel-mode member
+// at a fresh membership position has its view re-derived by full-window
+// state replay (engine.ApplyDelta) —
 // the stored items are pushed through the member's gating selections and
 // tagged with its membership bit wherever the stored content permits an
 // exact re-evaluation (single-source channels; for aggregation windows

@@ -149,6 +149,105 @@ func TestAddSeqMergesIntoRunningGroup(t *testing.T) {
 	}
 }
 
+// TestAddWindowVariantAggJoinsFamily adds aggregates that differ from a
+// running one only in their window: each joins the running m-op's family
+// (one agg node), the base query's results stay those of a solo run, and
+// from its first post-add tuple the new query's results equal a
+// from-scratch plan's, because its window is no longer than the family's
+// largest and the shared log still holds all of it. Removing the largest
+// window then shrinks the retained log to what the rest still needs.
+func TestAddWindowVariantAggJoinsFamily(t *testing.T) {
+	const baseWindow = 20
+	aggQ := func(name string, w int64) *core.Query {
+		return core.NewQuery(name, core.AggL(core.AggSum, 1, w, []int{0}, core.Scan("S")))
+	}
+	var events []ev
+	for i := 0; i < 90; i++ {
+		events = append(events, ev{"S", int64(i), []int64{int64(i % 4), int64(i*7%11 + 1)}})
+	}
+	const mid = 45
+	resultsOf := func(e *engine.Engine) map[int][]string {
+		got := map[int][]string{}
+		e.OnResult = func(qid int, tu *stream.Tuple) { got[qid] = append(got[qid], tu.ContentKey()) }
+		return got
+	}
+	retained := func(e *engine.Engine) int64 {
+		reg := e.StateRegistry()
+		h := map[int64]int64{}
+		for _, g := range reg.Groups() {
+			reg.Histogram(g.OpID, 0, 0, h)
+		}
+		var n int64
+		for _, c := range h {
+			n += c
+		}
+		return n
+	}
+
+	_, solo := buildEngine(t, catalogST(), rules.Options{}, aggQ("q0", baseWindow))
+	soloRes := resultsOf(solo)
+	push(t, solo, events)
+
+	for _, w := range []int64{5, 12, baseWindow} {
+		t.Run(fmt.Sprintf("window=%d", w), func(t *testing.T) {
+			_, scratch := buildEngine(t, catalogST(), rules.Options{}, aggQ("q1", w))
+			want := resultsOf(scratch)
+			push(t, scratch, events)
+
+			p, e := buildEngine(t, catalogST(), rules.Options{}, aggQ("q0", baseWindow))
+			got := resultsOf(e)
+			push(t, e, events[:mid])
+			m := NewMaintainer(p, rules.Options{})
+			q1 := aggQ("q1", w)
+			d, err := m.AddQuery(q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Apply(d, e); err != nil {
+				t.Fatal(err)
+			}
+			if n := countAggNodes(p); n != 1 {
+				t.Fatalf("agg nodes = %d, want 1 (the variant joins the family)\n%s", n, p.String())
+			}
+			push(t, e, events[mid:])
+
+			if fmt.Sprint(got[0]) != fmt.Sprint(soloRes[0]) {
+				t.Fatalf("q0 results after live add differ from a solo run")
+			}
+			if post := want[0][mid:]; fmt.Sprint(got[q1.ID]) != fmt.Sprint(post) {
+				t.Fatalf("q1 results = %v,\nwant %v (from-scratch results from the add on)", got[q1.ID], post)
+			}
+
+			before := retained(e)
+			d, err = m.RemoveQuery(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Apply(d, e); err != nil {
+				t.Fatal(err)
+			}
+			after := retained(e)
+			if w < baseWindow && (after >= before || after > w) {
+				t.Fatalf("retained log %d → %d entries after removing window %d, want ≤ %d",
+					before, after, baseWindow, w)
+			}
+			if w == baseWindow && after != before {
+				t.Fatalf("retained log %d → %d entries, want it kept (window %d remains)", before, after, w)
+			}
+		})
+	}
+}
+
+func countAggNodes(p *core.Physical) int {
+	n := 0
+	for _, nd := range p.Nodes {
+		if nd.Kind == core.KindAgg {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRemoveQueryGCsExclusiveState removes one of two selection queries:
 // its operator (and node) must be garbage-collected, the survivor must be
 // unaffected, and the removed query's counter must freeze at its final

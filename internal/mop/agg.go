@@ -10,40 +10,33 @@ import (
 	"repro/internal/stream"
 )
 
-// aggState is the running state of one sliding-window aggregate group. key
-// is the interned group-key string, shared by every buffered entry of the
-// group so that steady-state maintenance allocates no key strings.
-type aggState struct {
-	key    string
+// aggSlot is the running aggregate of one window over one key's in-window
+// entries.
+type aggSlot struct {
 	sum    int64
 	count  int64
 	counts map[int64]int64 // value multiset, kept for min/max only
 }
 
-func newAggState(fn core.AggFn, key string) *aggState {
-	st := &aggState{key: key}
-	if fn == core.AggMin || fn == core.AggMax {
-		st.counts = make(map[int64]int64)
-	}
-	return st
-}
-
-func (st *aggState) add(v int64) {
-	st.sum += v
-	st.count++
-	if st.counts != nil {
-		st.counts[v]++
+func (s *aggSlot) add(v int64, multiset bool) {
+	s.sum += v
+	s.count++
+	if multiset {
+		if s.counts == nil {
+			s.counts = make(map[int64]int64)
+		}
+		s.counts[v]++
 	}
 }
 
-func (st *aggState) remove(v int64) {
-	st.sum -= v
-	st.count--
-	if st.counts != nil {
-		if st.counts[v] <= 1 {
-			delete(st.counts, v)
+func (s *aggSlot) remove(v int64) {
+	s.sum -= v
+	s.count--
+	if s.counts != nil {
+		if s.counts[v] <= 1 {
+			delete(s.counts, v)
 		} else {
-			st.counts[v]--
+			s.counts[v]--
 		}
 	}
 }
@@ -51,21 +44,21 @@ func (st *aggState) remove(v int64) {
 // value computes the aggregate. Avg uses integer division (attribute
 // values are integers throughout the benchmark schema, §5.1). Min/max scan
 // the value multiset; the benchmark domains are small (Table 3).
-func (st *aggState) value(fn core.AggFn) int64 {
+func (s *aggSlot) value(fn core.AggFn) int64 {
 	switch fn {
 	case core.AggSum:
-		return st.sum
+		return s.sum
 	case core.AggCount:
-		return st.count
+		return s.count
 	case core.AggAvg:
-		if st.count == 0 {
+		if s.count == 0 {
 			return 0
 		}
-		return st.sum / st.count
+		return s.sum / s.count
 	case core.AggMin, core.AggMax:
 		first := true
 		var ext int64
-		for v := range st.counts {
+		for v := range s.counts {
 			if first {
 				ext = v
 				first = false
@@ -80,106 +73,123 @@ func (st *aggState) value(fn core.AggFn) int64 {
 	return 0
 }
 
-// fragState holds one membership fragment of a channel-mode group: its
-// interned key, the membership the key encodes, and the per-group-key
-// partial aggregates.
+// keyState is the state of one group key within one fragment of a family:
+// the interned group key, the number of log entries that reference it, and
+// one running slot per window of the family.
+type keyState struct {
+	group string
+	frag  *fragState
+	live  int
+	slots []aggSlot
+}
+
+// fragState is one membership fragment of a family: the key its membership
+// encodes (plain mode has one fragment, with key "" and no membership) and
+// its group keys.
 type fragState struct {
 	key     string
 	member  *bitset.Set
-	byGroup map[string]*aggState
+	byGroup map[string]*keyState
 }
 
-// aggEntry is one buffered input contribution, kept until it leaves the
-// window. group and frag alias the interned keys of their aggState /
-// fragState, so appending an entry allocates no strings.
+// aggEntry is one input contribution in a family's log.
 type aggEntry struct {
-	ts    int64
-	group string
-	frag  string // fragment (membership) key; "" in plain mode
-	val   int64
+	ts  int64
+	ks  *keyState
+	val int64
 }
 
-// aggGroup is a set of aggregation operators with identical definitions
-// reading the same input port.
-//
-// Plain mode implements shared aggregate evaluation (sα): one running
-// state per group key serves every operator in the group.
-//
-// Channel mode implements shared fragment aggregation (cα, [15]): partial
-// aggregates are maintained per (membership fragment, group key); operator
-// i's answer combines the partials of every fragment containing i, so
-// maintenance costs one fragment update per tuple instead of one update
-// per query.
-type aggGroup struct {
-	fn      core.AggFn
-	attr    int
-	groupBy []int
-	window  int64
-	channel bool
+// aggWindow is one distinct window length of a family and the operators
+// it serves. log[cur:] is inside the window as of the last expiry; each of
+// those entries is counted in its key's slot for this window.
+type aggWindow struct {
+	length int64 // 0 is unbounded
+	cur    int
+	ops    []selOp
+}
 
-	ops []selOp
-	// opIDs[i] is the plan operator ID behind ops[i]; live maintenance
-	// uses it to re-attach the group's window state after re-lowering.
+// aggFamily is a set of aggregation operators reading the same input port
+// whose definitions are equal up to the window: shared aggregate evaluation
+// (sα, [22]) across window lengths, as s⨝ shares one join store. One
+// timestamp-ordered entry log, bounded by the largest window, serves every
+// window; each window keeps an expiry cursor into it, and each key keeps
+// one running slot per window. A tuple costs one key lookup and one log
+// append, then a cursor advance, a slot update and an output per window.
+//
+// Channel mode implements shared fragment aggregation (cα, [15]) on the
+// same log: keys are kept per (membership fragment, group key), and
+// operator i's answer combines the slots of every fragment containing i,
+// so maintenance costs one fragment update per tuple instead of one update
+// per query. Plain mode is the one-fragment case.
+type aggFamily struct {
+	fn       core.AggFn
+	attr     int
+	groupBy  []int
+	channel  bool
+	multiset bool // fn needs the value multiset (min/max)
+
+	windows []aggWindow
+	// opIDs are the plan operator IDs the family serves; live maintenance
+	// uses them to re-attach the family's state after re-lowering.
 	opIDs []int
 
-	buf   []aggEntry            // FIFO within window (input is timestamp-ordered)
-	state map[string]*aggState  // plain: group → state
-	frags map[string]*fragState // channel: frag key → fragment
+	log   []aggEntry            // timestamp-ordered (input is timestamp-ordered)
+	plain *fragState            // plain mode: the only fragment
+	frags map[string]*fragState // channel mode: fragment key → fragment
 
 	pool *stream.Pool // engine tuple pool for output tuples
 
-	kbuf     []byte   // scratch for group key bytes
-	fbuf     []byte   // scratch for fragment key bytes
-	combined aggState // scratch for channel-mode combination
+	kbuf     []byte  // scratch for group key bytes
+	fbuf     []byte  // scratch for fragment key bytes
+	combined aggSlot // scratch for channel-mode combination
 }
 
 // AggMOp is the sliding-window aggregation m-op.
 type AggMOp struct {
-	ports [][]*aggGroup
+	ports [][]*aggFamily
 	ce    *chanEmitter
 }
 
 func newAggMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*AggMOp, error) {
 	m := &AggMOp{
-		ports: make([][]*aggGroup, len(pm.inEdges)),
+		ports: make([][]*aggFamily, len(pm.inEdges)),
 		ce:    newChanEmitter(len(pm.outEdges), tp),
 	}
-	type gkey struct {
+	type fkey struct {
 		port int
 		def  string
 	}
-	groups := make(map[gkey]*aggGroup)
+	families := make(map[fkey]*aggFamily)
 	for _, o := range n.Ops {
 		port, pos := pm.inLoc(p, o.In[0])
-		k := gkey{port: port, def: o.Def.Key()}
-		g, ok := groups[k]
+		k := fkey{port: port, def: o.Def.KeyModuloWindow()}
+		f, ok := families[k]
 		if !ok {
-			g = &aggGroup{
-				fn:      o.Def.Agg,
-				attr:    o.Def.AggAttr,
-				groupBy: o.Def.GroupBy,
-				window:  o.Def.Window,
-				state:   make(map[string]*aggState),
-				pool:    tp,
+			f = &aggFamily{
+				fn:       o.Def.Agg,
+				attr:     o.Def.AggAttr,
+				groupBy:  o.Def.GroupBy,
+				channel:  pos >= 0, // every op of a port reads the same edge
+				multiset: o.Def.Agg == core.AggMin || o.Def.Agg == core.AggMax,
+				pool:     tp,
 			}
-			groups[k] = g
-			m.ports[port] = append(m.ports[port], g)
-		}
-		if pos >= 0 {
-			g.channel = true
-		}
-		g.ops = append(g.ops, selOp{inPos: pos, tg: pm.outLoc(p, o.Out)})
-		g.opIDs = append(g.opIDs, o.ID)
-	}
-	for _, gs := range m.ports {
-		for _, g := range gs {
-			if g.channel {
-				g.frags = make(map[string]*fragState)
-				if g.fn == core.AggMin || g.fn == core.AggMax {
-					g.combined.counts = make(map[int64]int64)
-				}
+			if f.channel {
+				f.frags = make(map[string]*fragState)
+			} else {
+				f.plain = &fragState{byGroup: make(map[string]*keyState)}
 			}
+			families[k] = f
+			m.ports[port] = append(m.ports[port], f)
 		}
+		w := 0
+		for w < len(f.windows) && f.windows[w].length != o.Def.Window {
+			w++
+		}
+		if w == len(f.windows) {
+			f.windows = append(f.windows, aggWindow{length: o.Def.Window})
+		}
+		f.windows[w].ops = append(f.windows[w].ops, selOp{inPos: pos, tg: pm.outLoc(p, o.Out)})
+		f.opIDs = append(f.opIDs, o.ID)
 	}
 	return m, nil
 }
@@ -188,8 +198,8 @@ func newAggMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*A
 // resulting bytes are used for map probes directly (the compiler elides the
 // string conversion in map index expressions), so the common lookup path
 // allocates nothing.
-func (g *aggGroup) appendGroupKey(b []byte, t *stream.Tuple) []byte {
-	for i, a := range g.groupBy {
+func (f *aggFamily) appendGroupKey(b []byte, t *stream.Tuple) []byte {
+	for i, a := range f.groupBy {
 		if i > 0 {
 			b = append(b, '|')
 		}
@@ -198,136 +208,222 @@ func (g *aggGroup) appendGroupKey(b []byte, t *stream.Tuple) []byte {
 	return b
 }
 
-// expire removes contributions that fell out of the window at time now.
-// A tuple with timestamp e.ts is in the window of a tuple at now iff
-// now - e.ts < window.
-func (g *aggGroup) expire(now int64) {
-	i := 0
-	for ; i < len(g.buf); i++ {
-		e := &g.buf[i]
-		if g.window <= 0 || now-e.ts < g.window {
-			break
+// newFrag registers a channel-mode fragment.
+func (f *aggFamily) newFrag(key string, member *bitset.Set) *fragState {
+	fs := &fragState{key: key, member: member, byGroup: make(map[string]*keyState)}
+	f.frags[key] = fs
+	return fs
+}
+
+// keyIn returns fragment fs's state for group, registering an empty one.
+func (f *aggFamily) keyIn(fs *fragState, group string) *keyState {
+	ks := fs.byGroup[group]
+	if ks == nil {
+		ks = &keyState{group: group, frag: fs, slots: make([]aggSlot, len(f.windows))}
+		fs.byGroup[group] = ks
+	}
+	return ks
+}
+
+// forget unregisters a key no log entry references any more, and its
+// fragment once that holds no key.
+func (f *aggFamily) forget(ks *keyState) {
+	fs := ks.frag
+	delete(fs.byGroup, ks.group)
+	if f.channel && len(fs.byGroup) == 0 {
+		delete(f.frags, fs.key)
+	}
+}
+
+// expire advances every window's cursor past the entries that left it at
+// time now, then trims the log. A tuple with timestamp e.ts is in the
+// window of a tuple at now iff now - e.ts < window; an unbounded window
+// expires nothing (and so keeps the whole log).
+func (f *aggFamily) expire(now int64) {
+	for i := range f.windows {
+		w := &f.windows[i]
+		if w.length <= 0 {
+			continue
 		}
-		if g.channel {
-			fs := g.frags[e.frag]
-			if fs == nil {
-				continue
+		for ; w.cur < len(f.log); w.cur++ {
+			e := &f.log[w.cur]
+			if now-e.ts < w.length {
+				break
 			}
-			if st := fs.byGroup[e.group]; st != nil {
-				st.remove(e.val)
-				if st.count == 0 {
-					delete(fs.byGroup, e.group)
-					if len(fs.byGroup) == 0 {
-						delete(g.frags, e.frag)
-					}
-				}
-			}
-		} else {
-			if st := g.state[e.group]; st != nil {
-				st.remove(e.val)
-				if st.count == 0 {
-					delete(g.state, e.group)
-				}
-			}
+			e.ks.slots[i].remove(e.val)
 		}
 	}
-	if i > 0 {
-		if i*2 >= len(g.buf) {
-			// Most of the window expired: copy the survivors down so the
-			// backing array is reused, and clear the vacated tail so it
-			// does not pin interned key strings of deleted states.
-			n := copy(g.buf, g.buf[i:])
-			clear(g.buf[n:])
-			g.buf = g.buf[:n]
+	f.trim()
+}
+
+// trim drops the log prefix every window has left (the entries before the
+// smallest cursor, which is the largest window's) and forgets the keys no
+// remaining entry references.
+func (f *aggFamily) trim() {
+	n := len(f.log)
+	for i := range f.windows {
+		n = min(n, f.windows[i].cur)
+	}
+	if n == 0 {
+		return
+	}
+	for i := range f.log[:n] {
+		ks := f.log[i].ks
+		if ks.live--; ks.live == 0 {
+			f.forget(ks)
+		}
+	}
+	if n*2 >= len(f.log) {
+		// Most of the log left: copy the survivors down so the backing
+		// array is reused.
+		k := copy(f.log, f.log[n:])
+		clear(f.log[k:])
+		f.log = f.log[:k]
+	} else {
+		clear(f.log[:n])
+		f.log = f.log[n:]
+	}
+	for i := range f.windows {
+		f.windows[i].cur -= n
+	}
+}
+
+// reslot recomputes every key's entry count and window slots from the log
+// (window i counts log[cur_i:]) and rebuilds the fragment and key indexes
+// from the keys the log references: the one path by which state moved,
+// re-keyed or re-windowed outside Process becomes consistent again.
+func (f *aggFamily) reslot() {
+	for _, e := range f.log {
+		ks := e.ks
+		ks.live = 0
+		if len(ks.slots) == len(f.windows) {
+			clear(ks.slots)
 		} else {
-			g.buf = g.buf[i:]
+			ks.slots = make([]aggSlot, len(f.windows))
+		}
+		ks.frag.byGroup = nil
+	}
+	if f.channel {
+		f.frags = make(map[string]*fragState)
+	} else {
+		f.plain.byGroup = make(map[string]*keyState)
+	}
+	for k, e := range f.log {
+		ks := e.ks
+		if fs := ks.frag; fs.byGroup == nil { // channel mode: first entry of the fragment
+			fs.byGroup = make(map[string]*keyState)
+			f.frags[fs.key] = fs
+		}
+		if ks.live == 0 {
+			ks.frag.byGroup[ks.group] = ks
+		}
+		ks.live++
+		for i := range f.windows {
+			if k >= f.windows[i].cur {
+				ks.slots[i].add(e.val, f.multiset)
+			}
 		}
 	}
 }
 
-// combine computes, in channel mode, the aggregate for an operator at
-// membership position pos and group key gk by combining matching fragments
-// into the group's scratch state.
-func (g *aggGroup) combine(pos int, gk []byte) (int64, bool) {
-	total := &g.combined
+// filterLog keeps the log entries keep accepts (keep may re-point an
+// entry's key), moves every cursor to the same position among the
+// survivors, and reslots.
+func (f *aggFamily) filterLog(keep func(e *aggEntry) bool) {
+	before := make([]int, len(f.log)+1)
+	kept := f.log[:0]
+	for k := range f.log {
+		before[k] = len(kept)
+		if keep(&f.log[k]) {
+			kept = append(kept, f.log[k])
+		}
+	}
+	before[len(f.log)] = len(kept)
+	clear(f.log[len(kept):])
+	f.log = kept
+	for i := range f.windows {
+		f.windows[i].cur = before[f.windows[i].cur]
+	}
+	f.reslot()
+}
+
+// combine computes, in channel mode, window i's aggregate for an operator
+// at membership position pos and group key gk by combining the matching
+// fragments' slots into the family's scratch slot.
+func (f *aggFamily) combine(pos int, gk []byte, i int) (int64, bool) {
+	total := &f.combined
 	total.sum, total.count = 0, 0
-	if total.counts != nil {
+	if f.multiset {
+		if total.counts == nil {
+			total.counts = make(map[int64]int64)
+		}
 		clear(total.counts)
 	}
 	found := false
-	for _, fs := range g.frags {
+	for _, fs := range f.frags {
 		if !fs.member.Test(pos) {
 			continue
 		}
-		st := fs.byGroup[string(gk)]
-		if st == nil {
+		ks := fs.byGroup[string(gk)]
+		if ks == nil || ks.slots[i].count == 0 {
 			continue
 		}
+		st := &ks.slots[i]
 		found = true
 		total.sum += st.sum
 		total.count += st.count
-		if total.counts != nil {
-			for v, c := range st.counts {
-				total.counts[v] += c
-			}
+		for v, c := range st.counts {
+			total.counts[v] += c
 		}
 	}
 	if !found {
 		return 0, false
 	}
-	return total.value(g.fn), true
+	return total.value(f.fn), true
 }
 
 // Process implements MOp.
 //
 //rumor:owner — builds pooled output tuples and marks them engine-releasable.
 func (m *AggMOp) Process(port int, t *stream.Tuple, emit Emit) {
-	for _, g := range m.ports[port] {
-		g.expire(t.TS)
-		g.kbuf = g.appendGroupKey(g.kbuf[:0], t)
-		gk := g.kbuf
-		v := t.Vals[g.attr]
-		if g.channel {
-			g.fbuf = t.Member.AppendKey(g.fbuf[:0])
-			fk := g.fbuf
-			fs := g.frags[string(fk)]
+	for _, f := range m.ports[port] {
+		f.expire(t.TS)
+		f.kbuf = f.appendGroupKey(f.kbuf[:0], t)
+		fs := f.plain
+		if f.channel {
+			f.fbuf = t.Member.AppendKey(f.fbuf[:0])
+			fs = f.frags[string(f.fbuf)]
 			if fs == nil {
-				fs = &fragState{
-					key:     string(fk),
-					member:  t.Member.Clone(),
-					byGroup: make(map[string]*aggState),
+				fs = f.newFrag(string(f.fbuf), t.Member.Clone())
+			}
+		}
+		ks := fs.byGroup[string(f.kbuf)]
+		if ks == nil {
+			ks = f.keyIn(fs, string(f.kbuf))
+		}
+		v := t.Vals[f.attr]
+		f.log = append(f.log, aggEntry{ts: t.TS, ks: ks, val: v})
+		ks.live++
+		for i := range ks.slots {
+			ks.slots[i].add(v, f.multiset)
+		}
+		if f.channel {
+			for i := range f.windows {
+				for _, o := range f.windows[i].ops {
+					if o.inPos >= 0 && !t.Member.Test(o.inPos) {
+						continue
+					}
+					if av, ok := f.combine(o.inPos, f.kbuf, i); ok {
+						f.emitOne(o, t, av, emit)
+					}
 				}
-				g.frags[fs.key] = fs
 			}
-			st := fs.byGroup[string(gk)]
-			if st == nil {
-				st = newAggState(g.fn, string(gk))
-				fs.byGroup[st.key] = st
-			}
-			st.add(v)
-			g.buf = append(g.buf, aggEntry{ts: t.TS, group: st.key, frag: fs.key, val: v})
-			for _, o := range g.ops {
-				if o.inPos >= 0 && !t.Member.Test(o.inPos) {
-					continue
-				}
-				av, ok := g.combine(o.inPos, gk)
-				if !ok {
-					continue
-				}
-				g.emitOne(o, t, av, emit)
-			}
-		} else {
-			st := g.state[string(gk)]
-			if st == nil {
-				st = newAggState(g.fn, string(gk))
-				g.state[st.key] = st
-			}
-			st.add(v)
-			g.buf = append(g.buf, aggEntry{ts: t.TS, group: st.key, val: v})
-			av := st.value(g.fn)
-			out := g.outTuple(t, av)
+			continue
+		}
+		for i := range f.windows {
+			out := f.outTuple(t, ks.slots[i].value(f.fn))
 			plainEmits := 0
-			for _, o := range g.ops {
+			for _, o := range f.windows[i].ops {
 				if o.tg.pos < 0 {
 					plainEmits++
 					emit(o.tg.port, out)
@@ -344,12 +440,12 @@ func (m *AggMOp) Process(port int, t *stream.Tuple, emit Emit) {
 }
 
 // outTuple builds the [group attrs..., aggregate] output tuple.
-func (g *aggGroup) outTuple(t *stream.Tuple, av int64) *stream.Tuple {
-	out := g.pool.Get(t.TS, len(g.groupBy)+1)
-	for i, a := range g.groupBy {
+func (f *aggFamily) outTuple(t *stream.Tuple, av int64) *stream.Tuple {
+	out := f.pool.Get(t.TS, len(f.groupBy)+1)
+	for i, a := range f.groupBy {
 		out.Vals[i] = t.Vals[a]
 	}
-	out.Vals[len(g.groupBy)] = av
+	out.Vals[len(f.groupBy)] = av
 	return out
 }
 
@@ -357,47 +453,62 @@ func (g *aggGroup) outTuple(t *stream.Tuple, av int64) *stream.Tuple {
 // State registry (uniform keyed-state holder, see registry.go)
 // ---------------------------------------------------------------------------
 
-// stateHolders implements the registry harvest for AggMOp.
+// stateHolders implements the registry harvest for AggMOp: one holder per
+// family, serving every window operator of the family.
 func (m *AggMOp) stateHolders() []stateHolder {
 	var out []stateHolder
-	for _, gs := range m.ports {
-		for _, g := range gs {
-			out = append(out, g)
+	for _, fs := range m.ports {
+		for _, f := range fs {
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
-func (g *aggGroup) stateOpIDs() []int { return g.opIDs }
+func (f *aggFamily) stateOpIDs() []int { return f.opIDs }
 
-func (g *aggGroup) stateSides() []int { return aggSides }
+func (f *aggFamily) stateSides() []int { return aggSides }
 
 var aggSides = []int{0}
 
-func (g *aggGroup) stateKind() groupKind { return kindAggState }
+func (f *aggFamily) stateKind() groupKind { return kindAggState }
 
-// adoptFrom moves a predecessor aggregation group's window wholesale.
-func (g *aggGroup) adoptFrom(old stateHolder) error {
-	og, ok := old.(*aggGroup)
+// adoptFrom takes over a predecessor family's log and keys. A window both
+// families have keeps its cursor; a window new to the family starts at the
+// log head, so it is served every retained entry (all of its window when
+// it is no longer than the predecessor's largest) and expiry trims the
+// rest on the next tuple. When the largest window left, the log shrinks
+// here to what the remaining windows still need.
+func (f *aggFamily) adoptFrom(old stateHolder) error {
+	of, ok := old.(*aggFamily)
 	if !ok {
-		return fmt.Errorf("agg group adopting %T state", old)
+		return fmt.Errorf("agg family adopting %T state", old)
 	}
-	if og.channel != g.channel {
-		return fmt.Errorf("agg group changed channel mode during live delta")
+	if of.channel != f.channel {
+		return fmt.Errorf("agg family changed channel mode during live delta")
 	}
-	g.buf, g.state, g.frags = og.buf, og.state, og.frags
-	if g.channel && g.frags == nil {
-		g.frags = make(map[string]*fragState)
+	f.log, f.plain, f.frags = of.log, of.plain, of.frags
+	for i := range f.windows {
+		w := &f.windows[i]
+		w.cur = 0
+		for _, ow := range of.windows {
+			if ow.length == w.length {
+				w.cur = ow.cur
+				break
+			}
+		}
 	}
+	f.reslot()
+	f.trim()
 	return nil
 }
 
 // keyComponent returns the position of the partition attribute within the
 // group-by list. The partition analysis only declares an aggregate input
-// keyed when the key is a group-by column, so stored entries carry the key
+// keyed when the key is a group-by column, so log entries carry the key
 // inside their interned group-key strings.
-func (g *aggGroup) keyComponent(keyAttr int) int {
-	for j, a := range g.groupBy {
+func (f *aggFamily) keyComponent(keyAttr int) int {
+	for j, a := range f.groupBy {
 		if a == keyAttr {
 			return j
 		}
@@ -424,250 +535,181 @@ func groupKeyComponent(key string, j int) int64 {
 	return v
 }
 
-// exportKeyed removes the selected window entries, unwinding their running
-// aggregates; the entries themselves travel in the payload and are
-// replayed by importKeyed, which reconstructs the states exactly (a
-// sliding-window aggregate is a pure function of its in-window entries).
-// A negative keyAttr exports without key extraction (every item reports
-// key 0) — the export-all transitions need no per-key selection.
-func (g *aggGroup) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *StatePayload {
+// exportKeyed removes the selected log entries, unwinding them from every
+// window; the entries travel in the payload and are replayed by
+// importKeyed, which reconstructs the slots exactly (a sliding-window
+// aggregate is a pure function of its in-window entries). A negative
+// keyAttr exports without key extraction (every item reports key 0) — the
+// export-all transitions need no per-key selection.
+func (f *aggFamily) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *StatePayload {
 	if side != 0 {
 		return nil
 	}
 	j := -1
 	if keyAttr >= 0 {
-		j = g.keyComponent(keyAttr)
+		j = f.keyComponent(keyAttr)
 		if j < 0 {
 			return nil
 		}
 	}
 	pl := &StatePayload{kind: kindAggState, side: side}
 	ord := make(map[int64]int)
-	kept := g.buf[:0]
-	for _, e := range g.buf {
+	f.filterLog(func(e *aggEntry) bool {
 		var key int64
 		if j >= 0 {
-			key = groupKeyComponent(e.group, j)
+			key = groupKeyComponent(e.ks.group, j)
 		}
 		o := ord[key]
 		ord[key] = o + 1
 		if !sel(key, o) {
-			kept = append(kept, e)
-			continue
+			return true
 		}
-		var member *bitset.Set
-		if g.channel {
-			if fs := g.frags[e.frag]; fs != nil {
-				member = fs.member
-				if st := fs.byGroup[e.group]; st != nil {
-					st.remove(e.val)
-					if st.count == 0 {
-						delete(fs.byGroup, e.group)
-						if len(fs.byGroup) == 0 {
-							delete(g.frags, e.frag)
-						}
-					}
-				}
-			}
-		} else {
-			if st := g.state[e.group]; st != nil {
-				st.remove(e.val)
-				if st.count == 0 {
-					delete(g.state, e.group)
-				}
-			}
-		}
-		pl.items = append(pl.items, stateItem{key: key, ts: e.ts, group: e.group, val: e.val, member: member})
-	}
-	n := len(kept)
-	clear(g.buf[n:])
-	g.buf = kept
+		pl.items = append(pl.items, stateItem{key: key, ts: e.ts, group: e.ks.group, val: e.val, member: e.ks.frag.member})
+		return false
+	})
 	return pl
 }
 
-// importKeyed replays exported entries into the window: running states are
-// rebuilt through the same add path arriving tuples use, and the entries
-// merge into the FIFO buffer by timestamp.
-func (g *aggGroup) importKeyed(pl *StatePayload, copied bool) error {
+// importKeyed merges exported entries into the log by timestamp and
+// reslots with every cursor at the log head: each window counts every
+// entry, and the next tuple's expiry drops what is out of a window, as it
+// would have for entries that never left.
+func (f *aggFamily) importKeyed(pl *StatePayload, copied bool) error {
 	if pl.kind != kindAggState {
-		return fmt.Errorf("agg group importing %d-kind payload", pl.kind)
+		return fmt.Errorf("agg family importing %d-kind payload", pl.kind)
+	}
+	for _, it := range pl.items {
+		if f.channel && it.member == nil {
+			return fmt.Errorf("agg import: channel group received a plain entry")
+		}
+		if !f.channel && it.member != nil {
+			return fmt.Errorf("agg import: plain group received a channel entry")
+		}
 	}
 	add := make([]aggEntry, 0, len(pl.items))
 	for _, it := range pl.items {
-		if g.channel {
-			if it.member == nil {
-				return fmt.Errorf("agg import: channel group received a plain entry")
+		fs := f.plain
+		if f.channel {
+			f.fbuf = it.member.AppendKey(f.fbuf[:0])
+			if fs = f.frags[string(f.fbuf)]; fs == nil {
+				fs = f.newFrag(string(f.fbuf), it.member.Clone())
 			}
-			g.fbuf = it.member.AppendKey(g.fbuf[:0])
-			fs := g.frags[string(g.fbuf)]
-			if fs == nil {
-				fs = &fragState{
-					key:     string(g.fbuf),
-					member:  it.member.Clone(),
-					byGroup: make(map[string]*aggState),
-				}
-				g.frags[fs.key] = fs
-			}
-			st := fs.byGroup[it.group]
-			if st == nil {
-				st = newAggState(g.fn, it.group)
-				fs.byGroup[st.key] = st
-			}
-			st.add(it.val)
-			add = append(add, aggEntry{ts: it.ts, group: st.key, frag: fs.key, val: it.val})
-		} else {
-			if it.member != nil {
-				return fmt.Errorf("agg import: plain group received a channel entry")
-			}
-			st := g.state[it.group]
-			if st == nil {
-				st = newAggState(g.fn, it.group)
-				g.state[st.key] = st
-			}
-			st.add(it.val)
-			add = append(add, aggEntry{ts: it.ts, group: st.key, val: it.val})
 		}
+		add = append(add, aggEntry{ts: it.ts, ks: f.keyIn(fs, it.group), val: it.val})
 	}
-	g.buf = mergeByTS(g.buf, add, func(e aggEntry) int64 { return e.ts })
+	f.log = mergeByTS(f.log, add, func(e aggEntry) int64 { return e.ts })
+	for i := range f.windows {
+		f.windows[i].cur = 0
+	}
+	f.reslot()
 	return nil
 }
 
-// keyHistogram counts in-window entries per partition key.
-func (g *aggGroup) keyHistogram(side, keyAttr int, h map[int64]int64) {
-	j := g.keyComponent(keyAttr)
+// keyHistogram counts log entries per partition key.
+func (f *aggFamily) keyHistogram(side, keyAttr int, h map[int64]int64) {
+	j := f.keyComponent(keyAttr)
 	if side != 0 || j < 0 {
 		return
 	}
-	for _, e := range g.buf {
-		h[groupKeyComponent(e.group, j)]++
+	for _, e := range f.log {
+		h[groupKeyComponent(e.ks.group, j)]++
 	}
 }
 
 // remapMemberships rewrites the fragment memberships of a channel-mode
-// group through a channel position remap: fragments are re-keyed under
+// family through a channel position remap: fragments are re-keyed under
 // their remapped memberships, fragments that collide after the remap (they
-// differed only in scrubbed positions) merge their partial aggregates, and
-// fragments whose membership empties are dropped together with their
-// buffered entries (they belonged only to scrubbed slots). Entry order —
-// and thus window expiry — is preserved.
-func (g *aggGroup) remapMemberships(side int, rm *Remap) {
-	if side != 0 || !g.channel || len(g.frags) == 0 {
+// differed only in scrubbed positions) merge, and fragments whose
+// membership empties are dropped together with their log entries (they
+// belonged only to scrubbed slots). Entry order — and thus window expiry —
+// is preserved.
+func (f *aggFamily) remapMemberships(side int, rm *Remap) {
+	if side != 0 || !f.channel || len(f.frags) == 0 {
 		return
 	}
-	old := g.frags
-	g.frags = make(map[string]*fragState, len(old))
-	keyMap := make(map[string]string, len(old))
-	for _, fs := range old {
+	moved := make(map[*fragState]*fragState, len(f.frags))
+	next := make(map[string]*fragState, len(f.frags))
+	for _, fs := range f.frags {
 		nm := rm.Apply(fs.member)
 		if nm.Empty() {
-			keyMap[fs.key] = ""
+			moved[fs] = nil
 			continue
 		}
-		g.fbuf = nm.AppendKey(g.fbuf[:0])
-		nk := string(g.fbuf)
-		keyMap[fs.key] = nk
-		ex := g.frags[nk]
-		if ex == nil {
-			g.frags[nk] = &fragState{key: nk, member: nm, byGroup: fs.byGroup}
-			continue
+		f.fbuf = nm.AppendKey(f.fbuf[:0])
+		nfs := next[string(f.fbuf)]
+		if nfs == nil {
+			nfs = &fragState{key: string(f.fbuf), member: nm, byGroup: make(map[string]*keyState)}
+			next[nfs.key] = nfs
 		}
-		for gk, st := range fs.byGroup {
-			est := ex.byGroup[gk]
-			if est == nil {
-				ex.byGroup[gk] = st
-				continue
-			}
-			est.sum += st.sum
-			est.count += st.count
-			if est.counts != nil {
-				for v, c := range st.counts {
-					est.counts[v] += c
-				}
-			}
-		}
+		moved[fs] = nfs
 	}
-	kept := g.buf[:0]
-	for _, e := range g.buf {
-		nk, ok := keyMap[e.frag]
-		if ok && nk == "" {
-			continue // fragment dropped: the entry's streams are all dead
+	f.frags = next
+	f.filterLog(func(e *aggEntry) bool {
+		nfs := moved[e.ks.frag]
+		if nfs == nil {
+			return false // fragment dropped: the entry's streams are all dead
 		}
-		if ok {
-			e.frag = nk
-		}
-		kept = append(kept, e)
-	}
-	n := len(kept)
-	clear(g.buf[n:])
-	g.buf = kept
+		e.ks = f.keyIn(nfs, e.ks.group)
+		return true
+	})
 }
 
 // replayMember grants a freshly merged aggregation operator (membership
-// position pos) its view of the shared window: every buffered entry whose
-// reconstructed contribution keep() accepts migrates to the fragment
-// carrying the entry's membership plus bit pos, moving its partial
-// aggregate along. The reconstruction exposes exactly the attributes the
-// window stores — the group-by columns (parsed from the interned group
-// key) and the aggregated attribute — so the caller must only pass keep
-// predicates over those attributes (the engine checks evaluability before
-// replaying).
-func (g *aggGroup) replayMember(side, pos int, keep func(*stream.Tuple) bool) int {
-	if side != 0 || !g.channel {
+// position pos) its view of the shared log: every entry whose
+// reconstructed contribution keep() accepts moves to the fragment carrying
+// the entry's membership plus bit pos. The reconstruction exposes exactly
+// the attributes the log stores — the group-by columns (parsed from the
+// interned group key) and the aggregated attribute — so the caller must
+// only pass keep predicates over those attributes (the engine checks
+// evaluability before replaying).
+func (f *aggFamily) replayMember(side, pos int, keep func(*stream.Tuple) bool) int {
+	if side != 0 || !f.channel {
 		return 0
 	}
-	arity := g.attr + 1
-	for _, a := range g.groupBy {
+	arity := f.attr + 1
+	for _, a := range f.groupBy {
 		if a+1 > arity {
 			arity = a + 1
 		}
 	}
 	scratch := &stream.Tuple{Vals: make([]int64, arity)}
+	tagged := make(map[*fragState]*fragState)
 	moved := 0
-	for i := range g.buf {
-		e := &g.buf[i]
-		fs := g.frags[e.frag]
-		if fs == nil || fs.member.Test(pos) {
+	for i := range f.log {
+		e := &f.log[i]
+		fs := e.ks.frag
+		if fs.member.Test(pos) {
 			continue
 		}
-		for j, a := range g.groupBy {
-			scratch.Vals[a] = groupKeyComponent(e.group, j)
+		for j, a := range f.groupBy {
+			scratch.Vals[a] = groupKeyComponent(e.ks.group, j)
 		}
-		scratch.Vals[g.attr] = e.val
+		scratch.Vals[f.attr] = e.val
 		scratch.TS = e.ts
 		if !keep(scratch) {
 			continue
 		}
-		nm := fs.member.Clone()
-		nm.Set(pos)
-		g.fbuf = nm.AppendKey(g.fbuf[:0])
-		nfs := g.frags[string(g.fbuf)]
+		nfs := tagged[fs]
 		if nfs == nil {
-			nfs = &fragState{key: string(g.fbuf), member: nm, byGroup: make(map[string]*aggState)}
-			g.frags[nfs.key] = nfs
-		}
-		if st := fs.byGroup[e.group]; st != nil {
-			st.remove(e.val)
-			if st.count == 0 {
-				delete(fs.byGroup, e.group)
-				if len(fs.byGroup) == 0 {
-					delete(g.frags, e.frag)
-				}
+			nm := fs.member.Clone()
+			nm.Set(pos)
+			f.fbuf = nm.AppendKey(f.fbuf[:0])
+			if nfs = f.frags[string(f.fbuf)]; nfs == nil {
+				nfs = f.newFrag(string(f.fbuf), nm)
 			}
+			tagged[fs] = nfs
 		}
-		nst := nfs.byGroup[e.group]
-		if nst == nil {
-			nst = newAggState(g.fn, e.group)
-			nfs.byGroup[nst.key] = nst
-		}
-		nst.add(e.val)
-		e.frag = nfs.key
+		e.ks = f.keyIn(nfs, e.ks.group)
 		moved++
+	}
+	if moved > 0 {
+		f.reslot()
 	}
 	return moved
 }
 
-// discardState: aggregation groups own no pooled state.
-func (g *aggGroup) discardState() {}
+// discardState: aggregation families own no pooled state.
+func (f *aggFamily) discardState() {}
 
 // emitOne emits a per-operator output (channel mode; values can differ per
 // operator, so each output carries its own interned singleton membership).
@@ -675,8 +717,8 @@ func (g *aggGroup) discardState() {}
 // engine-releasable.
 //
 //rumor:owner
-func (g *aggGroup) emitOne(o selOp, t *stream.Tuple, av int64, emit Emit) {
-	out := g.outTuple(t, av)
+func (f *aggFamily) emitOne(o selOp, t *stream.Tuple, av int64, emit Emit) {
+	out := f.outTuple(t, av)
 	if o.tg.pos >= 0 {
 		out.Member = bitset.Singleton(o.tg.pos)
 	}

@@ -9,8 +9,10 @@
 //     sequential evaluation of non-indexable predicates; doubles as the FR
 //     index (§4.3) and as the channel select cσ.
 //   - ProjectMOp: shared projection over channels (§3.1's π example).
-//   - AggMOp: shared sliding-window aggregation [22] and, in channel mode,
-//     shared fragment aggregation [15] (cα).
+//   - AggMOp: shared sliding-window aggregation [22] across group-by lists
+//     and window lengths (one entry log per family of aggregates equal up
+//     to their window, bounded by the largest window, as s⨝) and, in
+//     channel mode, shared fragment aggregation [15] (cα).
 //   - JoinMOp: shared window join [12] (s⨝) and precision sharing join
 //     [14] (c⨝).
 //   - SeqMOp / MuMOp: the Cayuga ; and µ operators (§4.2) with the AI

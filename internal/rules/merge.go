@@ -114,9 +114,11 @@ func (r MergeSameInput) partners(p *core.Physical, o *core.Op, dst []partnerSet)
 }
 
 // MergeAgg is sα (shared aggregate evaluation, [22]): aggregation
-// operators reading the same edge with the same aggregate function,
-// aggregated attribute, and window — but potentially different group-by
-// specifications — merge into one m-op.
+// operators reading the same edge with the same aggregate function and
+// aggregated attribute — but potentially different group-by
+// specifications and window lengths — merge into one m-op. As in s⨝,
+// operators that differ only in their window share one store bounded by
+// the largest window (package mop's aggregate families).
 type MergeAgg struct{}
 
 // Name implements Rule.
@@ -127,17 +129,15 @@ func (r MergeAgg) Apply(p *core.Physical) (bool, error) {
 	return r.applyNodes(p, nodesOf(p, kindIs(core.KindAgg)))
 }
 
-// aggKey groups aggregations by input edge, function, attribute and window.
+// aggKey groups aggregations by input edge, function and attribute.
 type aggKey struct {
-	edge   int
-	fn     core.AggFn
-	attr   int
-	window int64
+	edge int
+	fn   core.AggFn
+	attr int
 }
 
 func (k aggKey) String() string {
-	return edgeGroup(k.edge) + "|" + k.fn.String() + "|a" + strconv.Itoa(k.attr) +
-		"|w" + strconv.FormatInt(k.window, 10)
+	return edgeGroup(k.edge) + "|" + k.fn.String() + "|a" + strconv.Itoa(k.attr)
 }
 
 func (MergeAgg) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
@@ -147,7 +147,7 @@ func (MergeAgg) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
 			continue
 		}
 		for _, o := range n.Ops {
-			k := aggKey{p.StreamEdge(o.In[0]).ID, o.Def.Agg, o.Def.AggAttr, o.Def.Window}
+			k := aggKey{p.StreamEdge(o.In[0]).ID, o.Def.Agg, o.Def.AggAttr}
 			groups[k] = append(groups[k], n)
 		}
 	}

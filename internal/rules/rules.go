@@ -13,7 +13,9 @@
 //	sσ, sπ       — predicate indexing [10,16]: selections (projections)
 //	               reading the same edge merge into one m-op.
 //	sα           — shared aggregate evaluation [22]: same aggregate
-//	               function, same window, group-by may differ.
+//	               function and attribute; group-by may differ, and
+//	               windows may differ (state bounded by the largest
+//	               window, as s⨝).
 //	s⨝           — shared join evaluation [12]: same join predicate,
 //	               windows may differ.
 //	s;AN, sµAN   — Cayuga AN/AI index sharing: ;/µ operators reading the

@@ -143,7 +143,7 @@ func TestAggMergeGroupBy(t *testing.T) {
 	// Same fn/attr/window, different group-by: sα merges the nodes.
 	q1 := core.NewQuery("q1", core.AggL(core.AggSum, 1, 60, []int{0}, core.Scan("S")))
 	q2 := core.NewQuery("q2", core.AggL(core.AggSum, 1, 60, nil, core.Scan("S")))
-	// Different window: separate node.
+	// Different window: merged too, as s⨝ merges joins across windows.
 	q3 := core.NewQuery("q3", core.AggL(core.AggSum, 1, 90, []int{0}, core.Scan("S")))
 	for _, q := range []*core.Query{q1, q2, q3} {
 		if err := p.AddQuery(q); err != nil {
@@ -153,8 +153,8 @@ func TestAggMergeGroupBy(t *testing.T) {
 	if err := rules.Optimize(p, rules.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := countKind(p, core.KindAgg); got != 2 {
-		t.Fatalf("agg nodes = %d, want 2", got)
+	if got := countKind(p, core.KindAgg); got != 1 {
+		t.Fatalf("agg nodes = %d, want 1", got)
 	}
 }
 
