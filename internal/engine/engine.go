@@ -510,7 +510,7 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 // Soundness gate: the channel's share class must be a single-source class
 // ("src#..."), so every stream on it is that source or a selection chain
 // over it and every stored item's content IS the source tuple the gating
-// selections would have seen. For aggregation groups — whose windows store
+// selections would have seen. For aggregation families — whose logs store
 // only the group-by columns and the aggregated attribute — the gating
 // predicates must additionally be evaluable over exactly those attributes.
 // Channels over multi-source share labels ("src:...") or over derived

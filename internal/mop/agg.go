@@ -136,6 +136,7 @@ type aggFamily struct {
 	log   []aggEntry            // timestamp-ordered (input is timestamp-ordered)
 	plain *fragState            // plain mode: the only fragment
 	frags map[string]*fragState // channel mode: fragment key → fragment
+	free  []*keyState           // forgotten keys, slots all empty, for reuse
 
 	pool *stream.Pool // engine tuple pool for output tuples
 
@@ -215,24 +216,35 @@ func (f *aggFamily) newFrag(key string, member *bitset.Set) *fragState {
 	return fs
 }
 
-// keyIn returns fragment fs's state for group, registering an empty one.
+// keyIn returns fragment fs's state for group, registering an empty one
+// (a forgotten key's, when there is one).
 func (f *aggFamily) keyIn(fs *fragState, group string) *keyState {
 	ks := fs.byGroup[group]
-	if ks == nil {
-		ks = &keyState{group: group, frag: fs, slots: make([]aggSlot, len(f.windows))}
-		fs.byGroup[group] = ks
+	if ks != nil {
+		return ks
 	}
+	if n := len(f.free); n > 0 {
+		ks = f.free[n-1]
+		f.free = f.free[:n-1]
+		ks.group, ks.frag = group, fs
+	} else {
+		ks = &keyState{group: group, frag: fs, slots: make([]aggSlot, len(f.windows))}
+	}
+	fs.byGroup[group] = ks
 	return ks
 }
 
 // forget unregisters a key no log entry references any more, and its
-// fragment once that holds no key.
+// fragment once that holds no key. Every entry of the key has left every
+// window, so its slots are empty and it goes to the free list as is.
 func (f *aggFamily) forget(ks *keyState) {
 	fs := ks.frag
 	delete(fs.byGroup, ks.group)
 	if f.channel && len(fs.byGroup) == 0 {
 		delete(f.frags, fs.key)
 	}
+	ks.group, ks.frag = "", nil
+	f.free = append(f.free, ks)
 }
 
 // expire advances every window's cursor past the entries that left it at

@@ -293,6 +293,74 @@ func FuzzAggFamily(f *testing.F) {
 	})
 }
 
+// TestAggFamilyStateMove moves one group key's share of two aggregate
+// families between engine replicas mid-stream, as the rebalancer does. The
+// receiving replica already holds other keys of the families, so the moved
+// entries merge into a live log whose windows have advanced. Every query's
+// results across both replicas must equal one engine's over the whole feed.
+func TestAggFamilyStateMove(t *testing.T) {
+	build := func() (*engine.Engine, map[int][]string) {
+		p := core.NewPhysical(catalog())
+		for _, fn := range []core.AggFn{core.AggSum, core.AggMax} {
+			for _, w := range []int64{3, 7, 12} {
+				if err := p.AddQuery(core.NewQuery("q", core.AggL(fn, 1, w, []int{0}, core.Scan("S")))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := rules.Optimize(p, rules.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		e, err := engine.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int][]string{}
+		e.OnResult = func(qid int, tu *stream.Tuple) { got[qid] = append(got[qid], tu.ContentKey()) }
+		return e, got
+	}
+	ref, want := build()
+	a, gotA := build()
+	b, gotB := build()
+	feed := randFeed(rand.New(rand.NewSource(4)), 160, 4)
+	moved := false
+	for i, ev := range feed {
+		if ev.src != "S" {
+			continue
+		}
+		if i == len(feed)/2 {
+			ra, rb := a.StateRegistry(), b.StateRegistry()
+			for _, g := range ra.Groups() {
+				pl, err := ra.Export(g.OpID, 0, 0, func(key int64, _ int) bool { return key == 1 })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rb.Import(g.OpID, pl, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved = true
+		}
+		owner := a
+		if key := ev.t.Vals[0]; key >= 2 || (key == 1 && moved) {
+			owner = b
+		}
+		for _, e := range []*engine.Engine{ref, owner} {
+			if err := e.Push("S", ev.t); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for qid, w := range want {
+		got := append(append([]string(nil), gotA[qid]...), gotB[qid]...)
+		sort.Strings(got)
+		sort.Strings(w)
+		if err := sameResults(got, w); err != nil {
+			t.Fatalf("query %d across replicas: %v", qid, err)
+		}
+	}
+}
+
 // --- windowed join reference -------------------------------------------
 
 func refJoin(feed []refEvent, window int64) []string {

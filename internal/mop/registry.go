@@ -32,7 +32,7 @@ import (
 // destination, so FIFO expiry order survives the move.
 
 // stateHolder is the uniform interface of one keyed state group. All
-// implementations (aggGroup, joinGroup, stateGroup) walk their stores in
+// implementations (aggFamily, joinGroup, stateGroup) walk their stores in
 // deterministic (insertion/timestamp) order, which the rebalancer relies
 // on when replicated copies must deduplicate without a transfer.
 type stateHolder interface {
@@ -169,7 +169,7 @@ type stateItem struct {
 	key int64
 	ts  int64
 
-	// kindAggState: one buffered window entry.
+	// kindAggState: one entry of an aggregate family's log.
 	group  string // interned group-key string
 	val    int64
 	member *bitset.Set // fragment membership (channel) / instance membership
