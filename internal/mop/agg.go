@@ -655,7 +655,6 @@ func (f *aggFamily) remapMemberships(side int, rm *Remap) {
 		}
 		moved[fs] = nfs
 	}
-	f.frags = next
 	f.filterLog(func(e *aggEntry) bool {
 		nfs := moved[e.ks.frag]
 		if nfs == nil {
