@@ -154,9 +154,11 @@ func refAgg(feed []refEvent, fn core.AggFn, attr int, window int64, groupBy []in
 // aggFamilyCase checks k window variants of one aggregate — same function,
 // attribute and group-by, windows w[i] % 17 for i < k (duplicates allowed;
 // 0 is unbounded) — registered together and optimized with channels on, each
-// against refAgg. With gated set, variant i reads FILTER(b != i, S), so the
-// variants' inputs are distinct selections over S that channelize encodes
-// into one channel: the aggregate then runs in channel mode (cα).
+// against refAgg. With gated set, variant i reads FILTER(b != i%2, S): two
+// selections over S, which channelize encodes into one channel when two
+// variants over different selections have the same window. Every variant
+// then reads that channel, so the family runs in channel mode (cα), with
+// as many windows as the variants have.
 func aggFamilyCase(t *testing.T, seed int64, fnRaw, attrRaw, kRaw uint8, w [4]uint8, grouped, gated bool) error {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -174,7 +176,7 @@ func aggFamilyCase(t *testing.T, seed int64, fnRaw, attrRaw, kRaw uint8, w [4]ui
 		window := int64(w[i]) % 17
 		in, ref := core.Scan("S"), feed
 		if gated {
-			pred := expr.ConstCmp{Attr: 1, Op: expr.Ne, C: int64(i)}
+			pred := expr.ConstCmp{Attr: 1, Op: expr.Ne, C: int64(i % 2)}
 			in = core.SelectL(pred, in)
 			ref = nil
 			for _, ev := range feed {
@@ -199,13 +201,13 @@ func aggFamilyCase(t *testing.T, seed int64, fnRaw, attrRaw, kRaw uint8, w [4]ui
 	return nil
 }
 
-// sharedWindow reports whether two variants have the same window: their
-// gated inputs then always share one aggregate m-op, so they are channel
-// encoded.
+// sharedWindow reports whether two variants over different selections have
+// the same window: they then share one aggregate m-op, so their inputs are
+// channel encoded.
 func sharedWindow(w []uint8) bool {
 	for i := range w {
 		for j := i + 1; j < len(w); j++ {
-			if w[i]%17 == w[j]%17 {
+			if w[i]%17 == w[j]%17 && i%2 != j%2 {
 				return true
 			}
 		}
