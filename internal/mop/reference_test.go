@@ -43,44 +43,10 @@ func randFeed(r *rand.Rand, n, domain int) []refEvent {
 
 // runSingle runs one query through plan + engine and returns sorted result
 // keys.
-func runSingle(t *testing.T, root *core.Logical, feed []refEvent, optimize bool) []string {
+func runSingle(t *testing.T, root *core.Logical, feed []refEvent) []string {
 	t.Helper()
-	p := core.NewPhysical(catalog())
-	q := core.NewQuery("q", root)
-	if err := p.AddQuery(q); err != nil {
-		t.Fatal(err)
-	}
-	if optimize {
-		if err := rules.Optimize(p, rules.Options{Channels: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := engine.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	e.OnResult = func(_ int, tu *stream.Tuple) { got = append(got, tu.ContentKey()) }
-	for _, ev := range feed {
-		// Sources the query does not scan have no edge; skip them.
-		if err := e.Push(ev.src, ev.t); err != nil {
-			continue
-		}
-	}
-	sort.Strings(got)
-	return got
-}
-
-func diff(t *testing.T, name string, got, want []string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d results, want %d\ngot:  %v\nwant: %v", name, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: result %d: got %q, want %q", name, i, got[i], want[i])
-		}
-	}
+	got, _ := runMany(t, []*core.Logical{root}, feed)
+	return got[0]
 }
 
 // --- sliding-window aggregate reference --------------------------------
@@ -401,17 +367,9 @@ func TestJoinAgainstReference(t *testing.T) {
 		window := int64(winRaw)%20 + 1
 		feed := randFeed(r, 80, 4)
 		pred := expr.AttrCmp2{L: 0, Op: expr.Eq, R: 0}
-		got := runSingle(t, core.JoinL(pred, window, core.Scan("S"), core.Scan("T")), feed, true)
+		got := runSingle(t, core.JoinL(pred, window, core.Scan("S"), core.Scan("T")), feed)
 		want := refJoin(feed, window)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return sameResults(got, want) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -469,17 +427,9 @@ func TestSeqAgainstReference(t *testing.T) {
 		feed := randFeed(r, 100, 4)
 		sel := core.SelectL(expr.ConstCmp{Attr: 0, Op: expr.Eq, C: c1}, core.Scan("S"))
 		pred := expr.NewAnd2(expr.Right{P: expr.ConstCmp{Attr: 0, Op: expr.Eq, C: c3}})
-		got := runSingle(t, core.SeqL(pred, window, sel, core.Scan("T")), feed, true)
+		got := runSingle(t, core.SeqL(pred, window, sel, core.Scan("T")), feed)
 		want := refSeq(feed, window, c1, c3)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return sameResults(got, want) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -546,17 +496,9 @@ func TestMuAgainstReference(t *testing.T) {
 			expr.AttrCmp2{L: 3, Op: expr.Lt, R: 1}, // last value < event value
 		)
 		filter := expr.Not2{P: expr.AttrCmp2{L: 2, Op: expr.Eq, R: 0}}
-		got := runSingle(t, core.MuL(rebind, filter, window, sel, core.Scan("T")), feed, true)
+		got := runSingle(t, core.MuL(rebind, filter, window, sel, core.Scan("T")), feed)
 		want := refMu(feed, window, startMax)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return sameResults(got, want) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
