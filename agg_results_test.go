@@ -22,10 +22,21 @@ import (
 // the relational script with channels off and on, a five-function
 // mixed-window script (unbounded, duplicate and gated windows, with and
 // without BY), the mixed script on a 2-shard ShardedSystem, and the mixed
-// script checkpointed and restored mid-feed. A change to how aggregates
-// are shared must reproduce it byte for byte; the order in which queries
-// receive their results at one timestamp is not recorded. Regenerate only
-// for an intended change of the results themselves:
+// script checkpointed and restored mid-feed. Two more runs push every
+// event through PushColumns in 256-row same-source runs, so the block
+// kernels and the block→scalar adapter emit every result: Workload 1, and
+// the relational script with channels on.
+//
+// Single-engine runs also record an ordered hash of each query's result
+// sequence: the order in which one query receives its results is part of
+// the contract. The order across queries is not: within one drain, when
+// one query's result is delivered relative to another query's may change
+// with how the engine schedules delivery. Sharded runs record no order,
+// since their cross-shard interleaving depends on timing.
+//
+// A change to how aggregates are shared or results are delivered must
+// reproduce the file byte for byte. Regenerate only for an intended change
+// of the results themselves:
 //
 //	go test . -run AggResults -update
 
@@ -84,28 +95,33 @@ func aggFeed(n int, seed int64) []workload.Event {
 	return events
 }
 
-// resultDigest accumulates, per query, a result count and the sum of an
-// FNV-1a hash of each result's (ts, vals): equal for any delivery order.
+// resultDigest accumulates, per query, a result count, the sum of an
+// FNV-1a hash of each result's (ts, vals), equal for any delivery order,
+// and a hash chained over the results in delivery order.
 type resultDigest struct {
 	mu    sync.Mutex
 	count map[string]int64
 	sum   map[string]uint64
+	seq   map[string]uint64
 }
 
 func newResultDigest() *resultDigest {
-	return &resultDigest{count: map[string]int64{}, sum: map[string]uint64{}}
+	return &resultDigest{count: map[string]int64{}, sum: map[string]uint64{}, seq: map[string]uint64{}}
 }
 
 func (d *resultDigest) add(q string, ts int64, vals []int64) {
 	h := fnv.New64a()
 	fmt.Fprint(h, ts, vals)
+	r := h.Sum64()
 	d.mu.Lock()
 	d.count[q]++
-	d.sum[q] += h.Sum64()
+	d.sum[q] += r
+	d.seq[q] = (d.seq[q]^r)*0x100000001b3 + 1
 	d.mu.Unlock()
 }
 
-func (d *resultDigest) write(b *strings.Builder, run string) {
+// write renders one run; ordered adds each query's delivery-order hash.
+func (d *resultDigest) write(b *strings.Builder, run string, ordered bool) {
 	names := make([]string, 0, len(d.count))
 	for name := range d.count {
 		names = append(names, name)
@@ -113,7 +129,11 @@ func (d *resultDigest) write(b *strings.Builder, run string) {
 	sort.Strings(names)
 	fmt.Fprintf(b, "== %s queries=%d\n", run, len(names))
 	for _, name := range names {
-		fmt.Fprintf(b, "%s %d %016x\n", name, d.count[name], d.sum[name])
+		fmt.Fprintf(b, "%s %d %016x", name, d.count[name], d.sum[name])
+		if ordered {
+			fmt.Fprintf(b, " %016x", d.seq[name])
+		}
+		b.WriteByte('\n')
 	}
 }
 
@@ -139,6 +159,21 @@ func runAggScript(t *testing.T, sys aggSys, script string, channels bool, events
 	return d
 }
 
+// sourceRuns relabels events into alternating runs of n S and n T events,
+// keeping their timestamps and values, so that a window of n events is one
+// same-source PushColumns call.
+func sourceRuns(events []workload.Event, n int) []workload.Event {
+	out := make([]workload.Event, len(events))
+	for i, ev := range events {
+		src := "S"
+		if i/n%2 == 1 {
+			src = "T"
+		}
+		out[i] = workload.Event{Source: src, Tuple: ev.Tuple}
+	}
+	return out
+}
+
 func TestAggResultsGolden(t *testing.T) {
 	events := aggFeed(4000, 5)
 	rel, mixed := aggRelScript(40, 9), aggMixedScript()
@@ -146,18 +181,40 @@ func TestAggResultsGolden(t *testing.T) {
 	for _, channels := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rel/channels=%v", channels), func(t *testing.T) {
 			runAggScript(t, rumor.New(), rel, channels, events).
-				write(&b, fmt.Sprintf("rel channels=%v", channels))
+				write(&b, fmt.Sprintf("rel channels=%v", channels), true)
 		})
 	}
 	t.Run("mixed", func(t *testing.T) {
-		runAggScript(t, rumor.New(), mixed, true, events).write(&b, "mixed channels=true")
+		runAggScript(t, rumor.New(), mixed, true, events).write(&b, "mixed channels=true", true)
 	})
 	t.Run("mixed/sharded2", func(t *testing.T) {
 		sys := rumor.NewSharded(rumor.ShardConfig{Shards: 2, BatchSize: 64})
 		defer sys.Close()
 		d := runAggScript(t, sys, mixed, true, events)
 		drainSharded(t, sys)
-		d.write(&b, "mixed sharded2")
+		d.write(&b, "mixed sharded2", false)
+	})
+	t.Run("w1/runs256", func(t *testing.T) {
+		catalog, w1, w1Events := churnWorkload(t, "w1", 250, 8192, 11)
+		sys := rumor.New()
+		d := newResultDigest()
+		sys.OnResult(d.add)
+		setUp(t, sys, catalog, w1, false)
+		pushWindows(t, sys, sourceRuns(w1Events, 256), 256)
+		d.write(&b, "w1 runs256", true)
+	})
+	t.Run("rel/runs256", func(t *testing.T) {
+		sys := rumor.New()
+		d := newResultDigest()
+		sys.OnResult(d.add)
+		if err := sys.ExecScript(rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		pushWindows(t, sys, sourceRuns(events, 256), 256)
+		d.write(&b, "rel runs256 channels=true", true)
 	})
 	t.Run("mixed/checkpoint", func(t *testing.T) {
 		half := len(events) / 2
@@ -173,7 +230,7 @@ func TestAggResultsGolden(t *testing.T) {
 		}
 		res.OnResult(d.add)
 		feedMixed(t, res, events[half:])
-		d.write(&b, "mixed checkpoint+restore")
+		d.write(&b, "mixed checkpoint+restore", true)
 	})
 	if t.Failed() {
 		return
