@@ -203,6 +203,9 @@ func (e *Engine) deliverBlock(edge *core.Edge, b *stream.Block) {
 			n.bm.ProcessBlock(c.port, b, e.bpool, n.emit, n.emitB)
 		}
 	}
+	if len(e.results) > 0 {
+		e.deliverResults()
+	}
 	if len(r.scalarConsumers) > 0 || rowSinks {
 		e.deliverBlockRows(r, b, rowSinks)
 	}
@@ -223,16 +226,7 @@ func (e *Engine) deliverBlockRows(r *edgeRoute, b *stream.Block, rowSinks bool) 
 			b.CopyRow(t, i, e.bpool)
 			t.Owned = !r.rowClearsOwned
 			if rowSinks {
-				for si := range r.sinks {
-					s := &r.sinks[si]
-					if s.pos >= 0 && !t.Member.Test(s.pos) {
-						continue
-					}
-					s.n++
-					for _, qid := range s.queries {
-						e.OnResult(qid, t)
-					}
-				}
+				e.toSinks(r, t)
 			}
 			for _, c := range r.scalarConsumers {
 				n := c.node
@@ -245,7 +239,10 @@ func (e *Engine) deliverBlockRows(r *edgeRoute, b *stream.Block, rowSinks bool) 
 					n.m.Process(c.port, t, n.emit)
 				}
 			}
-			if t.Owned && r.rowReleasable && (!r.hasSink || e.OnResult == nil) {
+			if len(e.results) > 0 {
+				e.deliverResults()
+			}
+			if t.Owned && r.rowReleasable {
 				e.pool.Put(t)
 			}
 		}

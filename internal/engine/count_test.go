@@ -164,8 +164,8 @@ func TestResultCountForwardOutlivesItsInput(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(e.spent) != 0 || e.pool.FreeCount() == 0 {
-				t.Fatalf("%d counted tuples held after the drain, %d in the pool; want 0 and > 0", len(e.spent), e.pool.FreeCount())
+			if len(e.results) != 0 || e.pool.FreeCount() == 0 {
+				t.Fatalf("%d counted tuples held after the drain, %d in the pool; want 0 and > 0", len(e.results), e.pool.FreeCount())
 			}
 			for _, q := range qs {
 				want := int64(64)

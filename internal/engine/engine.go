@@ -38,11 +38,16 @@ type runtimeNode struct {
 	out  []*core.Edge  // output port → edge
 	emit mop.Emit      // built once at lowering: enqueues on out[port]
 	uses []mop.PortUse // input port → how delivered tuples are used
-	// count is, per output port, the result counter of a count-only edge:
-	// no consumer and exactly one plain sink. While no result callback is
-	// installed, emit bumps it instead of enqueueing (nil: enqueue).
-	// rebuildRoutes resets it for every node, since it points into routes.
-	count []*int64
+	// sinkOnly is, per output port, whether the edge has sinks and no
+	// consumer: emit parks a tuple bound for such a port in Engine.results
+	// instead of enqueueing it. count is, per output port, the result
+	// counter of a count-only edge: sink-only with exactly one plain sink.
+	// While no result callback is installed, emit bumps it instead, and
+	// parks the tuple only to recycle it if it is Owned (nil: park for
+	// delivery). rebuildRoutes resets both for every node, since count
+	// points into routes.
+	sinkOnly []bool
+	count    []*int64
 	// bm is non-nil when the m-op takes the vectorized path (implements
 	// BatchMOp and reported BlockReady at lowering); emitB is its block
 	// emission closure, handed to ProcessBlock beside emit. Edges into a bm
@@ -106,8 +111,8 @@ type edgeRoute struct {
 	sinks     []sink
 	consumers []portRef
 	// releasable: every consumer port only reads delivered tuples, so an
-	// Owned tuple can return to the tuple pool after its delivery (unless
-	// a sink hands it to a result callback).
+	// Owned tuple can return to the tuple pool after its delivery. A result
+	// callback only borrows the tuple until it returns.
 	releasable bool
 	// clearsOwned: a consumer stores delivered tuples (or several could
 	// re-emit them), so an arriving tuple stops being singly referenced
@@ -142,10 +147,13 @@ type Engine struct {
 	nodes   []*runtimeNode
 
 	// OnResult, if set, receives every query result tuple, once per query
-	// of the sink that delivered it. Counting does not need it: counts are
-	// kept per sink and summed on read, and while OnResult is nil a
-	// count-only edge (no consumer, one plain sink) is counted at emission
-	// and skips the work queue.
+	// of the sink that delivered it. The tuple is borrowed, and so are its
+	// values: vals is valid until the callback returns; copy it to keep it.
+	// Results on an edge with no consumer are delivered when the activation
+	// that built them returns, and then recycled. Counting does not need a
+	// callback: counts are kept per sink and summed on read, and while
+	// OnResult is nil a count-only edge (no consumer, one plain sink) is
+	// counted at emission and skips the work queue.
 	OnResult func(queryID int, t *stream.Tuple)
 
 	// base is, per query ID (dense), the count folded in from the sinks of
@@ -153,11 +161,14 @@ type Engine struct {
 	// the query is removed.
 	base   []int64
 	sinkOf []*sink
-	// spent holds the Owned tuples counted at emission during this drain;
-	// they return to the pool when the drain ends, not at emission, since
-	// a forwarding m-op may emit its input while later consumers of that
-	// input still have to read it.
-	spent []*stream.Tuple
+	// results holds the tuples emitted onto sink-only edges by the
+	// activation in flight, with a nil edge for the Owned ones counted at
+	// emission. They are delivered and recycled when the activation
+	// returns (deliverResults), not at emission: a forwarding m-op may emit
+	// its input while later consumers of that input still have to read it.
+	// The two kinds share the list so that the pool sees the same
+	// recycling order with and without a result callback.
+	results []queued
 
 	// pool is the engine-private tuple pool: every tuple the engine's
 	// m-ops build or recycle stays within the engine's single-threaded
@@ -231,13 +242,14 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 	rn := &runtimeNode{id: n.ID, m: low.MOp, in: low.InEdges, out: low.OutEdges, uses: low.PortUses}
 	rn.emit = func(outPort int, out *stream.Tuple) {
 		rn.emitted++
-		if e.OnResult == nil {
-			if c := rn.count[outPort]; c != nil {
-				e.countEmitted(c, out)
-				return
-			}
+		switch {
+		case !rn.sinkOnly[outPort]:
+			e.enqueue(rn.out[outPort], out)
+		case e.OnResult == nil && rn.count[outPort] != nil:
+			e.countEmitted(rn.count[outPort], out)
+		default:
+			e.results = append(e.results, queued{edge: rn.out[outPort], t: out})
 		}
-		e.enqueue(rn.out[outPort], out)
 	}
 	if bm, ok := low.MOp.(mop.BatchMOp); ok && bm.BlockReady() {
 		rn.bm = bm
@@ -341,9 +353,10 @@ func (e *Engine) rebuildRoutes() {
 	// Release analysis. An edge is releasable when every consumer port
 	// only reads delivered tuples. Ownership may pass through exactly one
 	// forwarding consumer (a selection re-emitting the tuple); with a
-	// storing consumer, several forwarders, or a forwarder next to a sink
-	// (whose callback may see the tuple), the tuple stops being singly
-	// referenced and sheds its Owned flag at delivery.
+	// storing consumer or several forwarders, the tuple stops being singly
+	// referenced and sheds its Owned flag at delivery. Sinks do not count:
+	// a result callback only borrows the tuple, and it returns before any
+	// consumer runs.
 	for i := range e.routes {
 		r := &e.routes[i]
 		r.hasSink = len(r.sinks) > 0
@@ -363,7 +376,7 @@ func (e *Engine) rebuildRoutes() {
 				r.releasable = false
 			}
 		}
-		if forwarders > 1 || (forwarders == 1 && r.hasSink) {
+		if forwarders > 1 {
 			r.clearsOwned = true
 		}
 		// Same analysis restricted to the scalar consumers: it governs the
@@ -384,19 +397,21 @@ func (e *Engine) rebuildRoutes() {
 				r.rowReleasable = false
 			}
 		}
-		if rowForwarders > 1 || (rowForwarders == 1 && r.hasSink) {
+		if rowForwarders > 1 {
 			r.rowClearsOwned = true
 		}
 	}
-	// Count-only output ports.
+	// Count-only and sink-only output ports.
 	for _, rn := range e.nodes {
 		if len(rn.count) != len(rn.out) {
 			rn.count = make([]*int64, len(rn.out))
+			rn.sinkOnly = make([]bool, len(rn.out))
 		}
 		for port, out := range rn.out {
 			r := &e.routes[out.ID]
 			rn.count[port] = nil
-			if len(r.consumers) == 0 && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
+			rn.sinkOnly[port] = r.hasSink && len(r.consumers) == 0
+			if rn.sinkOnly[port] && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
 				rn.count[port] = &r.sinks[0].n
 			}
 		}
@@ -679,19 +694,62 @@ func (e *Engine) enqueue(edge *core.Edge, t *stream.Tuple) {
 	e.queue = append(e.queue, queued{edge: edge, t: t})
 }
 
+// toSinks hands t to the sinks of its edge: each sink whose membership
+// position t carries counts it and passes it to the result callback, once
+// per query.
+func (e *Engine) toSinks(r *edgeRoute, t *stream.Tuple) {
+	for i := range r.sinks {
+		s := &r.sinks[i]
+		if s.pos >= 0 && !t.Member.Test(s.pos) {
+			continue
+		}
+		s.n++
+		if e.OnResult != nil {
+			for _, qid := range s.queries {
+				e.OnResult(qid, t)
+			}
+		}
+	}
+}
+
 // countEmitted stands in for the delivery of t to a count-only edge whose
-// sink counter is c: the count is all that delivery would have done.
+// sink counter is c: the count is all that delivery would have done. An
+// Owned t is parked to be recycled with the activation's results.
 func (e *Engine) countEmitted(c *int64, t *stream.Tuple) {
 	*c++
+	e.observeUnqueued(t)
+	if t.Owned {
+		e.results = append(e.results, queued{t: t})
+	}
+}
+
+// observeUnqueued counts a delivery of t that did not pass through the
+// work queue, whose length drain counts in bulk.
+func (e *Engine) observeUnqueued(t *stream.Tuple) {
 	if e.obsOn {
 		e.delivered++
 		if t.Member != nil && t.Member.Spilled() {
 			e.memberSpills++
 		}
 	}
-	if t.Owned {
-		e.spent = append(e.spent, t)
+}
+
+// deliverResults delivers the results parked by the activation that just
+// returned, then recycles the Owned ones. Every consumer of that
+// activation's input has run, so an Owned result is referenced by nothing
+// but its sinks, and the callback has returned.
+func (e *Engine) deliverResults() {
+	for _, q := range e.results {
+		if q.edge != nil {
+			e.observeUnqueued(q.t)
+			e.toSinks(&e.routes[q.edge.ID], q.t)
+		}
+		if q.t.Owned {
+			e.pool.Put(q.t)
+		}
 	}
+	clear(e.results)
+	e.results = e.results[:0]
 }
 
 // drain propagates queued tuples until quiescence. The queue's backing
@@ -734,13 +792,6 @@ func (e *Engine) drain() {
 	}
 	clear(e.queue)
 	e.queue = e.queue[:0]
-	if len(e.spent) > 0 {
-		for _, t := range e.spent {
-			e.pool.Put(t)
-		}
-		clear(e.spent)
-		e.spent = e.spent[:0]
-	}
 }
 
 func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
@@ -751,17 +802,8 @@ func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
 	if t.Owned && r.clearsOwned {
 		t.Owned = false
 	}
-	for i := range r.sinks {
-		s := &r.sinks[i]
-		if s.pos >= 0 && !t.Member.Test(s.pos) {
-			continue
-		}
-		s.n++
-		if e.OnResult != nil {
-			for _, qid := range s.queries {
-				e.OnResult(qid, t)
-			}
-		}
+	if r.hasSink {
+		e.toSinks(r, t)
 	}
 	for _, c := range r.consumers {
 		n := c.node
@@ -774,10 +816,13 @@ func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
 			n.m.Process(c.port, t, n.emit)
 		}
 	}
+	if len(e.results) > 0 {
+		e.deliverResults()
+	}
 	// An Owned tuple was emitted exactly once with exclusive content; once
-	// its only delivery retained nothing and no result callback saw it, it
-	// goes back to the engine's tuple pool.
-	if t.Owned && r.releasable && (!r.hasSink || e.OnResult == nil) {
+	// its only delivery retained nothing, it goes back to the engine's
+	// tuple pool.
+	if t.Owned && r.releasable {
 		e.pool.Put(t)
 	}
 }

@@ -433,18 +433,25 @@ func (m *AggMOp) Process(port int, t *stream.Tuple, emit Emit) {
 			continue
 		}
 		for i := range f.windows {
+			ops := f.windows[i].ops
 			out := f.outTuple(t, ks.slots[i].value(f.fn))
+			// Every operator of a plain family fires, so the output is
+			// singly referenced exactly when one plain operator is all the
+			// window has; it is marked before emission, as the engine may
+			// count it there.
 			plainEmits := 0
-			for _, o := range f.windows[i].ops {
+			for _, o := range ops {
 				if o.tg.pos < 0 {
 					plainEmits++
+				}
+			}
+			out.Owned = plainEmits == 1 && len(ops) == 1
+			for _, o := range ops {
+				if o.tg.pos < 0 {
 					emit(o.tg.port, out)
 				} else {
 					m.ce.add(o.tg)
 				}
-			}
-			if plainEmits == 1 && len(m.ce.touched) == 0 {
-				out.Owned = true
 			}
 			m.ce.flush(out, emit, plainEmits == 0)
 		}

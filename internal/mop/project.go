@@ -19,6 +19,8 @@ type ProjectMOp struct {
 	ports [][]*projGroup
 	ce    *chanEmitter
 	pool  *stream.Pool
+	// tgScratch collects plain emission targets per group (reused).
+	tgScratch []target
 }
 
 func newProjectMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*ProjectMOp, error) {
@@ -51,31 +53,34 @@ func newProjectMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool)
 //rumor:owner — builds pooled output tuples and marks them engine-releasable.
 func (m *ProjectMOp) Process(port int, t *stream.Tuple, emit Emit) {
 	for _, g := range m.ports[port] {
-		var out *stream.Tuple
-		plainEmits := 0
+		// Targets first: the output is singly referenced only with one
+		// plain target and no channel one, and it is marked before
+		// emission, as the engine may count it there.
+		tgs := m.tgScratch[:0]
+		chanAdds := 0
 		for _, o := range g.ops {
 			if o.inPos >= 0 && !t.Member.Test(o.inPos) {
 				continue
 			}
-			if out == nil {
-				out = m.pool.Get(t.TS, len(g.m.Cols))
-				for i, e := range g.m.Cols {
-					out.Vals[i] = e.Eval(t)
-				}
-			}
 			if o.tg.pos < 0 {
-				plainEmits++
-				emit(o.tg.port, out)
+				tgs = append(tgs, o.tg)
 			} else {
 				m.ce.add(o.tg)
+				chanAdds++
 			}
 		}
-		if out == nil {
+		m.tgScratch = tgs[:0]
+		if len(tgs) == 0 && chanAdds == 0 {
 			continue
 		}
-		if plainEmits == 1 && len(m.ce.touched) == 0 {
-			out.Owned = true
+		out := m.pool.Get(t.TS, len(g.m.Cols))
+		for i, e := range g.m.Cols {
+			out.Vals[i] = e.Eval(t)
 		}
-		m.ce.flush(out, emit, plainEmits == 0)
+		out.Owned = len(tgs) == 1 && chanAdds == 0
+		for _, tg := range tgs {
+			emit(tg.port, out)
+		}
+		m.ce.flush(out, emit, len(tgs) == 0)
 	}
 }
