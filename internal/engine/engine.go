@@ -3,7 +3,8 @@
 // through the DAG in timestamp order. M-ops are the scheduling units
 // (§2.2); propagation is a FIFO work queue, single-threaded, matching the
 // paper's prototype execution model and its events/second throughput
-// metric (§5).
+// metric (§5). Results on an edge that no m-op consumes skip the queue:
+// they reach their sinks when the activation that built them returns.
 //
 // The delivery fast path is allocation-free: edge routing uses dense
 // slices indexed by edge ID (no map lookups per delivery), source

@@ -150,9 +150,9 @@ func TestResultPoolBounded(t *testing.T) {
 	before := e.pool.FreeCount()
 	run("S", 256)
 	total, most := 0, 0
-	for _, ts := range perTS {
-		total += len(ts)
-		most = max(most, len(ts))
+	for _, built := range perTS {
+		total += len(built)
+		most = max(most, len(built))
 	}
 	if total < 16*most {
 		t.Fatalf("%d results in the drain, at most %d per activation: too few to tell", total, most)

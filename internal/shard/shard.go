@@ -440,9 +440,11 @@ func (e *Engine) wireCallbacks() {
 }
 
 // OnResult registers a result callback, sequenced across shards. It must
-// be called before the first Push. Remote replicas (NewCluster) do not
-// deliver callbacks — their results are counted worker-side and merged
-// into ResultCount/TotalResults at drain barriers.
+// be called before the first Push. The tuple is the replica engine's and
+// is recycled after the call: vals is valid until the callback returns;
+// copy it to keep it. Remote replicas (NewCluster) do not deliver
+// callbacks — their results are counted worker-side and merged into
+// ResultCount/TotalResults at drain barriers.
 func (e *Engine) OnResult(fn func(queryID int, t *stream.Tuple)) {
 	e.onResult = fn
 	e.wireCallbacks()

@@ -214,7 +214,8 @@ func (s *System) addQuery(q *core.Query) error {
 }
 
 // OnResult registers the result callback. Must be called before Optimize
-// or at any time after; results are attributed by query name.
+// or at any time after; results are attributed by query name. vals is
+// valid until the callback returns; copy it to keep it.
 func (s *System) OnResult(fn func(query string, ts int64, vals []int64)) {
 	s.onResult = fn
 	if s.eng != nil {

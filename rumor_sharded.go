@@ -83,7 +83,8 @@ func (s *ShardedSystem) AddQuery(name string, root *Logical) error {
 
 // OnResult registers the result callback. Calls are sequenced across
 // shards (one at a time), attributed by query name. Must be registered
-// before the first Push; the callback must not retain the tuple values.
+// before the first Push. vals is valid until the callback returns; copy it
+// to keep it.
 func (s *ShardedSystem) OnResult(fn func(query string, ts int64, vals []int64)) {
 	s.onResult = fn
 	if s.sh != nil {
