@@ -436,18 +436,13 @@ func (m *AggMOp) Process(port int, t *stream.Tuple, emit Emit) {
 			ops := f.windows[i].ops
 			out := f.outTuple(t, ks.slots[i].value(f.fn))
 			// Every operator of a plain family fires, so the output is
-			// singly referenced exactly when one plain operator is all the
-			// window has; it is marked before emission, as the engine may
-			// count it there.
+			// singly referenced when the window's only operator is plain.
+			// It is marked before emission: the engine may count it there.
+			out.Owned = len(ops) == 1 && ops[0].tg.pos < 0
 			plainEmits := 0
 			for _, o := range ops {
 				if o.tg.pos < 0 {
 					plainEmits++
-				}
-			}
-			out.Owned = plainEmits == 1 && len(ops) == 1
-			for _, o := range ops {
-				if o.tg.pos < 0 {
 					emit(o.tg.port, out)
 				} else {
 					m.ce.add(o.tg)
