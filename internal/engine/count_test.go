@@ -23,6 +23,26 @@ func w2Engine(tb testing.TB) (*Engine, workload.Params) {
 	return optimizedEngine(tb, params.Catalog(), qs, false), params
 }
 
+// w2WindowEngine lowers Workload 2's S ; T (S.a0 = T.a0) once per window
+// 10, 20, ..., 10n over a 16-constant domain: one ; m-op with one state
+// group of n operators that differ only in their window, so a match
+// reaches every operator whose window covers its age.
+func w2WindowEngine(tb testing.TB, n int) (*Engine, workload.Params) {
+	tb.Helper()
+	params := workload.DefaultParams()
+	params.NumQueries = n
+	params.ConstDomain = 16
+	aqs := params.Workload2Seq()
+	for i, q := range aqs {
+		q.Stages[1].Window = int64(10 * (i + 1))
+	}
+	qs, err := workload.ToRUMOR(aqs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return optimizedEngine(tb, params.Catalog(), qs, false), params
+}
+
 // w2Ticks builds n ticks of 256 S rows then 256 T rows, every attribute
 // uniform over the constant domain; tick k's timestamps follow tick k-1's.
 func w2Ticks(n int, params workload.Params) (ts [][]int64, cols [][][]int64) {

@@ -92,10 +92,12 @@ func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event
 // A result callback borrows each result tuple, so installing one must not
 // cost a single allocation: the tuples it sees go back to the engine's
 // pool as the counted ones do. Covered on the plan with aggregates, joins
-// and projections, and on Workload 1's sequence outputs, through one-row
+// and projections, on Workload 1's sequence outputs, and on Workload 2 at
+// 64 windows, whose matches reach many operators at once, through one-row
 // blocks (every row through the block→scalar adapter) and full blocks.
 func TestResultCallbackAllocIdentical(t *testing.T) {
 	p, w1 := w1Queries(t, 50)
+	_, w2p := w2WindowEngine(t, 64)
 	cases := []struct {
 		name   string
 		build  func() *Engine
@@ -103,6 +105,7 @@ func TestResultCallbackAllocIdentical(t *testing.T) {
 	}{
 		{"rel", func() *Engine { return relEngine(t, 20) }, relEvents(3000)},
 		{"w1", func() *Engine { return optimizedEngine(t, p.Catalog(), w1, false) }, p.GenStreams(4000)},
+		{"w2", func() *Engine { e, _ := w2WindowEngine(t, 64); return e }, w2p.GenStreams(4000)},
 	}
 	for _, c := range cases {
 		for _, bs := range []int{1, 256} {

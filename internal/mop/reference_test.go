@@ -331,6 +331,7 @@ func TestAggFamilyStateMove(t *testing.T) {
 
 // --- windowed join reference -------------------------------------------
 
+// refJoin: a window <= 0 is unbounded.
 func refJoin(feed []refEvent, window int64) []string {
 	var out []string
 	var ss, ts []*stream.Tuple
@@ -338,7 +339,7 @@ func refJoin(feed []refEvent, window int64) []string {
 		if ev.src == "S" {
 			ss = append(ss, ev.t)
 			for _, o := range ts {
-				if o.Vals[0] == ev.t.Vals[0] && ev.t.TS-o.TS <= window {
+				if o.Vals[0] == ev.t.Vals[0] && (window <= 0 || ev.t.TS-o.TS <= window) {
 					j := &stream.Tuple{TS: ev.t.TS}
 					j.Vals = append(j.Vals, ev.t.Vals...)
 					j.Vals = append(j.Vals, o.Vals...)
@@ -348,7 +349,7 @@ func refJoin(feed []refEvent, window int64) []string {
 		} else {
 			ts = append(ts, ev.t)
 			for _, o := range ss {
-				if o.Vals[0] == ev.t.Vals[0] && ev.t.TS-o.TS <= window {
+				if o.Vals[0] == ev.t.Vals[0] && (window <= 0 || ev.t.TS-o.TS <= window) {
 					j := &stream.Tuple{TS: ev.t.TS}
 					j.Vals = append(j.Vals, o.Vals...)
 					j.Vals = append(j.Vals, ev.t.Vals...)
@@ -380,7 +381,7 @@ func TestJoinAgainstReference(t *testing.T) {
 
 // refSeq implements the paper's ; semantics (§5.2): an S tuple waits in
 // state; the first matching T tuple within the window produces the
-// concatenation and deletes the stored tuple.
+// concatenation and deletes the stored tuple. A window <= 0 is unbounded.
 func refSeq(feed []refEvent, window int64, c1, c3 int64) []string {
 	var out []string
 	type entry struct {
@@ -403,7 +404,7 @@ func refSeq(feed []refEvent, window int64, c1, c3 int64) []string {
 				continue
 			}
 			age := ev.t.TS - en.t.TS
-			if age > window {
+			if window > 0 && age > window {
 				en.dead = true // expired
 				continue
 			}
@@ -440,7 +441,8 @@ func TestSeqAgainstReference(t *testing.T) {
 
 // refMu implements the µ semantics over (start, last) instances: rebind on
 // matching key with strictly increasing value (emitting each extension),
-// keep on key mismatch, delete otherwise or on expiry.
+// keep on key mismatch, delete otherwise or on expiry. A window <= 0 is
+// unbounded.
 func refMu(feed []refEvent, window int64, startMax int64) []string {
 	var out []string
 	type instance struct {
@@ -460,7 +462,7 @@ func refMu(feed []refEvent, window int64, startMax int64) []string {
 			if in.dead {
 				continue
 			}
-			if ev.t.TS-in.start.TS > window {
+			if window > 0 && ev.t.TS-in.start.TS > window {
 				in.dead = true
 				continue
 			}
