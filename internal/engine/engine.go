@@ -45,10 +45,19 @@ type runtimeNode struct {
 	// counter of a count-only edge: sink-only with exactly one plain sink.
 	// While no result callback is installed, emit bumps it instead, and
 	// parks the tuple only to recycle it if it is Owned (nil: park for
-	// delivery). rebuildRoutes resets both for every node, since count
-	// points into routes.
+	// delivery). A window-prefix m-op (prefix) is bound to both: its plain
+	// groups whose every port is count-only count a match without building
+	// it, and fold the counts into these counters when the drain ends
+	// (Engine.bindSinks). rebuildRoutes resets both for every node and
+	// rebinds, since count points into routes.
 	sinkOnly []bool
 	count    []*int64
+	// ports[i] is i, so a parked result names one port as ports[i:i+1].
+	ports []int
+	// prefix is the m-op when it emits by window prefix (;, µ, ⨝), else
+	// nil; park parks one of its results once for a whole prefix.
+	prefix mop.PrefixMOp
+	park   func(t *stream.Tuple, ports []int)
 	// bm is non-nil when the m-op takes the vectorized path (implements
 	// BatchMOp and reported BlockReady at lowering); emitB is its block
 	// emission closure, handed to ProcessBlock beside emit. Edges into a bm
@@ -154,7 +163,10 @@ type Engine struct {
 	// that built them returns, and then recycled. Counting does not need a
 	// callback: counts are kept per sink and summed on read, and while
 	// OnResult is nil a count-only edge (no consumer, one plain sink) is
-	// counted at emission and skips the work queue.
+	// counted at emission and skips the work queue. A ;, µ or ⨝ match
+	// whose window prefix reaches only count-only edges is not even built:
+	// it is counted per prefix and folded into the sink counters when the
+	// drain ends, so counts are exact whenever the engine is quiescent.
 	OnResult func(queryID int, t *stream.Tuple)
 
 	// base is, per query ID (dense), the count folded in from the sinks of
@@ -163,19 +175,29 @@ type Engine struct {
 	base   []int64
 	sinkOf []*sink
 	// results holds the tuples emitted onto sink-only edges by the
-	// activation in flight, with a nil edge for the Owned ones counted at
+	// activation in flight, with no ports for the Owned ones counted at
 	// emission. They are delivered and recycled when the activation
 	// returns (deliverResults), not at emission: a forwarding m-op may emit
 	// its input while later consumers of that input still have to read it.
 	// The two kinds share the list so that the pool sees the same
 	// recycling order with and without a result callback.
-	results []queued
+	results []parked
+	// counting lists the window-prefix nodes with a counting group, whose
+	// counts drain folds in when it ends; boundCallback is whether a
+	// result callback was installed when they were bound (bindSinks).
+	counting      []*runtimeNode
+	boundCallback bool
 
 	// pool is the engine-private tuple pool: every tuple the engine's
 	// m-ops build or recycle stays within the engine's single-threaded
 	// execution domain, so high shard counts cause no cross-CPU pool
 	// traffic (ROADMAP: per-shard tuple pools).
 	pool *stream.Pool
+	// parkPool holds the results parked once for a window prefix: they are
+	// drawn from it and recycled into it, so installing a result callback
+	// leaves pool's traffic as it is without one, when such a match is
+	// counted and never built.
+	parkPool *stream.Pool
 
 	queue []queued
 	// qHasBlocks notes that the current drain carried at least one block,
@@ -209,6 +231,17 @@ type queued struct {
 	b    *stream.Block // non-nil for a block delivery (t is then nil)
 }
 
+// parked is a result held until its activation returns, bound for the
+// sinks of node's output ports in ports: one port for an emitted result,
+// a window prefix for a result parked once. An Owned result counted at
+// emission has no ports; it is parked only to be recycled.
+type parked struct {
+	t     *stream.Tuple
+	node  *runtimeNode
+	ports []int
+	once  bool // parked once for a window prefix: t returns to parkPool
+}
+
 // New lowers the plan. The plan must not be mutated afterwards. Lowering
 // is reusable: New may be called several times on one plan (each engine
 // owns independent operator state and counters), which is how the sharded
@@ -217,7 +250,7 @@ func New(p *core.Physical) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: invalid plan: %w", err)
 	}
-	e := &Engine{plan: p, pool: stream.NewPool(), bpool: stream.NewBlockPool()}
+	e := &Engine{plan: p, pool: stream.NewPool(), parkPool: stream.NewPool(), bpool: stream.NewBlockPool()}
 	for _, n := range p.Nodes {
 		if n.Kind == core.KindSource {
 			continue // sources are injected directly onto their edges
@@ -241,6 +274,10 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	rn := &runtimeNode{id: n.ID, m: low.MOp, in: low.InEdges, out: low.OutEdges, uses: low.PortUses}
+	rn.ports = make([]int, len(rn.out))
+	for i := range rn.ports {
+		rn.ports[i] = i
+	}
 	rn.emit = func(outPort int, out *stream.Tuple) {
 		rn.emitted++
 		switch {
@@ -249,7 +286,14 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 		case e.OnResult == nil && rn.count[outPort] != nil:
 			e.countEmitted(rn.count[outPort], out)
 		default:
-			e.results = append(e.results, queued{edge: rn.out[outPort], t: out})
+			e.results = append(e.results, parked{t: out, node: rn, ports: rn.ports[outPort : outPort+1]})
+		}
+	}
+	if pm, ok := low.MOp.(mop.PrefixMOp); ok {
+		rn.prefix = pm
+		rn.park = func(out *stream.Tuple, ports []int) {
+			rn.emitted += int64(len(ports))
+			e.results = append(e.results, parked{t: out, node: rn, ports: ports, once: true})
 		}
 	}
 	if bm, ok := low.MOp.(mop.BatchMOp); ok && bm.BlockReady() {
@@ -264,9 +308,9 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 
 // rebuildRoutes recomputes the dense routing state — per-edge consumer
 // lists, query sinks, source injection info, release analysis, and the
-// count-only output ports — from the current plan and runtime nodes. It
-// runs at lowering time and once per live plan delta, never on the push
-// path.
+// count-only output ports with the window-prefix m-ops bound to them —
+// from the current plan and runtime nodes. It runs at lowering time and
+// once per live plan delta, never on the push path.
 func (e *Engine) rebuildRoutes() {
 	p := e.plan
 	e.foldSinks()
@@ -402,7 +446,10 @@ func (e *Engine) rebuildRoutes() {
 			r.rowClearsOwned = true
 		}
 	}
-	// Count-only and sink-only output ports.
+	// Count-only and sink-only output ports. A count-only port's results
+	// are counted, not delivered, while no result callback is installed;
+	// a window-prefix m-op's group whose every port is count-only then
+	// builds no result at all (bindSinks).
 	for _, rn := range e.nodes {
 		if len(rn.count) != len(rn.out) {
 			rn.count = make([]*int64, len(rn.out))
@@ -415,6 +462,29 @@ func (e *Engine) rebuildRoutes() {
 			if rn.sinkOnly[port] && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
 				rn.count[port] = &r.sinks[0].n
 			}
+		}
+	}
+	e.bindSinks()
+}
+
+// bindSinks binds every window-prefix m-op to its output ports' sinks and
+// collects the nodes that count. Counting is bound only while no result
+// callback is installed, so drain rebinds when OnResult has been set or
+// cleared since.
+func (e *Engine) bindSinks() {
+	e.boundCallback = e.OnResult != nil
+	clear(e.counting)
+	e.counting = e.counting[:0]
+	for _, rn := range e.nodes {
+		if rn.prefix == nil {
+			continue
+		}
+		s := mop.Sinks{SinkOnly: rn.sinkOnly, Park: rn.park, ParkPool: e.parkPool}
+		if !e.boundCallback {
+			s.Count = rn.count
+		}
+		if rn.prefix.BindSinks(s) {
+			e.counting = append(e.counting, rn)
 		}
 	}
 }
@@ -720,7 +790,7 @@ func (e *Engine) countEmitted(c *int64, t *stream.Tuple) {
 	*c++
 	e.observeUnqueued(t)
 	if t.Owned {
-		e.results = append(e.results, queued{t: t})
+		e.results = append(e.results, parked{t: t})
 	}
 }
 
@@ -741,11 +811,13 @@ func (e *Engine) observeUnqueued(t *stream.Tuple) {
 // but its sinks, and the callback has returned.
 func (e *Engine) deliverResults() {
 	for _, q := range e.results {
-		if q.edge != nil {
+		for _, port := range q.ports {
 			e.observeUnqueued(q.t)
-			e.toSinks(&e.routes[q.edge.ID], q.t)
+			e.toSinks(&e.routes[q.node.out[port].ID], q.t)
 		}
-		if q.t.Owned {
+		if q.once {
+			e.parkPool.Put(q.t)
+		} else if q.t.Owned {
 			e.pool.Put(q.t)
 		}
 	}
@@ -753,17 +825,28 @@ func (e *Engine) deliverResults() {
 	e.results = e.results[:0]
 }
 
-// drain propagates queued tuples until quiescence. The queue's backing
+// drain propagates queued tuples until quiescence, then folds the matches
+// counted by window prefix into the sink counters. The queue's backing
 // array is reused across calls; references are released in one bulk clear
 // after the loop instead of a per-element store.
 func (e *Engine) drain() {
 	e.obsOn = obs.Enabled()
+	if (e.OnResult != nil) != e.boundCallback {
+		e.bindSinks()
+	}
 	for i := 0; i < len(e.queue); i++ {
 		q := e.queue[i]
 		if q.b != nil {
 			e.deliverBlock(q.edge, q.b)
 		} else {
 			e.deliver(q.edge, q.t)
+		}
+	}
+	for _, rn := range e.counting {
+		n := rn.prefix.FlushCounts()
+		rn.emitted += n
+		if e.obsOn {
+			e.delivered += n
 		}
 	}
 	if !e.qHasBlocks {

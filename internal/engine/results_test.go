@@ -59,16 +59,22 @@ func relEvents(n int) []workload.Event {
 // the given block size, with or without a result callback that only
 // counts, and returns allocs/event after a warm-up tenth of the feed.
 //
-// The list of parked results is sized up front. It holds more entries
-// with a callback (every result on a sink-only edge) than without (only
-// the Owned ones of count-only edges), so its amortized growth would
-// otherwise land in the counted window in one mode and not the other; it
-// is a one-time cost, and the comparison is of the cost per event.
+// The list of parked results is sized up front, and the pool of results
+// parked once per window prefix is filled up front. Both hold more with a
+// callback (every result on a sink-only edge, and every ;/⨝ match of a
+// sink-only group) than without (only the Owned results of count-only
+// edges; a counted match is not built), so their growth to the largest
+// activation's share would otherwise land in the counted window in one
+// mode and not the other; it is a one-time cost, and the comparison is of
+// the cost per event.
 func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event, blockSize int, callback bool) float64 {
 	return lowestOf3(func() float64 {
 		e := build()
 		e.SetBlockSize(blockSize)
-		e.results = make([]queued, 0, 1<<16)
+		e.results = make([]parked, 0, 1<<16)
+		for i := 0; i < 1<<14; i++ {
+			e.parkPool.Put(&stream.Tuple{Vals: make([]int64, 0, 32)})
+		}
 		var calls int64
 		if callback {
 			e.OnResult = func(int, *stream.Tuple) { calls++ }
@@ -121,7 +127,7 @@ func TestResultCallbackAllocIdentical(t *testing.T) {
 }
 
 // Results are recycled per activation, not per drain: after one 256-row
-// drain with a callback installed, the pool's free list holds about what
+// drain with a callback installed, the pools' free lists hold about what
 // one activation built, not every result of the drain. Recycling the
 // drain's results only at its end would pin the drain's peak in the free
 // list for the engine's lifetime.
@@ -150,7 +156,7 @@ func TestResultPoolBounded(t *testing.T) {
 	}
 	run("T", 0) // the joins' other side
 	clear(perTS)
-	before := e.pool.FreeCount()
+	before := e.pool.FreeCount() + e.parkPool.FreeCount()
 	run("S", 256)
 	total, most := 0, 0
 	for _, built := range perTS {
@@ -160,7 +166,7 @@ func TestResultPoolBounded(t *testing.T) {
 	if total < 16*most {
 		t.Fatalf("%d results in the drain, at most %d per activation: too few to tell", total, most)
 	}
-	if grown := e.pool.FreeCount() - before; grown > most+1 {
+	if grown := e.pool.FreeCount() + e.parkPool.FreeCount() - before; grown > most+1 {
 		t.Fatalf("free list grew by %d tuples over one drain of %d results; one activation built at most %d", grown, total, most)
 	}
 }
@@ -218,5 +224,55 @@ func TestForwardedResultStaysReadable(t *testing.T) {
 	}
 	if e.pool.FreeCount() == 0 {
 		t.Fatal("no result went back to the pool; the forwarded result was never recycled")
+	}
+}
+
+// A match whose window prefix reaches only count-only edges is counted,
+// not built: with every S instance stored first, one 256-row T run whose
+// rows each complete a match for 45 of 64 windows allocates nothing.
+func TestCountedMatchBuildsNothing(t *testing.T) {
+	e, params := w2WindowEngine(t, 64)
+	const rows, stored = 256, 2048
+	column := func(n int, ts int64, a0 func(i int) int64) ([]int64, [][]int64) {
+		tss := make([]int64, n)
+		cols := make([][]int64, params.NumAttrs)
+		for a := range cols {
+			cols[a] = make([]int64, n)
+		}
+		for i := range tss {
+			tss[i], cols[0][i] = ts, a0(i)
+		}
+		return tss, cols
+	}
+	// Every instance starts at 0 and no window is shorter than a match's
+	// age plus one tick, so nothing expires, and at most a quarter of the
+	// store dies by matching, so nothing is compacted.
+	ts, cols := column(stored, 0, func(i int) int64 { return int64(i) })
+	if err := e.PushColumns("S", ts, cols); err != nil {
+		t.Fatal(err)
+	}
+	var runs [2]struct {
+		ts   []int64
+		cols [][]int64
+	}
+	for j := range runs {
+		runs[j].ts, runs[j].cols = column(rows, int64(100*(j+1)), func(i int) int64 { return int64(rows*j + i) })
+	}
+	before := e.TotalResults()
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		r := runs[next]
+		next++
+		if err := e.PushColumns("T", r.ts, r.cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The warm-up run matches at age 100 (55 windows), the measured one
+	// at age 200 (45 windows).
+	if got, want := e.TotalResults()-before, int64(rows*(55+45)); got != want {
+		t.Fatalf("%d results counted over both runs, want %d", got, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations in a T run of %d counted results; a counted match builds nothing", allocs, rows*45)
 	}
 }

@@ -2,7 +2,6 @@ package mop
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -63,21 +62,15 @@ func (s *joinSide) candidates(v int64) []*stream.Tuple {
 	return s.buf
 }
 
-// joinOp is one join operator within a group: its window length and
-// input/output wiring.
-type joinOp struct {
-	leftPos, rightPos int
-	window            int64
-	tg                target
-}
-
 // joinGroup is a set of join operators with the same join predicate
 // reading the same pair of edges. Shared window join (s⨝, [12]): one
 // shared state bounded by the maximum window; each operator filters
-// matches by its own window on emission. Precision sharing join (c⨝,
-// [14]): the inputs are channels, the predicate is evaluated once per
-// tuple pair, and output membership is derived from the input memberships.
+// matches by its own window on emission, as a window prefix. Precision
+// sharing join (c⨝, [14]): the inputs are channels, the predicate is
+// evaluated once per tuple pair, and output membership is derived from
+// the input memberships.
 type joinGroup struct {
+	prefixEmitter
 	pred      expr.Pred2
 	hasEq     bool
 	lAttr     int
@@ -86,59 +79,18 @@ type joinGroup struct {
 	unbounded bool
 	left      joinSide
 	right     joinSide
-	// ops is sorted unbounded-first, then by window descending, so the
-	// per-match emission loop can stop at the first operator whose window
-	// the pair's age exceeds.
-	ops []joinOp
 	// opIDs[i] is the plan operator ID behind ops[i] (co-sorted with ops);
 	// live maintenance keys state migration on it.
 	opIDs []int
-	pool  *stream.Pool // engine tuple pool for output tuples
-	// tgScratch collects plain emission targets per match (reused).
-	tgScratch []target
 }
 
-// seal orders the operators for the early-exit emission scan, keeping
-// opIDs aligned with ops.
+// seal orders the operators for window-prefix emission, keeping opIDs
+// aligned with ops.
 func (g *joinGroup) seal() {
 	if g.unbounded {
 		g.maxWindow = 0
 	}
-	ord := windowOrder(len(g.ops), func(i int) int64 { return g.ops[i].window })
-	g.ops = permuteOps(g.ops, ord)
-	g.opIDs = permuteInts(g.opIDs, ord)
-}
-
-// windowOrder returns the index permutation sorting operators
-// unbounded-first, then by window descending (stable).
-func windowOrder(n int, window func(i int) int64) []int {
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		wi, wj := window(ord[a]), window(ord[b])
-		if (wi <= 0) != (wj <= 0) {
-			return wi <= 0
-		}
-		return wi > wj
-	})
-	return ord
-}
-
-func permuteOps[T any](s []T, ord []int) []T {
-	out := make([]T, len(s))
-	for i, j := range ord {
-		out[i] = s[j]
-	}
-	return out
-}
-
-func permuteInts(s []int, ord []int) []int {
-	if len(s) == 0 {
-		return s
-	}
-	return permuteOps(s, ord)
+	g.opIDs = permuteInts(g.opIDs, g.prefixEmitter.seal())
 }
 
 // JoinMOp is the windowed join m-op.
@@ -146,6 +98,7 @@ type JoinMOp struct {
 	// portGroups[p] lists (group, side-is-left) pairs fed by input port p.
 	portGroups [][]portGroup
 	ce         *chanEmitter
+	counted    countFlush
 }
 
 type portGroup struct {
@@ -173,7 +126,7 @@ func newJoinMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*
 		k := gkey{lport: lport, rport: rport, def: o.Def.KeyModuloWindow()}
 		g, ok := groups[k]
 		if !ok {
-			g = &joinGroup{pred: o.Def.Pred2, pool: tp}
+			g = &joinGroup{pred: o.Def.Pred2, prefixEmitter: prefixEmitter{pool: tp}}
 			if la, ra, res, isEq := expr.EqJoinParts(o.Def.Pred2); isEq {
 				g.hasEq, g.lAttr, g.rAttr, g.pred = true, la, ra, res
 				g.left.hash = newHashIndex[*stream.Tuple]()
@@ -191,7 +144,7 @@ func newJoinMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*
 		} else if o.Def.Window > g.maxWindow {
 			g.maxWindow = o.Def.Window
 		}
-		g.ops = append(g.ops, joinOp{
+		g.ops = append(g.ops, windowOp{
 			leftPos:  lpos,
 			rightPos: rpos,
 			window:   o.Def.Window,
@@ -206,8 +159,6 @@ func newJoinMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool) (*
 }
 
 // Process implements MOp.
-//
-//rumor:owner — builds pooled output tuples and marks them engine-releasable.
 func (m *JoinMOp) Process(port int, t *stream.Tuple, emit Emit) {
 	for _, pg := range m.portGroups[port] {
 		g := pg.g
@@ -238,41 +189,26 @@ func (m *JoinMOp) Process(port int, t *stream.Tuple, emit Emit) {
 			if !g.pred.Eval2(l, r) {
 				continue
 			}
-			age := t.TS - c.TS
-			tgs := g.tgScratch[:0]
-			chanAdds := 0
-			for _, o := range g.ops {
-				if o.window > 0 && age > o.window {
-					break // ops are window-sorted: the rest fail too
-				}
-				if o.leftPos >= 0 && !l.Member.Test(o.leftPos) {
-					continue
-				}
-				if o.rightPos >= 0 && !r.Member.Test(o.rightPos) {
-					continue
-				}
-				if o.tg.pos < 0 {
-					tgs = append(tgs, o.tg)
-				} else {
-					m.ce.add(o.tg)
-					chanAdds++
-				}
-			}
-			g.tgScratch = tgs[:0]
-			if len(tgs) == 0 && chanAdds == 0 {
-				continue
-			}
-			out := concatTuples(g.pool, l, r, t.TS)
-			if len(tgs) == 1 && chanAdds == 0 {
-				out.Owned = true
-			}
-			for _, tg := range tgs {
-				emit(tg.port, out)
-			}
-			m.ce.flush(out, emit, len(tgs) == 0)
+			g.match(l, r, l.Member, r.Member, t.TS-c.TS, t.TS, m.ce, emit)
 		}
 	}
 }
+
+// BindSinks implements PrefixMOp.
+func (m *JoinMOp) BindSinks(s Sinks) bool {
+	counts := false
+	for _, pgs := range m.portGroups {
+		for _, pg := range pgs {
+			if pg.isLeft && pg.g.bind(s, &m.counted) {
+				counts = true
+			}
+		}
+	}
+	return counts
+}
+
+// FlushCounts implements PrefixMOp.
+func (m *JoinMOp) FlushCounts() int64 { return m.counted.flushCounts() }
 
 // ---------------------------------------------------------------------------
 // State registry (uniform keyed-state holder, see registry.go)

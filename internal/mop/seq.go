@@ -20,21 +20,14 @@ type seqInst struct {
 	dead   bool
 }
 
-// seqOpInfo is one operator implemented by the group: its duration window
-// and wiring.
-type seqOpInfo struct {
-	window   int64
-	leftPos  int // membership position on the left channel, -1 for plain
-	rightPos int // membership position on the right channel, -1 for plain
-	tg       target
-}
-
 // stateGroup is a set of ;/µ operators sharing stored state: same left
 // edge, same right edge, same definition modulo duration window. One
 // instance store serves every operator; each operator filters emissions by
 // its own window (the s⨝-style window sharing applied to sequence
-// operators) and, in channel mode (c;/cµ, §4.4), by instance membership.
+// operators, emitted as a window prefix) and, in channel mode (c;/cµ,
+// §4.4), by instance membership.
 type stateGroup struct {
+	prefixEmitter
 	mu bool
 
 	pred   expr.Pred2 // residual predicate over (state, event)
@@ -62,10 +55,6 @@ type stateGroup struct {
 	free []*seqInst
 	dead []*seqInst // scratch: dead instances collected during compaction
 
-	// ops is sorted unbounded-first, then by window descending, so the
-	// plain-mode emission loop can stop at the first operator whose window
-	// the instance's age exceeds.
-	ops []seqOpInfo
 	// opIDs[i] is the plan operator ID behind ops[i] (co-sorted with ops);
 	// live maintenance keys state migration on it.
 	opIDs []int
@@ -77,21 +66,16 @@ type stateGroup struct {
 	// channel tuple is stored only if its membership intersects the mask
 	// (the decoding step of §3.1 applied at insertion time).
 	leftMask *bitset.Set
-	pool     *stream.Pool // engine tuple pool for state and output tuples
-	// tgScratch collects plain emission targets per match (reused).
-	tgScratch []target
 }
 
-// seal orders the operators for the early-exit emission scan (keeping
-// opIDs aligned) and builds the membership→operator index once all ops
-// are registered.
+// seal orders the operators for window-prefix emission (keeping opIDs
+// aligned) and builds the membership→operator index once all ops are
+// registered.
 func (g *stateGroup) seal() {
 	if g.unbounded {
 		g.maxWindow = 0
 	}
-	ord := windowOrder(len(g.ops), func(i int) int64 { return g.ops[i].window })
-	g.ops = permuteOps(g.ops, ord)
-	g.opIDs = permuteInts(g.opIDs, ord)
+	g.opIDs = permuteInts(g.opIDs, g.prefixEmitter.seal())
 	for i := range g.ops {
 		if g.ops[i].leftPos < 0 {
 			g.posOps = nil
@@ -160,10 +144,11 @@ type SeqMOp struct {
 	mu bool
 	// lefts and rights are indexed by input port; an entry is nil when no
 	// operator reads the port on that side.
-	lefts  []*leftDispatch
-	rights []*rightDispatch
-	ce     *chanEmitter
-	pool   *stream.Pool
+	lefts   []*leftDispatch
+	rights  []*rightDispatch
+	ce      *chanEmitter
+	pool    *stream.Pool
+	counted countFlush
 
 	// Vectorized dispatch (seq_block.go). vec is decided once at lowering
 	// time: every membership position within the inline word. probe is the
@@ -196,11 +181,11 @@ func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu 
 		g, ok := groups[k]
 		if !ok {
 			g = &stateGroup{
-				mu:         mu,
-				startArity: o.In[0].Schema.Arity(),
-				rightArity: o.In[1].Schema.Arity(),
-				filter:     o.Def.Filter2,
-				pool:       tp,
+				prefixEmitter: prefixEmitter{pool: tp},
+				mu:            mu,
+				startArity:    o.In[0].Schema.Arity(),
+				rightArity:    o.In[1].Schema.Arity(),
+				filter:        o.Def.Filter2,
 			}
 			var info seqGroupInfo
 			pred := o.Def.Pred2
@@ -255,7 +240,7 @@ func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu 
 		} else if o.Def.Window > g.maxWindow {
 			g.maxWindow = o.Def.Window
 		}
-		g.ops = append(g.ops, seqOpInfo{
+		g.ops = append(g.ops, windowOp{
 			window:   o.Def.Window,
 			leftPos:  lpos,
 			rightPos: rpos,
@@ -331,6 +316,20 @@ func (g *stateGroup) extractLeftPred(pred expr.Pred2, info *seqGroupInfo) expr.P
 func (m *SeqMOp) retainsPort(port int) bool {
 	return m.lefts[port] != nil
 }
+
+// BindSinks implements PrefixMOp.
+func (m *SeqMOp) BindSinks(s Sinks) bool {
+	counts := false
+	for _, g := range m.groups() {
+		if g.bind(s, &m.counted) {
+			counts = true
+		}
+	}
+	return counts
+}
+
+// FlushCounts implements PrefixMOp.
+func (m *SeqMOp) FlushCounts() int64 { return m.counted.flushCounts() }
 
 // Process implements MOp.
 func (m *SeqMOp) Process(port int, t *stream.Tuple, emit Emit) {
@@ -512,68 +511,37 @@ func (g *stateGroup) rebind(inst *seqInst, t *stream.Tuple) {
 
 // emitMatch emits start ++ event to every operator of the group whose
 // window covers the instance age and whose memberships include the pair.
-// Plain targets are collected first so the shared output tuple can be
-// marked engine-releasable when it is emitted exactly once.
-//
-//rumor:owner
+// In channel mode only the operators of the instance's streams are
+// visited; otherwise the operators form a window prefix.
 func (g *stateGroup) emitMatch(inst *seqInst, t *stream.Tuple, ce *chanEmitter, emit Emit) {
 	age := t.TS - inst.start.TS
-	tgs := g.tgScratch[:0]
-	chanAdds := 0
-	if g.posOps != nil && inst.member != nil {
-		// Channel mode: visit only the operators of the instance's streams.
-		inst.member.ForEach(func(pos int) bool {
-			if pos < len(g.posOps) {
-				for _, i := range g.posOps[pos] {
-					o := &g.ops[i]
-					if o.window > 0 && age > o.window {
-						continue
-					}
-					if o.rightPos >= 0 && !t.Member.Test(o.rightPos) {
-						continue
-					}
-					if o.tg.pos < 0 {
-						tgs = append(tgs, o.tg)
-					} else {
-						ce.add(o.tg)
-						chanAdds++
-					}
-				}
-			}
-			return true
-		})
-	} else {
-		for i := range g.ops {
-			o := &g.ops[i]
-			if o.window > 0 && age > o.window {
-				break // ops are window-sorted: the rest fail too
-			}
-			if o.leftPos >= 0 && !inst.member.Test(o.leftPos) {
-				continue
-			}
-			if o.rightPos >= 0 && !t.Member.Test(o.rightPos) {
-				continue
-			}
-			if o.tg.pos < 0 {
-				tgs = append(tgs, o.tg)
-			} else {
-				ce.add(o.tg)
-				chanAdds++
-			}
-		}
-	}
-	g.tgScratch = tgs[:0]
-	if len(tgs) == 0 && chanAdds == 0 {
+	if g.posOps == nil || inst.member == nil {
+		g.match(inst.start, t, inst.member, t.Member, age, t.TS, ce, emit)
 		return
 	}
-	out := concatTuples(g.pool, inst.start, t, t.TS)
-	if len(tgs) == 1 && chanAdds == 0 {
-		out.Owned = true
-	}
-	for _, tg := range tgs {
-		emit(tg.port, out)
-	}
-	ce.flush(out, emit, len(tgs) == 0)
+	tgs := g.tgScratch[:0]
+	chanAdds := 0
+	inst.member.ForEach(func(pos int) bool {
+		if pos < len(g.posOps) {
+			for _, i := range g.posOps[pos] {
+				o := &g.ops[i]
+				if o.window > 0 && age > o.window {
+					continue
+				}
+				if o.rightPos >= 0 && !t.Member.Test(o.rightPos) {
+					continue
+				}
+				if o.tg.pos < 0 {
+					tgs = append(tgs, o.tg)
+				} else {
+					ce.add(o.tg)
+					chanAdds++
+				}
+			}
+		}
+		return true
+	})
+	g.send(inst.start, t, t.TS, tgs, chanAdds, ce, emit)
 }
 
 // expire deletes instances older than the group's maximum window and
@@ -887,4 +855,7 @@ var (
 
 	_ BatchMOp = (*SeqMOp)(nil)
 	_ BatchMOp = (*SelectMOp)(nil)
+
+	_ PrefixMOp = (*SeqMOp)(nil)
+	_ PrefixMOp = (*JoinMOp)(nil)
 )

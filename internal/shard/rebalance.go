@@ -86,7 +86,6 @@ func (e *Engine) Rebalance(part *core.PartitionPlan) (RebalanceStats, error) {
 	e.part = part
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(part)
-	e.snapshotBusyLocked()
 	st.Pause = time.Since(start)
 	st.Version = part.RoutingVersion()
 	if part.Table != nil {
@@ -109,34 +108,37 @@ func (e *Engine) registriesLocked() []Registry {
 	return regs
 }
 
-// snapshotBusyLocked resets the busy-drift baseline after a rebalance.
-func (e *Engine) snapshotBusyLocked() {
-	for i, w := range e.workers {
-		e.busyBase[i] = w.busyNS.Load()
-	}
-}
-
-// Imbalance returns the busy-time imbalance across shards since the last
-// rebalance: slowest shard's busy time divided by the mean (1 = flat).
-// Safe to call at any time.
+// Imbalance returns the work imbalance across shards since the last
+// rebalance: the largest replica's result count divided by the mean (1 =
+// flat). Every rebalance rebases the replica counters to zero, so the
+// counts are the results each replica produced since. They depend only on
+// input, plan and routing, so identical pushes read the identical value
+// on every run; the workers' busy time stays telemetry
+// (shard_busy_ns_total). Like ShardStats, Imbalance quiesces the live
+// workers first, so concurrent pushers block for the barrier.
 func (e *Engine) Imbalance() float64 {
-	var total, maxBusy int64
-	for i, w := range e.workers {
-		b := w.busyNS.Load() - e.busyBase[i]
-		total += b
-		if b > maxBusy {
-			maxBusy = b
-		}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.closed {
+		// A sticky replay error does not make the counters unreadable; it
+		// surfaces on Drain/Close.
+		_ = e.quiesceLiveLocked()
+	}
+	var total, most int64
+	for _, w := range e.workers {
+		n := w.rep.totalResults()
+		total += n
+		most = max(most, n)
 	}
 	if total <= 0 {
 		return 1
 	}
 	mean := float64(total) / float64(len(e.workers))
-	return float64(maxBusy) / mean
+	return float64(most) / mean
 }
 
-// MaybeRebalance rebalances when the busy-time drift since the last
-// rebalance exceeds maxImbalance (e.g. 1.25 = slowest shard 25% above the
+// MaybeRebalance rebalances when the work imbalance since the last
+// rebalance exceeds maxImbalance (e.g. 1.25 = busiest shard 25% above the
 // mean). It reports whether a rebalance ran.
 func (e *Engine) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, error) {
 	if len(e.workers) == 1 || e.Imbalance() <= maxImbalance {

@@ -178,8 +178,8 @@ func TestRebalanceFlattensSkew(t *testing.T) {
 	}
 }
 
-// The adaptive trigger: MaybeRebalance fires above the drift threshold and
-// the run stays exact.
+// The adaptive trigger: MaybeRebalance fires above the drift threshold,
+// which it reads the same on every run, and the run stays exact.
 func TestMaybeRebalanceAdaptive(t *testing.T) {
 	p := workload.DefaultParams()
 	p.NumQueries = 300
@@ -197,6 +197,16 @@ func TestMaybeRebalanceAdaptive(t *testing.T) {
 	}
 	if err := sh.Drain(); err != nil {
 		t.Fatal(err)
+	}
+	// The trigger reads results per replica, a function of input, plan
+	// and routing: 41, 11, 97 and 291 on every run, so 291 over a mean of
+	// 110.
+	if got, want := sh.Imbalance(), 291.0/110; got != want {
+		results := make([]int64, 0, 4)
+		for _, st := range sh.ShardStats() {
+			results = append(results, st.Results)
+		}
+		t.Fatalf("imbalance %v, want %v (results per shard %v)", got, want, results)
 	}
 	ran, _, err := sh.MaybeRebalance(1.05)
 	if err != nil {

@@ -165,7 +165,6 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 		e.walSeq = append(e.walSeq[:i], e.walSeq[i+1:]...)
 		e.sent = append(e.sent[:i], e.sent[i+1:]...)
 		e.dead = append(e.dead[:i], e.dead[i+1:]...)
-		e.busyBase = append(e.busyBase[:i], e.busyBase[i+1:]...)
 	}
 	drop(dead)
 	e.numDead--
@@ -182,7 +181,6 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	// Re-wire result callbacks: the replicated-sink gate is keyed on the
 	// worker index, which just shifted for shards past the dead one.
 	e.wireCallbacks()
-	e.snapshotBusyLocked()
 	st.Shards = len(e.workers)
 	st.Version = newPart.RoutingVersion()
 	st.Pause = time.Since(start)

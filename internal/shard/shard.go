@@ -217,9 +217,6 @@ type Engine struct {
 	// sink flips between partitioned and replicated across epochs is never
 	// double- or under-counted.
 	base map[int]int64
-	// busyBase snapshots each worker's busy time at the last rebalance, so
-	// Imbalance measures drift since then, not since startup.
-	busyBase []int64
 	// statsMu guards part, maxQuery, frozen, and base — and the local
 	// replicas' result counters while a delta splice rebuilds them —
 	// against readers (ResultCount/TotalResults) running concurrently with
@@ -260,7 +257,6 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		pending:     make([][]cluster.Entry, cfg.Shards),
 		pendingRows: make([]int, cfg.Shards),
 		base:        make(map[int]int64),
-		busyBase:    make([]int64, cfg.Shards),
 		wal:         make([][]walRec, cfg.Shards),
 		walSeq:      make([]int64, cfg.Shards),
 		sent:        make([]int64, cfg.Shards),
@@ -1295,7 +1291,6 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 			e.poisonLocked()
 			return fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
 		}
-		e.snapshotBusyLocked()
 	}
 	// Swap routing state.
 	e.statsMu.Lock()

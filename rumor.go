@@ -362,15 +362,26 @@ func removeQueryFrom(qs []*core.Query, q *core.Query) []*core.Query {
 	return out
 }
 
+// queryNames returns the query names indexed by query ID. Query IDs are
+// dense, so a result callback looks its query's name up in a slice.
+func queryNames(qs []*core.Query) []string {
+	n := 0
+	for _, q := range qs {
+		n = max(n, q.ID+1)
+	}
+	names := make([]string, n)
+	for _, q := range qs {
+		names[q.ID] = q.Name
+	}
+	return names
+}
+
 func (s *System) wireCallback() {
 	if s.onResult == nil {
 		s.eng.OnResult = nil
 		return
 	}
-	names := make(map[int]string, len(s.queries))
-	for _, q := range s.queries {
-		names[q.ID] = q.Name
-	}
+	names := queryNames(s.queries)
 	fn := s.onResult
 	s.eng.OnResult = func(qid int, t *stream.Tuple) {
 		fn(names[qid], t.TS, t.Vals)

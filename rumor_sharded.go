@@ -98,10 +98,7 @@ func (s *ShardedSystem) wireCallback() {
 		return
 	}
 	s.nameMu.RLock()
-	names := make(map[int]string, len(s.sys.queries))
-	for _, q := range s.sys.queries {
-		names[q.ID] = q.Name
-	}
+	names := queryNames(s.sys.queries)
 	s.nameMu.RUnlock()
 	fn := s.onResult
 	s.sh.OnResult(func(qid int, t *stream.Tuple) {
@@ -238,9 +235,10 @@ func (s *ShardedSystem) finishRebalance(st shard.RebalanceStats, ran bool) Rebal
 	}
 }
 
-// MaybeRebalance rebalances only when the busy-time drift across shards
-// since the last rebalance exceeds maxImbalance (slowest shard over mean;
-// e.g. 1.25 tolerates 25%). It reports whether a rebalance ran.
+// MaybeRebalance rebalances only when the work imbalance across shards
+// since the last rebalance exceeds maxImbalance (busiest shard's result
+// count over the mean; e.g. 1.25 tolerates 25%). It reports whether a
+// rebalance ran.
 func (s *ShardedSystem) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, error) {
 	if s.sh == nil {
 		return false, RebalanceStats{}, fmt.Errorf("rumor: call Optimize before MaybeRebalance")
