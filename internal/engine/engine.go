@@ -48,8 +48,8 @@ type runtimeNode struct {
 	// delivery). A window-prefix m-op (prefix) is bound to both: its plain
 	// groups whose every port is count-only count a match without building
 	// it, and fold the counts into these counters when the drain ends
-	// (Engine.bindSinks). rebuildRoutes resets both for every node and
-	// rebinds, since count points into routes.
+	// (Engine.bindSinks). rebuildRoutes resets both for every node, and
+	// the next drain rebinds, since count points into routes.
 	sinkOnly []bool
 	count    []*int64
 	// ports[i] is i, so a parked result names one port as ports[i:i+1].
@@ -183,9 +183,11 @@ type Engine struct {
 	// recycling order with and without a result callback.
 	results []parked
 	// counting lists the window-prefix nodes with a counting group, whose
-	// counts drain folds in when it ends; boundCallback is whether a
-	// result callback was installed when they were bound (bindSinks).
+	// counts drain folds in when it ends. bound is whether the nodes are
+	// bound to the current routes, and boundCallback whether a result
+	// callback was installed when they were (bindSinks).
 	counting      []*runtimeNode
+	bound         bool
 	boundCallback bool
 
 	// pool is the engine-private tuple pool: every tuple the engine's
@@ -308,9 +310,9 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 
 // rebuildRoutes recomputes the dense routing state — per-edge consumer
 // lists, query sinks, source injection info, release analysis, and the
-// count-only output ports with the window-prefix m-ops bound to them —
-// from the current plan and runtime nodes. It runs at lowering time and
-// once per live plan delta, never on the push path.
+// count-only output ports — from the current plan and runtime nodes; the
+// next drain binds the window-prefix m-ops to them. It runs at lowering
+// time and once per live plan delta, never on the push path.
 func (e *Engine) rebuildRoutes() {
 	p := e.plan
 	e.foldSinks()
@@ -464,15 +466,15 @@ func (e *Engine) rebuildRoutes() {
 			}
 		}
 	}
-	e.bindSinks()
+	e.bound = false
 }
 
 // bindSinks binds every window-prefix m-op to its output ports' sinks and
 // collects the nodes that count. Counting is bound only while no result
-// callback is installed, so drain rebinds when OnResult has been set or
-// cleared since.
+// callback is installed, so drain binds afresh after every route rebuild
+// and whenever OnResult has been set or cleared since.
 func (e *Engine) bindSinks() {
-	e.boundCallback = e.OnResult != nil
+	e.bound, e.boundCallback = true, e.OnResult != nil
 	clear(e.counting)
 	e.counting = e.counting[:0]
 	for _, rn := range e.nodes {
@@ -831,7 +833,7 @@ func (e *Engine) deliverResults() {
 // after the loop instead of a per-element store.
 func (e *Engine) drain() {
 	e.obsOn = obs.Enabled()
-	if (e.OnResult != nil) != e.boundCallback {
+	if !e.bound || (e.OnResult != nil) != e.boundCallback {
 		e.bindSinks()
 	}
 	for i := 0; i < len(e.queue); i++ {

@@ -1,7 +1,6 @@
 package mop
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/bitset"
@@ -69,16 +68,15 @@ const (
 
 // prefixEmitter is the emission half of a window-shared group.
 type prefixEmitter struct {
-	// ops is sorted unbounded-first, then by window descending (seal).
+	// ops is sorted unbounded-first, then by window descending (seal), so
+	// the operators covering an age are a prefix, found by binary search.
 	ops []windowOp
-	// reach[i] is the largest age ops[i] covers (math.MaxInt64 when
-	// unbounded); it is non-increasing, so a prefix is one binary search.
-	reach []int64
-	// ports[i] is ops[i]'s output port; a bound prefix is a slice of it.
-	ports []int
 	// plain: no operator has a channel position on either input or on
-	// its output, so a match's targets are exactly a prefix of ops.
+	// its output, so a match's targets are exactly a prefix of ops. Then
+	// ports[i] is ops[i]'s output port, and a bound prefix is a slice of
+	// it.
 	plain bool
+	ports []int
 	pool  *stream.Pool // engine tuple pool for output tuples
 	// tgScratch collects emission targets per match in channel and mixed
 	// groups (reused).
@@ -86,35 +84,40 @@ type prefixEmitter struct {
 
 	mode prefixMode
 	// hist[k] counts the matches since the last flush that reached exactly
-	// ops[:k]; kmax is the largest such k. counts[i] is ops[i]'s sink
-	// counter. Used in prefixCount mode.
-	hist   []int64
-	kmax   int
-	counts []*int64
+	// ops[:k]; kmax is the largest such k. count is the bound Sinks.Count.
+	// Used in prefixCount mode.
+	hist  []int64
+	kmax  int
+	count []*int64
 	// flush is the owning m-op's dirty list; queued is whether this group
 	// is on it.
-	flush    *countFlush
-	queued   bool
+	flush  *countFlush
+	queued bool
+	// park and parkPool are the bound Sinks.Park and Sinks.ParkPool, used
+	// in prefixPark mode.
 	park     func(t *stream.Tuple, ports []int)
 	parkPool *stream.Pool
 }
 
 // seal sorts the operators for prefix search and returns the permutation
-// applied, so the caller can keep co-sorted slices aligned.
+// applied (nil for a single operator), so the caller can keep co-sorted
+// slices aligned.
 func (pe *prefixEmitter) seal() []int {
-	ord := windowOrder(len(pe.ops), func(i int) int64 { return pe.ops[i].window })
-	pe.ops = permuteOps(pe.ops, ord)
-	pe.reach = make([]int64, len(pe.ops))
-	pe.ports = make([]int, len(pe.ops))
+	var ord []int
+	if len(pe.ops) > 1 {
+		ord = windowOrder(len(pe.ops), func(i int) int64 { return pe.ops[i].window })
+		pe.ops = permuteOps(pe.ops, ord)
+	}
 	pe.plain = true
-	for i, o := range pe.ops {
-		pe.reach[i] = o.window
-		if o.window <= 0 {
-			pe.reach[i] = math.MaxInt64
-		}
-		pe.ports[i] = o.tg.port
+	for _, o := range pe.ops {
 		if o.leftPos >= 0 || o.rightPos >= 0 || o.tg.pos >= 0 {
 			pe.plain = false
+		}
+	}
+	if pe.plain {
+		pe.ports = make([]int, len(pe.ops))
+		for i, o := range pe.ops {
+			pe.ports[i] = o.tg.port
 		}
 	}
 	return ord
@@ -146,7 +149,7 @@ func permuteOps[T any](s []T, ord []int) []T {
 }
 
 func permuteInts(s []int, ord []int) []int {
-	if len(s) == 0 {
+	if ord == nil || len(s) == 0 {
 		return s
 	}
 	return permuteOps(s, ord)
@@ -154,10 +157,10 @@ func permuteInts(s []int, ord []int) []int {
 
 // prefix returns the number of operators whose window covers age.
 func (pe *prefixEmitter) prefix(age int64) int {
-	lo, hi := 0, len(pe.reach)
+	lo, hi := 0, len(pe.ops)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pe.reach[mid] >= age {
+		if w := pe.ops[mid].window; w <= 0 || w >= age {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -169,8 +172,7 @@ func (pe *prefixEmitter) prefix(age int64) int {
 // bind chooses the group's emission mode for s (see PrefixMOp.BindSinks)
 // and reports whether the group counts.
 func (pe *prefixEmitter) bind(s Sinks, f *countFlush) bool {
-	pe.mode, pe.park, pe.parkPool, pe.flush = prefixEmit, nil, nil, nil
-	pe.counts = pe.counts[:0]
+	pe.mode, pe.count, pe.park, pe.parkPool, pe.flush = prefixEmit, nil, nil, nil, nil
 	if !pe.plain || len(pe.ops) == 0 {
 		return false
 	}
@@ -181,10 +183,7 @@ func (pe *prefixEmitter) bind(s Sinks, f *countFlush) bool {
 	}
 	switch {
 	case counted:
-		pe.mode, pe.flush = prefixCount, f
-		for _, p := range pe.ports {
-			pe.counts = append(pe.counts, s.Count[p])
-		}
+		pe.mode, pe.count, pe.flush = prefixCount, s.Count, f
 		if len(pe.hist) != len(pe.ops)+1 {
 			pe.hist = make([]int64, len(pe.ops)+1)
 		}
@@ -284,7 +283,7 @@ func (f *countFlush) flushCounts() int64 {
 		for k := pe.kmax; k >= 1; k-- {
 			run += pe.hist[k]
 			pe.hist[k] = 0
-			*pe.counts[k-1] += run
+			*pe.count[pe.ports[k-1]] += run
 			total += run
 		}
 		pe.kmax, pe.queued = 0, false

@@ -320,11 +320,11 @@ func (m *SeqMOp) retainsPort(port int) bool {
 // BindSinks implements PrefixMOp.
 func (m *SeqMOp) BindSinks(s Sinks) bool {
 	counts := false
-	for _, g := range m.groups() {
+	m.forEachGroup(func(g *stateGroup) {
 		if g.bind(s, &m.counted) {
 			counts = true
 		}
-	}
+	})
 	return counts
 }
 
@@ -616,16 +616,23 @@ func (g *stateGroup) maybeCompact() {
 // groups returns the m-op's state groups (each exactly once).
 func (m *SeqMOp) groups() []*stateGroup {
 	var out []*stateGroup
+	m.forEachGroup(func(g *stateGroup) { out = append(out, g) })
+	return out
+}
+
+// forEachGroup visits the m-op's state groups (each exactly once).
+func (m *SeqMOp) forEachGroup(fn func(g *stateGroup)) {
 	for _, ld := range m.lefts {
 		if ld == nil {
 			continue
 		}
-		out = append(out, ld.rest...)
+		for _, g := range ld.rest {
+			fn(g)
+		}
 		for i := range ld.fr {
-			ld.fr[i].byConst.forEach(func(g *stateGroup) { out = append(out, g) })
+			ld.fr[i].byConst.forEach(fn)
 		}
 	}
-	return out
 }
 
 // stateHolders implements the registry harvest for SeqMOp.
