@@ -25,8 +25,9 @@ type windowOp struct {
 }
 
 // Sinks is the engine's binding of an m-op's output ports to the result
-// sinks behind them. The engine rebinds on every routing rebuild and
-// whenever a result callback is installed or removed.
+// sinks behind them. The engine binds before the first drain after every
+// routing rebuild, and whenever a result callback has been installed or
+// removed.
 type Sinks struct {
 	// Count is, per output port, the sink counter of a count-only port (an
 	// edge with no consumer and one plain sink). It is nil while a result
@@ -62,8 +63,8 @@ type prefixMode uint8
 
 const (
 	prefixEmit  prefixMode = iota // one emit per target
-	prefixCount                   // counted, never built
-	prefixPark                    // built once, parked once with its prefix
+	prefixCount                   // counted, never built (plain groups only)
+	prefixPark                    // built once, parked once with its prefix (plain groups only)
 )
 
 // prefixEmitter is the emission half of a window-shared group.
@@ -78,8 +79,7 @@ type prefixEmitter struct {
 	plain bool
 	ports []int
 	pool  *stream.Pool // engine tuple pool for output tuples
-	// tgScratch collects emission targets per match in channel and mixed
-	// groups (reused).
+	// tgScratch collects emission targets per match (reused).
 	tgScratch []target
 
 	mode prefixMode
@@ -196,34 +196,13 @@ func (pe *prefixEmitter) bind(s Sinks, f *countFlush) bool {
 
 // match emits l ++ r at time ts to every operator whose window covers age
 // and whose memberships include the pair (lm and rm: the left and right
-// memberships). A plain group's target set is the prefix itself: counted,
-// parked once, or emitted once per target as bound.
+// memberships). A plain group's target set is the prefix itself, so when
+// bound to count or to park it skips the per-target scan.
 //
 //rumor:owner
 func (pe *prefixEmitter) match(l, r *stream.Tuple, lm, rm *bitset.Set, age, ts int64, ce *chanEmitter, emit Emit) {
 	k := pe.prefix(age)
 	if k == 0 {
-		return
-	}
-	if !pe.plain {
-		tgs := pe.tgScratch[:0]
-		chanAdds := 0
-		for i := range pe.ops[:k] {
-			o := &pe.ops[i]
-			if o.leftPos >= 0 && !lm.Test(o.leftPos) {
-				continue
-			}
-			if o.rightPos >= 0 && !rm.Test(o.rightPos) {
-				continue
-			}
-			if o.tg.pos < 0 {
-				tgs = append(tgs, o.tg)
-			} else {
-				ce.add(o.tg)
-				chanAdds++
-			}
-		}
-		pe.send(l, r, ts, tgs, chanAdds, ce, emit)
 		return
 	}
 	switch pe.mode {
@@ -241,11 +220,24 @@ func (pe *prefixEmitter) match(l, r *stream.Tuple, lm, rm *bitset.Set, age, ts i
 		pe.park(out, pe.ports[:k])
 		return
 	}
-	out := concatTuples(pe.pool, l, r, ts)
-	out.Owned = k == 1
-	for _, p := range pe.ports[:k] {
-		emit(p, out)
+	tgs := pe.tgScratch[:0]
+	chanAdds := 0
+	for i := range pe.ops[:k] {
+		o := &pe.ops[i]
+		if o.leftPos >= 0 && !lm.Test(o.leftPos) {
+			continue
+		}
+		if o.rightPos >= 0 && !rm.Test(o.rightPos) {
+			continue
+		}
+		if o.tg.pos < 0 {
+			tgs = append(tgs, o.tg)
+		} else {
+			ce.add(o.tg)
+			chanAdds++
+		}
 	}
+	pe.send(l, r, ts, tgs, chanAdds, ce, emit)
 }
 
 // send emits l ++ r at time ts to the collected plain targets and flushes
