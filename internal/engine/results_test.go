@@ -60,26 +60,35 @@ func relEvents(n int) []workload.Event {
 // counts, and returns allocs/event after a warm-up tenth of the feed.
 //
 // The list of parked results is sized up front, and the pool of results
-// parked once per window prefix is filled up front. Both hold more with a
-// callback (every result on a sink-only edge, and every ;/⨝ match of a
-// sink-only group) than without (only the Owned results of count-only
-// edges; a counted match is not built), so their growth to the largest
-// activation's share would otherwise land in the counted window in one
-// mode and not the other; it is a one-time cost, and the comparison is of
-// the cost per event.
+// parked once per window prefix starts with what a callback run over the
+// whole feed left in its own: that pool's high-water mark, one
+// activation's share, in tuples of the workload's sizes. Both hold more
+// with a callback (every result on a sink-only edge, and every ;/⨝ match
+// of a sink-only group) than without (only the Owned results of
+// count-only edges; a counted match is not built), so their growth would
+// otherwise land in the counted window in one mode and not the other; it
+// is a one-time cost, and the comparison is of the cost per event. The
+// fill covers one activation, not the feed, and every tuple of it must be
+// back in the pool when the feed ends, so a parked result that is not
+// recycled still shows.
 func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event, blockSize int, callback bool) float64 {
+	feed := buildColFeed(events, 256)
 	return lowestOf3(func() float64 {
+		peak := build()
+		peak.SetBlockSize(blockSize)
+		peak.OnResult = func(int, *stream.Tuple) {}
+		feedColumns(t, peak, feed)
 		e := build()
 		e.SetBlockSize(blockSize)
 		e.results = make([]parked, 0, 1<<16)
-		for i := 0; i < 1<<14; i++ {
-			e.parkPool.Put(&stream.Tuple{Vals: make([]int64, 0, 32)})
+		fill := peak.parkPool.FreeCount()
+		for range fill {
+			e.parkPool.Put(peak.parkPool.Get(0, 0))
 		}
 		var calls int64
 		if callback {
 			e.OnResult = func(int, *stream.Tuple) { calls++ }
 		}
-		feed := buildColFeed(events, 256)
 		warm := len(feed) / 10
 		measured := 0
 		for _, cp := range feed[warm:] {
@@ -90,6 +99,9 @@ func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event
 			func() { feedColumns(t, e, feed[warm:]) })
 		if callback && calls == 0 {
 			t.Fatal("the callback saw no results; the pass measured nothing")
+		}
+		if free := e.parkPool.FreeCount(); free < fill {
+			t.Fatalf("%d of the %d tuples put in the park pool came back", free, fill)
 		}
 		return a
 	})
@@ -156,7 +168,7 @@ func TestResultPoolBounded(t *testing.T) {
 	}
 	run("T", 0) // the joins' other side
 	clear(perTS)
-	before := e.pool.FreeCount() + e.parkPool.FreeCount()
+	before := e.pool.FreeCount()
 	run("S", 256)
 	total, most := 0, 0
 	for _, built := range perTS {
@@ -166,7 +178,7 @@ func TestResultPoolBounded(t *testing.T) {
 	if total < 16*most {
 		t.Fatalf("%d results in the drain, at most %d per activation: too few to tell", total, most)
 	}
-	if grown := e.pool.FreeCount() + e.parkPool.FreeCount() - before; grown > most+1 {
+	if grown := e.pool.FreeCount() - before; grown > most+1 {
 		t.Fatalf("free list grew by %d tuples over one drain of %d results; one activation built at most %d", grown, total, most)
 	}
 }
