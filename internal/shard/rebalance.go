@@ -108,10 +108,12 @@ func (e *Engine) registriesLocked() []Registry {
 	return regs
 }
 
-// Imbalance returns the work imbalance across shards since the last
-// rebalance: the largest replica's result count divided by the mean (1 =
-// flat). Every rebalance rebases the replica counters to zero, so the
-// counts are the results each replica produced since. They depend only on
+// Imbalance returns the load imbalance across shards since the last
+// rebalance: the largest replica's work divided by the mean (1 = flat). A
+// replica's work is the tuples it replayed plus the results it produced,
+// so it grows with a shard's input whether or not anything matches, and
+// with its output. Every counter rebase (rebalance, recovery, a
+// rebalancing delta) starts both counts afresh. They depend only on
 // input, plan and routing, so identical pushes read the identical value
 // on every run; the workers' busy time stays telemetry
 // (shard_busy_ns_total). Like ShardStats, Imbalance quiesces the live
@@ -126,7 +128,7 @@ func (e *Engine) Imbalance() float64 {
 	}
 	var total, most int64
 	for _, w := range e.workers {
-		n := w.rep.totalResults()
+		n := w.tuples.Load() - w.tuplesBase + w.rep.totalResults()
 		total += n
 		most = max(most, n)
 	}
@@ -137,7 +139,7 @@ func (e *Engine) Imbalance() float64 {
 	return float64(most) / mean
 }
 
-// MaybeRebalance rebalances when the work imbalance since the last
+// MaybeRebalance rebalances when the load imbalance since the last
 // rebalance exceeds maxImbalance (e.g. 1.25 = busiest shard 25% above the
 // mean). It reports whether a rebalance ran.
 func (e *Engine) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, error) {

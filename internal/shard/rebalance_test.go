@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -198,15 +199,12 @@ func TestMaybeRebalanceAdaptive(t *testing.T) {
 	if err := sh.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// The trigger reads results per replica, a function of input, plan
-	// and routing: 41, 11, 97 and 291 on every run, so 291 over a mean of
-	// 110.
-	if got, want := sh.Imbalance(), 291.0/110; got != want {
-		results := make([]int64, 0, 4)
-		for _, st := range sh.ShardStats() {
-			results = append(results, st.Results)
-		}
-		t.Fatalf("imbalance %v, want %v (results per shard %v)", got, want, results)
+	// The trigger reads tuples replayed plus results produced per
+	// replica, a function of input, plan and routing: 655+41, 647+11,
+	// 654+97 and 646+291 on every run, so 937 over a mean of 760.5. The
+	// tuples alone are nearly flat (1.007); the results carry the skew.
+	if got, want := sh.Imbalance(), 937/(3042.0/4); got != want {
+		t.Fatalf("imbalance %v, want %v (per shard %+v)", got, want, sh.ShardStats())
 	}
 	ran, _, err := sh.MaybeRebalance(1.05)
 	if err != nil {
@@ -226,4 +224,42 @@ func TestMaybeRebalanceAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareCounts(t, ref, sh, qs, "adaptive rebalance")
+}
+
+// Input that matches nothing is still load: with every S tuple on one key
+// and no T event, one shard replays them all and no shard produces a
+// result, and the trigger reads the skew and fires.
+func TestImbalanceCountsUnmatchedInput(t *testing.T) {
+	p := workload.DefaultParams()
+	p.NumQueries = 300
+	qs, err := workload.ToRUMOR(p.Workload1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, sh := buildPair(t, p.Catalog(), qs, false, 4)
+	defer sh.Close()
+	if r := sh.PartitionPlan().Routes["S"]; r.Mode != core.PartitionHash || r.Attr != 0 {
+		t.Fatalf("S routed %+v, want hash(a0)", r)
+	}
+	for i := range 1000 {
+		vals := make([]int64, p.NumAttrs) // the engines keep the slice
+		vals[1] = int64(i % p.ConstDomain)
+		pushBoth(t, ref, sh, workload.Event{Source: "S", Tuple: stream.NewTuple(int64(i), vals...)})
+	}
+	if err := sh.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sh.TotalResults(); n != 0 {
+		t.Fatalf("%d results; the input must match nothing", n)
+	}
+	if got := sh.Imbalance(); got != 4 {
+		t.Fatalf("imbalance %v, want 4: one of 4 shards replayed every tuple (per shard %+v)", got, sh.ShardStats())
+	}
+	ran, _, err := sh.MaybeRebalance(1.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("MaybeRebalance did not fire on input skewed onto one shard")
+	}
 }

@@ -112,6 +112,9 @@ type worker struct {
 	tuples atomic.Int64 // entries replayed (written by the worker only)
 	busyNS atomic.Int64 // time spent replaying (written by the worker only)
 	err    error        // first replay error (written by the worker only)
+	// tuplesBase is tuples at the last counter rebase, so Imbalance reads
+	// the load since then (written and read under the router's mu).
+	tuplesBase int64
 
 	// flush / ingest are per-worker telemetry histograms (batch flush
 	// latency in ns; entries per replayed batch). Self-gated atomics —
@@ -1330,6 +1333,7 @@ func (e *Engine) rebaseCountsLocked() error {
 		e.base[qid] = e.mergedCountLocked(qid)
 	}
 	for _, w := range e.workers {
+		w.tuplesBase = w.tuples.Load()
 		if err := w.rep.resetCounts(); err != nil {
 			// The fold into base already happened for every query but some
 			// replicas still carry unreset counters: the split brain is not

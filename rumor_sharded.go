@@ -235,10 +235,10 @@ func (s *ShardedSystem) finishRebalance(st shard.RebalanceStats, ran bool) Rebal
 	}
 }
 
-// MaybeRebalance rebalances only when the work imbalance across shards
-// since the last rebalance exceeds maxImbalance (busiest shard's result
-// count over the mean; e.g. 1.25 tolerates 25%). It reports whether a
-// rebalance ran.
+// MaybeRebalance rebalances only when the load imbalance across shards
+// since the last rebalance exceeds maxImbalance (busiest shard's tuples
+// replayed plus results produced, over the mean; e.g. 1.25 tolerates
+// 25%). It reports whether a rebalance ran.
 func (s *ShardedSystem) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, error) {
 	if s.sh == nil {
 		return false, RebalanceStats{}, fmt.Errorf("rumor: call Optimize before MaybeRebalance")
