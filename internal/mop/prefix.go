@@ -79,8 +79,10 @@ type prefixEmitter struct {
 	plain bool
 	ports []int
 	pool  *stream.Pool // engine tuple pool for output tuples
-	// tgScratch collects emission targets per match (reused).
+	// tgScratch collects a match's plain targets and chanAdds counts its
+	// channel targets (collect); send emits and resets both.
 	tgScratch []target
+	chanAdds  int
 
 	mode prefixMode
 	// hist[k] counts the matches since the last flush that reached exactly
@@ -220,33 +222,34 @@ func (pe *prefixEmitter) match(l, r *stream.Tuple, lm, rm *bitset.Set, age, ts i
 		pe.park(out, pe.ports[:k])
 		return
 	}
-	tgs := pe.tgScratch[:0]
-	chanAdds := 0
 	for i := range pe.ops[:k] {
-		o := &pe.ops[i]
-		if o.leftPos >= 0 && !lm.Test(o.leftPos) {
-			continue
-		}
-		if o.rightPos >= 0 && !rm.Test(o.rightPos) {
-			continue
-		}
-		if o.tg.pos < 0 {
-			tgs = append(tgs, o.tg)
-		} else {
-			ce.add(o.tg)
-			chanAdds++
-		}
+		pe.collect(&pe.ops[i], lm, rm, ce)
 	}
-	pe.send(l, r, ts, tgs, chanAdds, ce, emit)
+	pe.send(l, r, ts, ce, emit)
 }
 
-// send emits l ++ r at time ts to the collected plain targets and flushes
-// the channel targets added to ce. The output is Owned when it goes out
-// exactly once.
+// collect adds o to the match's targets when the pair's memberships (lm
+// and rm) include it: a plain target to tgScratch, a channel target to ce.
+func (pe *prefixEmitter) collect(o *windowOp, lm, rm *bitset.Set, ce *chanEmitter) {
+	if (o.leftPos >= 0 && !lm.Test(o.leftPos)) || (o.rightPos >= 0 && !rm.Test(o.rightPos)) {
+		return
+	}
+	if o.tg.pos < 0 {
+		pe.tgScratch = append(pe.tgScratch, o.tg)
+	} else {
+		ce.add(o.tg)
+		pe.chanAdds++
+	}
+}
+
+// send emits l ++ r at time ts to the plain targets collected for the
+// match and flushes the channel targets it added to ce. The output is
+// Owned when it goes out exactly once.
 //
 //rumor:owner
-func (pe *prefixEmitter) send(l, r *stream.Tuple, ts int64, tgs []target, chanAdds int, ce *chanEmitter, emit Emit) {
-	pe.tgScratch = tgs[:0]
+func (pe *prefixEmitter) send(l, r *stream.Tuple, ts int64, ce *chanEmitter, emit Emit) {
+	tgs, chanAdds := pe.tgScratch, pe.chanAdds
+	pe.tgScratch, pe.chanAdds = tgs[:0], 0
 	if len(tgs) == 0 && chanAdds == 0 {
 		return
 	}

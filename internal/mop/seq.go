@@ -519,29 +519,17 @@ func (g *stateGroup) emitMatch(inst *seqInst, t *stream.Tuple, ce *chanEmitter, 
 		g.match(inst.start, t, inst.member, t.Member, age, t.TS, ce, emit)
 		return
 	}
-	tgs := g.tgScratch[:0]
-	chanAdds := 0
 	inst.member.ForEach(func(pos int) bool {
 		if pos < len(g.posOps) {
 			for _, i := range g.posOps[pos] {
-				o := &g.ops[i]
-				if o.window > 0 && age > o.window {
-					continue
-				}
-				if o.rightPos >= 0 && !t.Member.Test(o.rightPos) {
-					continue
-				}
-				if o.tg.pos < 0 {
-					tgs = append(tgs, o.tg)
-				} else {
-					ce.add(o.tg)
-					chanAdds++
+				if o := &g.ops[i]; o.window <= 0 || age <= o.window {
+					g.collect(o, inst.member, t.Member, ce)
 				}
 			}
 		}
 		return true
 	})
-	g.send(inst.start, t, t.TS, tgs, chanAdds, ce, emit)
+	g.send(inst.start, t, t.TS, ce, emit)
 }
 
 // expire deletes instances older than the group's maximum window and
