@@ -1,0 +1,270 @@
+package cluster
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/mop"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+// The decode golden pins what every protocol decoder makes of a corpus
+// built from valid encodings: the valid input, every truncation of it, and
+// every single-byte flip of its first 64 bytes to 0x00, 0xff and b^0x80.
+// Each outcome is the error text and whether it wraps wire.ErrCorrupt, or
+// the SHA-256 of the decoded value re-encoded. A rewrite of a decoder must
+// reproduce testdata/decode.golden byte for byte; regenerate it only for
+// an intended change of decode outcomes:
+//
+//	go test ./internal/cluster -run DecodeGolden -update
+var updateGolden = flag.Bool("update", false, "rewrite internal/cluster/testdata/decode.golden")
+
+// codec is one protocol decoder with its encoder: seeds are valid
+// encodings, and roundTrip decodes p into a value and re-encodes it.
+type codec struct {
+	name      string
+	seeds     [][]byte
+	roundTrip func(p []byte) (v any, enc []byte, err error)
+}
+
+// replyError re-creates a decoded reply's error for encodeReply: its text,
+// and whether it marked the input corrupt.
+type replyError struct {
+	msg     string
+	corrupt bool
+}
+
+func (e replyError) Error() string        { return e.msg }
+func (e replyError) Is(target error) bool { return e.corrupt && target == wire.ErrCorrupt }
+
+func goldenGroups() []mop.GroupRef {
+	return []mop.GroupRef{
+		{OpID: 3, OpIDs: []int{3, 4}, Sides: []int{0, 1}},
+		{OpID: 9, OpIDs: []int{9}, Sides: []int{1}},
+	}
+}
+
+func goldenStats() *obs.Snapshot {
+	s := obs.NewSnapshot()
+	s.AddCounter("engine.events", 1200)
+	s.AddCounter("wire.bytes", 99)
+	s.SetGauge("queue.depth", -3)
+	var d obs.HistData
+	d.Count, d.Sum = 4, 410
+	d.Buckets[0], d.Buckets[3], d.Buckets[obs.NumBuckets-1] = 1, 2, 1
+	s.AddHist("drain.us", d)
+	return s
+}
+
+// controlCodecs lists every control-message decoder: all but the batch
+// decoder, which FuzzDecodeBatch covers.
+func controlCodecs() []codec {
+	batch := encodeBatch(4, []Entry{{Src: 1, TS: 5, Vals: []int64{-1, 2}}})
+	payload := []byte{0x08, 0x02, 0x10, 0x01}
+	return []codec{
+		{"hello", [][]byte{encodeHello(&hello{
+			Proto: ProtoVersion, ShardIdx: 1, ShardCount: 4, Epoch: 9, Resume: true,
+			SrcNames: []string{"S", "T"}, PlanBytes: []byte("plan snapshot"),
+		})}, func(p []byte) (any, []byte, error) {
+			h, err := decodeHello(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return h, encodeHello(h), nil
+		}},
+		{"helloAck", [][]byte{encodeHelloAck(&helloAck{
+			Proto: ProtoVersion, BootID: 77, LastApplied: 12, Err: "refused", Groups: goldenGroups(),
+		})}, func(p []byte) (any, []byte, error) {
+			a, err := decodeHelloAck(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return a, encodeHelloAck(a), nil
+		}},
+		{"call", [][]byte{encodeCall(7, opBatch, batch)}, func(p []byte) (any, []byte, error) {
+			callID, op, body, err := decodeCall(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return struct {
+				CallID int64
+				Op     byte
+				Body   []byte
+			}{callID, op, body}, encodeCall(callID, op, body), nil
+		}},
+		{"reply", [][]byte{
+			encodeReply(7, nil, encodeBytesField1(payload)),
+			encodeReply(8, fmt.Errorf("%w: opcode 300", wire.ErrCorrupt), nil),
+		}, func(p []byte) (any, []byte, error) {
+			callID, errStr, corrupt, body, err := decodeReply(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			var callErr error
+			if errStr != "" || corrupt {
+				callErr = replyError{errStr, corrupt}
+			}
+			return struct {
+				CallID  int64
+				ErrStr  string
+				Corrupt bool
+				Body    []byte
+			}{callID, errStr, corrupt, body}, encodeReply(callID, callErr, body), nil
+		}},
+		{"drain", [][]byte{encodeDrainReply([]int64{3, 0, -1, math.MaxInt64}, 2, "replay: boom")}, func(p []byte) (any, []byte, error) {
+			counts, total, firstErr, err := decodeDrainReply(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return struct {
+				Counts   []int64
+				Total    int64
+				FirstErr string
+			}{counts, total, firstErr}, encodeDrainReply(counts, total, firstErr), nil
+		}},
+		{"deltaCall", [][]byte{encodeDeltaCall([]byte("plan"), []byte{0x0a, 0x01, 0x02}, []string{"S", "T", "U"})}, func(p []byte) (any, []byte, error) {
+			plan, delta, names, err := decodeDeltaCall(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return struct {
+				Plan, Delta []byte
+				Names       []string
+			}{plan, delta, names}, encodeDeltaCall(plan, delta, names), nil
+		}},
+		{"groups", [][]byte{encodeGroupsReply(goldenGroups())}, func(p []byte) (any, []byte, error) {
+			groups, err := decodeGroupsReply(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return groups, encodeGroupsReply(groups), nil
+		}},
+		{"sideCall", [][]byte{encodeSideCall(3, 1, 2)}, func(p []byte) (any, []byte, error) {
+			opID, side, keyAttr, err := decodeSideCall(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return [3]int{opID, side, keyAttr}, encodeSideCall(opID, side, keyAttr), nil
+		}},
+		{"bytesField1", [][]byte{encodeBytesField1(payload)}, func(p []byte) (any, []byte, error) {
+			out, err := decodeBytesField1(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return out, encodeBytesField1(out), nil
+		}},
+		{"importCall", [][]byte{encodeImportCall(3, payload)}, func(p []byte) (any, []byte, error) {
+			opID, body, err := decodeImportCall(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return struct {
+				OpID int
+				Body []byte
+			}{opID, body}, encodeImportCall(opID, body), nil
+		}},
+		{"hist", [][]byte{encodeHistReply(map[int64]int64{-5: 7, 1: 2, 1 << 40: 3})}, func(p []byte) (any, []byte, error) {
+			h, err := decodeHistReply(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return h, encodeHistReply(h), nil
+		}},
+		{"stats", [][]byte{encodeStatsReply(goldenStats())}, func(p []byte) (any, []byte, error) {
+			s, err := decodeStatsReply(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, encodeStatsReply(s), nil
+		}},
+	}
+}
+
+// batchCodec is the WAL batch decoder over the short codecBatches.
+func batchCodec() codec {
+	var seeds [][]byte
+	for i, batch := range codecBatches() {
+		if p := encodeBatch(int64(i), batch); len(p) <= 512 {
+			seeds = append(seeds, p)
+		}
+	}
+	return codec{"batch", seeds, func(p []byte) (any, []byte, error) {
+		var d batchDecoder
+		seq, entries, err := d.decode(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		return entries, encodeBatch(seq, entries), nil
+	}}
+}
+
+// decodeCorpus is the valid encoding p, every truncation of it, and every
+// single-byte flip of its first 64 bytes.
+func decodeCorpus(p []byte) [][]byte {
+	cases := [][]byte{p}
+	for n := 0; n < len(p); n++ {
+		cases = append(cases, p[:n])
+	}
+	for i := 0; i < len(p) && i < 64; i++ {
+		for _, b := range []byte{0x00, 0xff, p[i] ^ 0x80} {
+			c := bytes.Clone(p)
+			c[i] = b
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// goldenLine summarizes one decoder's corpus: cases, ok and error counts,
+// and a SHA-256 over every outcome in corpus order.
+func goldenLine(c codec) string {
+	h := sha256.New()
+	cases, oks := 0, 0
+	for _, seed := range c.seeds {
+		for _, p := range decodeCorpus(seed) {
+			cases++
+			_, enc, err := c.roundTrip(p)
+			if err != nil {
+				fmt.Fprintf(h, "%x error %q corrupt=%v\n", p, err, errors.Is(err, wire.ErrCorrupt))
+				continue
+			}
+			oks++
+			fmt.Fprintf(h, "%x ok %x\n", p, sha256.Sum256(enc))
+		}
+	}
+	return fmt.Sprintf("%s cases=%d ok=%d err=%d sha256=%x\n", c.name, cases, oks, cases-oks, h.Sum(nil))
+}
+
+func TestDecodeGolden(t *testing.T) {
+	var b strings.Builder
+	for _, c := range append([]codec{batchCodec()}, controlCodecs()...) {
+		b.WriteString(goldenLine(c))
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "decode.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != got {
+		t.Errorf("decode outcomes differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
