@@ -381,3 +381,13 @@ func BenchmarkBatchCodec(b *testing.B) {
 		})
 	}
 }
+
+// A histogram reply whose key and count lists differ in length is corrupt.
+func TestHistReplyMismatchCorrupt(t *testing.T) {
+	var b wire.Buffer
+	b.PutInt64sField(1, []int64{1, 2})
+	b.PutInt64sField(2, []int64{5})
+	if _, err := decodeHistReply(b.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("2 keys, 1 count: %v, want wire.ErrCorrupt", err)
+	}
+}

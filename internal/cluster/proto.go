@@ -793,7 +793,7 @@ func decodeHistReply(p []byte) (map[int64]int64, error) {
 		}
 	}
 	if len(keys) != len(counts) {
-		return nil, fmt.Errorf("cluster: histogram reply: %d keys, %d counts", len(keys), len(counts))
+		return nil, fmt.Errorf("%w: histogram reply: %d keys, %d counts", wire.ErrCorrupt, len(keys), len(counts))
 	}
 	out := make(map[int64]int64, len(keys))
 	for i, k := range keys {
