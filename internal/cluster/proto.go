@@ -143,46 +143,33 @@ func encodeHello(h *hello) []byte {
 func decodeHello(p []byte) (*hello, error) {
 	h := &hello{}
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(field, _ int) (err error) {
+		var v int64
+		var raw []byte
 		switch field {
-		case 1, 2, 3, 4, 5:
-			v, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
-			switch field {
-			case 1:
-				h.Proto = int(v)
-			case 2:
-				h.ShardIdx = int(v)
-			case 3:
-				h.ShardCount = int(v)
-			case 4:
-				h.Epoch = v
-			case 5:
-				h.Resume = v != 0
-			}
+		case 1:
+			h.Proto, err = r.Int()
+		case 2:
+			h.ShardIdx, err = r.Int()
+		case 3:
+			h.ShardCount, err = r.Int()
+		case 4:
+			h.Epoch, err = r.Varint()
+		case 5:
+			v, err = r.Varint()
+			h.Resume = v != 0
 		case 6:
-			s, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			h.SrcNames = append(h.SrcNames, s)
+			var name string
+			name, err = r.String()
+			h.SrcNames = append(h.SrcNames, name)
 		case 7:
-			raw, err := r.Bytes()
-			if err != nil {
-				return nil, err
-			}
+			raw, err = r.Bytes()
 			h.PlanBytes = append([]byte(nil), raw...)
-		default:
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
 }
@@ -211,42 +198,25 @@ func encodeHelloAck(a *helloAck) []byte {
 func decodeHelloAck(p []byte) (*helloAck, error) {
 	a := &helloAck{}
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(field, _ int) (err error) {
 		switch field {
-		case 1, 2, 3:
-			v, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
-			switch field {
-			case 1:
-				a.Proto = int(v)
-			case 2:
-				a.BootID = v
-			case 3:
-				a.LastApplied = v
-			}
+		case 1:
+			a.Proto, err = r.Int()
+		case 2:
+			a.BootID, err = r.Varint()
+		case 3:
+			a.LastApplied, err = r.Varint()
 		case 4:
-			s, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			a.Err = s
+			a.Err, err = r.String()
 		case 5:
-			g, err := readGroup(r)
-			if err != nil {
-				return nil, err
-			}
+			var g mop.GroupRef
+			g, err = readGroup(r)
 			a.Groups = append(a.Groups, g)
-		default:
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -268,35 +238,18 @@ func readGroup(r *wire.Reader) (mop.GroupRef, error) {
 	if err != nil {
 		return g, err
 	}
-	for !sub.Done() {
-		field, wt, err := sub.Field()
-		if err != nil {
-			return g, err
-		}
+	err = sub.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
-			v, err := sub.Varint()
-			if err != nil {
-				return g, err
-			}
-			g.OpID = int(v)
+			g.OpID, err = sub.Int()
 		case 2:
 			g.OpIDs, err = sub.Ints()
-			if err != nil {
-				return g, err
-			}
 		case 3:
 			g.Sides, err = sub.Ints()
-			if err != nil {
-				return g, err
-			}
-		default:
-			if err := sub.Skip(wt); err != nil {
-				return g, err
-			}
 		}
-	}
-	return g, nil
+		return err
+	})
+	return g, err
 }
 
 // call frame: {1: callID, 2: op, 3: body}.
@@ -310,11 +263,7 @@ func encodeCall(callID int64, op byte, body []byte) []byte {
 
 func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return 0, 0, nil, ferr
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			callID, err = r.Varint()
@@ -327,12 +276,11 @@ func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
 			op = byte(v)
 		case 3:
 			body, err = r.Bytes()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return 0, 0, nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	return callID, op, body, nil
 }
@@ -354,11 +302,7 @@ func encodeReply(callID int64, callErr error, body []byte) []byte {
 
 func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []byte, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return 0, "", false, nil, ferr
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			callID, err = r.Varint()
@@ -370,12 +314,11 @@ func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []by
 			var v int64
 			v, err = r.Varint()
 			corrupt = v != 0
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return 0, "", false, nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return 0, "", false, nil, err
 	}
 	return callID, errStr, corrupt, body, nil
 }
@@ -428,21 +371,13 @@ func (d *batchDecoder) decode(p []byte) (seq int64, entries []Entry, err error) 
 	d.slab = d.slab[:0]
 	runs := 0
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, err := r.Field()
-		if err != nil {
-			return 0, nil, err
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
-			if seq, err = r.Varint(); err != nil {
-				return 0, nil, err
-			}
+			seq, err = r.Varint()
 		case 2:
-			en, err := decodeRow(r)
-			if err != nil {
-				return 0, nil, err
-			}
+			var en Entry
+			en, err = decodeRow(r)
 			d.entries = append(d.entries, en)
 		case 3:
 			if runs == len(d.runs) {
@@ -450,16 +385,14 @@ func (d *batchDecoder) decode(p []byte) (seq int64, entries []Entry, err error) 
 			}
 			run := d.runs[runs]
 			runs++
-			src, err := d.decodeRun(r, run)
-			if err != nil {
-				return 0, nil, err
-			}
+			var src int32
+			src, err = d.decodeRun(r, run)
 			d.entries = append(d.entries, Entry{Src: src, Run: run})
-		default:
-			if err := r.Skip(wt); err != nil {
-				return 0, nil, err
-			}
 		}
+		return err
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	return seq, d.entries, nil
 }
@@ -477,11 +410,7 @@ func decodeRow(r *wire.Reader) (en Entry, err error) {
 	if err != nil {
 		return en, err
 	}
-	for !sub.Done() {
-		field, wt, err := sub.Field()
-		if err != nil {
-			return en, err
-		}
+	err = sub.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			var v int64
@@ -492,14 +421,10 @@ func decodeRow(r *wire.Reader) (en Entry, err error) {
 			en.TS, err = sub.Varint()
 		case 3:
 			en.Vals, err = sub.Int64s()
-		default:
-			err = sub.Skip(wt)
 		}
-		if err != nil {
-			return en, err
-		}
-	}
-	return en, nil
+		return err
+	})
+	return en, err
 }
 
 // decodeRun decodes one run message into run, its slices cut from the
@@ -512,11 +437,7 @@ func (d *batchDecoder) decodeRun(r *wire.Reader, run *Run) (src int32, err error
 	}
 	clear(run.Cols)
 	run.TS, run.Cols = nil, run.Cols[:0]
-	for !sub.Done() {
-		field, wt, err := sub.Field()
-		if err != nil {
-			return 0, err
-		}
+	err = sub.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			var v int64
@@ -533,12 +454,11 @@ func (d *batchDecoder) decodeRun(r *wire.Reader, run *Run) (src int32, err error
 					run.Cols = append(run.Cols, vs)
 				}
 			}
-		default:
-			err = sub.Skip(wt)
 		}
-		if err != nil {
-			return 0, err
-		}
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	for a, col := range run.Cols {
 		if len(col) != len(run.TS) {
@@ -561,11 +481,7 @@ func encodeDrainReply(counts []int64, total int64, firstErr string) []byte {
 
 func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return nil, 0, "", ferr
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			counts, err = r.Int64s()
@@ -573,12 +489,11 @@ func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, e
 			total, err = r.Varint()
 		case 3:
 			firstErr, err = r.String()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, 0, "", err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, 0, "", err
 	}
 	return counts, total, firstErr, nil
 }
@@ -598,11 +513,7 @@ func encodeDeltaCall(planBytes, deltaBytes []byte, srcNames []string) []byte {
 
 func decodeDeltaCall(p []byte) (planBytes, deltaBytes []byte, srcNames []string, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return nil, nil, nil, ferr
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			planBytes, err = r.Bytes()
@@ -612,12 +523,11 @@ func decodeDeltaCall(p []byte) (planBytes, deltaBytes []byte, srcNames []string,
 			var s string
 			s, err = r.String()
 			srcNames = append(srcNames, s)
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return planBytes, deltaBytes, srcNames, nil
 }
@@ -631,22 +541,16 @@ func encodeGroupsReply(groups []mop.GroupRef) []byte {
 func decodeGroupsReply(p []byte) ([]mop.GroupRef, error) {
 	r := wire.NewReader(p)
 	var groups []mop.GroupRef
-	for !r.Done() {
-		field, wt, err := r.Field()
-		if err != nil {
-			return nil, err
+	err := r.Fields(func(field, _ int) error {
+		if field != 1 {
+			return nil
 		}
-		if field == 1 {
-			g, err := readGroup(r)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, g)
-			continue
-		}
-		if err := r.Skip(wt); err != nil {
-			return nil, err
-		}
+		g, err := readGroup(r)
+		groups = append(groups, g)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return groups, nil
 }
@@ -666,31 +570,19 @@ func encodeSideCall(opID, side, keyAttr int) []byte {
 
 func decodeSideCall(p []byte) (opID, side, keyAttr int, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return 0, 0, 0, ferr
-		}
-		var v int64
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
-		case 1, 2, 3:
-			v, err = r.Varint()
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			switch field {
-			case 1:
-				opID = int(v)
-			case 2:
-				side = int(v)
-			case 3:
-				keyAttr = int(v)
-			}
-		default:
-			if err := r.Skip(wt); err != nil {
-				return 0, 0, 0, err
-			}
+		case 1:
+			opID, err = r.Int()
+		case 2:
+			side, err = r.Int()
+		case 3:
+			keyAttr, err = r.Int()
 		}
+		return err
+	})
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	return opID, side, keyAttr, nil
 }
@@ -701,24 +593,16 @@ func encodeBytesField1(p []byte) []byte {
 	return b.Bytes()
 }
 
-func decodeBytesField1(p []byte) ([]byte, error) {
+func decodeBytesField1(p []byte) (out []byte, err error) {
 	r := wire.NewReader(p)
-	var out []byte
-	for !r.Done() {
-		field, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		if field == 1 {
 			out, err = r.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			continue
 		}
-		if err := r.Skip(wt); err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -732,24 +616,17 @@ func encodeImportCall(opID int, payloadBytes []byte) []byte {
 
 func decodeImportCall(p []byte) (opID int, payloadBytes []byte, err error) {
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return 0, nil, ferr
-		}
+	err = r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
-			var v int64
-			v, err = r.Varint()
-			opID = int(v)
+			opID, err = r.Int()
 		case 2:
 			payloadBytes, err = r.Bytes()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return 0, nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	return opID, payloadBytes, nil
 }
@@ -774,23 +651,17 @@ func encodeHistReply(h map[int64]int64) []byte {
 func decodeHistReply(p []byte) (map[int64]int64, error) {
 	r := wire.NewReader(p)
 	var keys, counts []int64
-	var err error
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return nil, ferr
-		}
+	err := r.Fields(func(field, _ int) (err error) {
 		switch field {
 		case 1:
 			keys, err = r.Int64s()
 		case 2:
 			counts, err = r.Int64s()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(keys) != len(counts) {
 		return nil, fmt.Errorf("%w: histogram reply: %d keys, %d counts", wire.ErrCorrupt, len(keys), len(counts))
@@ -856,97 +727,53 @@ func sortedKeys(m map[string]int64) []string {
 func decodeStatsReply(p []byte) (*obs.Snapshot, error) {
 	s := obs.NewSnapshot()
 	r := wire.NewReader(p)
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return nil, ferr
+	err := r.Fields(func(field, _ int) error {
+		if field < 1 || field > 3 {
+			return nil
+		}
+		sub, err := r.Msg()
+		if err != nil {
+			return err
+		}
+		// A counter or gauge is {1: name, 2: value}; a histogram also has
+		// 3: sum and 4: buckets.
+		var name string
+		var d obs.HistData
+		var buckets []int64
+		isHist := field == 3
+		err = sub.Fields(func(f, _ int) (err error) {
+			switch {
+			case f == 1:
+				name, err = sub.String()
+			case f == 2:
+				d.Count, err = sub.Varint()
+			case f == 3 && isHist:
+				d.Sum, err = sub.Varint()
+			case f == 4 && isHist:
+				buckets, err = sub.Int64s()
+			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		switch field {
-		case 1, 2:
-			sub, err := r.Msg()
-			if err != nil {
-				return nil, err
-			}
-			name, v, err := decodeNameValue(sub)
-			if err != nil {
-				return nil, err
-			}
-			if field == 1 {
-				s.AddCounter(name, v)
-			} else {
-				s.SetGauge(name, v)
-			}
+		case 1:
+			s.AddCounter(name, d.Count)
+		case 2:
+			s.SetGauge(name, d.Count)
 		case 3:
-			sub, err := r.Msg()
-			if err != nil {
-				return nil, err
-			}
-			name, d, err := decodeHist(sub)
-			if err != nil {
-				return nil, err
+			// A peer with a different bucket count still merges: extra
+			// buckets collapse into the last one, missing buckets stay zero.
+			for i, v := range buckets {
+				d.Buckets[min(i, obs.NumBuckets-1)] += v
 			}
 			s.AddHist(name, d)
-		default:
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-func decodeNameValue(r *wire.Reader) (name string, v int64, err error) {
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return "", 0, ferr
-		}
-		switch field {
-		case 1:
-			name, err = r.String()
-		case 2:
-			v, err = r.Varint()
-		default:
-			err = r.Skip(wt)
-		}
-		if err != nil {
-			return "", 0, err
-		}
-	}
-	return name, v, nil
-}
-
-func decodeHist(r *wire.Reader) (name string, d obs.HistData, err error) {
-	var buckets []int64
-	for !r.Done() {
-		field, wt, ferr := r.Field()
-		if ferr != nil {
-			return "", d, ferr
-		}
-		switch field {
-		case 1:
-			name, err = r.String()
-		case 2:
-			d.Count, err = r.Varint()
-		case 3:
-			d.Sum, err = r.Varint()
-		case 4:
-			buckets, err = r.Int64s()
-		default:
-			err = r.Skip(wt)
-		}
-		if err != nil {
-			return "", d, err
-		}
-	}
-	// A peer with a different bucket count still merges: extra buckets
-	// collapse into the last one, missing buckets stay zero.
-	for i, v := range buckets {
-		if i < obs.NumBuckets {
-			d.Buckets[i] += v
-		} else {
-			d.Buckets[obs.NumBuckets-1] += v
-		}
-	}
-	return name, d, nil
 }

@@ -26,6 +26,19 @@ func bodyOf(n int) func(*wire.Buffer) {
 	}
 }
 
+// firstField reads the value of p's first field with read.
+func firstField(p []byte, read func(*wire.Reader) error) error {
+	r := wire.NewReader(p)
+	done := false
+	return r.Fields(func(int, int) error {
+		if done {
+			return nil
+		}
+		done = true
+		return read(r)
+	})
+}
+
 // PutMsgField back-patches its length in place; the bytes must equal the
 // two-buffer encoding across length varints of 1, 2, 3 and 4 bytes, at an
 // offset and nested inside another in-place message.
@@ -48,18 +61,20 @@ func TestPutMsgFieldMatchesTwoBuffer(t *testing.T) {
 			t.Fatalf("body %d bytes: in-place encoding differs from the two-buffer encoding", n)
 		}
 		r := wire.NewReader(got.Bytes())
-		if _, err := r.Varint(); err != nil { // skip field 1's tag
-			t.Fatal(err)
+		var fields []int
+		var body []byte
+		err := r.Fields(func(f, _ int) (err error) {
+			fields = append(fields, f)
+			if f == 2 {
+				body, err = r.Bytes()
+			}
+			return err
+		})
+		if err != nil || !slices.Equal(fields, []int{1, 2, 3}) {
+			t.Fatalf("fields %v, %v; want [1 2 3]", fields, err)
 		}
-		if _, err := r.Varint(); err != nil {
-			t.Fatal(err)
-		}
-		if f, _, err := r.Field(); err != nil || f != 2 {
-			t.Fatalf("field %d, %v; want 2", f, err)
-		}
-		body, err := r.Bytes()
-		if err != nil || len(body) != n {
-			t.Fatalf("body %d bytes, %v; want %d", len(body), err, n)
+		if len(body) != n {
+			t.Fatalf("body %d bytes; want %d", len(body), n)
 		}
 	}
 }
@@ -94,21 +109,31 @@ func TestPackedListsRoundTrip(t *testing.T) {
 		got.PutIntsField(5, ints)
 
 		r := wire.NewReader(got.Bytes())
-		r.Field()
-		dec, err := r.Int64s()
-		if err != nil || !slices.Equal(dec, vs) || (len(vs) == 0) != (dec == nil) {
-			t.Fatalf("Int64s: %v, %v; want %v", dec, err, vs)
+		var dec []int64
+		var decInts []int
+		if err := r.Fields(func(f, _ int) (err error) {
+			switch f {
+			case 4:
+				dec, err = r.Int64s()
+			case 5:
+				decInts, err = r.Ints()
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
 		}
-		r.Field()
-		decInts, err := r.Ints()
-		if err != nil || !slices.Equal(decInts, ints) || (len(ints) == 0) != (decInts == nil) {
-			t.Fatalf("Ints: %v, %v; want %v", decInts, err, ints)
+		if !slices.Equal(dec, vs) || (len(vs) == 0) != (dec == nil) {
+			t.Fatalf("Int64s: %v; want %v", dec, vs)
+		}
+		if !slices.Equal(decInts, ints) || (len(ints) == 0) != (decInts == nil) {
+			t.Fatalf("Ints: %v; want %v", decInts, ints)
 		}
 
-		r = wire.NewReader(got.Bytes())
-		r.Field()
 		dst := []int64{7, 8}
-		dst, err = r.AppendInt64s(dst)
+		err := firstField(got.Bytes(), func(r *wire.Reader) (err error) {
+			dst, err = r.AppendInt64s(dst)
+			return err
+		})
 		if err != nil || !slices.Equal(dst, append([]int64{7, 8}, vs...)) {
 			t.Fatalf("AppendInt64s: %v, %v", dst, err)
 		}
@@ -123,20 +148,18 @@ func TestPackedListCorrupt(t *testing.T) {
 		{0x22, 0x01, 0xff},       // truncated varint
 		{0x22, 0x0a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // overflow
 	} {
-		r := wire.NewReader(p)
-		r.Field()
-		if _, err := r.Int64s(); err == nil {
+		if err := firstField(p, func(r *wire.Reader) error { _, err := r.Int64s(); return err }); err == nil {
 			t.Fatalf("Int64s(% x): no error", p)
 		}
-		r = wire.NewReader(p)
-		r.Field()
-		if _, err := r.Ints(); err == nil {
+		if err := firstField(p, func(r *wire.Reader) error { _, err := r.Ints(); return err }); err == nil {
 			t.Fatalf("Ints(% x): no error", p)
 		}
 		// The caller's scratch comes back at its own length.
-		r = wire.NewReader(p)
-		r.Field()
-		dst, err := r.AppendInt64s([]int64{7, 8})
+		dst := []int64{7, 8}
+		err := firstField(p, func(r *wire.Reader) (err error) {
+			dst, err = r.AppendInt64s(dst)
+			return err
+		})
 		if err == nil || !slices.Equal(dst, []int64{7, 8}) {
 			t.Fatalf("AppendInt64s(% x): %v, %v; want [7 8] and an error", p, dst, err)
 		}

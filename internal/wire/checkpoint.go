@@ -125,105 +125,73 @@ func EncodeCheckpointBytes(c *Checkpoint) ([]byte, error) {
 func DecodeCheckpointBytes(p []byte) (*Checkpoint, error) {
 	r := NewReader(p)
 	c := &Checkpoint{}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
+		var v int64
+		var sub []byte
+		var qc QueryCount
 		switch f {
 		case 1:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				c.Shards = int(v)
-			}
+			c.Shards, err = r.Int()
 		case 2:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				c.Channels = v != 0
-			}
+			v, err = r.Varint()
+			c.Channels = v != 0
 		case 3:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				c.ChannelMinStreams = int(v)
-			}
+			c.ChannelMinStreams, err = r.Int()
 		case 4:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				c.Plan, err = DecodePlanBytes(sub)
 			}
 		case 5:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				c.Partition, err = DecodePartitionBytes(sub)
 			}
 		case 6:
-			qc, err2 := decodeQueryCount(r)
-			if err2 != nil {
-				return nil, err2
-			}
+			qc, err = decodeQueryCount(r)
 			c.Counts = append(c.Counts, qc)
 		case 9:
-			qc, err2 := decodeQueryCount(r)
-			if err2 != nil {
-				return nil, err2
-			}
+			qc, err = decodeQueryCount(r)
 			c.FrozenByID = append(c.FrozenByID, qc)
 		case 7:
 			var fc NamedCount
-			sub, err2 := r.Msg()
-			if err2 != nil {
-				return nil, err2
+			msg, err := r.Msg()
+			if err != nil {
+				return err
 			}
-			for !sub.Done() {
-				sf, swt, err3 := sub.Field()
-				if err3 != nil {
-					return nil, err3
-				}
-				switch sf {
+			err = msg.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					fc.Name, err3 = sub.String()
+					fc.Name, err = msg.String()
 				case 2:
-					fc.Count, err3 = sub.Varint()
-				default:
-					err3 = sub.Skip(swt)
+					fc.Count, err = msg.Varint()
 				}
-				if err3 != nil {
-					return nil, err3
-				}
-			}
+				return err
+			})
 			c.Frozen = append(c.Frozen, fc)
+			return err
 		case 8:
 			var gs GroupState
-			sub, err2 := r.Msg()
-			if err2 != nil {
-				return nil, err2
+			msg, err := r.Msg()
+			if err != nil {
+				return err
 			}
-			for !sub.Done() {
-				sf, swt, err3 := sub.Field()
-				if err3 != nil {
-					return nil, err3
-				}
-				switch sf {
+			err = msg.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err3 = intField(sub, &gs.Shard)
+					gs.Shard, err = msg.Int()
 				case 2:
-					err3 = intField(sub, &gs.OpID)
+					gs.OpID, err = msg.Int()
 				case 3:
-					gs.Payload, err3 = DecodePayload(sub)
-				default:
-					err3 = sub.Skip(swt)
+					gs.Payload, err = DecodePayload(msg)
 				}
-				if err3 != nil {
-					return nil, err3
-				}
-			}
+				return err
+			})
 			c.Groups = append(c.Groups, gs)
-		default:
-			err = r.Skip(wt)
+			return err
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -234,24 +202,16 @@ func decodeQueryCount(r *Reader) (QueryCount, error) {
 	if err != nil {
 		return qc, err
 	}
-	for !sub.Done() {
-		sf, swt, err := sub.Field()
-		if err != nil {
-			return qc, err
-		}
-		switch sf {
+	err = sub.Fields(func(f, _ int) (err error) {
+		switch f {
 		case 1:
-			err = intField(sub, &qc.ID)
+			qc.ID, err = sub.Int()
 		case 2:
 			qc.Count, err = sub.Varint()
-		default:
-			err = sub.Skip(swt)
 		}
-		if err != nil {
-			return qc, err
-		}
-	}
-	return qc, nil
+		return err
+	})
+	return qc, err
 }
 
 // WriteCheckpoint frames and writes the envelope to w.
@@ -360,35 +320,28 @@ func ReadChurnLog(rd io.Reader) ([]*ChurnRecord, error) {
 		}
 		rec := &ChurnRecord{}
 		sub := NewReader(body)
-		for !sub.Done() {
-			f, wt, err := sub.Field()
-			if err != nil {
-				return nil, err
-			}
+		err = sub.Fields(func(f, _ int) (err error) {
+			var p []byte
 			switch f {
 			case 1:
 				var v int64
-				if v, err = sub.Varint(); err == nil {
-					rec.Op = ChurnOp(v)
-				}
+				v, err = sub.Varint()
+				rec.Op = ChurnOp(v)
 			case 2:
 				rec.Name, err = sub.String()
 			case 3:
-				var root []byte
-				if root, err = sub.Bytes(); err == nil {
-					rec.Root, err = decodeLogical(root, 0)
+				if p, err = sub.Bytes(); err == nil {
+					rec.Root, err = decodeLogical(p, 0)
 				}
 			case 4:
-				var d []byte
-				if d, err = sub.Bytes(); err == nil {
-					rec.Delta, err = DecodeDeltaBytes(d)
+				if p, err = sub.Bytes(); err == nil {
+					rec.Delta, err = DecodeDeltaBytes(p)
 				}
-			default:
-				err = sub.Skip(wt)
 			}
-			if err != nil {
-				return nil, err
-			}
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		if rec.Op != ChurnAdd && rec.Op != ChurnRemove {
 			return nil, corrupt("unknown churn op %d", rec.Op)

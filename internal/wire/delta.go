@@ -88,11 +88,7 @@ func DecodeDeltaBytes(p []byte) (*core.Delta, error) {
 		}
 		return nil
 	}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
 			err = setOf(d.Dirty)
@@ -107,19 +103,16 @@ func DecodeDeltaBytes(p []byte) (*core.Delta, error) {
 		case 6:
 			var rm core.ChannelRemap
 			rm, err = decodeRemap(r)
-			if err == nil {
-				d.Remaps = append(d.Remaps, rm)
-			}
+			d.Remaps = append(d.Remaps, rm)
 		case 7:
 			d.NewQueries, err = r.Ints()
 		case 8:
 			d.RemovedQueries, err = r.Ints()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -130,33 +123,20 @@ func decodeRemap(r *Reader) (core.ChannelRemap, error) {
 	if err != nil {
 		return rm, err
 	}
-	for !sub.Done() {
-		f, wt, err := sub.Field()
-		if err != nil {
-			return rm, err
-		}
+	err = sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
-			var v int64
-			if v, err = sub.Varint(); err == nil {
-				rm.EdgeID = int(v)
-			}
+			rm.EdgeID, err = sub.Int()
 		case 2:
 			rm.Table, err = sub.Ints()
 		case 3:
 			var op core.RemapOp
 			op, err = decodeRemapOp(sub)
-			if err == nil {
-				rm.Ops = append(rm.Ops, op)
-			}
-		default:
-			err = sub.Skip(wt)
+			rm.Ops = append(rm.Ops, op)
 		}
-		if err != nil {
-			return rm, err
-		}
-	}
-	return rm, nil
+		return err
+	})
+	return rm, err
 }
 
 func decodeRemapOp(r *Reader) (core.RemapOp, error) {
@@ -165,28 +145,14 @@ func decodeRemapOp(r *Reader) (core.RemapOp, error) {
 	if err != nil {
 		return op, err
 	}
-	for !sub.Done() {
-		f, wt, err := sub.Field()
-		if err != nil {
-			return op, err
-		}
+	err = sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
-			var v int64
-			if v, err = sub.Varint(); err == nil {
-				op.OpID = int(v)
-			}
+			op.OpID, err = sub.Int()
 		case 2:
-			var v int64
-			if v, err = sub.Varint(); err == nil {
-				op.Side = int(v)
-			}
-		default:
-			err = sub.Skip(wt)
+			op.Side, err = sub.Int()
 		}
-		if err != nil {
-			return op, err
-		}
-	}
-	return op, nil
+		return err
+	})
+	return op, err
 }

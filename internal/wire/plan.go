@@ -82,38 +82,9 @@ func decodePred(p []byte, depth int) (expr.Pred, error) {
 	if depth > maxDepth {
 		return nil, corrupt("predicate nesting too deep")
 	}
-	r := NewReader(p)
-	var typ int64
-	var ints []int64
-	var subs [][]byte
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			typ, err = r.Varint()
-		case 2:
-			if wt == wtVarint {
-				var v int64
-				v, err = r.Varint()
-				ints = append(ints, v)
-			} else {
-				var s []byte
-				s, err = r.Bytes()
-				subs = append(subs, s)
-			}
-		case 3, 4:
-			var v int64
-			v, err = r.Varint()
-			ints = append(ints, v)
-		default:
-			err = r.Skip(wt)
-		}
-		if err != nil {
-			return nil, err
-		}
+	typ, ints, subs, err := predFields(p)
+	if err != nil {
+		return nil, err
 	}
 	need := func(n int) error {
 		if len(ints) < n {
@@ -160,6 +131,29 @@ func decodePred(p []byte, depth int) (expr.Pred, error) {
 		return expr.Not{P: inner}, nil
 	}
 	return nil, corrupt("unknown predicate type %d", typ)
+}
+
+// predFields reads the field shape both predicate languages share: 1=type,
+// then repeated 2, 3 and 4, where 2 is an integer or, as bytes, a nested
+// predicate.
+func predFields(p []byte) (typ int64, ints []int64, subs [][]byte, err error) {
+	r := NewReader(p)
+	err = r.Fields(func(f, wt int) (err error) {
+		switch {
+		case f == 1:
+			typ, err = r.Varint()
+		case f == 2 && wt != wtVarint:
+			var s []byte
+			s, err = r.Bytes()
+			subs = append(subs, s)
+		case f >= 2 && f <= 4:
+			var v int64
+			v, err = r.Varint()
+			ints = append(ints, v)
+		}
+		return err
+	})
+	return typ, ints, subs, err
 }
 
 // ---------------------------------------------------------------------------
@@ -245,38 +239,9 @@ func decodePred2(p []byte, depth int) (expr.Pred2, error) {
 	if depth > maxDepth {
 		return nil, corrupt("binary predicate nesting too deep")
 	}
-	r := NewReader(p)
-	var typ int64
-	var ints []int64
-	var subs [][]byte
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			typ, err = r.Varint()
-		case 2:
-			if wt == wtVarint {
-				var v int64
-				v, err = r.Varint()
-				ints = append(ints, v)
-			} else {
-				var s []byte
-				s, err = r.Bytes()
-				subs = append(subs, s)
-			}
-		case 3, 4:
-			var v int64
-			v, err = r.Varint()
-			ints = append(ints, v)
-		default:
-			err = r.Skip(wt)
-		}
-		if err != nil {
-			return nil, err
-		}
+	typ, ints, subs, err := predFields(p)
+	if err != nil {
+		return nil, err
 	}
 	switch typ {
 	case pred2AttrCmp:
@@ -382,11 +347,7 @@ func decodeExpr(p []byte, depth int) (expr.Expr, error) {
 	r := NewReader(p)
 	var typ, arg int64
 	var l, rt []byte
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
 			typ, err = r.Varint()
@@ -396,12 +357,11 @@ func decodeExpr(p []byte, depth int) (expr.Expr, error) {
 			l, err = r.Bytes()
 		case 4:
 			rt, err = r.Bytes()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	switch typ {
 	case exprCol:
@@ -442,26 +402,20 @@ func encodeSchemaMap(m *expr.SchemaMap) ([]byte, error) {
 func decodeSchemaMap(p []byte) (*expr.SchemaMap, error) {
 	r := NewReader(p)
 	m := &expr.SchemaMap{}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) error {
 		if f != 1 {
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
-			continue
+			return nil
 		}
 		sub, err := r.Bytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c, err := decodeExpr(sub, 0)
-		if err != nil {
-			return nil, err
-		}
 		m.Cols = append(m.Cols, c)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -514,57 +468,43 @@ func encodeDef(d *core.Def) ([]byte, error) {
 func decodeDef(p []byte) (*core.Def, error) {
 	r := NewReader(p)
 	d := &core.Def{}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
+		var v int64
+		var sub []byte
 		switch f {
 		case 1:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				d.Kind = core.OpKind(v)
-			}
+			v, err = r.Varint()
+			d.Kind = core.OpKind(v)
 		case 2:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				d.Pred, err = decodePred(sub, 0)
 			}
 		case 3:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				d.Map, err = decodeSchemaMap(sub)
 			}
 		case 4:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				d.Agg = core.AggFn(v)
-			}
+			v, err = r.Varint()
+			d.Agg = core.AggFn(v)
 		case 5:
-			var v int64
-			if v, err = r.Varint(); err == nil {
-				d.AggAttr = int(v)
-			}
+			d.AggAttr, err = r.Int()
 		case 6:
 			d.GroupBy, err = r.Ints()
 		case 7:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				d.Pred2, err = decodePred2(sub, 0)
 			}
 		case 8:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				d.Filter2, err = decodePred2(sub, 0)
 			}
 		case 9:
 			d.Window, err = r.Varint()
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -598,33 +538,26 @@ func decodeLogical(p []byte, depth int) (*core.Logical, error) {
 	}
 	r := NewReader(p)
 	l := &core.Logical{}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
+		var sub []byte
 		switch f {
 		case 1:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				l.Def, err = decodeDef(sub)
 			}
 		case 2:
 			l.Source, err = r.String()
 		case 3:
-			var sub []byte
 			if sub, err = r.Bytes(); err == nil {
 				var c *core.Logical
-				if c, err = decodeLogical(sub, depth+1); err == nil {
-					l.Children = append(l.Children, c)
-				}
+				c, err = decodeLogical(sub, depth+1)
+				l.Children = append(l.Children, c)
 			}
-		default:
-			err = r.Skip(wt)
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if l.Def == nil {
 		return nil, corrupt("logical node without definition")
@@ -648,27 +581,18 @@ func encodeSchema(s core.SchemaSnap) []byte {
 func decodeSchema(p []byte) (core.SchemaSnap, error) {
 	r := NewReader(p)
 	var s core.SchemaSnap
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return s, err
-		}
+	err := r.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
 			s.Name, err = r.String()
 		case 2:
 			var a string
-			if a, err = r.String(); err == nil {
-				s.Attrs = append(s.Attrs, a)
-			}
-		default:
-			err = r.Skip(wt)
+			a, err = r.String()
+			s.Attrs = append(s.Attrs, a)
 		}
-		if err != nil {
-			return s, err
-		}
-	}
-	return s, nil
+		return err
+	})
+	return s, err
 }
 
 // EncodePlanBytes serializes a plan snapshot.
@@ -758,107 +682,72 @@ func EncodePlanBytes(s *core.PlanSnapshot) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// intField assigns *dst = int(varint) for compact decode switches.
-func intField(r *Reader, dst *int) error {
-	v, err := r.Varint()
+// schemaField reads a nested schema message.
+func schemaField(r *Reader) (core.SchemaSnap, error) {
+	p, err := r.Bytes()
 	if err != nil {
-		return err
+		return core.SchemaSnap{}, err
 	}
-	*dst = int(v)
-	return nil
+	return decodeSchema(p)
 }
 
 // DecodePlanBytes deserializes a plan snapshot.
 func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 	r := NewReader(p)
 	s := &core.PlanSnapshot{OutStream: make(map[int]int)}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, wt int) error {
 		if wt != wtBytes {
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
-			continue
+			return nil
 		}
 		sub, err := r.Msg()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch f {
 		case 1:
 			var src core.SourceSnap
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
 					src.Name, err = sub.String()
 				case 2:
 					src.Label, err = sub.String()
 				case 3:
-					var sch []byte
-					if sch, err = sub.Bytes(); err == nil {
-						src.Schema, err = decodeSchema(sch)
-					}
-				default:
-					err = sub.Skip(swt)
+					src.Schema, err = schemaField(sub)
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Sources = append(s.Sources, src)
 		case 2:
 			ss := core.StreamSnap{Producer: -1}
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &ss.ID)
+					ss.ID, err = sub.Int()
 				case 2:
-					var sch []byte
-					if sch, err = sub.Bytes(); err == nil {
-						ss.Schema, err = decodeSchema(sch)
-					}
+					ss.Schema, err = schemaField(sub)
 				case 3:
-					err = intField(sub, &ss.Producer)
+					ss.Producer, err = sub.Int()
 				case 4:
 					ss.Source, err = sub.String()
 				case 5:
 					ss.ShareClass, err = sub.String()
 				case 6:
 					var v int64
-					if v, err = sub.Varint(); err == nil {
-						ss.Dead = v != 0
-					}
-				default:
-					err = sub.Skip(swt)
+					v, err = sub.Varint()
+					ss.Dead = v != 0
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Streams = append(s.Streams, ss)
 		case 3:
 			os := core.OpSnap{Out: -1}
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &os.ID)
+					os.ID, err = sub.Int()
 				case 2:
-					err = intField(sub, &os.QueryID)
+					os.QueryID, err = sub.Int()
 				case 3:
 					var def []byte
 					if def, err = sub.Bytes(); err == nil {
@@ -867,72 +756,47 @@ func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 				case 4:
 					os.In, err = sub.Ints()
 				case 5:
-					err = intField(sub, &os.Out)
+					os.Out, err = sub.Int()
 				case 6:
-					err = intField(sub, &os.Node)
-				default:
-					err = sub.Skip(swt)
+					os.Node, err = sub.Int()
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Ops = append(s.Ops, os)
 		case 4:
 			var ns core.NodeSnap
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &ns.ID)
+					ns.ID, err = sub.Int()
 				case 2:
 					var v int64
-					if v, err = sub.Varint(); err == nil {
-						ns.Kind = core.OpKind(v)
-					}
+					v, err = sub.Varint()
+					ns.Kind = core.OpKind(v)
 				case 3:
 					ns.Ops, err = sub.Ints()
-				default:
-					err = sub.Skip(swt)
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Nodes = append(s.Nodes, ns)
 		case 5:
 			var es core.EdgeSnap
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &es.ID)
+					es.ID, err = sub.Int()
 				case 2:
 					es.Streams, err = sub.Ints()
-				default:
-					err = sub.Skip(swt)
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Edges = append(s.Edges, es)
 		case 6:
 			var qs core.QuerySnap
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &qs.ID)
+					qs.ID, err = sub.Int()
 				case 2:
 					qs.Name, err = sub.String()
 				case 3:
@@ -940,59 +804,43 @@ func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 					if root, err = sub.Bytes(); err == nil {
 						qs.Root, err = decodeLogical(root, 0)
 					}
-				default:
-					err = sub.Skip(swt)
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.Queries = append(s.Queries, qs)
 		case 7:
 			var qid, sid int
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &qid)
+					qid, err = sub.Int()
 				case 2:
-					err = intField(sub, &sid)
-				default:
-					err = sub.Skip(swt)
+					sid, err = sub.Int()
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 			s.OutStream[qid] = sid
 		case 8:
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					err = intField(sub, &s.NextStream)
+					s.NextStream, err = sub.Int()
 				case 2:
-					err = intField(sub, &s.NextOp)
+					s.NextOp, err = sub.Int()
 				case 3:
-					err = intField(sub, &s.NextNode)
+					s.NextNode, err = sub.Int()
 				case 4:
-					err = intField(sub, &s.NextEdge)
+					s.NextEdge, err = sub.Int()
 				case 5:
-					err = intField(sub, &s.NextQuery)
-				default:
-					err = sub.Skip(swt)
+					s.NextQuery, err = sub.Int()
 				}
-				if err != nil {
-					return nil, err
-				}
-			}
+				return err
+			})
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -1070,79 +918,47 @@ func DecodePartitionBytes(p []byte) (*core.PartitionPlan, error) {
 		Routes:          make(map[string]core.SourceRoute),
 		ReplicatedSinks: make(map[int]bool),
 	}
-	for !r.Done() {
-		f, wt, err := r.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := r.Fields(func(f, _ int) error {
 		switch f {
 		case 1:
 			sub, err := r.Msg()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var name string
 			var rt core.SourceRoute
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
 					name, err = sub.String()
 				case 2:
 					var v int64
-					if v, err = sub.Varint(); err == nil {
-						rt.Mode = core.PartitionMode(v)
-					}
+					v, err = sub.Varint()
+					rt.Mode = core.PartitionMode(v)
 				case 3:
-					var v int64
-					if v, err = sub.Varint(); err == nil {
-						rt.Attr = int(v)
-					}
+					rt.Attr, err = sub.Int()
 				case 4:
-					esub, err2 := sub.Msg()
-					if err2 != nil {
-						return nil, err2
-					}
 					var key int64
 					var dests []int64
-					for !esub.Done() {
-						ef, ewt, err3 := esub.Field()
-						if err3 != nil {
-							return nil, err3
+					if key, dests, err = keyedList(sub, (*Reader).Int64s); err == nil {
+						if rt.Table == nil {
+							rt.Table = make(map[int64][]int64)
 						}
-						switch ef {
-						case 1:
-							key, err3 = esub.Varint()
-						case 2:
-							dests, err3 = esub.Int64s()
-						default:
-							err3 = esub.Skip(ewt)
-						}
-						if err3 != nil {
-							return nil, err3
-						}
+						rt.Table[key] = dests
 					}
-					if rt.Table == nil {
-						rt.Table = make(map[int64][]int64)
-					}
-					rt.Table[key] = dests
 				case 5:
 					rt.Always, err = sub.Int64s()
-				default:
-					err = sub.Skip(swt)
 				}
-				if err != nil {
-					return nil, err
-				}
+				return err
+			})
+			if err != nil {
+				return err
 			}
 			out.Routes[name] = rt
 		case 2:
 			ids, err := r.Ints()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, id := range ids {
 				out.ReplicatedSinks[id] = true
@@ -1150,67 +966,59 @@ func DecodePartitionBytes(p []byte) (*core.PartitionPlan, error) {
 		case 3:
 			v, err := r.Varint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out.Parallel = v != 0
 		case 4:
 			sub, err := r.Msg()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tbl := &core.RoutingTable{}
-			for !sub.Done() {
-				sf, swt, err := sub.Field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
+			err = sub.Fields(func(f, _ int) (err error) {
+				switch f {
 				case 1:
-					var v int64
-					if v, err = sub.Varint(); err == nil {
-						tbl.Version = int(v)
-					}
+					tbl.Version, err = sub.Int()
 				case 2:
-					msub, err2 := sub.Msg()
-					if err2 != nil {
-						return nil, err2
-					}
 					var key int64
 					var dests []int
-					for !msub.Done() {
-						mf, mwt, err3 := msub.Field()
-						if err3 != nil {
-							return nil, err3
+					if key, dests, err = keyedList(sub, (*Reader).Ints); err == nil {
+						if tbl.Moves == nil {
+							tbl.Moves = make(map[int64][]int)
 						}
-						switch mf {
-						case 1:
-							key, err3 = msub.Varint()
-						case 2:
-							dests, err3 = msub.Ints()
-						default:
-							err3 = msub.Skip(mwt)
-						}
-						if err3 != nil {
-							return nil, err3
-						}
+						tbl.Moves[key] = dests
 					}
-					if tbl.Moves == nil {
-						tbl.Moves = make(map[int64][]int)
-					}
-					tbl.Moves[key] = dests
-				default:
-					err = sub.Skip(swt)
 				}
-				if err != nil {
-					return nil, err
-				}
+				return err
+			})
+			if err != nil {
+				return err
 			}
 			out.Table = tbl
-		default:
-			if err := r.Skip(wt); err != nil {
-				return nil, err
-			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// keyedList reads a nested {1=key 2=packed list} message, the list read
+// by list.
+func keyedList[T any](r *Reader, list func(*Reader) ([]T, error)) (key int64, vs []T, err error) {
+	sub, err := r.Msg()
+	if err != nil {
+		return 0, nil, err
+	}
+	err = sub.Fields(func(f, _ int) (err error) {
+		switch f {
+		case 1:
+			key, err = sub.Varint()
+		case 2:
+			vs, err = list(sub)
+		}
+		return err
+	})
+	return key, vs, err
 }

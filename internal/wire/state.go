@@ -52,29 +52,19 @@ func readTuple(r *Reader) (*stream.Tuple, error) {
 		return nil, err
 	}
 	t := &stream.Tuple{}
-	for !sub.Done() {
-		f, wt, err := sub.Field()
-		if err != nil {
-			return nil, err
-		}
+	err = sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
-			if t.TS, err = sub.Varint(); err != nil {
-				return nil, err
-			}
+			t.TS, err = sub.Varint()
 		case 2:
-			if t.Vals, err = sub.Int64s(); err != nil {
-				return nil, err
-			}
+			t.Vals, err = sub.Int64s()
 		case 3:
-			if t.Member, err = readMember(sub); err != nil {
-				return nil, err
-			}
-		default:
-			if err := sub.Skip(wt); err != nil {
-				return nil, err
-			}
+			t.Member, err = readMember(sub)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -143,31 +133,21 @@ func decodePayloadMsg(sub *Reader) (*mop.StatePayload, error) {
 	}
 	var kind, side int64
 	var items []mop.WireItem
-	for !sub.Done() {
-		f, wt, err := sub.Field()
-		if err != nil {
-			return nil, err
-		}
+	err := sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
-			if kind, err = sub.Varint(); err != nil {
-				return nil, err
-			}
+			kind, err = sub.Varint()
 		case 2:
-			if side, err = sub.Varint(); err != nil {
-				return nil, err
-			}
+			side, err = sub.Varint()
 		case 3:
-			it, err := decodeItem(sub)
-			if err != nil {
-				return nil, err
-			}
+			var it mop.WireItem
+			it, err = decodeItem(sub)
 			items = append(items, it)
-		default:
-			if err := sub.Skip(wt); err != nil {
-				return nil, err
-			}
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if kind < 0 || kind > 255 || side < 0 || side > 1 {
 		return nil, corrupt("payload kind %d / side %d out of range", kind, side)
@@ -185,49 +165,26 @@ func decodeItem(r *Reader) (mop.WireItem, error) {
 	if err != nil {
 		return it, err
 	}
-	for !sub.Done() {
-		f, wt, err := sub.Field()
-		if err != nil {
-			return it, err
-		}
+	err = sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
-			if it.Key, err = sub.Varint(); err != nil {
-				return it, err
-			}
+			it.Key, err = sub.Varint()
 		case 2:
-			if it.TS, err = sub.Varint(); err != nil {
-				return it, err
-			}
+			it.TS, err = sub.Varint()
 		case 3:
-			if it.Group, err = sub.String(); err != nil {
-				return it, err
-			}
+			it.Group, err = sub.String()
 		case 4:
-			if it.Val, err = sub.Varint(); err != nil {
-				return it, err
-			}
+			it.Val, err = sub.Varint()
 		case 5:
-			if it.Member, err = readMember(sub); err != nil {
-				return it, err
-			}
+			it.Member, err = readMember(sub)
 		case 6:
-			if it.Tuple, err = readTuple(sub); err != nil {
-				return it, err
-			}
+			it.Tuple, err = readTuple(sub)
 		case 7:
-			if it.Start, err = readTuple(sub); err != nil {
-				return it, err
-			}
+			it.Start, err = readTuple(sub)
 		case 8:
-			if it.State, err = readTuple(sub); err != nil {
-				return it, err
-			}
-		default:
-			if err := sub.Skip(wt); err != nil {
-				return it, err
-			}
+			it.State, err = readTuple(sub)
 		}
-	}
-	return it, nil
+		return err
+	})
+	return it, err
 }

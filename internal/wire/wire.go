@@ -7,9 +7,11 @@
 // The format is protobuf-shaped without the dependency: a message is a
 // sequence of tagged fields, tag = fieldNum<<3 | wiretype, with two wire
 // types — 0 (zigzag varint) and 2 (length-delimited: strings, nested
-// messages, packed integer lists). Decoders skip unknown tags, so fields
-// can be added without breaking old readers (forward compatibility); a
-// leading magic + format version guards against incompatible changes.
+// messages, packed integer lists). Every decoder walks a message through
+// Reader.Fields, which skips the value of any field the decoder does not
+// read: that one loop is where unknown tags are skipped, so fields can be
+// added without breaking old readers (forward compatibility); a leading
+// magic + format version guards against incompatible changes.
 //
 // Decoding never panics on corrupt input: every primitive checks bounds
 // and returns ErrCorrupt, recursive structures carry a depth limit, and
@@ -221,26 +223,52 @@ func (r *Reader) Bytes() ([]byte, error) {
 	return p, nil
 }
 
+// Int reads a zigzag-encoded signed varint as an int.
+func (r *Reader) Int() (int, error) {
+	v, err := r.Varint()
+	return int(v), err
+}
+
 // String reads a length-delimited string.
 func (r *Reader) String() (string, error) {
 	p, err := r.Bytes()
 	return string(p), err
 }
 
-// Field reads the next field tag.
-func (r *Reader) Field() (field, wt int, err error) {
-	tag, err := r.Uvarint()
-	if err != nil {
-		return 0, 0, err
+// Fields reads the message's fields to its end, calling fn with each
+// field's number and wire type. fn reads the value with the Reader's
+// primitives; a value fn leaves unread is skipped. This loop is the one
+// place the unknown-field rule lives: no decoder lists the fields it
+// ignores. Fields returns the first error of a tag, of fn or of a skip.
+func (r *Reader) Fields(fn func(field, wt int) error) error {
+	for !r.Done() {
+		tag := uint64(r.b[r.pos])
+		if tag < 0x80 { // a one-byte tag, the common case
+			r.pos++
+		} else {
+			var err error
+			if tag, err = r.Uvarint(); err != nil {
+				return err
+			}
+			if tag>>3 > 1<<31 {
+				return corrupt("field number overflow")
+			}
+		}
+		at := r.pos
+		if err := fn(int(tag>>3), int(tag&7)); err != nil {
+			return err
+		}
+		if r.pos == at {
+			if err := r.skip(int(tag & 7)); err != nil {
+				return err
+			}
+		}
 	}
-	if tag>>3 > 1<<31 {
-		return 0, 0, corrupt("field number overflow")
-	}
-	return int(tag >> 3), int(tag & 7), nil
+	return nil
 }
 
-// Skip consumes the value of an unknown field.
-func (r *Reader) Skip(wt int) error {
+// skip consumes the value of an unknown field.
+func (r *Reader) skip(wt int) error {
 	switch wt {
 	case wtVarint:
 		_, err := r.Uvarint()
