@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -208,6 +209,79 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("re-encoded batch decodes to seq %d %+v, want seq %d %+v", seq2, again, seq, entries)
 		}
 	})
+}
+
+// FuzzDecodeControl fuzzes every control-message decoder (controlCodecs):
+// decoding never panics, every error wraps wire.ErrCorrupt, and a message
+// that decodes re-encodes and decodes back to an equal value.
+func FuzzDecodeControl(f *testing.F) {
+	codecs := controlCodecs()
+	for i, c := range codecs {
+		for _, seed := range c.seeds {
+			f.Add(uint8(i), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, raw []byte) {
+		c := codecs[int(which)%len(codecs)]
+		v, enc, err := c.roundTrip(raw)
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%s: decode error %v does not wrap wire.ErrCorrupt", c.name, err)
+			}
+			return
+		}
+		again, _, err := c.roundTrip(enc)
+		if err != nil {
+			t.Fatalf("%s: re-encoded message does not decode: %v", c.name, err)
+		}
+		if !sameDecoded(reflect.ValueOf(v), reflect.ValueOf(again)) {
+			t.Fatalf("%s: re-encoded message decodes to %+v, want %+v", c.name, again, v)
+		}
+	})
+}
+
+// sameDecoded reports whether two decoded values are equal, counting a nil
+// and an empty slice or map as equal: a decoder yields nil for an absent
+// field, and an encoder may write that field empty.
+func sameDecoded(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameDecoded(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameDecoded(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameDecoded(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if w := b.MapIndex(k); !w.IsValid() || !sameDecoded(a.MapIndex(k), w) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // TestWorkerRejectsCorruptCalls sends a live worker calls it must refuse.

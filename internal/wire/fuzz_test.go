@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -92,5 +93,62 @@ func FuzzReadChurnLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		_, _ = wire.ReadChurnLog(bytes.NewReader(raw))
+	})
+}
+
+// FuzzDecodePlan fuzzes the plan and partition decoders a worker runs on a
+// coordinator's handshake: decoding never panics, every error wraps
+// wire.ErrCorrupt, and a value that decodes re-encodes to bytes that
+// decode and re-encode to the same bytes. The seeds are an optimized W2
+// plan and a CQL plan, both with channels on, so mutations reach the
+// predicate, expression, def and logical decoders, and a partition plan.
+func FuzzDecodePlan(f *testing.F) {
+	for _, s := range []*core.PlanSnapshot{w2Plan(f), cqlPlan(f)} {
+		p, err := wire.EncodePlanBytes(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	part, err := wire.EncodePartitionBytes(goldenPartition())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(part)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, c := range []struct {
+			name     string
+			reencode func([]byte) ([]byte, error)
+		}{
+			{"plan", func(p []byte) ([]byte, error) {
+				s, err := wire.DecodePlanBytes(p)
+				if err != nil {
+					return nil, err
+				}
+				return wire.EncodePlanBytes(s)
+			}},
+			{"partition", func(p []byte) ([]byte, error) {
+				pp, err := wire.DecodePartitionBytes(p)
+				if err != nil {
+					return nil, err
+				}
+				return wire.EncodePartitionBytes(pp)
+			}},
+		} {
+			enc, err := c.reencode(raw)
+			if err != nil {
+				if !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("%s: decode error %v does not wrap wire.ErrCorrupt", c.name, err)
+				}
+				continue
+			}
+			again, err := c.reencode(enc)
+			if err != nil {
+				t.Fatalf("%s: re-encoded value does not decode: %v", c.name, err)
+			}
+			if !bytes.Equal(again, enc) {
+				t.Fatalf("%s: re-encoded value decodes to a different value", c.name)
+			}
+		}
 	})
 }

@@ -762,6 +762,9 @@ func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 				}
 				return err
 			})
+			if err == nil && os.Def == nil {
+				err = corrupt("op %d without definition", os.ID)
+			}
 			s.Ops = append(s.Ops, os)
 		case 4:
 			var ns core.NodeSnap
@@ -807,6 +810,9 @@ func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 				}
 				return err
 			})
+			if err == nil && qs.Root == nil {
+				err = corrupt("query %d without a logical tree", qs.ID)
+			}
 			s.Queries = append(s.Queries, qs)
 		case 7:
 			var qid, sid int
