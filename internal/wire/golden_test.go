@@ -59,11 +59,6 @@ func decodeCorpus(p []byte) [][]byte {
 
 // decodeOutcome decodes one case and renders what came of it.
 func decodeOutcome(reencode func([]byte) ([]byte, error), p []byte) (ok bool, out string) {
-	defer func() {
-		if r := recover(); r != nil {
-			ok, out = true, fmt.Sprintf("panic: %v", r)
-		}
-	}()
 	enc, err := reencode(p)
 	if err != nil {
 		return false, fmt.Sprintf("error %q corrupt=%v", err, errors.Is(err, wire.ErrCorrupt))
