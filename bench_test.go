@@ -278,7 +278,7 @@ func benchW3(b *testing.B, channels bool) {
 		if channels {
 			ev := events[base]
 			t := &stream.Tuple{TS: ts, Vals: ev.Tuple.Vals, Member: full}
-			if err := e.PushChannel("S1", t); err != nil {
+			if err := e.Push("S1", t); err != nil {
 				b.Fatal(err)
 			}
 		} else {
@@ -324,7 +324,7 @@ func BenchmarkFig10dCapacity25(b *testing.B) {
 		base := (i % nRounds) * perRound
 		ts := int64(i) * int64(perRound)
 		ev := events[base]
-		if err := e.PushChannel("S1", &stream.Tuple{TS: ts, Vals: ev.Tuple.Vals, Member: full}); err != nil {
+		if err := e.Push("S1", &stream.Tuple{TS: ts, Vals: ev.Tuple.Vals, Member: full}); err != nil {
 			b.Fatal(err)
 		}
 		tev := events[base+k]

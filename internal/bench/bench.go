@@ -206,7 +206,7 @@ func w3Throughput(p workload.Params, k int, rounds int, channels bool) (float64,
 	return throughput(len(events)/perRound, perRound, func(r int) error {
 		round := events[r*perRound : (r+1)*perRound]
 		if channels {
-			if err := e.PushChannel(round[0].Source, round[0].Tuple.WithMember(full)); err != nil {
+			if err := e.Push(round[0].Source, round[0].Tuple.WithMember(full)); err != nil {
 				return err
 			}
 		} else {

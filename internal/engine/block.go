@@ -18,39 +18,10 @@ import (
 // row tuples, so join/agg/project see exactly the tuples the scalar path
 // would have delivered.
 
-// blockSizeScalar is the SetBlockSize argument that disables the
-// vectorized path entirely (every ingest call takes the scalar path).
-const blockSizeScalar = -1
-
 // pushBatchBlockMin is the minimum PushBatch length worth building blocks
 // for; shorter batches keep the scalar path, whose per-tuple cost beats
 // block setup at that size.
 const pushBatchBlockMin = 4
-
-// SetBlockSize sets the ingest block segmentation: batches are cut into
-// blocks of at most n rows. n == 0 restores the default
-// (stream.MaxBlockRows); n < 0 disables the vectorized path, forcing every
-// push through the scalar per-tuple path (the A/B baseline). The engine
-// must be quiescent.
-func (e *Engine) SetBlockSize(n int) {
-	if n < 0 {
-		e.blockRows = blockSizeScalar
-		return
-	}
-	e.blockRows = n
-}
-
-// blockSize returns the active ingest segmentation (0 when disabled).
-func (e *Engine) blockSize() int {
-	switch {
-	case e.blockRows == blockSizeScalar:
-		return 0
-	case e.blockRows == 0:
-		return stream.MaxBlockRows
-	default:
-		return e.blockRows
-	}
-}
 
 // BlocksProcessed returns the number of blocks delivered along
 // block-capable edges since the engine was built (ingest and m-op output
@@ -62,27 +33,21 @@ func (e *Engine) enqueueBlock(edge *core.Edge, b *stream.Block) {
 	e.queue = append(e.queue, queued{edge: edge, b: b})
 }
 
-// blockBatch builds ingest blocks for a PushBatch call when the vectorized
-// path applies, reporting whether it consumed the batch. Rows are copied
-// column-major into owned pooled blocks (PushColumns skips this copy).
+// blockBatch builds ingest blocks for a PushBatch call of at least
+// pushBatchBlockMin rows whose source membership fits one word, reporting
+// whether it consumed the batch. Rows are copied column-major into owned
+// pooled blocks (PushColumns skips this copy).
 func (e *Engine) blockBatch(si sourceInfo, ts []int64, vals [][]int64) bool {
-	rows := e.blockSize()
-	if rows == 0 || len(ts) < pushBatchBlockMin {
+	if len(ts) < pushBatchBlockMin {
 		return false
 	}
 	memberWord, inline := memberWordOf(si)
 	if !inline {
 		return false
 	}
-	arity := len(vals[0])
-	for _, row := range vals {
-		if len(row) != arity {
-			return false // ragged batch: columns cannot represent it
-		}
-	}
-	for off := 0; off < len(ts); off += rows {
-		n := min(rows, len(ts)-off)
-		b := e.bpool.Get(n, arity)
+	for off := 0; off < len(ts); off += stream.MaxBlockRows {
+		n := min(stream.MaxBlockRows, len(ts)-off)
+		b := e.bpool.Get(n, si.arity)
 		copy(b.TS, ts[off:off+n])
 		for i, row := range vals[off : off+n] {
 			for a, v := range row {
@@ -103,9 +68,10 @@ func (e *Engine) blockBatch(si sourceInfo, ts []int64, vals [][]int64) bool {
 // the caller regains ownership when PushColumns returns. The ordering
 // caveats of PushBatch apply.
 //
-// When the vectorized path is off (SetBlockSize < 0) or the source's
-// channel membership has spilled past the inline word, the batch falls
-// back to equivalent per-row scalar injection.
+// A batch with rows must have one column per attribute of the source
+// (ErrArity otherwise). When the source's channel membership has spilled
+// past the inline word, the batch falls back to equivalent per-row scalar
+// injection.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
@@ -116,9 +82,11 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	if !ok {
 		return fmt.Errorf("engine: source %q not in plan", source)
 	}
-	rows := e.blockSize()
+	if len(ts) > 0 && len(cols) != si.arity {
+		return arityErr(source, si.arity, len(cols))
+	}
 	memberWord, inline := memberWordOf(si)
-	if rows == 0 || !inline {
+	if !inline {
 		for i := range ts {
 			t := &stream.Tuple{TS: ts[i], Vals: make([]int64, len(cols)), Member: si.member}
 			for a, col := range cols {
@@ -129,8 +97,8 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 		e.drain()
 		return nil
 	}
-	for off := 0; off < len(ts); off += rows {
-		n := min(rows, len(ts)-off)
+	for off := 0; off < len(ts); off += stream.MaxBlockRows {
+		n := min(stream.MaxBlockRows, len(ts)-off)
 		b := e.bpool.Wrap(ts, cols, off, n)
 		fillMember(e.bpool, b, memberWord)
 		e.enqueueBlock(si.edge, b)

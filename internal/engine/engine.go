@@ -13,6 +13,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -89,11 +90,22 @@ type sink struct {
 }
 
 // sourceInfo is the precomputed per-source injection state: the carrying
-// edge and, when the source has been encoded into a channel, the interned
-// singleton membership of its position.
+// edge, the declared arity every ingested row must have and, when the
+// source has been encoded into a channel, the interned singleton
+// membership of its position.
 type sourceInfo struct {
 	edge   *core.Edge
+	arity  int
 	member *bitset.Set // nil for plain (non-channel) source edges
+}
+
+// ErrArity reports an ingested row whose number of values is not the
+// declared arity of its source. The call that returns it has ingested
+// nothing.
+var ErrArity = errors.New("row arity does not match the source schema")
+
+func arityErr(source string, want, got int) error {
+	return fmt.Errorf("engine: source %q: %w: %d values, schema has %d", source, ErrArity, got, want)
 }
 
 type namedSource struct {
@@ -210,10 +222,8 @@ type Engine struct {
 	// Vectorized-path state. bpool recycles block headers and columns and
 	// interns the membership sets of rows leaving the columnar
 	// representation (the block→scalar adapter and the ;/µ kernel share the
-	// one cache); blockRows is the ingest segmentation (0 =
-	// stream.MaxBlockRows, blockSizeScalar = vectorization disabled).
+	// one cache).
 	bpool           *stream.BlockPool
-	blockRows       int
 	blocksProcessed int64 // blocks delivered along block-capable edges
 
 	// Telemetry. obsOn caches obs.Enabled() — refreshed once per drain, so
@@ -356,7 +366,7 @@ func (e *Engine) rebuildRoutes() {
 			continue
 		}
 		edge, pos := p.EdgeOf(s)
-		si := sourceInfo{edge: edge}
+		si := sourceInfo{edge: edge, arity: p.Catalog[name].Schema.Arity()}
 		if edge.IsChannel() {
 			si.member = bitset.Singleton(pos)
 		}
@@ -696,12 +706,18 @@ func replayKeep(o *core.Op, in *core.StreamRef) (func(t *stream.Tuple) bool, boo
 }
 
 // Push injects a tuple into the named source stream and drains the plan.
+// The tuple must have the source's declared arity (ErrArity otherwise).
 // If the source has been encoded into a channel and the tuple carries no
-// membership, the singleton membership of that source's position is added.
+// membership, the singleton membership of that source's position is added;
+// a tuple that carries its own membership (one row of several sources of
+// the channel at once) keeps it.
 func (e *Engine) Push(source string, t *stream.Tuple) error {
 	si, ok := e.lookupSource(source)
 	if !ok {
 		return fmt.Errorf("engine: source %q not in plan", source)
+	}
+	if len(t.Vals) != si.arity {
+		return arityErr(source, si.arity, len(t.Vals))
 	}
 	if si.member != nil && t.Member == nil {
 		t = t.WithMember(si.member)
@@ -711,24 +727,11 @@ func (e *Engine) Push(source string, t *stream.Tuple) error {
 	return nil
 }
 
-// PushChannel injects a channel tuple carrying its own membership into the
-// (channelized) source that the named stream belongs to.
-func (e *Engine) PushChannel(source string, t *stream.Tuple) error {
-	if t.Member == nil {
-		return fmt.Errorf("engine: PushChannel requires a membership component")
-	}
-	si, ok := e.lookupSource(source)
-	if !ok {
-		return fmt.Errorf("engine: source %q not in plan", source)
-	}
-	e.enqueue(si.edge, t)
-	e.drain()
-	return nil
-}
-
 // PushBatch injects a batch of tuples into the named source stream,
 // enqueuing the whole batch before a single drain. ts[i] pairs with
-// vals[i]; timestamps must be non-decreasing. The engine takes ownership
+// vals[i]; timestamps must be non-decreasing. Every row must have the
+// source's declared arity; otherwise the call returns ErrArity and ingests
+// no row of the batch. The engine takes ownership
 // of the vals slices (they back the in-flight tuples and may be retained
 // by stateful m-ops).
 //
@@ -747,6 +750,11 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	si, ok := e.lookupSource(source)
 	if !ok {
 		return fmt.Errorf("engine: source %q not in plan", source)
+	}
+	for _, row := range vals {
+		if len(row) != si.arity {
+			return arityErr(source, si.arity, len(row))
+		}
 	}
 	if e.blockBatch(si, ts, vals) {
 		e.drain()

@@ -185,9 +185,6 @@ func TestPushUnknownSource(t *testing.T) {
 	if err := e.Push("NOPE", stream.NewTuple(0, 1, 2)); err == nil {
 		t.Fatal("unknown source should error")
 	}
-	if err := e.PushChannel("S", stream.NewTuple(0, 1, 2)); err == nil {
-		t.Fatal("PushChannel without membership should error")
-	}
 }
 
 func TestCountsAndReset(t *testing.T) {

@@ -233,36 +233,52 @@ func feedColumns(tb testing.TB, e *Engine, feed []colPush) {
 	}
 }
 
-// blockSizes is the equivalence sweep: a degenerate 1-row block (every
-// adapter and pool edge case per row), two interior sizes, and the cap.
-var blockSizes = []int{1, 16, 64, 256}
+// feedRows drives the rows of a columnar feed through per-row Push, in
+// feed order: the reference feedColumns is held to.
+func feedRows(tb testing.TB, e *Engine, feed []colPush) {
+	tb.Helper()
+	for _, cp := range feed {
+		for i, ts := range cp.ts {
+			t := &stream.Tuple{TS: ts, Vals: make([]int64, len(cp.cols))}
+			for a, col := range cp.cols {
+				t.Vals[a] = col[i]
+			}
+			if err := e.Push(cp.source, t); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
 
-// checkBlockEquivalence runs the identical columnar feed through a scalar
-// engine (block path disabled) and through block engines at every sweep
-// size, requiring byte-identical per-query result streams and equal
-// result totals.
+// callSizes is the equivalence sweep of PushColumns call sizes: one-row
+// calls (every adapter and pool edge case per row), two interior sizes,
+// the block cap, and calls whose several ingest blocks share one drain.
+var callSizes = []int{1, 16, 64, 256, 1000}
+
+// checkBlockEquivalence feeds the events, grouped into windows of each
+// sweep size, once through PushColumns (one call per same-source run of a
+// window) and once row by row through Push, requiring byte-identical
+// per-query result streams and equal result totals.
 func checkBlockEquivalence(t *testing.T, catalog map[string]core.SourceDecl, qs []*core.Query, events []workload.Event, channels bool) {
 	t.Helper()
-	feed := buildColFeed(events, 100) // windows straddle word boundaries
-	ref := optimizedEngine(t, catalog, qs, channels)
-	ref.SetBlockSize(-1)
-	lref := newResultLog()
-	ref.OnResult = lref.record
-	feedColumns(t, ref, feed)
-	if ref.TotalResults() == 0 {
-		t.Fatal("workload produced no results; equivalence check is vacuous")
-	}
-	for _, bs := range blockSizes {
+	for _, size := range callSizes {
+		feed := buildColFeed(events, size)
+		ref := optimizedEngine(t, catalog, qs, channels)
+		lref := newResultLog()
+		ref.OnResult = lref.record
+		feedRows(t, ref, feed)
+		if ref.TotalResults() == 0 {
+			t.Fatal("workload produced no results; equivalence check is vacuous")
+		}
 		e := optimizedEngine(t, catalog, qs, channels)
-		e.SetBlockSize(bs)
 		l := newResultLog()
 		e.OnResult = l.record
 		feedColumns(t, e, feed)
 		if d := lref.diff(l); d != "" {
-			t.Fatalf("block size %d: scalar vs block diverged: %s", bs, d)
+			t.Fatalf("call size %d: Push vs PushColumns diverged: %s", size, d)
 		}
 		if got, want := e.TotalResults(), ref.TotalResults(); got != want {
-			t.Fatalf("block size %d: total results %d, want %d", bs, got, want)
+			t.Fatalf("call size %d: total results %d, want %d", size, got, want)
 		}
 	}
 }
@@ -346,25 +362,29 @@ func obsPassOnce(t *testing.T, queries int, enabled bool) float64 {
 	return allocsPerEvent(enabled, len(events)-warm, push(events[:warm]), push(events[warm:]))
 }
 
-// blockAllocPass is the columnar counterpart of obsPass: the window-grouped
-// feed through PushColumns at the given block size (-1: scalar path).
-func blockAllocPass(t *testing.T, queries, blockSize int, enabled bool) float64 {
-	return lowestOf3(func() float64 { return blockAllocPassOnce(t, queries, blockSize, enabled) })
+// blockAllocPass is the columnar counterpart of obsPass: the
+// window-grouped feed, whose calls span several blocks, through
+// PushColumns, or row by row through Push when rows is set.
+func blockAllocPass(t *testing.T, queries int, rows, enabled bool) float64 {
+	return lowestOf3(func() float64 { return blockAllocPassOnce(t, queries, rows, enabled) })
 }
 
-func blockAllocPassOnce(t *testing.T, queries, blockSize int, enabled bool) float64 {
+func blockAllocPassOnce(t *testing.T, queries int, rows, enabled bool) float64 {
 	p, qs := w1Queries(t, queries)
 	e := optimizedEngine(t, p.Catalog(), qs, false)
-	e.SetBlockSize(blockSize)
 	feed := buildColFeed(p.GenStreams(4000), 512)
+	push := feedColumns
+	if rows {
+		push = feedRows
+	}
 	warm := len(feed) / 10
 	measured := 0
 	for _, cp := range feed[warm:] {
 		measured += len(cp.ts)
 	}
 	return allocsPerEvent(enabled, measured,
-		func() { feedColumns(t, e, feed[:warm]) },
-		func() { feedColumns(t, e, feed[warm:]) })
+		func() { push(t, e, feed[:warm]) },
+		func() { push(t, e, feed[warm:]) })
 }
 
 // The telemetry hot path must be allocation-free: feeding the identical
@@ -388,14 +408,14 @@ func TestObsOverheadAllocIdentical(t *testing.T) {
 
 // The block path must keep the telemetry contract too: obs on vs off
 // malloc exactly the same number of times, and the block path must not
-// allocate more per event than the scalar path it replaces.
+// allocate more per event than per-row Push of the same rows.
 func TestBlockPathAllocIdentity(t *testing.T) {
-	off := blockAllocPass(t, 50, 256, false)
-	on := blockAllocPass(t, 50, 256, true)
+	off := blockAllocPass(t, 50, false, false)
+	on := blockAllocPass(t, 50, false, true)
 	if on != off {
 		t.Fatalf("block path allocs/event differ with metrics enabled: off=%.6f on=%.6f", off, on)
 	}
-	if scalar := blockAllocPass(t, 50, -1, false); off > scalar {
-		t.Fatalf("block path allocates more than scalar: block=%.6f scalar=%.6f", off, scalar)
+	if rows := blockAllocPass(t, 50, true, false); off > rows {
+		t.Fatalf("block path allocates more than per-row Push: block=%.6f rows=%.6f", off, rows)
 	}
 }

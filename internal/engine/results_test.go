@@ -55,8 +55,8 @@ func relEvents(n int) []workload.Event {
 	return events
 }
 
-// resultAllocPass feeds a fresh engine from build through PushColumns at
-// the given block size, with or without a result callback that only
+// resultAllocPass feeds a fresh engine from build through PushColumns
+// calls of at most size rows, with or without a result callback that only
 // counts, and returns allocs/event after a warm-up tenth of the feed.
 //
 // The list of parked results is sized up front, and the pool of results
@@ -71,15 +71,13 @@ func relEvents(n int) []workload.Event {
 // fill covers one activation, not the feed, and every tuple of it must be
 // back in the pool when the feed ends, so a parked result that is not
 // recycled still shows.
-func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event, blockSize int, callback bool) float64 {
-	feed := buildColFeed(events, 256)
+func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event, size int, callback bool) float64 {
+	feed := buildColFeed(events, size)
 	return lowestOf3(func() float64 {
 		peak := build()
-		peak.SetBlockSize(blockSize)
 		peak.OnResult = func(int, *stream.Tuple) {}
 		feedColumns(t, peak, feed)
 		e := build()
-		e.SetBlockSize(blockSize)
 		e.results = make([]parked, 0, 1<<16)
 		fill := peak.parkPool.FreeCount()
 		for range fill {
@@ -112,7 +110,8 @@ func resultAllocPass(t *testing.T, build func() *Engine, events []workload.Event
 // pool as the counted ones do. Covered on the plan with aggregates, joins
 // and projections, on Workload 1's sequence outputs, and on Workload 2 at
 // 64 windows, whose matches reach many operators at once, through one-row
-// blocks (every row through the block→scalar adapter) and full blocks.
+// PushColumns calls (every row a block of its own through the block→scalar
+// adapter) and calls of full blocks.
 func TestResultCallbackAllocIdentical(t *testing.T) {
 	p, w1 := w1Queries(t, 50)
 	_, w2p := w2WindowEngine(t, 64)
@@ -126,10 +125,10 @@ func TestResultCallbackAllocIdentical(t *testing.T) {
 		{"w2", func() *Engine { e, _ := w2WindowEngine(t, 64); return e }, w2p.GenStreams(4000)},
 	}
 	for _, c := range cases {
-		for _, bs := range []int{1, 256} {
-			t.Run(fmt.Sprintf("%s/block=%d", c.name, bs), func(t *testing.T) {
-				none := resultAllocPass(t, c.build, c.events, bs, false)
-				counting := resultAllocPass(t, c.build, c.events, bs, true)
+		for _, size := range []int{1, 256} {
+			t.Run(fmt.Sprintf("%s/block=%d", c.name, size), func(t *testing.T) {
+				none := resultAllocPass(t, c.build, c.events, size, false)
+				counting := resultAllocPass(t, c.build, c.events, size, true)
 				if counting != none {
 					t.Fatalf("allocs/event with a result callback %.6f, without %.6f", counting, none)
 				}

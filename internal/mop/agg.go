@@ -578,7 +578,7 @@ func (f *aggFamily) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *S
 		if !sel(key, o) {
 			return true
 		}
-		pl.items = append(pl.items, stateItem{key: key, ts: e.ts, group: e.ks.group, val: e.val, member: e.ks.frag.member})
+		pl.items = append(pl.items, StateItem{Key: key, TS: e.ts, Group: e.ks.group, Val: e.val, Member: e.ks.frag.member})
 		return false
 	})
 	return pl
@@ -593,10 +593,10 @@ func (f *aggFamily) importKeyed(pl *StatePayload, copied bool) error {
 		return fmt.Errorf("agg family importing %d-kind payload", pl.kind)
 	}
 	for _, it := range pl.items {
-		if f.channel && it.member == nil {
+		if f.channel && it.Member == nil {
 			return fmt.Errorf("agg import: channel group received a plain entry")
 		}
-		if !f.channel && it.member != nil {
+		if !f.channel && it.Member != nil {
 			return fmt.Errorf("agg import: plain group received a channel entry")
 		}
 	}
@@ -604,12 +604,12 @@ func (f *aggFamily) importKeyed(pl *StatePayload, copied bool) error {
 	for _, it := range pl.items {
 		fs := f.plain
 		if f.channel {
-			f.fbuf = it.member.AppendKey(f.fbuf[:0])
+			f.fbuf = it.Member.AppendKey(f.fbuf[:0])
 			if fs = f.frags[string(f.fbuf)]; fs == nil {
-				fs = f.newFrag(string(f.fbuf), it.member.Clone())
+				fs = f.newFrag(string(f.fbuf), it.Member.Clone())
 			}
 		}
-		add = append(add, aggEntry{ts: it.ts, ks: f.keyIn(fs, it.group), val: it.val})
+		add = append(add, aggEntry{ts: it.TS, ks: f.keyIn(fs, it.Group), val: it.Val})
 	}
 	f.log = mergeByTS(f.log, add, func(e aggEntry) int64 { return e.ts })
 	for i := range f.windows {

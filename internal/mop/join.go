@@ -196,15 +196,16 @@ func (m *JoinMOp) Process(port int, t *stream.Tuple, emit Emit) {
 
 // BindSinks implements PrefixMOp.
 func (m *JoinMOp) BindSinks(s Sinks) bool {
-	counts := false
+	n := 0
 	for _, pgs := range m.portGroups {
 		for _, pg := range pgs {
 			if pg.isLeft && pg.g.bind(s, &m.counted) {
-				counts = true
+				n++
 			}
 		}
 	}
-	return counts
+	m.counted.reserve(n)
+	return n > 0
 }
 
 // FlushCounts implements PrefixMOp.
@@ -278,7 +279,7 @@ func (g *joinGroup) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *S
 		if s.hash != nil {
 			s.hash.remove(t.Vals[s.attr], t)
 		}
-		pl.items = append(pl.items, stateItem{key: key, ts: t.TS, tuple: t})
+		pl.items = append(pl.items, StateItem{Key: key, TS: t.TS, Tuple: t})
 	}
 	n := len(kept)
 	clear(s.buf[n:])
@@ -299,7 +300,7 @@ func (g *joinGroup) importKeyed(pl *StatePayload, copied bool) error {
 	s := g.sideOf(pl.side)
 	add := make([]*stream.Tuple, 0, len(pl.items))
 	for _, it := range pl.items {
-		t := it.tuple
+		t := it.Tuple
 		if copied {
 			t = &stream.Tuple{TS: t.TS, Vals: t.Vals, Member: t.Member}
 		}

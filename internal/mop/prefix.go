@@ -1,6 +1,7 @@
 package mop
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -267,6 +268,10 @@ func (pe *prefixEmitter) send(l, r *stream.Tuple, ts int64, ce *chanEmitter, emi
 type countFlush struct {
 	dirty []*prefixEmitter
 }
+
+// reserve sizes the list for n counting groups, so that queuing a group on
+// the match path never allocates.
+func (f *countFlush) reserve(n int) { f.dirty = slices.Grow(f.dirty[:0], n) }
 
 // flushCounts folds every dirty group's histogram into its sink counters
 // by one suffix sum (ops[i] gains the matches that reached beyond i) and

@@ -36,12 +36,12 @@ func prefixFeed(r *rand.Rand, n, domain int) []refEvent {
 }
 
 // pushRuns feeds the events through PushColumns, one call per same-source
-// run.
-func pushRuns(t *testing.T, e *engine.Engine, feed []refEvent) {
+// run of at most size rows.
+func pushRuns(t *testing.T, e *engine.Engine, feed []refEvent, size int) {
 	t.Helper()
 	for i := 0; i < len(feed); {
 		j := i
-		for j < len(feed) && feed[j].src == feed[i].src {
+		for j < len(feed) && j-i < size && feed[j].src == feed[i].src {
 			j++
 		}
 		ts := make([]int64, 0, j-i)
@@ -60,11 +60,11 @@ func pushRuns(t *testing.T, e *engine.Engine, feed []refEvent) {
 
 // windowPrefixCase registers n window variants each of one ; query, one µ
 // query and one ⨝ query over S and T (window wins[i] % 24, 0 unbounded,
-// duplicates allowed), optimizes without channels and runs the feed on
-// two engines: one counting only, one delivering every result to a
-// callback. Both must agree with the reference per query, and on what
-// every m-op emitted.
-func windowPrefixCase(t *testing.T, seed int64, nRaw uint8, wins []byte, c1Raw, c3Raw, startRaw uint8, blockSize int) error {
+// duplicates allowed), optimizes without channels and runs the feed, in
+// PushColumns calls of at most size rows, on two engines: one counting
+// only, one delivering every result to a callback. Both must agree with
+// the reference per query, and on what every m-op emitted.
+func windowPrefixCase(t *testing.T, seed int64, nRaw uint8, wins []byte, c1Raw, c3Raw, startRaw uint8, size int) error {
 	t.Helper()
 	if len(wins) == 0 {
 		wins = []byte{0}
@@ -108,14 +108,13 @@ func windowPrefixCase(t *testing.T, seed int64, nRaw uint8, wins []byte, c1Raw, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetBlockSize(blockSize)
 		return e
 	}
 	counted, called := newEngine(), newEngine()
 	got := make([][]string, len(roots))
 	called.OnResult = func(qid int, tu *stream.Tuple) { got[qid] = append(got[qid], tu.ContentKey()) }
-	pushRuns(t, counted, feed)
-	pushRuns(t, called, feed)
+	pushRuns(t, counted, feed, size)
+	pushRuns(t, called, feed, size)
 
 	for i, q := range p.Queries {
 		sort.Strings(got[q.ID])
@@ -142,15 +141,15 @@ func TestWindowPrefixAgainstReference(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		wins := make([]byte, 1+r.Intn(64))
 		r.Read(wins)
-		for _, bs := range []int{1, 256} {
-			if err := windowPrefixCase(t, int64(i), uint8(r.Intn(256)), wins, uint8(i), uint8(i/4), uint8(i/2), bs); err != nil {
-				t.Fatalf("case %d, block size %d: %v", i, bs, err)
+		for _, size := range []int{1, 256} {
+			if err := windowPrefixCase(t, int64(i), uint8(r.Intn(256)), wins, uint8(i), uint8(i/4), uint8(i/2), size); err != nil {
+				t.Fatalf("case %d, call size %d: %v", i, size, err)
 			}
 		}
 	}
 }
 
-// FuzzWindowPrefix runs windowPrefixCase on fuzzed window sets, at block
+// FuzzWindowPrefix runs windowPrefixCase on fuzzed window sets, at call
 // size 1 and 256:
 //
 //	go test -run=NONE -fuzz=FuzzWindowPrefix -fuzztime=15s ./internal/mop/
@@ -159,9 +158,9 @@ func FuzzWindowPrefix(f *testing.F) {
 	f.Add(int64(2), uint8(0), []byte{0}, uint8(0), uint8(3), uint8(3))
 	f.Add(int64(3), uint8(49), []byte{3, 3, 3, 9, 9, 0, 0, 17}, uint8(2), uint8(2), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, wins []byte, c1, c3, start uint8) {
-		for _, bs := range []int{1, 256} {
-			if err := windowPrefixCase(t, seed, nRaw, wins, c1, c3, start, bs); err != nil {
-				t.Fatalf("block size %d: %v", bs, err)
+		for _, size := range []int{1, 256} {
+			if err := windowPrefixCase(t, seed, nRaw, wins, c1, c3, start, size); err != nil {
+				t.Fatalf("call size %d: %v", size, err)
 			}
 		}
 	})

@@ -162,24 +162,25 @@ const (
 	kindMuState
 )
 
-// stateItem is one keyed piece of exported operator state. key is the
-// partition-key value; ts orders the item for FIFO window expiry. The
+// StateItem is one keyed piece of exported operator state, as stored in a
+// payload and as the wire codec reads and rebuilds it. Key is the
+// partition-key value; TS orders the item for FIFO window expiry. The
 // remaining fields are kind-specific.
-type stateItem struct {
-	key int64
-	ts  int64
+type StateItem struct {
+	Key int64
+	TS  int64
 
-	// kindAggState: one entry of an aggregate family's log.
-	group  string // interned group-key string
-	val    int64
-	member *bitset.Set // fragment membership (channel) / instance membership
+	// WireKindAgg: one entry of an aggregate family's log.
+	Group  string // interned group-key string
+	Val    int64
+	Member *bitset.Set // fragment membership (channel) / instance membership
 
-	// kindJoinState: the stored input tuple.
-	tuple *stream.Tuple
+	// WireKindJoin: the stored input tuple.
+	Tuple *stream.Tuple
 
-	// kindSeqState / kindMuState: one automaton instance.
-	start *stream.Tuple
-	state *stream.Tuple // == start for ;, pooled start++last for µ
+	// WireKindSeq / WireKindMu: one automaton instance.
+	Start *stream.Tuple
+	State *stream.Tuple // == Start for ; (not transported), pooled start++last for µ
 }
 
 // StatePayload carries exported keyed state between engine replicas: the
@@ -188,7 +189,7 @@ type StatePayload struct {
 	kind groupKind
 	side int
 
-	items []stateItem
+	items []StateItem
 }
 
 // Len returns the number of items in the payload (nil-safe).
@@ -220,7 +221,7 @@ func MergePayloads(ps []*StatePayload) *StatePayload {
 	for _, p := range live {
 		total += len(p.items)
 	}
-	out.items = make([]stateItem, 0, total)
+	out.items = make([]StateItem, 0, total)
 	idx := make([]int, len(live))
 	for len(out.items) < total {
 		best := -1
@@ -229,7 +230,7 @@ func MergePayloads(ps []*StatePayload) *StatePayload {
 			if idx[i] >= len(p.items) {
 				continue
 			}
-			if ts := p.items[idx[i]].ts; best < 0 || ts < bestTS {
+			if ts := p.items[idx[i]].TS; best < 0 || ts < bestTS {
 				best, bestTS = i, ts
 			}
 		}
@@ -248,7 +249,7 @@ func (p *StatePayload) SplitBy(n int, dest func(key int64) int) []*StatePayload 
 		return out
 	}
 	for _, it := range p.items {
-		d := dest(it.key)
+		d := dest(it.Key)
 		if d < 0 || d >= n {
 			continue
 		}
@@ -267,9 +268,9 @@ func (p *StatePayload) Discard() {
 		return
 	}
 	for i := range p.items {
-		if st := p.items[i].state; st != nil {
+		if st := p.items[i].State; st != nil {
 			st.Release()
-			p.items[i].state = nil
+			p.items[i].State = nil
 		}
 	}
 }

@@ -319,13 +319,14 @@ func (m *SeqMOp) retainsPort(port int) bool {
 
 // BindSinks implements PrefixMOp.
 func (m *SeqMOp) BindSinks(s Sinks) bool {
-	counts := false
+	n := 0
 	m.forEachGroup(func(g *stateGroup) {
 		if g.bind(s, &m.counted) {
-			counts = true
+			n++
 		}
 	})
-	return counts
+	m.counted.reserve(n)
+	return n > 0
 }
 
 // FlushCounts implements PrefixMOp.
@@ -697,9 +698,9 @@ func (g *stateGroup) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *
 		if g.hash != nil {
 			g.hash.remove(inst.state.Vals[g.lAttr], inst)
 		}
-		pl.items = append(pl.items, stateItem{
-			key: key, ts: inst.start.TS,
-			start: inst.start, state: inst.state, member: inst.member,
+		pl.items = append(pl.items, StateItem{
+			Key: key, TS: inst.start.TS,
+			Start: inst.start, State: inst.state, Member: inst.member,
 		})
 		*inst = seqInst{}
 		g.free = append(g.free, inst)
@@ -722,13 +723,13 @@ func (g *stateGroup) importKeyed(pl *StatePayload, copied bool) error {
 	add := make([]*seqInst, 0, len(pl.items))
 	for _, it := range pl.items {
 		inst := g.takeInst()
-		inst.start = it.start
-		st := it.state
+		inst.start = it.Start
+		st := it.State
 		if g.mu && copied {
 			st = g.pool.Clone(st)
 		}
 		inst.state = st
-		inst.member = it.member
+		inst.member = it.Member
 		if g.hash != nil {
 			g.hash.add(st.Vals[g.lAttr], inst)
 		}

@@ -226,7 +226,7 @@ func exportAll(m *SeqMOp) []string {
 		pl := g.exportKeyed(0, 0, func(int64, int) bool { return true })
 		for _, it := range pl.items {
 			out = append(out, fmt.Sprintf("g%d key=%d ts=%d start=%s state=%s member=%v",
-				gi, it.key, it.ts, it.start, it.state, it.member))
+				gi, it.Key, it.TS, it.Start, it.State, it.Member))
 		}
 	}
 	return out

@@ -1,11 +1,6 @@
 package mop
 
-import (
-	"fmt"
-
-	"repro/internal/bitset"
-	"repro/internal/stream"
-)
+import "fmt"
 
 // This file exposes the minimal read/build surface the wire codec (package
 // wire) needs to serialize StatePayloads without reaching into package
@@ -20,77 +15,34 @@ const (
 	WireKindMu   uint8 = uint8(kindMuState)
 )
 
-// WireItem is the codec's view of one exported state item. Which fields are
-// meaningful depends on the payload kind: agg uses Group/Val/Member, join
-// uses Tuple, seq uses Start/Member (State aliases Start and is not
-// transported), µ uses Start/State/Member.
-type WireItem struct {
-	Key int64
-	TS  int64
-
-	Group  string
-	Val    int64
-	Member *bitset.Set
-
-	Tuple *stream.Tuple
-
-	Start *stream.Tuple
-	State *stream.Tuple
-}
-
 // Kind returns the payload's wire kind code.
 func (p *StatePayload) Kind() uint8 { return uint8(p.kind) }
 
-// Items returns a codec view of the payload's items, in stored (timestamp)
-// order. The returned tuples and bitsets are the payload's own; callers
-// must treat them as read-only.
-func (p *StatePayload) Items() []WireItem {
+// Items returns the payload's items, in stored (timestamp) order. The
+// slice, tuples and bitsets are the payload's own; callers must treat
+// them as read-only.
+func (p *StatePayload) Items() []StateItem {
 	if p == nil {
 		return nil
 	}
-	out := make([]WireItem, len(p.items))
-	for i, it := range p.items {
-		out[i] = WireItem{
-			Key:    it.key,
-			TS:     it.ts,
-			Group:  it.group,
-			Val:    it.val,
-			Member: it.member,
-			Tuple:  it.tuple,
-			Start:  it.start,
-			State:  it.state,
-		}
-	}
-	return out
+	return p.items
 }
 
-// NewStatePayload rebuilds a payload from decoded items. For seq payloads
-// the State field is ignored and re-aliased to Start (the in-memory
-// invariant for `;` instances); for every other kind the fields are taken
-// as given. Items must already be in timestamp order.
-func NewStatePayload(kind uint8, side int, items []WireItem) (*StatePayload, error) {
+// NewStatePayload builds a payload over decoded items, taking ownership of
+// the slice. For seq payloads the State field is ignored and re-aliased to
+// Start (the in-memory invariant for `;` instances); for every other kind
+// the fields are taken as given. Items must already be in timestamp order.
+func NewStatePayload(kind uint8, side int, items []StateItem) (*StatePayload, error) {
 	k := groupKind(kind)
 	switch k {
 	case kindAggState, kindJoinState, kindSeqState, kindMuState:
 	default:
 		return nil, fmt.Errorf("mop: unknown payload kind %d", kind)
 	}
-	p := &StatePayload{kind: k, side: side, items: make([]stateItem, len(items))}
-	for i, it := range items {
-		si := stateItem{
-			key:    it.Key,
-			ts:     it.TS,
-			group:  it.Group,
-			val:    it.Val,
-			member: it.Member,
-			tuple:  it.Tuple,
-			start:  it.Start,
-			state:  it.State,
+	if k == kindSeqState {
+		for i := range items {
+			items[i].State = items[i].Start
 		}
-		if k == kindSeqState {
-			si.state = si.start
-		}
-		p.items[i] = si
 	}
-	return p, nil
+	return &StatePayload{kind: k, side: side, items: items}, nil
 }

@@ -60,8 +60,8 @@ func TestJoinBothSidesChannelize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.PushChannel("L1", stream.NewTuple(0, 5, 0).WithMember(bitset.FromIndices(0, 2)))
-	e.PushChannel("R1", stream.NewTuple(1, 5, 0).WithMember(bitset.FromIndices(1, 2)))
+	e.Push("L1", stream.NewTuple(0, 5, 0).WithMember(bitset.FromIndices(0, 2)))
+	e.Push("R1", stream.NewTuple(1, 5, 0).WithMember(bitset.FromIndices(1, 2)))
 	want := []int64{0, 0, 1}
 	for i, q := range qs {
 		if e.ResultCount(q.ID) != want[i] {

@@ -200,7 +200,7 @@ func TestChannelizeLabelledSources(t *testing.T) {
 	for i := 0; i < n; i++ {
 		member.Set(i)
 	}
-	eng.PushChannel("S1", stream.NewTuple(0, 7, 7).WithMember(member))
+	eng.Push("S1", stream.NewTuple(0, 7, 7).WithMember(member))
 	eng.Push("T", stream.NewTuple(1, 7, 9))
 	for _, q := range qs {
 		if eng.ResultCount(q.ID) != 1 {

@@ -382,8 +382,8 @@ func (r *remoteRegistry) Histogram(opID, side, keyAttr int, h map[int64]int64) {
 func splitBySel(pl *mop.StatePayload, sel func(key int64, ord int) bool) (sent, keep *mop.StatePayload, err error) {
 	items := pl.Items()
 	ord := make(map[int64]int)
-	sentItems := make([]mop.WireItem, 0, len(items))
-	var keepItems []mop.WireItem
+	sentItems := make([]mop.StateItem, 0, len(items))
+	var keepItems []mop.StateItem
 	for _, it := range items {
 		o := ord[it.Key]
 		ord[it.Key] = o + 1

@@ -198,7 +198,7 @@ func testRouteColumnsScatter(t *testing.T, shards int) {
 func BenchmarkRouteColumns(b *testing.B) {
 	const rows, arity = 256, 10
 	e := scatterEngine(b, 2)
-	sr, ok := e.lookupRoute("S")
+	sr, ok := e.srcs["S"]
 	if !ok || sr.mode != core.PartitionHash {
 		b.Fatalf("S is not hash-routed: %+v", sr)
 	}

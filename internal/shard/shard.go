@@ -143,9 +143,10 @@ func (w *worker) close() { w.closeOnce.Do(func() { close(w.ch) }) }
 
 // srcRoute is the precomputed routing state of one source stream.
 type srcRoute struct {
-	id   int32
-	mode core.PartitionMode
-	attr int
+	id    int32
+	arity int // declared width of every row of the source
+	mode  core.PartitionMode
+	attr  int
 	// Multicast: shard bitmask per probed value, plus the mask every
 	// tuple gets. Values absent from the table reach only alwaysMask
 	// (possibly no shard at all — dropped at the router).
@@ -363,7 +364,7 @@ func (e *Engine) rebuildSourceRoutes(part *core.PartitionPlan) {
 		} else {
 			e.srcNames = append(e.srcNames, name)
 		}
-		sr := srcRoute{id: id, mode: route.Mode, attr: route.Attr}
+		sr := srcRoute{id: id, arity: e.plan.Catalog[name].Schema.Arity(), mode: route.Mode, attr: route.Attr}
 		if route.Mode == core.PartitionMulticast {
 			if e.cfg.Shards > 64 {
 				// Bitmask routing covers 64 shards; beyond that fall back
@@ -503,13 +504,6 @@ func (w *worker) run() {
 
 func (e *Engine) takeBatch() []cluster.Entry {
 	return (*(e.batchPool.Get().(*[]cluster.Entry)))[:0]
-}
-
-// lookupRoute resolves a source name. A map lookup is plenty here: the
-// routing path is dominated by the ingestion mutex.
-func (e *Engine) lookupRoute(name string) (srcRoute, bool) {
-	sr, ok := e.srcs[name]
-	return sr, ok
 }
 
 // partnerMask folds partner-key values into a shard bitmask, honouring the
@@ -698,35 +692,77 @@ func (e *Engine) unreachableErr() error {
 	return nil
 }
 
+// Widths admitLocked checks besides a row width: a call that carries no
+// rows, and a batch whose rows differ in width (which no schema fits).
+const (
+	noRows = -1
+	ragged = -2
+)
+
+// admitLocked resolves the route of source and checks that a call may
+// ingest into it: the engine is open, no shard is dead, no remote replica
+// is unreachable, and the rows of the call, all of the given width, have
+// the source's declared arity (engine.ErrArity otherwise). Called with mu
+// held: live deltas rebuild the source routing tables at the ApplyDelta
+// barrier. (A map lookup is plenty: the routing path is dominated by the
+// ingestion mutex.)
+func (e *Engine) admitLocked(source string, width int) (srcRoute, error) {
+	sr, ok := e.srcs[source]
+	if !ok {
+		return sr, fmt.Errorf("shard: source %q not in plan", source)
+	}
+	if e.closed {
+		return sr, fmt.Errorf("shard: engine closed")
+	}
+	if e.numDead > 0 {
+		return sr, e.deadErrLocked()
+	}
+	if e.numUnreach.Load() > 0 {
+		if err := e.unreachableErr(); err != nil {
+			return sr, err
+		}
+	}
+	switch {
+	case width == ragged:
+		return sr, fmt.Errorf("shard: source %q: %w: rows of differing widths, schema has %d", source, engine.ErrArity, sr.arity)
+	case width != noRows && width != sr.arity:
+		return sr, fmt.Errorf("shard: source %q: %w: %d values, schema has %d", source, engine.ErrArity, width, sr.arity)
+	}
+	return sr, nil
+}
+
+// batchWidth returns the width every row of vals shares: noRows for an
+// empty batch, ragged when two rows differ.
+func batchWidth(vals [][]int64) int {
+	if len(vals) == 0 {
+		return noRows
+	}
+	w := len(vals[0])
+	for _, row := range vals[1:] {
+		if len(row) != w {
+			return ragged
+		}
+	}
+	return w
+}
+
 // Push injects one tuple into the named source stream. The engine takes
 // ownership of vals. Tuples must be pushed in non-decreasing timestamp
 // order for windowed operators to expire correctly; concurrent pushers
 // are safe but interleave at the routing step.
 //
-// Failure contract: ErrShardDead (errors.Is) once any shard's replica is
-// lost, ErrShardUnreachable while a remote replica is in a transient
-// outage (fail fast instead of blocking behind the outage's backoff);
-// nothing accepted before either error is lost — it is retained in the
-// per-shard WAL.
+// Failure contract: engine.ErrArity (errors.Is) for a row whose width is
+// not the source's declared arity, ErrShardDead once any shard's replica
+// is lost, ErrShardUnreachable while a remote replica is in a transient
+// outage (fail fast instead of blocking behind the outage's backoff); a
+// call that fails ingests nothing, and nothing accepted before it is lost
+// — it is retained in the per-shard WAL.
 func (e *Engine) Push(source string, ts int64, vals []int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Route lookup under the ingestion lock: live deltas rebuild the
-	// source routing tables at the ApplyDelta barrier.
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
-	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
-		}
+	sr, err := e.admitLocked(source, len(vals))
+	if err != nil {
+		return err
 	}
 	e.route(sr, ts, vals)
 	return nil
@@ -777,20 +813,9 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
-	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
-		}
+	sr, err := e.admitLocked(source, batchWidth(vals))
+	if err != nil {
+		return err
 	}
 	for i := range ts {
 		e.route(sr, ts[i], vals[i])
@@ -812,25 +837,15 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 			return fmt.Errorf("shard: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
 		}
 	}
+	width := len(cols)
+	if len(ts) == 0 {
+		width = noRows
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sr, ok := e.lookupRoute(source)
-	if !ok {
-		return fmt.Errorf("shard: source %q not in plan", source)
-	}
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if e.numDead > 0 {
-		return e.deadErrLocked()
-	}
-	if e.numUnreach.Load() > 0 {
-		if err := e.unreachableErr(); err != nil {
-			return err
-		}
-	}
-	if len(ts) == 0 {
-		return nil
+	sr, err := e.admitLocked(source, width)
+	if err != nil || len(ts) == 0 {
+		return err
 	}
 	e.routeColumns(sr, ts, cols)
 	return nil
@@ -954,28 +969,6 @@ func (e *Engine) shardOfAt(sr srcRoute, cols [][]int64, row int) int {
 		e.rr++
 		return int(e.rr % uint64(n))
 	}
-}
-
-// SetBlockSize sets the ingest block segmentation on every in-process
-// replica engine (see engine.Engine.SetBlockSize: 0 restores the default,
-// n < 0 disables the vectorized path). The change lands behind a quiesce
-// barrier so no replica is mid-drain. Remote replicas keep their own
-// default block size.
-func (e *Engine) SetBlockSize(n int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("shard: engine closed")
-	}
-	if err := e.quiesceLocked(); err != nil {
-		return err
-	}
-	for _, w := range e.workers {
-		if eng := w.rep.localEngine(); eng != nil {
-			eng.SetBlockSize(n)
-		}
-	}
-	return nil
 }
 
 // BlocksProcessed sums the columnar blocks delivered by the in-process

@@ -132,7 +132,7 @@ func decodePayloadMsg(sub *Reader) (*mop.StatePayload, error) {
 		return nil, nil
 	}
 	var kind, side int64
-	var items []mop.WireItem
+	var items []mop.StateItem
 	err := sub.Fields(func(f, _ int) (err error) {
 		switch f {
 		case 1:
@@ -140,7 +140,7 @@ func decodePayloadMsg(sub *Reader) (*mop.StatePayload, error) {
 		case 2:
 			side, err = sub.Varint()
 		case 3:
-			var it mop.WireItem
+			var it mop.StateItem
 			it, err = decodeItem(sub)
 			items = append(items, it)
 		}
@@ -159,8 +159,8 @@ func decodePayloadMsg(sub *Reader) (*mop.StatePayload, error) {
 	return pl, nil
 }
 
-func decodeItem(r *Reader) (mop.WireItem, error) {
-	var it mop.WireItem
+func decodeItem(r *Reader) (mop.StateItem, error) {
+	var it mop.StateItem
 	sub, err := r.Msg()
 	if err != nil {
 		return it, err

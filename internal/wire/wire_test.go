@@ -20,26 +20,26 @@ func tup(ts int64, member *bitset.Set, vals ...int64) *stream.Tuple {
 	return &stream.Tuple{TS: ts, Vals: vals, Member: member}
 }
 
-func kindItems(kind uint8) []mop.WireItem {
+func kindItems(kind uint8) []mop.StateItem {
 	switch kind {
 	case mop.WireKindAgg:
-		return []mop.WireItem{
+		return []mop.StateItem{
 			{Key: 7, TS: 10, Group: "g|7", Val: -3, Member: bitset.FromIndices(0, 2, 130)},
 			{Key: 7, TS: 12, Group: "g|7", Val: 44, Member: bitset.FromIndices(1)},
 			{Key: -9, TS: 12, Group: "", Val: 0, Member: nil},
 		}
 	case mop.WireKindJoin:
-		return []mop.WireItem{
+		return []mop.StateItem{
 			{Key: 1, TS: 5, Tuple: tup(5, bitset.FromIndices(3), 1, -20, 300)},
 			{Key: 2, TS: 6, Tuple: tup(6, nil)},
 		}
 	case mop.WireKindSeq:
-		return []mop.WireItem{
+		return []mop.StateItem{
 			{Key: 4, TS: 20, Start: tup(20, bitset.FromIndices(0, 64), 4, 9), Member: bitset.FromIndices(0, 64)},
 			{Key: 5, TS: 21, Start: tup(21, nil, 5), Member: bitset.FromIndices(2)},
 		}
 	case mop.WireKindMu:
-		return []mop.WireItem{
+		return []mop.StateItem{
 			{Key: 8, TS: 30, Start: tup(30, nil, 8, 1), State: tup(33, nil, 8, 1, 99), Member: bitset.FromIndices(1, 5)},
 		}
 	}

@@ -118,7 +118,9 @@ type PlanInfo struct {
 	// columnar blocks (produced by a source or selection, read only by
 	// selections and ;/µ, membership fits one word); BlocksProcessed is
 	// the number of blocks the engine has actually delivered along such
-	// edges — 0 when every push took the scalar path.
+	// edges. It stays 0 when every push took the per-row path: Push,
+	// PushShared, PushBatch under 4 rows, and any batch whose source
+	// membership has spilled past one word.
 	BlockEdges      int
 	BlocksProcessed int64
 }
@@ -388,6 +390,12 @@ func (s *System) wireCallback() {
 	}
 }
 
+// ErrArity reports a pushed row whose number of values is not the declared
+// arity of its stream. Every Push* entry of System and ShardedSystem checks
+// each row before ingesting any, so the call that returns it has ingested
+// nothing.
+var ErrArity = engine.ErrArity
+
 // Push injects one tuple into a source stream. Tuples must be pushed in
 // non-decreasing timestamp order across all sources.
 func (s *System) Push(streamName string, ts int64, vals ...int64) error {
@@ -428,18 +436,6 @@ func (s *System) PushColumns(streamName string, ts []int64, cols [][]int64) erro
 	return s.eng.PushColumns(streamName, ts, cols)
 }
 
-// SetBlockSize tunes the vectorized ingest path: batches are segmented
-// into columnar blocks of at most n rows (0 restores the default, n < 0
-// disables vectorization entirely, forcing the scalar per-tuple path).
-// Call between pushes, not concurrently with them.
-func (s *System) SetBlockSize(n int) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before SetBlockSize")
-	}
-	s.eng.SetBlockSize(n)
-	return nil
-}
-
 // PushShared injects one channel tuple that belongs to all the named
 // sharable source streams at once (they must have been encoded into the
 // same channel by optimization).
@@ -466,7 +462,7 @@ func (s *System) PushShared(streamNames []string, ts int64, vals ...int64) error
 		member.Set(pos)
 	}
 	t := &stream.Tuple{TS: ts, Vals: vals, Member: member}
-	return s.eng.PushChannel(streamNames[0], t)
+	return s.eng.Push(streamNames[0], t)
 }
 
 // ResultCount returns the number of results produced so far for a query.

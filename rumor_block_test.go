@@ -9,91 +9,101 @@ import (
 	"repro/internal/workload"
 )
 
-// Block-vs-scalar equivalence at the system level: the identical columnar
-// feed must produce identical per-query result counts whether the block
-// path is disabled (scalar baseline), enabled at any block size, and
-// whether the plan runs single-threaded or sharded — including under live
-// query churn (ApplyDelta barriers between in-flight blocks) and across a
+// Block-vs-row equivalence at the system level: the identical feed must
+// produce identical per-query result counts whether it is pushed row by
+// row or as PushColumns calls of any size, and whether the plan runs
+// single-threaded or sharded — including under live query churn
+// (ApplyDelta barriers between in-flight blocks) and across a
 // checkpoint/restore taken while column runs are still queued.
 
-// colPusher is the columnar ingest surface shared by System and
-// ShardedSystem.
+// colPusher is the ingest surface shared by System and ShardedSystem.
 type colPusher interface {
+	Push(streamName string, ts int64, vals ...int64) error
 	PushColumns(streamName string, ts []int64, cols [][]int64) error
-	SetBlockSize(n int) error
 }
 
-// pushWindows drives events window by window: within each window the
-// per-source runs are transposed into one PushColumns call each, preserving
-// per-source timestamp order. Every engine under comparison gets this exact
-// feed, so grouping is part of the input, not of the system under test.
+// windowRuns cuts events into windows and each window into one run per
+// source, in order of first appearance, preserving per-source timestamp
+// order. Every system under comparison gets these exact runs, so grouping
+// is part of the input, not of the system under test.
+func windowRuns(events []workload.Event, window int) [][]workload.Event {
+	var runs [][]workload.Event
+	for off := 0; off < len(events); off += window {
+		at := map[string]int{}
+		for _, ev := range events[off:min(off+window, len(events))] {
+			i, ok := at[ev.Source]
+			if !ok {
+				i = len(runs)
+				at[ev.Source] = i
+				runs = append(runs, nil)
+			}
+			runs[i] = append(runs[i], ev)
+		}
+	}
+	return runs
+}
+
+// pushWindows pushes each run of windowRuns as one PushColumns call, so a
+// call holds at most window rows.
 func pushWindows(t *testing.T, sys colPusher, events []workload.Event, window int) {
 	t.Helper()
-	for off := 0; off < len(events); off += window {
-		end := min(off+window, len(events))
-		pushWindow(t, sys, events[off:end])
-	}
-}
-
-func pushWindow(t *testing.T, sys colPusher, events []workload.Event) {
-	t.Helper()
-	bySource := map[string][]int{}
-	var order []string
-	for i, ev := range events {
-		if bySource[ev.Source] == nil {
-			order = append(order, ev.Source)
-		}
-		bySource[ev.Source] = append(bySource[ev.Source], i)
-	}
-	for _, src := range order {
-		idx := bySource[src]
-		arity := len(events[idx[0]].Tuple.Vals)
-		ts := make([]int64, len(idx))
-		cols := make([][]int64, arity)
+	for _, run := range windowRuns(events, window) {
+		ts := make([]int64, len(run))
+		cols := make([][]int64, len(run[0].Tuple.Vals))
 		for a := range cols {
-			cols[a] = make([]int64, len(idx))
+			cols[a] = make([]int64, len(run))
 		}
-		for row, i := range idx {
-			ts[row] = events[i].Tuple.TS
-			for a, v := range events[i].Tuple.Vals {
+		for row, ev := range run {
+			ts[row] = ev.Tuple.TS
+			for a, v := range ev.Tuple.Vals {
 				cols[a][row] = v
 			}
 		}
-		if err := sys.PushColumns(src, ts, cols); err != nil {
+		if err := sys.PushColumns(run[0].Source, ts, cols); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// pushRows pushes the runs of windowRuns row by row: the per-row
+// reference for pushWindows at the same window.
+func pushRows(t *testing.T, sys colPusher, events []workload.Event, window int) {
+	t.Helper()
+	for _, run := range windowRuns(events, window) {
+		for _, ev := range run {
+			if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestBlockShardedEquivalenceMatrix: Workloads 1–3 × shards 1/2/4 ×
-// channels on/off × block sizes. The reference is a single-threaded System
-// with the block path disabled, fed the identical columnar windows.
+// channels on/off × PushColumns call sizes. Size 1 makes every row a
+// one-row block; 1000 puts several ingest blocks of one call into one
+// drain. The reference is a single-threaded System fed the identical runs
+// through per-row Push.
 func TestBlockShardedEquivalenceMatrix(t *testing.T) {
 	for _, wl := range []string{"w1", "w2", "w3"} {
 		for _, channels := range []bool{false, true} {
 			catalog, qs, events := churnWorkload(t, wl, 30, 3600, 2)
-
-			ref := rumor.New()
-			declareAll(t, ref, catalog)
-			for _, q := range qs {
-				if err := ref.AddQuery(q.Name, q.Root); err != nil {
+			for _, size := range []int{1, 64, 256, 1000} {
+				ref := rumor.New()
+				declareAll(t, ref, catalog)
+				for _, q := range qs {
+					if err := ref.AddQuery(q.Name, q.Root); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ref.Optimize(rumor.Options{Channels: channels}); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := ref.Optimize(rumor.Options{Channels: channels}); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.SetBlockSize(-1); err != nil {
-				t.Fatal(err)
-			}
-			pushWindows(t, ref, events, 100)
-			if ref.TotalResults() == 0 {
-				t.Fatalf("%s channels=%v: no results; matrix is vacuous", wl, channels)
-			}
-
-			for _, shards := range []int{1, 2, 4} {
-				for _, bs := range []int{1, 64, 256} {
-					t.Run(fmt.Sprintf("%s/channels=%v/shards=%d/block=%d", wl, channels, shards, bs), func(t *testing.T) {
+				pushRows(t, ref, events, size)
+				if ref.TotalResults() == 0 {
+					t.Fatalf("%s channels=%v: no results; matrix is vacuous", wl, channels)
+				}
+				for _, shards := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/channels=%v/shards=%d/block=%d", wl, channels, shards, size), func(t *testing.T) {
 						sys := rumor.NewSharded(rumor.ShardConfig{Shards: shards, BatchSize: 16})
 						defer sys.Close()
 						declareAll(t, sys, catalog)
@@ -105,16 +115,13 @@ func TestBlockShardedEquivalenceMatrix(t *testing.T) {
 						if err := sys.Optimize(rumor.Options{Channels: channels}); err != nil {
 							t.Fatal(err)
 						}
-						if err := sys.SetBlockSize(bs); err != nil {
-							t.Fatal(err)
-						}
-						pushWindows(t, sys, events, 100)
+						pushWindows(t, sys, events, size)
 						if err := sys.Drain(); err != nil {
 							t.Fatal(err)
 						}
 						for _, q := range qs {
 							if got, want := sys.ResultCount(q.Name), ref.ResultCount(q.Name); got != want {
-								t.Fatalf("query %s: %d results, scalar reference %d", q.Name, got, want)
+								t.Fatalf("query %s: %d results, per-row reference %d", q.Name, got, want)
 							}
 						}
 					})
@@ -126,7 +133,7 @@ func TestBlockShardedEquivalenceMatrix(t *testing.T) {
 
 // TestBlockChurnEquivalence interleaves live query add/remove (ApplyDelta
 // barriers) with columnar pushes on the block path, on both the System and
-// a sharded deployment. Survivor counts must match a from-scratch scalar
+// a sharded deployment. Survivor counts must match a from-scratch per-row
 // run that planned only the survivors.
 func TestBlockChurnEquivalence(t *testing.T) {
 	catalog, surv, events := churnWorkload(t, "w2", 30, 4200, 1)
@@ -142,10 +149,7 @@ func TestBlockChurnEquivalence(t *testing.T) {
 	if err := ref.Optimize(rumor.Options{Channels: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetBlockSize(-1); err != nil {
-		t.Fatal(err)
-	}
-	pushWindows(t, ref, events, 100)
+	pushRows(t, ref, events, 100)
 	if ref.TotalResults() == 0 {
 		t.Fatal("no results; churn equivalence is vacuous")
 	}
@@ -160,9 +164,6 @@ func TestBlockChurnEquivalence(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
-		if err := cp.SetBlockSize(256); err != nil {
-			t.Fatal(err)
-		}
 		// One transient joins or leaves at every window boundary: blocks
 		// queued before and after each ApplyDelta barrier.
 		churnOps, next := 0, 0
@@ -170,7 +171,7 @@ func TestBlockChurnEquivalence(t *testing.T) {
 		const window = 100
 		for off := 0; off < len(events); off += window {
 			end := min(off+window, len(events))
-			pushWindow(t, cp, events[off:end])
+			pushWindows(t, cp, events[off:end], window)
 			q := trans[(off/window)%len(trans)]
 			name := fmt.Sprintf("bt_%d", off/window)
 			if err := sys.AddQueryLive(name, q.Root); err != nil {
@@ -198,7 +199,7 @@ func TestBlockChurnEquivalence(t *testing.T) {
 		}
 		for _, q := range surv {
 			if got, want := sys.ResultCount(q.Name), ref.ResultCount(q.Name); got != want {
-				t.Fatalf("query %s: churned block run %d results, scalar reference %d", q.Name, got, want)
+				t.Fatalf("query %s: churned block run %d results, per-row reference %d", q.Name, got, want)
 			}
 		}
 	}
@@ -237,9 +238,6 @@ func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.SetBlockSize(64); err != nil {
-			t.Fatal(err)
-		}
 		pushWindows(t, sys, events[:half], 100)
 		var buf bytes.Buffer
 		if err := sys.Checkpoint(&buf); err != nil {
@@ -247,9 +245,6 @@ func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 		}
 		res, err := rumor.Restore(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.SetBlockSize(64); err != nil {
 			t.Fatal(err)
 		}
 		pushWindows(t, sys, events[half:], 100)
@@ -276,9 +271,6 @@ func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.SetBlockSize(64); err != nil {
-			t.Fatal(err)
-		}
 		// No Drain before Checkpoint: pending batches still hold column
 		// runs when the checkpoint quiesces the workers.
 		pushWindows(t, sys, events[:half], 100)
@@ -291,9 +283,6 @@ func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer res.Close()
-		if err := res.SetBlockSize(64); err != nil {
-			t.Fatal(err)
-		}
 		pushWindows(t, sys, events[half:], 100)
 		pushWindows(t, res, events[half:], 100)
 		if err := sys.Drain(); err != nil {

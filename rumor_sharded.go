@@ -346,16 +346,6 @@ func (s *ShardedSystem) PushColumns(streamName string, ts []int64, cols [][]int6
 	return s.sh.PushColumns(streamName, ts, cols)
 }
 
-// SetBlockSize tunes the vectorized ingest path of every in-process shard
-// replica (see System.SetBlockSize; n < 0 disables vectorization). The
-// change lands behind a quiesce barrier.
-func (s *ShardedSystem) SetBlockSize(n int) error {
-	if s.sh == nil {
-		return fmt.Errorf("rumor: call Optimize before SetBlockSize")
-	}
-	return s.sh.SetBlockSize(n)
-}
-
 // Drain blocks until every shard has processed all tuples pushed so far.
 // Result counts are stable afterwards (until the next Push).
 func (s *ShardedSystem) Drain() error {

@@ -1,7 +1,9 @@
 package rumor_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +21,7 @@ QUERY hot := FILTER(load > 90, @smoothed);
 QUERY warm := FILTER(load > 50, @smoothed);
 `
 
-func buildShardedPerf(t *testing.T, shards int) *rumor.ShardedSystem {
+func buildShardedPerf(t testing.TB, shards int) *rumor.ShardedSystem {
 	t.Helper()
 	sys := rumor.NewSharded(rumor.ShardConfig{Shards: shards, BatchSize: 8})
 	if err := sys.ExecScript(perfScript); err != nil {
@@ -201,8 +203,10 @@ func TestShardedSystemBuildersUnkeyed(t *testing.T) {
 // a known source of a running system is accepted.
 func TestPushColumnsRejects(t *testing.T) {
 	type pusher interface {
+		Push(streamName string, ts int64, vals ...int64) error
 		PushBatch(streamName string, ts []int64, vals [][]int64) error
 		PushColumns(streamName string, ts []int64, cols [][]int64) error
+		TotalResults() int64
 	}
 	system := func(t *testing.T) pusher {
 		sys := rumor.New()
@@ -257,5 +261,95 @@ func TestPushColumnsRejects(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// A row shorter or longer than CPU(pid, load) is rejected by every
+	// ingest entry with ErrArity before any row of the call is ingested:
+	// the call returns instead of panicking, a valid push afterwards
+	// succeeds, no shard dies, and the results are those of the valid push
+	// alone.
+	valid := func(sys pusher) error { return sys.Push("CPU", 1, 7, 95) }
+	ref := system(t)
+	if err := valid(ref); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.TotalResults()
+	if want == 0 {
+		t.Fatal("the valid push produced no results; the ingest check is vacuous")
+	}
+	for _, sc := range []struct {
+		name string
+		mk   func(t *testing.T) pusher
+	}{{"system", system}, {"sharded", sharded}} {
+		for _, width := range []int{1, 3} {
+			row := func() []int64 { return slices.Repeat([]int64{95}, width) }
+			ts := []int64{0, 0, 0, 0}
+			for _, entry := range []struct {
+				name string
+				push func(sys pusher) error
+			}{
+				{"push", func(sys pusher) error { return sys.Push("CPU", 0, row()...) }},
+				{"batch", func(sys pusher) error {
+					return sys.PushBatch("CPU", ts, [][]int64{row(), row(), row(), row()})
+				}},
+				{"ragged", func(sys pusher) error {
+					return sys.PushBatch("CPU", ts, [][]int64{{1, 95}, {2, 95}, {3, 95}, row()})
+				}},
+				{"columns", func(sys pusher) error {
+					cols := make([][]int64, width)
+					for a := range cols {
+						cols[a] = []int64{95, 95, 95, 95}
+					}
+					return sys.PushColumns("CPU", ts, cols)
+				}},
+			} {
+				t.Run(fmt.Sprintf("%s/arity/%s/width=%d", sc.name, entry.name, width), func(t *testing.T) {
+					sys := sc.mk(t)
+					if err := entry.push(sys); !errors.Is(err, rumor.ErrArity) {
+						t.Fatalf("err = %v, want ErrArity", err)
+					}
+					if err := valid(sys); err != nil {
+						t.Fatalf("valid push after the rejected one: %v", err)
+					}
+					if d, ok := sys.(interface{ Drain() error }); ok {
+						if err := d.Drain(); err != nil {
+							t.Fatalf("Drain after the rejected push: %v", err)
+						}
+					}
+					if got := sys.TotalResults(); got != want {
+						t.Fatalf("%d results, want the valid push's %d", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkShardedPushBatch pushes perfScript's CPU stream into 2 shards
+// through PushBatch calls of 1 and 256 rows, draining at the end; one op
+// is one row, so ns/op and allocs/op are per row.
+func BenchmarkShardedPushBatch(b *testing.B) {
+	for _, rows := range []int{1, 256} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			sys := buildShardedPerf(b, 2)
+			defer sys.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += rows {
+				n := min(rows, b.N-i)
+				ts := make([]int64, n)
+				vals := make([][]int64, n)
+				for j := range n {
+					ts[j] = int64(i + j)
+					vals[j] = []int64{int64((i + j) % 64), int64((i + j) % 100)}
+				}
+				if err := sys.PushBatch("CPU", ts, vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := sys.Drain(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
