@@ -91,11 +91,14 @@ type Entry struct {
 }
 
 // Run is a column-major run of rows of one source: TS[i] pairs with
-// Cols[a][i]. Runs held in a WAL are never mutated, so a redelivered
-// batch re-encodes to the same bytes.
+// Cols[a][i]. Sel, when non-nil, is a selection bitmap: the run stands
+// for row i only if Sel[i>>6] has bit i&63. A nil Sel selects every row.
+// Runs held in a WAL are never mutated, so a redelivered batch re-encodes
+// to the same bytes.
 type Run struct {
 	TS   []int64
 	Cols [][]int64
+	Sel  []uint64
 }
 
 // Rows returns the number of rows the entry stands for.
