@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"slices"
@@ -463,5 +464,66 @@ func TestHistReplyMismatchCorrupt(t *testing.T) {
 	b.PutInt64sField(2, []int64{5})
 	if _, err := decodeHistReply(b.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("2 keys, 1 count: %v, want wire.ErrCorrupt", err)
+	}
+}
+
+// TestEncodeBatchSelectedRun holds a run that selects its rows by bitmap
+// to the run of those rows alone: the same batch bytes (so a worker sees
+// no difference), the same row count, a decoded run with no selection,
+// and no allocation beyond what encoding the gathered run costs. The
+// selections are random over 1–700 rows, plus the empty and full ones.
+func TestEncodeBatchSelectedRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var d batchDecoder
+	for n := 1; n <= 700; n += 1 + rng.Intn(9) {
+		run := testRun(n, 3)
+		sels := [][]uint64{make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)}
+		for i := range n {
+			sels[1][i>>6] |= 1 << uint(i&63)
+		}
+		for range 3 {
+			sel := make([]uint64, (n+63)/64)
+			for i := range n {
+				if rng.Intn(4) != 0 {
+					sel[i>>6] |= 1 << uint(i&63)
+				}
+			}
+			sels = append(sels, sel)
+		}
+		for _, sel := range sels {
+			gathered := &Run{Cols: make([][]int64, len(run.Cols))}
+			for i := range n {
+				if sel[i>>6]&(1<<uint(i&63)) == 0 {
+					continue
+				}
+				gathered.TS = append(gathered.TS, run.TS[i])
+				for a, col := range run.Cols {
+					gathered.Cols[a] = append(gathered.Cols[a], col[i])
+				}
+			}
+			selected := &Run{TS: run.TS, Cols: run.Cols, Sel: sel}
+			batch := func(r *Run) []Entry {
+				return []Entry{{Src: 2, TS: 5, Vals: []int64{1, 2, 3}}, {Src: 1, Run: r}}
+			}
+			got, want := encodeBatch(9, batch(selected)), encodeBatch(9, batch(gathered))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d rows, %d selected: batch bytes differ from the gathered run's", n, len(gathered.TS))
+			}
+			if g, w := BatchRows(batch(selected)), BatchRows(batch(gathered)); g != w {
+				t.Fatalf("%d rows: BatchRows %d, gathered %d", n, g, w)
+			}
+			_, dec, err := d.decode(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec[1].Run.Sel != nil || !entriesEqual(dec, batch(gathered)) {
+				t.Fatalf("%d rows: decoded batch is not the gathered run", n)
+			}
+			sa := testing.AllocsPerRun(5, func() { encodeBatch(9, batch(selected)) })
+			ga := testing.AllocsPerRun(5, func() { encodeBatch(9, batch(gathered)) })
+			if sa > ga {
+				t.Fatalf("%d rows: %v allocs to encode the selected run, %v for the gathered one", n, sa, ga)
+			}
+		}
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mop"
@@ -93,6 +94,9 @@ type Entry struct {
 // Run is a column-major run of rows of one source: TS[i] pairs with
 // Cols[a][i]. Sel, when non-nil, is a selection bitmap: the run stands
 // for row i only if Sel[i>>6] has bit i&63. A nil Sel selects every row.
+// The shard router gives each destination shard a run that shares the
+// pushed TS and Cols arrays and selects that shard's rows, so those
+// arrays stay referenced until every shard's WAL has pruned its run.
 // Runs held in a WAL are never mutated, so a redelivered batch re-encodes
 // to the same bytes.
 type Run struct {
@@ -101,12 +105,20 @@ type Run struct {
 	Sel  []uint64
 }
 
-// Rows returns the number of rows the entry stands for.
+// Rows returns the number of rows the entry stands for: a run's
+// selected rows.
 func (en *Entry) Rows() int {
-	if en.Run != nil {
+	if en.Run == nil {
+		return 1
+	}
+	if en.Run.Sel == nil {
 		return len(en.Run.TS)
 	}
-	return 1
+	n := 0
+	for _, w := range en.Run.Sel {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // BatchRows counts the rows across a batch of entries.
@@ -328,7 +340,8 @@ func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []by
 
 // batch body: {1: seq, 2*: row{1: src, 2: ts, 3: vals}, 3*: run{1: src,
 // 2: packed ts, 3*: packed column}}, rows and runs in entry order; reply
-// {1: completed}.
+// {1: completed}. A run carries only its selected rows, so a decoded run
+// has a nil Sel.
 func encodeBatch(seq int64, entries []Entry) []byte {
 	var b wire.Buffer
 	b.PutVarintField(1, seq)
@@ -337,9 +350,9 @@ func encodeBatch(seq int64, entries []Entry) []byte {
 		if run := en.Run; run != nil {
 			b.PutMsgField(3, func(b *wire.Buffer) {
 				b.PutVarintField(1, int64(en.Src))
-				b.PutInt64sField(2, run.TS)
+				b.PutInt64sSelField(2, run.TS, run.Sel)
 				for _, col := range run.Cols {
-					b.PutInt64sField(3, col)
+					b.PutInt64sSelField(3, col, run.Sel)
 				}
 			})
 			continue

@@ -403,9 +403,9 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 
 // Replayer pushes WAL batches into an engine replica — the one replay
 // loop behind both the in-process shard replica and the remote worker. A
-// run goes to PushColumns in one call; a maximal stretch of same-source
-// rows goes to PushBatch. Its scratch is reused across batches, so a
-// Replayer serves one replica at a time.
+// run goes to PushColumnsSel in one call, with its selection; a maximal
+// stretch of same-source rows goes to PushBatch. Its scratch is reused
+// across batches, so a Replayer serves one replica at a time.
 type Replayer struct {
 	ts   []int64
 	vals [][]int64
@@ -428,7 +428,7 @@ func (rp *Replayer) Replay(eng *engine.Engine, srcNames []string, entries []Entr
 		case src < 0 || int(src) >= len(srcNames):
 			err = fmt.Errorf("source id %d outside the source table (%d names)", src, len(srcNames))
 		case run != nil:
-			err = eng.PushColumns(srcNames[src], run.TS, run.Cols)
+			err = eng.PushColumnsSel(srcNames[src], run.TS, run.Cols, run.Sel)
 		default:
 			rp.ts, rp.vals = rp.ts[:0], rp.vals[:0]
 			for k := i; k < j; k++ {

@@ -73,6 +73,14 @@ func (e *Engine) blockBatch(si sourceInfo, ts []int64, vals [][]int64) bool {
 // past the inline word, the batch falls back to equivalent per-row scalar
 // injection.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
+	return e.PushColumnsSel(source, ts, cols, nil)
+}
+
+// PushColumnsSel is PushColumns over the rows sel selects: row i is
+// ingested iff sel[i>>6] has bit i&63, and a nil sel selects every row.
+// The per-query results equal those of PushColumns over the selected rows
+// alone. A 256-row ingest block that selects no row is never enqueued.
+func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel []uint64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
 			return fmt.Errorf("engine: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
@@ -88,6 +96,9 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	memberWord, inline := memberWordOf(si)
 	if !inline {
 		for i := range ts {
+			if sel != nil && sel[i>>6]&(1<<uint(i&63)) == 0 {
+				continue
+			}
 			t := &stream.Tuple{TS: ts[i], Vals: make([]int64, len(cols)), Member: si.member}
 			for a, col := range cols {
 				t.Vals[a] = col[i]
@@ -100,6 +111,17 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for off := 0; off < len(ts); off += stream.MaxBlockRows {
 		n := min(stream.MaxBlockRows, len(ts)-off)
 		b := e.bpool.Wrap(ts, cols, off, n)
+		if sel != nil {
+			var live uint64
+			for i := range b.Sel {
+				b.Sel[i] &= sel[off>>6+i]
+				live |= b.Sel[i]
+			}
+			if live == 0 {
+				e.bpool.Put(b)
+				continue
+			}
+		}
 		fillMember(e.bpool, b, memberWord)
 		e.enqueueBlock(si.edge, b)
 	}

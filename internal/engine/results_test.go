@@ -14,11 +14,19 @@ import (
 	"repro/internal/workload"
 )
 
-// relEngine lowers the relational script at test scale, channels on: n
-// filter+project, n aggregate and n join queries over S and T, windows
-// drawn from 1..60.
+// relEngine lowers the relational script at test scale, channels on.
 func relEngine(tb testing.TB, n int) *Engine {
 	tb.Helper()
+	script, err := cql.Parse(relScript(n))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return optimizedEngine(tb, script.Catalog, script.Queries, true)
+}
+
+// relScript is the relational script at test scale: n filter+project, n
+// aggregate and n join queries over S and T, windows drawn from 1..60.
+func relScript(n int) string {
 	rng := rand.New(rand.NewSource(9))
 	var b strings.Builder
 	b.WriteString("CREATE STREAM S(a0, a1, a2);\nCREATE STREAM T(a0, a1, a2);\n")
@@ -32,11 +40,7 @@ func relEngine(tb testing.TB, n int) *Engine {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "QUERY join_%d := JOIN(S, T ON LEFT.a0 = EVENT.a0 WINDOW %d);\n", i, 1+rng.Intn(60))
 	}
-	script, err := cql.Parse(b.String())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return optimizedEngine(tb, script.Catalog, script.Queries, true)
+	return b.String()
 }
 
 // relEvents draws n events in alternating runs of 64 S and 64 T events,

@@ -40,17 +40,22 @@ func scatterEngine(tb testing.TB, shards int) *Engine {
 	return e
 }
 
-// takeRuns removes the column runs routed since the last call, by shard.
-func takeRuns(e *Engine) []*cluster.Run {
-	runs := make([]*cluster.Run, len(e.workers))
+// takeRuns removes the run entries routed since the last call, by shard,
+// failing unless each shard got at most one.
+func takeRuns(t *testing.T, e *Engine) []*cluster.Entry {
+	t.Helper()
+	ens := make([]*cluster.Entry, len(e.workers))
 	for i := range e.pending {
+		if len(e.pending[i]) > 1 {
+			t.Fatalf("shard %d: %d entries for one batch", i, len(e.pending[i]))
+		}
 		for _, en := range e.pending[i] {
-			runs[i] = en.Run
+			ens[i] = &en
 		}
 		e.pending[i] = e.pending[i][:0]
 		e.pendingRows[i] = 0
 	}
-	return runs
+	return ens
 }
 
 // selectedRows gathers the rows of a run its selection names: every row
@@ -87,7 +92,7 @@ func scatterRef(e *Engine, sr srcRoute, ts []int64, cols [][]int64) []*cluster.R
 	}
 	for row := range ts {
 		if sr.mode != core.PartitionMulticast {
-			add(e.shardOfAt(sr, cols, row), row)
+			add(e.shardOf(sr, cols[sr.attr][row]), row)
 			continue
 		}
 		mask := sr.alwaysMask | sr.table[cols[sr.attr][row]]
@@ -152,7 +157,7 @@ func testRouteColumnsScatter(t *testing.T, shards int) {
 			e.part = tc.part
 			rr := e.rr
 			e.routeColumns(tc.sr, ts, cols)
-			got := takeRuns(e)
+			got := takeRuns(t, e)
 			gotRR := e.rr
 			e.rr = rr
 			want := scatterRef(e, tc.sr, ts, cols)
@@ -161,42 +166,30 @@ func testRouteColumnsScatter(t *testing.T, shards int) {
 			}
 			nonEmpty := 0
 			for i := range want {
-				g, w := got[i], want[i]
-				if (g == nil) != (w == nil) {
-					t.Fatalf("shard %d: run %v, reference %v", i, g != nil, w != nil)
+				en, w := got[i], want[i]
+				if (en == nil) != (w == nil) {
+					t.Fatalf("shard %d: entry %v, reference rows %v", i, en != nil, w != nil)
 				}
 				if w == nil {
 					continue
 				}
 				nonEmpty++
-				check := func(stage string) {
-					t.Helper()
-					gts, gcols := selectedRows(g)
-					if !slices.Equal(gts, w.TS) {
-						t.Fatalf("%s: shard %d ts %v, reference %v", stage, i, gts, w.TS)
-					}
-					for a := range w.Cols {
-						if !slices.Equal(gcols[a], w.Cols[a]) {
-							t.Fatalf("%s: shard %d column %d %v, reference %v", stage, i, a, gcols[a], w.Cols[a])
-						}
+				g := en.Run
+				gts, gcols := selectedRows(g)
+				if !slices.Equal(gts, w.TS) {
+					t.Fatalf("shard %d ts %v, reference %v", i, gts, w.TS)
+				}
+				for a := range w.Cols {
+					if !slices.Equal(gcols[a], w.Cols[a]) {
+						t.Fatalf("shard %d column %d %v, reference %v", i, a, gcols[a], w.Cols[a])
 					}
 				}
-				check("scatter")
-				if cap(g.TS) != len(g.TS) {
-					t.Fatalf("shard %d: ts cap %d, len %d", i, cap(g.TS), len(g.TS))
+				if len(g.TS) != len(ts) || &g.TS[0] != &ts[0] {
+					t.Fatalf("shard %d: run does not share the batch's timestamps", i)
 				}
-				for a, col := range g.Cols {
-					if cap(col) != len(col) {
-						t.Fatalf("shard %d column %d: cap %d, len %d", i, a, cap(col), len(col))
-					}
+				if en.Rows() != len(w.TS) {
+					t.Fatalf("shard %d: Rows() %d, reference %d", i, en.Rows(), len(w.TS))
 				}
-				// The slab is one array: an append past a column's end
-				// must reallocate, not write into the next column.
-				_ = append(g.TS, -1)
-				for a := range g.Cols {
-					_ = append(g.Cols[a], -1)
-				}
-				check("after appends")
 			}
 			if nonEmpty < 2 {
 				t.Fatalf("only %d shards received rows; the case is vacuous", nonEmpty)

@@ -74,15 +74,8 @@ func (c Config) withDefaults() Config {
 // ingest queues, WAL, worker loop and wire amortize per-block: a
 // PushColumns batch costs one queue element and one WAL record slot per
 // shard instead of one per row. The shard engine owns a run's slices once
-// routed (the caller handed them over at PushColumns).
-
-// setRow writes row of the batch (ts, cols) into position k of run.
-func setRow(run *cluster.Run, k int, ts []int64, cols [][]int64, row int) {
-	run.TS[k] = ts[row]
-	for a, col := range cols {
-		run.Cols[a][k] = col[row]
-	}
-}
+// routed (the caller handed them over at PushColumns); every shard's run
+// shares them, selecting its own rows.
 
 // msg is one queue element: a batch of entries, or a drain marker.
 type msg struct {
@@ -186,13 +179,6 @@ type Engine struct {
 	// pendingRows[i] is the row count of pending[i] (a columnar run entry
 	// stands for many rows); batch flushing triggers on rows, not entries.
 	pendingRows []int
-	// routeColumns' scratch, guarded by mu: each row's destination shard
-	// (rowDst) or multicast shard mask (rowMask), and per shard its row
-	// count (shardRows) and run (shardRuns).
-	rowDst    []int32
-	rowMask   []uint64
-	shardRows []int
-	shardRuns []*cluster.Run
 
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
@@ -519,20 +505,26 @@ func partnerMask(partners []int64, n int, part *core.PartitionPlan) uint64 {
 	return m
 }
 
-// shardOf picks the shard for one tuple under a route. Hash routes honour
-// the key-placement overlay of the partition plan: a moved key goes to its
-// explicit owner, a split key round-robins across its owners.
-func (e *Engine) shardOf(sr srcRoute, vals []int64) int {
+// rowKey returns a tuple's routing key: its value of the route's key
+// attribute, 0 when it has none.
+func rowKey(sr srcRoute, vals []int64) int64 {
+	if sr.attr < len(vals) {
+		return vals[sr.attr]
+	}
+	return 0
+}
+
+// shardOf picks the shard for one tuple with routing key v under a hash or
+// round-robin route. Hash routes honour the key-placement overlay of the
+// partition plan: a moved key goes to its explicit owner, a split key
+// round-robins across its owners.
+func (e *Engine) shardOf(sr srcRoute, v int64) int {
 	n := len(e.workers)
 	if n == 1 {
 		return 0
 	}
 	switch sr.mode {
 	case core.PartitionHash:
-		var v int64
-		if sr.attr < len(vals) {
-			v = vals[sr.attr]
-		}
 		if owners := e.part.Moved(v); owners != nil {
 			if len(owners) == 1 {
 				return owners[0]
@@ -587,7 +579,7 @@ func (e *Engine) stageShard(shard int) {
 			// entry header (src, ts) + value words; close enough to track
 			// WAL growth and replay cost without serializing anything.
 			if r := b[i].Run; r != nil {
-				e.walBytes += int64(len(r.TS)) * (16 + 8*int64(len(r.Cols)))
+				e.walBytes += int64(b[i].Rows()) * (16 + 8*int64(len(r.Cols)))
 			} else {
 				e.walBytes += 16 + 8*int64(len(b[i].Vals))
 			}
@@ -778,30 +770,28 @@ func (e *Engine) route(sr srcRoute, ts int64, vals []int64) {
 			e.append(i, cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 		}
 	case core.PartitionMulticast:
-		// Content-based routing: only the shards whose instances can pair
-		// with this tuple receive it; a tuple no operator constant
-		// matches is dropped at the router.
-		mask := sr.alwaysMask
-		var v int64
-		if sr.attr < len(vals) {
-			v = vals[sr.attr]
-		}
-		mask |= sr.table[v]
-		if obs.Enabled() {
-			if mask == 0 {
-				e.mcDrops++
-			} else {
-				e.mcHits++
-			}
-		}
-		for mask != 0 {
-			i := bits.TrailingZeros64(mask)
-			mask &^= 1 << uint(i)
-			e.append(i, cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
+		for mask := e.multicastMask(sr, rowKey(sr, vals)); mask != 0; mask &= mask - 1 {
+			e.append(bits.TrailingZeros64(mask), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 		}
 	default:
-		e.append(e.shardOf(sr, vals), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
+		e.append(e.shardOf(sr, rowKey(sr, vals)), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
 	}
+}
+
+// multicastMask returns the shards a multicast tuple with routing key v
+// goes to — content-based routing: only the shards whose instances can
+// pair with the tuple; a tuple no operator constant matches is dropped at
+// the router — and counts it as a router hit or drop.
+func (e *Engine) multicastMask(sr srcRoute, v int64) uint64 {
+	mask := sr.alwaysMask | sr.table[v]
+	if obs.Enabled() {
+		if mask == 0 {
+			e.mcDrops++
+		} else {
+			e.mcHits++
+		}
+	}
+	return mask
 }
 
 // PushBatch injects a batch of tuples into one source stream under a
@@ -824,13 +814,14 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 }
 
 // PushColumns injects a batch given column-major — ts[i] pairs with
-// cols[a][i] — keeping it columnar end-to-end: a broadcast source costs
-// one run entry per shard (sharing the slices), a partitioned source
-// scatters rows into per-shard runs, and the runs travel through the WAL
-// and worker queues as single entries until each replica engine feeds them
-// to its vectorized path. The engine takes ownership of ts and cols (they
-// stay referenced until the workers replay and the WAL prunes them). The
-// failure contract of Push applies.
+// cols[a][i] — keeping it columnar end-to-end: every destination shard
+// gets one run entry sharing ts and cols, a partitioned source's run
+// selecting that shard's rows by bitmap, and the runs travel through the
+// WAL and worker queues as single entries until each replica engine feeds
+// its selected rows to its vectorized path. The engine takes ownership of
+// ts and cols: they stay referenced until every shard's worker has
+// replayed its run and its WAL has pruned it. The failure contract of Push
+// applies.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
@@ -863,111 +854,38 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 		}
 		return
 	}
-	// Scatter rows into per-shard runs. Each shard gets a fresh run (no
-	// sharing — its slices are owned by that shard's WAL record alone),
-	// carved to its exact size from one slab: first every row's
-	// destinations are decided and counted per shard (shardOfAt advances
-	// the round-robin state, so it runs exactly once per row), then the
-	// rows are copied. A hash or round-robin row has one destination shard;
-	// a multicast row has a mask of them (multicast routes exist only up to
-	// 64 shards, see rebuildSourceRoutes).
-	multicast := sr.mode == core.PartitionMulticast
-	counts := slices.Grow(e.shardRows[:0], len(e.workers))[:len(e.workers)]
-	e.shardRows = counts
-	clear(counts)
-	var masks []uint64
-	var dst []int32
-	if multicast {
-		masks = slices.Grow(e.rowMask[:0], len(ts))[:len(ts)]
-		e.rowMask = masks
-		obsOn := obs.Enabled()
-		for row := range ts {
-			mask := sr.alwaysMask
-			var v int64
-			if sr.attr < len(cols) {
-				v = cols[sr.attr][row]
-			}
-			mask |= sr.table[v]
-			if obsOn {
-				if mask == 0 {
-					e.mcDrops++
-				} else {
-					e.mcHits++
-				}
-			}
-			masks[row] = mask
-			for ; mask != 0; mask &= mask - 1 {
-				counts[bits.TrailingZeros64(mask)]++
-			}
-		}
-	} else {
-		dst = slices.Grow(e.rowDst[:0], len(ts))[:len(ts)]
-		e.rowDst = dst
-		for row := range ts {
-			i := e.shardOfAt(sr, cols, row)
-			dst[row] = int32(i)
-			counts[i]++
-		}
+	// Every shard's run shares ts and cols and selects its rows by bitmap;
+	// the bitmaps are carved from one array. One pass decides each row's
+	// destinations (shardOf advances the round-robin state, so it runs
+	// exactly once per row) and sets the row's bit in each. A hash or
+	// round-robin row has one destination shard; a multicast row has a
+	// mask of them (multicast routes exist only up to 64 shards, see
+	// rebuildSourceRoutes).
+	words := (len(ts) + 63) >> 6
+	sels := make([]uint64, len(e.workers)*words)
+	var key []int64
+	if sr.attr < len(cols) {
+		key = cols[sr.attr]
 	}
-	runs := slices.Grow(e.shardRuns[:0], len(e.workers))[:len(e.workers)]
-	e.shardRuns = runs
-	for i, n := range counts {
-		runs[i] = nil
-		if n > 0 {
-			slab := make([]int64, (len(cols)+1)*n)
-			r := &cluster.Run{TS: slab[:n:n], Cols: make([][]int64, len(cols))}
-			for a := range cols {
-				r.Cols[a] = slab[(a+1)*n : (a+2)*n : (a+2)*n]
-			}
-			runs[i] = r
-		}
-		counts[i] = 0 // now the shard's fill position
-	}
-	if multicast {
-		for row, mask := range masks {
-			for ; mask != 0; mask &= mask - 1 {
-				i := bits.TrailingZeros64(mask)
-				setRow(runs[i], counts[i], ts, cols, row)
-				counts[i]++
-			}
-		}
-	} else {
-		for row, i := range dst {
-			setRow(runs[i], counts[i], ts, cols, row)
-			counts[i]++
-		}
-	}
-	for i, r := range runs {
-		if r != nil {
-			e.append(i, cluster.Entry{Src: sr.id, Run: r})
-		}
-	}
-	clear(runs)
-}
-
-// shardOfAt mirrors shardOf for one row of a column-major batch.
-func (e *Engine) shardOfAt(sr srcRoute, cols [][]int64, row int) int {
-	n := len(e.workers)
-	if n == 1 {
-		return 0
-	}
-	switch sr.mode {
-	case core.PartitionHash:
+	for row := range ts {
 		var v int64
-		if sr.attr < len(cols) {
-			v = cols[sr.attr][row]
+		if key != nil {
+			v = key[row]
 		}
-		if owners := e.part.Moved(v); owners != nil {
-			if len(owners) == 1 {
-				return owners[0]
-			}
-			e.rr++
-			return owners[e.rr%uint64(len(owners))]
+		bit := uint64(1) << uint(row&63)
+		if sr.mode != core.PartitionMulticast {
+			sels[e.shardOf(sr, v)*words+row>>6] |= bit
+			continue
 		}
-		return core.ShardOfKey(v, n)
-	default: // round-robin
-		e.rr++
-		return int(e.rr % uint64(n))
+		for mask := e.multicastMask(sr, v); mask != 0; mask &= mask - 1 {
+			sels[bits.TrailingZeros64(mask)*words+row>>6] |= bit
+		}
+	}
+	for i := range e.workers {
+		sel := sels[i*words : (i+1)*words : (i+1)*words]
+		if slices.ContainsFunc(sel, func(w uint64) bool { return w != 0 }) {
+			e.append(i, cluster.Entry{Src: sr.id, Run: &cluster.Run{TS: ts, Cols: cols, Sel: sel}})
+		}
 	}
 }
 

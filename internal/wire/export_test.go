@@ -15,3 +15,6 @@ var (
 	DecodeLogical   = decodeLogical
 	EncodeLogical   = encodeLogical
 )
+
+// ResetBuffer empties b, keeping its capacity.
+func ResetBuffer(b *Buffer) { b.b = b.b[:0] }

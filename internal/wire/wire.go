@@ -162,6 +162,30 @@ func (b *Buffer) PutInt64sField(field int, vs []int64) {
 	}
 }
 
+// PutInt64sSelField appends the tagged packed list of the values of vs
+// that sel selects: vs[i] is selected iff sel[i>>6] has bit i&63, and a
+// nil sel selects every value. The bytes are those of PutInt64sField over
+// the selected values, written without gathering them.
+func (b *Buffer) PutInt64sSelField(field int, vs []int64, sel []uint64) {
+	if sel == nil {
+		b.PutInt64sField(field, vs)
+		return
+	}
+	n := 0
+	for wi, w := range sel {
+		for ; w != 0; w &= w - 1 {
+			n += uvarintLen(zigzag(vs[wi<<6|bits.TrailingZeros64(w)]))
+		}
+	}
+	b.putTag(field, wtBytes)
+	b.PutUvarint(uint64(n))
+	for wi, w := range sel {
+		for ; w != 0; w &= w - 1 {
+			b.PutVarint(vs[wi<<6|bits.TrailingZeros64(w)])
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Reader: the decoder
 // ---------------------------------------------------------------------------

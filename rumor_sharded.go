@@ -338,7 +338,8 @@ func (s *ShardedSystem) PushBatch(streamName string, ts []int64, vals [][]int64)
 // PushColumns injects a batch given column-major — ts[i] pairs with
 // cols[a][i] — keeping it columnar through the router, the per-shard WAL,
 // and the worker queues until each replica engine's vectorized path. The
-// system takes ownership of ts and cols.
+// system takes ownership of ts and cols: every shard's run shares them
+// until that shard's WAL prunes it, so the caller must not modify them.
 func (s *ShardedSystem) PushColumns(streamName string, ts []int64, cols [][]int64) error {
 	if s.sh == nil {
 		return fmt.Errorf("rumor: call Optimize before PushColumns")
