@@ -219,11 +219,20 @@ func (r *recorder) emit(port int, t *stream.Tuple) {
 	r.out = append(r.out, fmt.Sprintf("%d:%s", port, t))
 }
 
-// exportAll drains every state group of m and renders the payloads.
-func exportAll(m *SeqMOp) []string {
+// exportKeys removes the instances whose attribute-0 key sel accepts from
+// every state group of m, returning the payloads in group order.
+func exportKeys(m *SeqMOp, sel func(key int64) bool) []*StatePayload {
+	var pls []*StatePayload
+	for _, g := range m.groups() {
+		pls = append(pls, g.exportKeyed(0, 0, func(key int64, _ int) bool { return sel(key) }))
+	}
+	return pls
+}
+
+// renderPayloads renders exported instances, one line each.
+func renderPayloads(pls []*StatePayload) []string {
 	var out []string
-	for gi, g := range m.groups() {
-		pl := g.exportKeyed(0, 0, func(int64, int) bool { return true })
+	for gi, pl := range pls {
 		for _, it := range pl.items {
 			out = append(out, fmt.Sprintf("g%d key=%d ts=%d start=%s state=%s member=%v",
 				gi, it.Key, it.TS, it.Start, it.State, it.Member))
@@ -232,9 +241,20 @@ func exportAll(m *SeqMOp) []string {
 	return out
 }
 
+// exportAll drains every state group of m and renders the payloads.
+func exportAll(m *SeqMOp) []string {
+	return renderPayloads(exportKeys(m, func(int64) bool { return true }))
+}
+
 // runSeqBlockDiff decodes blocks from data and drives twin m-ops of every
 // ;/µ node of fixture cfg, failing on the first divergence. It returns the
 // number of tuples the m-ops emitted.
+//
+// Halfway through the blocks both twins export the instances of the even
+// keys. The twins then keep running, expiring, matching and recycling what
+// they still hold, and the exported payloads must render as they did when
+// they left: an exported tuple belongs to its payload, and a store that
+// recycled one it no longer owns shows up here as a changed rendering.
 func runSeqBlockDiff(t *testing.T, cfg int, data []byte) (emitted int) {
 	p := seqBlockPlan(t, cfg)
 	for _, n := range seqNodes(p) {
@@ -252,7 +272,18 @@ func runSeqBlockDiff(t *testing.T, cfg int, data []byte) (emitted int) {
 		bp := stream.NewBlockPool()
 		noBlocks := func(int, *stream.Block) { t.Fatal("seq kernel emitted a block") }
 		ts := int64(0)
-		for nb := 4 + int(src.next()%12); nb > 0; nb-- {
+		var earlyRows, earlyBlk []*StatePayload
+		var early []string
+		nb := 4 + int(src.next()%12)
+		for bi := 0; bi < nb; bi++ {
+			if bi == nb/2 {
+				even := func(key int64) bool { return key%2 == 0 }
+				earlyRows, earlyBlk = exportKeys(rows, even), exportKeys(blk, even)
+				early = renderPayloads(earlyRows)
+				if eb := renderPayloads(earlyBlk); !slices.Equal(early, eb) {
+					t.Fatalf("cfg %d node %d: midway export diverges\nrows:   %v\nblocks: %v", cfg, n.ID, early, eb)
+				}
+			}
 			port := int(src.next()) % len(lowBlk.InEdges)
 			edge := lowBlk.InEdges[port]
 			nrows := 1 + int(src.next())%70
@@ -303,6 +334,12 @@ func runSeqBlockDiff(t *testing.T, cfg int, data []byte) (emitted int) {
 		}
 		if er, eb := exportAll(rows), exportAll(blk); !slices.Equal(er, eb) {
 			t.Fatalf("cfg %d node %d: exported state diverges\nrows:   %v\nblocks: %v", cfg, n.ID, er, eb)
+		}
+		for name, pls := range map[string][]*StatePayload{"rows": earlyRows, "blocks": earlyBlk} {
+			if now := renderPayloads(pls); !slices.Equal(now, early) {
+				t.Fatalf("cfg %d node %d: the %s twin's midway export changed after it left the store\nthen: %v\nnow:  %v",
+					cfg, n.ID, name, early, now)
+			}
 		}
 		emitted += len(recBlk.out)
 	}
