@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/mop"
 	"repro/internal/workload"
 )
 
@@ -122,5 +124,100 @@ func TestSeqBlockMissMaterializesNothing(t *testing.T) {
 	push()
 	if e.TotalResults() == results {
 		t.Fatal("a T batch on a named constant matched nothing: the guard above proves nothing")
+	}
+}
+
+// storedInstances sums the live instances of the engine's ; and µ m-ops.
+func storedInstances(e *Engine) int {
+	n := 0
+	for _, rn := range e.nodes {
+		if m, ok := rn.m.(*mop.SeqMOp); ok {
+			n += m.Size()
+		}
+	}
+	return n
+}
+
+// TestSeqStoreBlockAllocFree: a row that a ; or µ group stores from a block
+// is a pooled copy owned by its instance, and it goes back to the engine's
+// tuple pool when the instance dies. The feed repeats one lap of S/T
+// batches, shifted in time by more than any window, and T's a0 runs
+// through the constant domain in every lap, so every group (a W1 group is
+// reached only through its θ3 constant on a0) is probed and expires in
+// every lap. From the second lap on the stores then go through the same
+// states as in the lap before: once two laps have warmed them, a third
+// allocates nothing. A T batch past every window,
+// whose rows name every constant so that every group is probed and
+// expires, then returns every stored instance's tuples to the pool: its
+// start, and for µ its state.
+func TestSeqStoreBlockAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		build   func(*testing.T) (*Engine, workload.Params)
+		perInst int // pooled tuples a stored instance holds
+	}{
+		{"w1", w1Engine, 1},
+		{"w2", func(t *testing.T) (*Engine, workload.Params) { return w2Engine(t) }, 1},
+		{"w2mu", func(t *testing.T) (*Engine, workload.Params) {
+			params := workload.DefaultParams()
+			return optimizedEngine(t, params.Catalog(), automatonQueries(t, params.Workload2Mu()), false), params
+		}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, params := c.build(t)
+			const lap, laps = 8, 3
+			lapTS, cols := w2Ticks(lap, params)
+			for k := 1; k < len(cols); k += 2 {
+				for i := range cols[k][0] {
+					cols[k][0][i] = int64((k/2*len(cols[k][0]) + i) % params.ConstDomain)
+				}
+			}
+			span := lapTS[len(lapTS)-1][len(lapTS[0])-1] + 1
+			var ts [][]int64
+			for r := 0; r < laps; r++ {
+				for _, b := range lapTS {
+					shifted := make([]int64, len(b))
+					for i, v := range b {
+						shifted[i] = v + int64(r)*span
+					}
+					ts = append(ts, shifted)
+				}
+			}
+			cols = slices.Repeat(cols, laps)
+			next := 0
+			for ; next < 2*lap; next++ {
+				pushTick(t, e, ts, cols, next)
+			}
+			if n := testing.AllocsPerRun(lap-1, func() {
+				pushTick(t, e, ts, cols, next)
+				next++
+			}); n != 0 {
+				t.Fatalf("an S+T pair of a repeated lap allocates %v times, want 0", n)
+			}
+
+			stored := storedInstances(e)
+			if stored == 0 {
+				t.Fatal("no instance is stored; the pool check below proves nothing")
+			}
+			xts, xcols := columns(params.ConstDomain, params.NumAttrs, 0)
+			for i := range xts {
+				xts[i] = int64(laps)*span + 2*int64(params.WindowDomain)
+				for a := range xcols {
+					xcols[a][i] = int64(i)
+				}
+			}
+			free := e.pool.FreeCount()
+			if err := e.PushColumns("T", xts, xcols); err != nil {
+				t.Fatal(err)
+			}
+			if left := storedInstances(e); left != 0 {
+				t.Fatalf("%d instances survive a T batch past every window", left)
+			}
+			got := e.pool.FreeCount() - free
+			if got < c.perInst*stored {
+				t.Fatalf("expiring %d stored instances returned %d tuples to the pool, want at least %d", stored, got, c.perInst*stored)
+			}
+			t.Logf("expiring %d stored instances returned %d tuples to the pool", stored, got)
+		})
 	}
 }

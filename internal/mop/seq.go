@@ -12,12 +12,14 @@ import (
 // seqInst is one stored automaton instance: for ; it is the buffered left
 // tuple awaiting a match; for µ it additionally tracks the last event bound
 // into the pattern. state is the tuple edge predicates evaluate against —
-// the left tuple itself for ;, and start ++ last for µ (§4.2).
+// the left tuple itself for ;, and start ++ last for µ (§4.2). A row stored
+// from a block is a pooled copy the instance owns (owned) and recycles.
 type seqInst struct {
 	start  *stream.Tuple
 	state  *stream.Tuple
 	member *bitset.Set
 	dead   bool
+	owned  bool
 }
 
 // stateGroup is a set of ;/µ operators sharing stored state: same left
@@ -152,7 +154,7 @@ type SeqMOp struct {
 
 	// Vectorized dispatch (seq_block.go). vec is decided once at lowering
 	// time: every membership position within the inline word. probe is the
-	// scratch tuple a probe-only port materializes its hit rows into.
+	// scratch tuple the block kernels materialize one row at a time into.
 	vec   bool
 	probe stream.Tuple
 }
@@ -335,7 +337,7 @@ func (m *SeqMOp) FlushCounts() int64 { return m.counted.flushCounts() }
 // Process implements MOp.
 func (m *SeqMOp) Process(port int, t *stream.Tuple, emit Emit) {
 	if ld := m.lefts[port]; ld != nil {
-		m.processLeft(ld, t)
+		m.processLeft(ld, t, false)
 	}
 	if rd := m.rights[port]; rd != nil {
 		m.processRight(rd, t, emit)
@@ -343,19 +345,20 @@ func (m *SeqMOp) Process(port int, t *stream.Tuple, emit Emit) {
 }
 
 // processLeft inserts the arriving tuple as a new instance into every
-// group whose insertion predicate it satisfies.
-func (m *SeqMOp) processLeft(ld *leftDispatch, t *stream.Tuple) {
+// group whose insertion predicate it satisfies; with own each instance
+// stores a pooled copy of t that it owns instead of t itself.
+func (m *SeqMOp) processLeft(ld *leftDispatch, t *stream.Tuple, own bool) {
 	for i := range ld.fr {
 		idx := &ld.fr[i]
 		if idx.attr >= len(t.Vals) {
 			continue
 		}
 		for _, g := range idx.byConst.get(t.Vals[idx.attr]) {
-			g.insert(t)
+			g.insert(t, own)
 		}
 	}
 	for _, g := range ld.rest {
-		g.insert(t)
+		g.insert(t, own)
 	}
 }
 
@@ -369,26 +372,37 @@ func (g *stateGroup) takeInst() *seqInst {
 	return &seqInst{}
 }
 
-// recycleInst returns a dead, unreferenced instance to the free list. For µ
-// the state tuple is group-constructed and instance-private, so its value
-// buffer goes back to the engine's tuple pool.
+// recycleInst returns a dead, unreferenced instance to the free list, and
+// its private tuples to the engine's tuple pool: the µ state tuple, which
+// the group builds, and an owned start.
 func (g *stateGroup) recycleInst(inst *seqInst) {
 	if g.mu && inst.state != nil {
 		g.pool.Put(inst.state)
+	}
+	if inst.owned {
+		g.pool.Put(inst.start)
 	}
 	*inst = seqInst{}
 	g.free = append(g.free, inst)
 }
 
-func (g *stateGroup) insert(t *stream.Tuple) {
+// insert stores t as a new instance if it passes the insertion mask and
+// predicate: t itself, or with own a pooled copy that keeps t's interned
+// membership.
+func (g *stateGroup) insert(t *stream.Tuple, own bool) {
 	if g.leftMask != nil && !t.Member.Intersects(g.leftMask) {
 		return
 	}
 	if g.leftPred != nil && !g.leftPred.Eval(t) {
 		return
 	}
+	if own {
+		c := g.pool.Get(t.TS, len(t.Vals))
+		copy(c.Vals, t.Vals)
+		c.Member, t = t.Member, c
+	}
 	inst := g.takeInst()
-	inst.start, inst.state = t, t
+	inst.start, inst.state, inst.owned = t, t, own
 	if t.Member != nil {
 		inst.member = t.Member.Clone()
 	}
@@ -484,9 +498,13 @@ func (g *stateGroup) matchInst(inst *seqInst, t *stream.Tuple, ce *chanEmitter, 
 	case matched && filterOK:
 		// Duplicate: one copy stays at the state unchanged, one rebinds.
 		// Clone draws from the engine's tuple pool, reusing buffers of
-		// recycled instances.
+		// recycled instances. The two die at different times, so an owned
+		// start is copied, not shared.
 		stay := g.takeInst()
-		stay.start, stay.state, stay.member = inst.start, g.pool.Clone(inst.state), inst.member
+		stay.start, stay.state, stay.member, stay.owned = inst.start, g.pool.Clone(inst.state), inst.member, inst.owned
+		if inst.owned {
+			stay.start = g.pool.Clone(inst.start)
+		}
 		g.insts = append(g.insts, stay)
 		if g.hash != nil {
 			g.hash.add(stay.state.Vals[g.lAttr], stay)
@@ -668,8 +686,9 @@ func (g *stateGroup) adoptFrom(old stateHolder) error {
 // post-export store instead of firing eagerly against a shrunken one. The
 // instance store keeps its start-timestamp order (in-place filter);
 // exported instance headers are recycled, while start/state tuples and
-// memberships travel. Dropping the dead is replica-deterministic: dead
-// flags agree across replicas holding identical (replicated) stores.
+// memberships travel: the payload takes over an owned start uncopied.
+// Dropping the dead is replica-deterministic: dead flags agree across
+// replicas holding identical (replicated) stores.
 func (g *stateGroup) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *StatePayload {
 	if side != 0 {
 		return nil
@@ -714,8 +733,9 @@ func (g *stateGroup) exportKeyed(side, keyAttr int, sel func(int64, int) bool) *
 
 // importKeyed merges exported instances into the store by start timestamp
 // and re-indexes them. Start tuples and memberships are immutable and may
-// be shared; µ state tuples are instance-private and pool-owned, so a
-// copied import deep-copies them into this engine's pool.
+// be shared, so an imported instance never owns its start; µ state tuples
+// are instance-private and pool-owned, so a copied import deep-copies them
+// into this engine's pool.
 func (g *stateGroup) importKeyed(pl *StatePayload, copied bool) error {
 	if pl.kind != g.stateKind() {
 		return fmt.Errorf("seq group importing %d-kind payload", pl.kind)
@@ -812,18 +832,11 @@ func (g *stateGroup) replayMember(side, pos int, keep func(*stream.Tuple) bool) 
 	return n
 }
 
-// discardState releases group-owned pooled state. Only µ groups own their
-// instance state tuples (a ; instance's state IS the stored input tuple,
-// which the group does not own).
+// discardState releases group-owned pooled state: the µ state tuples and
+// owned starts of the stored instances (see recycleInst).
 func (g *stateGroup) discardState() {
-	if !g.mu {
-		return
-	}
 	for _, inst := range g.insts {
-		if inst.state != nil {
-			g.pool.Put(inst.state)
-			inst.state = nil
-		}
+		g.recycleInst(inst)
 	}
 	g.insts = nil
 }

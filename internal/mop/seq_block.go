@@ -31,20 +31,21 @@ func (m *SeqMOp) ProcessBlock(port int, b *stream.Block, bp *stream.BlockPool, e
 	}
 }
 
-// storeBlock handles a storing (left) port: every live row may become an
-// instance, so each is copied into a tuple of its own from the engine pool
-// — what the adapter built for this port — and takes the scalar path. rd is
-// non-nil when operators also read the port on their right side.
+// storeBlock handles a storing (left) port: every live row takes the scalar
+// path through the m-op's scratch tuple, and a group that stores the row
+// keeps a pooled copy of its own (stateGroup.insert), so rows no group
+// stores cost nothing. rd is non-nil when operators also read the port on
+// their right side.
+//
+//rumor:noalloc
 func (m *SeqMOp) storeBlock(ld *leftDispatch, rd *rightDispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
 	for wi, w := range b.Sel {
 		base := wi << 6
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			w &^= 1 << uint(bit)
-			i := base + bit
-			t := m.pool.Get(b.TS[i], len(b.Cols))
-			b.CopyRow(t, i, bp)
-			m.processLeft(ld, t)
+			t := m.scratchRow(b, base+bit, bp)
+			m.processLeft(ld, t, true)
 			if rd != nil {
 				m.processRight(rd, t, emit)
 			}
@@ -59,11 +60,6 @@ func (m *SeqMOp) storeBlock(ld *leftDispatch, rd *rightDispatch, b *stream.Block
 //
 //rumor:noalloc
 func (m *SeqMOp) probeBlock(rd *rightDispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
-	t := &m.probe
-	if cap(t.Vals) < len(b.Cols) {
-		t.Vals = make([]int64, len(b.Cols))
-	}
-	t.Vals = t.Vals[:len(b.Cols)]
 	always := len(rd.rest) > 0
 	for wi, w := range b.Sel {
 		base := wi << 6
@@ -74,11 +70,23 @@ func (m *SeqMOp) probeBlock(rd *rightDispatch, b *stream.Block, bp *stream.Block
 			if !always && !rd.anHit(b, i) {
 				continue
 			}
-			t.TS = b.TS[i]
-			b.CopyRow(t, i, bp)
-			m.processRight(rd, t, emit)
+			m.processRight(rd, m.scratchRow(b, i, bp), emit)
 		}
 	}
+}
+
+// scratchRow copies row i of b into the m-op's scratch tuple, valid until
+// the next call: whoever keeps the row copies it.
+//
+//rumor:noalloc
+func (m *SeqMOp) scratchRow(b *stream.Block, i int, bp *stream.BlockPool) *stream.Tuple {
+	t := &m.probe
+	if cap(t.Vals) < len(b.Cols) {
+		t.Vals = make([]int64, len(b.Cols))
+	}
+	t.TS, t.Vals = b.TS[i], t.Vals[:len(b.Cols)]
+	b.CopyRow(t, i, bp)
+	return t
 }
 
 // anHit reports whether some AN index names a group for row i of b.
