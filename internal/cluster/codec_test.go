@@ -457,6 +457,84 @@ func BenchmarkBatchCodec(b *testing.B) {
 	}
 }
 
+// randomColumn draws n values of one of several shapes: a narrow domain
+// like W2's attributes, near-consecutive timestamps, all equal, negative,
+// the whole int64 range, or the two extremes side by side.
+func randomColumn(rng *rand.Rand, n int) []int64 {
+	vs := make([]int64, n)
+	shape := rng.Intn(6)
+	base := rng.Int63() - rng.Int63()
+	for i := range vs {
+		switch shape {
+		case 0:
+			vs[i] = rng.Int63n(1000)
+		case 1:
+			vs[i] = base + int64(i) + rng.Int63n(4)
+		case 2:
+			vs[i] = base
+		case 3:
+			vs[i] = -1 - rng.Int63n(1<<uint(rng.Intn(63)))
+		case 4:
+			vs[i] = int64(rng.Uint64())
+		default:
+			vs[i] = []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+		}
+	}
+	return vs
+}
+
+// TestBatchRunRoundTripSelected decodes what encodeBatch wrote for random
+// runs under random selections and compares every value with the run's
+// selected rows. The lengths straddle the 64-row selection words and the
+// 128-value blocks.
+func TestBatchRunRoundTripSelected(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var d batchDecoder
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 700} {
+		for range 8 {
+			arity := rng.Intn(4)
+			run := &Run{TS: randomColumn(rng, n), Cols: make([][]int64, arity)}
+			for a := range run.Cols {
+				run.Cols[a] = randomColumn(rng, n)
+			}
+			words := (n + 63) / 64
+			full := make([]uint64, words)
+			for i := range n {
+				full[i>>6] |= 1 << uint(i&63)
+			}
+			sparse := make([]uint64, words)
+			sparse[rng.Intn(words)] = 1 << uint(rng.Intn(64))
+			for i := range sparse {
+				sparse[i] &= full[i]
+			}
+			random := make([]uint64, words)
+			for i := range random {
+				random[i] = rng.Uint64() & full[i]
+			}
+			for _, sel := range [][]uint64{nil, make([]uint64, words), full, sparse, random} {
+				want := &Run{Cols: make([][]int64, arity)}
+				for i := range n {
+					if sel != nil && sel[i>>6]&(1<<uint(i&63)) == 0 {
+						continue
+					}
+					want.TS = append(want.TS, run.TS[i])
+					for a, col := range run.Cols {
+						want.Cols[a] = append(want.Cols[a], col[i])
+					}
+				}
+				selected := &Run{TS: run.TS, Cols: run.Cols, Sel: sel}
+				seq, got, err := d.decode(encodeBatch(3, []Entry{{Src: 1, Run: selected}}))
+				if err != nil {
+					t.Fatalf("%d rows, %d selected: %v", n, len(want.TS), err)
+				}
+				if seq != 3 || !entriesEqual(got, []Entry{{Src: 1, Run: want}}) {
+					t.Fatalf("%d rows, %d selected: decoded run differs from the selected rows", n, len(want.TS))
+				}
+			}
+		}
+	}
+}
+
 // A histogram reply whose key and count lists differ in length is corrupt.
 func TestHistReplyMismatchCorrupt(t *testing.T) {
 	var b wire.Buffer
