@@ -113,6 +113,10 @@ type Client struct {
 	// rng drives backoff jitter; guarded by callMu.
 	rng        *rand.Rand
 	nextCallID int64
+	// callBuf holds the frame of the call in flight, encoded once and
+	// re-sent as is on retry; guarded by callMu and reused by the next
+	// call.
+	callBuf wire.Buffer
 
 	// mu guards the connection and reachability state.
 	mu        sync.Mutex
@@ -490,22 +494,28 @@ func (c *Client) sleepBackoff(outageStart time.Time) {
 	}
 }
 
-// call performs one RPC, retrying across reconnects until it succeeds or
-// the worker is declared lost. The worker's reply cache plus the batch
-// seq dedup make retried calls execute at most once.
+// call performs one RPC with an encoded body; see callWith.
 func (c *Client) call(op byte, body []byte) ([]byte, error) {
+	return c.callWith(op, func(b *wire.Buffer) { b.Append(body) })
+}
+
+// callWith performs one RPC whose body is written by body, retrying
+// across reconnects until it succeeds or the worker is declared lost. The
+// frame is encoded once, into callBuf. The worker's reply cache plus the
+// batch seq dedup make retried calls execute at most once.
+func (c *Client) callWith(op byte, body func(*wire.Buffer)) ([]byte, error) {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	c.nextCallID++
 	callID := c.nextCallID
-	frame := encodeCall(callID, op, body)
+	frame := encodeCallFrame(&c.callBuf, callID, op, body)
 	for {
 		conn, err := c.ensureConn()
 		if err != nil {
 			return nil, err
 		}
 		conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-		if err := conn.WriteFrame(frameCall, frame); err != nil {
+		if err := conn.WriteSealed(frame); err != nil {
 			c.noteFailure(err)
 			continue
 		}
@@ -629,7 +639,7 @@ func (c *Client) probe() {
 // Replay delivers one WAL batch. Delivery is at-least-once; the worker
 // dedups by seq, so duplicated or re-sent batches replay exactly once.
 func (c *Client) Replay(seq int64, entries []Entry) error {
-	_, err := c.call(opBatch, encodeBatch(seq, entries))
+	_, err := c.callWith(opBatch, func(b *wire.Buffer) { putBatch(b, seq, entries) })
 	return err
 }
 

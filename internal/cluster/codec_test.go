@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -15,6 +16,20 @@ import (
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
+
+// encodeBatch encodes one batch body into a buffer of its own.
+func encodeBatch(seq int64, entries []Entry) []byte {
+	var b wire.Buffer
+	putBatch(&b, seq, entries)
+	return b.Bytes()
+}
+
+// encodeCall encodes one call message around an encoded body.
+func encodeCall(callID int64, op byte, body []byte) []byte {
+	var b wire.Buffer
+	putCall(&b, callID, op, func(b *wire.Buffer) { b.Append(body) })
+	return b.Bytes()
+}
 
 // entriesEqual compares decoded batches; nil and empty slices are equal.
 func entriesEqual(a, b []Entry) bool {
@@ -170,10 +185,10 @@ func putRun(b *wire.Buffer, src int64, ts []int64, cols [][]int64) {
 	b.PutMsgField(3, func(b *wire.Buffer) {
 		b.PutVarintField(1, src)
 		if ts != nil {
-			b.PutInt64sField(2, ts)
+			b.PutBitPackedField(2, ts, nil)
 		}
 		for _, col := range cols {
-			b.PutInt64sField(3, col)
+			b.PutBitPackedField(3, col, nil)
 		}
 	})
 }
@@ -375,50 +390,59 @@ func TestReplayRejectsUnknownSource(t *testing.T) {
 	}
 }
 
-// Protocol version 1 workers would skip column runs as an unknown field,
-// so neither side accepts the other: a v1 hello is refused by the worker,
-// and a worker acknowledging v1 fails the client's Dial.
-func TestHandshakeRefusesV1(t *testing.T) {
+// Older peers misread batches: a protocol version 1 worker skips column
+// runs as an unknown field, and a version 2 worker reads bit-packed
+// columns as varints. Neither side accepts an older peer: its hello is
+// refused by the worker, and a worker acknowledging it fails the
+// client's Dial.
+func TestHandshakeRefusesOlderVersions(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
-	h := freshHello(w)
-	h.Proto = 1
-	if _, ack := dialRaw(t, lis, h); !strings.Contains(ack.Err, "protocol version 1") {
-		t.Fatalf("v1 hello: ack error %q, want a protocol-version refusal", ack.Err)
-	}
-	if rc, ack := dialRaw(t, lis, freshHello(w)); ack.Err != "" {
-		t.Fatalf("v2 hello after a v1 one: %s", ack.Err)
-	} else if errStr, _ := rc.call(opBatch, encodeBatch(1, w.batches[0])); errStr != "" {
-		t.Fatal(errStr)
-	}
+	for _, proto := range []int{1, 2} {
+		h := freshHello(w)
+		h.Proto = proto
+		if _, ack := dialRaw(t, lis, h); !strings.Contains(ack.Err, fmt.Sprintf("protocol version %d", proto)) {
+			t.Fatalf("v%d hello: ack error %q, want a protocol-version refusal", proto, ack.Err)
+		}
+		rc, ack := dialRaw(t, lis, freshHello(w))
+		if ack.Err != "" {
+			t.Fatalf("v%d hello after a v%d one: %s", ProtoVersion, proto, ack.Err)
+		}
+		if errStr, _ := rc.call(opBatch, encodeBatch(1, w.batches[0])); errStr != "" {
+			t.Fatal(errStr)
+		}
+		rc.fc.Close() // the worker serves one connection at a time
 
-	v1 := transport.NewPipeListener()
-	defer v1.Close()
-	go func() {
-		nc, err := v1.Accept()
-		if err != nil {
-			return
+		old := transport.NewPipeListener()
+		go func() {
+			nc, err := old.Accept()
+			if err != nil {
+				return
+			}
+			fc := transport.NewConn(nc, 0)
+			defer fc.Close()
+			if _, _, err := fc.ReadFrame(); err != nil {
+				return
+			}
+			fc.WriteFrame(frameHelloAck, encodeHelloAck(&helloAck{Proto: proto, BootID: 7}))
+			fc.ReadFrame() // hold the link until the client hangs up
+		}()
+		_, err := Dial(Config{
+			Dial:     func() (net.Conn, error) { return old.Dial() },
+			ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
+			CallTimeout: 2 * time.Second, HeartbeatInterval: -1,
+		}, w.srcNames)
+		old.Close()
+		if !errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("v%d worker: Dial error %v, want ErrBadHandshake", proto, err)
 		}
-		fc := transport.NewConn(nc, 0)
-		defer fc.Close()
-		if _, _, err := fc.ReadFrame(); err != nil {
-			return
-		}
-		fc.WriteFrame(frameHelloAck, encodeHelloAck(&helloAck{Proto: 1, BootID: 7}))
-		fc.ReadFrame() // hold the link until the client hangs up
-	}()
-	_, err := Dial(Config{
-		Dial:     func() (net.Conn, error) { return v1.Dial() },
-		ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
-		CallTimeout: 2 * time.Second, HeartbeatInterval: -1,
-	}, w.srcNames)
-	if !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("v1 worker: Dial error %v, want ErrBadHandshake", err)
 	}
 }
 
 // BenchmarkBatchCodec encodes and decodes one W2-shaped WAL batch, 128
 // rows of 10 attributes, carried as 128 row entries or as one column run.
+// It encodes into one reused buffer, as a Client does, so it reports the
+// steady state.
 func BenchmarkBatchCodec(b *testing.B) {
 	const rows = 128
 	events := workload.DefaultParams().GenStreams(rows)
@@ -443,16 +467,17 @@ func BenchmarkBatchCodec(b *testing.B) {
 		{"run", []Entry{{Src: 0, Run: run}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var p []byte
+			var buf wire.Buffer
 			var d batchDecoder
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p = encodeBatch(int64(i), bc.entries)
-				if _, _, err := d.decode(p); err != nil {
+				buf.Reset()
+				putBatch(&buf, int64(i), bc.entries)
+				if _, _, err := d.decode(buf.Bytes()); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(p))/rows, "B/row")
+			b.ReportMetric(float64(buf.Len())/rows, "B/row")
 		})
 	}
 }
@@ -531,6 +556,26 @@ func TestBatchRunRoundTripSelected(t *testing.T) {
 					t.Fatalf("%d rows, %d selected: decoded run differs from the selected rows", n, len(want.TS))
 				}
 			}
+		}
+	}
+}
+
+// TestCallFrameInPlace holds a call frame encoded in place, the form a
+// Client sends, to the call message of the separately encoded batch
+// framed by transport.AppendFrame, byte for byte, and requires a reused
+// buffer to encode it without allocating.
+func TestCallFrameInPlace(t *testing.T) {
+	var buf wire.Buffer
+	for i, batch := range codecBatches() {
+		seq := int64(i + 1)
+		body := func(b *wire.Buffer) { putBatch(b, seq, batch) }
+		got := encodeCallFrame(&buf, 40+seq, opBatch, body)
+		want := transport.AppendFrame(nil, frameCall, encodeCall(40+seq, opBatch, encodeBatch(seq, batch)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch %d: in-place call frame differs from the framed call message", i)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { encodeCallFrame(&buf, 40+seq, opBatch, body) }); allocs != 0 {
+			t.Fatalf("batch %d: %v allocs per call frame", i, allocs)
 		}
 	}
 }

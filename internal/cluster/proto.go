@@ -43,14 +43,17 @@ import (
 
 	"repro/internal/mop"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // ProtoVersion is checked in the handshake; mismatched peers refuse to
 // talk (the codec's unknown-field skip covers additive evolution inside a
-// version). Version 2 carries column runs in WAL batches: a version 1
-// worker would skip them as an unknown field and silently drop their rows.
-const ProtoVersion = 2
+// version). Version 2 carried column runs in WAL batches, which a version
+// 1 worker would skip as an unknown field, silently dropping their rows.
+// Version 3 bit-packs a run's columns (wire.PutBitPackedField) where
+// version 2 wrote varints: a version 2 worker would misread them.
+const ProtoVersion = 3
 
 // Frame types.
 //
@@ -267,13 +270,26 @@ func readGroup(r *wire.Reader) (mop.GroupRef, error) {
 	return g, err
 }
 
-// call frame: {1: callID, 2: op, 3: body}.
-func encodeCall(callID int64, op byte, body []byte) []byte {
-	var b wire.Buffer
+// call frame: {1: callID, 2: op, 3: body}, the body written by body
+// straight into b.
+func putCall(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) {
 	b.PutVarintField(1, callID)
 	b.PutVarintField(2, int64(op))
-	b.PutBytesField(3, body)
-	return b.Bytes()
+	b.PutMsgField(3, body)
+}
+
+// encodeCallFrame encodes the whole call frame into b, which it resets:
+// room for the frame header, the call message with its body written in
+// place, room for the trailer, sealed. The bytes are those of the call
+// message framed by transport.AppendFrame, with no copy of the body.
+func encodeCallFrame(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) []byte {
+	b.Reset()
+	b.Append(make([]byte, transport.HeaderLen))
+	putCall(b, callID, op, body)
+	b.Append(make([]byte, transport.TrailerLen))
+	frame := b.Bytes()
+	transport.SealFrame(frame, frameCall)
+	return frame
 }
 
 func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
@@ -339,20 +355,22 @@ func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []by
 }
 
 // batch body: {1: seq, 2*: row{1: src, 2: ts, 3: vals}, 3*: run{1: src,
-// 2: packed ts, 3*: packed column}}, rows and runs in entry order; reply
-// {1: completed}. A run carries only its selected rows, so a decoded run
-// has a nil Sel.
-func encodeBatch(seq int64, entries []Entry) []byte {
-	var b wire.Buffer
+// 2: ts, 3*: column}}, rows and runs in entry order; reply {1:
+// completed}. A row's values are a packed varint list. A run's timestamps
+// and each of its columns are a bit-packed column (wire.PutBitPackedField:
+// blocks of 128 values, each a minimum, a bit width and the values less
+// the minimum in that many bits). A run carries only its selected rows,
+// packed straight from the selection, so a decoded run has a nil Sel.
+func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 	b.PutVarintField(1, seq)
 	for i := range entries {
 		en := &entries[i]
 		if run := en.Run; run != nil {
 			b.PutMsgField(3, func(b *wire.Buffer) {
 				b.PutVarintField(1, int64(en.Src))
-				b.PutInt64sSelField(2, run.TS, run.Sel)
+				b.PutBitPackedField(2, run.TS, run.Sel)
 				for _, col := range run.Cols {
-					b.PutInt64sSelField(3, col, run.Sel)
+					b.PutBitPackedField(3, col, run.Sel)
 				}
 			})
 			continue
@@ -363,7 +381,6 @@ func encodeBatch(seq int64, entries []Entry) []byte {
 			b.PutInt64sField(3, en.Vals)
 		})
 	}
-	return b.Bytes()
 }
 
 // batchDecoder decodes batch bodies into storage it reuses from one batch
@@ -462,7 +479,7 @@ func (d *batchDecoder) decodeRun(r *wire.Reader, run *Run) (src int32, err error
 			}
 		case 2, 3:
 			start := len(d.slab)
-			if d.slab, err = sub.AppendInt64s(d.slab); err == nil {
+			if d.slab, err = sub.AppendBitPacked(d.slab); err == nil {
 				vs := d.slab[start:len(d.slab):len(d.slab)]
 				if field == 2 {
 					run.TS = vs

@@ -153,9 +153,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 
 	// Shrink the runtime to the survivors.
 	for _, rec := range e.wal[dead] {
-		clear(rec.entries)
-		b := rec.entries[:0]
-		e.batchPool.Put(&b)
+		e.recycleBatch(rec)
 	}
 	drop := func(i int) {
 		e.workers = append(e.workers[:i], e.workers[i+1:]...)

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -45,14 +46,14 @@ func scatterEngine(tb testing.TB, shards int) *Engine {
 func takeRuns(t *testing.T, e *Engine) []*cluster.Entry {
 	t.Helper()
 	ens := make([]*cluster.Entry, len(e.workers))
-	for i := range e.pending {
-		if len(e.pending[i]) > 1 {
-			t.Fatalf("shard %d: %d entries for one batch", i, len(e.pending[i]))
+	for i, buf := range e.pending {
+		if len(*buf) > 1 {
+			t.Fatalf("shard %d: %d entries for one batch", i, len(*buf))
 		}
-		for _, en := range e.pending[i] {
+		for _, en := range *buf {
 			ens[i] = &en
 		}
-		e.pending[i] = e.pending[i][:0]
+		*buf = (*buf)[:0]
 		e.pendingRows[i] = 0
 	}
 	return ens
@@ -228,12 +229,40 @@ func BenchmarkRouteColumns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.mu.Lock()
 		e.routeColumns(sr, ts, cols)
-		for s := range e.pending {
-			clear(e.pending[s])
-			e.pending[s] = e.pending[s][:0]
+		for s, buf := range e.pending {
+			clear(*buf)
+			*buf = (*buf)[:0]
 			e.pendingRows[s] = 0
 		}
 		e.mu.Unlock()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// TestWALRecycleAllocFree stages a batch, has the worker acknowledge it,
+// and stages the next, which prunes the first: with the collector off,
+// the cycle allocates nothing once the pool holds a buffer, because a
+// recycled buffer goes back to the pool in the holder it came out in.
+func TestWALRecycleAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e := scatterEngine(t, 2)
+	vals := []int64{1, 2, 3}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	cycle := func() {
+		p := e.pending[0]
+		*p = append(*p, cluster.Entry{Src: 0, TS: 1, Vals: vals})
+		e.pendingRows[0]++
+		e.stageShard(0)
+		e.workers[0].completed.Store(e.walSeq[0])
+	}
+	for range 4 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per staged and recycled WAL batch", allocs)
+	}
+	if n := len(e.wal[0]); n != 1 {
+		t.Fatalf("%d WAL records left, want the last one only", n)
+	}
 }

@@ -89,10 +89,12 @@ type msg struct {
 // completed sequence at or past it), so a crashed worker's unacknowledged
 // suffix can be replayed into its engine during recovery. The log is
 // bounded by the queue depth: acknowledged prefixes are pruned (and their
-// buffers pooled) on the next flush.
+// buffers pooled) on the next flush. buf is the pooled holder of entries,
+// kept so that recycling the buffer allocates no new one.
 type walRec struct {
 	seq     int64
 	entries []cluster.Entry
+	buf     *[]cluster.Entry
 }
 
 // worker is one shard: an engine replica (in-process or a remote worker
@@ -159,7 +161,7 @@ type Engine struct {
 	srcs     map[string]srcRoute
 
 	mu      sync.Mutex // guards pending, rr, closed, wal, walSeq, dead
-	pending [][]cluster.Entry
+	pending []*[]cluster.Entry
 	rr      uint64
 	closed  bool
 
@@ -244,7 +246,7 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		part:        part,
 		cfg:         cfg,
 		srcs:        make(map[string]srcRoute),
-		pending:     make([][]cluster.Entry, cfg.Shards),
+		pending:     make([]*[]cluster.Entry, cfg.Shards),
 		pendingRows: make([]int, cfg.Shards),
 		base:        make(map[int]int64),
 		wal:         make([][]walRec, cfg.Shards),
@@ -488,8 +490,19 @@ func (w *worker) run() {
 	}
 }
 
-func (e *Engine) takeBatch() []cluster.Entry {
-	return (*(e.batchPool.Get().(*[]cluster.Entry)))[:0]
+// takeBatch returns an empty batch buffer from the pool, as its pooled
+// holder: the buffer grows through the holder and goes back to the pool
+// in it (recycleBatch), so the round trip allocates nothing.
+func (e *Engine) takeBatch() *[]cluster.Entry {
+	return e.batchPool.Get().(*[]cluster.Entry)
+}
+
+// recycleBatch drops a WAL record's value and run references and returns
+// its buffer to the pool.
+func (e *Engine) recycleBatch(rec walRec) {
+	clear(rec.entries)
+	*rec.buf = rec.entries[:0]
+	e.batchPool.Put(rec.buf)
 }
 
 // partnerMask folds partner-key values into a shard bitmask, honouring the
@@ -543,7 +556,8 @@ func (e *Engine) shardOf(sr srcRoute, v int64) int {
 // the worker when its row count fills a batch. Called with mu held; the
 // queue send may block for backpressure.
 func (e *Engine) append(shard int, en cluster.Entry) {
-	e.pending[shard] = append(e.pending[shard], en)
+	p := e.pending[shard]
+	*p = append(*p, en)
 	e.pendingRows[shard] += en.Rows()
 	if e.pendingRows[shard] >= e.cfg.BatchSize {
 		e.stageShard(shard)
@@ -563,15 +577,16 @@ func (e *Engine) flushShard(shard int) {
 // batch stays replayable until the worker acknowledges it, so a Push
 // that returned nil is never lost to a crash. Called with mu held.
 func (e *Engine) stageShard(shard int) {
-	if len(e.pending[shard]) == 0 {
+	if len(*e.pending[shard]) == 0 {
 		return
 	}
-	b := e.pending[shard]
+	buf := e.pending[shard]
+	b := *buf
 	e.pending[shard] = e.takeBatch()
 	e.pendingRows[shard] = 0
 	e.pruneWAL(shard)
 	e.walSeq[shard]++
-	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], entries: b})
+	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], entries: b, buf: buf})
 	if obs.Enabled() {
 		e.walBatches++
 		e.walEntries += cluster.BatchRows(b)
@@ -641,9 +656,7 @@ func (e *Engine) pruneWAL(shard int) {
 	done := e.workers[shard].completed.Load()
 	i := 0
 	for i < len(wal) && wal[i].seq <= done {
-		clear(wal[i].entries) // drop value-slice refs before pooling
-		b := wal[i].entries[:0]
-		e.batchPool.Put(&b)
+		e.recycleBatch(wal[i])
 		i++
 	}
 	if i > 0 {

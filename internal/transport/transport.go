@@ -82,8 +82,12 @@ func MetricsInto(s *obs.Snapshot) {
 // MiB is far above any single exported group side.
 const DefaultMaxFrame = 64 << 20
 
-// frame overhead outside the payload: 4 length + 1 type + 4 crc.
-const frameOverhead = 9
+// HeaderLen and TrailerLen are the bytes of a frame before its payload
+// (length and type) and after it (CRC).
+const (
+	HeaderLen  = 5
+	TrailerLen = 4
+)
 
 // ErrCorruptFrame reports a malformed frame: bad length, short input, or
 // CRC mismatch. Framing cannot be resynchronized after it; the connection
@@ -97,13 +101,23 @@ var ErrFrameTooBig = errors.New("transport: frame exceeds size bound")
 // AppendFrame appends one encoded frame to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	n := 1 + len(payload) + 4
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	body := len(dst)
-	dst = append(dst, typ)
+	start := len(dst)
+	dst = append(dst, make([]byte, HeaderLen)...)
 	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[body : body+1+len(payload)])
-	return binary.BigEndian.AppendUint32(dst, crc)
+	dst = append(dst, make([]byte, TrailerLen)...)
+	SealFrame(dst[start:], typ)
+	return dst
+}
+
+// SealFrame makes frame, a payload written in place between HeaderLen
+// bytes of room and TrailerLen bytes of room, a frame of type typ: it
+// fills in the length, the type and the CRC. The bytes are those
+// AppendFrame gives the same payload.
+func SealFrame(frame []byte, typ byte) {
+	n := len(frame) - 4
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame[4] = typ
+	binary.BigEndian.PutUint32(frame[n:], crc32.ChecksumIEEE(frame[4:n]))
 }
 
 // DecodeFrame decodes one frame from the front of buf, returning its type,
@@ -158,14 +172,23 @@ func NewConn(c net.Conn, maxFrame int) *Conn {
 
 // WriteFrame writes one frame in a single underlying Write.
 func (fc *Conn) WriteFrame(typ byte, payload []byte) error {
-	if len(payload)+frameOverhead-4 > fc.maxFrame {
+	if len(payload)+HeaderLen+TrailerLen-4 > fc.maxFrame {
 		return fmt.Errorf("%w: payload %d bytes", ErrFrameTooBig, len(payload))
 	}
 	fc.wbuf = AppendFrame(fc.wbuf[:0], typ, payload)
-	_, err := fc.c.Write(fc.wbuf)
+	return fc.WriteSealed(fc.wbuf)
+}
+
+// WriteSealed writes a frame SealFrame completed, in a single underlying
+// Write and without copying it.
+func (fc *Conn) WriteSealed(frame []byte) error {
+	if len(frame)-4 > fc.maxFrame {
+		return fmt.Errorf("%w: payload %d bytes", ErrFrameTooBig, len(frame)-HeaderLen-TrailerLen)
+	}
+	_, err := fc.c.Write(frame)
 	if err == nil && obs.Enabled() {
 		framesSent.Add(1)
-		bytesSent.Add(int64(len(fc.wbuf)))
+		bytesSent.Add(int64(len(frame)))
 	}
 	return err
 }

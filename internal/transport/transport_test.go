@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"testing"
 	"time"
@@ -65,6 +67,24 @@ func TestFrameOversized(t *testing.T) {
 	}
 }
 
+// A frame is its length (type + payload + CRC), its type, its payload and
+// the IEEE CRC of type and payload; SealFrame fills the same bytes into a
+// payload written in place.
+func TestFrameLayout(t *testing.T) {
+	want := []byte{0, 0, 0, 7, 9, 'a', 'b'}
+	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE([]byte{9, 'a', 'b'}))
+	if got := AppendFrame([]byte{1, 2}, 9, []byte("ab")); !bytes.Equal(got[2:], want) || got[0] != 1 {
+		t.Fatalf("AppendFrame: % x, want 01 02 % x", got, want)
+	}
+	inPlace := make([]byte, HeaderLen, 64)
+	inPlace = append(inPlace, "ab"...)
+	inPlace = append(inPlace, make([]byte, TrailerLen)...)
+	SealFrame(inPlace, 9)
+	if !bytes.Equal(inPlace, want) {
+		t.Fatalf("SealFrame: % x, want % x", inPlace, want)
+	}
+}
+
 func TestConnFrames(t *testing.T) {
 	a, b := net.Pipe()
 	ca, cb := NewConn(a, 0), NewConn(b, 0)
@@ -74,7 +94,9 @@ func TestConnFrames(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- ca.WriteFrame(4, nil)
+		frame := make([]byte, HeaderLen+TrailerLen)
+		SealFrame(frame, 4)
+		done <- ca.WriteSealed(frame)
 	}()
 	typ, p, err := cb.ReadFrame()
 	if err != nil || typ != 3 || string(p) != "abc" {

@@ -3,7 +3,6 @@ package wire_test
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -163,58 +162,6 @@ func TestPackedListCorrupt(t *testing.T) {
 		})
 		if err == nil || !slices.Equal(dst, []int64{7, 8}) {
 			t.Fatalf("AppendInt64s(% x): %v, %v; want [7 8] and an error", p, dst, err)
-		}
-	}
-}
-
-// TestPutInt64sSelFieldMatchesGathered holds the selected packed writer to
-// PutInt64sField over the gathered values, byte for byte, for random
-// selections over 1–700 values plus the empty and full selections, and
-// requires it to write into a buffer with room without allocating.
-func TestPutInt64sSelFieldMatchesGathered(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for n := 1; n <= 700; n++ {
-		vs := make([]int64, n)
-		for i := range vs {
-			vs[i] = rng.Int63() >> uint(rng.Intn(64))
-			if rng.Intn(2) == 0 {
-				vs[i] = -vs[i]
-			}
-		}
-		vs[0] = math.MinInt64
-		empty, full := make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
-		for i := range n {
-			full[i>>6] |= 1 << uint(i&63)
-		}
-		sels := [][]uint64{nil, empty, full}
-		for range 4 {
-			sel := make([]uint64, (n+63)/64)
-			for i := range n {
-				if rng.Intn(3) == 0 {
-					sel[i>>6] |= 1 << uint(i&63)
-				}
-			}
-			sels = append(sels, sel)
-		}
-		for _, sel := range sels {
-			var gathered []int64
-			for i, v := range vs {
-				if sel == nil || sel[i>>6]&(1<<uint(i&63)) != 0 {
-					gathered = append(gathered, v)
-				}
-			}
-			var got, want wire.Buffer
-			got.PutInt64sSelField(3, vs, sel)
-			want.PutInt64sField(3, gathered)
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("%d values, %d selected: selected writer differs from the gathered encoding", n, len(gathered))
-			}
-			if allocs := testing.AllocsPerRun(10, func() {
-				wire.ResetBuffer(&got)
-				got.PutInt64sSelField(3, vs, sel)
-			}); allocs != 0 {
-				t.Fatalf("%d values: %v allocs per selected write", n, allocs)
-			}
 		}
 	}
 }

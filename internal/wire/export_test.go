@@ -15,6 +15,3 @@ var (
 	DecodeLogical   = decodeLogical
 	EncodeLogical   = encodeLogical
 )
-
-// ResetBuffer empties b, keeping its capacity.
-func ResetBuffer(b *Buffer) { b.b = b.b[:0] }

@@ -7,7 +7,7 @@
 // The format is protobuf-shaped without the dependency: a message is a
 // sequence of tagged fields, tag = fieldNum<<3 | wiretype, with two wire
 // types — 0 (zigzag varint) and 2 (length-delimited: strings, nested
-// messages, packed integer lists). Every decoder walks a message through
+// messages, packed integer lists, bit-packed columns). Every decoder walks a message through
 // Reader.Fields, which skips the value of any field the decoder does not
 // read: that one loop is where unknown tags are skipped, so fields can be
 // added without breaking old readers (forward compatibility); a leading
@@ -16,8 +16,8 @@
 // Decoding never panics on corrupt input: every primitive checks bounds
 // and returns ErrCorrupt, recursive structures carry a depth limit, and
 // every allocation is bounded by the length of the input itself (a packed
-// list is sized by counting its encoded values, never by a declared
-// count).
+// list is sized by counting its encoded values; a bit-packed column's
+// declared count is checked against what its length can hold).
 package wire
 
 import (
@@ -64,6 +64,12 @@ func (b *Buffer) Bytes() []byte { return b.b }
 
 // Len returns the number of encoded bytes.
 func (b *Buffer) Len() int { return len(b.b) }
+
+// Reset empties b, keeping its capacity for the next encoding.
+func (b *Buffer) Reset() { b.b = b.b[:0] }
+
+// Append appends p as it is, with no tag or length.
+func (b *Buffer) Append(p []byte) { b.b = append(b.b, p...) }
 
 // uvarintLen is the encoded width of v in bytes.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -118,9 +124,21 @@ func (b *Buffer) PutStringField(field int, s string) {
 // encoding the body separately and appending it with PutBytesField.
 func (b *Buffer) PutMsgField(field int, fn func(*Buffer)) {
 	b.putTag(field, wtBytes)
-	at := len(b.b)
-	b.b = append(b.b, 0)
+	at := b.openLen()
 	fn(b)
+	b.closeLen(at)
+}
+
+// openLen appends a one-byte length slot for a body of unknown size and
+// returns its offset, for closeLen.
+func (b *Buffer) openLen() int {
+	b.b = append(b.b, 0)
+	return len(b.b) - 1
+}
+
+// closeLen writes the length of the body that follows the slot at at,
+// shifting the body right when its length varint needs more than a byte.
+func (b *Buffer) closeLen(at int) {
 	n := uint64(len(b.b) - at - 1)
 	w := uvarintLen(n)
 	if w > 1 {
@@ -159,30 +177,6 @@ func (b *Buffer) PutInt64sField(field int, vs []int64) {
 	b.PutUvarint(uint64(n))
 	for _, v := range vs {
 		b.PutVarint(v)
-	}
-}
-
-// PutInt64sSelField appends the tagged packed list of the values of vs
-// that sel selects: vs[i] is selected iff sel[i>>6] has bit i&63, and a
-// nil sel selects every value. The bytes are those of PutInt64sField over
-// the selected values, written without gathering them.
-func (b *Buffer) PutInt64sSelField(field int, vs []int64, sel []uint64) {
-	if sel == nil {
-		b.PutInt64sField(field, vs)
-		return
-	}
-	n := 0
-	for wi, w := range sel {
-		for ; w != 0; w &= w - 1 {
-			n += uvarintLen(zigzag(vs[wi<<6|bits.TrailingZeros64(w)]))
-		}
-	}
-	b.putTag(field, wtBytes)
-	b.PutUvarint(uint64(n))
-	for wi, w := range sel {
-		for ; w != 0; w &= w - 1 {
-			b.PutVarint(vs[wi<<6|bits.TrailingZeros64(w)])
-		}
 	}
 }
 
