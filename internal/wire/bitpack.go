@@ -31,36 +31,34 @@ const packBlock = 128
 // nil sel selects every value. The selected values are packed without
 // being gathered, in the bytes the column of those values alone gets.
 func (b *Buffer) PutBitPackedField(field int, vs []int64, sel []uint64) {
-	b.putTag(field, wtBytes)
-	at := b.openLen()
-	if sel == nil {
-		b.PutUvarint(uint64(len(vs)))
-		for i := 0; i < len(vs); i += packBlock {
-			b.b = appendBlock(b.b, vs[i:min(i+packBlock, len(vs))])
+	b.PutMsgField(field, func(b *Buffer) {
+		if sel == nil {
+			b.PutUvarint(uint64(len(vs)))
+			for i := 0; i < len(vs); i += packBlock {
+				b.b = appendBlock(b.b, vs[i:min(i+packBlock, len(vs))])
+			}
+			return
 		}
-		b.closeLen(at)
-		return
-	}
-	n := 0
-	for _, w := range sel {
-		n += bits.OnesCount64(w)
-	}
-	b.PutUvarint(uint64(n))
-	var blk [packBlock]int64
-	k := 0
-	for wi, w := range sel {
-		for ; w != 0; w &= w - 1 {
-			blk[k] = vs[wi<<6|bits.TrailingZeros64(w)]
-			if k++; k == packBlock {
-				b.b = appendBlock(b.b, blk[:])
-				k = 0
+		n := 0
+		for _, w := range sel {
+			n += bits.OnesCount64(w)
+		}
+		b.PutUvarint(uint64(n))
+		var blk [packBlock]int64
+		k := 0
+		for wi, w := range sel {
+			for ; w != 0; w &= w - 1 {
+				blk[k] = vs[wi<<6|bits.TrailingZeros64(w)]
+				if k++; k == packBlock {
+					b.b = appendBlock(b.b, blk[:])
+					k = 0
+				}
 			}
 		}
-	}
-	if k > 0 {
-		b.b = appendBlock(b.b, blk[:k])
-	}
-	b.closeLen(at)
+		if k > 0 {
+			b.b = appendBlock(b.b, blk[:k])
+		}
+	})
 }
 
 // appendBlock appends one block of 1 to packBlock values to dst.

@@ -7,11 +7,12 @@
 // The format is protobuf-shaped without the dependency: a message is a
 // sequence of tagged fields, tag = fieldNum<<3 | wiretype, with two wire
 // types — 0 (zigzag varint) and 2 (length-delimited: strings, nested
-// messages, packed integer lists, bit-packed columns). Every decoder walks a message through
-// Reader.Fields, which skips the value of any field the decoder does not
-// read: that one loop is where unknown tags are skipped, so fields can be
-// added without breaking old readers (forward compatibility); a leading
-// magic + format version guards against incompatible changes.
+// messages, packed integer lists, bit-packed columns). Every decoder walks
+// a message through Reader.Fields, which skips the value of any field the
+// decoder does not read: that one loop is where unknown tags are skipped,
+// so fields can be added without breaking old readers (forward
+// compatibility); a leading magic + format version guards against
+// incompatible changes.
 //
 // Decoding never panics on corrupt input: every primitive checks bounds
 // and returns ErrCorrupt, recursive structures carry a depth limit, and
@@ -124,21 +125,9 @@ func (b *Buffer) PutStringField(field int, s string) {
 // encoding the body separately and appending it with PutBytesField.
 func (b *Buffer) PutMsgField(field int, fn func(*Buffer)) {
 	b.putTag(field, wtBytes)
-	at := b.openLen()
-	fn(b)
-	b.closeLen(at)
-}
-
-// openLen appends a one-byte length slot for a body of unknown size and
-// returns its offset, for closeLen.
-func (b *Buffer) openLen() int {
+	at := len(b.b)
 	b.b = append(b.b, 0)
-	return len(b.b) - 1
-}
-
-// closeLen writes the length of the body that follows the slot at at,
-// shifting the body right when its length varint needs more than a byte.
-func (b *Buffer) closeLen(at int) {
+	fn(b)
 	n := uint64(len(b.b) - at - 1)
 	w := uvarintLen(n)
 	if w > 1 {
