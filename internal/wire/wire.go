@@ -131,7 +131,10 @@ func (b *Buffer) PutMsgField(field int, fn func(*Buffer)) {
 	n := uint64(len(b.b) - at - 1)
 	w := uvarintLen(n)
 	if w > 1 {
-		b.b = append(b.b, make([]byte, w-1)...)
+		// Grown in place rather than by appending a make, which the race
+		// detector's build allocates.
+		b.b = slices.Grow(b.b, w-1)
+		b.b = b.b[:len(b.b)+w-1]
 		copy(b.b[at+w:], b.b[at+1:len(b.b)-w+1])
 	}
 	for i := at; n >= 0x80; i++ {
