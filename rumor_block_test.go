@@ -220,15 +220,14 @@ func TestBlockChurnEquivalence(t *testing.T) {
 }
 
 // TestCheckpointRestoreBlocksInFlight checkpoints mid-feed on the block
-// path — on the sharded system without draining first, so column runs are
+// path — on a sharded system without draining first, so column runs are
 // still queued in worker batches — restores, and requires the continued
 // runs to match the uninterrupted original exactly.
 func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 	catalog, qs, events := churnWorkload(t, "w2", 24, 4000, 5)
 	half := len(events) / 2
-
-	t.Run("system", func(t *testing.T) {
-		sys := rumor.New()
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		sys := k.new(t)
 		declareAll(t, sys, catalog)
 		for _, q := range qs {
 			if err := sys.AddQuery(q.Name, q.Root); err != nil {
@@ -238,59 +237,18 @@ func TestCheckpointRestoreBlocksInFlight(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
+		// No settle before Checkpoint: pending batches may still hold
+		// column runs when the checkpoint quiesces the workers.
 		pushWindows(t, sys, events[:half], 100)
 		var buf bytes.Buffer
 		if err := sys.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		res, err := rumor.Restore(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := k.restore(t, buf.Bytes())
 		pushWindows(t, sys, events[half:], 100)
 		pushWindows(t, res, events[half:], 100)
-		if sys.TotalResults() == 0 {
-			t.Fatal("no results; restore equivalence is vacuous")
-		}
-		for _, q := range qs {
-			if got, want := res.ResultCount(q.Name), sys.ResultCount(q.Name); got != want {
-				t.Fatalf("query %s: restored %d results, original %d", q.Name, got, want)
-			}
-		}
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		sys := rumor.NewSharded(rumor.ShardConfig{Shards: 2, BatchSize: 64})
-		defer sys.Close()
-		declareAll(t, sys, catalog)
-		for _, q := range qs {
-			if err := sys.AddQuery(q.Name, q.Root); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-			t.Fatal(err)
-		}
-		// No Drain before Checkpoint: pending batches still hold column
-		// runs when the checkpoint quiesces the workers.
-		pushWindows(t, sys, events[:half], 100)
-		var buf bytes.Buffer
-		if err := sys.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		res, err := rumor.RestoreSharded(bytes.NewReader(buf.Bytes()), rumor.ShardConfig{BatchSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Close()
-		pushWindows(t, sys, events[half:], 100)
-		pushWindows(t, res, events[half:], 100)
-		if err := sys.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		k.settle(t, sys)
+		k.settle(t, res)
 		if sys.TotalResults() == 0 {
 			t.Fatal("no results; restore equivalence is vacuous")
 		}

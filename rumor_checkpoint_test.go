@@ -161,18 +161,15 @@ func checkpointRestoreChurned(t *testing.T, mk func() restorableSys,
 }
 
 func TestCheckpointRestoreChurnedSystem(t *testing.T) {
-	checkpointRestoreChurned(t,
-		func() restorableSys {
-			s := rumor.New()
-			return sysAdapter{churnSys: s, ckpt: s.Checkpoint, info: s.PlanInfo}
-		},
-		func(raw []byte) restorableSys {
-			s, err := rumor.Restore(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sysAdapter{churnSys: s, ckpt: s.Checkpoint, info: s.PlanInfo}
-		})
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		adapt := func(s runtime) restorableSys {
+			return sysAdapter{churnSys: s, ckpt: s.Checkpoint, info: s.PlanInfo,
+				settle: func() { k.settle(t, s) }}
+		}
+		checkpointRestoreChurned(t,
+			func() restorableSys { return adapt(k.new(t)) },
+			func(raw []byte) restorableSys { return adapt(k.restore(t, raw)) })
+	})
 }
 
 func TestCheckpointRestoreChurnedSharded(t *testing.T) {
@@ -442,73 +439,74 @@ func TestKillThenRecoverSharded(t *testing.T) {
 // The churn log replays a restored system to the same live query set; the
 // replayed system then computes the same results.
 func TestChurnLogReplay(t *testing.T) {
-	catalog, qs, events := churnWorkload(t, "w2", 30, 6000, 15)
-	sys := rumor.New()
-	declareAll(t, sys, catalog)
-	for _, q := range qs[:10] {
-		if err := sys.AddQuery(q.Name, q.Root); err != nil {
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		catalog, qs, events := churnWorkload(t, "w2", 30, 6000, 15)
+		sys := k.new(t)
+		declareAll(t, sys, catalog)
+		for _, q := range qs[:10] {
+			if err := sys.AddQuery(q.Name, q.Root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := sys.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var log bytes.Buffer
-	sys.SetChurnLog(&log)
-	// Churn after the snapshot: adds and removes that only the log records.
-	for i, q := range qs[10:20] {
-		if err := sys.AddQueryLive(fmt.Sprintf("post_%d", i), q.Root); err != nil {
+		var snap bytes.Buffer
+		if err := sys.Checkpoint(&snap); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 4; i++ {
-		if err := sys.RemoveQuery(fmt.Sprintf("post_%d", i)); err != nil {
+		var log bytes.Buffer
+		sys.SetChurnLog(&log)
+		// Churn after the snapshot: adds and removes that only the log records.
+		for i, q := range qs[10:20] {
+			if err := sys.AddQueryLive(fmt.Sprintf("post_%d", i), q.Root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if err := sys.RemoveQuery(fmt.Sprintf("post_%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.RemoveQuery(qs[0].Name); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sys.RemoveQuery(qs[0].Name); err != nil {
-		t.Fatal(err)
-	}
 
-	res, err := rumor.Restore(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rumor.ReplayChurnLog(res, bytes.NewReader(log.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.PlanInfo(), sys.PlanInfo(); got.Queries != want.Queries {
-		t.Fatalf("replayed system has %d queries, original %d", got.Queries, want.Queries)
-	}
-	for _, ev := range events {
-		if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+		res := k.restore(t, snap.Bytes())
+		if err := rumor.ReplayChurnLog(res, bytes.NewReader(log.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
-			t.Fatal(err)
+		if got, want := res.PlanInfo(), sys.PlanInfo(); got.Queries != want.Queries {
+			t.Fatalf("replayed system has %d queries, original %d", got.Queries, want.Queries)
 		}
-	}
-	var total int64
-	for _, q := range qs[1:10] {
-		got, want := res.ResultCount(q.Name), sys.ResultCount(q.Name)
-		if got != want {
-			t.Fatalf("query %s: replayed %d, original %d", q.Name, got, want)
+		for _, ev := range events {
+			if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+				t.Fatal(err)
+			}
 		}
-		total += got
-	}
-	for i := 4; i < 10; i++ {
-		name := fmt.Sprintf("post_%d", i)
-		if got, want := res.ResultCount(name), sys.ResultCount(name); got != want {
-			t.Fatalf("query %s: replayed %d, original %d", name, got, want)
+		k.settle(t, sys)
+		k.settle(t, res)
+		var total int64
+		for _, q := range qs[1:10] {
+			got, want := res.ResultCount(q.Name), sys.ResultCount(q.Name)
+			if got != want {
+				t.Fatalf("query %s: replayed %d, original %d", q.Name, got, want)
+			}
+			total += got
 		}
-	}
-	if total == 0 {
-		t.Fatal("no results; replay equivalence vacuous")
-	}
+		for i := 4; i < 10; i++ {
+			name := fmt.Sprintf("post_%d", i)
+			if got, want := res.ResultCount(name), sys.ResultCount(name); got != want {
+				t.Fatalf("query %s: replayed %d, original %d", name, got, want)
+			}
+		}
+		if total == 0 {
+			t.Fatal("no results; replay equivalence vacuous")
+		}
+	})
 }
 
 // An injected checkpoint-write fault surfaces as an error and leaves the

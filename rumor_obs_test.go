@@ -45,64 +45,69 @@ func withMetrics(t *testing.T) {
 // the public result counter.
 func TestSystemMetricsLocal(t *testing.T) {
 	withMetrics(t)
-	sys := rumor.New()
-	if err := sys.ExecScript(perfScript); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-		t.Fatal(err)
-	}
-	pushPerf(t, sys.Push, 0, 300)
-	m := sys.Metrics()
-	if got := m.Counters["engine_results_total"]; got != sys.TotalResults() {
-		t.Fatalf("engine_results_total = %d, want TotalResults %d", got, sys.TotalResults())
-	}
-	if m.Counters["engine_tuples_delivered_total"] == 0 {
-		t.Fatal("engine_tuples_delivered_total = 0 after 300 pushes")
-	}
-	if m.Counters["engine_op_processed_total"] == 0 {
-		t.Fatal("engine_op_processed_total = 0 after 300 pushes")
-	}
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		sys := k.new(t)
+		if err := sys.ExecScript(perfScript); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		pushPerf(t, sys.Push, 0, 300)
+		k.settle(t, sys)
+		m := k.metrics(t, sys)
+		if got := m.Counters["engine_results_total"]; got != sys.TotalResults() {
+			t.Fatalf("engine_results_total = %d, want TotalResults %d", got, sys.TotalResults())
+		}
+		if m.Counters["engine_tuples_delivered_total"] == 0 {
+			t.Fatal("engine_tuples_delivered_total = 0 after 300 pushes")
+		}
+		if m.Counters["engine_op_processed_total"] == 0 {
+			t.Fatal("engine_op_processed_total = 0 after 300 pushes")
+		}
+	})
 }
 
 // Live maintenance must show up in the registry histograms and the trace
 // ring.
 func TestLiveMaintenanceTelemetry(t *testing.T) {
 	withMetrics(t)
-	sys := rumor.New()
-	if err := sys.ExecScript(perfScript); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-		t.Fatal(err)
-	}
-	pushPerf(t, sys.Push, 0, 100)
-	cold := rumor.Filter(expr.ConstCmp{Attr: 1, Op: expr.Gt, C: 95}, rumor.Scan("CPU"))
-	if err := sys.AddQueryLive("cold", cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RemoveQuery("cold"); err != nil {
-		t.Fatal(err)
-	}
-	m := sys.Metrics()
-	if h, ok := m.Hists["live_add_ns"]; !ok || h.Count == 0 {
-		t.Fatalf("live_add_ns histogram missing or empty: %+v", h)
-	}
-	if h, ok := m.Hists["live_remove_ns"]; !ok || h.Count == 0 {
-		t.Fatalf("live_remove_ns histogram missing or empty: %+v", h)
-	}
-	var sawAdd, sawRemove bool
-	for _, ev := range rumor.TraceEvents() {
-		if ev.Kind == "query_add" && strings.Contains(ev.Detail, "query=cold") {
-			sawAdd = true
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		sys := k.new(t)
+		if err := sys.ExecScript(perfScript); err != nil {
+			t.Fatal(err)
 		}
-		if ev.Kind == "query_remove" && strings.Contains(ev.Detail, "query=cold") {
-			sawRemove = true
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawAdd || !sawRemove {
-		t.Fatalf("trace ring missing query_add/query_remove for cold (add=%v remove=%v)", sawAdd, sawRemove)
-	}
+		pushPerf(t, sys.Push, 0, 100)
+		cold := rumor.Filter(expr.ConstCmp{Attr: 1, Op: expr.Gt, C: 95}, rumor.Scan("CPU"))
+		if err := sys.AddQueryLive("cold", cold); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RemoveQuery("cold"); err != nil {
+			t.Fatal(err)
+		}
+		m := k.metrics(t, sys)
+		if h, ok := m.Hists["live_add_ns"]; !ok || h.Count == 0 {
+			t.Fatalf("live_add_ns histogram missing or empty: %+v", h)
+		}
+		if h, ok := m.Hists["live_remove_ns"]; !ok || h.Count == 0 {
+			t.Fatalf("live_remove_ns histogram missing or empty: %+v", h)
+		}
+		var sawAdd, sawRemove bool
+		for _, ev := range rumor.TraceEvents() {
+			if ev.Kind == "query_add" && strings.Contains(ev.Detail, "query=cold") {
+				sawAdd = true
+			}
+			if ev.Kind == "query_remove" && strings.Contains(ev.Detail, "query=cold") {
+				sawRemove = true
+			}
+		}
+		if !sawAdd || !sawRemove {
+			t.Fatalf("trace ring missing query_add/query_remove for cold (add=%v remove=%v)", sawAdd, sawRemove)
+		}
+	})
 }
 
 func checkShardedMetrics(t *testing.T, sys *rumor.ShardedSystem, shards int, remote bool) {
@@ -211,18 +216,20 @@ func TestShardedMetricsTCPCluster(t *testing.T) {
 
 // PlanInfo must surface the membership-width and multicast-table columns.
 func TestPlanInfoTelemetryColumns(t *testing.T) {
-	sys := rumor.New()
-	if err := sys.ExecScript(perfScript); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-		t.Fatal(err)
-	}
-	info := sys.PlanInfo()
-	if info.Channels > 0 && info.ChannelWords == 0 {
-		t.Fatalf("plan has %d channels but 0 channel words", info.Channels)
-	}
-	if info.SpilledChannels != 0 {
-		t.Fatalf("tiny plan reports %d spilled channels", info.SpilledChannels)
-	}
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		sys := k.new(t)
+		if err := sys.ExecScript(perfScript); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		info := sys.PlanInfo()
+		if info.Channels > 0 && info.ChannelWords == 0 {
+			t.Fatalf("plan has %d channels but 0 channel words", info.Channels)
+		}
+		if info.SpilledChannels != 0 {
+			t.Fatalf("tiny plan reports %d spilled channels", info.SpilledChannels)
+		}
+	})
 }

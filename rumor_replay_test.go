@@ -216,83 +216,90 @@ func TestReplayOnRemergeSharded(t *testing.T) {
 // (gated by a surviving broader selection) retains everything its window
 // needs, including tuples that arrived while it was away.
 func TestReplayAfterSlotReuse(t *testing.T) {
-	for _, shape := range []string{"seq", "join", "agg"} {
-		t.Run(shape, func(t *testing.T) {
-			events := replayEvents(shape, 4000, 17)
-			third := len(events) / 3
+	eachRuntime(t, func(t *testing.T, k runtimeKind) {
+		for _, shape := range []string{"seq", "join", "agg"} {
+			t.Run(shape, func(t *testing.T) {
+				replayAfterSlotReuse(t, k, shape)
+			})
+		}
+	})
+}
 
-			sys := rumor.New()
-			declareST(t, sys)
-			for i, lo := range []int64{100, 200} {
-				if err := sys.AddQuery(fmt.Sprintf("base_%d", i), replayQuery(shape, lo)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sys.AddQuery("cycled", replayQuery(shape, 300)); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
-				t.Fatal(err)
-			}
-			slots := sys.PlanInfo().TotalSlots
-			push := func(evs []workload.Event) {
-				for _, ev := range evs {
-					if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			push(events[:third])
-			if err := sys.RemoveQuery("cycled"); err != nil {
-				t.Fatal(err)
-			}
-			push(events[third : 2*third])
-			if err := sys.AddQueryLive("cycled", replayQuery(shape, 300)); err != nil {
-				t.Fatal(err)
-			}
-			if got := sys.PlanInfo().TotalSlots; got != slots {
-				t.Fatalf("membership slots grew across an add/remove/add cycle: %d -> %d", slots, got)
-			}
-			push(events[2*third:])
+func replayAfterSlotReuse(t *testing.T, k runtimeKind, shape string) {
+	events := replayEvents(shape, 4000, 17)
+	third := len(events) / 3
 
-			// Reference: "cycled" subscribed the whole time; its results
-			// after the re-add point must coincide.
-			ref := rumor.New()
-			declareST(t, ref)
-			for i, lo := range []int64{100, 200} {
-				if err := ref.AddQuery(fmt.Sprintf("base_%d", i), replayQuery(shape, lo)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ref.AddQuery("cycled", replayQuery(shape, 300)); err != nil {
+	sys := k.new(t)
+	declareST(t, sys)
+	for i, lo := range []int64{100, 200} {
+		if err := sys.AddQuery(fmt.Sprintf("base_%d", i), replayQuery(shape, lo)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.AddQuery("cycled", replayQuery(shape, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+		t.Fatal(err)
+	}
+	slots := sys.PlanInfo().TotalSlots
+	push := func(evs []workload.Event) {
+		for _, ev := range evs {
+			if err := sys.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.Optimize(rumor.Options{Channels: true}); err != nil {
-				t.Fatal(err)
-			}
-			var refAtReadd int64
-			for i, ev := range events {
-				if i == 2*third {
-					refAtReadd = ref.ResultCount("cycled")
-				}
-				if err := ref.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := sys.ResultCount("cycled")
-			want := ref.ResultCount("cycled") - refAtReadd
-			if got != want {
-				t.Fatalf("re-merged query: %d results after re-add, continuous subscription produces %d", got, want)
-			}
-			if want == 0 {
-				t.Fatal("re-merged query produced no post-re-add results; check is vacuous")
-			}
-			for i := range 2 {
-				name := fmt.Sprintf("base_%d", i)
-				if got, want := sys.ResultCount(name), ref.ResultCount(name); got != want {
-					t.Errorf("%s disturbed by the cycle: %d vs %d", name, got, want)
-				}
-			}
-		})
+		}
+	}
+	push(events[:third])
+	if err := sys.RemoveQuery("cycled"); err != nil {
+		t.Fatal(err)
+	}
+	push(events[third : 2*third])
+	if err := sys.AddQueryLive("cycled", replayQuery(shape, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.PlanInfo().TotalSlots; got != slots {
+		t.Fatalf("membership slots grew across an add/remove/add cycle: %d -> %d", slots, got)
+	}
+	push(events[2*third:])
+
+	// Reference: "cycled" subscribed the whole time; its results
+	// after the re-add point must coincide.
+	ref := rumor.New()
+	declareST(t, ref)
+	for i, lo := range []int64{100, 200} {
+		if err := ref.AddQuery(fmt.Sprintf("base_%d", i), replayQuery(shape, lo)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.AddQuery("cycled", replayQuery(shape, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Optimize(rumor.Options{Channels: true}); err != nil {
+		t.Fatal(err)
+	}
+	var refAtReadd int64
+	for i, ev := range events {
+		if i == 2*third {
+			refAtReadd = ref.ResultCount("cycled")
+		}
+		if err := ref.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.settle(t, sys)
+	got := sys.ResultCount("cycled")
+	want := ref.ResultCount("cycled") - refAtReadd
+	if got != want {
+		t.Fatalf("re-merged query: %d results after re-add, continuous subscription produces %d", got, want)
+	}
+	if want == 0 {
+		t.Fatal("re-merged query produced no post-re-add results; check is vacuous")
+	}
+	for i := range 2 {
+		name := fmt.Sprintf("base_%d", i)
+		if got, want := sys.ResultCount(name), ref.ResultCount(name); got != want {
+			t.Errorf("%s disturbed by the cycle: %d vs %d", name, got, want)
+		}
 	}
 }
