@@ -23,15 +23,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	rumor "repro"
 	"repro/obshttp"
 )
 
-// pushFunc injects one tuple; the metrics path wraps it in a mutex so a
-// concurrent scrape never races the single-threaded System.
+// pushFunc injects one tuple.
 type pushFunc func(stream string, ts int64, vals ...int64) error
 
 func main() {
@@ -74,22 +72,11 @@ func main() {
 	fmt.Printf("plan: %d queries, %d m-ops implementing %d operators, %d channels\n",
 		info.Queries, info.MOps, info.Operators, info.Channels)
 
-	push := pushFunc(sys.Push)
 	if *metrics != "" {
 		rumor.EnableMetrics(true)
-		// System is single-threaded; serialize the scrape against pushes.
-		// Unmetered runs keep the direct push path and pay nothing.
-		var mu sync.Mutex
-		push = func(stream string, ts int64, vals ...int64) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return sys.Push(stream, ts, vals...)
-		}
-		srv, err := obshttp.Start(*metrics, func() (*rumor.Metrics, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return sys.Metrics(), nil
-		})
+		// Metrics takes the system's ingestion barrier, so a scrape is safe
+		// beside the pushes.
+		srv, err := obshttp.Start(*metrics, sys.Metrics)
 		if err != nil {
 			fail(err)
 		}
@@ -101,9 +88,9 @@ func main() {
 	n := 0
 	switch {
 	case *gen > 0:
-		n = generate(push, string(src), *gen, *domain, *seed)
+		n = generate(sys.Push, string(src), *gen, *domain, *seed)
 	case *events != "":
-		n = feedCSV(push, *events)
+		n = feedCSV(sys.Push, *events)
 	default:
 		fmt.Fprintln(os.Stderr, "rumorcli: provide -events or -gen")
 		os.Exit(2)

@@ -60,29 +60,6 @@ func TestDefKeys(t *testing.T) {
 	}
 }
 
-func TestKeyModuloRightConst(t *testing.T) {
-	mk := func(c int64) *Def {
-		return SeqDef(expr.NewAnd2(expr.Right{P: expr.ConstCmp{Attr: 0, Op: expr.Eq, C: c}}), 50)
-	}
-	d1, d2 := mk(3), mk(9)
-	if d1.Key() == d2.Key() {
-		t.Fatal("different constants must differ in full key")
-	}
-	if d1.KeyModuloRightConst() != d2.KeyModuloRightConst() {
-		t.Fatal("KeyModuloRightConst must abstract the constant")
-	}
-	// Not right-indexable: falls back to full key.
-	d3 := SeqDef(expr.AttrCmp2{L: 0, Op: expr.Eq, R: 0}, 50)
-	if d3.KeyModuloRightConst() != d3.Key() {
-		t.Fatal("non-indexable seq should use full key")
-	}
-	// Non-seq kinds use full key.
-	sel := SelectDef(expr.ConstCmp{Attr: 0, Op: expr.Eq, C: 1})
-	if sel.KeyModuloRightConst() != sel.Key() {
-		t.Fatal("select should use full key")
-	}
-}
-
 func TestKeyModuloLeftConstAndWindow(t *testing.T) {
 	mk := func(c int64, w int64) *Def {
 		return SeqDef(expr.NewAnd2(expr.Left{P: expr.ConstCmp{Attr: 1, Op: expr.Eq, C: c}}), w)

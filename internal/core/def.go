@@ -185,26 +185,6 @@ func (d *Def) KeyModuloWindow() string {
 	return k[:strings.LastIndex(k, "|w=")]
 }
 
-// KeyModuloRightConst returns the definition key with any right-side
-// equality-with-constant conjunct reduced to its attribute (the constant
-// abstracted away), window included. Seq/Mu operators equal under this key
-// can be merged into one m-op with an AN-style index over their constants
-// (§4.3, "Active Node Index ... handled similarly").
-func (d *Def) KeyModuloRightConst() string {
-	if d.Kind != KindSeq && d.Kind != KindMu {
-		return d.Key()
-	}
-	attr, _, residual, ok := expr.RightIndexableEq(d.Pred2)
-	if !ok {
-		return d.Key()
-	}
-	extra := ""
-	if d.Kind == KindMu {
-		extra = "/f:" + d.Filter2.Key()
-	}
-	return fmt.Sprintf("%s|r[%d]=?&%s%s|w=%d", d.Kind, attr, residual.Key(), extra, d.Window)
-}
-
 // KeyModuloLeftConstAndWindow abstracts, for Seq/Mu, both any left-side
 // constant-equality conjunct and the window. Operators equal under this
 // key share an FR-style index over the left constants when merged.

@@ -465,25 +465,6 @@ func EqJoinParts(p Pred2) (lattr, rattr int, residual Pred2, ok bool) {
 	return 0, 0, nil, false
 }
 
-// DurationOf inspects p for a Duration conjunct and returns the window
-// length plus the residual. M-ops use it to expire stored state.
-func DurationOf(p Pred2) (w int64, residual Pred2, ok bool) {
-	switch q := p.(type) {
-	case Duration:
-		return q.W, True2{}, true
-	case And2:
-		for i, part := range q.Parts {
-			if d, isD := part.(Duration); isD {
-				rest := make([]Pred2, 0, len(q.Parts)-1)
-				rest = append(rest, q.Parts[:i]...)
-				rest = append(rest, q.Parts[i+1:]...)
-				return d.W, NewAnd2(rest...), true
-			}
-		}
-	}
-	return 0, nil, false
-}
-
 // RightIndexableEq inspects p for a conjunct of the form r[attr] = c
 // (a constant predicate on the incoming tuple). This is the hook for the
 // AN (active node) index (§5.2, Workload 1): the θ3 constants of many

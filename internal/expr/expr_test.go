@@ -204,21 +204,6 @@ func TestEqJoinParts(t *testing.T) {
 	}
 }
 
-func TestDurationOf(t *testing.T) {
-	p := NewAnd2(AttrCmp2{L: 0, Op: Eq, R: 0}, Duration{W: 42})
-	w, res, ok := DurationOf(p)
-	if !ok || w != 42 || res.Key() != "l[0]=r[0]" {
-		t.Fatalf("DurationOf = %d %q %v", w, res.Key(), ok)
-	}
-	w, res, ok = DurationOf(Duration{W: 7})
-	if !ok || w != 7 || res.Key() != "true" {
-		t.Fatal("bare Duration not detected")
-	}
-	if _, _, ok := DurationOf(True2{}); ok {
-		t.Fatal("no duration present")
-	}
-}
-
 func TestRightIndexableEq(t *testing.T) {
 	p := NewAnd2(Right{P: ConstCmp{Attr: 0, Op: Eq, C: 33}}, Duration{W: 10})
 	attr, c, res, ok := RightIndexableEq(p)

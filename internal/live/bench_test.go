@@ -52,14 +52,14 @@ func BenchmarkChurnAddRemove(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Apply(d, e); err != nil {
+		if err := e.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 		d, err = m.RemoveQuery(q.ID)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := Apply(d, e); err != nil {
+		if err := e.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/rules"
 )
 
@@ -121,16 +120,4 @@ func (m *Maintainer) RemoveQuery(queryID int) (*core.Delta, error) {
 		return nil, fmt.Errorf("live: plan invalid after remove: %w", err)
 	}
 	return d, nil
-}
-
-// Apply splices one delta into every given engine replica. Engines must be
-// quiescent. Replicas share the (already mutated) plan; each owns its
-// operator state, which the delta application migrates independently.
-func Apply(d *core.Delta, engines ...*engine.Engine) error {
-	for i, e := range engines {
-		if err := e.ApplyDelta(d); err != nil {
-			return fmt.Errorf("live: replica %d: %w", i, err)
-		}
-	}
-	return nil
 }

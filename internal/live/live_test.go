@@ -78,7 +78,7 @@ func TestAddQuerySharesAggState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	push(t, e, events[20:])
@@ -125,7 +125,7 @@ func TestAddSeqMergesIntoRunningGroup(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("add delta is empty")
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	seqNodes, seqOps := 0, 0
@@ -203,7 +203,7 @@ func TestAddWindowVariantAggJoinsFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Apply(d, e); err != nil {
+			if err := e.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 			if n := countAggNodes(p); n != 1 {
@@ -223,7 +223,7 @@ func TestAddWindowVariantAggJoinsFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Apply(d, e); err != nil {
+			if err := e.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 			after := retained(e)
@@ -274,7 +274,7 @@ func TestRemoveQueryGCsExclusiveState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Stats().Ops; got != opsBefore-1 {
@@ -307,7 +307,7 @@ func TestAddBareScanRegistersSink(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("delta with a new query must not be Empty")
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	push(t, e, []ev{{"S", 1, []int64{2, 0}}, {"S", 2, []int64{1, 0}}})
@@ -319,7 +319,7 @@ func TestAddBareScanRegistersSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	push(t, e, []ev{{"S", 3, []int64{1, 0}}})
@@ -377,7 +377,7 @@ func TestChannelGrowsAppendOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(d, e); err != nil {
+	if err := e.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
 	// The channel must have grown to 3 streams.

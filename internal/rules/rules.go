@@ -99,11 +99,6 @@ func (o *Optimizer) Run(p *core.Physical) (int, error) {
 	return o.run(p, 32)
 }
 
-// RunWithCap is Run with an explicit round cap.
-func (o *Optimizer) RunWithCap(p *core.Physical, maxRounds int) (int, error) {
-	return o.run(p, maxRounds)
-}
-
 func (o *Optimizer) run(p *core.Physical, maxRounds int) (int, error) {
 	if maxRounds <= 0 {
 		maxRounds = 32

@@ -406,7 +406,7 @@ func TestOptimizerTraceAndRounds(t *testing.T) {
 		t.Fatalf("rounds=%d fired=%v", rounds, fired)
 	}
 	// Running again reaches fixpoint immediately.
-	rounds2, err := o.RunWithCap(p, 5)
+	rounds2, err := o.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,22 @@ package shard
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/mop"
+	"repro/internal/wire"
 )
 
-// WithQuiesced runs fn at a batch-queue barrier: ingestion is blocked,
-// every worker has acknowledged quiescence, and the caller goroutine owns
-// each replica's state registry for the duration. Checkpoint writes and
-// state restores build on this — the registries allow destructive-peek
-// exports (export-all followed by an in-place re-import) and direct
-// imports into freshly built replicas. With remote replicas (NewCluster)
-// the registries are RPC adapters, so checkpoints and restores work over
-// the wire unchanged.
-func (e *Engine) WithQuiesced(fn func(regs []Registry) error) error {
+// Checkpoint fills the state half of c at a batch-queue barrier
+// (ingestion blocked, every worker quiescent): the merged count of each
+// live query in queryIDs, the frozen final counts of queries removed by
+// live deltas, and every replica's stored operator groups, tagged with the
+// replica index. dists gives the distribution of each stateful side (see
+// exportGroups). With remote replicas (NewCluster) the registries are RPC
+// adapters, so checkpoints work over the wire unchanged.
+func (e *Engine) Checkpoint(c *wire.Checkpoint, queryIDs []int, dists map[int][]core.SideDist) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -21,43 +26,175 @@ func (e *Engine) WithQuiesced(fn func(regs []Registry) error) error {
 	if err := e.quiesceLocked(); err != nil {
 		return err
 	}
-	return fn(e.registriesLocked())
-}
-
-// FrozenCounts returns a copy of the frozen final counts of queries
-// removed by live deltas, keyed by query ID.
-func (e *Engine) FrozenCounts() map[int]int64 {
+	slices.Sort(queryIDs)
 	e.statsMu.RLock()
-	defer e.statsMu.RUnlock()
-	out := make(map[int]int64, len(e.frozen))
-	for qid, n := range e.frozen {
-		out[qid] = n
+	for _, qid := range queryIDs {
+		if n := e.mergedCountLocked(qid); n != 0 {
+			c.Counts = append(c.Counts, wire.QueryCount{ID: qid, Count: n})
+		}
 	}
-	return out
+	for _, qid := range slices.Sorted(maps.Keys(e.frozen)) {
+		c.FrozenByID = append(c.FrozenByID, wire.QueryCount{ID: qid, Count: e.frozen[qid]})
+	}
+	e.statsMu.RUnlock()
+	for i, reg := range e.registriesLocked() {
+		if err := exportGroups(reg, i, dists, &c.Groups); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// RestoreCounts seeds the merged-count state of a freshly built engine
-// from a checkpoint: base holds each live query's accumulated count (the
-// replica counters start at zero), frozen the final counts of queries
-// removed before the checkpoint. maxQuery is raised to cover every seeded
-// ID so TotalResults keeps counting frozen queries whose IDs exceed the
-// restored plan's.
-func (e *Engine) RestoreCounts(base, frozen map[int]int64) {
+// exportGroups destructively peeks every stored group side of one replica
+// registry: export-all, re-import in place, and append the surviving
+// payload (tagged with the replica index) to groups. Keyed and multicast
+// sides export under their real key attribute so the payload items carry
+// partition keys — a restore into a different shard count re-hashes on
+// them.
+func exportGroups(reg Registry, shardIdx int, dists map[int][]core.SideDist, groups *[]wire.GroupState) error {
+	for _, ref := range reg.Groups() {
+		for _, side := range ref.Sides {
+			keyAttr := -1
+			if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
+				keyAttr = d.Attr
+			}
+			pl, err := reg.Export(ref.OpID, side, keyAttr, func(int64, int) bool { return true })
+			if err != nil {
+				return err
+			}
+			if pl.Len() == 0 {
+				continue
+			}
+			if err := reg.Import(ref.OpID, pl, false); err != nil {
+				return err
+			}
+			*groups = append(*groups, wire.GroupState{Shard: shardIdx, OpID: ref.OpID, Payload: pl})
+		}
+	}
+	return nil
+}
+
+// Restore imports the state half of checkpoint c into a freshly built
+// engine. At the checkpoint's width each payload lands on the replica that
+// wrote it; at another width the state is redistributed under part (see
+// redistributeGroups). The checkpoint's counters seed the merged counts:
+// live queries' as bases (the replica counters start at zero), removed
+// queries' as frozen final counts, and the query-ID range grows to cover
+// every seeded ID, so TotalResults keeps counting frozen queries whose IDs
+// exceed the restored plan's.
+func (e *Engine) Restore(c *wire.Checkpoint, part *core.PartitionPlan) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.quiesceLocked(); err != nil {
+		return err
+	}
+	regs := e.registriesLocked()
+	if len(regs) != c.Shards {
+		if err := redistributeGroups(c, e.plan, part, regs); err != nil {
+			return err
+		}
+	} else {
+		for _, g := range c.Groups {
+			if g.Shard < 0 || g.Shard >= len(regs) {
+				return fmt.Errorf("shard: checkpoint state for shard %d of %d", g.Shard, len(regs))
+			}
+			if g.Payload.Len() == 0 {
+				continue
+			}
+			if err := regs[g.Shard].Import(g.OpID, g.Payload, false); err != nil {
+				return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", g.OpID, g.Shard, err)
+			}
+		}
+	}
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
-	for qid, n := range base {
-		e.base[qid] = n
-		if qid > e.maxQuery {
-			e.maxQuery = qid
+	for _, qc := range c.Counts {
+		e.base[qc.ID] = qc.Count
+		e.maxQuery = max(e.maxQuery, qc.ID)
+	}
+	if len(c.FrozenByID) > 0 && e.frozen == nil {
+		e.frozen = make(map[int]int64, len(c.FrozenByID))
+	}
+	for _, qc := range c.FrozenByID {
+		e.frozen[qc.ID] = qc.Count
+		e.maxQuery = max(e.maxQuery, qc.ID)
+	}
+	return nil
+}
+
+// redistributeGroups imports a checkpoint's operator state into a system
+// of a different shard count, applying the same placement rules the
+// recovery migration uses: keyed and multicast sides merge across the old
+// replicas and re-split by key ownership at the new width (duplicate
+// copies of a key round-robin across its owner set), replicated sides
+// place one full copy on every replica, and unpartitioned sides fold by
+// old shard index.
+func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.PartitionPlan, regs []Registry) error {
+	n := len(regs)
+	dists := part.OpSideDists(plan)
+	type groupSide struct{ op, side int }
+	var order []groupSide
+	buckets := make(map[groupSide][]wire.GroupState)
+	for _, g := range c.Groups {
+		if g.Shard < 0 || g.Shard >= c.Shards {
+			return fmt.Errorf("shard: checkpoint state for shard %d of %d", g.Shard, c.Shards)
+		}
+		if g.Payload.Len() == 0 {
+			continue
+		}
+		k := groupSide{g.OpID, g.Payload.Side()}
+		if _, ok := buckets[k]; !ok {
+			order = append(order, k)
+		}
+		buckets[k] = append(buckets[k], g)
+	}
+	for _, k := range order {
+		bucket := buckets[k]
+		d := core.SideDistAt(dists, k.op, k.side)
+		switch d.Dist {
+		case core.DistKeyed, core.DistMulticast:
+			payloads := make([]*mop.StatePayload, len(bucket))
+			for i, g := range bucket {
+				payloads[i] = g.Payload
+			}
+			merged := mop.MergePayloads(payloads)
+			if merged.Len() == 0 {
+				continue
+			}
+			rr := make(map[int64]int)
+			parts := merged.SplitBy(n, func(key int64) int {
+				owners := part.Owners(key, n)
+				i := rr[key]
+				rr[key] = i + 1
+				return owners[i%len(owners)]
+			})
+			for ni, pl := range parts {
+				if pl.Len() == 0 {
+					continue
+				}
+				if err := regs[ni].Import(k.op, pl, false); err != nil {
+					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, ni, err)
+				}
+			}
+		case core.DistReplicated:
+			// Every old replica checkpointed an identical copy; replicate
+			// the first onto every new replica and drop the rest.
+			src := bucket[0].Payload
+			for i := range regs {
+				if err := regs[i].Import(k.op, src, true); err != nil {
+					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, i, err)
+				}
+			}
+			for _, g := range bucket {
+				g.Payload.Discard()
+			}
+		default:
+			for _, g := range bucket {
+				if err := regs[g.Shard%n].Import(k.op, g.Payload, false); err != nil {
+					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, g.Shard%n, err)
+				}
+			}
 		}
 	}
-	if len(frozen) > 0 && e.frozen == nil {
-		e.frozen = make(map[int]int64, len(frozen))
-	}
-	for qid, n := range frozen {
-		e.frozen[qid] = n
-		if qid > e.maxQuery {
-			e.maxQuery = qid
-		}
-	}
+	return nil
 }

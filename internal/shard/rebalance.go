@@ -43,11 +43,11 @@ var ErrPartialMigration = errors.New("shard: partial state migration rolled back
 
 // RebalanceStats reports one online rebalance.
 type RebalanceStats struct {
-	Moved   int           // state items imported on a new owner
-	Dropped int           // replicated copies deduplicated away
-	Keys    int           // keys with explicit placements afterwards
-	Pause   time.Duration // ingestion pause, barrier to resume
-	Version int           // routing-table version now in effect
+	Moved   int   // state items imported on a new owner shard
+	Dropped int   // replicated copies deduplicated away
+	Keys    int   // keys with explicit placements afterwards
+	PauseNS int64 // ingestion pause, barrier to resume
+	Version int   // routing-table version now in effect
 }
 
 // Rebalance drains the batch queues, migrates stored operator state to its
@@ -79,21 +79,22 @@ func (e *Engine) Rebalance(part *core.PartitionPlan) (RebalanceStats, error) {
 		return st, err
 	}
 	if err := e.rebaseCountsLocked(); err != nil {
-		e.poisonLocked()
+		e.stopLocked(false)
 		return st, fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
 	}
 	e.statsMu.Lock()
 	e.part = part
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(part)
-	st.Pause = time.Since(start)
+	pause := time.Since(start)
+	st.PauseNS = pause.Nanoseconds()
 	st.Version = part.RoutingVersion()
 	if part.Table != nil {
 		st.Keys = len(part.Table.Moves)
 	}
 	obs.RecordEvent(obs.EvRebalance,
 		fmt.Sprintf("moved=%d dropped=%d keys=%d version=%d", st.Moved, st.Dropped, st.Keys, st.Version),
-		st.Pause)
+		pause)
 	return st, nil
 }
 
@@ -218,7 +219,7 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 				}
 				if pl.Len() > 0 {
 					if err := reg.Import(ref.OpID, pl, false); err != nil {
-						e.poisonLocked()
+						e.stopLocked(false)
 						return st, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
 					}
 				}
@@ -232,7 +233,7 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 	for _, t := range touched {
 		if err := e.migrateGroupSide(regs, t.ref, t.side, t.od, t.nd, newPart, &st, &discards); err != nil {
 			if rbErr := rollbackMigration(regs, touched, snap); rbErr != nil {
-				e.poisonLocked()
+				e.stopLocked(false)
 				return st, fmt.Errorf("shard: state migration failed (%v), rollback failed, engine disabled: %w", err, rbErr)
 			}
 			return RebalanceStats{}, fmt.Errorf("%w: %w", ErrPartialMigration, err)

@@ -42,14 +42,14 @@ import (
 
 // RecoverStats reports one shard crash recovery.
 type RecoverStats struct {
-	Shard    int           // index of the shard that was recovered away
-	Replayed int           // WAL entries replayed into the dead replica
-	Moved    int           // state items re-imported on survivors
-	Dropped  int           // replicated copies that died with the replica
-	Bytes    int           // serialized payload bytes transported
-	Shards   int           // shard count after recovery
-	Version  int           // routing-table version now in effect
-	Pause    time.Duration // barrier to resume
+	Shard    int   // index of the shard that was recovered away
+	Replayed int   // WAL entries replayed into the dead replica
+	Moved    int   // state items re-imported on survivors
+	Dropped  int   // replicated copies that died with the replica
+	Bytes    int   // serialized payload bytes transported
+	Shards   int   // shard count after recovery
+	Version  int   // routing-table version now in effect
+	PauseNS  int64 // barrier to resume
 }
 
 // RecoverShard detects the dead shard, replays its unacknowledged WAL
@@ -122,7 +122,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 		st.Replayed += int(cluster.BatchRows(rec.entries))
 	}
 	if w.err != errBefore {
-		e.poisonLocked()
+		e.stopLocked(false)
 		return st, fmt.Errorf("shard: catch-up replay failed, engine disabled: %w", w.err)
 	}
 	// The corpse skipped the quiesce barrier's counter refresh (it was
@@ -135,19 +135,14 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	// partition plan (replicated sinks still merge from shard 0, which may
 	// be the caught-up corpse).
 	if err := e.rebaseCountsLocked(); err != nil {
-		e.poisonLocked()
+		e.stopLocked(false)
 		return st, fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
 	}
 
 	// State migration to the survivors.
-	newPart := &core.PartitionPlan{
-		Routes:          e.part.Routes,
-		ReplicatedSinks: e.part.ReplicatedSinks,
-		Parallel:        e.part.Parallel,
-		Table:           &core.RoutingTable{Version: e.part.RoutingVersion() + 1},
-	}
+	newPart := e.part.WithMoves(nil)
 	if err := e.migrateForRecovery(dead, newPart, &st); err != nil {
-		e.poisonLocked()
+		e.stopLocked(false)
 		return st, fmt.Errorf("shard: recovery migration failed, engine disabled: %w", err)
 	}
 
@@ -181,13 +176,14 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	e.wireCallbacks()
 	st.Shards = len(e.workers)
 	st.Version = newPart.RoutingVersion()
-	st.Pause = time.Since(start)
+	pause := time.Since(start)
+	st.PauseNS = pause.Nanoseconds()
 	if st.Replayed > 0 {
 		obs.RecordEvent(obs.EvWALReplay, fmt.Sprintf("shard=%d entries=%d", dead, st.Replayed), 0)
 	}
 	obs.RecordEvent(obs.EvShardRecover,
 		fmt.Sprintf("dead=%d replayed=%d moved=%d shards=%d", dead, st.Replayed, st.Moved, st.Shards),
-		st.Pause)
+		pause)
 	return st, nil
 }
 

@@ -161,26 +161,22 @@ func TestRecoverTorture(t *testing.T) {
 	}
 }
 
-// A 1-shard engine cannot absorb its own death; the error must say so and
-// point at checkpoint restore.
+// A 1-shard engine runs inline: it has no worker that can die, so a
+// replay fault point never fires and RecoverShard has nothing to recover;
+// it must refuse.
 func TestRecoverOnlyShardRefused(t *testing.T) {
 	defer faultpoint.Reset()
 	catalog, qs, events := tortureWorkload(t, "w2")
 	_, sh := buildPair(t, catalog, qs, false, 1)
 	defer sh.Close()
 	faultpoint.Arm("shard.flush.replay", 2)
-	var dead error
 	for _, ev := range events {
 		if err := sh.Push(ev.Source, ev.Tuple.TS, ev.Tuple.Vals); err != nil {
-			dead = err
-			break
+			t.Fatal(err)
 		}
 	}
-	if dead == nil {
-		dead = sh.Drain()
-	}
-	if !errors.Is(dead, ErrShardDead) {
-		t.Fatalf("expected ErrShardDead, got %v", dead)
+	if err := sh.Drain(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sh.RecoverShard(); err == nil {
 		t.Fatal("recovering the only shard succeeded")

@@ -15,6 +15,13 @@
 // are counted on shard 0 only. An optional result callback is sequenced
 // across shards by a mutex. Drain flushes every pending buffer and blocks
 // until all workers are quiescent; Close additionally stops the workers.
+//
+// An engine with exactly one in-process replica runs inline: it has no
+// worker goroutine, pending buffer, WAL or queue, and every Push* call
+// replays into the replica under the router's lock, so results are out
+// before the call returns. Drain is then a no-op, the result callback is
+// the replica's own (no mutex), and nothing is partitioned: every source
+// reaches the one replica.
 package shard
 
 import (
@@ -160,6 +167,10 @@ type Engine struct {
 	srcNames []string // source id → name
 	srcs     map[string]srcRoute
 
+	// inline is the replica engine of an engine with exactly one
+	// in-process replica, nil otherwise (see the package doc).
+	inline *engine.Engine
+
 	mu      sync.Mutex // guards pending, rr, closed, wal, walSeq, dead
 	pending []*[]cluster.Entry
 	rr      uint64
@@ -192,7 +203,8 @@ type Engine struct {
 	batchPool sync.Pool
 
 	// onResult, when set, receives every attributed result; calls are
-	// sequenced across shards by resMu. Set via OnResult before pushing.
+	// sequenced across shards by resMu. Set via OnResult or ApplyDelta, at
+	// a barrier.
 	onResult func(queryID int, t *stream.Tuple)
 	resMu    sync.Mutex
 
@@ -228,7 +240,8 @@ type Engine struct {
 
 // New builds a sharded engine over the plan. The partition plan must come
 // from core.AnalyzePartition on the same (already optimized) plan; pass
-// nil to run the analysis here. The plan must not be mutated afterwards.
+// nil to run the analysis here, or, at one shard, to route nothing. The
+// plan must not be mutated afterwards.
 func New(p *core.Physical, part *core.PartitionPlan, cfg Config) (*Engine, error) {
 	return build(p, part, cfg, nil)
 }
@@ -238,7 +251,11 @@ func New(p *core.Physical, part *core.PartitionPlan, cfg Config) (*Engine, error
 // nodes[i] (see NewCluster).
 func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []cluster.Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if part == nil {
+	inline := nodes == nil && cfg.Shards == 1
+	switch {
+	case part == nil && inline:
+		part = &core.PartitionPlan{}
+	case part == nil:
 		part = core.AnalyzePartition(p)
 	}
 	e := &Engine{
@@ -318,18 +335,20 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 			rr.cli = cli
 			rep = rr
 		}
-		w := &worker{
-			idx:  i,
-			rep:  rep,
-			ch:   make(chan msg, cfg.QueueDepth),
-			done: make(chan struct{}),
-		}
+		w := &worker{idx: i, rep: rep}
 		e.workers = append(e.workers, w)
+		if inline {
+			e.inline = rep.localEngine()
+			continue
+		}
+		w.ch = make(chan msg, cfg.QueueDepth)
+		w.done = make(chan struct{})
 		e.pending[i] = e.takeBatch()
 	}
-	e.wireCallbacks()
-	for _, w := range e.workers {
-		go w.run()
+	if e.inline == nil {
+		for _, w := range e.workers {
+			go w.run()
+		}
 	}
 	return e, nil
 }
@@ -400,20 +419,19 @@ func (e *Engine) projectedSrcNamesLocked() []string {
 // wireCallbacks installs per-engine result hooks when a user callback is
 // registered. Without one, the engines count results internally (their
 // counters are read only after Drain establishes quiescence) and keep
-// their allocation-free delivery path.
+// their allocation-free delivery path. An inline replica calls the user
+// callback directly: its pushes are already serialized by mu. Called at a
+// barrier with mu held.
 func (e *Engine) wireCallbacks() {
-	if e.onResult == nil {
-		for _, w := range e.workers {
-			if eng := w.rep.localEngine(); eng != nil {
-				eng.OnResult = nil
-			}
-		}
-		return
-	}
+	fn := e.onResult
 	for _, w := range e.workers {
 		eng := w.rep.localEngine()
-		if eng == nil {
+		switch {
+		case eng == nil:
 			continue // remote replica: results are counted worker-side
+		case fn == nil || eng == e.inline:
+			eng.OnResult = fn
+			continue
 		}
 		idx := w.idx
 		eng.OnResult = func(qid int, t *stream.Tuple) {
@@ -421,19 +439,28 @@ func (e *Engine) wireCallbacks() {
 				return // replicated sink: attributed on shard 0 only
 			}
 			e.resMu.Lock()
-			e.onResult(qid, t)
+			fn(qid, t)
 			e.resMu.Unlock()
 		}
 	}
 }
 
-// OnResult registers a result callback, sequenced across shards. It must
-// be called before the first Push. The tuple is the replica engine's and
-// is recycled after the call: vals is valid until the callback returns;
-// copy it to keep it. Remote replicas (NewCluster) do not deliver
-// callbacks — their results are counted worker-side and merged into
+// OnResult registers a result callback, sequenced across shards. It may be
+// called at any time, though not from inside a callback: the replicas are
+// rewired at a batch-queue barrier, so a result goes either to the old
+// callback or to the new one. The tuple is the replica engine's and is
+// recycled after the call: vals is valid until the callback returns; copy
+// it to keep it. Remote replicas (NewCluster) do not deliver callbacks —
+// their results are counted worker-side and merged into
 // ResultCount/TotalResults at drain barriers.
 func (e *Engine) OnResult(fn func(queryID int, t *stream.Tuple)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.closed {
+		// A sticky replay error does not stop the swap; it surfaces on
+		// Drain/Close.
+		_ = e.quiesceLiveLocked()
+	}
 	e.onResult = fn
 	e.wireCallbacks()
 }
@@ -769,8 +796,29 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 	if err != nil {
 		return err
 	}
+	if e.inline != nil {
+		e.workers[0].tuples.Add(1)
+		return e.inline.Push(source, &stream.Tuple{TS: ts, Vals: vals})
+	}
 	e.route(sr, ts, vals)
 	return nil
+}
+
+// PushShared injects one channel tuple whose membership t.Member names
+// several sharable sources of one channel edge. Only an inline engine
+// offers it: the router holds no membership to route a shared tuple by.
+// The failure contract of Push applies.
+func (e *Engine) PushShared(source string, t *stream.Tuple) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.inline == nil {
+		return fmt.Errorf("shard: PushShared needs a single in-process shard, have %d shards", len(e.workers))
+	}
+	if _, err := e.admitLocked(source, len(t.Vals)); err != nil {
+		return err
+	}
+	e.workers[0].tuples.Add(1)
+	return e.inline.Push(source, t)
 }
 
 // route appends one tuple to its shard(s). Called with mu held.
@@ -820,6 +868,10 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	if err != nil {
 		return err
 	}
+	if e.inline != nil {
+		e.workers[0].tuples.Add(int64(len(ts)))
+		return e.inline.PushBatch(source, ts, vals)
+	}
 	for i := range ts {
 		e.route(sr, ts[i], vals[i])
 	}
@@ -833,8 +885,8 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 // WAL and worker queues as single entries until each replica engine feeds
 // its selected rows to its vectorized path. The engine takes ownership of
 // ts and cols: they stay referenced until every shard's worker has
-// replayed its run and its WAL has pruned it. The failure contract of Push
-// applies.
+// replayed its run and its WAL has pruned it. An inline engine keeps no
+// reference once the call returns. The failure contract of Push applies.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
@@ -850,6 +902,10 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	sr, err := e.admitLocked(source, width)
 	if err != nil || len(ts) == 0 {
 		return err
+	}
+	if e.inline != nil {
+		e.workers[0].tuples.Add(int64(len(ts)))
+		return e.inline.PushColumns(source, ts, cols)
 	}
 	e.routeColumns(sr, ts, cols)
 	return nil
@@ -921,85 +977,15 @@ func (e *Engine) BlocksProcessed() int64 {
 // replayed everything handed to it. It returns the first replay error. A
 // worker that dies instead of acknowledging is detected (the wait selects
 // on its done channel rather than hanging) and reported as ErrShardDead.
+// Pushes from other goroutines wait for the barrier. An inline engine is
+// always drained.
 func (e *Engine) Drain() error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return fmt.Errorf("shard: engine closed")
 	}
-	for i := range e.pending {
-		e.flushShard(i)
-	}
-	workers := e.workers
-	acks := make([]chan error, len(workers))
-	for i, w := range workers {
-		if e.dead[i] {
-			continue
-		}
-		ack := make(chan error, 1)
-		select {
-		case w.ch <- msg{ack: ack}:
-			acks[i] = ack
-		case <-w.done:
-			e.markDeadLocked(i)
-		}
-	}
-	anyDead := e.numDead > 0
-	e.mu.Unlock()
-	var first error
-	var died []int
-	for i, ack := range acks {
-		if ack == nil {
-			continue
-		}
-		select {
-		case err := <-ack:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-workers[i].done:
-			// The ack may have raced in just before the death.
-			select {
-			case err := <-ack:
-				if err != nil && first == nil {
-					first = err
-				}
-			default:
-				died = append(died, i)
-			}
-		}
-	}
-	e.mu.Lock()
-	for _, i := range died {
-		e.markDeadLocked(i)
-	}
-	// Barrier refresh: pull each remote replica's counter snapshot and
-	// sticky replay error (no-ops for local replicas). A refresh that
-	// finds the worker lost marks the shard dead — this is how an outage
-	// that began while the link was idle surfaces.
-	for i, w := range workers {
-		if i >= len(e.dead) || e.dead[i] {
-			continue
-		}
-		if err := w.rep.refresh(); err != nil {
-			if errors.Is(err, ErrShardDead) {
-				e.markDeadLocked(i)
-				continue
-			}
-			if first == nil {
-				first = err
-			}
-		}
-		if serr := w.rep.stickyErr(); serr != nil && first == nil {
-			first = serr
-		}
-	}
-	anyDead = e.numDead > 0
-	if first == nil && anyDead {
-		first = e.deadErrLocked()
-	}
-	e.mu.Unlock()
-	return first
+	return e.quiesceLocked()
 }
 
 // Close drains, stops every worker, and rejects further ingestion. It is
@@ -1011,28 +997,20 @@ func (e *Engine) Drain() error {
 // without waiting on it.
 func (e *Engine) Close() error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	for i := range e.pending {
-		e.flushShard(i)
+	if e.inline == nil {
+		for i := range e.pending {
+			e.flushShard(i)
+		}
 	}
-	workers := e.workers
-	for _, w := range workers {
-		w.close() // workers replay everything queued, then exit
-	}
-	e.mu.Unlock()
-	for _, w := range workers {
-		<-w.done
-	}
-	for _, w := range workers {
-		// Release replica resources; remote workers are asked to exit
-		// (best effort — an unreachable worker is left behind).
-		w.rep.close(true)
-	}
-	for _, w := range workers {
+	// Workers replay everything queued, then exit; remote workers are
+	// asked to exit too (best effort — an unreachable worker is left
+	// behind).
+	e.stopLocked(true)
+	for _, w := range e.workers {
 		if w.err != nil {
 			return w.err
 		}
@@ -1040,12 +1018,17 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// poisonLocked shuts the workers down like Close (they are quiescent when
-// this is called, so it cannot block on in-flight batches) and rejects
-// further use of the engine. Used when replica state may have diverged
-// beyond repair. Called with mu held.
-func (e *Engine) poisonLocked() {
+// stopLocked closes every worker's queue, waits for the workers to exit,
+// releases the replicas (shutdown asks remote worker processes to exit),
+// and rejects further use of the engine. Poisoning uses it without
+// shutdown, when replica state may have diverged beyond repair: the
+// workers are quiescent then, and remote workers stay up so their state
+// remains inspectable. Called with mu held.
+func (e *Engine) stopLocked(shutdown bool) {
 	e.closed = true
+	if e.inline != nil {
+		return
+	}
 	for _, w := range e.workers {
 		w.close()
 	}
@@ -1053,9 +1036,7 @@ func (e *Engine) poisonLocked() {
 		<-w.done
 	}
 	for _, w := range e.workers {
-		// Drop connections but leave remote worker processes running:
-		// their replica state may still be inspectable after a poisoning.
-		w.rep.close(false)
+		w.rep.close(shutdown)
 	}
 }
 
@@ -1078,7 +1059,11 @@ func (e *Engine) quiesceLocked() error {
 // RecoverShard quiesces the survivors around a corpse). Dead shards'
 // pending buffers still reach the WAL — flushShard appends without
 // sending — where recovery replays them. Returns the first replay error.
+// An inline engine is quiescent whenever mu is held.
 func (e *Engine) quiesceLiveLocked() error {
+	if e.inline != nil {
+		return nil
+	}
 	for i := range e.pending {
 		e.flushShard(i)
 	}
@@ -1146,27 +1131,21 @@ func (e *Engine) quiesceLiveLocked() error {
 // applied to each replica (re-lowering dirty m-ops with state migration),
 // the source routing tables are swapped to the new partition plan, the
 // merged final counts of the removed queries are frozen under the old
-// plan, and rewire (if non-nil — typically a result-callback rebuild with
-// the new query-name table) runs before ingestion resumes. The plan shared
-// by the replicas must already carry the delta's mutations.
+// plan, and onResult (typically a callback over the new query-name table;
+// nil for none) replaces the result callback before ingestion resumes.
+// The plan shared by the replicas must already carry the delta's
+// mutations.
+//
+// With rebalance set, the extended partition plan re-routes running
+// sources: after the delta is spliced, the stored operator state is
+// migrated from its placement under the old routes to its placement under
+// part (drain → export → re-hash → import), inside the same barrier. This
+// is how a live add that the pinned-route ExtendPartition would reject is
+// served without an offline restart.
 //
 // Concurrent Push/PushBatch callers block for the duration; maintenance
 // operations themselves must be serialized by the caller.
-func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, rewire func()) error {
-	return e.applyDelta(d, part, removed, rewire, false)
-}
-
-// ApplyDeltaRebalance is ApplyDelta for deltas whose extended partition
-// plan re-routes running sources: after the delta is spliced, the stored
-// operator state is migrated from its placement under the old routes to
-// its placement under part (drain → export → re-hash → import), inside
-// the same barrier. This is how a live add that the pinned-route
-// ExtendPartition would reject is served without an offline restart.
-func (e *Engine) ApplyDeltaRebalance(d *core.Delta, part *core.PartitionPlan, removed []int, rewire func()) error {
-	return e.applyDelta(d, part, removed, rewire, true)
-}
-
-func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, rewire func(), rebalance bool) error {
+func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) error {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1205,17 +1184,21 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	for i, w := range e.workers {
 		if err := w.rep.applyDelta(e.plan, sh); err != nil {
 			e.statsMu.Unlock()
-			e.poisonLocked()
+			e.stopLocked(false)
 			return fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
 		}
 	}
 	e.statsMu.Unlock()
+	// The replicas now serve the delta's queries: hand their results to
+	// the callback that knows them.
+	e.onResult = onResult
+	e.wireCallbacks()
 	if rebalance {
 		if _, err := e.migrateStateLocked(e.registriesLocked(), e.part.OpSideDists(e.plan), part); err != nil {
 			return err
 		}
 		if err := e.rebaseCountsLocked(); err != nil {
-			e.poisonLocked()
+			e.stopLocked(false)
 			return fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
 		}
 	}
@@ -1229,9 +1212,6 @@ func (e *Engine) applyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	}
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(part)
-	if rewire != nil {
-		rewire()
-	}
 	obs.RecordEvent(obs.EvDeltaApply,
 		fmt.Sprintf("shards=%d dirty=%d removed=%d rebalance=%v", len(e.workers), len(d.Dirty), len(removed), rebalance),
 		time.Since(start))
@@ -1440,3 +1420,7 @@ func (e *Engine) NumShards() int { return len(e.workers) }
 
 // PartitionPlan returns the routing decisions in effect.
 func (e *Engine) PartitionPlan() *core.PartitionPlan { return e.part }
+
+// Inline reports whether the engine runs inline: exactly one in-process
+// replica, replayed in the pusher's goroutine (see the package doc).
+func (e *Engine) Inline() bool { return e.inline != nil }

@@ -24,17 +24,26 @@
 //	err = sys.Optimize(rumor.Options{Channels: true})
 //	err = sys.Push("CPU", 0, 17, 95)
 //
+// There is one runtime. New returns it with one engine replica, which runs
+// in the pusher's goroutine: results are out before Push returns, and
+// Drain is a no-op. NewSharded spreads the same plan over N replicas fed
+// by worker goroutines (DialCluster over worker processes); their results
+// are out after Drain.
+//
 // Subpackages (internal): core (plans, m-ops as plan nodes, channels),
 // rules (the m-rules and optimizer), mop (executable m-ops: predicate
 // indexing, shared aggregation/join, the Cayuga ; and µ operators with
-// FR/AN/AI indexes, channel modes), engine (execution), automaton (the
-// Cayuga baseline and the §4.2 automaton→plan translation), cql (query
-// language), workload and bench (the paper's evaluation).
+// FR/AN/AI indexes, channel modes), engine (execution), shard (the
+// replicated runtime), automaton (the Cayuga baseline and the §4.2
+// automaton→plan translation), cql (query language), workload and bench
+// (the paper's evaluation).
 package rumor
 
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -43,7 +52,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/rules"
+	"repro/internal/shard"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // Logical is a logical query plan node; build trees with Scan, Filter,
@@ -111,7 +122,8 @@ type PlanInfo struct {
 	ChannelWords    int
 	SpilledChannels int
 	// MulticastKeys is the total number of distinct partner constants in
-	// the multicast routing tables (sharded systems only; 0 otherwise).
+	// the multicast routing tables (0 at one in-process shard, which
+	// routes nothing).
 	MulticastKeys int
 
 	// BlockEdges counts plan edges statically capable of carrying
@@ -125,21 +137,56 @@ type PlanInfo struct {
 	BlocksProcessed int64
 }
 
-// System is a RUMOR stream-processing instance.
+// ShardConfig sizes a System.
+type ShardConfig struct {
+	// Shards is the number of engine replicas (default 1). One replica
+	// runs inline, in the pusher's goroutine; more are fed by worker
+	// goroutines.
+	Shards int
+	// BatchSize is the number of tuples accumulated per shard before the
+	// buffer is handed to the shard's worker goroutine (default 256).
+	// Larger batches amortize the cross-goroutine transfer at the cost of
+	// result latency.
+	BatchSize int
+	// QueueDepth bounds the batches buffered per shard; a full queue
+	// applies backpressure to pushers (default 8).
+	QueueDepth int
+}
+
+// System is a RUMOR instance executing one optimized plan across one or
+// more engine replicas. At Optimize a system of several shards analyzes
+// the plan for partitionability (see core.AnalyzePartition): each source
+// stream is routed by hashing a partition attribute when the plan's
+// stateful operators are equi-keyed, round-robin when its tuples only
+// build operator state probed by a broadcast side (or flow through
+// stateless operators), and broadcast otherwise. Results are merged from
+// per-shard counters; replicated sinks are attributed to shard 0 only.
+//
+// Push, PushBatch and PushColumns are safe for concurrent use, as are the
+// maintenance operations. With one in-process shard (New) a push is
+// processed before it returns; with more, tuples are processed
+// asynchronously: call Drain to wait for quiescence before reading
+// counts, and Close to shut the workers down.
 type System struct {
 	catalog map[string]core.SourceDecl
 	queries []*core.Query
 	byName  map[string]*core.Query
 
 	plan *core.Physical
-	eng  *engine.Engine
-
 	// ropts preserves the optimization options for incremental (live)
 	// rule application after Optimize.
 	ropts rules.Options
+	cfg   ShardConfig
+	sh    *shard.Engine
 
-	// removed maps names of live-removed queries to their frozen final
-	// result counts.
+	// churnMu serializes maintenance operations (AddQueryLive,
+	// RemoveQuery, OnResult, Checkpoint, ...) against each other; pushes
+	// stay concurrent and block only for the barrier inside shard.Engine.
+	churnMu sync.Mutex
+	// nameMu guards the query-name bookkeeping (byName, queries, removed)
+	// so ResultCount stays safe against concurrent maintenance.
+	nameMu sync.RWMutex
+	// removed maps live-removed query names to their frozen final counts.
 	removed map[string]int64
 
 	// churnLog, when set, receives one wire.ChurnRecord per successful
@@ -149,11 +196,22 @@ type System struct {
 	onResult func(query string, ts int64, vals []int64)
 }
 
-// New creates an empty system.
-func New() *System {
+// ShardedSystem is System's name from when it had a single-engine twin.
+type ShardedSystem = System
+
+// New creates an empty system with one engine replica, run inline.
+func New() *System { return NewSharded(ShardConfig{Shards: 1}) }
+
+// NewSharded creates an empty system of cfg.Shards engine replicas.
+func NewSharded(cfg ShardConfig) *System {
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
+	}
 	return &System{
 		catalog: make(map[string]core.SourceDecl),
 		byName:  make(map[string]*core.Query),
+		removed: make(map[string]int64),
+		cfg:     cfg,
 	}
 }
 
@@ -210,19 +268,60 @@ func (s *System) addQuery(q *core.Query) error {
 	if _, dup := s.byName[q.Name]; dup {
 		return fmt.Errorf("rumor: query %q already registered", q.Name)
 	}
-	s.queries = append(s.queries, q)
-	s.byName[q.Name] = q
+	s.remember(q)
 	return nil
 }
 
-// OnResult registers the result callback. Must be called before Optimize
-// or at any time after; results are attributed by query name. vals is
-// valid until the callback returns; copy it to keep it.
+// remember and forget add a query to and drop it from the name
+// bookkeeping.
+func (s *System) remember(q *core.Query) {
+	s.nameMu.Lock()
+	s.queries = append(s.queries, q)
+	s.byName[q.Name] = q
+	delete(s.removed, q.Name)
+	s.nameMu.Unlock()
+}
+
+func (s *System) forget(q *core.Query) {
+	s.nameMu.Lock()
+	s.queries = slices.DeleteFunc(s.queries, func(x *core.Query) bool { return x == q })
+	delete(s.byName, q.Name)
+	s.nameMu.Unlock()
+}
+
+// OnResult registers the result callback; results are attributed by query
+// name. It may be called at any time, though not from inside a callback:
+// after Optimize the replicas are rewired at the same ingestion barrier a
+// live delta takes. Calls are sequenced across shards (one at a time).
+// vals is valid until the callback returns; copy it to keep it.
 func (s *System) OnResult(fn func(query string, ts int64, vals []int64)) {
+	s.churnMu.Lock()
+	defer s.churnMu.Unlock()
 	s.onResult = fn
-	if s.eng != nil {
-		s.wireCallback()
+	if s.sh != nil {
+		s.sh.OnResult(s.resultHook())
 	}
+}
+
+// resultHook adapts the user callback to the engines' query IDs, nil when
+// none is registered. Query IDs are dense, so the hook looks its query's
+// name up in a slice. Called with churnMu held.
+func (s *System) resultHook() func(int, *stream.Tuple) {
+	fn := s.onResult
+	if fn == nil {
+		return nil
+	}
+	s.nameMu.RLock()
+	n := 0
+	for _, q := range s.queries {
+		n = max(n, q.ID+1)
+	}
+	names := make([]string, n)
+	for _, q := range s.queries {
+		names[q.ID] = q.Name
+	}
+	s.nameMu.RUnlock()
+	return func(qid int, t *stream.Tuple) { fn(names[qid], t.TS, t.Vals) }
 }
 
 // buildPlan plans all registered queries and applies the m-rules.
@@ -247,205 +346,210 @@ func (s *System) buildPlan(opt Options) (*core.Physical, error) {
 	return plan, nil
 }
 
-// Optimize plans all registered queries, applies the m-rules, and builds
-// the execution engine. It must be called exactly once; afterwards the
-// query set evolves through AddQueryLive and RemoveQuery (the §7 "future
-// work" of the paper, implemented here as incremental plan maintenance).
+// Optimize plans all registered queries, applies the m-rules, analyzes
+// partitionability when there are several shards, and starts the engine
+// replicas. It must be called exactly once; afterwards the query set
+// evolves through AddQueryLive and RemoveQuery (the §7 "future work" of
+// the paper, implemented here as incremental plan maintenance).
 func (s *System) Optimize(opt Options) error {
 	plan, err := s.buildPlan(opt)
 	if err != nil {
 		return err
 	}
-	eng, err := engine.New(plan)
+	sh, err := shard.New(plan, nil, shard.Config(s.cfg))
 	if err != nil {
 		return err
 	}
-	s.plan = plan
-	s.eng = eng
-	s.wireCallback()
+	s.plan, s.sh = plan, sh
+	if s.onResult != nil {
+		s.OnResult(s.onResult)
+	}
 	return nil
 }
 
 // AddQueryLive registers a continuous query on a running system: the
 // query is planned naively into the live physical plan, the m-rules are
-// re-applied incrementally (merging the new operators into the existing
-// shared m-ops and growing channel memberships append-only), and the
-// resulting delta is spliced into the engine's routing tables without
-// touching the operator state of the running queries. Before Optimize it
-// is equivalent to AddQuery.
+// re-applied incrementally (merging the new operators into the shared
+// m-ops and growing channel memberships append-only, reusing tombstoned
+// slots first), and the delta is spliced into every replica at a
+// batch-queue barrier without touching the running queries' operator
+// state. Before Optimize it is equivalent to AddQuery.
 //
 // The new query starts from the shared state its merged operators expose:
 // a query that collapses onto an identical running operator (CSE) adopts
-// that operator's history outright; a query merged into a plain shared
-// group observes the group's stored window; and a query merged into a
-// channel-mode agg/join/seq group at a fresh membership position has the
-// group's retained window replayed under its bit — the stored items are
-// re-filtered through the query's gating selections, so a mid-stream
-// subscriber over a single-source channel sees full-window results from
-// its first batch (exactly the results a from-scratch plan retains,
-// whenever the shared store's contents cover the new gating — e.g. the
-// gating predicate is implied by a live member's). Channel growth reuses
-// tombstoned membership slots before widening, so an add/remove/add cycle
-// of the same query does not grow the membership words.
+// its history; one merged into a plain shared group observes the group's
+// stored window; one merged into a channel-mode agg/join/seq group at a
+// fresh membership position has the group's retained window replayed
+// under its bit, re-filtered through its gating selections — exactly the
+// results a from-scratch plan retains whenever the shared store covers the
+// new gating.
+//
+// With several shards the partition plan is extended: running source
+// routes are pinned, multicast tables grow, and new sources get fresh
+// routes. A query the pinned routes cannot serve (it would re-route a
+// running source) triggers a scoped rebalance at the same barrier: the
+// grown plan is re-analyzed, and every stateful operator's stored state is
+// re-hashed to its owners under the new routes before ingestion resumes.
 func (s *System) AddQueryLive(name string, root *Logical) error {
-	if s.plan == nil {
+	if s.sh == nil {
 		return s.AddQuery(name, root)
 	}
-	if _, dup := s.byName[name]; dup {
+	s.churnMu.Lock()
+	defer s.churnMu.Unlock()
+	s.nameMu.RLock()
+	_, dup := s.byName[name]
+	s.nameMu.RUnlock()
+	if dup {
 		return fmt.Errorf("rumor: query %q already registered", name)
 	}
 	start := time.Now()
 	q := core.NewQuery(name, root)
-	m := live.NewMaintainer(s.plan, s.ropts)
-	d, err := m.AddQuery(q)
+	d, err := live.NewMaintainer(s.plan, s.ropts).AddQuery(q)
 	if err != nil {
 		return fmt.Errorf("rumor: %w", err)
 	}
-	if err := live.Apply(d, s.eng); err != nil {
+	part, rebalance := s.sh.PartitionPlan(), false
+	if !s.sh.Inline() {
+		ext, perr := core.ExtendPartition(s.plan, part)
+		if perr != nil {
+			// The pinned routes cannot serve the grown plan. Re-analyze
+			// from scratch; the state migration moves the running operator
+			// state to wherever the new routes place it. The key-placement
+			// overlay restarts empty under a bumped version (adaptive
+			// rebalancing re-flattens later if skew rebuilds).
+			ext = core.AnalyzePartition(s.plan)
+			ext.Table = &core.RoutingTable{Version: part.RoutingVersion() + 1}
+			rebalance = true
+		}
+		part = ext
+	}
+	s.remember(q)
+	if err := s.sh.ApplyDelta(d, part, nil, s.resultHook(), rebalance); err != nil {
+		// The engine rejected (or rolled back) the delta; undo the name
+		// bookkeeping so the registered set matches what the engine serves.
+		s.forget(q)
 		return fmt.Errorf("rumor: %w", err)
 	}
-	s.queries = append(s.queries, q)
-	s.byName[name] = q
-	delete(s.removed, name)
-	s.wireCallback()
 	noteLiveAdd(name, d, time.Since(start))
-	return s.logChurnAdd(name, root, d)
+	return s.logChurn(wire.ChurnAdd, name, root, d)
 }
 
 // RemoveQuery unsubscribes a continuous query. On a running system the
-// operators serving only this query are garbage-collected (reference
-// counts of shared operators drop; channel membership positions are
-// tombstoned; exclusively owned window and instance state is discarded),
-// and the engine's routing tables are updated in place. Channels whose
-// tombstones come to dominate are compacted in the same step: dead
-// positions are dropped and the memberships stored inside the running
-// m-ops are rewritten through the position remap, keeping membership
-// words bounded under sustained churn (live/total slots ≥ 1/2). The
-// removed query's final result count stays available through ResultCount
-// and remains part of TotalResults.
+// operators serving only this query are garbage-collected on every replica
+// at a batch-queue barrier (shared reference counts drop, channel
+// positions are tombstoned, exclusively owned state is discarded) and
+// multicast routing tables shed the constants only it needed. Channels
+// whose tombstones come to dominate are compacted in the same step, the
+// stored memberships rewritten through the position remap, keeping
+// membership words bounded under churn (live/total slots ≥ 1/2). The
+// query's final result count stays visible through ResultCount and
+// TotalResults, across later compactions and rebalances.
 func (s *System) RemoveQuery(name string) error {
+	s.churnMu.Lock()
+	defer s.churnMu.Unlock()
+	s.nameMu.RLock()
 	q, ok := s.byName[name]
+	s.nameMu.RUnlock()
 	if !ok {
 		return fmt.Errorf("rumor: query %q not registered", name)
 	}
-	if s.plan == nil {
-		delete(s.byName, name)
-		s.queries = removeQueryFrom(s.queries, q)
+	if s.sh == nil {
+		s.forget(q)
 		return nil
 	}
 	start := time.Now()
-	final := s.eng.ResultCount(q.ID)
-	m := live.NewMaintainer(s.plan, s.ropts)
-	d, err := m.RemoveQuery(q.ID)
+	d, err := live.NewMaintainer(s.plan, s.ropts).RemoveQuery(q.ID)
 	if err != nil {
 		return fmt.Errorf("rumor: %w", err)
 	}
-	if err := live.Apply(d, s.eng); err != nil {
-		return fmt.Errorf("rumor: %w", err)
-	}
-	delete(s.byName, name)
-	s.queries = removeQueryFrom(s.queries, q)
-	if s.removed == nil {
-		s.removed = make(map[string]int64)
-	}
-	s.removed[name] = final
-	s.wireCallback()
-	noteLiveRemove(name, d, time.Since(start))
-	return s.logChurnRemove(name, d)
-}
-
-func removeQueryFrom(qs []*core.Query, q *core.Query) []*core.Query {
-	out := qs[:0]
-	for _, x := range qs {
-		if x != q {
-			out = append(out, x)
+	part := s.sh.PartitionPlan()
+	if !s.sh.Inline() {
+		// Routes valid for the superset query set stay valid for the
+		// subset; keep the old routing when the extension fails (pruning
+		// is an optimization, not a correctness requirement).
+		if ext, perr := core.ExtendPartition(s.plan, part); perr == nil {
+			part = ext
 		}
 	}
-	return out
-}
-
-// queryNames returns the query names indexed by query ID. Query IDs are
-// dense, so a result callback looks its query's name up in a slice.
-func queryNames(qs []*core.Query) []string {
-	n := 0
-	for _, q := range qs {
-		n = max(n, q.ID+1)
+	s.forget(q)
+	if err := s.sh.ApplyDelta(d, part, []int{q.ID}, s.resultHook(), false); err != nil {
+		s.remember(q)
+		return fmt.Errorf("rumor: %w", err)
 	}
-	names := make([]string, n)
-	for _, q := range qs {
-		names[q.ID] = q.Name
-	}
-	return names
-}
-
-func (s *System) wireCallback() {
-	if s.onResult == nil {
-		s.eng.OnResult = nil
-		return
-	}
-	names := queryNames(s.queries)
-	fn := s.onResult
-	s.eng.OnResult = func(qid int, t *stream.Tuple) {
-		fn(names[qid], t.TS, t.Vals)
-	}
+	s.nameMu.Lock()
+	s.removed[name] = s.sh.ResultCount(q.ID)
+	s.nameMu.Unlock()
+	noteLiveRemove(name, d, time.Since(start))
+	return s.logChurn(wire.ChurnRemove, name, nil, d)
 }
 
 // ErrArity reports a pushed row whose number of values is not the declared
-// arity of its stream. Every Push* entry of System and ShardedSystem checks
-// each row before ingesting any, so the call that returns it has ingested
-// nothing.
+// arity of its stream. Every Push* entry checks each row before ingesting
+// any, so the call that returns it has ingested nothing.
 var ErrArity = engine.ErrArity
 
-// Push injects one tuple into a source stream. Tuples must be pushed in
-// non-decreasing timestamp order across all sources.
-func (s *System) Push(streamName string, ts int64, vals ...int64) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before Push")
-	}
-	return s.eng.Push(streamName, &stream.Tuple{TS: ts, Vals: vals})
+func notOptimized(op string) error {
+	return fmt.Errorf("rumor: call Optimize before %s", op)
 }
 
-// PushBatch injects a batch of tuples into one source stream, enqueuing
-// the whole batch before a single propagation drain. ts[i] pairs with
-// vals[i]; timestamps must be non-decreasing and must not precede tuples
-// pushed later on other sources that should be processed first — batching
-// trades per-call overhead for coarser interleaving with other sources.
-// Per-query result streams match per-tuple Push whenever every
-// multi-input operator reads this source through paths of equal operator
-// depth (true of typical plans; a source that feeds one join/sequence
-// through paths of differing depth should stick to Push), though OnResult
-// calls for different queries may interleave differently within a batch.
-// The engine takes ownership of the vals slices.
-func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before PushBatch")
+// Push injects one tuple into a source stream; it is routed to the owning
+// shard (or all shards for broadcast sources). The system takes ownership
+// of vals. Tuples must be pushed in non-decreasing timestamp order across
+// all sources.
+func (s *System) Push(streamName string, ts int64, vals ...int64) error {
+	if s.sh == nil {
+		return notOptimized("Push")
 	}
-	return s.eng.PushBatch(streamName, ts, vals)
+	return s.sh.Push(streamName, ts, vals)
+}
+
+// PushBatch injects a batch of tuples into one source stream under a
+// single routing pass. ts[i] pairs with vals[i]; timestamps must be
+// non-decreasing and must not precede tuples pushed later on other sources
+// that should be processed first — batching trades per-call overhead for
+// coarser interleaving with other sources. Per-query result streams match
+// per-tuple Push whenever every multi-input operator reads this source
+// through paths of equal operator depth (true of typical plans; a source
+// that feeds one join/sequence through paths of differing depth should
+// stick to Push), though OnResult calls for different queries may
+// interleave differently within a batch. The system takes ownership of the
+// vals slices.
+func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error {
+	if s.sh == nil {
+		return notOptimized("PushBatch")
+	}
+	return s.sh.PushBatch(streamName, ts, vals)
 }
 
 // PushColumns injects a batch given column-major: ts[i] pairs with
 // cols[a][i] (one slice per attribute). This is the zero-copy entry to the
-// vectorized execution path — the engine wraps the slices into blocks for
-// the duration of the drain and returns ownership to the caller, never
-// exploding the batch into per-row tuples. The ordering caveats of
+// vectorized execution path: the batch stays columnar through the router,
+// the per-shard WAL and the worker queues until each replica engine wraps
+// the slices into blocks, never exploding it into per-row tuples. At one
+// in-process shard the caller owns ts and cols again when the call
+// returns; with more, every shard's run shares them until that shard's WAL
+// prunes it, so the caller must not modify them. The ordering caveats of
 // PushBatch apply.
 func (s *System) PushColumns(streamName string, ts []int64, cols [][]int64) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before PushColumns")
+	if s.sh == nil {
+		return notOptimized("PushColumns")
 	}
-	return s.eng.PushColumns(streamName, ts, cols)
+	return s.sh.PushColumns(streamName, ts, cols)
 }
 
 // PushShared injects one channel tuple that belongs to all the named
 // sharable source streams at once (they must have been encoded into the
-// same channel by optimization).
+// same channel by optimization). Only a system of one in-process shard
+// accepts it; with more it fails and ingests nothing.
 func (s *System) PushShared(streamNames []string, ts int64, vals ...int64) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before PushShared")
+	if s.sh == nil {
+		return notOptimized("PushShared")
 	}
 	if len(streamNames) == 0 {
 		return fmt.Errorf("rumor: PushShared needs at least one stream")
 	}
+	s.churnMu.Lock() // the plan changes under maintenance
+	defer s.churnMu.Unlock()
 	member := bitset.New(len(streamNames))
 	var edgeID = -1
 	for _, name := range streamNames {
@@ -461,37 +565,61 @@ func (s *System) PushShared(streamNames []string, ts int64, vals ...int64) error
 		}
 		member.Set(pos)
 	}
-	t := &stream.Tuple{TS: ts, Vals: vals, Member: member}
-	return s.eng.Push(streamNames[0], t)
+	return s.sh.PushShared(streamNames[0], &stream.Tuple{TS: ts, Vals: vals, Member: member})
 }
 
-// ResultCount returns the number of results produced so far for a query.
-// A query removed live reports its frozen final count.
-func (s *System) ResultCount(query string) int64 {
-	q, ok := s.byName[query]
-	if !ok || s.eng == nil {
-		return s.removed[query]
+// Drain blocks until every shard has processed all tuples pushed so far.
+// Result counts are stable afterwards (until the next Push). At one
+// in-process shard it returns at once: results are out when a push
+// returns.
+func (s *System) Drain() error {
+	if s.sh == nil {
+		return notOptimized("Drain")
 	}
-	return s.eng.ResultCount(q.ID)
+	return s.sh.Drain()
 }
 
-// TotalResults returns the number of results across all queries,
-// including the final counts of queries removed live.
+// Close drains and stops the shard workers. Further pushes fail. Close is
+// idempotent.
+func (s *System) Close() error {
+	if s.sh == nil {
+		return nil
+	}
+	return s.sh.Close()
+}
+
+// ResultCount returns the merged result count for a query. Call Drain
+// first for a stable value. A query removed live reports its frozen final
+// count.
+func (s *System) ResultCount(query string) int64 {
+	s.nameMu.RLock()
+	q, ok := s.byName[query]
+	frozen := s.removed[query]
+	s.nameMu.RUnlock()
+	if !ok || s.sh == nil {
+		return frozen
+	}
+	return s.sh.ResultCount(q.ID)
+}
+
+// TotalResults returns the merged result count across all queries,
+// including the final counts of queries removed live. Call Drain first for
+// a stable value.
 func (s *System) TotalResults() int64 {
-	if s.eng == nil {
+	if s.sh == nil {
 		return 0
 	}
-	return s.eng.TotalResults()
+	return s.sh.TotalResults()
 }
 
-// PlanInfo returns summary statistics of the optimized plan.
+// PlanInfo returns summary statistics of the optimized plan, including
+// the multicast routing-table width of the partition analysis.
 func (s *System) PlanInfo() PlanInfo {
 	if s.plan == nil {
 		return PlanInfo{}
 	}
 	st := s.plan.Stats()
-	sources := 0
-	ops := 0
+	sources, ops := 0, 0
 	for _, n := range s.plan.Nodes {
 		if n.Kind == core.KindSource {
 			sources++
@@ -510,9 +638,10 @@ func (s *System) PlanInfo() PlanInfo {
 		ChannelWords:    st.ChannelWords,
 		SpilledChannels: st.SpilledChannels,
 		BlockEdges:      st.BlockEdges,
+		BlocksProcessed: s.sh.BlocksProcessed(),
 	}
-	if s.eng != nil {
-		info.BlocksProcessed = s.eng.BlocksProcessed()
+	for _, r := range s.sh.PartitionPlan().Routes {
+		info.MulticastKeys += len(r.Table)
 	}
 	return info
 }

@@ -1,15 +1,15 @@
 package rumor
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/faultpoint"
-	"repro/internal/mop"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/shard"
@@ -22,205 +22,37 @@ import (
 // restore must reproduce operator and stream identity exactly), the
 // partition plan with its routing-table version, every query's result
 // counters, the frozen counts of removed queries, and every stateful
-// operator group's stored window/instances as wire-encoded payloads.
-//
-// State is captured with a destructive peek: the uniform registry's export
-// removes items, so each group side is exported in full and immediately
-// re-imported in place — a merge into the emptied store that preserves
-// order exactly — while the payload survives to be encoded. The system
-// must be quiescent: System.Checkpoint relies on the caller not pushing
-// concurrently (System is not thread-safe); ShardedSystem.Checkpoint takes
-// the same batch-queue barrier as live deltas, so concurrent pushers just
-// block for the duration.
-//
-// A sharded checkpoint records payloads per replica. Restoring into the
-// same shard count is positional (keyed placement, the routing overlay,
-// and replicated copies land exactly where they were); restoring into a
-// different count redistributes at import time — keyed and multicast
-// state re-hashes over the new width, replicated state is copied onto
-// every replica, unpartitioned state folds by shard index — under a fresh
-// routing table (the overlay's shard indices are meaningless at the new
-// width). Checkpoints also capture and restore remote replicas: the
-// registry handles a cluster deployment (NewCluster) ship state over the
-// same RPCs the rebalancer uses.
+// operator group's stored window/instances as wire-encoded payloads, per
+// replica (see shard.Engine.Checkpoint). Remote replicas are checkpointed
+// and restored over the same RPCs the rebalancer uses.
 
 // ErrShardDead reports that a shard worker died; recover with
-// (*ShardedSystem).RecoverShard or restore from a checkpoint.
+// (*System).RecoverShard or restore from a checkpoint.
 var ErrShardDead = shard.ErrShardDead
 
 // ErrPartialMigration reports a mid-flight state-migration failure that
 // was rolled back, leaving the engine usable under its old routing.
 var ErrPartialMigration = shard.ErrPartialMigration
 
-// exportGroups destructively peeks every stored group side of one replica
-// registry: export-all, re-import in place, and append the surviving
-// payload (tagged with the replica index) to groups. Keyed and multicast
-// sides export under their real key attribute so the payload items carry
-// partition keys — a restore into a different shard count re-hashes on
-// them.
-func exportGroups(reg shard.Registry, shardIdx int, dists map[int][]core.SideDist, groups *[]wire.GroupState) error {
-	for _, ref := range reg.Groups() {
-		for _, side := range ref.Sides {
-			keyAttr := -1
-			if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
-				keyAttr = d.Attr
-			}
-			pl, err := reg.Export(ref.OpID, side, keyAttr, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			if pl.Len() == 0 {
-				continue
-			}
-			if err := reg.Import(ref.OpID, pl, false); err != nil {
-				return err
-			}
-			*groups = append(*groups, wire.GroupState{Shard: shardIdx, OpID: ref.OpID, Payload: pl})
-		}
-	}
-	return nil
-}
-
 func frozenNames(removed map[string]int64) []wire.NamedCount {
-	names := make([]string, 0, len(removed))
-	for name := range removed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]wire.NamedCount, len(names))
-	for i, name := range names {
-		out[i] = wire.NamedCount{Name: name, Count: removed[name]}
+	var out []wire.NamedCount
+	for _, name := range slices.Sorted(maps.Keys(removed)) {
+		out = append(out, wire.NamedCount{Name: name, Count: removed[name]})
 	}
 	return out
 }
 
-// Checkpoint writes a full snapshot of the optimized system to w. The
-// caller must not Push concurrently. The snapshot is self-contained:
-// Restore rebuilds an equivalent system with identical plan shape, query
-// IDs, result counts, and operator state.
+// Checkpoint writes a full snapshot of the running system to w: the
+// shared plan, the partition plan (routing-table version and key-placement
+// overlay included), per-replica operator state, and the merged counters.
+// It runs at the same batch-queue barrier as a live delta — concurrent
+// pushers block for the duration — and is serialized against other
+// maintenance operations. The snapshot is self-contained: RestoreSharded
+// rebuilds an equivalent system with identical plan shape, query IDs,
+// result counts, and operator state.
 func (s *System) Checkpoint(w io.Writer) error {
-	if s.eng == nil {
-		return fmt.Errorf("rumor: call Optimize before Checkpoint")
-	}
-	if err := faultpoint.Error("checkpoint.write"); err != nil {
-		return err
-	}
-	start := time.Now()
-	c := &wire.Checkpoint{
-		Shards:            1,
-		Channels:          s.ropts.Channels,
-		ChannelMinStreams: s.ropts.ChannelMinStreams,
-		Plan:              s.plan.Snapshot(),
-		Frozen:            frozenNames(s.removed),
-	}
-	for qid, n := range s.eng.SnapshotCounts() {
-		if n != 0 {
-			c.Counts = append(c.Counts, wire.QueryCount{ID: qid, Count: n})
-		}
-	}
-	dists := core.AnalyzePartition(s.plan).OpSideDists(s.plan)
-	if err := exportGroups(s.eng.StateRegistry(), 0, dists, &c.Groups); err != nil {
-		return err
-	}
-	if err := wire.WriteCheckpoint(w, c); err != nil {
-		return err
-	}
-	obs.RecordEvent(obs.EvCheckpoint, fmt.Sprintf("shards=1 groups=%d", len(c.Groups)), time.Since(start))
-	return nil
-}
-
-// restoreSystem rebuilds the unsharded core of a checkpoint: catalog,
-// plan, query bookkeeping, and optimizer options.
-func restoreSystem(c *wire.Checkpoint) (*System, *core.Physical, error) {
-	if c.Plan == nil {
-		return nil, nil, fmt.Errorf("rumor: checkpoint has no plan")
-	}
-	catalog, err := c.Plan.CatalogDecls()
-	if err != nil {
-		return nil, nil, fmt.Errorf("rumor: %w", err)
-	}
-	plan, err := core.RebuildPhysical(catalog, c.Plan)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rumor: rebuilding plan: %w", err)
-	}
-	s := New()
-	s.catalog = catalog
-	s.ropts = rules.Options{Channels: c.Channels, ChannelMinStreams: c.ChannelMinStreams}
-	for _, q := range plan.Queries {
-		s.queries = append(s.queries, q)
-		s.byName[q.Name] = q
-	}
-	for _, fc := range c.Frozen {
-		if s.removed == nil {
-			s.removed = make(map[string]int64)
-		}
-		s.removed[fc.Name] = fc.Count
-	}
-	s.plan = plan
-	return s, plan, nil
-}
-
-// Restore reads a checkpoint written by (*System).Checkpoint and rebuilds
-// the running system: same plan shape and IDs, same result counts, same
-// operator state. Sharded checkpoints must go through RestoreSharded.
-func Restore(r io.Reader) (*System, error) {
-	start := time.Now()
-	c, err := wire.ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	if c.Partition != nil || c.Shards > 1 {
-		return nil, fmt.Errorf("rumor: sharded checkpoint (%d shards); use RestoreSharded", c.Shards)
-	}
-	s, plan, err := restoreSystem(c)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(plan)
-	if err != nil {
-		return nil, err
-	}
-	reg := eng.StateRegistry()
-	for _, g := range c.Groups {
-		if g.Shard != 0 {
-			return nil, fmt.Errorf("rumor: unsharded checkpoint carries state for shard %d", g.Shard)
-		}
-		if g.Payload.Len() == 0 {
-			continue
-		}
-		if err := reg.Import(g.OpID, g.Payload, false); err != nil {
-			return nil, fmt.Errorf("rumor: restoring operator %d state: %w", g.OpID, err)
-		}
-	}
-	maxID := 0
-	for _, qc := range c.Counts {
-		if qc.ID > maxID {
-			maxID = qc.ID
-		}
-	}
-	counts := make([]int64, maxID+1)
-	for _, qc := range c.Counts {
-		if qc.ID < 0 {
-			return nil, fmt.Errorf("rumor: negative query ID %d in checkpoint", qc.ID)
-		}
-		counts[qc.ID] = qc.Count
-	}
-	eng.RestoreCounts(counts)
-	s.eng = eng
-	s.wireCallback()
-	obs.RecordEvent(obs.EvRestore, fmt.Sprintf("shards=1 groups=%d", len(c.Groups)), time.Since(start))
-	return s, nil
-}
-
-// Checkpoint writes a full snapshot of the running sharded system to w:
-// the shared plan, the partition plan (routing-table version and
-// key-placement overlay included), per-replica operator state, and the
-// merged counters. It runs at the same batch-queue barrier as a live
-// delta — concurrent pushers block for the duration — and is serialized
-// against other maintenance operations.
-func (s *ShardedSystem) Checkpoint(w io.Writer) error {
 	if s.sh == nil {
-		return fmt.Errorf("rumor: call Optimize before Checkpoint")
+		return notOptimized("Checkpoint")
 	}
 	s.churnMu.Lock()
 	defer s.churnMu.Unlock()
@@ -230,40 +62,27 @@ func (s *ShardedSystem) Checkpoint(w io.Writer) error {
 	start := time.Now()
 	c := &wire.Checkpoint{
 		Shards:            s.sh.NumShards(),
-		Channels:          s.sys.ropts.Channels,
-		ChannelMinStreams: s.sys.ropts.ChannelMinStreams,
-		Plan:              s.sys.plan.Snapshot(),
-		Partition:         s.sh.PartitionPlan(),
+		Channels:          s.ropts.Channels,
+		ChannelMinStreams: s.ropts.ChannelMinStreams,
+		Plan:              s.plan.Snapshot(),
+	}
+	// An inline shard routes nothing, so it records no partition plan; its
+	// payloads still carry the key attributes the analysis assigns, so a
+	// restore into more shards re-hashes on them.
+	part := s.sh.PartitionPlan()
+	if s.sh.Inline() {
+		part = core.AnalyzePartition(s.plan)
+	} else {
+		c.Partition = part
 	}
 	s.nameMu.RLock()
 	c.Frozen = frozenNames(s.removed)
-	queries := append([]*core.Query(nil), s.sys.queries...)
+	ids := make([]int, len(s.queries))
+	for i, q := range s.queries {
+		ids[i] = q.ID
+	}
 	s.nameMu.RUnlock()
-	dists := c.Partition.OpSideDists(s.sys.plan)
-	err := s.sh.WithQuiesced(func(regs []shard.Registry) error {
-		sort.Slice(queries, func(i, j int) bool { return queries[i].ID < queries[j].ID })
-		for _, q := range queries {
-			if n := s.sh.ResultCount(q.ID); n != 0 {
-				c.Counts = append(c.Counts, wire.QueryCount{ID: q.ID, Count: n})
-			}
-		}
-		frozen := s.sh.FrozenCounts()
-		ids := make([]int, 0, len(frozen))
-		for qid := range frozen {
-			ids = append(ids, qid)
-		}
-		sort.Ints(ids)
-		for _, qid := range ids {
-			c.FrozenByID = append(c.FrozenByID, wire.QueryCount{ID: qid, Count: frozen[qid]})
-		}
-		for i, reg := range regs {
-			if err := exportGroups(reg, i, dists, &c.Groups); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.sh.Checkpoint(c, ids, part.OpSideDists(s.plan)); err != nil {
 		return err
 	}
 	if err := wire.WriteCheckpoint(w, c); err != nil {
@@ -274,19 +93,24 @@ func (s *ShardedSystem) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// RestoreSharded reads a checkpoint written by (*ShardedSystem).Checkpoint
-// and rebuilds the running sharded system. With cfg.Shards zero (or equal
-// to the checkpoint's count) the restore is positional: per-replica
-// payloads land on the shard that wrote them, the key-placement overlay
-// included. A different cfg.Shards redistributes at import time: keyed and
-// multicast state re-hashes over the new width (the checkpoint payloads
-// carry partition keys), replicated state is copied onto every replica,
-// and unpartitioned state folds by old shard index — under a fresh routing
-// table with a bumped version, since the overlay's shard indices do not
-// survive a width change. Counters are width-independent (replica counters
-// restore as merged bases). Unsharded checkpoints restore too, as a
-// 1-shard system or redistributed across cfg.Shards.
-func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
+// Restore reads a checkpoint written by Checkpoint and rebuilds it as a
+// system of one in-process shard (see RestoreSharded).
+func Restore(r io.Reader) (*System, error) {
+	return RestoreSharded(r, ShardConfig{Shards: 1})
+}
+
+// RestoreSharded reads a checkpoint written by Checkpoint and rebuilds the
+// running system. With cfg.Shards zero (or equal to the checkpoint's
+// count) the restore is positional: per-replica payloads land on the shard
+// that wrote them, the key-placement overlay included. A different
+// cfg.Shards redistributes at import time: keyed and multicast state
+// re-hashes over the new width (the checkpoint payloads carry partition
+// keys), replicated state is copied onto every replica, and unpartitioned
+// state folds by old shard index — under a fresh routing table with a
+// bumped version, since the overlay's shard indices do not survive a width
+// change. Counters are width-independent (replica counters restore as
+// merged bases).
+func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 	start := time.Now()
 	c, err := wire.ReadCheckpoint(r)
 	if err != nil {
@@ -295,9 +119,16 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 	if c.Shards < 1 {
 		return nil, fmt.Errorf("rumor: checkpoint shard count %d", c.Shards)
 	}
-	sys, plan, err := restoreSystem(c)
+	if c.Plan == nil {
+		return nil, fmt.Errorf("rumor: checkpoint has no plan")
+	}
+	catalog, err := c.Plan.CatalogDecls()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rumor: %w", err)
+	}
+	plan, err := core.RebuildPhysical(catalog, c.Plan)
+	if err != nil {
+		return nil, fmt.Errorf("rumor: rebuilding plan: %w", err)
 	}
 	part := c.Partition
 	if part == nil {
@@ -306,172 +137,41 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*ShardedSystem, error) {
 		}
 		part = core.AnalyzePartition(plan)
 	}
-	shards := c.Shards
-	if cfg.Shards > 0 {
-		shards = cfg.Shards
-	}
+	s := NewSharded(ShardConfig{Shards: cmp.Or(cfg.Shards, c.Shards), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth})
+	shards := s.cfg.Shards
 	if shards != c.Shards {
 		// The overlay's explicit key moves name shards of the old width;
 		// start the new width from pure hash placement, one version later.
-		part = &core.PartitionPlan{
-			Routes:          part.Routes,
-			ReplicatedSinks: part.ReplicatedSinks,
-			Parallel:        part.Parallel,
-			Table:           &core.RoutingTable{Version: part.RoutingVersion() + 1},
-		}
+		part = part.WithMoves(nil)
 	}
-	sh, err := shard.New(plan, part, shard.Config{
-		Shards:     shards,
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-	})
+	enginePart := part
+	if shards == 1 {
+		enginePart = nil // one in-process shard routes nothing
+	}
+	sh, err := shard.New(plan, enginePart, shard.Config(s.cfg))
 	if err != nil {
 		return nil, err
 	}
-	err = sh.WithQuiesced(func(regs []shard.Registry) error {
-		if shards == c.Shards {
-			for _, g := range c.Groups {
-				if g.Shard < 0 || g.Shard >= len(regs) {
-					return fmt.Errorf("rumor: checkpoint state for shard %d of %d", g.Shard, len(regs))
-				}
-				if g.Payload.Len() == 0 {
-					continue
-				}
-				if err := regs[g.Shard].Import(g.OpID, g.Payload, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", g.OpID, g.Shard, err)
-				}
-			}
-			return nil
-		}
-		return redistributeGroups(c, plan, part, regs)
-	})
-	if err != nil {
+	if err := sh.Restore(c, part); err != nil {
 		_ = sh.Close()
 		return nil, err
 	}
-	base := make(map[int]int64, len(c.Counts))
-	for _, qc := range c.Counts {
-		base[qc.ID] = qc.Count
-	}
-	frozen := make(map[int]int64, len(c.FrozenByID))
-	for _, qc := range c.FrozenByID {
-		frozen[qc.ID] = qc.Count
-	}
-	sh.RestoreCounts(base, frozen)
-	ss := &ShardedSystem{
-		sys:  sys,
-		cfg:  ShardConfig{Shards: shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth},
-		sh:   sh,
-		part: part,
+	s.catalog = catalog
+	s.ropts = rules.Options{Channels: c.Channels, ChannelMinStreams: c.ChannelMinStreams}
+	s.plan, s.sh = plan, sh
+	for _, q := range plan.Queries {
+		s.remember(q)
 	}
 	for _, fc := range c.Frozen {
-		if ss.removed == nil {
-			ss.removed = make(map[string]int64)
-		}
-		ss.removed[fc.Name] = fc.Count
+		s.removed[fc.Name] = fc.Count
 	}
 	obs.RecordEvent(obs.EvRestore,
 		fmt.Sprintf("shards=%d from=%d groups=%d", shards, c.Shards, len(c.Groups)), time.Since(start))
-	return ss, nil
-}
-
-// redistributeGroups imports a checkpoint's operator state into a system
-// of a different shard count, applying the same placement rules the
-// recovery migration uses: keyed and multicast sides merge across the old
-// replicas and re-split by key ownership at the new width (duplicate
-// copies of a key round-robin across its owner set), replicated sides
-// place one full copy on every replica, and unpartitioned sides fold by
-// old shard index.
-func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.PartitionPlan, regs []shard.Registry) error {
-	n := len(regs)
-	dists := part.OpSideDists(plan)
-	type groupSide struct{ op, side int }
-	var order []groupSide
-	buckets := make(map[groupSide][]wire.GroupState)
-	for _, g := range c.Groups {
-		if g.Shard < 0 || g.Shard >= c.Shards {
-			return fmt.Errorf("rumor: checkpoint state for shard %d of %d", g.Shard, c.Shards)
-		}
-		if g.Payload.Len() == 0 {
-			continue
-		}
-		k := groupSide{g.OpID, g.Payload.Side()}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], g)
-	}
-	for _, k := range order {
-		bucket := buckets[k]
-		d := core.SideDistAt(dists, k.op, k.side)
-		switch d.Dist {
-		case core.DistKeyed, core.DistMulticast:
-			payloads := make([]*mop.StatePayload, len(bucket))
-			for i, g := range bucket {
-				payloads[i] = g.Payload
-			}
-			merged := mop.MergePayloads(payloads)
-			if merged.Len() == 0 {
-				continue
-			}
-			rr := make(map[int64]int)
-			parts := merged.SplitBy(n, func(key int64) int {
-				owners := part.Owners(key, n)
-				i := rr[key]
-				rr[key] = i + 1
-				return owners[i%len(owners)]
-			})
-			for ni, pl := range parts {
-				if pl.Len() == 0 {
-					continue
-				}
-				if err := regs[ni].Import(k.op, pl, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, ni, err)
-				}
-			}
-		case core.DistReplicated:
-			// Every old replica checkpointed an identical copy; replicate
-			// the first onto every new replica and drop the rest.
-			src := bucket[0].Payload
-			for i := range regs {
-				if err := regs[i].Import(k.op, src, true); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, i, err)
-				}
-			}
-			for _, g := range bucket {
-				g.Payload.Discard()
-			}
-		default:
-			for _, g := range bucket {
-				if err := regs[g.Shard%n].Import(k.op, g.Payload, false); err != nil {
-					return fmt.Errorf("rumor: restoring operator %d state on shard %d: %w", k.op, g.Shard%n, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// RoutingVersion returns the routing-table version currently in effect
-// (bumped by rebalances, recoveries, and re-partitioning live churn).
-func (s *ShardedSystem) RoutingVersion() int {
-	if s.part == nil {
-		return 0
-	}
-	return s.part.RoutingVersion()
+	return s, nil
 }
 
 // RecoverStats reports one shard crash recovery.
-type RecoverStats struct {
-	Shard    int   // index of the shard that was recovered away
-	Replayed int   // logged entries replayed into the dead replica
-	Moved    int   // state items re-imported on survivors
-	Dropped  int   // replicated copies that died with the replica
-	Bytes    int   // serialized payload bytes transported
-	Shards   int   // shard count after recovery
-	Version  int   // routing-table version now in effect
-	PauseNS  int64 // barrier to resume
-}
+type RecoverStats = shard.RecoverStats
 
 // RecoverShard absorbs a crashed shard into the survivors: the dead
 // worker's unacknowledged batches are replayed into its intact engine
@@ -480,21 +180,13 @@ type RecoverStats struct {
 // and ingestion resumes over N-1 shards under a bumped routing-table
 // version. Call it after an operation fails with ErrShardDead. Safe to
 // call while other goroutines Push.
-func (s *ShardedSystem) RecoverShard() (RecoverStats, error) {
+func (s *System) RecoverShard() (RecoverStats, error) {
 	if s.sh == nil {
-		return RecoverStats{}, fmt.Errorf("rumor: call Optimize before RecoverShard")
+		return RecoverStats{}, notOptimized("RecoverShard")
 	}
 	s.churnMu.Lock()
 	defer s.churnMu.Unlock()
-	st, err := s.sh.RecoverShard()
-	if err == nil {
-		s.part = s.sh.PartitionPlan()
-	}
-	return RecoverStats{
-		Shard: st.Shard, Replayed: st.Replayed, Moved: st.Moved,
-		Dropped: st.Dropped, Bytes: st.Bytes, Shards: st.Shards,
-		Version: st.Version, PauseNS: st.Pause.Nanoseconds(),
-	}, err
+	return s.sh.RecoverShard()
 }
 
 // ---------------------------------------------------------------------------
@@ -508,9 +200,15 @@ func (s *ShardedSystem) RecoverShard() (RecoverStats, error) {
 // log onto the last snapshot with ReplayChurnLog and then re-pushes the
 // events that followed the snapshot; the logged deltas serve as an
 // integrity check that the replayed maintenance reproduced the recorded
-// query set. Pass nil to detach.
-func (s *System) SetChurnLog(w io.Writer) { s.churnLog = w }
+// query set. Pass nil to detach. Serialized against maintenance
+// operations.
+func (s *System) SetChurnLog(w io.Writer) {
+	s.churnMu.Lock()
+	defer s.churnMu.Unlock()
+	s.churnLog = w
+}
 
+// logChurn appends one record to the churn log. Called with churnMu held.
 func (s *System) logChurn(op wire.ChurnOp, name string, root *Logical, d *core.Delta) error {
 	if s.churnLog == nil {
 		return nil
@@ -521,29 +219,6 @@ func (s *System) logChurn(op wire.ChurnOp, name string, root *Logical, d *core.D
 	return nil
 }
 
-func (s *System) logChurnAdd(name string, root *Logical, d *core.Delta) error {
-	return s.logChurn(wire.ChurnAdd, name, root, d)
-}
-
-func (s *System) logChurnRemove(name string, d *core.Delta) error {
-	return s.logChurn(wire.ChurnRemove, name, nil, d)
-}
-
-// SetChurnLog attaches an incremental checkpoint log (see
-// (*System).SetChurnLog). Serialized against maintenance operations.
-func (s *ShardedSystem) SetChurnLog(w io.Writer) {
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	s.sys.churnLog = w
-}
-
-// ChurnReplayer applies churn-log records; both System and ShardedSystem
-// satisfy it.
-type ChurnReplayer interface {
-	AddQueryLive(name string, root *Logical) error
-	RemoveQuery(name string) error
-}
-
 // ReplayChurnLog replays an incremental churn log (written via
 // SetChurnLog) onto a system restored from the preceding full snapshot.
 // Each add re-runs live plan maintenance — the rule engine re-derives the
@@ -551,7 +226,7 @@ type ChurnReplayer interface {
 // replayed one — and each remove unsubscribes again. Event tuples pushed
 // after the snapshot are not in the log; re-push them after replay to
 // reach the pre-crash state.
-func ReplayChurnLog(sys ChurnReplayer, r io.Reader) error {
+func ReplayChurnLog(sys *System, r io.Reader) error {
 	recs, err := wire.ReadChurnLog(r)
 	if err != nil {
 		return err
@@ -581,6 +256,3 @@ func ReplayChurnLog(sys ChurnReplayer, r io.Reader) error {
 	}
 	return nil
 }
-
-var _ ChurnReplayer = (*System)(nil)
-var _ ChurnReplayer = (*ShardedSystem)(nil)

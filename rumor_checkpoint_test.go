@@ -162,7 +162,7 @@ func checkpointRestoreChurned(t *testing.T, mk func() restorableSys,
 
 func TestCheckpointRestoreChurnedSystem(t *testing.T) {
 	eachRuntime(t, func(t *testing.T, k runtimeKind) {
-		adapt := func(s runtime) restorableSys {
+		adapt := func(s *rumor.System) restorableSys {
 			return sysAdapter{churnSys: s, ckpt: s.Checkpoint, info: s.PlanInfo,
 				settle: func() { k.settle(t, s) }}
 		}

@@ -1,16 +1,16 @@
 package rumor
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
-// Distributed deployment: a ShardedSystem can host its engine replicas in
+// Distributed deployment: a System can host its engine replicas in
 // other processes. Each remote node runs ServeShard on a listener; the
 // coordinator calls DialCluster instead of Optimize, handing it one dial
 // target per shard. Everything above the replica boundary is unchanged —
@@ -81,7 +81,7 @@ func (sw *ShardWorker) Serve(lis net.Listener) error { return sw.w.Serve(lis) }
 // Metrics snapshots the worker-side counters that are safe to read while
 // Serve runs: batches applied, entries replayed, dedup skips, reply-cache
 // hits, and the boot identity. Engine detail is reported through the
-// coordinator's ShardedSystem.Metrics instead (fetched at a quiesce
+// coordinator's System.Metrics instead (fetched at a quiesce
 // barrier over the stats RPC).
 func (sw *ShardWorker) Metrics() *Metrics {
 	return metricsFromSnapshot(sw.w.Metrics())
@@ -95,7 +95,7 @@ type ClusterNode struct {
 	Dial func() (net.Conn, error)
 }
 
-// ClusterConfig sizes a distributed ShardedSystem. The shard count is
+// ClusterConfig sizes a distributed System. The shard count is
 // len(Nodes); node i hosts shard i.
 type ClusterConfig struct {
 	// Nodes lists the shard workers, one per shard.
@@ -135,7 +135,7 @@ type ClusterConfig struct {
 // streamed back tuple-by-tuple — so DialCluster fails if OnResult was
 // registered, and a callback registered afterwards is never invoked for
 // remote replicas.
-func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
+func (s *System) DialCluster(opt Options, cfg ClusterConfig) error {
 	if s.sh != nil {
 		return fmt.Errorf("rumor: system already optimized")
 	}
@@ -145,15 +145,12 @@ func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
 	if s.onResult != nil {
 		return fmt.Errorf("rumor: OnResult callbacks are not supported on a cluster deployment; results are merged counters, use ResultCount")
 	}
-	plan, err := s.sys.buildPlan(opt)
+	plan, err := s.buildPlan(opt)
 	if err != nil {
 		return err
 	}
-	part := core.AnalyzePartition(plan)
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	seed := cmp.Or(cfg.Seed, 1)
+	timeout := cmp.Or(cfg.CallTimeout, 5*time.Second)
 	epoch := time.Now().UnixNano()
 	nodes := make([]cluster.Config, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
@@ -163,10 +160,6 @@ func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
 				return fmt.Errorf("rumor: cluster node %d has neither Addr nor Dial", i)
 			}
 			addr := n.Addr
-			timeout := cfg.CallTimeout
-			if timeout == 0 {
-				timeout = 5 * time.Second
-			}
 			dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
 		}
 		nodes[i] = cluster.Config{
@@ -181,17 +174,11 @@ func (s *ShardedSystem) DialCluster(opt Options, cfg ClusterConfig) error {
 			Seed:              seed + int64(i),
 		}
 	}
-	sh, err := shard.NewCluster(plan, part, shard.Config{
-		Shards:     len(cfg.Nodes),
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-	}, nodes)
+	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
+	sh, err := shard.NewCluster(plan, nil, shard.Config(s.cfg), nodes)
 	if err != nil {
 		return err
 	}
-	s.sys.plan = plan
-	s.sh = sh
-	s.part = part
-	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
+	s.plan, s.sh = plan, sh
 	return nil
 }

@@ -1,11 +1,10 @@
 package rumor
 
 // Public telemetry surface over internal/obs: enable/disable the metric
-// instruments, snapshot merged metrics from a running System or
-// ShardedSystem (local, in-process sharded, and cluster deployments all
-// merge through the same path — remote workers answer a stats RPC at the
-// same quiesce barrier every maintenance operation uses), and read the
-// lifecycle trace ring.
+// instruments, snapshot merged metrics from a running System (one shard,
+// in-process shards, and cluster deployments all merge through the same
+// path — remote workers answer a stats RPC at the same quiesce barrier
+// every maintenance operation uses), and read the lifecycle trace ring.
 //
 // Cost contract: with metrics disabled (the default) every instrumented
 // hot path pays at most one predicted atomic-load branch; the engine's
@@ -19,10 +18,12 @@ package rumor
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
@@ -57,39 +58,23 @@ type Histogram struct {
 func HistogramBucketBound(i int) int64 { return obs.BucketBound(i) }
 
 // TraceEvent is one entry of the lifecycle trace ring: a maintenance or
-// fault-handling operation with its wall-clock time and duration.
-type TraceEvent struct {
-	Seq          int64  // total events ever recorded when this one was written
-	TimeUnixNano int64  // wall-clock time of the record
-	Kind         string // event kind, e.g. "delta_apply", "rebalance", "link_down"
-	Detail       string // free-form detail, stable key=value text
-	DurNS        int64  // duration of the operation, 0 when instantaneous
-}
+// fault-handling operation with its wall-clock time (TimeUnixNano), kind
+// (e.g. "delta_apply", "rebalance", "link_down"), key=value detail and
+// duration (DurNS, 0 when instantaneous). Seq is the total number of
+// events ever recorded when this one was written.
+type TraceEvent = obs.Event
 
 // TraceEvents returns the retained lifecycle events, oldest first. The
 // ring holds the most recent 512 events; Seq exposes how many were ever
 // recorded, so gaps from wraparound are detectable.
-func TraceEvents() []TraceEvent {
-	evs := obs.Trace.Events()
-	out := make([]TraceEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = TraceEvent{Seq: ev.Seq, TimeUnixNano: ev.TimeUnixNano, Kind: ev.Kind, Detail: ev.Detail, DurNS: ev.DurNS}
-	}
-	return out
-}
+func TraceEvents() []TraceEvent { return obs.Trace.Events() }
 
 // metricsFromSnapshot converts an internal snapshot to the public type.
 func metricsFromSnapshot(s *obs.Snapshot) *Metrics {
 	m := &Metrics{
-		Counters: make(map[string]int64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
+		Counters: maps.Clone(s.Counters),
+		Gauges:   maps.Clone(s.Gauges),
 		Hists:    make(map[string]Histogram, len(s.Hists)),
-	}
-	for k, v := range s.Counters {
-		m.Counters[k] = v
-	}
-	for k, v := range s.Gauges {
-		m.Gauges[k] = v
 	}
 	for k, h := range s.Hists {
 		m.Hists[k] = Histogram{Count: h.Count, Sum: h.Sum, Buckets: append([]int64(nil), h.Buckets[:]...)}
@@ -97,39 +82,27 @@ func metricsFromSnapshot(s *obs.Snapshot) *Metrics {
 	return m
 }
 
-// Metrics snapshots the system's telemetry: engine counters (tuples
-// delivered, per-operator work, membership spills, window replays), the
-// process-wide registry (live-maintenance latency histograms), and the
-// transport counters. Stable between pushes; an unoptimized system
-// reports only the process-wide registry.
-func (s *System) Metrics() *Metrics {
-	snap := obs.NewSnapshot()
-	if s.eng != nil {
-		s.eng.MetricsInto(snap)
-	}
-	obs.Default.Into(snap)
-	transport.MetricsInto(snap)
-	return metricsFromSnapshot(snap)
-}
-
-// Metrics snapshots the sharded system's telemetry, merged across every
-// replica: engine counters per shard (remote replicas answer a stats RPC),
+// Metrics snapshots the system's telemetry, merged across every replica:
+// engine counters per shard (tuples delivered, per-operator work,
+// membership spills, window replays; remote replicas answer a stats RPC),
 // router counters (multicast hits/drops, WAL volume), per-shard ingest and
 // flush histograms and queue high-water gauges, cluster link health
-// gauges, the process-wide registry, and the transport counters. It runs
-// at the same batch-queue barrier as a live delta — concurrent pushers
-// block briefly — and is serialized against maintenance operations. Dead
-// shards are skipped; an unreachable worker fails the snapshot with
-// ErrShardUnreachable.
-func (s *ShardedSystem) Metrics() (*Metrics, error) {
-	if s.sh == nil {
-		return s.sys.Metrics(), nil
-	}
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	snap, err := s.sh.Metrics()
-	if err != nil {
-		return nil, err
+// gauges, the process-wide registry (live-maintenance latency
+// histograms), and the transport counters. It runs at the same batch-queue
+// barrier as a live delta — concurrent pushers block briefly — and is
+// serialized against maintenance operations. Dead shards are skipped; an
+// unreachable worker fails the snapshot with ErrShardUnreachable. An
+// unoptimized system reports only the process-wide registry and the
+// transport counters.
+func (s *System) Metrics() (*Metrics, error) {
+	snap := obs.NewSnapshot()
+	if s.sh != nil {
+		s.churnMu.Lock()
+		defer s.churnMu.Unlock()
+		var err error
+		if snap, err = s.sh.Metrics(); err != nil {
+			return nil, err
+		}
 	}
 	obs.Default.Into(snap)
 	transport.MetricsInto(snap)
@@ -139,35 +112,16 @@ func (s *ShardedSystem) Metrics() (*Metrics, error) {
 // WorkerHealth reports one shard worker's link health as observed by the
 // coordinator. For in-process shards only Shard is meaningful (Remote is
 // false and the link fields stay zero).
-type WorkerHealth struct {
-	Shard      int
-	Remote     bool  // replica lives in another process
-	Dead       bool  // declared lost (ErrShardDead)
-	Down       bool  // link currently down, redial in progress
-	BootID     int64 // worker's last-observed boot identity (0 = never connected)
-	Epoch      int64 // cluster epoch the worker last acknowledged
-	LastRTTNS  int64 // most recent heartbeat round-trip
-	Heartbeats int64 // successful heartbeat probes
-	Redials    int64 // reconnect attempts after the initial dial
-}
+type WorkerHealth = shard.WorkerHealth
 
 // WorkerHealth reports per-shard link health. Cheap — no barrier, no
 // RPCs; values come from the coordinator's own link bookkeeping. Returns
 // nil before Optimize.
-func (s *ShardedSystem) WorkerHealth() []WorkerHealth {
+func (s *System) WorkerHealth() []WorkerHealth {
 	if s.sh == nil {
 		return nil
 	}
-	raw := s.sh.WorkerHealth()
-	out := make([]WorkerHealth, len(raw))
-	for i, h := range raw {
-		out[i] = WorkerHealth{
-			Shard: h.Shard, Remote: h.Remote, Dead: h.Dead, Down: h.Down,
-			BootID: h.BootID, Epoch: h.Epoch, LastRTTNS: h.LastRTTNS,
-			Heartbeats: h.Heartbeats, Redials: h.Redials,
-		}
-	}
-	return out
+	return s.sh.WorkerHealth()
 }
 
 // noteLiveAdd records one live query add in the maintenance histograms
