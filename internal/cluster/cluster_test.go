@@ -580,3 +580,54 @@ func TestReviveRebuildsFresh(t *testing.T) {
 		t.Fatalf("total after revive %d, want %d", total, w.refTotal)
 	}
 }
+
+// TestWorkerReplyInPlace holds a worker's reply to a batch call to the
+// separately encoded reply framed by transport.AppendFrame, requires the
+// reply path to allocate nothing once the reply buffer has grown (the
+// batch is one column run repeating an applied seq: it decodes into reused
+// storage and replays nothing), and requires a retried call ID to be
+// answered with the first reply's bytes.
+func TestWorkerReplyInPlace(t *testing.T) {
+	w := buildWorkload(t)
+	st := &workerState{bootID: 1}
+	if ack := st.handshake(freshHello(w)); ack.Err != "" {
+		t.Fatal(ack.Err)
+	}
+	// One column run, whose decode reuses the decoder's storage.
+	src := w.batches[0][0].Src
+	run := &Run{Cols: make([][]int64, len(w.batches[0][0].Vals))}
+	for _, en := range w.batches[0] {
+		if en.Src == src {
+			run.TS = append(run.TS, en.TS)
+			for a, v := range en.Vals {
+				run.Cols[a] = append(run.Cols[a], v)
+			}
+		}
+	}
+	body := encodeBatch(1, []Entry{{Src: src, Run: run}})
+	got := st.reply(5, opBatch, body)
+	var completed wire.Buffer
+	completed.PutVarintField(1, 1)
+	want := transport.AppendFrame(nil, frameReply, encodeReply(5, nil, completed.Bytes()))
+	if !bytes.Equal(got, want) {
+		t.Fatal("in-place reply frame differs from the framed reply message")
+	}
+	id := int64(6)
+	if allocs := testing.AllocsPerRun(20, func() { st.reply(id, opBatch, body); id++ }); allocs != 0 {
+		t.Fatalf("%v allocs per batch reply", allocs)
+	}
+
+	lis := startWorker(t)
+	rc, ack := dialRaw(t, lis, freshHello(w))
+	if ack.Err != "" {
+		t.Fatal(ack.Err)
+	}
+	for i, batch := range w.batches[:3] {
+		call := encodeBatch(int64(i+1), batch)
+		rc.callID++
+		first := rc.callRaw(rc.callID, opBatch, call)
+		if retry := rc.callRaw(rc.callID, opBatch, call); !bytes.Equal(first, retry) {
+			t.Fatalf("batch %d: retried call answered with different bytes", i+1)
+		}
+	}
+}

@@ -36,6 +36,16 @@ type codec struct {
 	roundTrip func(p []byte) (v any, enc []byte, err error)
 }
 
+// encodeReply encodes a reply message whose body is already encoded.
+func encodeReply(callID int64, callErr error, body []byte) []byte {
+	var b wire.Buffer
+	putReply(&b, callID, func(out *wire.Buffer) error {
+		out.Append(body)
+		return callErr
+	})
+	return b.Bytes()
+}
+
 // replyError re-creates a decoded reply's error for encodeReply: its text,
 // and whether it marked the input corrupt.
 type replyError struct {

@@ -35,6 +35,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -278,18 +279,24 @@ func putCall(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) {
 	b.PutMsgField(3, body)
 }
 
-// encodeCallFrame encodes the whole call frame into b, which it resets:
-// room for the frame header, the call message with its body written in
-// place, room for the trailer, sealed. The bytes are those of the call
-// message framed by transport.AppendFrame, with no copy of the body.
-func encodeCallFrame(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) []byte {
+// encodeFrame encodes a whole frame of type typ into b, which it resets:
+// room for the frame header, the message written in place by msg, room for
+// the trailer, sealed. The bytes are those of the message framed by
+// transport.AppendFrame, with no copy of the message.
+func encodeFrame(b *wire.Buffer, typ byte, msg func(*wire.Buffer)) []byte {
 	b.Reset()
 	b.Append(make([]byte, transport.HeaderLen))
-	putCall(b, callID, op, body)
+	msg(b)
 	b.Append(make([]byte, transport.TrailerLen))
 	frame := b.Bytes()
-	transport.SealFrame(frame, frameCall)
+	transport.SealFrame(frame, typ)
 	return frame
+}
+
+// encodeCallFrame encodes the whole call frame into b, the call's body
+// written in place (see encodeFrame).
+func encodeCallFrame(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) []byte {
+	return encodeFrame(b, frameCall, func(b *wire.Buffer) { putCall(b, callID, op, body) })
 }
 
 func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
@@ -317,18 +324,30 @@ func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
 }
 
 // reply frame: {1: callID, 2: errStr, 3: body, 4: corrupt}; corrupt
-// marks an error that rejected undecodable input (wire.ErrCorrupt).
-func encodeReply(callID int64, callErr error, body []byte) []byte {
-	var b wire.Buffer
+// marks an error that rejected undecodable input (wire.ErrCorrupt). body
+// writes the reply body straight into b and returns the call's error. A
+// successful reply's body stays where it was written; an error reply
+// moves the body behind the error text, so the fields keep their order.
+func putReply(b *wire.Buffer, callID int64, body func(*wire.Buffer) error) {
 	b.PutVarintField(1, callID)
-	if callErr != nil {
-		b.PutStringField(2, callErr.Error())
+	at := b.Len()
+	var callErr error
+	n := 0
+	b.PutMsgField(3, func(b *wire.Buffer) {
+		start := b.Len()
+		callErr = body(b)
+		n = b.Len() - start
+	})
+	if callErr == nil {
+		return
 	}
-	b.PutBytesField(3, body)
+	raw := bytes.Clone(b.Bytes()[b.Len()-n:])
+	b.Truncate(at)
+	b.PutStringField(2, callErr.Error())
+	b.PutBytesField(3, raw)
 	if errors.Is(callErr, wire.ErrCorrupt) {
 		b.PutBoolField(4, true)
 	}
-	return b.Bytes()
 }
 
 func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []byte, err error) {

@@ -115,8 +115,11 @@ type workerState struct {
 
 	// Reply cache: a retried call (same ID) gets the cached reply instead
 	// of re-executing — required for destructive calls like state exports.
+	// lastReply is the sealed reply frame, encoded in place in replyBuf;
+	// it stays valid until the next new call reuses the buffer.
 	lastCallID int64
 	lastReply  []byte
+	replyBuf   wire.Buffer
 
 	// Batch decode and replay scratch, reused across batches.
 	batch    batchDecoder
@@ -198,7 +201,7 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 				// Retried call: the previous execution's reply was lost in
 				// flight; re-send it without re-executing.
 				st.replyCacheHits.Add(1)
-				if err := fc.WriteFrame(frameReply, st.lastReply); err != nil {
+				if err := fc.WriteSealed(st.lastReply); err != nil {
 					return false
 				}
 				continue
@@ -207,10 +210,9 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 				st.dedupSkips.Add(1)
 				continue // stale duplicate of an already-superseded call
 			}
-			respBody, callErr := st.handle(op, body)
 			st.lastCallID = callID
-			st.lastReply = encodeReply(callID, callErr, respBody)
-			if err := fc.WriteFrame(frameReply, st.lastReply); err != nil {
+			st.lastReply = st.reply(callID, op, body)
+			if err := fc.WriteSealed(st.lastReply); err != nil {
 				return false
 			}
 		default:
@@ -275,24 +277,33 @@ func buildEngine(planBytes []byte) (*engine.Engine, error) {
 	return engine.New(plan)
 }
 
-// handle executes one RPC. An error return travels back as the reply's
-// errStr; replay errors inside a batch are sticky instead (surfaced by
-// Drain), matching the local worker's error contract.
-func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
+// reply executes one call and encodes its whole reply frame in place into
+// the worker's reply buffer, which the next new call reuses.
+func (st *workerState) reply(callID int64, op byte, body []byte) []byte {
+	return encodeFrame(&st.replyBuf, frameReply, func(b *wire.Buffer) {
+		putReply(b, callID, func(out *wire.Buffer) error { return st.handle(op, body, out) })
+	})
+}
+
+// handle executes one RPC, writing its reply body into out. An error
+// return travels back as the reply's errStr; replay errors inside a batch
+// are sticky instead (surfaced by Drain), matching the local worker's
+// error contract.
+func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 	if st.eng == nil {
-		return nil, fmt.Errorf("no engine (handshake incomplete)")
+		return fmt.Errorf("no engine (handshake incomplete)")
 	}
 	switch op {
 	case opBatch:
 		seq, entries, err := st.batch.decode(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if seq > st.lastApplied {
 			// A fresh replica (lastApplied 0) baselines at whatever seq the
 			// coordinator replays first — recovery catch-up starts mid-WAL.
 			if st.lastApplied != 0 && seq != st.lastApplied+1 {
-				return nil, fmt.Errorf("batch seq %d after %d: gap in WAL delivery", seq, st.lastApplied)
+				return fmt.Errorf("batch seq %d after %d: gap in WAL delivery", seq, st.lastApplied)
 			}
 			if err := st.replayer.Replay(st.eng, st.srcNames, entries); err != nil && st.firstErr == nil {
 				st.firstErr = err
@@ -303,91 +314,94 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 		} else {
 			st.dedupSkips.Add(1)
 		}
-		var b wire.Buffer
-		b.PutVarintField(1, st.lastApplied)
-		return b.Bytes(), nil
+		out.PutVarintField(1, st.lastApplied)
+		return nil
 	case opDrain:
 		firstErr := ""
 		if st.firstErr != nil {
 			firstErr = st.firstErr.Error()
 		}
-		return encodeDrainReply(st.eng.SnapshotCounts(), st.eng.TotalResults(), firstErr), nil
+		out.Append(encodeDrainReply(st.eng.SnapshotCounts(), st.eng.TotalResults(), firstErr))
+		return nil
 	case opApplyDelta:
 		planBytes, deltaBytes, srcNames, err := decodeDeltaCall(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		snap, err := wire.DecodePlanBytes(planBytes)
 		if err != nil {
-			return nil, fmt.Errorf("decoding plan snapshot: %w", err)
+			return fmt.Errorf("decoding plan snapshot: %w", err)
 		}
 		catalog, err := snap.CatalogDecls()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		plan, err := core.RebuildPhysical(catalog, snap)
 		if err != nil {
-			return nil, fmt.Errorf("rebuilding plan: %w", err)
+			return fmt.Errorf("rebuilding plan: %w", err)
 		}
 		d, err := wire.DecodeDeltaBytes(deltaBytes)
 		if err != nil {
-			return nil, fmt.Errorf("decoding delta: %w", err)
+			return fmt.Errorf("decoding delta: %w", err)
 		}
 		st.eng.AdoptPlan(plan)
 		if err := st.eng.ApplyDelta(d); err != nil {
-			return nil, fmt.Errorf("applying delta: %w", err)
+			return fmt.Errorf("applying delta: %w", err)
 		}
 		if len(srcNames) > 0 {
 			st.srcNames = srcNames
 		}
-		return encodeGroupsReply(st.eng.StateRegistry().Groups()), nil
+		out.Append(encodeGroupsReply(st.eng.StateRegistry().Groups()))
+		return nil
 	case opExport:
 		opID, side, keyAttr, err := decodeSideCall(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pl, err := st.eng.StateRegistry().Export(opID, side, keyAttr, func(int64, int) bool { return true })
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if pl == nil || pl.Len() == 0 {
-			return nil, nil
+			return nil
 		}
 		raw := wire.EncodePayloadBytes(pl)
 		pl.Discard()
-		return encodeBytesField1(raw), nil
+		out.Append(encodeBytesField1(raw))
+		return nil
 	case opImport:
 		opID, payloadBytes, err := decodeImportCall(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(payloadBytes) == 0 {
-			return nil, nil
+			return nil
 		}
 		pl, err := wire.DecodePayloadBytes(payloadBytes)
 		if err != nil {
-			return nil, fmt.Errorf("decoding payload: %w", err)
+			return fmt.Errorf("decoding payload: %w", err)
 		}
 		if pl == nil || pl.Len() == 0 {
-			return nil, nil
+			return nil
 		}
 		// The decoded payload is this worker's own fresh copy; the store
 		// takes full ownership.
 		if err := st.eng.StateRegistry().Import(opID, pl, false); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, nil
+		return nil
 	case opHistogram:
 		opID, side, keyAttr, err := decodeSideCall(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		h := make(map[int64]int64)
 		st.eng.StateRegistry().Histogram(opID, side, keyAttr, h)
-		return encodeHistReply(h), nil
+		out.Append(encodeHistReply(h))
+		return nil
 	case opResetCounts:
 		st.eng.ResetCounts()
-		return nil, nil
+		return nil
 	case opStats:
 		// Runs on the serving goroutine, serialized with batch replay, so
 		// reading the engine's plain counters here is race-free. The boot
@@ -396,9 +410,10 @@ func (st *workerState) handle(op byte, body []byte) ([]byte, error) {
 		s := obs.NewSnapshot()
 		st.countersInto(s)
 		st.eng.MetricsInto(s)
-		return encodeStatsReply(s), nil
+		out.Append(encodeStatsReply(s))
+		return nil
 	}
-	return nil, fmt.Errorf("unknown opcode %d", op)
+	return fmt.Errorf("unknown opcode %d", op)
 }
 
 // Replayer pushes WAL batches into an engine replica — the one replay

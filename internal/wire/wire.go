@@ -69,6 +69,9 @@ func (b *Buffer) Len() int { return len(b.b) }
 // Reset empties b, keeping its capacity for the next encoding.
 func (b *Buffer) Reset() { b.b = b.b[:0] }
 
+// Truncate drops every byte after the first n.
+func (b *Buffer) Truncate(n int) { b.b = b.b[:n] }
+
 // Append appends p as it is, with no tag or length.
 func (b *Buffer) Append(p []byte) { b.b = append(b.b, p...) }
 
