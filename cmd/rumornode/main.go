@@ -9,7 +9,7 @@
 //	rumornode -listen :7072 &
 //
 // The process exits 0 when the coordinator shuts the cluster down
-// (ShardedSystem.Close), and keeps its replica across coordinator
+// (System.Close), and keeps its replica across coordinator
 // reconnects — a dropped connection alone loses nothing. Restarting
 // rumornode does lose the replica; the coordinator detects that by the
 // boot-ID change and declares the shard lost (recover with RecoverShard).

@@ -55,7 +55,7 @@ import (
 
 // Maintainer performs incremental maintenance operations on one physical
 // plan. It is not safe for concurrent use; callers serialize maintenance
-// operations (the public System/ShardedSystem types do).
+// operations (the public System type does).
 type Maintainer struct {
 	Plan *core.Physical
 	Opt  rules.Options

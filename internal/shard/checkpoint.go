@@ -21,7 +21,7 @@ func (e *Engine) Checkpoint(c *wire.Checkpoint, queryIDs []int, dists map[int][]
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
 	if err := e.quiesceLocked(); err != nil {
 		return err

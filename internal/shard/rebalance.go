@@ -64,7 +64,7 @@ func (e *Engine) Rebalance(part *core.PartitionPlan) (RebalanceStats, error) {
 	start := time.Now()
 	var st RebalanceStats
 	if e.closed {
-		return st, fmt.Errorf("shard: engine closed")
+		return st, errClosed
 	}
 	if err := e.quiesceLocked(); err != nil {
 		return st, err

@@ -64,7 +64,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	defer e.mu.Unlock()
 	var st RecoverStats
 	if e.closed {
-		return st, fmt.Errorf("shard: engine closed")
+		return st, errClosed
 	}
 	if err := e.quiesceLiveLocked(); err != nil {
 		return st, err

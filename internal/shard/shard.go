@@ -50,6 +50,9 @@ import (
 // restored from a checkpoint.
 var ErrShardDead = errors.New("shard: worker dead; RecoverShard or restore from a checkpoint")
 
+// errClosed rejects every use of an engine after Close (or poisoning).
+var errClosed = errors.New("shard: engine closed")
+
 // Config sizes the sharded runtime.
 type Config struct {
 	// Shards is the number of engine replicas (default 1).
@@ -744,7 +747,7 @@ func (e *Engine) admitLocked(source string, width int) (srcRoute, error) {
 		return sr, fmt.Errorf("shard: source %q not in plan", source)
 	}
 	if e.closed {
-		return sr, fmt.Errorf("shard: engine closed")
+		return sr, errClosed
 	}
 	if e.numDead > 0 {
 		return sr, e.deadErrLocked()
@@ -792,16 +795,32 @@ func batchWidth(vals [][]int64) int {
 func (e *Engine) Push(source string, ts int64, vals []int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if eng := e.inline; eng != nil {
+		if e.closed {
+			return errClosed
+		}
+		err := eng.Push(source, &stream.Tuple{TS: ts, Vals: vals})
+		e.countInline(1, err)
+		return err
+	}
 	sr, err := e.admitLocked(source, len(vals))
 	if err != nil {
 		return err
 	}
-	if e.inline != nil {
-		e.workers[0].tuples.Add(1)
-		return e.inline.Push(source, &stream.Tuple{TS: ts, Vals: vals})
-	}
 	e.route(sr, ts, vals)
 	return nil
+}
+
+// countInline counts the rows of an inline push the replica engine
+// accepted. The engine checks what the router's admission check would (an
+// unknown source or a row of the wrong width fails the call and ingests
+// nothing), so an inline push skips that check. Pushes are serialized by
+// mu, so the counter needs no atomic add. Called with mu held.
+func (e *Engine) countInline(rows int, err error) {
+	if err == nil {
+		n := &e.workers[0].tuples
+		n.Store(n.Load() + int64(rows))
+	}
 }
 
 // PushShared injects one channel tuple whose membership t.Member names
@@ -811,14 +830,15 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 func (e *Engine) PushShared(source string, t *stream.Tuple) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inline == nil {
+	switch {
+	case e.inline == nil:
 		return fmt.Errorf("shard: PushShared needs a single in-process shard, have %d shards", len(e.workers))
+	case e.closed:
+		return errClosed
 	}
-	if _, err := e.admitLocked(source, len(t.Vals)); err != nil {
-		return err
-	}
-	e.workers[0].tuples.Add(1)
-	return e.inline.Push(source, t)
+	err := e.inline.Push(source, t)
+	e.countInline(1, err)
+	return err
 }
 
 // route appends one tuple to its shard(s). Called with mu held.
@@ -864,13 +884,17 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if eng := e.inline; eng != nil {
+		if e.closed {
+			return errClosed
+		}
+		err := eng.PushBatch(source, ts, vals)
+		e.countInline(len(ts), err)
+		return err
+	}
 	sr, err := e.admitLocked(source, batchWidth(vals))
 	if err != nil {
 		return err
-	}
-	if e.inline != nil {
-		e.workers[0].tuples.Add(int64(len(ts)))
-		return e.inline.PushBatch(source, ts, vals)
 	}
 	for i := range ts {
 		e.route(sr, ts[i], vals[i])
@@ -899,13 +923,17 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if eng := e.inline; eng != nil {
+		if e.closed {
+			return errClosed
+		}
+		err := eng.PushColumns(source, ts, cols)
+		e.countInline(len(ts), err)
+		return err
+	}
 	sr, err := e.admitLocked(source, width)
 	if err != nil || len(ts) == 0 {
 		return err
-	}
-	if e.inline != nil {
-		e.workers[0].tuples.Add(int64(len(ts)))
-		return e.inline.PushColumns(source, ts, cols)
 	}
 	e.routeColumns(sr, ts, cols)
 	return nil
@@ -983,7 +1011,7 @@ func (e *Engine) Drain() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
 	return e.quiesceLocked()
 }
@@ -1150,7 +1178,7 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return fmt.Errorf("shard: engine closed")
+		return errClosed
 	}
 	if err := e.quiesceLocked(); err != nil {
 		return err

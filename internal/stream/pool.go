@@ -7,7 +7,7 @@ import "repro/internal/bitset"
 // worker. Unlike the package-global sync.Pool behind GetTuple/Release, a
 // Pool is NOT safe for concurrent use: each engine owns one and touches it
 // only from the goroutine currently driving that engine (the shard worker,
-// or the caller of a single-threaded System). Steady-state recycling then
+// or, at one inline shard, the pusher holding the router's lock). Steady-state recycling then
 // costs a slice pop/push with no cross-CPU pool traffic at high shard
 // counts.
 //

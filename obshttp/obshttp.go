@@ -30,8 +30,8 @@ import (
 )
 
 // Source produces the snapshot a scrape renders. It is called once per
-// request; implementations decide what merging costs (ShardedSystem
-// .Metrics takes a quiesce barrier, ShardWorker.Metrics is lock-free).
+// request; implementations decide what merging costs (System.Metrics
+// takes a quiesce barrier, ShardWorker.Metrics is lock-free).
 type Source func() (*rumor.Metrics, error)
 
 // expvarOnce guards the process-wide expvar registration: expvar.Publish

@@ -196,7 +196,8 @@ type System struct {
 	onResult func(query string, ts int64, vals []int64)
 }
 
-// ShardedSystem is System's name from when it had a single-engine twin.
+// ShardedSystem is an alias of System: New, NewSharded and RestoreSharded
+// all return the one runtime type.
 type ShardedSystem = System
 
 // New creates an empty system with one engine replica, run inline.
