@@ -216,13 +216,13 @@ func TestReplayOnRemergeSharded(t *testing.T) {
 // (gated by a surviving broader selection) retains everything its window
 // needs, including tuples that arrived while it was away.
 func TestReplayAfterSlotReuse(t *testing.T) {
-	eachRuntime(t, func(t *testing.T, k runtimeKind) {
-		for _, shape := range []string{"seq", "join", "agg"} {
-			t.Run(shape, func(t *testing.T) {
+	for _, shape := range []string{"seq", "join", "agg"} {
+		t.Run(shape, func(t *testing.T) {
+			eachRuntime(t, func(t *testing.T, k runtimeKind) {
 				replayAfterSlotReuse(t, k, shape)
 			})
-		}
-	})
+		})
+	}
 }
 
 func replayAfterSlotReuse(t *testing.T, k runtimeKind, shape string) {

@@ -12,9 +12,9 @@ import (
 )
 
 // The runtime table: every root System test runs against New(), a system
-// of one in-process shard built by NewSharded, and a two-shard system that
-// is drained before its counts are read. Results, typed errors and
-// checkpoint round trips must agree across the rows.
+// of one in-process shard built by NewSharded, and a two-shard system
+// ("sharded") that is drained before its counts are read. Results, typed
+// errors and checkpoint round trips must agree across the rows.
 
 // runtimeKind is one row of the runtime table.
 type runtimeKind struct {
@@ -22,7 +22,7 @@ type runtimeKind struct {
 	shards int // 0: rumor.New()
 }
 
-var runtimeKinds = []runtimeKind{{"system", 0}, {"shards=1", 1}, {"shards=2", 2}}
+var runtimeKinds = []runtimeKind{{"system", 0}, {"shards=1", 1}, {"sharded", 2}}
 
 // eachRuntime runs fn once per row of the runtime table, as subtests.
 func eachRuntime(t *testing.T, fn func(t *testing.T, k runtimeKind)) {
