@@ -74,14 +74,12 @@ func (k runtimeKind) metrics(t testing.TB, s *rumor.System) *rumor.Metrics {
 	return m
 }
 
-// shared skips a PushShared check on a row of several shards, which
-// refuses shared tuples (TestPushSharedNeedsOneShard).
-func (k runtimeKind) shared(t testing.TB, s *rumor.System) *rumor.System {
-	t.Helper()
+// needsOneShard skips a test of PushShared on a row of several shards,
+// which refuses shared tuples (TestPushSharedNeedsOneShard).
+func (k runtimeKind) needsOneShard(t testing.TB) {
 	if k.shards > 1 {
 		t.Skipf("%s refuses PushShared", k.name)
 	}
-	return s
 }
 
 // filterSystem returns an optimized system with one stateless query over

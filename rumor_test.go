@@ -82,7 +82,7 @@ func TestSystemBuilders(t *testing.T) {
 func TestPushShared(t *testing.T) {
 	eachRuntime(t, func(t *testing.T, k runtimeKind) {
 		sys := k.new(t)
-		ps := k.shared(t, sys)
+		k.needsOneShard(t)
 		for _, n := range []string{"S1", "S2", "S3"} {
 			if err := sys.DeclareStream(n, "grp", "a", "b"); err != nil {
 				t.Fatal(err)
@@ -104,7 +104,7 @@ func TestPushShared(t *testing.T) {
 		if sys.PlanInfo().Channels != 1 {
 			t.Fatalf("channels = %d\n%s", sys.PlanInfo().Channels, sys.PlanString())
 		}
-		if err := ps.PushShared([]string{"S1", "S3"}, 0, 9, 9); err != nil {
+		if err := sys.PushShared([]string{"S1", "S3"}, 0, 9, 9); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.Push("T", 1, 9, 0); err != nil {
@@ -165,11 +165,10 @@ func TestSystemErrors(t *testing.T) {
 		if sys.ResultCount("nope") != 0 {
 			t.Fatal("unknown query count should be 0")
 		}
-		ps := k.shared(t, sys)
-		if err := ps.PushShared(nil, 0); err == nil {
+		if err := sys.PushShared(nil, 0); err == nil {
 			t.Fatal("empty PushShared should fail")
 		}
-		if err := ps.PushShared([]string{"NOPE"}, 0, 1); err == nil {
+		if err := sys.PushShared([]string{"NOPE"}, 0, 1); err == nil {
 			t.Fatal("unknown stream in PushShared should fail")
 		}
 	})
@@ -178,7 +177,7 @@ func TestSystemErrors(t *testing.T) {
 func TestPushSharedNotChannelized(t *testing.T) {
 	eachRuntime(t, func(t *testing.T, k runtimeKind) {
 		sys := k.new(t)
-		ps := k.shared(t, sys)
+		k.needsOneShard(t)
 		if err := sys.DeclareStream("A", "", "a"); err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func TestPushSharedNotChannelized(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.PushShared([]string{"A", "B"}, 0, 1); err == nil {
+		if err := sys.PushShared([]string{"A", "B"}, 0, 1); err == nil {
 			t.Fatal("PushShared across distinct edges should fail")
 		}
 	})
@@ -218,8 +217,7 @@ func TestPlanInfoBeforeOptimize(t *testing.T) {
 func TestPlanDot(t *testing.T) {
 	eachRuntime(t, func(t *testing.T, k runtimeKind) {
 		sys := k.new(t)
-		ps := k.shared(t, sys)
-		if ps.PlanDot() == "" {
+		if sys.PlanDot() == "" {
 			t.Fatal("PlanDot before optimize should render an empty graph")
 		}
 		if err := sys.DeclareStream("S", "", "a"); err != nil {
@@ -231,7 +229,7 @@ func TestPlanDot(t *testing.T) {
 		if err := sys.Optimize(rumor.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		dot := ps.PlanDot()
+		dot := sys.PlanDot()
 		if dot == "" || dot == "digraph rumor {}\n" {
 			t.Fatalf("PlanDot missing content: %q", dot)
 		}
