@@ -14,9 +14,10 @@ import (
 // (ingestion blocked, every worker quiescent): the merged count of each
 // live query in queryIDs, the frozen final counts of queries removed by
 // live deltas, and every replica's stored operator groups, tagged with the
-// replica index. dists gives the distribution of each stateful side (see
-// exportGroups). With remote replicas (NewCluster) the registries are RPC
-// adapters, so checkpoints work over the wire unchanged.
+// replica index and read by a destructive peek. dists gives the
+// distribution of each stateful side. With remote replicas (NewCluster)
+// the registries are RPC adapters, so checkpoints work over the wire
+// unchanged.
 func (e *Engine) Checkpoint(c *wire.Checkpoint, queryIDs []int, dists map[int][]core.SideDist) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -38,37 +39,22 @@ func (e *Engine) Checkpoint(c *wire.Checkpoint, queryIDs []int, dists map[int][]
 	}
 	e.statsMu.RUnlock()
 	for i, reg := range e.registriesLocked() {
-		if err := exportGroups(reg, i, dists, &c.Groups); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exportGroups destructively peeks every stored group side of one replica
-// registry: export-all, re-import in place, and append the surviving
-// payload (tagged with the replica index) to groups. Keyed and multicast
-// sides export under their real key attribute so the payload items carry
-// partition keys — a restore into a different shard count re-hashes on
-// them.
-func exportGroups(reg Registry, shardIdx int, dists map[int][]core.SideDist, groups *[]wire.GroupState) error {
-	for _, ref := range reg.Groups() {
-		for _, side := range ref.Sides {
-			keyAttr := -1
-			if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
-				keyAttr = d.Attr
+		for _, ref := range reg.Groups() {
+			for _, side := range ref.Sides {
+				// Keyed and multicast payloads carry partition keys: a
+				// restore into another shard count re-hashes on them.
+				keyAttr := -1
+				if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
+					keyAttr = d.Attr
+				}
+				pl, err := peek(reg, ref.OpID, side, keyAttr)
+				if err != nil {
+					return err
+				}
+				if pl.Len() > 0 {
+					c.Groups = append(c.Groups, wire.GroupState{Shard: i, OpID: ref.OpID, Payload: pl})
+				}
 			}
-			pl, err := reg.Export(ref.OpID, side, keyAttr, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			if pl.Len() == 0 {
-				continue
-			}
-			if err := reg.Import(ref.OpID, pl, false); err != nil {
-				return err
-			}
-			*groups = append(*groups, wire.GroupState{Shard: shardIdx, OpID: ref.OpID, Payload: pl})
 		}
 	}
 	return nil
@@ -123,14 +109,11 @@ func (e *Engine) Restore(c *wire.Checkpoint, part *core.PartitionPlan) error {
 }
 
 // redistributeGroups imports a checkpoint's operator state into a system
-// of a different shard count, applying the same placement rules the
-// recovery migration uses: keyed and multicast sides merge across the old
-// replicas and re-split by key ownership at the new width (duplicate
-// copies of a key round-robin across its owner set), replicated sides
-// place one full copy on every replica, and unpartitioned sides fold by
-// old shard index.
+// of a different shard count. Every old replica's payload of a side
+// leaves, and place puts it under part at the new width; a replicated
+// side places the first old replica's copy (they are identical) and drops
+// the rest, and an unpartitioned side folds by old shard index.
 func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.PartitionPlan, regs []Registry) error {
-	n := len(regs)
 	dists := part.OpSideDists(plan)
 	type groupSide struct{ op, side int }
 	var order []groupSide
@@ -151,48 +134,20 @@ func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.Part
 	for _, k := range order {
 		bucket := buckets[k]
 		d := core.SideDistAt(dists, k.op, k.side)
-		switch d.Dist {
-		case core.DistKeyed, core.DistMulticast:
-			payloads := make([]*mop.StatePayload, len(bucket))
-			for i, g := range bucket {
-				payloads[i] = g.Payload
-			}
-			merged := mop.MergePayloads(payloads)
-			if merged.Len() == 0 {
-				continue
-			}
-			rr := make(map[int64]int)
-			parts := merged.SplitBy(n, func(key int64) int {
-				owners := part.Owners(key, n)
-				i := rr[key]
-				rr[key] = i + 1
-				return owners[i%len(owners)]
-			})
-			for ni, pl := range parts {
-				if pl.Len() == 0 {
-					continue
-				}
-				if err := regs[ni].Import(k.op, pl, false); err != nil {
-					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, ni, err)
-				}
-			}
-		case core.DistReplicated:
-			// Every old replica checkpointed an identical copy; replicate
-			// the first onto every new replica and drop the rest.
-			src := bucket[0].Payload
-			for i := range regs {
-				if err := regs[i].Import(k.op, src, true); err != nil {
-					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, i, err)
-				}
-			}
+		srcs := make([]*mop.StatePayload, len(bucket))
+		for i, g := range bucket {
+			srcs[i] = g.Payload
+		}
+		if d.Dist == core.DistReplicated {
+			srcs = srcs[:1]
+		}
+		home := func(i int) int { return bucket[i].Shard % len(regs) }
+		if _, err := place(k.op, d, part, srcs, home, regs); err != nil {
+			return fmt.Errorf("shard: restoring: %w", err)
+		}
+		if d.Dist == core.DistReplicated {
 			for _, g := range bucket {
 				g.Payload.Discard()
-			}
-		default:
-			for _, g := range bucket {
-				if err := regs[g.Shard%n].Import(k.op, g.Payload, false); err != nil {
-					return fmt.Errorf("shard: restoring operator %d state on shard %d: %w", k.op, g.Shard%n, err)
-				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,26 +21,13 @@ var ErrPartialMigration = errors.New("shard: partial state migration rolled back
 
 // This file implements online shard rebalancing: a drain / re-hash /
 // resume protocol over the uniform operator state registry (package mop).
-//
-// Rebalance runs at the same batch-queue barrier as a live plan delta:
-// ingestion blocks, every worker acknowledges quiescence, and the caller
-// goroutine owns every replica. It then compares the distribution of each
-// stateful operator's inputs under the old and new partition plans
-// (core.OpSideDists) and moves exactly the state that is out of place:
-//
-//	old \ new     keyed                    replicated            any
-//	keyed/any     export misplaced items,  export all, import a  keep in
-//	              round-robin split keys   copy into every       place
-//	              across their owners      replica
-//	replicated    local keep-if-owner      keep                  keep on
-//	              (identical store order                         shard 0,
-//	              on every replica — no                          drop the
-//	              transfer at all)                               other
-//	                                                             copies
-//
-// Counting survives sink transitions (partitioned ↔ replicated) because
-// every rebalance folds the replica counters into a per-query base and
-// resets them (rebaseCountsLocked).
+// Rebalance runs at the same batch-queue barrier as a live plan delta,
+// compares the distribution of each stateful side under the old and new
+// partition plans (core.OpSideDists) and moves exactly the state that is
+// out of place (migrateGroupSide); where it goes is the package's
+// placement rule (place). Counting survives sink transitions (partitioned
+// ↔ replicated) because every rebalance folds the replica counters into a
+// per-query base and resets them (rebaseCountsLocked).
 
 // RebalanceStats reports one online rebalance.
 type RebalanceStats struct {
@@ -52,8 +40,8 @@ type RebalanceStats struct {
 
 // Rebalance drains the batch queues, migrates stored operator state to its
 // placement under part, swaps the routing tables, and resumes ingestion.
-// part must share the current plan's routes (same modes and attributes) —
-// it typically differs only in its key-placement overlay; pass nil to let
+// part may re-route sources, as a rebalancing live delta does, though it
+// typically differs only in its key-placement overlay; pass nil to let
 // the engine build a balanced overlay from the keyed-state histograms of
 // its replicas (steered by the observed per-key state weights). Concurrent
 // Push/PushBatch callers block for the duration; maintenance operations
@@ -151,12 +139,6 @@ func (e *Engine) MaybeRebalance(maxImbalance float64) (bool, RebalanceStats, err
 	return true, st, err
 }
 
-// sideDistOf looks up one op side's distribution, defaulting to DistAny
-// (state left in place) for operators the analysis does not cover.
-func sideDistOf(dists map[int][]core.SideDist, opID, side int) core.SideDist {
-	return core.SideDistAt(dists, opID, side)
-}
-
 // touchedSide is one (group, side) the transition matrix will act on.
 type touchedSide struct {
 	ref    mop.GroupRef
@@ -164,19 +146,13 @@ type touchedSide struct {
 	od, nd core.SideDist
 }
 
-// transitionTouches reports whether the transition matrix moves or drops
-// anything for an old→new distribution pair (the non-default cases of
-// migrateGroupSide).
+// transitionTouches reports whether migrateGroupSide moves or drops
+// anything for an old→new distribution pair: keyed state may be out of
+// place, and state entering or leaving replication copies or drops;
+// anything else (multicast sides included) stays valid where it is.
 func transitionTouches(od, nd core.SideDist) bool {
-	switch {
-	case nd.Dist == core.DistKeyed:
-		return true
-	case nd.Dist == core.DistReplicated && od.Dist != core.DistReplicated:
-		return true
-	case nd.Dist == core.DistAny && od.Dist == core.DistReplicated:
-		return true
-	}
-	return false
+	repl := func(d core.SideDist) bool { return d.Dist == core.DistReplicated }
+	return nd.Dist == core.DistKeyed || repl(od) != repl(nd) && nd.Dist != core.DistMulticast
 }
 
 // migrateStateLocked moves stored operator state from its placement under
@@ -185,15 +161,13 @@ func transitionTouches(od, nd core.SideDist) bool {
 // reflect any delta applied to the replicas.
 //
 // Before anything moves, every group side the transition matrix will touch
-// is snapshotted with a destructive peek: export-all followed by an
-// immediate in-place re-import leaves the store unchanged (modulo
-// tombstone compaction, which carries no state) while the export payload
-// survives as a restore point referencing the very tuples in the stores. A
-// mid-migration failure then rolls the touched sides back to their
-// snapshots and returns ErrPartialMigration with the engine fully usable;
-// the engine is poisoned only if the rollback itself fails. Payload
-// discards (which release µ pooled state) are deferred until the whole
-// migration has succeeded, because the snapshots alias that state.
+// is snapshotted with a destructive peek, which survives as a restore
+// point referencing the very tuples in the stores. A mid-migration failure
+// then rolls the touched sides back to their snapshots and returns
+// ErrPartialMigration with the engine fully usable; the engine is poisoned
+// only if the rollback itself fails. Payload discards (which release µ
+// pooled state) are deferred until the whole migration has succeeded,
+// because the snapshots alias that state.
 func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDist, newPart *core.PartitionPlan) (RebalanceStats, error) {
 	var st RebalanceStats
 	if len(e.workers) == 1 {
@@ -204,24 +178,22 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 	snap := make(map[[2]int][]*mop.StatePayload)
 	for _, ref := range regs[0].Groups() {
 		for _, side := range ref.Sides {
-			od := sideDistOf(oldD, ref.OpID, side)
-			nd := sideDistOf(newD, ref.OpID, side)
+			od := core.SideDistAt(oldD, ref.OpID, side)
+			nd := core.SideDistAt(newD, ref.OpID, side)
 			if !transitionTouches(od, nd) {
 				continue
 			}
 			pls := make([]*mop.StatePayload, len(regs))
 			for i, reg := range regs {
-				pl, err := reg.Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-				if err != nil {
+				pl, err := peek(reg, ref.OpID, side, -1)
+				switch {
+				case err != nil && pl == nil:
 					// Unknown operator: nothing was exported, the engine
 					// is unchanged.
 					return st, err
-				}
-				if pl.Len() > 0 {
-					if err := reg.Import(ref.OpID, pl, false); err != nil {
-						e.stopLocked(false)
-						return st, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
-					}
+				case err != nil:
+					e.stopLocked(false)
+					return st, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
 				}
 				pls[i] = pl
 			}
@@ -229,9 +201,13 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 			touched = append(touched, touchedSide{ref: ref, side: side, od: od, nd: nd})
 		}
 	}
+	dst := make([]Registry, len(regs))
+	for i, reg := range regs {
+		dst[i] = importFault{reg}
+	}
 	var discards []*mop.StatePayload
 	for _, t := range touched {
-		if err := e.migrateGroupSide(regs, t.ref, t.side, t.od, t.nd, newPart, &st, &discards); err != nil {
+		if err := migrateGroupSide(regs, dst, t, newPart, &st, &discards); err != nil {
 			if rbErr := rollbackMigration(regs, touched, snap); rbErr != nil {
 				e.stopLocked(false)
 				return st, fmt.Errorf("shard: state migration failed (%v), rollback failed, engine disabled: %w", err, rbErr)
@@ -245,6 +221,17 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 	return st, nil
 }
 
+// importFault fires the shard.rebalance.import fault point in front of
+// every import a rebalance makes.
+type importFault struct{ Registry }
+
+func (r importFault) Import(opID int, pl *mop.StatePayload, copied bool) error {
+	if err := faultpoint.Error("shard.rebalance.import"); err != nil {
+		return err
+	}
+	return r.Registry.Import(opID, pl, copied)
+}
+
 // rollbackMigration restores every touched group side from its snapshot:
 // whatever the partial migration left on a replica is cleared (exported
 // and dropped — never discarded, since those items alias the snapshot
@@ -256,7 +243,7 @@ func rollbackMigration(regs []Registry, touched []touchedSide, snap map[[2]int][
 	// restore the snapshots.
 	for _, t := range touched {
 		for _, reg := range regs {
-			if _, err := reg.Export(t.ref.OpID, t.side, -1, func(int64, int) bool { return true }); err != nil {
+			if _, err := reg.Export(t.ref.OpID, t.side, -1, exportAll); err != nil {
 				return err
 			}
 		}
@@ -275,119 +262,126 @@ func rollbackMigration(regs []Registry, touched []touchedSide, snap map[[2]int][
 	return nil
 }
 
-// migrateGroupSide applies the transition matrix to one (group, side).
-// Payloads whose pooled state must be released are appended to discards
-// instead of being discarded inline: the caller's rollback snapshots alias
-// that state, so releases only happen once the whole migration commits.
-func (e *Engine) migrateGroupSide(regs []Registry, ref mop.GroupRef, side int,
-	od, nd core.SideDist, newPart *core.PartitionPlan, st *RebalanceStats, discards *[]*mop.StatePayload) error {
+// migrateGroupSide applies the transition matrix to one (group, side):
+// it decides which items leave each replica, and place decides where they
+// go. Payloads whose pooled state must be released are appended to
+// discards instead of being discarded inline: the caller's rollback
+// snapshots alias that state, so releases only happen once the whole
+// migration commits.
+func migrateGroupSide(regs, dst []Registry, t touchedSide, part *core.PartitionPlan, st *RebalanceStats, discards *[]*mop.StatePayload) error {
 	n := len(regs)
+	keyAttr, from, drop := -1, 0, t.od.Dist == core.DistReplicated
+	var leaves func(i int, key int64, ord int) bool
 	switch {
-	case nd.Dist == core.DistKeyed && od.Dist != core.DistReplicated:
-		// Keyed (or previously unkeyed) state: export every item whose new
-		// owner set is not exactly its current replica, then spread the
-		// exports round-robin per key across the owners. Items already in
-		// place never leave their replica.
-		payloads := make([]*mop.StatePayload, n)
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
-				return err
-			}
-			pl, err := reg.Export(ref.OpID, side, nd.Attr, func(key int64, _ int) bool {
-				owners := newPart.Owners(key, n)
-				return !(len(owners) == 1 && owners[0] == i)
-			})
-			if err != nil {
-				return err
-			}
-			payloads[i] = pl
+	case drop && t.nd.Dist == core.DistKeyed:
+		// Every replica holds an identical copy in identical store order,
+		// so each drops what the per-key round robin over the store
+		// ordinal gives another owner: no transfer at all.
+		keyAttr = t.nd.Attr
+		leaves = func(i int, key int64, ord int) bool {
+			owners := part.Owners(key, n)
+			return owners[ord%len(owners)] != i
 		}
-		merged := mop.MergePayloads(payloads)
-		if merged.Len() == 0 {
-			return nil
+	case drop:
+		// The copies collapse to shard 0's.
+		from = 1
+		leaves = func(int, int64, int) bool { return true }
+	case t.nd.Dist == core.DistKeyed:
+		// Items already in place never leave their replica.
+		keyAttr = t.nd.Attr
+		leaves = func(i int, key int64, _ int) bool { return !inPlace(part, key, n, i) }
+	default:
+		// Partitioned state becomes replicated: everything leaves.
+		leaves = func(int, int64, int) bool { return true }
+	}
+	srcs := make([]*mop.StatePayload, n)
+	for i := from; i < n; i++ {
+		if err := faultpoint.Error("shard.rebalance.export"); err != nil {
+			return err
 		}
+		pl, err := regs[i].Export(t.ref.OpID, t.side, keyAttr, func(key int64, ord int) bool { return leaves(i, key, ord) })
+		if err != nil {
+			return err
+		}
+		srcs[i] = pl
+	}
+	if drop {
+		for _, pl := range srcs {
+			st.Dropped += pl.Len()
+		}
+		*discards = append(*discards, srcs...)
+		return nil
+	}
+	moved, err := place(t.ref.OpID, t.nd, part, srcs, nil, dst)
+	st.Moved += moved
+	if t.nd.Dist == core.DistReplicated {
+		*discards = append(*discards, srcs...) // imported by copy everywhere
+	}
+	return err
+}
+
+// place puts the items leaving each source on the destination registries
+// by the placement rule of the package doc, for one group side whose
+// distribution under part is d, and returns the number of items imported:
+// keyed and multicast items merge in timestamp order and spread
+// round-robin per key over part.Owners(key, len(dst)); replicated items
+// merge and go by copy to every destination, so the sources stay the
+// caller's to discard; unpartitioned items of source i go to
+// dst[home(i)].
+func place(opID int, d core.SideDist, part *core.PartitionPlan, srcs []*mop.StatePayload, home func(src int) int, dst []Registry) (int, error) {
+	n := len(dst)
+	parts, to, copied := srcs, home, false
+	self := func(i int) int { return i }
+	switch d.Dist {
+	case core.DistKeyed, core.DistMulticast:
 		rr := make(map[int64]int)
-		parts := merged.SplitBy(n, func(key int64) int {
-			owners := newPart.Owners(key, n)
+		parts = mop.MergePayloads(srcs).SplitBy(n, func(key int64) int {
+			owners := part.Owners(key, n)
 			k := rr[key]
 			rr[key] = k + 1
 			return owners[k%len(owners)]
 		})
-		for i, pl := range parts {
-			if pl.Len() == 0 {
-				continue
-			}
-			if err := faultpoint.Error("shard.rebalance.import"); err != nil {
-				return err
-			}
-			if err := regs[i].Import(ref.OpID, pl, false); err != nil {
-				return err
-			}
-			st.Moved += pl.Len()
-		}
-	case nd.Dist == core.DistKeyed && od.Dist == core.DistReplicated:
-		// Replicated state becomes keyed: every replica holds an identical
-		// copy in identical store order, so each keeps exactly the items
-		// the new placement assigns to it (per-key round-robin over the
-		// store ordinal) and drops the rest — no transfer at all.
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
-				return err
-			}
-			pl, err := reg.Export(ref.OpID, side, nd.Attr, func(key int64, ord int) bool {
-				owners := newPart.Owners(key, n)
-				return owners[ord%len(owners)] != i
-			})
-			if err != nil {
-				return err
-			}
-			st.Dropped += pl.Len()
-			*discards = append(*discards, pl)
-		}
-	case nd.Dist == core.DistReplicated && od.Dist != core.DistReplicated:
-		// Partitioned state becomes replicated: collect everything (key
-		// extraction skipped: keyAttr -1) and import a copy into every
-		// replica (pool-owned state is cloned).
-		payloads := make([]*mop.StatePayload, n)
-		for i, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.export"); err != nil {
-				return err
-			}
-			pl, err := reg.Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			payloads[i] = pl
-		}
-		merged := mop.MergePayloads(payloads)
-		if merged.Len() == 0 {
-			return nil
-		}
-		for _, reg := range regs {
-			if err := faultpoint.Error("shard.rebalance.import"); err != nil {
-				return err
-			}
-			if err := reg.Import(ref.OpID, merged, true); err != nil {
-				return err
-			}
-			st.Moved += merged.Len()
-		}
-		*discards = append(*discards, merged)
-	case nd.Dist == core.DistAny && od.Dist == core.DistReplicated:
-		// Replicated copies must collapse to one: keep shard 0's.
-		for i := 1; i < n; i++ {
-			pl, err := regs[i].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-			if err != nil {
-				return err
-			}
-			st.Dropped += pl.Len()
-			*discards = append(*discards, pl)
-		}
-	default:
-		// keyed→any, any→any, replicated→replicated, multicast sides:
-		// existing placement stays valid; nothing moves.
+		to = self
+	case core.DistReplicated:
+		parts, to, copied = slices.Repeat([]*mop.StatePayload{mop.MergePayloads(srcs)}, n), self, true
 	}
-	return nil
+	moved := 0
+	for i, pl := range parts {
+		if pl.Len() == 0 {
+			continue
+		}
+		if err := dst[to(i)].Import(opID, pl, copied); err != nil {
+			return moved, fmt.Errorf("importing operator %d state on shard %d: %w", opID, to(i), err)
+		}
+		moved += pl.Len()
+	}
+	return moved, nil
+}
+
+// inPlace reports whether key's owner set under part across n shards is
+// exactly shard i.
+func inPlace(part *core.PartitionPlan, key int64, n, i int) bool {
+	owners := part.Owners(key, n)
+	return len(owners) == 1 && owners[0] == i
+}
+
+// exportAll selects every stored item.
+func exportAll(int64, int) bool { return true }
+
+// peek exports every item of one group side and re-imports it in place:
+// the store keeps its items (compaction drops only tombstones, which
+// carry no state) and the payload survives, aliasing them. A failed
+// export returns no payload; a failed re-import returns the payload with
+// the error, its items then out of the store.
+func peek(reg Registry, opID, side, keyAttr int) (*mop.StatePayload, error) {
+	pl, err := reg.Export(opID, side, keyAttr, exportAll)
+	if err != nil {
+		return nil, err
+	}
+	if pl.Len() > 0 {
+		err = reg.Import(opID, pl, false)
+	}
+	return pl, err
 }
 
 // planMovesLocked builds a balanced key-placement overlay from the keyed
@@ -401,7 +395,7 @@ func (e *Engine) planMovesLocked(regs []Registry, dists map[int][]core.SideDist)
 	for _, reg := range regs {
 		for _, ref := range reg.Groups() {
 			for _, side := range ref.Sides {
-				d := sideDistOf(dists, ref.OpID, side)
+				d := core.SideDistAt(dists, ref.OpID, side)
 				if d.Dist != core.DistKeyed {
 					continue
 				}

@@ -16,14 +16,15 @@ package shard
 //     per-shard, post-routing);
 //  3. fold every replica's result counters (including the caught-up
 //     corpse) into the engine's base table;
-//  4. migrate the corpse's operator state to the survivors through the
-//     rebalance transition matrix, with keyed sides fully re-hashed over
-//     the survivor count; every migrated payload travels through the wire
+//  4. migrate the corpse's operator state to the survivors by the
+//     package's placement rule, with keyed sides fully re-hashed over the
+//     survivor count; every migrated payload travels through the wire
 //     codec (encode → decode), exercising the same serialized transport a
 //     cross-process recovery would use;
 //  5. shrink the runtime to the survivors, drop the key-placement overlay
 //     (its shard indices are meaningless after the shrink), bump the
-//     routing-table version, and resume ingestion.
+//     routing-table version, and resume ingestion. A single in-process
+//     survivor then runs inline, as an engine built with one shard does.
 //
 // Frozen counts of removed queries are untouched: they were captured at
 // earlier barriers and never re-derived from replica counters.
@@ -31,6 +32,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -150,21 +152,26 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	for _, rec := range e.wal[dead] {
 		e.recycleBatch(rec)
 	}
-	drop := func(i int) {
-		e.workers = append(e.workers[:i], e.workers[i+1:]...)
-		e.pending = append(e.pending[:i], e.pending[i+1:]...)
-		e.pendingRows = append(e.pendingRows[:i], e.pendingRows[i+1:]...)
-		e.wal = append(e.wal[:i], e.wal[i+1:]...)
-		e.walSeq = append(e.walSeq[:i], e.walSeq[i+1:]...)
-		e.sent = append(e.sent[:i], e.sent[i+1:]...)
-		e.dead = append(e.dead[:i], e.dead[i+1:]...)
-	}
-	drop(dead)
+	e.workers = slices.Delete(e.workers, dead, dead+1)
+	e.pending = slices.Delete(e.pending, dead, dead+1)
+	e.pendingRows = slices.Delete(e.pendingRows, dead, dead+1)
+	e.wal = slices.Delete(e.wal, dead, dead+1)
+	e.walSeq = slices.Delete(e.walSeq, dead, dead+1)
+	e.sent = slices.Delete(e.sent, dead, dead+1)
+	e.dead = slices.Delete(e.dead, dead, dead+1)
 	e.numDead--
 	w.rep.close(true)
 	for i, sw := range e.workers {
 		sw.idx = i
 		sw.rep.setIdx(i)
+	}
+	if sw := e.workers[0]; len(e.workers) == 1 && sw.rep.localEngine() != nil {
+		// Quiescent: the worker exits on its empty queue, and the survivor
+		// has acknowledged every WAL batch, so pruning empties the WAL.
+		sw.close()
+		<-sw.done
+		e.pruneWAL(0)
+		e.inline = sw.rep.localEngine()
 	}
 	e.cfg.Shards = len(e.workers)
 	e.statsMu.Lock()
@@ -172,7 +179,8 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(newPart)
 	// Re-wire result callbacks: the replicated-sink gate is keyed on the
-	// worker index, which just shifted for shards past the dead one.
+	// worker index, which just shifted for shards past the dead one, and
+	// an inline survivor calls the user callback directly.
 	e.wireCallbacks()
 	st.Shards = len(e.workers)
 	st.Version = newPart.RoutingVersion()
@@ -188,114 +196,59 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 }
 
 // migrateForRecovery moves the dead replica's state to the survivors and
-// re-hashes keyed sides over the survivor count. Unlike a same-count
-// rebalance there is no rollback: the failure mode it would protect
-// against (a half-moved store) is indistinguishable from the crash being
-// recovered, and the caller falls back to checkpoint restore. Called with
-// mu held.
+// re-hashes keyed sides over the survivor count: the dead replica's items
+// all leave, a survivor's keyed items leave unless they are in place, and
+// each travels through the wire codec before place imports it. Unlike a
+// same-count rebalance there is no rollback: the failure mode it would
+// protect against (a half-moved store) is indistinguishable from the crash
+// being recovered, and the caller falls back to checkpoint restore. Called
+// with mu held.
 //
 //rumor:holdslock
 func (e *Engine) migrateForRecovery(dead int, newPart *core.PartitionPlan, st *RecoverStats) error {
-	n := len(e.workers)
-	n2 := n - 1
-	newIdx := func(i int) int {
-		switch {
-		case i == dead:
-			return -1
-		case i > dead:
-			return i - 1
-		default:
-			return i
-		}
-	}
-	oldIdx := func(ni int) int {
-		if ni >= dead {
-			return ni + 1
-		}
-		return ni
-	}
 	regs := e.registriesLocked()
+	survivors := slices.Delete(slices.Clone(regs), dead, dead+1)
+	firstSurvivor := func(int) int { return 0 }
 	dists := newPart.OpSideDists(e.plan)
 	for _, ref := range regs[0].Groups() {
 		for _, side := range ref.Sides {
-			d := sideDistOf(dists, ref.OpID, side)
-			switch d.Dist {
-			case core.DistKeyed, core.DistMulticast:
-				// Key-placed state: the shard count changed, so every item
-				// re-hashes over n2 — the dead replica exports everything,
-				// survivors export what the new placement moves elsewhere.
-				payloads := make([]*mop.StatePayload, 0, n)
-				for i, reg := range regs {
-					ni := newIdx(i)
-					pl, err := reg.Export(ref.OpID, side, d.Attr, func(key int64, _ int) bool {
-						if ni < 0 {
-							return true
-						}
-						owners := newPart.Owners(key, n2)
-						return !(len(owners) == 1 && owners[0] == ni)
-					})
-					if err != nil {
-						return err
-					}
-					pl2, nbytes, err := reencodePayload(pl)
-					if err != nil {
-						return err
-					}
-					st.Bytes += nbytes
-					payloads = append(payloads, pl2)
+			d := core.SideDistAt(dists, ref.OpID, side)
+			keyAttr := -1
+			if d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
+				keyAttr = d.Attr
+			}
+			srcs := make([]*mop.StatePayload, len(regs))
+			for i, reg := range regs {
+				if i != dead && keyAttr < 0 {
+					continue // only key-placed state leaves a survivor
 				}
-				merged := mop.MergePayloads(payloads)
-				if merged.Len() == 0 {
-					continue
+				ni := i // i's index among the survivors
+				if i > dead {
+					ni--
 				}
-				rr := make(map[int64]int)
-				parts := merged.SplitBy(n2, func(key int64) int {
-					owners := newPart.Owners(key, n2)
-					k := rr[key]
-					rr[key] = k + 1
-					return owners[k%len(owners)]
+				pl, err := reg.Export(ref.OpID, side, keyAttr, func(key int64, _ int) bool {
+					return i == dead || !inPlace(newPart, key, len(survivors), ni)
 				})
-				for ni, pl := range parts {
-					if pl.Len() == 0 {
-						continue
-					}
-					if err := regs[oldIdx(ni)].Import(ref.OpID, pl, false); err != nil {
-						return err
-					}
-					st.Moved += pl.Len()
-				}
-			case core.DistReplicated:
-				// Every survivor already holds a full copy; the dead
-				// replica's copy dies with it.
-				pl, err := regs[dead].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
 				if err != nil {
 					return err
 				}
-				st.Dropped += pl.Len()
-				pl.Discard()
-			default:
-				// Unpartitioned (DistAny) state: the dead replica's items
-				// move, through the wire codec, to the first survivor.
-				pl, err := regs[dead].Export(ref.OpID, side, -1, func(int64, int) bool { return true })
-				if err != nil {
-					return err
-				}
-				if pl.Len() == 0 {
+				if d.Dist == core.DistReplicated {
+					// Every survivor already holds a full copy; the dead
+					// replica's copy dies with it.
+					st.Dropped += pl.Len()
+					pl.Discard()
 					continue
 				}
-				pl2, nbytes, err := reencodePayload(pl)
-				if err != nil {
+				var nbytes int
+				if srcs[i], nbytes, err = reencodePayload(pl); err != nil {
 					return err
 				}
 				st.Bytes += nbytes
-				target := 0
-				if dead == 0 {
-					target = 1
-				}
-				if err := regs[target].Import(ref.OpID, pl2, false); err != nil {
-					return err
-				}
-				st.Moved += pl2.Len()
+			}
+			moved, err := place(ref.OpID, d, newPart, srcs, firstSurvivor, survivors)
+			st.Moved += moved
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultpoint"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -181,6 +183,46 @@ func TestRecoverOnlyShardRefused(t *testing.T) {
 	if _, err := sh.RecoverShard(); err == nil {
 		t.Fatal("recovering the only shard succeeded")
 	}
+}
+
+// A recovery down to one in-process replica leaves an inline engine, as
+// New builds at one shard: no worker goroutine, results out before Push
+// returns, and the counts of an unfaulted single-engine run.
+func TestRecoverToOneShardRunsInline(t *testing.T) {
+	defer faultpoint.Reset()
+	catalog, qs, events := tortureWorkload(t, "w2")
+	ref, sh := buildPair(t, catalog, qs, false, 2)
+	defer sh.Close()
+	mid := len(events) / 2
+	for _, ev := range events[:mid] {
+		pushBoth(t, ref, sh, ev)
+	}
+	faultpoint.Arm("shard.drain.ack", 1)
+	if err := sh.Drain(); !errors.Is(err, ErrShardDead) {
+		t.Fatalf("drain with a killed worker: %v, want ErrShardDead", err)
+	}
+	st, err := sh.RecoverShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards != 1 || !sh.Inline() {
+		t.Fatalf("recovered to %d shards, inline %v; want 1 shard, inline", st.Shards, sh.Inline())
+	}
+	select {
+	case <-sh.workers[0].done:
+	default:
+		t.Fatal("the survivor's worker goroutine is still running")
+	}
+	var calls atomic.Int64
+	sh.OnResult(func(int, *stream.Tuple) { calls.Add(1) })
+	base := ref.TotalResults()
+	for _, ev := range events[mid:] {
+		pushBoth(t, ref, sh, ev)
+		if got, want := calls.Load(), ref.TotalResults()-base; got != want {
+			t.Fatalf("%d results delivered when Push returned, want %d", got, want)
+		}
+	}
+	compareCounts(t, ref, sh, qs, "recovered to one inline shard, before any Drain")
 }
 
 func TestRecoverNoDeadWorker(t *testing.T) {
