@@ -423,7 +423,6 @@ func (c *Client) dialOnce(resume bool) (*transport.Conn, *helloAck, error) {
 			return nil, nil, fmt.Errorf("%w: worker protocol %d, client speaks %d",
 				ErrBadHandshake, ack.Proto, ProtoVersion)
 		}
-		conn.SetDeadline(time.Time{})
 		return conn, ack, nil
 	}
 }
@@ -514,6 +513,8 @@ func (c *Client) callWith(op byte, body func(*wire.Buffer)) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Every I/O path sets a fresh deadline first, so none is cleared
+		// after: on net.Pipe each set or clear allocates.
 		conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		if err := conn.WriteSealed(frame); err != nil {
 			c.noteFailure(err)
@@ -524,7 +525,6 @@ func (c *Client) callWith(op byte, body func(*wire.Buffer)) ([]byte, error) {
 			c.noteFailure(err)
 			continue
 		}
-		conn.SetDeadline(time.Time{})
 		if werr != nil {
 			// An application-level error from the worker: the call executed
 			// and failed deterministically; retrying would not help.
@@ -627,7 +627,6 @@ func (c *Client) probe() {
 			// turnaround, which is a frame echo — negligible).
 			c.rttNS.Store(time.Since(start).Nanoseconds())
 			c.hbOK.Add(1)
-			conn.SetDeadline(time.Time{})
 			return
 		}
 	}

@@ -360,6 +360,55 @@ func TestClientRetryAcrossSevers(t *testing.T) {
 	}
 }
 
+// deadlineConn counts the deadlines set on and cleared from a link.
+type deadlineConn struct {
+	net.Conn
+	sets, clears *atomic.Int64
+}
+
+func (c deadlineConn) SetDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.clears.Add(1)
+	} else {
+		c.sets.Add(1)
+	}
+	return c.Conn.SetDeadline(t)
+}
+
+// A Replay sets one fresh deadline and clears none: every I/O path (call,
+// probe, handshake, Shutdown) sets its own first, and on net.Pipe each set
+// or clear allocates.
+func TestReplaySetsOneDeadline(t *testing.T) {
+	w := buildWorkload(t)
+	lis := startWorker(t)
+	var sets, clears atomic.Int64
+	c, err := Dial(Config{
+		Dial: func() (net.Conn, error) {
+			nc, err := lis.Dial()
+			if err != nil {
+				return nil, err
+			}
+			return deadlineConn{Conn: nc, sets: &sets, clears: &clears}, nil
+		},
+		ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
+		CallTimeout: 2 * time.Second, HeartbeatInterval: -1,
+	}, w.srcNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := sets.Load()
+	if err := c.Replay(1, w.batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := sets.Load() - before; got != 1 {
+		t.Fatalf("a Replay set %d deadlines, want 1", got)
+	}
+	if got := clears.Load(); got != 0 {
+		t.Fatalf("%d deadlines cleared after the handshake and a Replay, want 0", got)
+	}
+}
+
 // TestHandshakeRejected: a shard-layout mismatch is a typed terminal
 // error, and the worker survives to accept a correct client afterwards.
 func TestHandshakeRejected(t *testing.T) {
