@@ -115,16 +115,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{PoolOwn, NoAlloc, AtomicField, LockedCall, WireCase, ErrClose}
 }
 
-// ByName resolves a registered analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Directives
 // ---------------------------------------------------------------------------

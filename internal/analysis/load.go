@@ -86,23 +86,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// ExportMap resolves patterns (and all their dependencies) to an
-// importPath → export-data-file map, for type-checking source against
-// compiled dependencies.
-func ExportMap(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
 // typeCheck parses and type-checks one package's files. goVersion may be
 // empty (language defaults) or a "go1.N" string from the vet config.
 func typeCheck(fset *token.FileSet, importPath, goVersion string, filenames []string, imp types.Importer) ([]*ast.File, *types.Package, *types.Info, error) {

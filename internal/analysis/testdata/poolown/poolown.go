@@ -22,7 +22,7 @@ func useAfterPut() {
 func blockUseAfterPut() int {
 	b := bp.Get(4, 2)
 	bp.Put(b)
-	return b.Len() // want "used after it was released"
+	return b.SelCount() // want "used after it was released"
 }
 
 func conditionalReleaseOK(flag bool) int64 {

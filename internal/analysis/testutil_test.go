@@ -53,7 +53,14 @@ func moduleRoot(t *testing.T) string {
 func repoExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
-		exportsMap, exportsErr = ExportMap(moduleRoot(t), "./...")
+		var pkgs []listedPkg
+		pkgs, exportsErr = goList(moduleRoot(t), []string{"./..."})
+		exportsMap = make(map[string]string, len(pkgs))
+		for _, p := range pkgs {
+			if p.Export != "" {
+				exportsMap[p.ImportPath] = p.Export
+			}
+		}
 	})
 	if exportsErr != nil {
 		t.Fatalf("building export map: %v", exportsErr)

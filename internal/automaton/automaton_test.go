@@ -132,10 +132,6 @@ func TestPrefixStateMerging(t *testing.T) {
 	if e.TotalResults() != 2 {
 		t.Fatalf("total = %d", e.TotalResults())
 	}
-	e.ResetCounts()
-	if e.TotalResults() != 0 {
-		t.Fatal("ResetCounts failed")
-	}
 	if e.ResultCount(-1) != 0 || e.ResultCount(99) != 0 {
 		t.Fatal("out-of-range query IDs should count 0")
 	}

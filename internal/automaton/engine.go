@@ -477,13 +477,6 @@ func (e *Engine) TotalResults() int64 {
 	return n
 }
 
-// ResetCounts clears result counters (for warm-up passes).
-func (e *Engine) ResetCounts() {
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-}
-
 // Stats summarizes the forest for tests and diagnostics.
 type Stats struct {
 	Queries    int

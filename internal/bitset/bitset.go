@@ -159,31 +159,6 @@ func (s *Set) ensure(i int) {
 	}
 }
 
-// Grow widens the set in place so that bits 0..n-1 are addressable without
-// further allocation, preserving the current contents. Growing an inline
-// set past 64 bits moves it to spill storage; every reader keeps seeing
-// the same bits (missing high words read as zero both before and after).
-// This is the explicit form of the widening contract live channel growth
-// rests on implicitly — memberships held by running operators stay valid
-// while the channel they index grows past the inline word, because narrow
-// and widened sets interoperate bit-for-bit (pinned by the property tests
-// in widen_test.go). Interned singletons (see Singleton) must be Cloned
-// before growing.
-func (s *Set) Grow(n int) {
-	if n > 0 {
-		s.ensure(n - 1)
-	}
-}
-
-// Words returns the number of addressable 64-bit words currently backing
-// the set (1 for inline sets).
-func (s *Set) Words() int {
-	if s == nil || s.spill == nil {
-		return 1
-	}
-	return len(s.spill)
-}
-
 // Set sets bit i. Panics if i is negative.
 func (s *Set) Set(i int) {
 	if i < 0 {
@@ -195,23 +170,6 @@ func (s *Set) Set(i int) {
 	}
 	s.ensure(i)
 	s.spill[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
-// Clear clears bit i. Clearing a bit beyond the current capacity is a no-op.
-func (s *Set) Clear(i int) {
-	if i < 0 {
-		return
-	}
-	if s.spill == nil {
-		if i < wordBits {
-			s.word &^= 1 << uint(i)
-		}
-		return
-	}
-	if i/wordBits >= len(s.spill) {
-		return
-	}
-	s.spill[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Test reports whether bit i is set.
@@ -279,102 +237,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CopyFrom overwrites s with the contents of o.
-func (s *Set) CopyFrom(o *Set) {
-	if o == nil || o.spill == nil {
-		s.spill = nil
-		s.word = 0
-		if o != nil {
-			s.word = o.word
-		}
-		return
-	}
-	if s.spill == nil || cap(s.spill) < len(o.spill) {
-		s.spill = make([]uint64, len(o.spill))
-	} else {
-		s.spill = s.spill[:len(o.spill)]
-	}
-	copy(s.spill, o.spill)
-}
-
-// Reset clears all bits, keeping capacity.
-func (s *Set) Reset() {
-	s.word = 0
-	for i := range s.spill {
-		s.spill[i] = 0
-	}
-}
-
-// Union sets s = s ∪ o.
-func (s *Set) Union(o *Set) {
-	if o == nil {
-		return
-	}
-	if o.spill == nil {
-		if s.spill == nil {
-			s.word |= o.word
-		} else {
-			s.spill[0] |= o.word
-		}
-		return
-	}
-	if s.spill == nil {
-		s.toSpill(len(o.spill))
-	} else if len(o.spill) > len(s.spill) {
-		nw := make([]uint64, len(o.spill))
-		copy(nw, s.spill)
-		s.spill = nw
-	}
-	for i, w := range o.spill {
-		s.spill[i] |= w
-	}
-}
-
-// Intersect sets s = s ∩ o.
-func (s *Set) Intersect(o *Set) {
-	if o == nil {
-		s.Reset()
-		return
-	}
-	var scratch [1]uint64
-	ow := o.view(&scratch)
-	if s.spill == nil {
-		if len(ow) > 0 {
-			s.word &= ow[0]
-		} else {
-			s.word = 0
-		}
-		return
-	}
-	for i := range s.spill {
-		if i < len(ow) {
-			s.spill[i] &= ow[i]
-		} else {
-			s.spill[i] = 0
-		}
-	}
-}
-
-// Difference sets s = s \ o.
-func (s *Set) Difference(o *Set) {
-	if o == nil {
-		return
-	}
-	var scratch [1]uint64
-	ow := o.view(&scratch)
-	if s.spill == nil {
-		if len(ow) > 0 {
-			s.word &^= ow[0]
-		}
-		return
-	}
-	for i := range s.spill {
-		if i < len(ow) {
-			s.spill[i] &^= ow[i]
-		}
-	}
-}
-
 // Intersects reports whether s ∩ o is non-empty, without allocating.
 //
 //rumor:noalloc
@@ -397,58 +259,6 @@ func (s *Set) Intersects(o *Set) bool {
 		}
 	}
 	return false
-}
-
-// Equal reports whether s and o contain exactly the same bits.
-//
-//rumor:noalloc
-func (s *Set) Equal(o *Set) bool {
-	if s != nil && o != nil && s.spill == nil && o.spill == nil {
-		return s.word == o.word
-	}
-	var ss, os [1]uint64
-	sw, ow := s.view(&ss), o.view(&os)
-	n := len(sw)
-	if len(ow) > n {
-		n = len(ow)
-	}
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(sw) {
-			a = sw[i]
-		}
-		if i < len(ow) {
-			b = ow[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every bit of s is also set in o.
-//
-//rumor:noalloc
-func (s *Set) SubsetOf(o *Set) bool {
-	if s == nil {
-		return true
-	}
-	var ss, os [1]uint64
-	sw := s.view(&ss)
-	var ow []uint64
-	if o != nil {
-		ow = o.view(&os)
-	}
-	for i, w := range sw {
-		if w == 0 {
-			continue
-		}
-		if i >= len(ow) || w&^ow[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls fn for every set bit in ascending order. It stops early if
@@ -482,9 +292,10 @@ func (s *Set) Indices() []int {
 	return out
 }
 
-// AppendKey appends the set's canonical key (see Key) to b and returns the
-// extended slice, letting hot paths build map keys in a reused scratch
-// buffer without the intermediate string allocation.
+// AppendKey appends the set's canonical key to b and returns the extended
+// slice, letting hot paths build map keys in a reused scratch buffer.
+// Trailing zero words do not affect the key, and inline vs. spilled
+// storage is indistinguishable.
 func (s *Set) AppendKey(b []byte) []byte {
 	if s == nil {
 		return b
@@ -502,20 +313,6 @@ func (s *Set) AppendKey(b []byte) []byte {
 		b = strconv.AppendUint(b, words[i], 16)
 	}
 	return b
-}
-
-// Key returns a canonical string key for the set's contents, usable as a
-// map key (e.g. for fragment-keyed shared aggregation). Trailing zero words
-// do not affect the key, and inline vs. spilled storage is indistinguishable.
-func (s *Set) Key() string {
-	if s == nil {
-		return ""
-	}
-	if s.spill == nil && s.word == 0 {
-		return ""
-	}
-	var buf [24]byte
-	return string(s.AppendKey(buf[:0]))
 }
 
 // String renders the set like "{1,4,9}".

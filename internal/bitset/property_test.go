@@ -10,37 +10,8 @@ import (
 type refSet map[int]bool
 
 func (r refSet) set(i int)       { r[i] = true }
-func (r refSet) clear(i int)     { delete(r, i) }
 func (r refSet) test(i int) bool { return r[i] }
 func (r refSet) count() int      { return len(r) }
-
-func (r refSet) union(o refSet) {
-	for i := range o {
-		r[i] = true
-	}
-}
-
-func (r refSet) intersect(o refSet) {
-	for i := range r {
-		if !o[i] {
-			delete(r, i)
-		}
-	}
-}
-
-func (r refSet) difference(o refSet) {
-	for i := range o {
-		delete(r, i)
-	}
-}
-
-func (r refSet) clone() refSet {
-	c := make(refSet, len(r))
-	for i := range r {
-		c[i] = true
-	}
-	return c
-}
 
 // checkAgainst verifies every read operation of s against the reference.
 func checkAgainst(t *testing.T, step int, s *Set, r refSet, maxBit int) {
@@ -87,43 +58,17 @@ func TestPropertyInlineVsReference(t *testing.T) {
 			case 0, 1, 2:
 				s.Set(bit)
 				r.set(bit)
-			case 3:
-				s.Clear(bit)
-				r.clear(bit)
 			case 4:
 				o.Set(bit)
 				or.set(bit)
-			case 5:
-				s.Union(o)
-				r.union(or)
-			case 6:
-				s.Intersect(o)
-				r.intersect(or)
-			case 7:
-				s.Difference(o)
-				r.difference(or)
 			case 8:
 				c := s.Clone()
-				if !c.Equal(s) || c.Key() != s.Key() {
+				if key(c) != key(s) {
 					t.Fatalf("step %d: clone differs: %s vs %s", step, c, s)
 				}
 				c.Set(maxBit) // mutating the clone must not touch s
 				if s.Test(maxBit) != r.test(maxBit) {
 					t.Fatalf("step %d: clone mutation leaked into original", step)
-				}
-			case 9:
-				s.CopyFrom(o)
-				r = or.clone()
-			case 10:
-				want := true
-				for i := range r {
-					if !or.test(i) {
-						want = false
-						break
-					}
-				}
-				if got := s.SubsetOf(o); got != want {
-					t.Fatalf("step %d: SubsetOf=%v want %v (%s vs %s)", step, got, want, s, o)
 				}
 			case 11:
 				want := false
@@ -142,11 +87,8 @@ func TestPropertyInlineVsReference(t *testing.T) {
 				// Key canonicality: FromIndices over the reference must
 				// produce the same key regardless of storage form.
 				ref := FromIndices(r.keys()...)
-				if ref.Key() != s.Key() {
-					t.Fatalf("step %d: Key %q != canonical %q", step, s.Key(), ref.Key())
-				}
-				if !ref.Equal(s) || !s.Equal(ref) {
-					t.Fatalf("step %d: Equal asymmetry vs canonical form", step)
+				if key(ref) != key(s) {
+					t.Fatalf("step %d: Key %q != canonical %q", step, key(s), key(ref))
 				}
 			}
 			if step%501 == 500 {

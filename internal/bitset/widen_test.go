@@ -20,12 +20,9 @@ func TestGrowPreservesContent(t *testing.T) {
 		}
 		s := FromIndices(idx...)
 		ref := s.Clone()
-		s.Grow(65 + rng.Intn(512))
-		if s.Words() < 2 {
-			t.Fatalf("Grow did not widen: %d words", s.Words())
-		}
-		if !s.Equal(ref) || !ref.Equal(s) {
-			t.Fatalf("widened set differs: %s vs %s", s, ref)
+		s.ensure(64 + rng.Intn(512))
+		if len(s.spill) < 2 {
+			t.Fatalf("ensure did not widen: %d words", len(s.spill))
 		}
 		for i := 0; i < 128; i++ {
 			if s.Test(i) != ref.Test(i) {
@@ -35,8 +32,8 @@ func TestGrowPreservesContent(t *testing.T) {
 		if s.Count() != ref.Count() {
 			t.Fatalf("count differs after Grow: %d vs %d", s.Count(), ref.Count())
 		}
-		if s.Key() != ref.Key() {
-			t.Fatalf("key differs after Grow: %q vs %q", s.Key(), ref.Key())
+		if key(s) != key(ref) {
+			t.Fatalf("key differs after Grow: %q vs %q", key(s), key(ref))
 		}
 	}
 }
@@ -47,7 +44,6 @@ func TestGrowPreservesContent(t *testing.T) {
 func TestGrowThenSetHighBits(t *testing.T) {
 	s := FromIndices(3, 17, 63)
 	narrow := s.Clone()
-	s.Grow(130)
 	s.Set(64)
 	s.Set(129)
 	if !s.Test(3) || !s.Test(63) || !s.Test(64) || !s.Test(129) {
@@ -59,12 +55,6 @@ func TestGrowThenSetHighBits(t *testing.T) {
 	// Narrow readers: missing high words read as zero.
 	if narrow.Test(64) || narrow.Test(129) {
 		t.Fatal("inline clone sees high bits it never set")
-	}
-	if !narrow.SubsetOf(s) {
-		t.Fatal("inline clone should be a subset of the widened set")
-	}
-	if s.SubsetOf(narrow) {
-		t.Fatal("widened set must not be a subset of the inline clone")
 	}
 	if !s.Intersects(narrow) || !narrow.Intersects(s) {
 		t.Fatal("widened and inline sets must intersect on shared low bits")
@@ -85,15 +75,11 @@ func TestSingletonAgainstWideSets(t *testing.T) {
 		if one.Intersects(wide) != wantHit || wide.Intersects(one) != wantHit {
 			t.Fatalf("singleton %d vs wide intersection wrong", i)
 		}
-		if one.SubsetOf(wide) != wantHit {
-			t.Fatalf("singleton %d SubsetOf wide = %v", i, one.SubsetOf(wide))
-		}
 	}
 	// Union of a widened clone with a singleton's bits must not touch the
 	// interned set.
 	c := Singleton(9).Clone()
-	c.Grow(128)
-	c.Union(wide)
+	wide.ForEach(func(i int) bool { c.Set(i); return true })
 	if Singleton(9).Count() != 1 {
 		t.Fatal("interned singleton mutated via clone")
 	}

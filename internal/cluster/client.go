@@ -204,14 +204,6 @@ func Dial(cfg Config, srcNames []string) (*Client, error) {
 	return c, nil
 }
 
-// Down reports whether the worker is currently unreachable (the client is
-// still retrying). A lost worker is NOT down: DeadErr owns that state.
-func (c *Client) Down() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.down && c.deadErr == nil
-}
-
 // DeadErr returns the terminal error once the worker has been declared
 // lost, nil while it is healthy or merely unreachable.
 func (c *Client) DeadErr() error {
@@ -546,6 +538,7 @@ func (e *workerError) Error() string {
 	return fmt.Sprintf("cluster: worker shard %d: %s", e.shard, e.msg)
 }
 
+//rumor:allow deadexport errors.Is calls it through an unnamed interface
 func (e *workerError) Is(target error) bool { return e.corrupt && target == wire.ErrCorrupt }
 
 // awaitReply reads frames until the reply matching callID arrives,

@@ -473,9 +473,6 @@ func TestWorkerRestartDeclaredLost(t *testing.T) {
 	if c.DeadErr() == nil {
 		t.Fatal("DeadErr is nil after worker loss")
 	}
-	if c.Down() {
-		t.Fatal("lost worker still reported as (transiently) down")
-	}
 }
 
 // TestFailTimeoutDeclaresLost: an outage that outlasts FailTimeout turns

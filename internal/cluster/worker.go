@@ -64,9 +64,6 @@ func (w *Worker) Serve(lis net.Listener) error {
 	}
 }
 
-// BootID returns the worker's boot identity (stable for the process life).
-func (w *Worker) BootID() int64 { return w.st.bootID }
-
 // Metrics snapshots the counters that are safe to read concurrently with
 // a live serving loop: the worker-level atomics (batches/entries applied,
 // dedup skips, reply-cache hits) plus the boot ID. Engine-level detail is

@@ -60,24 +60,6 @@ func TestDefKeys(t *testing.T) {
 	}
 }
 
-func TestKeyModuloLeftConstAndWindow(t *testing.T) {
-	mk := func(c int64, w int64) *Def {
-		return SeqDef(expr.NewAnd2(expr.Left{P: expr.ConstCmp{Attr: 1, Op: expr.Eq, C: c}}), w)
-	}
-	d1, d2 := mk(3, 10), mk(8, 99)
-	if d1.KeyModuloLeftConstAndWindow() != d2.KeyModuloLeftConstAndWindow() {
-		t.Fatal("left const and window must be abstracted")
-	}
-	d3 := SeqDef(expr.Duration{W: 4}, 10)
-	if d3.KeyModuloLeftConstAndWindow() != d3.KeyModuloWindow() {
-		t.Fatal("fallback should be KeyModuloWindow")
-	}
-	sel := SelectDef(expr.ConstCmp{Attr: 0, Op: expr.Eq, C: 1})
-	if sel.KeyModuloLeftConstAndWindow() != sel.KeyModuloWindow() {
-		t.Fatal("non-seq kinds fall back to KeyModuloWindow")
-	}
-}
-
 func TestLogicalValidate(t *testing.T) {
 	good := SelectL(expr.True{}, Scan("S"))
 	if err := good.Validate(); err != nil {
@@ -151,7 +133,7 @@ func TestSourcesShared(t *testing.T) {
 	if s == nil || len(p.Consumers(s)) != 3 {
 		t.Fatal("source stream must have 3 consumers")
 	}
-	if p.SourceNode("S") == nil {
+	if p.SourceStream("S").Producer.Node == nil {
 		t.Fatal("source node missing")
 	}
 }
@@ -231,7 +213,7 @@ func TestMergeNodesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := p.OutputOf(q.ID).Producer.Node
-	src := p.SourceNode("S")
+	src := p.SourceStream("S").Producer.Node
 	if _, err := p.MergeNodes(nil); err == nil {
 		t.Fatal("empty merge should error")
 	}
@@ -405,7 +387,15 @@ func TestProducerNode(t *testing.T) {
 	}
 	s1, s2 := p.OutputOf(q1.ID), p.OutputOf(q2.ID)
 	e1, _ := p.EdgeOf(s1)
-	if p.ProducerNode(e1) != s1.Producer.Node {
+	producedBy := func(e *Edge, n *Node) bool {
+		for _, s := range e.Streams {
+			if s.Producer == nil || s.Producer.Node != n {
+				return false
+			}
+		}
+		return true
+	}
+	if !producedBy(e1, s1.Producer.Node) {
 		t.Fatal("single-stream producer wrong")
 	}
 	// Merge the two select nodes, then channelize: producer is the merged node.
@@ -417,12 +407,12 @@ func TestProducerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ProducerNode(ch) != merged {
+	if !producedBy(ch, merged) {
 		t.Fatal("channel producer should be the merged node")
 	}
 	// Source edge: producer is the source node.
 	se, _ := p.EdgeOf(p.SourceStream("S"))
-	if p.ProducerNode(se) != p.SourceNode("S") {
+	if !producedBy(se, p.SourceStream("S").Producer.Node) {
 		t.Fatal("source edge producer should be source node")
 	}
 }
@@ -477,7 +467,7 @@ func TestDotExport(t *testing.T) {
 	if _, err := p.MergeNodes([]*Node{p.OutputOf(q1.ID).Producer.Node, p.OutputOf(q2.ID).Producer.Node}); err != nil {
 		t.Fatal(err)
 	}
-	srcs := []*Node{p.SourceNode("S1"), p.SourceNode("S2")}
+	srcs := []*Node{p.SourceStream("S1").Producer.Node, p.SourceStream("S2").Producer.Node}
 	if _, err := p.MergeNodes(srcs); err != nil {
 		t.Fatal(err)
 	}

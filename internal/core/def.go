@@ -185,54 +185,6 @@ func (d *Def) KeyModuloWindow() string {
 	return k[:strings.LastIndex(k, "|w=")]
 }
 
-// KeyModuloLeftConstAndWindow abstracts, for Seq/Mu, both any left-side
-// constant-equality conjunct and the window. Operators equal under this
-// key share an FR-style index over the left constants when merged.
-func (d *Def) KeyModuloLeftConstAndWindow() string {
-	if d.Kind != KindSeq && d.Kind != KindMu {
-		return d.KeyModuloWindow()
-	}
-	p := d.Pred2
-	attr, _, residual, ok := leftIndexableEq(p)
-	if !ok {
-		return d.KeyModuloWindow()
-	}
-	extra := ""
-	if d.Kind == KindMu {
-		extra = "/f:" + d.Filter2.Key()
-	}
-	return fmt.Sprintf("%s|l[%d]=?&%s%s", d.Kind, attr, residual.Key(), extra)
-}
-
-// leftIndexableEq finds a Left(ConstCmp Eq) conjunct in a binary predicate.
-func leftIndexableEq(p expr.Pred2) (attr int, c int64, residual expr.Pred2, ok bool) {
-	extract := func(part expr.Pred2) (int, int64, bool) {
-		lp, isL := part.(expr.Left)
-		if !isL {
-			return 0, 0, false
-		}
-		cc, isCC := lp.P.(expr.ConstCmp)
-		if !isCC || cc.Op != expr.Eq {
-			return 0, 0, false
-		}
-		return cc.Attr, cc.C, true
-	}
-	if a, cv, k := extract(p); k {
-		return a, cv, expr.True2{}, true
-	}
-	if q, isAnd := p.(expr.And2); isAnd {
-		for i, part := range q.Parts {
-			if a, cv, k := extract(part); k {
-				rest := make([]expr.Pred2, 0, len(q.Parts)-1)
-				rest = append(rest, q.Parts[:i]...)
-				rest = append(rest, q.Parts[i+1:]...)
-				return a, cv, expr.NewAnd2(rest...), true
-			}
-		}
-	}
-	return 0, 0, nil, false
-}
-
 // SelectDef builds a selection definition.
 func SelectDef(p expr.Pred) *Def { return &Def{Kind: KindSelect, Pred: p} }
 

@@ -94,33 +94,6 @@ func (d *Delta) Empty() bool {
 		len(d.NewQueries) == 0 && len(d.RemovedQueries) == 0)
 }
 
-// Merge folds o into d (o applied after d).
-func (d *Delta) Merge(o *Delta) {
-	if o == nil {
-		return
-	}
-	for id := range o.Dirty {
-		d.Dirty[id] = true
-	}
-	for id := range o.Removed {
-		delete(d.Dirty, id)
-		d.Removed[id] = true
-	}
-	for id := range o.NewEdges {
-		d.NewEdges[id] = true
-	}
-	for id := range o.RemovedEdges {
-		delete(d.NewEdges, id)
-		d.RemovedEdges[id] = true
-	}
-	for id := range o.NewStreams {
-		d.NewStreams[id] = true
-	}
-	d.Remaps = append(d.Remaps, o.Remaps...)
-	d.NewQueries = append(d.NewQueries, o.NewQueries...)
-	d.RemovedQueries = append(d.RemovedQueries, o.RemovedQueries...)
-}
-
 // String renders the delta for logs and tests.
 func (d *Delta) String() string {
 	ids := func(m map[int]bool) []int {
@@ -251,17 +224,6 @@ func (p *Physical) noteRemovedEdge(edgeID int) {
 // ---------------------------------------------------------------------------
 // Query removal
 // ---------------------------------------------------------------------------
-
-// QueryByName returns the registered query with the given name (nil if
-// absent).
-func (p *Physical) QueryByName(name string) *Query {
-	for _, q := range p.Queries {
-		if q.Name == name {
-			return q
-		}
-	}
-	return nil
-}
 
 // RemoveQuery removes query id from the plan: operators reachable only
 // from the removed query's output are deleted (their nodes shrink or

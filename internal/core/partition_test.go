@@ -31,7 +31,7 @@ func mustPlan(t *testing.T, cat map[string]SourceDecl, qs ...*Query) *Physical {
 func TestAnalyzePartitionStateless(t *testing.T) {
 	p := mustPlan(t, partCatalog("S"),
 		NewQuery("q0", SelectL(expr.ConstCmp{Attr: 0, Op: expr.Eq, C: 1}, Scan("S"))),
-		NewQuery("q1", ProjectL(expr.Identity(3), Scan("S"))),
+		NewQuery("q1", ProjectL(&expr.SchemaMap{Cols: []expr.Expr{expr.Col{I: 0}, expr.Col{I: 1}, expr.Col{I: 2}}}, Scan("S"))),
 	)
 	pp := AnalyzePartition(p)
 	if !pp.Parallel {

@@ -91,9 +91,8 @@ type Physical struct {
 
 	Queries []*Query
 
-	streamEdge  map[int]*Edge    // stream ID → carrying edge
-	consumersOf map[int][]*Op    // stream ID → consuming ops
-	sourceNode  map[string]*Node // source name → source node
+	streamEdge  map[int]*Edge // stream ID → carrying edge
+	consumersOf map[int][]*Op // stream ID → consuming ops
 	sourceRef   map[string]*StreamRef
 	outStream   map[int]*StreamRef // query ID → output stream
 	// outQueries is outStream's reverse: stream ID → the queries whose
@@ -119,7 +118,6 @@ func NewPhysical(catalog map[string]SourceDecl) *Physical {
 		Edges:        make(map[int]*Edge),
 		streamEdge:   make(map[int]*Edge),
 		consumersOf:  make(map[int][]*Op),
-		sourceNode:   make(map[string]*Node),
 		sourceRef:    make(map[string]*StreamRef),
 		outStream:    make(map[int]*StreamRef),
 		outQueries:   make(map[int][]int),
@@ -254,7 +252,6 @@ func (p *Physical) ensureSource(name string) *StreamRef {
 	op.Node = node
 	p.Nodes[node.ID] = node
 	p.noteDirty(node.ID)
-	p.sourceNode[name] = node
 	p.sourceRef[name] = s
 	p.addEdge(s)
 	return s
@@ -410,25 +407,6 @@ func (p *Physical) dropOutput(qid int) {
 // SourceStream returns the stream of the named source (nil if unused).
 func (p *Physical) SourceStream(name string) *StreamRef { return p.sourceRef[name] }
 
-// SourceNode returns the node of the named source (nil if unused).
-func (p *Physical) SourceNode(name string) *Node { return p.sourceNode[name] }
-
-// ProducerNode returns the node producing edge e (nil for mixed/invalid).
-func (p *Physical) ProducerNode(e *Edge) *Node {
-	var n *Node
-	for _, s := range e.Streams {
-		if s.Producer == nil {
-			return nil
-		}
-		if n == nil {
-			n = s.Producer.Node
-		} else if n != s.Producer.Node {
-			return nil
-		}
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Plan rewriting primitives (the vocabulary of m-rule actions)
 // ---------------------------------------------------------------------------
@@ -461,11 +439,6 @@ func (p *Physical) MergeNodes(nodes []*Node) (*Node, error) {
 	for _, n := range nodes {
 		delete(p.Nodes, n.ID)
 		p.noteRemovedNode(n.ID)
-		for name, sn := range p.sourceNode {
-			if sn == n {
-				p.sourceNode[name] = merged
-			}
-		}
 	}
 	for _, o := range ops {
 		o.Node = merged
@@ -481,6 +454,8 @@ func (p *Physical) MergeNodes(nodes []*Node) (*Node, error) {
 // output stream, query outputs are remapped, and the redundant ops are
 // removed from their nodes (empty nodes are deleted). Used by s; and sµ
 // (§4.3, prefix state merging) and to share identical aggregates (Fig 6).
+//
+//rumor:allow deadexport reference implementation: the one-group form of CollapseGroups the CSE tests drive
 func (p *Physical) CollapseOps(ops []*Op) (*Op, error) {
 	if err := p.CollapseGroups([][]*Op{ops}); err != nil {
 		return nil, err

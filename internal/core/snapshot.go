@@ -315,7 +315,6 @@ func RebuildPhysical(catalog map[string]SourceDecl, s *PlanSnapshot) (*Physical,
 			if o.Out == nil || o.Out.Source == "" {
 				continue
 			}
-			p.sourceNode[o.Out.Source] = n
 			p.sourceRef[o.Out.Source] = o.Out
 		}
 	}

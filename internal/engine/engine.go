@@ -1041,15 +1041,3 @@ func (e *Engine) SnapshotCounts() []int64 {
 	}
 	return out
 }
-
-// RestoreCounts overwrites the per-query result counters from a snapshot,
-// growing the counter table as needed (restore support).
-func (e *Engine) RestoreCounts(counts []int64) {
-	if len(counts) > len(e.base) {
-		e.base = append(e.base, make([]int64, len(counts)-len(e.base))...)
-		e.sinkOf = append(e.sinkOf, make([]*sink, len(counts)-len(e.sinkOf))...)
-	}
-	e.foldSinks()
-	clear(e.base)
-	copy(e.base, counts)
-}

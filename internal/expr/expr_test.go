@@ -279,22 +279,15 @@ func TestArithOps(t *testing.T) {
 }
 
 func TestIdentityMap(t *testing.T) {
-	m := Identity(3)
-	if !m.IsIdentity(3) || m.IsIdentity(2) {
-		t.Fatal("IsIdentity wrong")
-	}
+	m := &SchemaMap{Cols: []Expr{Col{0}, Col{1}, Col{2}}}
 	in := tup(4, 7, 8, 9)
 	out := m.Apply(in)
-	if !out.ContentEqual(in) {
-		t.Fatal("identity must copy content")
+	if !out.ContentEqual(in) || out == in {
+		t.Fatal("identity must copy content into a fresh tuple")
 	}
 	swapped := &SchemaMap{Cols: []Expr{Col{1}, Col{0}, Col{2}}}
-	if swapped.IsIdentity(3) {
-		t.Fatal("swap is not identity")
-	}
-	lit := &SchemaMap{Cols: []Expr{Lit{1}, Col{1}, Col{2}}}
-	if lit.IsIdentity(3) {
-		t.Fatal("literal column is not identity")
+	if got := swapped.Apply(in).Vals; got[0] != 8 || got[1] != 7 || got[2] != 9 {
+		t.Fatalf("swap = %v, want [8 7 9]", got)
 	}
 }
 

@@ -105,15 +105,6 @@ type SchemaMap struct {
 	Cols []Expr
 }
 
-// Identity returns the schema map that copies an n-attribute tuple.
-func Identity(n int) *SchemaMap {
-	m := &SchemaMap{Cols: make([]Expr, n)}
-	for i := range m.Cols {
-		m.Cols[i] = Col{I: i}
-	}
-	return m
-}
-
 // Apply evaluates the map on t, returning a fresh tuple with the same
 // timestamp and membership reference.
 func (m *SchemaMap) Apply(t *stream.Tuple) *stream.Tuple {
@@ -126,20 +117,6 @@ func (m *SchemaMap) Apply(t *stream.Tuple) *stream.Tuple {
 
 // Arity returns the number of output columns.
 func (m *SchemaMap) Arity() int { return len(m.Cols) }
-
-// IsIdentity reports whether the map copies an n-attribute tuple verbatim.
-func (m *SchemaMap) IsIdentity(n int) bool {
-	if len(m.Cols) != n {
-		return false
-	}
-	for i, e := range m.Cols {
-		c, ok := e.(Col)
-		if !ok || c.I != i {
-			return false
-		}
-	}
-	return true
-}
 
 // Key is the canonical definition key of the map. Column order matters.
 func (m *SchemaMap) Key() string {

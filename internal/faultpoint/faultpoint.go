@@ -13,7 +13,6 @@
 package faultpoint
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -43,6 +42,8 @@ var (
 
 // Arm schedules the named point to fire on its n-th hit (n >= 1) counted
 // from this call. The point fires exactly once, then disarms itself.
+//
+//rumor:allow deadexport test instrument: arms and reads fault points
 func Arm(name string, n int) {
 	if n < 1 {
 		n = 1
@@ -59,6 +60,8 @@ func Arm(name string, n int) {
 
 // Reset disarms every point and clears hit counters, returning the package
 // to its zero-cost disabled state. Tests call it between torture cases.
+//
+//rumor:allow deadexport test instrument: arms and reads fault points
 func Reset() {
 	mu.Lock()
 	armed = nil
@@ -69,6 +72,8 @@ func Reset() {
 
 // Hits reports how many times the named point was reached since the last
 // Reset while the package was enabled. Zero when disabled throughout.
+//
+//rumor:allow deadexport test instrument: arms and reads fault points
 func Hits(name string) int {
 	mu.Lock()
 	defer mu.Unlock()
@@ -79,6 +84,8 @@ func Hits(name string) int {
 // the process (recorded even while disabled is off only if a test armed the
 // package). Used by torture tests to verify their fault-point enumeration
 // stays in sync with the code.
+//
+//rumor:allow deadexport test instrument: arms and reads fault points
 func Names() []string {
 	nameMu.Lock()
 	defer nameMu.Unlock()
@@ -139,11 +146,4 @@ func Error(name string) error {
 		return ErrInjected{Name: name}
 	}
 	return nil
-}
-
-// String renders the armed set for debugging.
-func String() string {
-	mu.Lock()
-	defer mu.Unlock()
-	return fmt.Sprintf("faultpoint{enabled:%v armed:%v}", enabled.Load(), armed)
 }

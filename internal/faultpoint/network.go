@@ -77,6 +77,8 @@ func NewNetFaultSet() *NetFaultSet {
 }
 
 // Add arms one rule. Safe to call while connections are live.
+//
+//rumor:allow deadexport test instrument: network fault sets
 func (s *NetFaultSet) Add(r NetRule) {
 	s.mu.Lock()
 	s.rules = append(s.rules, r)
@@ -84,6 +86,8 @@ func (s *NetFaultSet) Add(r NetRule) {
 }
 
 // Hits reports how many rules have fired on the link.
+//
+//rumor:allow deadexport test instrument: network fault sets
 func (s *NetFaultSet) Hits(link string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -91,6 +95,8 @@ func (s *NetFaultSet) Hits(link string) int {
 }
 
 // Writes reports how many writes the link has seen.
+//
+//rumor:allow deadexport test instrument: network fault sets
 func (s *NetFaultSet) Writes(link string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -117,6 +123,8 @@ func (s *NetFaultSet) next(link string) (NetRule, bool) {
 // link name. A nil set returns c unchanged. Reads pass through untouched:
 // every fault is modeled at the sender, which suffices for symmetric
 // protocols (sever kills both directions anyway).
+//
+//rumor:allow deadexport test instrument: network fault sets
 func (s *NetFaultSet) Wrap(link string, c net.Conn) net.Conn {
 	if s == nil {
 		return c

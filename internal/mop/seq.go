@@ -842,6 +842,8 @@ func (g *stateGroup) discardState() {
 }
 
 // Size reports the number of live stored instances (for tests).
+//
+//rumor:allow deadexport test instrument: block and row tests compare stored instance counts
 func (m *SeqMOp) Size() int {
 	n := 0
 	for _, g := range m.groups() {

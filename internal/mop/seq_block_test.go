@@ -309,7 +309,7 @@ func runSeqBlockDiff(t *testing.T, cfg int, data []byte) (emitted int) {
 			}
 
 			for i := 0; i < nrows; i++ {
-				if !b.Selected(i) {
+				if b.Sel[i>>6]&(1<<uint(i&63)) == 0 {
 					continue
 				}
 				tu := &stream.Tuple{TS: b.TS[i], Vals: make([]int64, len(b.Cols))}

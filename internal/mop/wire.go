@@ -8,6 +8,8 @@ import "fmt"
 // and must never be renumbered.
 
 // Wire-stable payload kind codes (equal to the internal groupKind values).
+//
+//rumor:allow deadexport the on-disk kind codes, which the wire tests build payloads of
 const (
 	WireKindAgg  uint8 = uint8(kindAggState)
 	WireKindJoin uint8 = uint8(kindJoinState)

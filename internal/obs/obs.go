@@ -1,6 +1,6 @@
-// Package obs is the engine's telemetry core: process-wide metric
-// instruments (counters, gauges, fixed-bucket histograms) registered by
-// name, plus a bounded lifecycle trace ring (trace.go) recording every
+// Package obs is the engine's telemetry core: process-wide fixed-bucket
+// histograms registered by name, snapshots that carry counters, gauges
+// and histograms, plus a bounded lifecycle trace ring (trace.go) recording every
 // structural event the runtime performs.
 //
 // Cost contract: collection is gated by one process-wide enable flag.
@@ -36,54 +36,9 @@ func Enable(on bool) { enabled.Store(on) }
 
 // Enabled reports whether metric collection is on. Instrumented code that
 // must compute a value before recording it (clock reads, per-entry sums)
-// checks this once and skips the computation when off; instruments also
-// check it internally, so plain Add/Set/Observe calls need no guard.
+// checks this once and skips the computation when off; a histogram also
+// checks it internally, so a plain Observe call needs no guard.
 func Enabled() bool { return enabled.Load() }
-
-// Counter is a monotonically increasing value.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter. No-op (one atomic load) while disabled.
-func (c *Counter) Add(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is a last-written or high-water value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the value. No-op while disabled.
-func (g *Gauge) Set(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(n)
-}
-
-// SetMax raises the gauge to n if n is larger (high-water tracking).
-// No-op while disabled.
-func (g *Gauge) SetMax(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur {
-			return
-		}
-		if g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // NumBuckets is the fixed bucket count of every Histogram: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. v in
@@ -159,18 +114,14 @@ func (d *HistData) add(o HistData) {
 // Registry holds named instruments. Lookup is get-or-create and takes a
 // lock — callers resolve instruments once at setup and keep the pointer.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu    sync.Mutex
+	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists: make(map[string]*Histogram),
 	}
 }
 
@@ -181,30 +132,6 @@ func NewRegistry() *Registry {
 // worker and a coordinator sharing one process (in-process pipe clusters)
 // never double-count.
 var Default = NewRegistry()
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -222,12 +149,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Into(s *Snapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.AddCounter(name, c.Load())
-	}
-	for name, g := range r.gauges {
-		s.MaxGauge(name, g.Load())
-	}
 	for name, h := range r.hists {
 		s.AddHist(name, h.Data())
 	}

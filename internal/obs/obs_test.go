@@ -9,38 +9,30 @@ import (
 
 func TestCounterGating(t *testing.T) {
 	Enable(false)
-	var c Counter
-	c.Add(5)
-	if got := c.Load(); got != 0 {
-		t.Fatalf("disabled counter advanced: %d", got)
+	var h Histogram
+	h.Observe(5)
+	if got := h.Data().Count; got != 0 {
+		t.Fatalf("disabled histogram counted: %d", got)
 	}
 	Enable(true)
 	defer Enable(false)
-	c.Add(5)
-	c.Add(2)
-	if got := c.Load(); got != 7 {
-		t.Fatalf("counter = %d, want 7", got)
+	h.Observe(5)
+	h.Observe(2)
+	if d := h.Data(); d.Count != 2 || d.Sum != 7 {
+		t.Fatalf("histogram count %d sum %d, want 2 and 7", d.Count, d.Sum)
 	}
 }
 
 func TestGaugeSetMax(t *testing.T) {
-	Enable(true)
-	defer Enable(false)
-	var g Gauge
-	g.SetMax(10)
-	g.SetMax(3)
-	if got := g.Load(); got != 10 {
+	s := NewSnapshot()
+	s.MaxGauge("g", 10)
+	s.MaxGauge("g", 3)
+	if got := s.Gauges["g"]; got != 10 {
 		t.Fatalf("gauge = %d, want 10", got)
 	}
-	g.Set(4)
-	if got := g.Load(); got != 4 {
+	s.SetGauge("g", 4)
+	if got := s.Gauges["g"]; got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
-	}
-	Enable(false)
-	g.Set(99)
-	g.SetMax(99)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("disabled gauge moved: %d", got)
 	}
 }
 
@@ -99,14 +91,10 @@ func TestHistogramBuckets(t *testing.T) {
 func TestInstrumentAllocs(t *testing.T) {
 	Enable(true)
 	defer Enable(false)
-	var c Counter
-	var g Gauge
 	var h Histogram
 	v := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		v++
-		c.Add(1)
-		g.SetMax(v)
 		h.Observe(v)
 	})
 	if allocs != 0 {
@@ -116,23 +104,15 @@ func TestInstrumentAllocs(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("a") != r.Counter("a") {
-		t.Fatal("counter not interned")
-	}
-	if r.Gauge("b") != r.Gauge("b") {
-		t.Fatal("gauge not interned")
-	}
 	if r.Histogram("c") != r.Histogram("c") {
 		t.Fatal("histogram not interned")
 	}
 	Enable(true)
 	defer Enable(false)
-	r.Counter("a").Add(3)
-	r.Gauge("b").Set(7)
 	r.Histogram("c").Observe(5)
 	s := NewSnapshot()
 	r.Into(s)
-	if s.Counters["a"] != 3 || s.Gauges["b"] != 7 || s.Hists["c"].Count != 1 {
+	if s.Hists["c"].Count != 1 {
 		t.Fatalf("Into mismatch: %+v", s)
 	}
 }
@@ -168,10 +148,10 @@ func TestTraceRingWraparound(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Record(EvDeltaApply, fmt.Sprintf("op %d", i), time.Duration(i))
 	}
-	if r.Total() != 100 {
-		t.Fatalf("total = %d, want 100", r.Total())
-	}
 	evs := r.Events()
+	if total := evs[len(evs)-1].Seq; total != 100 {
+		t.Fatalf("total = %d, want 100", total)
+	}
 	if len(evs) != 8 {
 		t.Fatalf("retained %d events, want 8", len(evs))
 	}
@@ -221,13 +201,13 @@ func TestTraceRingConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := r.Total()
-	if total != writers*each {
-		t.Fatalf("total = %d, want %d", total, writers*each)
-	}
 	evs := r.Events()
 	if len(evs) != cap {
 		t.Fatalf("retained %d, want %d", len(evs), cap)
+	}
+	total := evs[len(evs)-1].Seq
+	if total != writers*each {
+		t.Fatalf("total = %d, want %d", total, writers*each)
 	}
 	for i, ev := range evs {
 		wantSeq := total - int64(cap) + int64(i) + 1

@@ -85,13 +85,6 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// Total returns the number of events ever recorded (≥ len(Events())).
-func (r *Ring) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Trace is the process-wide lifecycle ring all runtime layers record
 // into. 512 events comfortably covers a recovery or rebalance episode.
 var Trace = NewRing(512)

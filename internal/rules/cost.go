@@ -35,6 +35,8 @@ const (
 )
 
 // EstimateCost computes the model over all edges of the plan.
+//
+//rumor:allow deadexport reference implementation: kept until the cost model is calibrated (ROADMAP item 9)
 func EstimateCost(p *core.Physical) CostEstimate {
 	est := CostEstimate{ByNode: make(map[int]float64)}
 	// consumers: edge → (node, port-role) derived from op inputs.

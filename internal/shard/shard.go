@@ -21,7 +21,23 @@
 // replays into the replica under the router's lock, so results are out
 // before the call returns. Drain is then a no-op, the result callback is
 // the replica's own (no mutex), and nothing is partitioned: every source
-// reaches the one replica.
+// reaches the one replica. A recovery that leaves one in-process replica
+// switches to the same inline mode.
+//
+// Rebalance, RecoverShard and Restore at another shard count move stored
+// operator state by one placement rule (place, in rebalance.go). Each
+// decides only which items leave their replica and how they travel; the
+// rule decides where they land, per (state group, side), from the side's
+// distribution under the new partition plan:
+//
+//   - keyed and multicast: the leaving items of every source merge in
+//     timestamp order, and each key's items are spread round-robin over
+//     its owners (core.PartitionPlan.Owners: one shard, or several for a
+//     split hot key);
+//   - replicated: one copy of the merged items goes to every destination;
+//   - unpartitioned: a source's items go to the home its caller names
+//     (restore: the old shard index modulo the new count; recovery: the
+//     first survivor).
 package shard
 
 import (

@@ -48,9 +48,6 @@ type Block struct {
 // set (ts + 10 attrs + bitmap) stays cache-resident.
 const MaxBlockRows = 256
 
-// Len returns the number of rows (live or not) in the block.
-func (b *Block) Len() int { return b.n }
-
 // SelCount returns the number of live rows.
 //
 //rumor:noalloc
@@ -61,12 +58,6 @@ func (b *Block) SelCount() int {
 	}
 	return c
 }
-
-// Selected reports whether row i is live.
-func (b *Block) Selected(i int) bool { return b.Sel[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Select marks row i live.
-func (b *Block) Select(i int) { b.Sel[i>>6] |= 1 << uint(i&63) }
 
 // selWords returns the number of bitmap words covering n rows.
 func selWords(n int) int { return (n + 63) / 64 }

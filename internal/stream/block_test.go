@@ -18,7 +18,7 @@ func TestBlockPoolBorrowCycleAllocFree(t *testing.T) {
 	cycle := func() {
 		in := bp.Wrap(ts, cols, 0, rows)
 		out := bp.Derive(in)
-		out.Select(3)
+		out.Sel[0] |= 1 << 3
 		bp.Put(out)
 		bp.Put(in)
 	}

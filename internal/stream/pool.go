@@ -77,6 +77,8 @@ func (p *Pool) Put(t *Tuple) {
 
 // FreeCount returns the number of recycled tuples the pool holds (0 for the
 // nil pool). Tests use it to show that a path neither draws nor leaks tuples.
+//
+//rumor:allow deadexport test instrument: pool recycling tests
 func (p *Pool) FreeCount() int {
 	if p == nil {
 		return 0

@@ -107,6 +107,7 @@ func (t *Tuple) WithMember(m *bitset.Set) *Tuple {
 // attribute values (membership is ignored; it is identity, not content).
 //
 //rumor:noalloc
+//rumor:allow deadexport reference implementation: tests compare tuples by content
 func (t *Tuple) ContentEqual(o *Tuple) bool {
 	if t.TS != o.TS || len(t.Vals) != len(o.Vals) {
 		return false
@@ -132,6 +133,7 @@ const (
 // 64-bit hash.
 //
 //rumor:noalloc
+//rumor:allow deadexport reference implementation: tests compare tuples by content
 func (t *Tuple) ContentHash() uint64 {
 	h := uint64(fnvOffset)
 	h = (h ^ uint64(t.TS)) * fnvPrime

@@ -12,8 +12,11 @@ package transport
 import "repro/internal/faultpoint"
 
 // FaultAction is what happens to the selected write.
+//
+//rumor:allow deadexport test instrument: transport fault sets
 type FaultAction = faultpoint.NetAction
 
+//rumor:allow deadexport test instrument: transport fault sets
 const (
 	// FaultDrop swallows the write: the caller sees success, the peer sees
 	// nothing. Models a lost frame.
@@ -32,10 +35,14 @@ const (
 )
 
 // FaultRule selects one write on one link.
+//
+//rumor:allow deadexport test instrument: transport fault sets
 type FaultRule = faultpoint.NetRule
 
 // FaultSet holds the armed rules and the per-link write counters.
 type FaultSet = faultpoint.NetFaultSet
 
 // NewFaultSet returns an empty set (all traffic passes through).
+//
+//rumor:allow deadexport test instrument: transport fault sets
 func NewFaultSet() *FaultSet { return faultpoint.NewNetFaultSet() }

@@ -250,6 +250,3 @@ func (fc *Conn) SetDeadline(t time.Time) error { return fc.c.SetDeadline(t) }
 
 // Close closes the underlying connection.
 func (fc *Conn) Close() error { return fc.c.Close() }
-
-// RemoteAddr reports the peer address of the underlying connection.
-func (fc *Conn) RemoteAddr() net.Addr { return fc.c.RemoteAddr() }

@@ -50,7 +50,7 @@ func eqSet(a, b *bitset.Set) bool {
 	if a == nil || b == nil {
 		return (a == nil || a.Empty()) && (b == nil || b.Empty())
 	}
-	return a.Equal(b)
+	return string(a.AppendKey(nil)) == string(b.AppendKey(nil))
 }
 
 func eqTuple(a, b *stream.Tuple) bool {

@@ -102,6 +102,8 @@ func (p Params) GenStreams(n int) []Event {
 // fires mostly for hot c1) and probe traffic, concentrating operator state
 // and routed tuples on the hot keys' shards — the skew scenario online
 // rebalancing flattens.
+//
+//rumor:allow deadexport test instrument: skewed feeds for the rebalance tests
 func (p Params) GenStreamsSkewed(n int) []Event {
 	hot := zipf.New(p.ConstDomain, p.Zipf, p.Seed+31)
 	g := zipf.New(p.ConstDomain, 0, p.Seed+7)

@@ -53,12 +53,6 @@ func NewWith(n int, s float64, seed int64, invert bool) (*Gen, error) {
 	return g, nil
 }
 
-// N returns the domain size.
-func (g *Gen) N() int { return g.n }
-
-// S returns the exponent.
-func (g *Gen) S() float64 { return g.s }
-
 // Next draws the next value in {1, …, n}.
 func (g *Gen) Next() int {
 	u := g.rng.Float64()
@@ -77,6 +71,8 @@ func (g *Gen) Next0() int { return g.Next() - 1 }
 
 // Prob returns the probability of drawing value v (under the generator's
 // value mapping). It returns 0 for out-of-domain values.
+//
+//rumor:allow deadexport reference implementation: the exact probability the sampler tests check against
 func (g *Gen) Prob(v int) float64 {
 	if v < 1 || v > g.n {
 		return 0

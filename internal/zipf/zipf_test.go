@@ -134,7 +134,11 @@ func TestQuickEmpiricalSkewGrowsWithS(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	g := New(77, 1.4, 2)
-	if g.N() != 77 || g.S() != 1.4 {
-		t.Fatalf("accessors wrong: N=%d S=%v", g.N(), g.S())
+	sum := 0.0
+	for v := 1; v <= 77; v++ {
+		sum += g.Prob(v)
+	}
+	if math.Abs(sum-1) > 1e-9 || g.Prob(77) <= g.Prob(76) || g.Prob(0) != 0 || g.Prob(78) != 0 {
+		t.Fatalf("Prob over 1..77 sums to %v, Prob(77)=%v Prob(76)=%v", sum, g.Prob(77), g.Prob(76))
 	}
 }
