@@ -75,39 +75,6 @@ func BenchmarkFig9aWorkload1RUMOR(b *testing.B) {
 	})
 }
 
-// BenchmarkFig9aWorkload1RUMORBatch is the same operating point driven
-// through the batched ingestion path: runs of same-source events are
-// enqueued together and drained once per run.
-func BenchmarkFig9aWorkload1RUMORBatch(b *testing.B) {
-	const batch = 64
-	p := workload.DefaultParams()
-	e := rumorEngine(b, p, p.Workload1(), false)
-	events := p.GenStreams(50000)
-	// The trace is split into per-source runs of at most batch events. The
-	// engine takes ownership of the vals slices, which is safe here: the
-	// generated values are never mutated.
-	b.ReportAllocs()
-	b.ResetTimer()
-	ts := make([]int64, 0, batch)
-	vals := make([][]int64, 0, batch)
-	for i := 0; i < b.N; {
-		src := events[i%len(events)].Source
-		ts, vals = ts[:0], vals[:0]
-		for i < b.N && len(ts) < batch {
-			next := events[i%len(events)]
-			if next.Source != src {
-				break
-			}
-			ts = append(ts, int64(i))
-			vals = append(vals, next.Tuple.Vals)
-			i++
-		}
-		if err := e.PushBatch(src, ts, vals); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig9aWorkload1RUMORColumns drives the same operating point
 // through the columnar ingest path: the trace is pre-transposed into
 // per-source column windows and pushed via PushColumns onto the

@@ -2,7 +2,13 @@ package analysis
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -181,4 +187,141 @@ func exportKey(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + name
+}
+
+// TestCIRunPatterns fails when an alternative of a -run regexp, or a
+// -fuzz target, of a go test command in .github/workflows/ci.yml matches
+// no Test, Fuzz or Benchmark function declared in the packages the
+// command names: after a rename, go test -run passes silently on zero
+// tests. -run=NONE, the deliberate empty selection, is exempt. An
+// alternative is matched up to its first '/', as go test matches the
+// top-level name.
+func TestCIRunPatterns(t *testing.T) {
+	root := moduleRoot(t)
+	raw, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for n, line := range strings.Split(string(raw), "\n") {
+		args := shellFields(line)
+		at := slices.Index(args, "go")
+		if at < 0 || at+1 >= len(args) || args[at+1] != "test" {
+			continue
+		}
+		var patterns, pkgs []string
+		for i := at + 2; i < len(args); i++ {
+			a := args[i]
+			switch {
+			case (a == "-run" || a == "-fuzz") && i+1 < len(args):
+				i++
+				patterns = append(patterns, args[i])
+			case strings.HasPrefix(a, "-run="), strings.HasPrefix(a, "-fuzz="):
+				patterns = append(patterns, a[strings.Index(a, "=")+1:])
+			case !strings.HasPrefix(a, "-"):
+				pkgs = append(pkgs, a)
+			}
+		}
+		names := testFuncNames(t, root, pkgs)
+		for _, pat := range patterns {
+			if pat == "NONE" {
+				continue
+			}
+			for _, alt := range strings.Split(pat, "|") {
+				re, err := regexp.Compile(strings.SplitN(alt, "/", 2)[0])
+				if err != nil {
+					t.Errorf("ci.yml:%d: %q: %v", n+1, alt, err)
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("ci.yml:%d: %q matches no test, fuzz target or benchmark in %v", n+1, alt, pkgs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run or -fuzz pattern found in ci.yml")
+	}
+}
+
+// shellFields splits a command line on spaces, keeping single-quoted
+// words whole.
+func shellFields(line string) []string {
+	var fields []string
+	var cur strings.Builder
+	quoted, inWord := false, false
+	for _, r := range line {
+		switch {
+		case r == '\'':
+			quoted, inWord = !quoted, true
+		case !quoted && (r == ' ' || r == '\t'):
+			if inWord {
+				fields = append(fields, cur.String())
+				cur.Reset()
+				inWord = false
+			}
+		default:
+			cur.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		fields = append(fields, cur.String())
+	}
+	return fields
+}
+
+// testFuncNames lists the Test, Fuzz and Benchmark functions declared in
+// the packages a go test command names (a directory, or a tree with
+// /...), relative to root.
+func testFuncNames(t *testing.T, root string, pkgs []string) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	scan := func(dir string) {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil {
+					continue
+				}
+				for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+					if strings.HasPrefix(fd.Name.Name, prefix) {
+						names = append(names, fd.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		dir, tree := strings.CutSuffix(pkg, "...")
+		dir = filepath.Join(root, dir)
+		if !tree {
+			scan(dir)
+			continue
+		}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != dir && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			scan(path)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -631,8 +632,28 @@ func (c *Client) probe() {
 // Replay delivers one WAL batch. Delivery is at-least-once; the worker
 // dedups by seq, so duplicated or re-sent batches replay exactly once.
 func (c *Client) Replay(seq int64, entries []Entry) error {
+	entries = rowsAsRuns(entries)
 	_, err := c.callWith(opBatch, func(b *wire.Buffer) { putBatch(b, seq, entries) })
 	return err
+}
+
+// rowsAsRuns returns entries with each row (an entry without a Run) made
+// a one-row run over its values. A batch of runs alone is returned as it
+// is.
+func rowsAsRuns(entries []Entry) []Entry {
+	if !slices.ContainsFunc(entries, func(en Entry) bool { return en.Run == nil }) {
+		return entries
+	}
+	out := slices.Clone(entries)
+	for i := range out {
+		if en := &out[i]; en.Run == nil {
+			en.Run = &Run{TS: []int64{en.TS}, Cols: make([][]int64, len(en.Vals))}
+			for a := range en.Vals {
+				en.Run.Cols[a] = en.Vals[a : a+1 : a+1]
+			}
+		}
+	}
+	return out
 }
 
 // Drain returns the worker's per-query result counts, total, and sticky

@@ -82,12 +82,12 @@ func buildWorkload(t *testing.T) *testWorkload {
 		}
 		cur = append(cur, Entry{Src: srcID[ev.Source], TS: int64(tu.TS), Vals: tu.Vals})
 		if len(cur) == 100 {
-			batches = append(batches, cur)
+			batches = append(batches, rowsAsRuns(cur))
 			cur = nil
 		}
 	}
 	if len(cur) > 0 {
-		batches = append(batches, cur)
+		batches = append(batches, rowsAsRuns(cur))
 	}
 	if ref.TotalResults() == 0 {
 		t.Fatal("workload produced no results; equivalence checks are vacuous")

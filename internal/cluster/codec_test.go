@@ -38,14 +38,8 @@ func entriesEqual(a, b []Entry) bool {
 	}
 	for i := range a {
 		x, y := &a[i], &b[i]
-		if x.Src != y.Src || (x.Run == nil) != (y.Run == nil) {
+		if x.Src != y.Src {
 			return false
-		}
-		if x.Run == nil {
-			if x.TS != y.TS || !slices.Equal(x.Vals, y.Vals) {
-				return false
-			}
-			continue
 		}
 		if !slices.Equal(x.Run.TS, y.Run.TS) || len(x.Run.Cols) != len(y.Run.Cols) {
 			return false
@@ -82,24 +76,34 @@ func testRun(n, arity int) *Run {
 	return run
 }
 
+// rowRun is a run of one row: the run the shard router builds for a
+// pushed row whose source differs from the previous row's.
+func rowRun(ts int64, vals ...int64) *Run {
+	run := &Run{TS: []int64{ts}, Cols: make([][]int64, len(vals))}
+	for a, v := range vals {
+		run.Cols[a] = []int64{v}
+	}
+	return run
+}
+
 func codecBatches() [][]Entry {
 	return [][]Entry{
 		nil,
-		{{Src: 0, TS: 5, Vals: []int64{1, 2, 3}}},
-		{ // rows of mixed arity, empty values, extremes
-			{Src: 1, TS: -3, Vals: []int64{math.MinInt64, math.MaxInt64}},
-			{Src: 1, TS: 0},
-			{Src: 2, TS: math.MaxInt64, Vals: []int64{0}},
-			{Src: math.MaxInt32, TS: math.MinInt64, Vals: []int64{-1, 1, -64, 64, 1 << 40}},
+		{{Src: 0, Run: rowRun(5, 1, 2, 3)}},
+		{ // one-row runs of mixed arity, no values, extremes
+			{Src: 1, Run: rowRun(-3, math.MinInt64, math.MaxInt64)},
+			{Src: 1, Run: rowRun(0)},
+			{Src: 2, Run: rowRun(math.MaxInt64, 0)},
+			{Src: math.MaxInt32, Run: rowRun(math.MinInt64, -1, 1, -64, 64, 1<<40)},
 		},
-		{{Src: 3, Run: testRun(1, 0)}},                  // run of 0 columns
-		{{Src: 0, Run: testRun(1, 10)}},                 // run of 1 row
-		{{Src: 1, Run: testRun(256, 10)}},               // run of 256 rows
-		{{Src: 0, Run: testRun(0, 3)}, {Src: 4, TS: 9}}, // an empty run
-		{ // rows and runs interleaved keep their order
-			{Src: 0, TS: 1, Vals: []int64{7}},
+		{{Src: 3, Run: testRun(1, 0)}},                           // run of 0 columns
+		{{Src: 0, Run: testRun(1, 10)}},                          // run of 1 row
+		{{Src: 1, Run: testRun(256, 10)}},                        // run of 256 rows
+		{{Src: 0, Run: testRun(0, 3)}, {Src: 4, Run: rowRun(9)}}, // an empty run
+		{ // runs keep their order
+			{Src: 0, Run: rowRun(1, 7)},
 			{Src: 1, Run: testRun(5, 2)},
-			{Src: 1, TS: 2, Vals: []int64{8, 9}},
+			{Src: 1, Run: rowRun(2, 8, 9)},
 			{Src: 0, Run: testRun(3, 4)},
 			{Src: 0, Run: testRun(300, 1)},
 		},
@@ -107,15 +111,11 @@ func codecBatches() [][]Entry {
 }
 
 // TestBatchCodecRoundTrip: every batch shape decodes back equal, through
-// one decoder reused across batches, and row values decoded earlier stay
-// intact after later batches reuse the run slab.
+// one decoder reused across batches. A row in the form protocol version 3
+// sent (field 2) is an unknown field now, skipped: that is why version 4
+// refuses older peers.
 func TestBatchCodecRoundTrip(t *testing.T) {
 	var d batchDecoder
-	type kept struct {
-		vals []int64
-		want []int64
-	}
-	var rows []kept
 	for i, batch := range codecBatches() {
 		seq, got, err := d.decode(encodeBatch(int64(i+1), batch))
 		if err != nil {
@@ -124,16 +124,16 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		if seq != int64(i+1) || !entriesEqual(got, batch) {
 			t.Fatalf("batch %d: decoded seq %d %+v, want %+v", i, seq, got, batch)
 		}
-		for j := range got {
-			if got[j].Run == nil && len(got[j].Vals) > 0 {
-				rows = append(rows, kept{got[j].Vals, batch[j].Vals})
-			}
-		}
 	}
-	for _, r := range rows {
-		if !slices.Equal(r.vals, r.want) {
-			t.Fatalf("row values %v changed to %v after later decodes", r.want, r.vals)
-		}
+	var b wire.Buffer
+	b.PutVarintField(1, 7)
+	b.PutMsgField(2, func(b *wire.Buffer) {
+		b.PutVarintField(1, 0)
+		b.PutVarintField(2, 10)
+		b.PutInt64sField(3, []int64{1, 2})
+	})
+	if seq, got, err := d.decode(b.Bytes()); err != nil || seq != 7 || len(got) != 0 {
+		t.Fatalf("version 3 row: seq %d, %d entries, %v; want seq 7 and the row skipped", seq, len(got), err)
 	}
 }
 
@@ -150,16 +150,6 @@ func TestBatchDecodeRejects(t *testing.T) {
 
 // corruptBatchBodies are batch bodies a worker must reject, by name.
 func corruptBatchBodies() map[string][]byte {
-	row := func(src int64) []byte {
-		var b wire.Buffer
-		b.PutVarintField(1, 1)
-		b.PutMsgField(2, func(b *wire.Buffer) {
-			b.PutVarintField(1, src)
-			b.PutVarintField(2, 10)
-			b.PutInt64sField(3, []int64{1, 2})
-		})
-		return b.Bytes()
-	}
 	run := func(src int64, ts []int64, cols ...[]int64) []byte {
 		var b wire.Buffer
 		b.PutVarintField(1, 1)
@@ -167,15 +157,15 @@ func corruptBatchBodies() map[string][]byte {
 		return b.Bytes()
 	}
 	return map[string][]byte{
-		"row source -1":          row(-1),
-		"row source 2^31":        row(1 << 31),
-		"row source MinInt64":    row(math.MinInt64),
-		"run source -1":          run(-1, []int64{1}, []int64{2}),
-		"run source 2^31":        run(1<<31, []int64{1}, []int64{2}),
-		"run column short":       run(0, []int64{1, 2}, []int64{5}),
-		"run column long":        run(0, []int64{1}, []int64{5, 6}),
-		"run column without ts":  run(0, nil, []int64{5}),
-		"run second column long": run(0, []int64{1}, []int64{5}, []int64{6, 7}),
+		"run source -1":           run(-1, []int64{1}, []int64{2}),
+		"run source 2^31":         run(1<<31, []int64{1}, []int64{2}),
+		"run source MinInt64":     run(math.MinInt64, []int64{1}, []int64{2}),
+		"run source MaxInt64":     run(math.MaxInt64, []int64{1}),
+		"run second column short": run(0, []int64{1, 2}, []int64{5, 6}, []int64{7}),
+		"run column short":        run(0, []int64{1, 2}, []int64{5}),
+		"run column long":         run(0, []int64{1}, []int64{5, 6}),
+		"run column without ts":   run(0, nil, []int64{5}),
+		"run second column long":  run(0, []int64{1}, []int64{5}, []int64{6, 7}),
 	}
 }
 
@@ -380,25 +370,25 @@ func TestReplayRejectsUnknownSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rp Replayer
 	for _, src := range []int32{-1, int32(len(w.srcNames)), math.MaxInt32} {
-		for _, en := range []Entry{{Src: src, TS: 1, Vals: []int64{1}}, {Src: src, Run: testRun(2, 10)}} {
-			if err := rp.Replay(eng, w.srcNames, []Entry{en}); err == nil || !strings.Contains(err.Error(), "source id") {
-				t.Fatalf("source %d (run %v): %v, want a source-id error", src, en.Run != nil, err)
+		for _, rows := range []int{1, 2} {
+			if err := ReplayBatch(eng, w.srcNames, []Entry{{Src: src, Run: testRun(rows, 10)}}); err == nil || !strings.Contains(err.Error(), "source id") {
+				t.Fatalf("source %d (%d rows): %v, want a source-id error", src, rows, err)
 			}
 		}
 	}
 }
 
 // Older peers misread batches: a protocol version 1 worker skips column
-// runs as an unknown field, and a version 2 worker reads bit-packed
-// columns as varints. Neither side accepts an older peer: its hello is
+// runs as an unknown field, a version 2 worker reads bit-packed columns
+// as varints, and a version 3 coordinator sends rows in a field a version
+// 4 worker skips. Neither side accepts an older peer: its hello is
 // refused by the worker, and a worker acknowledging it fails the
 // client's Dial.
 func TestHandshakeRefusesOlderVersions(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
-	for _, proto := range []int{1, 2} {
+	for _, proto := range []int{1, 2, 3} {
 		h := freshHello(w)
 		h.Proto = proto
 		if _, ack := dialRaw(t, lis, h); !strings.Contains(ack.Err, fmt.Sprintf("protocol version %d", proto)) {
@@ -440,46 +430,36 @@ func TestHandshakeRefusesOlderVersions(t *testing.T) {
 }
 
 // BenchmarkBatchCodec encodes and decodes one W2-shaped WAL batch, 128
-// rows of 10 attributes, carried as 128 row entries or as one column run.
-// It encodes into one reused buffer, as a Client does, so it reports the
-// steady state.
+// rows of 10 attributes carried as one column run. It encodes into one
+// reused buffer, as a Client does, so it reports the steady state.
 func BenchmarkBatchCodec(b *testing.B) {
 	const rows = 128
 	events := workload.DefaultParams().GenStreams(rows)
 	arity := len(events[0].Tuple.Vals)
-	asRows := make([]Entry, rows)
 	run := &Run{TS: make([]int64, rows), Cols: make([][]int64, arity)}
 	for a := range run.Cols {
 		run.Cols[a] = make([]int64, rows)
 	}
 	for i, ev := range events {
-		asRows[i] = Entry{Src: 0, TS: ev.Tuple.TS, Vals: ev.Tuple.Vals}
 		run.TS[i] = ev.Tuple.TS
 		for a, v := range ev.Tuple.Vals {
 			run.Cols[a][i] = v
 		}
 	}
-	for _, bc := range []struct {
-		name    string
-		entries []Entry
-	}{
-		{"rows", asRows},
-		{"run", []Entry{{Src: 0, Run: run}}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var buf wire.Buffer
-			var d batchDecoder
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				putBatch(&buf, int64(i), bc.entries)
-				if _, _, err := d.decode(buf.Bytes()); err != nil {
-					b.Fatal(err)
-				}
+	entries := []Entry{{Src: 0, Run: run}}
+	b.Run("run", func(b *testing.B) {
+		var buf wire.Buffer
+		var d batchDecoder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			putBatch(&buf, int64(i), entries)
+			if _, _, err := d.decode(buf.Bytes()); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(buf.Len())/rows, "B/row")
-		})
-	}
+		}
+		b.ReportMetric(float64(buf.Len())/rows, "B/row")
+	})
 }
 
 // randomColumn draws n values of one of several shapes: a narrow domain
@@ -626,7 +606,7 @@ func TestEncodeBatchSelectedRun(t *testing.T) {
 			}
 			selected := &Run{TS: run.TS, Cols: run.Cols, Sel: sel}
 			batch := func(r *Run) []Entry {
-				return []Entry{{Src: 2, TS: 5, Vals: []int64{1, 2, 3}}, {Src: 1, Run: r}}
+				return []Entry{{Src: 2, Run: rowRun(5, 1, 2, 3)}, {Src: 1, Run: r}}
 			}
 			got, want := encodeBatch(9, batch(selected)), encodeBatch(9, batch(gathered))
 			if !slices.Equal(got, want) {

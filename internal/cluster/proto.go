@@ -53,8 +53,10 @@ import (
 // version). Version 2 carried column runs in WAL batches, which a version
 // 1 worker would skip as an unknown field, silently dropping their rows.
 // Version 3 bit-packs a run's columns (wire.PutBitPackedField) where
-// version 2 wrote varints: a version 2 worker would misread them.
-const ProtoVersion = 3
+// version 2 wrote varints: a version 2 worker would misread them. Version
+// 4 drops a batch's row form (field 2): rows cross as runs, and a version
+// 4 worker would skip a version 3 coordinator's rows as an unknown field.
+const ProtoVersion = 4
 
 // Frame types.
 //
@@ -83,43 +85,43 @@ const (
 	opStats       byte = 8 // pull the worker's telemetry snapshot
 )
 
-// Entry is one routed tuple of a WAL batch: the coordinator-assigned
-// source ID (resolved through the handshake's source-name table), the
-// timestamp, and the values — or, when Run is set, a whole column run of
-// that source (TS and Vals are then unused). A run stands for many rows
-// in one entry, so queues, the WAL and the wire pay per run, not per row.
+// Entry is one element of a WAL batch: a column run of one source, named
+// by its coordinator-assigned source ID (resolved through the handshake's
+// source-name table). A run stands for many rows in one entry, so queues,
+// the WAL and the wire pay per run, not per row. The shard router hands
+// over runs only. A caller of Client.Replay that holds single rows may
+// leave Run nil and give one row as TS and Vals instead; Replay sends
+// such rows as runs too.
 type Entry struct {
 	Src  int32
+	Run  *Run
 	TS   int64
 	Vals []int64
-	Run  *Run
 }
 
 // Run is a column-major run of rows of one source: TS[i] pairs with
 // Cols[a][i]. Sel, when non-nil, is a selection bitmap: the run stands
 // for row i only if Sel[i>>6] has bit i&63. A nil Sel selects every row.
-// The shard router gives each destination shard a run that shares the
-// pushed TS and Cols arrays and selects that shard's rows, so those
-// arrays stay referenced until every shard's WAL has pruned its run.
-// Runs held in a WAL are never mutated, so a redelivered batch re-encodes
-// to the same bytes.
+// The shard router builds a run of its own for the rows of Push and
+// PushBatch calls, appending each row to its destination shard's open run
+// of the row's source; for a PushColumns call it gives each destination
+// shard a run that shares the pushed TS and Cols arrays and selects that
+// shard's rows, so those arrays stay referenced until every shard's WAL
+// has pruned its run. Runs held in a WAL are never mutated, so a
+// redelivered batch re-encodes to the same bytes.
 type Run struct {
 	TS   []int64
 	Cols [][]int64
 	Sel  []uint64
 }
 
-// Rows returns the number of rows the entry stands for: a run's
-// selected rows.
-func (en *Entry) Rows() int {
-	if en.Run == nil {
-		return 1
-	}
-	if en.Run.Sel == nil {
-		return len(en.Run.TS)
+// Rows returns the number of rows the run stands for: its selected rows.
+func (r *Run) Rows() int {
+	if r.Sel == nil {
+		return len(r.TS)
 	}
 	n := 0
-	for _, w := range en.Run.Sel {
+	for _, w := range r.Sel {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -129,7 +131,7 @@ func (en *Entry) Rows() int {
 func BatchRows(es []Entry) int64 {
 	var n int64
 	for i := range es {
-		n += int64(es[i].Rows())
+		n += int64(es[i].Run.Rows())
 	}
 	return n
 }
@@ -373,31 +375,23 @@ func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []by
 	return callID, errStr, corrupt, body, nil
 }
 
-// batch body: {1: seq, 2*: row{1: src, 2: ts, 3: vals}, 3*: run{1: src,
-// 2: ts, 3*: column}}, rows and runs in entry order; reply {1:
-// completed}. A row's values are a packed varint list. A run's timestamps
-// and each of its columns are a bit-packed column (wire.PutBitPackedField:
-// blocks of 128 values, each a minimum, a bit width and the values less
-// the minimum in that many bits). A run carries only its selected rows,
-// packed straight from the selection, so a decoded run has a nil Sel.
+// batch body: {1: seq, 3*: run{1: src, 2: ts, 3*: column}}, runs in
+// entry order; reply {1: completed}. Field 2 carried a row until protocol
+// version 4 and is not reused. A run's timestamps and each of its columns
+// are a bit-packed column (wire.PutBitPackedField: blocks of 128 values,
+// each a minimum, a bit width and the values less the minimum in that
+// many bits). A run carries only its selected rows, packed straight from
+// the selection, so a decoded run has a nil Sel.
 func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 	b.PutVarintField(1, seq)
 	for i := range entries {
 		en := &entries[i]
-		if run := en.Run; run != nil {
-			b.PutMsgField(3, func(b *wire.Buffer) {
-				b.PutVarintField(1, int64(en.Src))
-				b.PutBitPackedField(2, run.TS, run.Sel)
-				for _, col := range run.Cols {
-					b.PutBitPackedField(3, col, run.Sel)
-				}
-			})
-			continue
-		}
-		b.PutMsgField(2, func(b *wire.Buffer) {
+		b.PutMsgField(3, func(b *wire.Buffer) {
 			b.PutVarintField(1, int64(en.Src))
-			b.PutVarintField(2, en.TS)
-			b.PutInt64sField(3, en.Vals)
+			b.PutBitPackedField(2, en.Run.TS, en.Run.Sel)
+			for _, col := range en.Run.Cols {
+				b.PutBitPackedField(3, col, en.Run.Sel)
+			}
 		})
 	}
 }
@@ -405,10 +399,8 @@ func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 // batchDecoder decodes batch bodies into storage it reuses from one batch
 // to the next: the entry slice, the runs, and one slab that holds every
 // run's timestamps and columns. A decoded batch is valid until the next
-// decode. Reusing the slab is sound only because engine.PushColumns
-// borrows a run's columns just until it returns. A row's values get an
-// exact-size allocation of their own, because PushBatch may keep them in
-// operator state.
+// decode. Reusing the slab is sound only because engine.PushColumnsSel
+// borrows a run's columns just until it returns.
 type batchDecoder struct {
 	entries []Entry
 	runs    []*Run
@@ -427,10 +419,6 @@ func (d *batchDecoder) decode(p []byte) (seq int64, entries []Entry, err error) 
 		switch field {
 		case 1:
 			seq, err = r.Varint()
-		case 2:
-			var en Entry
-			en, err = decodeRow(r)
-			d.entries = append(d.entries, en)
 		case 3:
 			if runs == len(d.runs) {
 				d.runs = append(d.runs, &Run{})
@@ -455,28 +443,6 @@ func srcID(v int64) (int32, error) {
 		return 0, fmt.Errorf("%w: source id %d", wire.ErrCorrupt, v)
 	}
 	return int32(v), nil
-}
-
-func decodeRow(r *wire.Reader) (en Entry, err error) {
-	sub, err := r.Msg()
-	if err != nil {
-		return en, err
-	}
-	err = sub.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			var v int64
-			if v, err = sub.Varint(); err == nil {
-				en.Src, err = srcID(v)
-			}
-		case 2:
-			en.TS, err = sub.Varint()
-		case 3:
-			en.Vals, err = sub.Int64s()
-		}
-		return err
-	})
-	return en, err
 }
 
 // decodeRun decodes one run message into run, its slices cut from the

@@ -118,9 +118,8 @@ type workerState struct {
 	lastReply  []byte
 	replyBuf   wire.Buffer
 
-	// Batch decode and replay scratch, reused across batches.
-	batch    batchDecoder
-	replayer Replayer
+	// Batch decode scratch, reused across batches.
+	batch batchDecoder
 
 	// Telemetry. Atomics because Worker.Metrics reads them from an
 	// arbitrary goroutine while serveConn is live; everything else in this
@@ -302,7 +301,7 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 			if st.lastApplied != 0 && seq != st.lastApplied+1 {
 				return fmt.Errorf("batch seq %d after %d: gap in WAL delivery", seq, st.lastApplied)
 			}
-			if err := st.replayer.Replay(st.eng, st.srcNames, entries); err != nil && st.firstErr == nil {
+			if err := ReplayBatch(st.eng, st.srcNames, entries); err != nil && st.firstErr == nil {
 				st.firstErr = err
 			}
 			st.lastApplied = seq
@@ -413,48 +412,23 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 	return fmt.Errorf("unknown opcode %d", op)
 }
 
-// Replayer pushes WAL batches into an engine replica — the one replay
-// loop behind both the in-process shard replica and the remote worker. A
-// run goes to PushColumnsSel in one call, with its selection; a maximal
-// stretch of same-source rows goes to PushBatch. Its scratch is reused
-// across batches, so a Replayer serves one replica at a time.
-type Replayer struct {
-	ts   []int64
-	vals [][]int64
-}
-
-// Replay pushes entries into eng, naming sources through srcNames. It
-// replays every entry even after a failure and returns the first error.
-func (rp *Replayer) Replay(eng *engine.Engine, srcNames []string, entries []Entry) error {
+// ReplayBatch pushes a WAL batch into an engine replica — the one replay
+// loop behind both the in-process shard replica and the remote worker:
+// each run goes to PushColumnsSel in one call, with its selection, naming
+// its source through srcNames. It replays every entry even after a
+// failure and returns the first error.
+func ReplayBatch(eng *engine.Engine, srcNames []string, entries []Entry) error {
 	var first error
-	for i := 0; i < len(entries); {
-		src, run := entries[i].Src, entries[i].Run
-		j := i + 1
-		if run == nil {
-			for j < len(entries) && entries[j].Src == src && entries[j].Run == nil {
-				j++
-			}
-		}
+	for _, en := range entries {
 		var err error
-		switch {
-		case src < 0 || int(src) >= len(srcNames):
-			err = fmt.Errorf("source id %d outside the source table (%d names)", src, len(srcNames))
-		case run != nil:
-			err = eng.PushColumnsSel(srcNames[src], run.TS, run.Cols, run.Sel)
-		default:
-			rp.ts, rp.vals = rp.ts[:0], rp.vals[:0]
-			for k := i; k < j; k++ {
-				rp.ts = append(rp.ts, entries[k].TS)
-				rp.vals = append(rp.vals, entries[k].Vals)
-			}
-			err = eng.PushBatch(srcNames[src], rp.ts, rp.vals)
+		if en.Src < 0 || int(en.Src) >= len(srcNames) {
+			err = fmt.Errorf("source id %d outside the source table (%d names)", en.Src, len(srcNames))
+		} else {
+			err = eng.PushColumnsSel(srcNames[en.Src], en.Run.TS, en.Run.Cols, en.Run.Sel)
 		}
 		if err != nil && first == nil {
 			first = err
 		}
-		i = j
 	}
-	clear(rp.vals)
-	rp.vals = rp.vals[:0]
 	return first
 }

@@ -18,10 +18,10 @@ import (
 // row tuples, so join/agg/project see exactly the tuples the scalar path
 // would have delivered.
 
-// pushBatchBlockMin is the minimum PushBatch length worth building blocks
-// for; shorter batches keep the scalar path, whose per-tuple cost beats
-// block setup at that size.
-const pushBatchBlockMin = 4
+// blockMinRows is the minimum run length worth building blocks for:
+// shorter runs take the scalar path, whose per-row cost beats block set-up
+// at that size.
+const blockMinRows = 4
 
 // BlocksProcessed returns the number of blocks delivered along
 // block-capable edges since the engine was built (ingest and m-op output
@@ -33,45 +33,25 @@ func (e *Engine) enqueueBlock(edge *core.Edge, b *stream.Block) {
 	e.queue = append(e.queue, queued{edge: edge, b: b})
 }
 
-// blockBatch builds ingest blocks for a PushBatch call of at least
-// pushBatchBlockMin rows whose source membership fits one word, reporting
-// whether it consumed the batch. Rows are copied column-major into owned
-// pooled blocks (PushColumns skips this copy).
-func (e *Engine) blockBatch(si sourceInfo, ts []int64, vals [][]int64) bool {
-	if len(ts) < pushBatchBlockMin {
-		return false
-	}
-	memberWord, inline := memberWordOf(si)
-	if !inline {
-		return false
-	}
-	for off := 0; off < len(ts); off += stream.MaxBlockRows {
-		n := min(stream.MaxBlockRows, len(ts)-off)
-		b := e.bpool.Get(n, si.arity)
-		copy(b.TS, ts[off:off+n])
-		for i, row := range vals[off : off+n] {
-			for a, v := range row {
-				b.Cols[a][i] = v
-			}
-		}
-		b.SelAll()
-		fillMember(e.bpool, b, memberWord)
-		e.enqueueBlock(si.edge, b)
-	}
-	return true
-}
-
 // PushColumns injects a batch given column-major — ts[i] pairs with
 // cols[a][i] — and drains the plan. This is the zero-copy ingest entry:
 // the blocks borrow the caller's slices for the duration of the drain (the
 // engine copies at the block→scalar boundary and never retains them), so
-// the caller regains ownership when PushColumns returns. The ordering
-// caveats of PushBatch apply.
+// the caller regains ownership when PushColumns returns. Timestamps must
+// be non-decreasing.
+//
+// Per-query result streams are identical to pushing the rows one by one
+// whenever every multi-input m-op reads this source through paths of equal
+// operator depth (true of single-path plans and of the paper's workloads);
+// sources feeding one m-op through paths of differing depth should stick
+// to Push. Within a batch, OnResult calls for queries at different
+// pipeline depths may interleave differently than under per-row Push
+// (propagation is breadth-first across the batch).
 //
 // A batch with rows must have one column per attribute of the source
-// (ErrArity otherwise). When the source's channel membership has spilled
-// past the inline word, the batch falls back to equivalent per-row scalar
-// injection.
+// (ErrArity otherwise). A batch of fewer than blockMinRows rows, or one
+// whose source's channel membership has spilled past the inline word, is
+// injected row by row on the scalar path instead, with the same results.
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	return e.PushColumnsSel(source, ts, cols, nil)
 }
@@ -80,6 +60,8 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 // ingested iff sel[i>>6] has bit i&63, and a nil sel selects every row.
 // The per-query results equal those of PushColumns over the selected rows
 // alone. A 256-row ingest block that selects no row is never enqueued.
+//
+//rumor:owner — builds pooled ingest tuples on the scalar path and marks them engine-releasable.
 func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel []uint64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
@@ -94,15 +76,18 @@ func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel [
 		return arityErr(source, si.arity, len(cols))
 	}
 	memberWord, inline := memberWordOf(si)
-	if !inline {
+	if !inline || len(ts) < blockMinRows {
+		// Each selected row becomes a pooled tuple of its own, released
+		// like an m-op's output once its delivery retains nothing.
 		for i := range ts {
 			if sel != nil && sel[i>>6]&(1<<uint(i&63)) == 0 {
 				continue
 			}
-			t := &stream.Tuple{TS: ts[i], Vals: make([]int64, len(cols)), Member: si.member}
+			t := e.pool.Get(ts[i], len(cols))
 			for a, col := range cols {
 				t.Vals[a] = col[i]
 			}
+			t.Member, t.Owned = si.member, true
 			e.enqueue(si.edge, t)
 		}
 		e.drain()

@@ -727,50 +727,6 @@ func (e *Engine) Push(source string, t *stream.Tuple) error {
 	return nil
 }
 
-// PushBatch injects a batch of tuples into the named source stream,
-// enqueuing the whole batch before a single drain. ts[i] pairs with
-// vals[i]; timestamps must be non-decreasing. Every row must have the
-// source's declared arity; otherwise the call returns ErrArity and ingests
-// no row of the batch. The engine takes ownership
-// of the vals slices (they back the in-flight tuples and may be retained
-// by stateful m-ops).
-//
-// Batching amortizes the per-call injection overhead and keeps the drain
-// loop hot across the batch. Per-query result streams are identical to
-// pushing the tuples one by one whenever every multi-input m-op reads this
-// source through paths of equal operator depth (true of single-path plans
-// and of the paper's workloads); sources feeding one m-op through paths of
-// differing depth should stick to Push. Within a batch, OnResult calls for
-// queries at different pipeline depths may interleave differently than
-// under per-tuple Push (propagation is breadth-first across the batch).
-func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
-	if len(ts) != len(vals) {
-		return fmt.Errorf("engine: PushBatch length mismatch: %d timestamps, %d value rows", len(ts), len(vals))
-	}
-	si, ok := e.lookupSource(source)
-	if !ok {
-		return fmt.Errorf("engine: source %q not in plan", source)
-	}
-	for _, row := range vals {
-		if len(row) != si.arity {
-			return arityErr(source, si.arity, len(row))
-		}
-	}
-	if e.blockBatch(si, ts, vals) {
-		e.drain()
-		return nil
-	}
-	for i := range ts {
-		// Built directly rather than via the tuple pool: batch tuples flow
-		// into the DAG (where stateful m-ops may retain them), so they are
-		// never returned to the pool and a pooled Get would only add
-		// bookkeeping on top of the same allocation.
-		e.enqueue(si.edge, &stream.Tuple{TS: ts[i], Vals: vals[i], Member: si.member})
-	}
-	e.drain()
-	return nil
-}
-
 func (e *Engine) enqueue(edge *core.Edge, t *stream.Tuple) {
 	e.queue = append(e.queue, queued{edge: edge, t: t})
 }

@@ -95,8 +95,11 @@ func feedPush(t *testing.T, e *Engine, events []workload.Event) {
 	}
 }
 
-// feedBatch drives the same events through PushBatch, batching maximal
-// runs of consecutive same-source events (cross-source order preserved).
+// feedBatch drives the same events as the runs a System.PushBatch call
+// of each maximal stretch of consecutive same-source events hands the
+// engine (cross-source order preserved): the stretch transposed into
+// columns and pushed through PushColumns. Stretches shorter than
+// blockMinRows take the scalar path.
 func feedBatch(t *testing.T, e *Engine, events []workload.Event) {
 	t.Helper()
 	i := 0
@@ -106,14 +109,14 @@ func feedBatch(t *testing.T, e *Engine, events []workload.Event) {
 			j++
 		}
 		ts := make([]int64, 0, j-i)
-		vals := make([][]int64, 0, j-i)
+		cols := make([][]int64, len(events[i].Tuple.Vals))
 		for k := i; k < j; k++ {
 			ts = append(ts, int64(k))
-			// PushBatch takes ownership of the value slices; the workload
-			// events are reused across engines, so hand over copies.
-			vals = append(vals, append([]int64(nil), events[k].Tuple.Vals...))
+			for a, v := range events[k].Tuple.Vals {
+				cols[a] = append(cols[a], v)
+			}
 		}
-		if err := e.PushBatch(events[i].Source, ts, vals); err != nil {
+		if err := e.PushColumns(events[i].Source, ts, cols); err != nil {
 			t.Fatal(err)
 		}
 		i = j
@@ -121,7 +124,7 @@ func feedBatch(t *testing.T, e *Engine, events []workload.Event) {
 }
 
 // checkBatchEquivalence runs the same query set over the same event
-// sequence once with per-tuple Push and once with PushBatch and requires
+// sequence once with per-tuple Push and once as PushBatch runs and requires
 // byte-identical per-query result streams.
 func checkBatchEquivalence(t *testing.T, catalog map[string]core.SourceDecl, qs []*core.Query, events []workload.Event, channels bool) {
 	t.Helper()

@@ -47,7 +47,7 @@ func (e *Engine) Checkpoint(c *wire.Checkpoint, queryIDs []int, dists map[int][]
 				if d := core.SideDistAt(dists, ref.OpID, side); d.Dist == core.DistKeyed || d.Dist == core.DistMulticast {
 					keyAttr = d.Attr
 				}
-				pl, err := peek(reg, ref.OpID, side, keyAttr)
+				pl, err := e.peekLocked(reg, ref.OpID, side, keyAttr)
 				if err != nil {
 					return err
 				}

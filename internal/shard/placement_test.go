@@ -102,6 +102,14 @@ func firstDiff(want, got string) string {
 // side is round-robin: one plan with every kind of stored side.
 func mixedPlacementPlan(t *testing.T) (*core.Physical, []workload.Event) {
 	t.Helper()
+	cat, qs, events := mixedPlacementInputs(t)
+	return buildTorturePlan(t, cat, qs, false), events
+}
+
+// mixedPlacementInputs are mixedPlacementPlan's catalog, queries and
+// events.
+func mixedPlacementInputs(t *testing.T) (map[string]core.SourceDecl, []*core.Query, []workload.Event) {
+	t.Helper()
 	p := workload.DefaultParams()
 	p.Seed = 5
 	p.NumQueries = 40
@@ -130,7 +138,7 @@ func mixedPlacementPlan(t *testing.T) (*core.Physical, []workload.Event) {
 		}
 		events = append(events, workload.Event{Source: extra[i%len(extra)], Tuple: &stream.Tuple{TS: ev.Tuple.TS, Vals: vals}})
 	}
-	return buildTorturePlan(t, cat, qs, false), events
+	return cat, qs, events
 }
 
 // placementEngine builds a sharded engine over plan; part nil analyzes.
@@ -250,8 +258,9 @@ func placementOverlay(t *testing.T, out *strings.Builder, seen map[string]bool) 
 
 // liveAdd plans q into the running plan and splices it as a live add
 // does: under the extended routes, or re-analyzed with a state migration
-// when the pinned routes cannot serve it.
-func liveAdd(t *testing.T, sh *Engine, q *core.Query) {
+// when the pinned routes cannot serve it. It returns the migration's
+// stats.
+func liveAdd(t *testing.T, sh *Engine, q *core.Query) RebalanceStats {
 	t.Helper()
 	d, err := live.NewMaintainer(sh.plan, rules.Options{}).AddQuery(q)
 	if err != nil {
@@ -262,9 +271,15 @@ func liveAdd(t *testing.T, sh *Engine, q *core.Query) {
 		part = core.AnalyzePartition(sh.plan)
 		part.Table = &core.RoutingTable{Version: sh.PartitionPlan().RoutingVersion() + 1}
 	}
-	if err := sh.ApplyDelta(d, part, nil, nil, perr != nil); err != nil {
+	st, err := sh.ApplyDelta(d, part, nil, nil, perr != nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+func writeDeltaStats(out *strings.Builder, st RebalanceStats) {
+	fmt.Fprintf(out, "  stats: Moved=%d Dropped=%d\n", st.Moved, st.Dropped)
 }
 
 // sourceEvents keeps the events of the named sources.
@@ -293,9 +308,10 @@ func placementLiveKeyedToReplicated(t *testing.T, out *strings.Builder, seen map
 	out.WriteString("== live add: keyed state becomes replicated, 3 shards\n")
 	oldD := sh.PartitionPlan().OpSideDists(plan)
 	writeStored(t, out, "before", sh)
-	liveAdd(t, sh, core.NewQuery("s_total", core.AggL(core.AggSum, 2, 600, nil, core.Scan("S"))))
+	st := liveAdd(t, sh, core.NewQuery("s_total", core.AggL(core.AggSum, 2, 600, nil, core.Scan("S"))))
 	writeDists(out, seen, "live", oldD, sh.PartitionPlan().OpSideDists(plan))
 	writeStored(t, out, "after", sh)
+	writeDeltaStats(out, st)
 	placementPush(t, sh, events[half:])
 	writeTotals(out, sh)
 }
@@ -323,9 +339,10 @@ func placementLiveReplicatedToKeyed(t *testing.T, out *strings.Builder, seen map
 	out.WriteString("== live add: replicated state becomes keyed, 4 shards\n")
 	oldD := sh.PartitionPlan().OpSideDists(plan)
 	writeStored(t, out, "before", sh)
-	liveAdd(t, sh, core.NewQuery("qb2", core.AggL(core.AggCount, 0, 300, []int{1}, core.Scan("T"))))
+	st := liveAdd(t, sh, core.NewQuery("qb2", core.AggL(core.AggCount, 0, 300, []int{1}, core.Scan("T"))))
 	writeDists(out, seen, "live", oldD, sh.PartitionPlan().OpSideDists(plan))
 	writeStored(t, out, "after", sh)
+	writeDeltaStats(out, st)
 	placementPush(t, sh, events[2*third:])
 	writeTotals(out, sh)
 }

@@ -185,15 +185,9 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 			}
 			pls := make([]*mop.StatePayload, len(regs))
 			for i, reg := range regs {
-				pl, err := peek(reg, ref.OpID, side, -1)
-				switch {
-				case err != nil && pl == nil:
-					// Unknown operator: nothing was exported, the engine
-					// is unchanged.
+				pl, err := e.peekLocked(reg, ref.OpID, side, -1)
+				if err != nil {
 					return st, err
-				case err != nil:
-					e.stopLocked(false)
-					return st, fmt.Errorf("shard: snapshot re-import failed, engine disabled: %w", err)
 				}
 				pls[i] = pl
 			}
@@ -368,20 +362,25 @@ func inPlace(part *core.PartitionPlan, key int64, n, i int) bool {
 // exportAll selects every stored item.
 func exportAll(int64, int) bool { return true }
 
-// peek exports every item of one group side and re-imports it in place:
-// the store keeps its items (compaction drops only tombstones, which
-// carry no state) and the payload survives, aliasing them. A failed
-// export returns no payload; a failed re-import returns the payload with
-// the error, its items then out of the store.
-func peek(reg Registry, opID, side, keyAttr int) (*mop.StatePayload, error) {
+// peekLocked exports every item of one group side and re-imports it in
+// place: the store keeps its items (compaction drops only tombstones,
+// which carry no state) and the payload survives, aliasing them. A failed
+// export (an unknown operator) leaves the engine as it was. A failed
+// re-import leaves the side's items out of the store, so it disables the
+// engine rather than let it run on missing state. Called at a barrier with
+// mu held.
+func (e *Engine) peekLocked(reg Registry, opID, side, keyAttr int) (*mop.StatePayload, error) {
 	pl, err := reg.Export(opID, side, keyAttr, exportAll)
 	if err != nil {
 		return nil, err
 	}
 	if pl.Len() > 0 {
-		err = reg.Import(opID, pl, false)
+		if err := reg.Import(opID, pl, false); err != nil {
+			e.stopLocked(false)
+			return nil, fmt.Errorf("shard: snapshot re-import of operator %d side %d failed, engine disabled: %w", opID, side, err)
+		}
 	}
-	return pl, err
+	return pl, nil
 }
 
 // planMovesLocked builds a balanced key-placement overlay from the keyed

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/mop"
 	"repro/internal/stream"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -261,5 +264,47 @@ func TestImbalanceCountsUnmatchedInput(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("MaybeRebalance did not fire on input skewed onto one shard")
+	}
+}
+
+// refusingReplica is a replica whose registry refuses every import, so a
+// destructive peek exports a side and cannot put it back.
+type refusingReplica struct{ replica }
+
+func (r refusingReplica) registry() Registry { return refusingRegistry{r.replica.registry()} }
+
+type refusingRegistry struct{ Registry }
+
+var errImportRefused = errors.New("import refused")
+
+func (refusingRegistry) Import(int, *mop.StatePayload, bool) error { return errImportRefused }
+
+// TestCheckpointReimportFailureDisables: a checkpoint whose peek cannot
+// re-import what it exported leaves that side's items out of the store.
+// Checkpoint returns the cause, and the engine is disabled: later pushes
+// fail instead of running on the missing state.
+func TestCheckpointReimportFailureDisables(t *testing.T) {
+	p := workload.DefaultParams()
+	p.NumQueries = 40
+	qs, err := workload.ToRUMOR(p.Workload1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := buildTorturePlan(t, p.Catalog(), qs, false)
+	sh := placementEngine(t, plan, nil, 2)
+	events := p.GenStreams(2000)
+	placementPush(t, sh, events)
+	sh.mu.Lock()
+	for _, w := range sh.workers {
+		w.rep = refusingReplica{w.rep}
+	}
+	sh.mu.Unlock()
+	err = sh.Checkpoint(&wire.Checkpoint{}, nil, sh.PartitionPlan().OpSideDists(plan))
+	if !errors.Is(err, errImportRefused) {
+		t.Fatalf("Checkpoint: %v, want the refused re-import", err)
+	}
+	ev := events[0]
+	if err := sh.Push(ev.Source, ev.Tuple.TS+int64(len(events)), ev.Tuple.Vals); err == nil {
+		t.Fatal("Push after a failed re-import succeeded")
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
@@ -113,7 +112,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 		if rec.seq <= completed {
 			continue
 		}
-		if err := w.rep.replayBatch(rec.seq, rec.entries); err != nil {
+		if err := w.rep.replayBatch(rec.seq, rec.b.entries); err != nil {
 			if errors.Is(err, ErrShardDead) {
 				return st, fmt.Errorf("shard %d catch-up interrupted (%v): %w", dead, err, ErrShardUnreachable)
 			}
@@ -121,7 +120,7 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 				w.err = err
 			}
 		}
-		st.Replayed += int(cluster.BatchRows(rec.entries))
+		st.Replayed += rec.b.rows
 	}
 	if w.err != errBefore {
 		e.stopLocked(false)
@@ -154,7 +153,6 @@ func (e *Engine) RecoverShard() (RecoverStats, error) {
 	}
 	e.workers = slices.Delete(e.workers, dead, dead+1)
 	e.pending = slices.Delete(e.pending, dead, dead+1)
-	e.pendingRows = slices.Delete(e.pendingRows, dead, dead+1)
 	e.wal = slices.Delete(e.wal, dead, dead+1)
 	e.walSeq = slices.Delete(e.walSeq, dead, dead+1)
 	e.sent = slices.Delete(e.sent, dead, dead+1)

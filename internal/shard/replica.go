@@ -142,14 +142,10 @@ type localReplica struct {
 	e   *Engine
 	idx int
 	eng *engine.Engine
-
-	// replay scratch, reused across batches. Owned by the worker goroutine
-	// while it runs, by the recovery caller after done is observed closed.
-	replayer cluster.Replayer
 }
 
 func (r *localReplica) replayBatch(_ int64, entries []cluster.Entry) error {
-	if err := r.replayer.Replay(r.eng, r.e.srcNames, entries); err != nil {
+	if err := cluster.ReplayBatch(r.eng, r.e.srcNames, entries); err != nil {
 		return fmt.Errorf("shard %d: %w", r.idx, err)
 	}
 	return nil

@@ -46,15 +46,14 @@ func scatterEngine(tb testing.TB, shards int) *Engine {
 func takeRuns(t *testing.T, e *Engine) []*cluster.Entry {
 	t.Helper()
 	ens := make([]*cluster.Entry, len(e.workers))
-	for i, buf := range e.pending {
-		if len(*buf) > 1 {
-			t.Fatalf("shard %d: %d entries for one batch", i, len(*buf))
+	for i, b := range e.pending {
+		if len(b.entries) > 1 {
+			t.Fatalf("shard %d: %d entries for one batch", i, len(b.entries))
 		}
-		for _, en := range *buf {
+		for _, en := range b.entries {
 			ens[i] = &en
 		}
-		*buf = (*buf)[:0]
-		e.pendingRows[i] = 0
+		b.reset()
 	}
 	return ens
 }
@@ -188,8 +187,8 @@ func testRouteColumnsScatter(t *testing.T, shards int) {
 				if len(g.TS) != len(ts) || &g.TS[0] != &ts[0] {
 					t.Fatalf("shard %d: run does not share the batch's timestamps", i)
 				}
-				if en.Rows() != len(w.TS) {
-					t.Fatalf("shard %d: Rows() %d, reference %d", i, en.Rows(), len(w.TS))
+				if en.Run.Rows() != len(w.TS) {
+					t.Fatalf("shard %d: Rows() %d, reference %d", i, en.Run.Rows(), len(w.TS))
 				}
 			}
 			if nonEmpty < 2 {
@@ -229,10 +228,8 @@ func BenchmarkRouteColumns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.mu.Lock()
 		e.routeColumns(sr, ts, cols)
-		for s, buf := range e.pending {
-			clear(*buf)
-			*buf = (*buf)[:0]
-			e.pendingRows[s] = 0
+		for _, b := range e.pending {
+			b.reset()
 		}
 		e.mu.Unlock()
 	}
@@ -241,18 +238,17 @@ func BenchmarkRouteColumns(b *testing.B) {
 
 // TestWALRecycleAllocFree stages a batch, has the worker acknowledge it,
 // and stages the next, which prunes the first: with the collector off,
-// the cycle allocates nothing once the pool holds a buffer, because a
-// recycled buffer goes back to the pool in the holder it came out in.
+// the cycle allocates nothing once a buffer is free, because a
+// recycled buffer is kept for reuse with the run it built.
 func TestWALRecycleAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	e := scatterEngine(t, 2)
-	vals := []int64{1, 2, 3}
+	sr := e.srcs["S"]
+	vals := make([]int64, sr.arity)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cycle := func() {
-		p := e.pending[0]
-		*p = append(*p, cluster.Entry{Src: 0, TS: 1, Vals: vals})
-		e.pendingRows[0]++
+		e.appendRow(0, sr.id, 1, vals)
 		e.stageShard(0)
 		e.workers[0].completed.Store(e.walSeq[0])
 	}
@@ -264,5 +260,52 @@ func TestWALRecycleAllocFree(t *testing.T) {
 	}
 	if n := len(e.wal[0]); n != 1 {
 		t.Fatalf("%d WAL records left, want the last one only", n)
+	}
+}
+
+// TestRouterRowsAllocFree routes per-row pushes of two interleaved
+// sources across 2 shards, so each source change opens a run, then
+// stages every shard's buffer and has its worker acknowledge it. Every
+// lap routes the same keys. With the collector off, a lap of 64 rows
+// allocates nothing once the recycled buffers hold their runs: the router
+// copies each row into a run its buffer owns and keeps no reference to
+// the caller's values.
+func TestRouterRowsAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e := scatterEngine(t, 2)
+	srs := []srcRoute{e.srcs["S"], e.srcs["T"]}
+	vals := make([]int64, srs[0].arity)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ts := int64(0)
+	lap := func() {
+		for row := range 64 {
+			ts++
+			vals[0] = int64(row * 37)
+			e.routeRow(srs[row/3%2], ts, vals)
+		}
+		for shard := range e.workers {
+			e.stageShard(shard)
+			e.workers[shard].completed.Store(e.walSeq[shard])
+		}
+	}
+	for range 8 {
+		lap()
+	}
+	if allocs := testing.AllocsPerRun(100, lap); allocs != 0 {
+		t.Fatalf("%v allocs per 64 routed rows", allocs)
+	}
+	var runs int
+	for shard := range e.workers {
+		rec := e.wal[shard][len(e.wal[shard])-1]
+		runs += len(rec.b.entries)
+		for _, en := range rec.b.entries {
+			if en.Run.Sel != nil || len(en.Run.Cols) != len(vals) {
+				t.Fatalf("shard %d: router run %+v", shard, en.Run)
+			}
+		}
+	}
+	if runs < 2 {
+		t.Fatalf("%d runs in the last lap's batches, want a run per source change", runs)
 	}
 }

@@ -5,10 +5,10 @@
 //
 // Each shard owns a full engine.Engine lowered from the shared (read-only)
 // plan and a dedicated worker goroutine draining its queue. Ingestion
-// appends routed tuples to per-shard pending buffers; a buffer is handed
-// to its worker as one batch (amortizing the cross-goroutine transfer),
-// and the worker replays it through the engine's batched ingestion path in
-// arrival order, grouping maximal same-source runs into PushBatch calls.
+// appends routed rows to per-shard pending buffers as column runs; a
+// buffer is handed to its worker as one batch (amortizing the
+// cross-goroutine transfer), and the worker replays it in arrival order,
+// one engine PushColumnsSel call per run.
 //
 // Results are merged with per-shard dense counters; queries whose output
 // is replicated on every shard (see core.PartitionPlan.ReplicatedSinks)
@@ -94,14 +94,84 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WAL entries are cluster.Entry values: a single tuple, or — on the
-// columnar ingest path — a whole run of same-source rows carried
-// column-major (Run set). Carrying runs as single entries is what lets the
-// ingest queues, WAL, worker loop and wire amortize per-block: a
-// PushColumns batch costs one queue element and one WAL record slot per
-// shard instead of one per row. The shard engine owns a run's slices once
-// routed (the caller handed them over at PushColumns); every shard's run
-// shares them, selecting its own rows.
+// WAL entries are cluster.Entry values, each a run of same-source rows
+// carried column-major, so the ingest queues, WAL, worker loop and wire
+// pay per run: one queue element and WAL record slot per shard for a
+// PushColumns batch, and for a stretch of same-source Push or PushBatch
+// rows, which are copied into runs their batch buffer owns (see batch). A
+// PushColumns run shares the caller's slices, which the shard engine owns
+// once routed; every shard's run selects its own rows of them.
+
+// batch is a shard's buffer of WAL entries, pending and then staged. rows
+// counts the rows its entries stand for: a buffer fills by rows.
+//
+// The rows of Push and PushBatch go into runs the buffer builds. While the
+// buffer is pending, such a run's entry has a nil Run and its rows sit
+// row-major in vals, each its timestamp and then its values: appending a
+// row is one copy into memory only the router touches. seal transposes
+// them into the runs' columns, carved from cols, before the buffer is
+// staged. The arrays stay with the buffer when it is recycled, so a
+// buffer in steady state allocates nothing.
+type batch struct {
+	entries []cluster.Entry
+	rows    int
+	spans   []span        // the router's runs, in entry order
+	runs    []cluster.Run // their runs, filled in by seal
+	vals    []int64
+	cols    []int64
+	hdrs    [][]int64 // the runs' column headers
+}
+
+// span locates the rows of one router run in vals: n rows of w words
+// (timestamp and values) from off.
+type span struct{ off, n, w int }
+
+// openRun returns the span a row of source src appends to: the buffer's
+// last entry's, when the router built it for src; nil when there is none.
+func (b *batch) openRun(src int32) *span {
+	n := len(b.entries)
+	if n == 0 || b.entries[n-1].Run != nil || b.entries[n-1].Src != src {
+		return nil
+	}
+	return &b.spans[len(b.spans)-1]
+}
+
+// seal transposes the router's rows into the columns of their runs and
+// points the runs' entries at them. A run's column headers are cut from
+// hdrs; one cut before hdrs grows keeps the array it was cut from.
+func (b *batch) seal() {
+	b.runs = slices.Grow(b.runs[:0], len(b.spans))[:len(b.spans)]
+	b.cols = slices.Grow(b.cols[:0], len(b.vals))[:len(b.vals)]
+	b.hdrs = b.hdrs[:0]
+	k := 0
+	for i := range b.entries {
+		if b.entries[i].Run != nil {
+			continue
+		}
+		sp, run := b.spans[k], &b.runs[k]
+		k++
+		rows, cols := b.vals[sp.off:sp.off+sp.n*sp.w], b.cols[sp.off:sp.off+sp.n*sp.w]
+		for r := range sp.n {
+			for c, v := range rows[r*sp.w : (r+1)*sp.w] {
+				cols[c*sp.n+r] = v
+			}
+		}
+		h := len(b.hdrs)
+		for lo := sp.n; lo < len(cols); lo += sp.n {
+			b.hdrs = append(b.hdrs, cols[lo:lo+sp.n:lo+sp.n])
+		}
+		run.TS, run.Cols = cols[:sp.n:sp.n], b.hdrs[h:len(b.hdrs):len(b.hdrs)]
+		b.entries[i].Run = run
+	}
+}
+
+// reset empties the buffer for reuse, dropping its references to the
+// arrays of PushColumns runs.
+func (b *batch) reset() {
+	clear(b.entries)
+	b.entries, b.spans, b.vals = b.entries[:0], b.spans[:0], b.vals[:0]
+	b.rows = 0
+}
 
 // msg is one queue element: a batch of entries, or a drain marker.
 type msg struct {
@@ -115,12 +185,10 @@ type msg struct {
 // completed sequence at or past it), so a crashed worker's unacknowledged
 // suffix can be replayed into its engine during recovery. The log is
 // bounded by the queue depth: acknowledged prefixes are pruned (and their
-// buffers pooled) on the next flush. buf is the pooled holder of entries,
-// kept so that recycling the buffer allocates no new one.
+// buffers recycled, runs and all) on the next flush.
 type walRec struct {
-	seq     int64
-	entries []cluster.Entry
-	buf     *[]cluster.Entry
+	seq int64
+	b   *batch
 }
 
 // worker is one shard: an engine replica (in-process or a remote worker
@@ -190,10 +258,15 @@ type Engine struct {
 	// in-process replica, nil otherwise (see the package doc).
 	inline *engine.Engine
 
-	mu      sync.Mutex // guards pending, rr, closed, wal, walSeq, dead
-	pending []*[]cluster.Entry
+	mu      sync.Mutex // guards pending, free, rr, closed, wal, walSeq, dead, cols
+	pending []*batch
+	free    []*batch // recycled batch buffers
 	rr      uint64
 	closed  bool
+
+	// cols is an inline engine's PushBatch scratch: the batch's rows
+	// transposed into columns for PushColumns, reused from call to call.
+	cols [][]int64
 
 	// wal holds, per shard, the flushed batches not yet acknowledged by
 	// the worker (seq > worker.completed); walSeq is the last assigned
@@ -208,18 +281,12 @@ type Engine struct {
 	dead    []bool
 	numDead int
 
-	// pendingRows[i] is the row count of pending[i] (a columnar run entry
-	// stands for many rows); batch flushing triggers on rows, not entries.
-	pendingRows []int
-
 	// numUnreach counts remote replicas currently unreachable (transient
 	// outages). It is an atomic, not mu-guarded state: the OnDown callback
 	// that maintains it can fire from a worker goroutine's replayBatch
 	// retry while the router holds mu blocked on that worker's full queue
 	// — taking mu there would deadlock.
 	numUnreach atomic.Int64
-
-	batchPool sync.Pool
 
 	// onResult, when set, receives every attributed result; calls are
 	// sequenced across shards by resMu. Set via OnResult or ApplyDelta, at
@@ -253,8 +320,8 @@ type Engine struct {
 	mcHits     int64 // multicast tuples matched to ≥1 shard
 	mcDrops    int64 // multicast tuples no shard wanted (dropped at router)
 	walBatches int64 // batches staged into per-shard WALs
-	walEntries int64 // entries staged
-	walBytes   int64 // approximate bytes staged (entry header + values)
+	walEntries int64 // rows staged
+	walBytes   int64 // approximate bytes staged (row header + values)
 }
 
 // New builds a sharded engine over the plan. The partition plan must come
@@ -278,19 +345,17 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 		part = core.AnalyzePartition(p)
 	}
 	e := &Engine{
-		plan:        p,
-		part:        part,
-		cfg:         cfg,
-		srcs:        make(map[string]srcRoute),
-		pending:     make([]*[]cluster.Entry, cfg.Shards),
-		pendingRows: make([]int, cfg.Shards),
-		base:        make(map[int]int64),
-		wal:         make([][]walRec, cfg.Shards),
-		walSeq:      make([]int64, cfg.Shards),
-		sent:        make([]int64, cfg.Shards),
-		dead:        make([]bool, cfg.Shards),
+		plan:    p,
+		part:    part,
+		cfg:     cfg,
+		srcs:    make(map[string]srcRoute),
+		pending: make([]*batch, cfg.Shards),
+		base:    make(map[int]int64),
+		wal:     make([][]walRec, cfg.Shards),
+		walSeq:  make([]int64, cfg.Shards),
+		sent:    make([]int64, cfg.Shards),
+		dead:    make([]bool, cfg.Shards),
 	}
-	e.batchPool.New = func() any { s := make([]cluster.Entry, 0, cfg.BatchSize); return &s }
 	// Source routes (and the source-name table the handshake ships) must
 	// exist before any replica is built or dialled.
 	e.rebuildSourceRoutes(part)
@@ -536,19 +601,24 @@ func (w *worker) run() {
 	}
 }
 
-// takeBatch returns an empty batch buffer from the pool, as its pooled
-// holder: the buffer grows through the holder and goes back to the pool
-// in it (recycleBatch), so the round trip allocates nothing.
-func (e *Engine) takeBatch() *[]cluster.Entry {
-	return e.batchPool.Get().(*[]cluster.Entry)
+// takeBatch returns an empty batch buffer, a recycled one when there is
+// one. There are never more buffers than shards times the pending buffer
+// and the WAL records of each. Called with mu held.
+func (e *Engine) takeBatch() *batch {
+	n := len(e.free)
+	if n == 0 {
+		return new(batch)
+	}
+	b := e.free[n-1]
+	e.free = e.free[:n-1]
+	return b
 }
 
-// recycleBatch drops a WAL record's value and run references and returns
-// its buffer to the pool.
+// recycleBatch empties a WAL record's buffer and keeps it for reuse, with
+// the runs the router built in it. Called with mu held.
 func (e *Engine) recycleBatch(rec walRec) {
-	clear(rec.entries)
-	*rec.buf = rec.entries[:0]
-	e.batchPool.Put(rec.buf)
+	rec.b.reset()
+	e.free = append(e.free, rec.b)
 }
 
 // partnerMask folds partner-key values into a shard bitmask, honouring the
@@ -562,15 +632,6 @@ func partnerMask(partners []int64, n int, part *core.PartitionPlan) uint64 {
 		}
 	}
 	return m
-}
-
-// rowKey returns a tuple's routing key: its value of the route's key
-// attribute, 0 when it has none.
-func rowKey(sr srcRoute, vals []int64) int64 {
-	if sr.attr < len(vals) {
-		return vals[sr.attr]
-	}
-	return 0
 }
 
 // shardOf picks the shard for one tuple with routing key v under a hash or
@@ -598,14 +659,37 @@ func (e *Engine) shardOf(sr srcRoute, v int64) int {
 	}
 }
 
-// append adds one entry to a shard's pending buffer, handing the buffer to
+// appendRun adds a PushColumns run to a shard's pending buffer. Called
+// with mu held.
+func (e *Engine) appendRun(shard int, src int32, run *cluster.Run) {
+	b := e.pending[shard]
+	b.entries = append(b.entries, cluster.Entry{Src: src, Run: run})
+	e.added(shard, run.Rows())
+}
+
+// appendRow copies one row into the shard's open run of its source,
+// opening a run when the buffer's last entry is not one. Called with mu
+// held.
+func (e *Engine) appendRow(shard int, src int32, ts int64, vals []int64) {
+	b := e.pending[shard]
+	sp := b.openRun(src)
+	if sp == nil {
+		b.entries = append(b.entries, cluster.Entry{Src: src})
+		b.spans = append(b.spans, span{off: len(b.vals), w: 1 + len(vals)})
+		sp = &b.spans[len(b.spans)-1]
+	}
+	b.vals = append(b.vals, ts)
+	b.vals = append(b.vals, vals...)
+	sp.n++
+	e.added(shard, 1)
+}
+
+// added counts rows into a shard's pending buffer, handing the buffer to
 // the worker when its row count fills a batch. Called with mu held; the
 // queue send may block for backpressure.
-func (e *Engine) append(shard int, en cluster.Entry) {
-	p := e.pending[shard]
-	*p = append(*p, en)
-	e.pendingRows[shard] += en.Rows()
-	if e.pendingRows[shard] >= e.cfg.BatchSize {
+func (e *Engine) added(shard, rows int) {
+	e.pending[shard].rows += rows
+	if e.pending[shard].rows >= e.cfg.BatchSize {
 		e.stageShard(shard)
 		e.deliverWAL(shard, true)
 	}
@@ -623,27 +707,22 @@ func (e *Engine) flushShard(shard int) {
 // batch stays replayable until the worker acknowledges it, so a Push
 // that returned nil is never lost to a crash. Called with mu held.
 func (e *Engine) stageShard(shard int) {
-	if len(*e.pending[shard]) == 0 {
+	b := e.pending[shard]
+	if len(b.entries) == 0 {
 		return
 	}
-	buf := e.pending[shard]
-	b := *buf
+	b.seal()
 	e.pending[shard] = e.takeBatch()
-	e.pendingRows[shard] = 0
 	e.pruneWAL(shard)
 	e.walSeq[shard]++
-	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], entries: b, buf: buf})
+	e.wal[shard] = append(e.wal[shard], walRec{seq: e.walSeq[shard], b: b})
 	if obs.Enabled() {
 		e.walBatches++
-		e.walEntries += cluster.BatchRows(b)
-		for i := range b {
-			// entry header (src, ts) + value words; close enough to track
+		e.walEntries += int64(b.rows)
+		for _, en := range b.entries {
+			// row header (src, ts) + value words; close enough to track
 			// WAL growth and replay cost without serializing anything.
-			if r := b[i].Run; r != nil {
-				e.walBytes += int64(b[i].Rows()) * (16 + 8*int64(len(r.Cols)))
-			} else {
-				e.walBytes += 16 + 8*int64(len(b[i].Vals))
-			}
+			e.walBytes += int64(en.Run.Rows()) * (16 + 8*int64(len(en.Run.Cols)))
 		}
 	}
 }
@@ -675,7 +754,7 @@ func (e *Engine) deliverWAL(shard int, ingest bool) {
 			continue
 		}
 		select {
-		case w.ch <- msg{entries: rec.entries, seq: rec.seq}:
+		case w.ch <- msg{entries: rec.b.entries, seq: rec.seq}:
 		case <-w.done:
 			e.markDeadLocked(shard)
 			return
@@ -800,7 +879,8 @@ func batchWidth(vals [][]int64) int {
 // Push injects one tuple into the named source stream. The engine takes
 // ownership of vals. Tuples must be pushed in non-decreasing timestamp
 // order for windowed operators to expire correctly; concurrent pushers
-// are safe but interleave at the routing step.
+// are safe but interleave at the routing step. A sharded engine copies the
+// row into its destination shards' runs (see routeRow).
 //
 // Failure contract: engine.ErrArity (errors.Is) for a row whose width is
 // not the source's declared arity, ErrShardDead once any shard's replica
@@ -823,7 +903,7 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 	if err != nil {
 		return err
 	}
-	e.route(sr, ts, vals)
+	e.routeRow(sr, ts, vals)
 	return nil
 }
 
@@ -857,21 +937,26 @@ func (e *Engine) PushShared(source string, t *stream.Tuple) error {
 	return err
 }
 
-// route appends one tuple to its shard(s). Called with mu held.
-func (e *Engine) route(sr srcRoute, ts int64, vals []int64) {
-	switch sr.mode {
-	case core.PartitionBroadcast:
-		// Every shard gets the tuple. The value slice is shared: tuples
-		// are immutable throughout the engines.
+// routeRow copies one row into the open run of its source on each of its
+// shards: every shard for a broadcast source, the shards its key's
+// multicast mask names, or the one shardOf picks. Called with mu held.
+func (e *Engine) routeRow(sr srcRoute, ts int64, vals []int64) {
+	if sr.mode == core.PartitionBroadcast {
 		for i := range e.workers {
-			e.append(i, cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
+			e.appendRow(i, sr.id, ts, vals)
 		}
-	case core.PartitionMulticast:
-		for mask := e.multicastMask(sr, rowKey(sr, vals)); mask != 0; mask &= mask - 1 {
-			e.append(bits.TrailingZeros64(mask), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
-		}
-	default:
-		e.append(e.shardOf(sr, rowKey(sr, vals)), cluster.Entry{Src: sr.id, TS: ts, Vals: vals})
+		return
+	}
+	var v int64
+	if sr.attr < len(vals) {
+		v = vals[sr.attr]
+	}
+	if sr.mode != core.PartitionMulticast {
+		e.appendRow(e.shardOf(sr, v), sr.id, ts, vals)
+		return
+	}
+	for mask := e.multicastMask(sr, v); mask != 0; mask &= mask - 1 {
+		e.appendRow(bits.TrailingZeros64(mask), sr.id, ts, vals)
 	}
 }
 
@@ -892,28 +977,35 @@ func (e *Engine) multicastMask(sr srcRoute, v int64) uint64 {
 }
 
 // PushBatch injects a batch of tuples into one source stream under a
-// single routing lock acquisition. ts[i] pairs with vals[i]; the engine
-// takes ownership of the value slices.
+// single routing lock acquisition. ts[i] pairs with vals[i]. The rows are
+// copied: a sharded engine routes each as Push does, and an inline engine
+// transposes the batch into reused column scratch for one PushColumns
+// call. The failure contract of Push applies.
 func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 	if len(ts) != len(vals) {
 		return fmt.Errorf("shard: PushBatch length mismatch: %d timestamps, %d value rows", len(ts), len(vals))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if eng := e.inline; eng != nil {
-		if e.closed {
-			return errClosed
-		}
-		err := eng.PushBatch(source, ts, vals)
-		e.countInline(len(ts), err)
-		return err
-	}
 	sr, err := e.admitLocked(source, batchWidth(vals))
 	if err != nil {
 		return err
 	}
+	if eng := e.inline; eng != nil {
+		e.cols = slices.Grow(e.cols[:0], sr.arity)[:sr.arity]
+		for a := range e.cols {
+			col := slices.Grow(e.cols[a][:0], len(ts))[:len(ts)]
+			for i, row := range vals {
+				col[i] = row[a]
+			}
+			e.cols[a] = col
+		}
+		err := eng.PushColumns(source, ts, e.cols)
+		e.countInline(len(ts), err)
+		return err
+	}
 	for i := range ts {
-		e.route(sr, ts[i], vals[i])
+		e.routeRow(sr, ts[i], vals[i])
 	}
 	return nil
 }
@@ -963,7 +1055,7 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 		// engines, exactly like broadcast value slices.
 		run := &cluster.Run{TS: ts, Cols: cols}
 		for i := range e.workers {
-			e.append(i, cluster.Entry{Src: sr.id, Run: run})
+			e.appendRun(i, sr.id, run)
 		}
 		return
 	}
@@ -997,7 +1089,7 @@ func (e *Engine) routeColumns(sr srcRoute, ts []int64, cols [][]int64) {
 	for i := range e.workers {
 		sel := sels[i*words : (i+1)*words : (i+1)*words]
 		if slices.ContainsFunc(sel, func(w uint64) bool { return w != 0 }) {
-			e.append(i, cluster.Entry{Src: sr.id, Run: &cluster.Run{TS: ts, Cols: cols, Sel: sel}})
+			e.appendRun(i, sr.id, &cluster.Run{TS: ts, Cols: cols, Sel: sel})
 		}
 	}
 }
@@ -1183,26 +1275,28 @@ func (e *Engine) quiesceLiveLocked() error {
 // With rebalance set, the extended partition plan re-routes running
 // sources: after the delta is spliced, the stored operator state is
 // migrated from its placement under the old routes to its placement under
-// part (drain → export → re-hash → import), inside the same barrier. This
-// is how a live add that the pinned-route ExtendPartition would reject is
-// served without an offline restart.
+// part (drain → export → re-hash → import), inside the same barrier, and
+// the migration's Moved and Dropped counts are returned. This is how a
+// live add that the pinned-route ExtendPartition would reject is served
+// without an offline restart.
 //
 // Concurrent Push/PushBatch callers block for the duration; maintenance
 // operations themselves must be serialized by the caller.
-func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) error {
+func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) (RebalanceStats, error) {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var st RebalanceStats
 	if e.closed {
-		return errClosed
+		return st, errClosed
 	}
 	if err := e.quiesceLocked(); err != nil {
-		return err
+		return st, err
 	}
 	// Pre-mutation fault point: an error injected here must leave the
 	// engine fully usable (nothing has been spliced or frozen yet).
 	if err := faultpoint.Error("shard.delta.apply"); err != nil {
-		return err
+		return st, err
 	}
 	// Quiescent. Freeze the removed queries' merged counts under the
 	// partition plan they were produced with.
@@ -1229,7 +1323,7 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 		if err := w.rep.applyDelta(e.plan, sh); err != nil {
 			e.statsMu.Unlock()
 			e.stopLocked(false)
-			return fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
+			return st, fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
 		}
 	}
 	e.statsMu.Unlock()
@@ -1238,12 +1332,13 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	e.onResult = onResult
 	e.wireCallbacks()
 	if rebalance {
-		if _, err := e.migrateStateLocked(e.registriesLocked(), e.part.OpSideDists(e.plan), part); err != nil {
-			return err
+		var err error
+		if st, err = e.migrateStateLocked(e.registriesLocked(), e.part.OpSideDists(e.plan), part); err != nil {
+			return st, err
 		}
 		if err := e.rebaseCountsLocked(); err != nil {
 			e.stopLocked(false)
-			return fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
+			return st, fmt.Errorf("shard: counter rebase failed, engine disabled: %w", err)
 		}
 	}
 	// Swap routing state.
@@ -1257,9 +1352,9 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(part)
 	obs.RecordEvent(obs.EvDeltaApply,
-		fmt.Sprintf("shards=%d dirty=%d removed=%d rebalance=%v", len(e.workers), len(d.Dirty), len(removed), rebalance),
+		fmt.Sprintf("shards=%d dirty=%d removed=%d rebalance=%v moved=%d dropped=%d", len(e.workers), len(d.Dirty), len(removed), rebalance, st.Moved, st.Dropped),
 		time.Since(start))
-	return nil
+	return st, nil
 }
 
 // rebaseCountsLocked folds every replica's result counters into the base

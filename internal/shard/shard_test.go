@@ -231,55 +231,150 @@ func TestShardedConcurrentPushRace(t *testing.T) {
 	}
 }
 
-// PushBatch routes whole batches and agrees with per-tuple Push counts.
+// TestShardedPushBatchEquivalence holds the router's row path to a
+// one-shard run and to PushColumns, over Workload 1 and over a plan with
+// hash, multicast, broadcast and round-robin sources. Each input's
+// interleaved feed is cut into windows in which each source's rows go as
+// calls of k rows, for k = 1, 3, 4 and 300. At 2 in-process shards and at
+// 2 pipe-cluster shards, the calls pushed row by row, as PushBatch calls
+// and as PushColumns calls must each give every query the count of a
+// one-shard run of the same rows.
 func TestShardedPushBatchEquivalence(t *testing.T) {
 	p := workload.DefaultParams()
 	p.NumQueries = 100
-	qs, err := workload.ToRUMOR(p.Workload1())
+	w1, err := workload.ToRUMOR(p.Workload1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := p.GenStreams(4000)
-	_, one := buildPair(t, p.Catalog(), qs, false, 4)
-	defer one.Close()
-	_, two := buildPair(t, p.Catalog(), qs, false, 4)
-	defer two.Close()
-	for i, ev := range events {
-		if err := one.Push(ev.Source, int64(i), ev.Tuple.Vals); err != nil {
-			t.Fatal(err)
+	mixCat, mixQs, mixEvents := mixedPlacementInputs(t)
+	inputs := []struct {
+		name   string
+		cat    map[string]core.SourceDecl
+		qs     []*core.Query
+		events []workload.Event
+		modes  []core.PartitionMode
+	}{
+		{"w1", p.Catalog(), w1, p.GenStreams(4000), nil},
+		{"mixed", mixCat, mixQs, mixEvents, []core.PartitionMode{core.PartitionHash, core.PartitionMulticast, core.PartitionBroadcast}},
+	}
+	for _, in := range inputs {
+		plan := buildTorturePlan(t, in.cat, in.qs, false)
+		routes := map[core.PartitionMode]bool{}
+		for _, r := range core.AnalyzePartition(plan).Routes {
+			routes[r.Mode] = true
+		}
+		for _, m := range in.modes {
+			if !routes[m] {
+				t.Fatalf("%s: no source is routed %v", in.name, m)
+			}
+		}
+		for _, k := range []int{1, 3, 4, 300} {
+			calls := sourceCalls(in.events, k, len(in.cat))
+			one, err := New(plan, nil, Config{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushCalls(t, one, calls, "rows")
+			if one.TotalResults() == 0 {
+				t.Fatalf("%s: no results; equivalence is vacuous", in.name)
+			}
+			for _, how := range []string{"rows", "batch", "columns"} {
+				for _, deploy := range []string{"local", "cluster"} {
+					var sh *Engine
+					if deploy == "local" {
+						if sh, err = New(plan, nil, Config{Shards: 2, BatchSize: 64}); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						_, sh = buildClusterPair(t, in.cat, in.qs, false, 2, &clusterHarness{}, Config{}, nil)
+					}
+					pushCalls(t, sh, calls, how)
+					for _, q := range plan.Queries {
+						if got, want := sh.ResultCount(q.ID), one.ResultCount(q.ID); got != want {
+							t.Fatalf("%s k=%d %s %s: query %s: %d results, one shard %d", in.name, k, deploy, how, q.Name, got, want)
+						}
+					}
+					if err := sh.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			one.Close()
 		}
 	}
-	// Batch maximal same-source runs (cross-source order preserved).
-	i := 0
-	for i < len(events) {
-		j := i + 1
-		for j < len(events) && events[j].Source == events[i].Source {
-			j++
+}
+
+// feedCall is one call's worth of rows of one source.
+type feedCall struct {
+	src  string
+	rows []workload.Event
+}
+
+// sourceCalls cuts events into windows of k rows per source; within a
+// window each source's rows, in order of first appearance, go as calls of
+// at most k rows. The rows are stamped anew in call order, so timestamps
+// stay non-decreasing across sources.
+func sourceCalls(events []workload.Event, k, sources int) []feedCall {
+	var calls []feedCall
+	ts := int64(0)
+	for off := 0; off < len(events); off += k * sources {
+		bySrc := map[string][]workload.Event{}
+		var order []string
+		for _, ev := range events[off:min(off+k*sources, len(events))] {
+			if bySrc[ev.Source] == nil {
+				order = append(order, ev.Source)
+			}
+			bySrc[ev.Source] = append(bySrc[ev.Source], ev)
 		}
-		ts := make([]int64, 0, j-i)
-		vals := make([][]int64, 0, j-i)
-		for k := i; k < j; k++ {
-			ts = append(ts, int64(k))
-			vals = append(vals, events[k].Tuple.Vals)
+		for _, src := range order {
+			for i, ev := range bySrc[src] {
+				ts++
+				bySrc[src][i].Tuple = &stream.Tuple{TS: ts, Vals: ev.Tuple.Vals}
+			}
 		}
-		if err := two.PushBatch(events[i].Source, ts, vals); err != nil {
-			t.Fatal(err)
+		for _, src := range order {
+			for rows := bySrc[src]; len(rows) > 0; rows = rows[min(k, len(rows)):] {
+				calls = append(calls, feedCall{src, rows[:min(k, len(rows))]})
+			}
 		}
-		i = j
 	}
-	if err := one.Drain(); err != nil {
+	return calls
+}
+
+// pushCalls pushes calls into sh row by row ("rows"), one PushBatch per
+// call ("batch") or one PushColumns per call ("columns"), then drains.
+func pushCalls(t *testing.T, sh *Engine, calls []feedCall, how string) {
+	t.Helper()
+	for _, c := range calls {
+		ts := make([]int64, len(c.rows))
+		vals := make([][]int64, len(c.rows))
+		for i, ev := range c.rows {
+			ts[i], vals[i] = ev.Tuple.TS, ev.Tuple.Vals
+		}
+		var err error
+		switch how {
+		case "rows":
+			for i := 0; i < len(ts) && err == nil; i++ {
+				err = sh.Push(c.src, ts[i], vals[i])
+			}
+		case "batch":
+			err = sh.PushBatch(c.src, ts, vals)
+		default:
+			cols := make([][]int64, len(vals[0]))
+			for a := range cols {
+				cols[a] = make([]int64, len(ts))
+				for i, row := range vals {
+					cols[a][i] = row[a]
+				}
+			}
+			err = sh.PushColumns(c.src, ts, cols)
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", how, c.src, err)
+		}
+	}
+	if err := sh.Drain(); err != nil {
 		t.Fatal(err)
-	}
-	if err := two.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if one.TotalResults() == 0 {
-		t.Fatal("no results; equivalence is vacuous")
-	}
-	for _, q := range qs {
-		if a, b := one.ResultCount(q.ID), two.ResultCount(q.ID); a != b {
-			t.Fatalf("query %s: Push %d vs PushBatch %d", q.Name, a, b)
-		}
 	}
 }
 

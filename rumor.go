@@ -130,8 +130,9 @@ type PlanInfo struct {
 	// columnar blocks (produced by a source or selection, read only by
 	// selections and ;/µ, membership fits one word); BlocksProcessed is
 	// the number of blocks the engine has actually delivered along such
-	// edges. It stays 0 when every push took the per-row path: Push,
-	// PushShared, PushBatch under 4 rows, and any batch whose source
+	// edges. It stays 0 when every push took the per-row path: Push and
+	// PushShared at one shard, a batch (or a run the sharded router merged
+	// from pushed rows) of under 4 rows, and any batch whose source
 	// membership has spilled past one word.
 	BlockEdges      int
 	BlocksProcessed int64
@@ -425,7 +426,7 @@ func (s *System) AddQueryLive(name string, root *Logical) error {
 		part = ext
 	}
 	s.remember(q)
-	if err := s.sh.ApplyDelta(d, part, nil, s.resultHook(), rebalance); err != nil {
+	if _, err := s.sh.ApplyDelta(d, part, nil, s.resultHook(), rebalance); err != nil {
 		// The engine rejected (or rolled back) the delta; undo the name
 		// bookkeeping so the registered set matches what the engine serves.
 		s.forget(q)
@@ -473,7 +474,7 @@ func (s *System) RemoveQuery(name string) error {
 		}
 	}
 	s.forget(q)
-	if err := s.sh.ApplyDelta(d, part, []int{q.ID}, s.resultHook(), false); err != nil {
+	if _, err := s.sh.ApplyDelta(d, part, []int{q.ID}, s.resultHook(), false); err != nil {
 		s.remember(q)
 		return fmt.Errorf("rumor: %w", err)
 	}
