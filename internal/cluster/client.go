@@ -637,20 +637,35 @@ func (c *Client) Replay(seq int64, entries []Entry) error {
 	return err
 }
 
-// rowsAsRuns returns entries with each row (an entry without a Run) made
-// a one-row run over its values. A batch of runs alone is returned as it
-// is.
+// rowsAsRuns returns entries with each stretch of consecutive rows
+// (entries without a Run) of one source and width made one run, the shape
+// the shard router gives a source's rows. A batch of runs alone is
+// returned as it is.
 func rowsAsRuns(entries []Entry) []Entry {
 	if !slices.ContainsFunc(entries, func(en Entry) bool { return en.Run == nil }) {
 		return entries
 	}
-	out := slices.Clone(entries)
-	for i := range out {
-		if en := &out[i]; en.Run == nil {
-			en.Run = &Run{TS: []int64{en.TS}, Cols: make([][]int64, len(en.Vals))}
-			for a := range en.Vals {
-				en.Run.Cols[a] = en.Vals[a : a+1 : a+1]
+	out := make([]Entry, 0, len(entries))
+	for i := 0; i < len(entries); i++ {
+		if en := entries[i]; en.Run == nil {
+			j := i + 1
+			for j < len(entries) && entries[j].Run == nil && entries[j].Src == en.Src && len(entries[j].Vals) == len(en.Vals) {
+				j++
 			}
+			run := &Run{TS: make([]int64, j-i), Cols: make([][]int64, len(en.Vals))}
+			for a := range run.Cols {
+				run.Cols[a] = make([]int64, j-i)
+			}
+			for r, row := range entries[i:j] {
+				run.TS[r] = row.TS
+				for a, v := range row.Vals {
+					run.Cols[a][r] = v
+				}
+			}
+			out = append(out, Entry{Src: en.Src, Run: run})
+			i = j - 1
+		} else {
+			out = append(out, Entry{Src: en.Src, Run: en.Run})
 		}
 	}
 	return out

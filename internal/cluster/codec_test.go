@@ -86,6 +86,35 @@ func rowRun(ts int64, vals ...int64) *Run {
 	return run
 }
 
+// Client.Replay sends a stretch of rows of one source and width as one
+// run, as the shard router does; a source or width change starts a new
+// run, and a run already given passes through in order.
+func TestRowsAsRunsMergesStretches(t *testing.T) {
+	given := testRun(2, 3)
+	got := rowsAsRuns([]Entry{
+		{Src: 0, TS: 1, Vals: []int64{1, 2}},
+		{Src: 0, TS: 2, Vals: []int64{3, 4}},
+		{Src: 1, TS: 3, Vals: []int64{5, 6}},
+		{Src: 1, TS: 4, Vals: []int64{7}},
+		{Src: 2, Run: given},
+		{Src: 0, TS: 5, Vals: []int64{8, 9}},
+	})
+	want := []Entry{
+		{Src: 0, Run: &Run{TS: []int64{1, 2}, Cols: [][]int64{{1, 3}, {2, 4}}}},
+		{Src: 1, Run: rowRun(3, 5, 6)},
+		{Src: 1, Run: rowRun(4, 7)},
+		{Src: 2, Run: given},
+		{Src: 0, Run: rowRun(5, 8, 9)},
+	}
+	if !entriesEqual(got, want) || got[3].Run != given {
+		t.Fatalf("rowsAsRuns: got %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	runs := []Entry{{Src: 2, Run: given}}
+	if out := rowsAsRuns(runs); &out[0] != &runs[0] {
+		t.Fatal("a batch of runs alone was copied")
+	}
+}
+
 func codecBatches() [][]Entry {
 	return [][]Entry{
 		nil,

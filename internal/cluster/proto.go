@@ -90,8 +90,9 @@ const (
 // source-name table). A run stands for many rows in one entry, so queues,
 // the WAL and the wire pay per run, not per row. The shard router hands
 // over runs only. A caller of Client.Replay that holds single rows may
-// leave Run nil and give one row as TS and Vals instead; Replay sends
-// such rows as runs too.
+// leave Run nil and give one row as TS and Vals instead; Replay merges
+// each stretch of such rows of one source into one run, as the router
+// does, so no row form reaches the wire, the worker or a WAL.
 type Entry struct {
 	Src  int32
 	Run  *Run

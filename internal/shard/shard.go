@@ -126,16 +126,6 @@ type batch struct {
 // (timestamp and values) from off.
 type span struct{ off, n, w int }
 
-// openRun returns the span a row of source src appends to: the buffer's
-// last entry's, when the router built it for src; nil when there is none.
-func (b *batch) openRun(src int32) *span {
-	n := len(b.entries)
-	if n == 0 || b.entries[n-1].Run != nil || b.entries[n-1].Src != src {
-		return nil
-	}
-	return &b.spans[len(b.spans)-1]
-}
-
 // seal transposes the router's rows into the columns of their runs and
 // points the runs' entries at them. A run's column headers are cut from
 // hdrs; one cut before hdrs grows keeps the array it was cut from.
@@ -667,20 +657,17 @@ func (e *Engine) appendRun(shard int, src int32, run *cluster.Run) {
 	e.added(shard, run.Rows())
 }
 
-// appendRow copies one row into the shard's open run of its source,
-// opening a run when the buffer's last entry is not one. Called with mu
-// held.
+// appendRow copies one row into the shard's open run of its source: the
+// buffer's last entry, when the router built it for that source; else a
+// run it opens. Called with mu held.
 func (e *Engine) appendRow(shard int, src int32, ts int64, vals []int64) {
 	b := e.pending[shard]
-	sp := b.openRun(src)
-	if sp == nil {
+	if n := len(b.entries); n == 0 || b.entries[n-1].Run != nil || b.entries[n-1].Src != src {
 		b.entries = append(b.entries, cluster.Entry{Src: src})
 		b.spans = append(b.spans, span{off: len(b.vals), w: 1 + len(vals)})
-		sp = &b.spans[len(b.spans)-1]
 	}
-	b.vals = append(b.vals, ts)
-	b.vals = append(b.vals, vals...)
-	sp.n++
+	b.vals = append(append(b.vals, ts), vals...)
+	b.spans[len(b.spans)-1].n++
 	e.added(shard, 1)
 }
 
@@ -910,8 +897,10 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 // countInline counts the rows of an inline push the replica engine
 // accepted. The engine checks what the router's admission check would (an
 // unknown source or a row of the wrong width fails the call and ingests
-// nothing), so an inline push skips that check. Pushes are serialized by
-// mu, so the counter needs no atomic add. Called with mu held.
+// nothing), so inline Push and PushShared leave that check to the engine;
+// inline PushBatch runs it, as it needs the source's arity to size its
+// column scratch. Pushes are serialized by mu, so the counter needs no
+// atomic add. Called with mu held.
 func (e *Engine) countInline(rows int, err error) {
 	if err == nil {
 		n := &e.workers[0].tuples

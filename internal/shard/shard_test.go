@@ -235,10 +235,12 @@ func TestShardedConcurrentPushRace(t *testing.T) {
 // one-shard run and to PushColumns, over Workload 1 and over a plan with
 // hash, multicast, broadcast and round-robin sources. Each input's
 // interleaved feed is cut into windows in which each source's rows go as
-// calls of k rows, for k = 1, 3, 4 and 300. At 2 in-process shards and at
-// 2 pipe-cluster shards, the calls pushed row by row, as PushBatch calls
-// and as PushColumns calls must each give every query the count of a
-// one-shard run of the same rows.
+// calls of k rows, for k = 1, 3, 4 and 300. At 2 and 4 in-process shards
+// and at 2 pipe-cluster shards, the calls pushed row by row, as PushBatch
+// calls and as PushColumns calls must each give every query the count of
+// a one-shard run that pushes the same rows one by one; so must the
+// one-shard (inline) engine's PushBatch, which transposes each call into
+// reused column scratch, and its PushColumns.
 func TestShardedPushBatchEquivalence(t *testing.T) {
 	p := workload.DefaultParams()
 	p.NumQueries = 100
@@ -279,19 +281,23 @@ func TestShardedPushBatchEquivalence(t *testing.T) {
 				t.Fatalf("%s: no results; equivalence is vacuous", in.name)
 			}
 			for _, how := range []string{"rows", "batch", "columns"} {
-				for _, deploy := range []string{"local", "cluster"} {
+				for _, d := range []struct {
+					deploy string
+					shards int
+				}{{"inline", 1}, {"local", 2}, {"local", 4}, {"cluster", 2}} {
+					if d.deploy == "inline" && how == "rows" {
+						continue // the reference itself
+					}
 					var sh *Engine
-					if deploy == "local" {
-						if sh, err = New(plan, nil, Config{Shards: 2, BatchSize: 64}); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						_, sh = buildClusterPair(t, in.cat, in.qs, false, 2, &clusterHarness{}, Config{}, nil)
+					if d.deploy == "cluster" {
+						_, sh = buildClusterPair(t, in.cat, in.qs, false, d.shards, &clusterHarness{}, Config{}, nil)
+					} else if sh, err = New(plan, nil, Config{Shards: d.shards, BatchSize: 64}); err != nil {
+						t.Fatal(err)
 					}
 					pushCalls(t, sh, calls, how)
 					for _, q := range plan.Queries {
 						if got, want := sh.ResultCount(q.ID), one.ResultCount(q.ID); got != want {
-							t.Fatalf("%s k=%d %s %s: query %s: %d results, one shard %d", in.name, k, deploy, how, q.Name, got, want)
+							t.Fatalf("%s k=%d %s/%d %s: query %s: %d results, one shard per row %d", in.name, k, d.deploy, d.shards, how, q.Name, got, want)
 						}
 					}
 					if err := sh.Close(); err != nil {
