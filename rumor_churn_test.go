@@ -206,6 +206,39 @@ func TestChurnEquivalenceSharded(t *testing.T) {
 	}
 }
 
+// clusterChurnSys is a churnSys deployed over shard workers: Optimize
+// dials them.
+type clusterChurnSys struct {
+	*rumor.System
+	nodes []rumor.ClusterNode
+}
+
+func (c clusterChurnSys) Optimize(opt rumor.Options) error {
+	return c.DialCluster(opt, rumor.ClusterConfig{Nodes: c.nodes, BatchSize: 64, HeartbeatInterval: -1})
+}
+
+// TestChurnEquivalenceCluster runs the churn scenario over two pipe
+// workers: every live add and remove crosses the wire, and the survivors
+// must count what a from-scratch single engine counts.
+func TestChurnEquivalenceCluster(t *testing.T) {
+	for _, wl := range []string{"w1", "w2", "w3"} {
+		for _, channels := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/channels=%v", wl, channels), func(t *testing.T) {
+				catalog, surv, events := churnWorkload(t, wl, 40, 4200, 1)
+				_, trans, _ := churnWorkload(t, wl, 40, 0, 99)
+				nodes, _ := startPipeWorkers(t, 2)
+				sys := rumor.NewSharded(rumor.ShardConfig{})
+				defer sys.Close()
+				runChurn(t, clusterChurnSys{sys, nodes}, func() {
+					if err := sys.Drain(); err != nil {
+						t.Fatal(err)
+					}
+				}, rumor.Options{Channels: channels}, catalog, surv, trans, events)
+			})
+		}
+	}
+}
+
 // TestChurnConcurrentPush exercises AddQueryLive/RemoveQuery racing with
 // concurrent PushBatch callers on a sharded system (run under -race).
 func TestChurnConcurrentPush(t *testing.T) {
