@@ -47,7 +47,7 @@ type Config struct {
 	// different epoch is rebuilt from scratch.
 	Epoch int64
 	// PlanBytes is the wire snapshot of the physical plan the worker
-	// lowers its replica from. ApplyDelta keeps it current.
+	// lowers its replica from. Churn keeps it current.
 	PlanBytes []byte
 
 	// CallTimeout bounds one RPC attempt (write + reply) and the
@@ -214,7 +214,7 @@ func (c *Client) DeadErr() error {
 }
 
 // Groups returns the worker's state-group table as of the last handshake
-// or ApplyDelta.
+// or Churn.
 func (c *Client) Groups() []mop.GroupRef {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -695,13 +695,18 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 	return decodeStatsReply(reply)
 }
 
-// ApplyDelta ships the post-mutation plan snapshot, the delta, and the
-// post-delta source-name table; the worker adopts the plan and splices
-// the delta into its replica. The returned group table replaces the
-// cached one, and planBytes/srcNames become what future fresh handshakes
-// rebuild from.
-func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]mop.GroupRef, error) {
-	reply, err := c.call(opApplyDelta, encodeDeltaCall(planBytes, deltaBytes, srcNames))
+// Churn has the worker replay one live add or remove on its own plan and
+// splice the delta it computes there. The worker fails the call when its
+// post-op plan's fingerprint is not call.Rec's. The returned group table
+// replaces the cached one; planBytes, the coordinator's post-op plan
+// snapshot, and the call's source table become what a later fresh
+// handshake builds the worker from.
+func (c *Client) Churn(call *ChurnCall, planBytes []byte) ([]mop.GroupRef, error) {
+	body, err := encodeChurnCall(call)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := c.call(opChurn, body)
 	if err != nil {
 		return nil, err
 	}
@@ -709,10 +714,12 @@ func (c *Client) ApplyDelta(planBytes, deltaBytes []byte, srcNames []string) ([]
 	if err != nil {
 		return nil, err
 	}
-	c.callMu.Lock()
-	if srcNames != nil {
-		c.srcNames = srcNames
+	names := make([]string, len(call.Sources))
+	for i, src := range call.Sources {
+		names[i] = src.Name
 	}
+	c.callMu.Lock()
+	c.srcNames = names
 	c.callMu.Unlock()
 	c.mu.Lock()
 	c.cfg.PlanBytes = planBytes

@@ -395,7 +395,7 @@ func TestClientCorruptErrorTyped(t *testing.T) {
 // error rather than a panic.
 func TestReplayRejectsUnknownSource(t *testing.T) {
 	w := buildWorkload(t)
-	eng, err := buildEngine(w.planBytes)
+	_, eng, err := buildEngine(w.planBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

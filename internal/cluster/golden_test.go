@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -73,6 +74,21 @@ func goldenStats() *obs.Snapshot {
 	d.Buckets[0], d.Buckets[3], d.Buckets[obs.NumBuckets-1] = 1, 2, 1
 	s.AddHist("drain.us", d)
 	return s
+}
+
+// goldenChurnCall encodes a churn call that sets every field.
+func goldenChurnCall() []byte {
+	schema := func(name string) core.SchemaSnap { return core.SchemaSnap{Name: name, Attrs: []string{"a", "b"}} }
+	p, err := encodeChurnCall(&ChurnCall{
+		Rec:               &wire.ChurnRecord{Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 0xfedc_ba98_7654_3210},
+		Channels:          true,
+		ChannelMinStreams: 3,
+		Sources:           []core.SourceSnap{{Name: "S", Label: "grp", Schema: schema("S")}, {Name: "T", Schema: schema("T")}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // controlCodecs lists every control-message decoder: all but the batch
@@ -150,15 +166,13 @@ func controlCodecs() []codec {
 				FirstErr string
 			}{counts, total, firstErr}, encodeDrainReply(counts, total, firstErr), nil
 		}},
-		{"deltaCall", [][]byte{encodeDeltaCall([]byte("plan"), []byte{0x0a, 0x01, 0x02}, []string{"S", "T", "U"})}, func(p []byte) (any, []byte, error) {
-			plan, delta, names, err := decodeDeltaCall(p)
+		{"churnCall", [][]byte{goldenChurnCall()}, func(p []byte) (any, []byte, error) {
+			call, err := decodeChurnCall(p)
 			if err != nil {
 				return nil, nil, err
 			}
-			return struct {
-				Plan, Delta []byte
-				Names       []string
-			}{plan, delta, names}, encodeDeltaCall(plan, delta, names), nil
+			enc, err := encodeChurnCall(call)
+			return call, enc, err
 		}},
 		{"groups", [][]byte{encodeGroupsReply(goldenGroups())}, func(p []byte) (any, []byte, error) {
 			groups, err := decodeGroupsReply(p)

@@ -42,6 +42,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -56,7 +57,10 @@ import (
 // version 2 wrote varints: a version 2 worker would misread them. Version
 // 4 drops a batch's row form (field 2): rows cross as runs, and a version
 // 4 worker would skip a version 3 coordinator's rows as an unknown field.
-const ProtoVersion = 4
+// Version 5 ships a live add or remove as a churn record the worker
+// replays on its own plan (opChurn), where version 4 shipped the post-op
+// plan snapshot and a delta under the same opcode.
+const ProtoVersion = 5
 
 // Frame types.
 //
@@ -77,7 +81,7 @@ const (
 const (
 	opBatch       byte = 1 // replay one WAL batch (dedup by seq)
 	opDrain       byte = 2 // quiesce: counts snapshot + sticky replay error
-	opApplyDelta  byte = 3 // adopt plan snapshot + splice delta
+	opChurn       byte = 3 // replay one live add or remove on the worker's plan
 	opExport      byte = 4 // destructive state export of one group side
 	opImport      byte = 5 // state import into one group
 	opHistogram   byte = 6 // keyed-state histogram of one group side
@@ -517,38 +521,71 @@ func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, e
 	return counts, total, firstErr, nil
 }
 
-// delta body: {1: planBytes, 2: deltaBytes, 3*: srcNames}; reply: groups
-// at field 1. srcNames is the full post-delta source table (a delta can
-// add sources; the worker's handshake table must follow).
-func encodeDeltaCall(planBytes, deltaBytes []byte, srcNames []string) []byte {
-	var b wire.Buffer
-	b.PutBytesField(1, planBytes)
-	b.PutBytesField(2, deltaBytes)
-	for _, name := range srcNames {
-		b.PutStringField(3, name)
-	}
-	return b.Bytes()
+// ChurnCall is one live add or remove as a worker replays it on its own
+// plan: the churn record, whose fingerprint is the coordinator's post-op
+// plan's; the rule options the plan is maintained under; and the post-op
+// source table in source-ID order, each source with its declaration (a
+// live add may scan a stream declared after the worker's plan was built).
+type ChurnCall struct {
+	Rec               *wire.ChurnRecord
+	Channels          bool
+	ChannelMinStreams int
+	Sources           []core.SourceSnap
 }
 
-func decodeDeltaCall(p []byte) (planBytes, deltaBytes []byte, srcNames []string, err error) {
+// churn body: {1: record (wire.EncodeChurnRecordBytes), 2: channels,
+// 3: channelMinStreams, 4: the source table as a plan snapshot of sources
+// only}; reply: groups at field 1.
+func encodeChurnCall(c *ChurnCall) ([]byte, error) {
+	rec, err := wire.EncodeChurnRecordBytes(c.Rec)
+	if err != nil {
+		return nil, err
+	}
+	srcs, err := wire.EncodePlanBytes(&core.PlanSnapshot{Sources: c.Sources})
+	if err != nil {
+		return nil, err
+	}
+	var b wire.Buffer
+	b.PutBytesField(1, rec)
+	b.PutBoolField(2, c.Channels)
+	b.PutVarintField(3, int64(c.ChannelMinStreams))
+	b.PutBytesField(4, srcs)
+	return b.Bytes(), nil
+}
+
+func decodeChurnCall(p []byte) (*ChurnCall, error) {
+	c := &ChurnCall{}
 	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
+	err := r.Fields(func(field, _ int) (err error) {
+		var sub []byte
+		var v int64
 		switch field {
 		case 1:
-			planBytes, err = r.Bytes()
+			if sub, err = r.Bytes(); err == nil {
+				c.Rec, err = wire.DecodeChurnRecordBytes(sub)
+			}
 		case 2:
-			deltaBytes, err = r.Bytes()
+			v, err = r.Varint()
+			c.Channels = v != 0
 		case 3:
-			var s string
-			s, err = r.String()
-			srcNames = append(srcNames, s)
+			c.ChannelMinStreams, err = r.Int()
+		case 4:
+			var snap *core.PlanSnapshot
+			if sub, err = r.Bytes(); err == nil {
+				if snap, err = wire.DecodePlanBytes(sub); err == nil {
+					c.Sources = snap.Sources
+				}
+			}
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return planBytes, deltaBytes, srcNames, nil
+	if c.Rec == nil {
+		return nil, fmt.Errorf("%w: churn call without a record", wire.ErrCorrupt)
+	}
+	return c, nil
 }
 
 func encodeGroupsReply(groups []mop.GroupRef) []byte {

@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/live"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -90,8 +93,8 @@ func randomID() int64 {
 	return id
 }
 
-// workerState is the replica state that survives reconnects: the engine,
-// the plan it runs, the dedup cursor, and the last-reply cache.
+// workerState is the replica state that survives reconnects: the plan,
+// the engine that runs it, the dedup cursor, and the last-reply cache.
 type workerState struct {
 	cfg    WorkerConfig
 	bootID int64
@@ -99,8 +102,12 @@ type workerState struct {
 	epoch      int64
 	shardIdx   int
 	shardCount int
-	eng        *engine.Engine
-	srcNames   []string
+	// plan is the worker's own copy of the coordinator's plan: built at a
+	// fresh handshake, then kept in step by replaying each live add or
+	// remove on it (replayChurn). eng runs it.
+	plan     *core.Physical
+	eng      *engine.Engine
+	srcNames []string
 
 	// lastApplied is the highest WAL batch seq replayed into the engine;
 	// batches at or below it are acknowledged without re-execution
@@ -236,7 +243,7 @@ func (st *workerState) handshake(h *hello) *helloAck {
 	}
 	// Fresh cluster (or a fresh process being offered a resume it cannot
 	// honour — the coordinator detects that by the boot ID change).
-	eng, err := buildEngine(h.PlanBytes)
+	plan, eng, err := buildEngine(h.PlanBytes)
 	if err != nil {
 		ack.Err = err.Error()
 		return ack
@@ -244,6 +251,7 @@ func (st *workerState) handshake(h *hello) *helloAck {
 	st.epoch = h.Epoch
 	st.shardIdx = h.ShardIdx
 	st.shardCount = h.ShardCount
+	st.plan = plan
 	st.eng = eng
 	st.srcNames = h.SrcNames
 	st.lastApplied = 0
@@ -257,20 +265,67 @@ func (st *workerState) handshake(h *hello) *helloAck {
 
 // buildEngine rebuilds a physical plan from a wire snapshot and lowers an
 // engine over it.
-func buildEngine(planBytes []byte) (*engine.Engine, error) {
+func buildEngine(planBytes []byte) (*core.Physical, *engine.Engine, error) {
 	snap, err := wire.DecodePlanBytes(planBytes)
 	if err != nil {
-		return nil, fmt.Errorf("decoding plan snapshot: %w", err)
+		return nil, nil, fmt.Errorf("decoding plan snapshot: %w", err)
 	}
 	catalog, err := snap.CatalogDecls()
 	if err != nil {
-		return nil, fmt.Errorf("rebuilding catalog: %w", err)
+		return nil, nil, fmt.Errorf("rebuilding catalog: %w", err)
 	}
 	plan, err := core.RebuildPhysical(catalog, snap)
 	if err != nil {
-		return nil, fmt.Errorf("rebuilding plan: %w", err)
+		return nil, nil, fmt.Errorf("rebuilding plan: %w", err)
 	}
-	return engine.New(plan)
+	eng, err := engine.New(plan)
+	return plan, eng, err
+}
+
+// replayChurn runs one live add or remove on the worker's plan as the
+// coordinator ran it on its own, and returns the delta for the engine.
+// Live maintenance is deterministic in the encoded plan, so the two plans
+// stay equal; a fingerprint that differs from the record's fails the call.
+func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
+	decls, err := (&core.PlanSnapshot{Sources: call.Sources}).CatalogDecls()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(call.Sources))
+	for i, src := range call.Sources {
+		names[i] = src.Name
+		if _, ok := st.plan.Catalog[src.Name]; !ok {
+			st.plan.Catalog[src.Name] = decls[src.Name]
+		}
+	}
+	st.srcNames = names
+	rec := call.Rec
+	m := live.NewMaintainer(st.plan, rules.Options{Channels: call.Channels, ChannelMinStreams: call.ChannelMinStreams})
+	var d *core.Delta
+	switch rec.Op {
+	case wire.ChurnAdd:
+		if rec.Root == nil {
+			return nil, fmt.Errorf("add of %q has no plan", rec.Name)
+		}
+		d, err = m.AddQuery(core.NewQuery(rec.Name, rec.Root))
+	case wire.ChurnRemove:
+		i := slices.IndexFunc(st.plan.Queries, func(q *core.Query) bool { return q.Name == rec.Name })
+		if i < 0 {
+			return nil, fmt.Errorf("remove of %q: no such query", rec.Name)
+		}
+		d, err = m.RemoveQuery(st.plan.Queries[i].ID)
+	}
+	if err != nil {
+		return nil, err
+	}
+	planBytes, err := wire.EncodePlanBytes(st.plan.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	if fp := wire.PlanFingerprint(planBytes); fp != rec.Fingerprint {
+		return nil, fmt.Errorf("churn of %q: plan fingerprint %016x, coordinator's %016x", rec.Name, fp, rec.Fingerprint)
+	}
+	return d, nil
 }
 
 // reply executes one call and encodes its whole reply frame in place into
@@ -319,33 +374,17 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		}
 		out.Append(encodeDrainReply(st.eng.SnapshotCounts(), st.eng.TotalResults(), firstErr))
 		return nil
-	case opApplyDelta:
-		planBytes, deltaBytes, srcNames, err := decodeDeltaCall(body)
+	case opChurn:
+		call, err := decodeChurnCall(body)
 		if err != nil {
 			return err
 		}
-		snap, err := wire.DecodePlanBytes(planBytes)
-		if err != nil {
-			return fmt.Errorf("decoding plan snapshot: %w", err)
-		}
-		catalog, err := snap.CatalogDecls()
+		d, err := st.replayChurn(call)
 		if err != nil {
 			return err
 		}
-		plan, err := core.RebuildPhysical(catalog, snap)
-		if err != nil {
-			return fmt.Errorf("rebuilding plan: %w", err)
-		}
-		d, err := wire.DecodeDeltaBytes(deltaBytes)
-		if err != nil {
-			return fmt.Errorf("decoding delta: %w", err)
-		}
-		st.eng.AdoptPlan(plan)
 		if err := st.eng.ApplyDelta(d); err != nil {
 			return fmt.Errorf("applying delta: %w", err)
-		}
-		if len(srcNames) > 0 {
-			st.srcNames = srcNames
 		}
 		out.Append(encodeGroupsReply(st.eng.StateRegistry().Groups()))
 		return nil

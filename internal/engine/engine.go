@@ -877,25 +877,6 @@ func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
 	}
 }
 
-// AdoptPlan swaps the engine's plan pointer for an equivalent rebuilt
-// snapshot — same node, edge, query, and channel-position identity, as
-// produced by core.RebuildPhysical on a snapshot of the plan the engine
-// was lowered from (plus any deltas about to be applied). This is how a
-// remote shard worker tracks the coordinator's plan across live churn: the
-// coordinator mutates its plan in place and ships a post-mutation
-// snapshot; the worker adopts the rebuilt copy and then applies the same
-// delta, re-lowering exactly the dirty nodes from the adopted plan.
-//
-// Kept (non-dirty) runtime nodes still hold edge pointers from the
-// previous plan object; that is sound because a retained edge pointer
-// contributes only its ID to delivery (the dense routing tables are
-// rebuilt from the adopted plan), and the delta contract already requires
-// every node whose captured lowering state is invalidated to be in the
-// dirty set. The engine must be quiescent.
-func (e *Engine) AdoptPlan(p *core.Physical) {
-	e.plan = p
-}
-
 // StateRegistry builds the uniform keyed-state registry over the engine's
 // current m-ops (see package mop): the handle through which the sharded
 // runtime exports, imports, and sizes this replica's operator state during

@@ -271,7 +271,8 @@ func liveAdd(t *testing.T, sh *Engine, q *core.Query) RebalanceStats {
 		part = core.AnalyzePartition(sh.plan)
 		part.Table = &core.RoutingTable{Version: sh.PartitionPlan().RoutingVersion() + 1}
 	}
-	st, err := sh.ApplyDelta(d, part, nil, nil, perr != nil)
+	ch := &Churn{Delta: d, Rec: wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root}, Plan: sh.plan}
+	st, err := sh.ApplyDelta(ch, part, nil, nil, perr != nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mop"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/wire"
 )
 
@@ -82,7 +83,9 @@ type replica interface {
 	resultCount(queryID int) int64
 	totalResults() int64
 	registry() Registry
-	applyDelta(p *core.Physical, sh *deltaShipment) error
+	// applyDelta makes the replica follow one live add or remove; names
+	// is the post-op source table.
+	applyDelta(ch *Churn, names []string) error
 	resetCounts() error
 	// unreachable reports a transient outage (remote only).
 	unreachable() bool
@@ -110,29 +113,34 @@ type replica interface {
 	health() *cluster.Health
 }
 
-// deltaShipment carries one live delta to the replicas: the decoded form
-// for local splicing, and the encoded form — post-mutation plan snapshot,
-// delta bytes, post-delta source table — for remote shipment, encoded at
-// most once.
-type deltaShipment struct {
-	d     *core.Delta
-	names []string // post-delta source-name table
+// Churn is one live add or remove as the replicas follow it. A local
+// replica splices Delta, which the caller computed on Plan, the post-op
+// plan the local replicas share. A remote worker replays Rec on its own
+// copy of the plan under Options, splices the delta it computes there,
+// and checks the fingerprint that Snapshot sets in Rec.
+type Churn struct {
+	Delta   *core.Delta
+	Rec     wire.ChurnRecord
+	Options rules.Options
+	Plan    *core.Physical
 
-	encoded    bool
-	planBytes  []byte
-	deltaBytes []byte
-	err        error
+	snapped   bool
+	planBytes []byte
+	err       error
 }
 
-func (sh *deltaShipment) encode(p *core.Physical) ([]byte, []byte, error) {
-	if !sh.encoded {
-		sh.encoded = true
-		sh.planBytes, sh.err = wire.EncodePlanBytes(p.Snapshot())
-		if sh.err == nil {
-			sh.deltaBytes = wire.EncodeDeltaBytes(sh.d)
+// Snapshot encodes Plan once, sets Rec.Fingerprint from the encoding, and
+// returns it. Only a remote replica or a churn log asks for it, so a
+// system with neither encodes nothing per operation.
+func (c *Churn) Snapshot() ([]byte, error) {
+	if !c.snapped {
+		c.snapped = true
+		c.planBytes, c.err = wire.EncodePlanBytes(c.Plan.Snapshot())
+		if c.err == nil {
+			c.Rec.Fingerprint = wire.PlanFingerprint(c.planBytes)
 		}
 	}
-	return sh.planBytes, sh.deltaBytes, sh.err
+	return c.planBytes, c.err
 }
 
 // ---------------------------------------------------------------------
@@ -156,8 +164,8 @@ func (r *localReplica) stickyErr() error              { return nil }
 func (r *localReplica) resultCount(queryID int) int64 { return r.eng.ResultCount(queryID) }
 func (r *localReplica) totalResults() int64           { return r.eng.TotalResults() }
 func (r *localReplica) registry() Registry            { return r.eng.StateRegistry() }
-func (r *localReplica) applyDelta(_ *core.Physical, sh *deltaShipment) error {
-	return r.eng.ApplyDelta(sh.d)
+func (r *localReplica) applyDelta(ch *Churn, _ []string) error {
+	return r.eng.ApplyDelta(ch.Delta)
 }
 func (r *localReplica) resetCounts() error          { r.eng.ResetCounts(); return nil }
 func (r *localReplica) unreachable() bool           { return false }
@@ -256,12 +264,23 @@ func (r *remoteReplica) totalResults() int64 {
 
 func (r *remoteReplica) registry() Registry { return &remoteRegistry{rep: r} }
 
-func (r *remoteReplica) applyDelta(p *core.Physical, sh *deltaShipment) error {
-	planBytes, deltaBytes, err := sh.encode(p)
+func (r *remoteReplica) applyDelta(ch *Churn, names []string) error {
+	planBytes, err := ch.Snapshot()
 	if err != nil {
 		return err
 	}
-	_, err = r.cli.ApplyDelta(planBytes, deltaBytes, sh.names)
+	srcs := make([]core.SourceSnap, len(names))
+	for i, name := range names {
+		decl := ch.Plan.Catalog[name]
+		srcs[i] = core.SourceSnap{Name: name, Label: decl.Label,
+			Schema: core.SchemaSnap{Name: decl.Schema.Name, Attrs: decl.Schema.Attrs}}
+	}
+	_, err = r.cli.Churn(&cluster.ChurnCall{
+		Rec:               &ch.Rec,
+		Channels:          ch.Options.Channels,
+		ChannelMinStreams: ch.Options.ChannelMinStreams,
+		Sources:           srcs,
+	}, planBytes)
 	return err
 }
 

@@ -1250,11 +1250,12 @@ func (e *Engine) quiesceLiveLocked() error {
 	return first
 }
 
-// ApplyDelta splices a live plan delta into every engine replica at a
-// batch-queue barrier: ingestion is blocked, all pending buffers are
-// flushed and every worker acknowledges quiescence; then the delta is
-// applied to each replica (re-lowering dirty m-ops with state migration),
-// the source routing tables are swapped to the new partition plan, the
+// ApplyDelta makes every engine replica follow one live add or remove at
+// a batch-queue barrier: ingestion is blocked, all pending buffers are
+// flushed and every worker acknowledges quiescence; then each local
+// replica splices ch.Delta (re-lowering dirty m-ops with state
+// migration) and each remote worker replays ch.Rec on its own plan, the
+// source routing tables are swapped to the new partition plan, the
 // merged final counts of the removed queries are frozen under the old
 // plan, and onResult (typically a callback over the new query-name table;
 // nil for none) replaces the result callback before ingestion resumes.
@@ -1271,7 +1272,7 @@ func (e *Engine) quiesceLiveLocked() error {
 //
 // Concurrent Push/PushBatch callers block for the duration; maintenance
 // operations themselves must be serialized by the caller.
-func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) (RebalanceStats, error) {
+func (e *Engine) ApplyDelta(ch *Churn, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) (RebalanceStats, error) {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1306,10 +1307,10 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	// its sink counters into its per-query base as it swaps routing
 	// tables, and a concurrent reader must see the counts before or after
 	// that fold, never halfway.
-	sh := &deltaShipment{d: d, names: e.projectedSrcNamesLocked()}
+	names := e.projectedSrcNamesLocked()
 	e.statsMu.Lock()
 	for i, w := range e.workers {
-		if err := w.rep.applyDelta(e.plan, sh); err != nil {
+		if err := w.rep.applyDelta(ch, names); err != nil {
 			e.statsMu.Unlock()
 			e.stopLocked(false)
 			return st, fmt.Errorf("shard %d: delta splice failed, engine disabled: %w", i, err)
@@ -1341,7 +1342,7 @@ func (e *Engine) ApplyDelta(d *core.Delta, part *core.PartitionPlan, removed []i
 	e.statsMu.Unlock()
 	e.rebuildSourceRoutes(part)
 	obs.RecordEvent(obs.EvDeltaApply,
-		fmt.Sprintf("shards=%d dirty=%d removed=%d rebalance=%v moved=%d dropped=%d", len(e.workers), len(d.Dirty), len(removed), rebalance, st.Moved, st.Dropped),
+		fmt.Sprintf("shards=%d dirty=%d removed=%d rebalance=%v moved=%d dropped=%d", len(e.workers), len(ch.Delta.Dirty), len(removed), rebalance, st.Moved, st.Dropped),
 		time.Since(start))
 	return st, nil
 }

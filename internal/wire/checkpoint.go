@@ -268,40 +268,81 @@ const (
 	ChurnRemove ChurnOp = 2
 )
 
-// ChurnRecord is one logged live maintenance operation: the query name,
-// its logical tree (adds only), and the wire-encoded core.Delta the
-// operation applied — replayers use the delta as an integrity check that
-// the replay reproduced the recorded plan mutation.
+// ChurnRecord is one live maintenance operation: the query name, its
+// logical tree (adds only), and the fingerprint (PlanFingerprint) of the
+// plan the operation left behind. The churn log holds one per operation,
+// and a cluster worker receives one per operation to replay on its own
+// plan; either replayer checks that it reached the same fingerprint.
 type ChurnRecord struct {
-	Op    ChurnOp
-	Name  string
-	Root  *core.Logical
-	Delta *core.Delta
+	Op          ChurnOp
+	Name        string
+	Root        *core.Logical
+	Fingerprint uint64
 }
 
-// record: 1=op 2=name 3=root 4=delta
+// record: 1=op 2=name 3=root 4=fingerprint
 
-// AppendChurnRecord writes one length-prefixed record to w.
-func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
+// EncodeChurnRecordBytes encodes one record (no length prefix).
+func EncodeChurnRecordBytes(rec *ChurnRecord) ([]byte, error) {
 	var b Buffer
 	b.PutVarintField(1, int64(rec.Op))
 	b.PutStringField(2, rec.Name)
 	if rec.Root != nil {
 		root, err := encodeLogical(rec.Root)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b.PutBytesField(3, root)
 	}
-	if rec.Delta != nil {
-		b.PutBytesField(4, EncodeDeltaBytes(rec.Delta))
+	b.PutVarintField(4, int64(rec.Fingerprint))
+	return b.Bytes(), nil
+}
+
+// DecodeChurnRecordBytes decodes one record encoded by
+// EncodeChurnRecordBytes.
+func DecodeChurnRecordBytes(body []byte) (*ChurnRecord, error) {
+	rec := &ChurnRecord{}
+	r := NewReader(body)
+	err := r.Fields(func(f, _ int) (err error) {
+		var v int64
+		var p []byte
+		switch f {
+		case 1:
+			v, err = r.Varint()
+			rec.Op = ChurnOp(v)
+		case 2:
+			rec.Name, err = r.String()
+		case 3:
+			if p, err = r.Bytes(); err == nil {
+				rec.Root, err = decodeLogical(p, 0)
+			}
+		case 4:
+			v, err = r.Varint()
+			rec.Fingerprint = uint64(v)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rec.Op != ChurnAdd && rec.Op != ChurnRemove {
+		return nil, corrupt("unknown churn op %d", rec.Op)
+	}
+	return rec, nil
+}
+
+// AppendChurnRecord writes one length-prefixed record to w.
+func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
+	body, err := EncodeChurnRecordBytes(rec)
+	if err != nil {
+		return err
 	}
 	var frame Buffer
-	frame.PutUvarint(uint64(b.Len()))
+	frame.PutUvarint(uint64(len(body)))
 	if _, err := w.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	_, err := w.Write(b.Bytes())
+	_, err = w.Write(body)
 	return err
 }
 
@@ -318,33 +359,9 @@ func ReadChurnLog(rd io.Reader) ([]*ChurnRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := &ChurnRecord{}
-		sub := NewReader(body)
-		err = sub.Fields(func(f, _ int) (err error) {
-			var p []byte
-			switch f {
-			case 1:
-				var v int64
-				v, err = sub.Varint()
-				rec.Op = ChurnOp(v)
-			case 2:
-				rec.Name, err = sub.String()
-			case 3:
-				if p, err = sub.Bytes(); err == nil {
-					rec.Root, err = decodeLogical(p, 0)
-				}
-			case 4:
-				if p, err = sub.Bytes(); err == nil {
-					rec.Delta, err = DecodeDeltaBytes(p)
-				}
-			}
-			return err
-		})
+		rec, err := DecodeChurnRecordBytes(body)
 		if err != nil {
 			return nil, err
-		}
-		if rec.Op != ChurnAdd && rec.Op != ChurnRemove {
-			return nil, corrupt("unknown churn op %d", rec.Op)
 		}
 		out = append(out, rec)
 	}

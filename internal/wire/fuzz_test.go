@@ -40,19 +40,6 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-func FuzzDecodeDelta(f *testing.F) {
-	f.Add(wire.EncodeDeltaBytes(&core.Delta{}))
-	f.Add(wire.EncodeDeltaBytes(&core.Delta{NewQueries: []int{1, 2}, RemovedQueries: []int{3}}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, err := wire.DecodeDeltaBytes(raw)
-		if err != nil {
-			return
-		}
-		wire.EncodeDeltaBytes(d)
-	})
-}
-
 func FuzzReadCheckpoint(f *testing.F) {
 	pl, err := mop.NewStatePayload(mop.WireKindAgg, 0, kindItems(mop.WireKindAgg))
 	if err != nil {
@@ -85,7 +72,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 func FuzzReadChurnLog(f *testing.F) {
 	var buf bytes.Buffer
 	if err := wire.AppendChurnRecord(&buf, &wire.ChurnRecord{
-		Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Delta: &core.Delta{NewQueries: []int{1}},
+		Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 1 << 63,
 	}); err != nil {
 		f.Fatal(err)
 	}

@@ -181,21 +181,6 @@ func goldenPartition() *core.PartitionPlan {
 	}
 }
 
-// goldenDelta sets every field of a plan delta.
-func goldenDelta() *core.Delta {
-	return &core.Delta{
-		Dirty:        map[int]bool{1: true, 4: true},
-		Removed:      map[int]bool{2: true},
-		RemovedEdges: map[int]bool{3: true},
-		NewEdges:     map[int]bool{5: true, 6: true},
-		NewStreams:   map[int]bool{7: true},
-		Remaps: []core.ChannelRemap{{EdgeID: 5, Table: []int{0, 2, 1},
-			Ops: []core.RemapOp{{OpID: 8, Side: 0}, {OpID: 9, Side: 1}}}},
-		NewQueries:     []int{10, 11},
-		RemovedQueries: []int{12},
-	}
-}
-
 func goldenPred() expr.Pred {
 	return expr.And{Parts: []expr.Pred{
 		expr.ConstCmp{Attr: 1, Op: expr.Gt, C: -7},
@@ -256,8 +241,8 @@ func goldenChurnLog(t testing.TB) []byte {
 	}
 	var buf bytes.Buffer
 	for _, rec := range []*wire.ChurnRecord{
-		{Op: wire.ChurnAdd, Name: "flt", Root: s.Queries[0].Root, Delta: goldenDelta()},
-		{Op: wire.ChurnRemove, Name: "agg", Delta: &core.Delta{RemovedQueries: []int{1}}},
+		{Op: wire.ChurnAdd, Name: "flt", Root: s.Queries[0].Root, Fingerprint: 0xfedc_ba98_7654_3210},
+		{Op: wire.ChurnRemove, Name: "agg", Fingerprint: 1},
 	} {
 		if err := wire.AppendChurnRecord(&buf, rec); err != nil {
 			t.Fatal(err)
@@ -318,13 +303,6 @@ func wireDecoders(t testing.TB) []goldenDecoder {
 				return nil, err
 			}
 			return wire.EncodePartitionBytes(pp)
-		}},
-		{"delta", [][]byte{wire.EncodeDeltaBytes(goldenDelta())}, func(p []byte) ([]byte, error) {
-			d, err := wire.DecodeDeltaBytes(p)
-			if err != nil {
-				return nil, err
-			}
-			return wire.EncodeDeltaBytes(d), nil
 		}},
 		{"payload", payloads, func(p []byte) ([]byte, error) {
 			pl, err := wire.DecodePayloadBytes(p)

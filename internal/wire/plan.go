@@ -2,6 +2,9 @@ package wire
 
 import (
 	"fmt"
+	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -682,6 +685,17 @@ func EncodePlanBytes(s *core.PlanSnapshot) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
+// PlanFingerprint is the 64-bit FNV-1a hash of an encoded plan snapshot
+// (EncodePlanBytes). Live maintenance is deterministic in the encoded
+// plan, so two replicas that replay the same churn on equal plans reach
+// equal fingerprints; a churn record carries the one its coordinator
+// reached.
+func PlanFingerprint(planBytes []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(planBytes)
+	return h.Sum64()
+}
+
 // schemaField reads a nested schema message.
 func schemaField(r *Reader) (core.SchemaSnap, error) {
 	p, err := r.Bytes()
@@ -891,7 +905,7 @@ func EncodePartitionBytes(p *core.PartitionPlan) ([]byte, error) {
 		b.PutBytesField(1, sb.Bytes())
 	}
 	if len(p.ReplicatedSinks) > 0 {
-		b.PutIntsField(2, sortedKeys(p.ReplicatedSinks))
+		b.PutIntsField(2, slices.Sorted(maps.Keys(p.ReplicatedSinks)))
 	}
 	b.PutBoolField(3, p.Parallel)
 	if p.Table != nil {

@@ -163,16 +163,6 @@ func TestPayloadCorruptInputErrors(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTripEmpty(t *testing.T) {
-	d, err := wire.DecodeDeltaBytes(wire.EncodeDeltaBytes(&core.Delta{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == nil {
-		t.Fatal("nil delta")
-	}
-}
-
 func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 	pl, err := mop.NewStatePayload(mop.WireKindMu, 1, kindItems(mop.WireKindMu))
 	if err != nil {
@@ -235,8 +225,8 @@ func TestCheckpointBadFraming(t *testing.T) {
 func TestChurnLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	recs := []*wire.ChurnRecord{
-		{Op: wire.ChurnAdd, Name: "q1", Root: core.Scan("S"), Delta: &core.Delta{NewQueries: []int{1}}},
-		{Op: wire.ChurnRemove, Name: "q1", Delta: &core.Delta{RemovedQueries: []int{1}}},
+		{Op: wire.ChurnAdd, Name: "q1", Root: core.Scan("S"), Fingerprint: 0x8000_0000_0000_0001},
+		{Op: wire.ChurnRemove, Name: "q1", Fingerprint: 7},
 	}
 	for _, rec := range recs {
 		if err := wire.AppendChurnRecord(&buf, rec); err != nil {
@@ -251,11 +241,10 @@ func TestChurnLogRoundTrip(t *testing.T) {
 		t.Fatalf("%d records, want 2", len(out))
 	}
 	if out[0].Op != wire.ChurnAdd || out[0].Name != "q1" || out[0].Root == nil ||
-		len(out[0].Delta.NewQueries) != 1 || out[0].Delta.NewQueries[0] != 1 {
+		out[0].Fingerprint != recs[0].Fingerprint {
 		t.Fatalf("add record mismatch: %+v", out[0])
 	}
-	if out[1].Op != wire.ChurnRemove || out[1].Root != nil ||
-		len(out[1].Delta.RemovedQueries) != 1 {
+	if out[1].Op != wire.ChurnRemove || out[1].Root != nil || out[1].Fingerprint != 7 {
 		t.Fatalf("remove record mismatch: %+v", out[1])
 	}
 }

@@ -426,14 +426,15 @@ func (s *System) AddQueryLive(name string, root *Logical) error {
 		part = ext
 	}
 	s.remember(q)
-	if _, err := s.sh.ApplyDelta(d, part, nil, s.resultHook(), rebalance); err != nil {
+	ch := s.churn(d, wire.ChurnRecord{Op: wire.ChurnAdd, Name: name, Root: root})
+	if _, err := s.sh.ApplyDelta(ch, part, nil, s.resultHook(), rebalance); err != nil {
 		// The engine rejected (or rolled back) the delta; undo the name
 		// bookkeeping so the registered set matches what the engine serves.
 		s.forget(q)
 		return fmt.Errorf("rumor: %w", err)
 	}
 	noteLiveAdd(name, d, time.Since(start))
-	return s.logChurn(wire.ChurnAdd, name, root, d)
+	return s.logChurn(ch)
 }
 
 // RemoveQuery unsubscribes a continuous query. On a running system the
@@ -474,7 +475,8 @@ func (s *System) RemoveQuery(name string) error {
 		}
 	}
 	s.forget(q)
-	if _, err := s.sh.ApplyDelta(d, part, []int{q.ID}, s.resultHook(), false); err != nil {
+	ch := s.churn(d, wire.ChurnRecord{Op: wire.ChurnRemove, Name: name})
+	if _, err := s.sh.ApplyDelta(ch, part, []int{q.ID}, s.resultHook(), false); err != nil {
 		s.remember(q)
 		return fmt.Errorf("rumor: %w", err)
 	}
@@ -482,7 +484,7 @@ func (s *System) RemoveQuery(name string) error {
 	s.removed[name] = s.sh.ResultCount(q.ID)
 	s.nameMu.Unlock()
 	noteLiveRemove(name, d, time.Since(start))
-	return s.logChurn(wire.ChurnRemove, name, nil, d)
+	return s.logChurn(ch)
 }
 
 // ErrArity reports a pushed row whose number of values is not the declared

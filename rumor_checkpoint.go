@@ -195,12 +195,12 @@ func (s *System) RecoverShard() (RecoverStats, error) {
 
 // SetChurnLog attaches an incremental checkpoint log: every subsequent
 // live maintenance operation (AddQueryLive, RemoveQuery) appends one
-// record — the operation, the query name, its logical tree, and the plan
-// delta it produced — to w. Between full snapshots, a restorer replays the
-// log onto the last snapshot with ReplayChurnLog and then re-pushes the
-// events that followed the snapshot; the logged deltas serve as an
-// integrity check that the replayed maintenance reproduced the recorded
-// query set. Pass nil to detach. Serialized against maintenance
+// record — the operation, the query name, its logical tree, and the
+// fingerprint of the plan it left behind — to w. Between full snapshots,
+// a restorer replays the log onto the last snapshot with ReplayChurnLog
+// and then re-pushes the events that followed the snapshot; the logged
+// fingerprints check that the replayed maintenance reproduced the
+// recorded plan. Pass nil to detach. Serialized against maintenance
 // operations.
 func (s *System) SetChurnLog(w io.Writer) {
 	s.churnMu.Lock()
@@ -208,25 +208,50 @@ func (s *System) SetChurnLog(w io.Writer) {
 	s.churnLog = w
 }
 
+// churn wraps one live operation's delta and record for the replicas.
+// Called with churnMu held, after the operation mutated the plan.
+func (s *System) churn(d *core.Delta, rec wire.ChurnRecord) *shard.Churn {
+	return &shard.Churn{Delta: d, Rec: rec, Options: s.ropts, Plan: s.plan}
+}
+
 // logChurn appends one record to the churn log. Called with churnMu held.
-func (s *System) logChurn(op wire.ChurnOp, name string, root *Logical, d *core.Delta) error {
+func (s *System) logChurn(ch *shard.Churn) error {
 	if s.churnLog == nil {
 		return nil
 	}
-	if err := wire.AppendChurnRecord(s.churnLog, &wire.ChurnRecord{Op: op, Name: name, Root: root, Delta: d}); err != nil {
+	_, err := ch.Snapshot() // fills in the record's fingerprint
+	if err == nil {
+		err = wire.AppendChurnRecord(s.churnLog, &ch.Rec)
+	}
+	if err != nil {
 		return fmt.Errorf("rumor: churn log (operation applied, log incomplete): %w", err)
 	}
 	return nil
 }
 
+// planFingerprint is the fingerprint of the running plan's encoding.
+func (s *System) planFingerprint() (uint64, error) {
+	s.churnMu.Lock()
+	defer s.churnMu.Unlock()
+	planBytes, err := wire.EncodePlanBytes(s.plan.Snapshot())
+	if err != nil {
+		return 0, err
+	}
+	return wire.PlanFingerprint(planBytes), nil
+}
+
 // ReplayChurnLog replays an incremental churn log (written via
 // SetChurnLog) onto a system restored from the preceding full snapshot.
-// Each add re-runs live plan maintenance — the rule engine re-derives the
-// merge, and the logged delta's query membership is checked against the
-// replayed one — and each remove unsubscribes again. Event tuples pushed
-// after the snapshot are not in the log; re-push them after replay to
-// reach the pre-crash state.
+// Each add re-runs live plan maintenance and each remove unsubscribes
+// again; after each, the plan's fingerprint must be the one the record
+// logged. A log replayed onto a checkpoint of another plan fails at the
+// first record that leaves a different plan, with that record applied.
+// Event tuples pushed after the snapshot are not in the log; re-push them
+// after replay to reach the pre-crash state.
 func ReplayChurnLog(sys *System, r io.Reader) error {
+	if sys.sh == nil {
+		return notOptimized("ReplayChurnLog")
+	}
 	recs, err := wire.ReadChurnLog(r)
 	if err != nil {
 		return err
@@ -237,21 +262,19 @@ func ReplayChurnLog(sys *System, r io.Reader) error {
 			if rec.Root == nil {
 				return fmt.Errorf("rumor: churn record %d: add of %q has no plan", i, rec.Name)
 			}
-			if err := sys.AddQueryLive(rec.Name, rec.Root); err != nil {
-				return fmt.Errorf("rumor: churn record %d: %w", i, err)
-			}
-			if rec.Delta != nil && len(rec.Delta.NewQueries) != 1 {
-				return fmt.Errorf("rumor: churn record %d: add of %q recorded %d new queries", i, rec.Name, len(rec.Delta.NewQueries))
-			}
+			err = sys.AddQueryLive(rec.Name, rec.Root)
 		case wire.ChurnRemove:
-			if err := sys.RemoveQuery(rec.Name); err != nil {
-				return fmt.Errorf("rumor: churn record %d: %w", i, err)
-			}
-			if rec.Delta != nil && len(rec.Delta.RemovedQueries) != 1 {
-				return fmt.Errorf("rumor: churn record %d: remove of %q recorded %d removed queries", i, rec.Name, len(rec.Delta.RemovedQueries))
-			}
-		default:
-			return fmt.Errorf("rumor: churn record %d: unknown op %d", i, rec.Op)
+			err = sys.RemoveQuery(rec.Name)
+		}
+		if err != nil {
+			return fmt.Errorf("rumor: churn record %d: %w", i, err)
+		}
+		fp, err := sys.planFingerprint()
+		if err != nil {
+			return fmt.Errorf("rumor: churn record %d: %w", i, err)
+		}
+		if fp != rec.Fingerprint {
+			return fmt.Errorf("rumor: churn record %d (%q): replayed plan fingerprint %016x, log recorded %016x", i, rec.Name, fp, rec.Fingerprint)
 		}
 	}
 	return nil
