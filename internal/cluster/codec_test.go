@@ -12,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/live"
+	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -656,6 +659,50 @@ func TestEncodeBatchSelectedRun(t *testing.T) {
 			if sa > ga {
 				t.Fatalf("%d rows: %v allocs to encode the selected run, %v for the gathered one", n, sa, ga)
 			}
+		}
+	}
+}
+
+// A live add crosses the wire as its churn record, not as the plan it
+// leaves: the churn call for one Workload 1 add on a 250-query plan stays
+// under 1 KiB, with channels on and off.
+func TestChurnCallSize(t *testing.T) {
+	p := workload.DefaultParams()
+	p.NumQueries = 251
+	qs, err := workload.ToRUMOR(p.Workload1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, channels := range []bool{false, true} {
+		opt := rules.Options{Channels: channels}
+		plan := core.NewPhysical(p.Catalog())
+		for _, q := range qs[:250] {
+			if err := plan.AddQuery(core.NewQuery(q.Name, q.Root)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rules.Optimize(plan, opt); err != nil {
+			t.Fatal(err)
+		}
+		add := qs[250]
+		if _, err := live.NewMaintainer(plan, opt).AddQuery(core.NewQuery(add.Name, add.Root)); err != nil {
+			t.Fatal(err)
+		}
+		planBytes, fp, err := wire.FingerprintPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := encodeChurnCall(&ChurnCall{
+			Rec:     &wire.ChurnRecord{Op: wire.ChurnAdd, Name: add.Name, Root: add.Root, Fingerprint: fp},
+			Options: opt,
+			Sources: plan.Snapshot().Sources,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("channels=%v: churn call %d B, post-op plan snapshot %d B", channels, len(body), len(planBytes))
+		if len(body) >= 1024 {
+			t.Fatalf("channels=%v: churn call is %d bytes, want < 1024", channels, len(body))
 		}
 	}
 }

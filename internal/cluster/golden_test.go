@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/wire"
 )
 
@@ -80,10 +81,9 @@ func goldenStats() *obs.Snapshot {
 func goldenChurnCall() []byte {
 	schema := func(name string) core.SchemaSnap { return core.SchemaSnap{Name: name, Attrs: []string{"a", "b"}} }
 	p, err := encodeChurnCall(&ChurnCall{
-		Rec:               &wire.ChurnRecord{Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 0xfedc_ba98_7654_3210},
-		Channels:          true,
-		ChannelMinStreams: 3,
-		Sources:           []core.SourceSnap{{Name: "S", Label: "grp", Schema: schema("S")}, {Name: "T", Schema: schema("T")}},
+		Rec:     &wire.ChurnRecord{Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 0xfedc_ba98_7654_3210},
+		Options: rules.Options{Channels: true, ChannelMinStreams: 3},
+		Sources: []core.SourceSnap{{Name: "S", Label: "grp", Schema: schema("S")}, {Name: "T", Schema: schema("T")}},
 	})
 	if err != nil {
 		panic(err)

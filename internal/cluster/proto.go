@@ -38,13 +38,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mop"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -249,7 +251,6 @@ func decodeHelloAck(p []byte) (*helloAck, error) {
 
 func putGroups(b *wire.Buffer, field int, groups []mop.GroupRef) {
 	for _, g := range groups {
-		g := g
 		b.PutMsgField(field, func(sub *wire.Buffer) {
 			sub.PutVarintField(1, int64(g.OpID))
 			sub.PutIntsField(2, g.OpIDs)
@@ -523,22 +524,23 @@ func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, e
 
 // ChurnCall is one live add or remove as a worker replays it on its own
 // plan: the churn record, whose fingerprint is the coordinator's post-op
-// plan's; the rule options the plan is maintained under; and the post-op
-// source table in source-ID order, each source with its declaration (a
-// live add may scan a stream declared after the worker's plan was built).
+// plan's; the rule options the plan is maintained under (Channels and
+// ChannelMinStreams cross the wire); and the post-op source table in
+// source-ID order, each source with its declaration (a live add may scan
+// a stream declared after the worker's plan was built).
 type ChurnCall struct {
-	Rec               *wire.ChurnRecord
-	Channels          bool
-	ChannelMinStreams int
-	Sources           []core.SourceSnap
+	Rec     *wire.ChurnRecord
+	Options rules.Options
+	Sources []core.SourceSnap
 }
 
-// churn body: {1: record (wire.EncodeChurnRecordBytes), 2: channels,
-// 3: channelMinStreams, 4: the source table as a plan snapshot of sources
-// only}; reply: groups at field 1.
+// churn body: {1: the record as a one-record churn log
+// (wire.AppendChurnRecord), 2: channels, 3: channelMinStreams, 4: the
+// source table as a plan snapshot of sources only}; reply: groups at
+// field 1.
 func encodeChurnCall(c *ChurnCall) ([]byte, error) {
-	rec, err := wire.EncodeChurnRecordBytes(c.Rec)
-	if err != nil {
+	var rec bytes.Buffer
+	if err := wire.AppendChurnRecord(&rec, c.Rec); err != nil {
 		return nil, err
 	}
 	srcs, err := wire.EncodePlanBytes(&core.PlanSnapshot{Sources: c.Sources})
@@ -546,31 +548,32 @@ func encodeChurnCall(c *ChurnCall) ([]byte, error) {
 		return nil, err
 	}
 	var b wire.Buffer
-	b.PutBytesField(1, rec)
-	b.PutBoolField(2, c.Channels)
-	b.PutVarintField(3, int64(c.ChannelMinStreams))
+	b.PutBytesField(1, rec.Bytes())
+	b.PutBoolField(2, c.Options.Channels)
+	b.PutVarintField(3, int64(c.Options.ChannelMinStreams))
 	b.PutBytesField(4, srcs)
 	return b.Bytes(), nil
 }
 
 func decodeChurnCall(p []byte) (*ChurnCall, error) {
 	c := &ChurnCall{}
+	var recs []*wire.ChurnRecord
 	r := wire.NewReader(p)
 	err := r.Fields(func(field, _ int) (err error) {
 		var sub []byte
 		var v int64
+		var snap *core.PlanSnapshot
 		switch field {
 		case 1:
 			if sub, err = r.Bytes(); err == nil {
-				c.Rec, err = wire.DecodeChurnRecordBytes(sub)
+				recs, err = wire.ReadChurnLog(bytes.NewReader(sub))
 			}
 		case 2:
 			v, err = r.Varint()
-			c.Channels = v != 0
+			c.Options.Channels = v != 0
 		case 3:
-			c.ChannelMinStreams, err = r.Int()
+			c.Options.ChannelMinStreams, err = r.Int()
 		case 4:
-			var snap *core.PlanSnapshot
 			if sub, err = r.Bytes(); err == nil {
 				if snap, err = wire.DecodePlanBytes(sub); err == nil {
 					c.Sources = snap.Sources
@@ -582,9 +585,10 @@ func decodeChurnCall(p []byte) (*ChurnCall, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Rec == nil {
-		return nil, fmt.Errorf("%w: churn call without a record", wire.ErrCorrupt)
+	if len(recs) != 1 {
+		return nil, fmt.Errorf("%w: churn call with %d records", wire.ErrCorrupt, len(recs))
 	}
+	c.Rec = recs[0]
 	return c, nil
 }
 
@@ -688,12 +692,8 @@ func decodeImportCall(p []byte) (opID int, payloadBytes []byte, err error) {
 }
 
 func encodeHistReply(h map[int64]int64) []byte {
-	keys := make([]int64, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
 	// Deterministic order keeps retried replies byte-identical.
-	sortInt64s(keys)
+	keys := slices.Sorted(maps.Keys(h))
 	counts := make([]int64, len(keys))
 	for i, k := range keys {
 		counts[i] = h[k]
@@ -729,38 +729,26 @@ func decodeHistReply(p []byte) (map[int64]int64, error) {
 	return out, nil
 }
 
-func sortInt64s(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
 // stats reply body: {1*: counter{1: name, 2: value}, 2*: gauge{1: name,
 // 2: value}, 3*: hist{1: name, 2: count, 3: sum, 4: buckets}}. Series are
 // emitted in sorted-name order so retried calls served from the reply
 // cache are byte-identical to a fresh encode.
 func encodeStatsReply(s *obs.Snapshot) []byte {
 	var b wire.Buffer
-	for _, name := range sortedKeys(s.Counters) {
-		name := name
+	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 		b.PutMsgField(1, func(sub *wire.Buffer) {
 			sub.PutStringField(1, name)
 			sub.PutVarintField(2, s.Counters[name])
 		})
 	}
-	for _, name := range sortedKeys(s.Gauges) {
-		name := name
+	for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 		b.PutMsgField(2, func(sub *wire.Buffer) {
 			sub.PutStringField(1, name)
 			sub.PutVarintField(2, s.Gauges[name])
 		})
 	}
-	hnames := make([]string, 0, len(s.Hists))
-	for name := range s.Hists {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
+	for _, name := range slices.Sorted(maps.Keys(s.Hists)) {
 		h := s.Hists[name]
-		name := name
 		b.PutMsgField(3, func(sub *wire.Buffer) {
 			sub.PutStringField(1, name)
 			sub.PutVarintField(2, h.Count)
@@ -769,15 +757,6 @@ func encodeStatsReply(s *obs.Snapshot) []byte {
 		})
 	}
 	return b.Bytes()
-}
-
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func decodeStatsReply(p []byte) (*obs.Snapshot, error) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -300,13 +299,10 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	}
 	st.srcNames = names
 	rec := call.Rec
-	m := live.NewMaintainer(st.plan, rules.Options{Channels: call.Channels, ChannelMinStreams: call.ChannelMinStreams})
+	m := live.NewMaintainer(st.plan, call.Options)
 	var d *core.Delta
 	switch rec.Op {
 	case wire.ChurnAdd:
-		if rec.Root == nil {
-			return nil, fmt.Errorf("add of %q has no plan", rec.Name)
-		}
 		d, err = m.AddQuery(core.NewQuery(rec.Name, rec.Root))
 	case wire.ChurnRemove:
 		i := slices.IndexFunc(st.plan.Queries, func(q *core.Query) bool { return q.Name == rec.Name })
@@ -318,11 +314,11 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	planBytes, err := wire.EncodePlanBytes(st.plan.Snapshot())
+	_, fp, err := wire.FingerprintPlan(st.plan)
 	if err != nil {
 		return nil, err
 	}
-	if fp := wire.PlanFingerprint(planBytes); fp != rec.Fingerprint {
+	if fp != rec.Fingerprint {
 		return nil, fmt.Errorf("churn of %q: plan fingerprint %016x, coordinator's %016x", rec.Name, fp, rec.Fingerprint)
 	}
 	return d, nil

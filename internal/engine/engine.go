@@ -254,8 +254,9 @@ type parked struct {
 	once  bool // parked once for a window prefix: t returns to parkPool
 }
 
-// New lowers the plan. The plan must not be mutated afterwards. Lowering
-// is reusable: New may be called several times on one plan (each engine
+// New lowers the plan. The plan must not be mutated afterwards except by
+// live maintenance, whose delta the engine then splices (ApplyDelta).
+// Lowering is reusable: New may be called several times on one plan (each engine
 // owns independent operator state and counters), which is how the sharded
 // runtime builds its per-shard replicas.
 func New(p *core.Physical) (*Engine, error) {

@@ -124,23 +124,20 @@ type Churn struct {
 	Options rules.Options
 	Plan    *core.Physical
 
-	snapped   bool
 	planBytes []byte
-	err       error
 }
 
 // Snapshot encodes Plan once, sets Rec.Fingerprint from the encoding, and
 // returns it. Only a remote replica or a churn log asks for it, so a
 // system with neither encodes nothing per operation.
 func (c *Churn) Snapshot() ([]byte, error) {
-	if !c.snapped {
-		c.snapped = true
-		c.planBytes, c.err = wire.EncodePlanBytes(c.Plan.Snapshot())
-		if c.err == nil {
-			c.Rec.Fingerprint = wire.PlanFingerprint(c.planBytes)
+	if c.planBytes == nil {
+		var err error
+		if c.planBytes, c.Rec.Fingerprint, err = wire.FingerprintPlan(c.Plan); err != nil {
+			return nil, err
 		}
 	}
-	return c.planBytes, c.err
+	return c.planBytes, nil
 }
 
 // ---------------------------------------------------------------------
@@ -275,12 +272,7 @@ func (r *remoteReplica) applyDelta(ch *Churn, names []string) error {
 		srcs[i] = core.SourceSnap{Name: name, Label: decl.Label,
 			Schema: core.SchemaSnap{Name: decl.Schema.Name, Attrs: decl.Schema.Attrs}}
 	}
-	_, err = r.cli.Churn(&cluster.ChurnCall{
-		Rec:               &ch.Rec,
-		Channels:          ch.Options.Channels,
-		ChannelMinStreams: ch.Options.ChannelMinStreams,
-		Sources:           srcs,
-	}, planBytes)
+	_, err = r.cli.Churn(&cluster.ChurnCall{Rec: &ch.Rec, Options: ch.Options, Sources: srcs}, planBytes)
 	return err
 }
 

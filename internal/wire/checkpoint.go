@@ -90,21 +90,18 @@ func EncodeCheckpointBytes(c *Checkpoint) ([]byte, error) {
 		b.PutBytesField(5, part)
 	}
 	for _, qc := range c.Counts {
-		cnt := qc
 		b.PutMsgField(6, func(sub *Buffer) {
-			sub.PutVarintField(1, int64(cnt.ID))
-			sub.PutVarintField(2, cnt.Count)
+			sub.PutVarintField(1, int64(qc.ID))
+			sub.PutVarintField(2, qc.Count)
 		})
 	}
 	for _, fc := range c.Frozen {
-		cnt := fc
 		b.PutMsgField(7, func(sub *Buffer) {
-			sub.PutStringField(1, cnt.Name)
-			sub.PutVarintField(2, cnt.Count)
+			sub.PutStringField(1, fc.Name)
+			sub.PutVarintField(2, fc.Count)
 		})
 	}
-	for _, g := range c.Groups {
-		gs := g
+	for _, gs := range c.Groups {
 		b.PutMsgField(8, func(sub *Buffer) {
 			sub.PutVarintField(1, int64(gs.Shard))
 			sub.PutVarintField(2, int64(gs.OpID))
@@ -112,10 +109,9 @@ func EncodeCheckpointBytes(c *Checkpoint) ([]byte, error) {
 		})
 	}
 	for _, qc := range c.FrozenByID {
-		cnt := qc
 		b.PutMsgField(9, func(sub *Buffer) {
-			sub.PutVarintField(1, int64(cnt.ID))
-			sub.PutVarintField(2, cnt.Count)
+			sub.PutVarintField(1, int64(qc.ID))
+			sub.PutVarintField(2, qc.Count)
 		})
 	}
 	return b.Bytes(), nil
@@ -269,7 +265,7 @@ const (
 )
 
 // ChurnRecord is one live maintenance operation: the query name, its
-// logical tree (adds only), and the fingerprint (PlanFingerprint) of the
+// logical tree (adds only), and the fingerprint (FingerprintPlan) of the
 // plan the operation left behind. The churn log holds one per operation,
 // and a cluster worker receives one per operation to replay on its own
 // plan; either replayer checks that it reached the same fingerprint.
@@ -282,67 +278,25 @@ type ChurnRecord struct {
 
 // record: 1=op 2=name 3=root 4=fingerprint
 
-// EncodeChurnRecordBytes encodes one record (no length prefix).
-func EncodeChurnRecordBytes(rec *ChurnRecord) ([]byte, error) {
+// AppendChurnRecord writes one length-prefixed record to w.
+func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
 	var b Buffer
 	b.PutVarintField(1, int64(rec.Op))
 	b.PutStringField(2, rec.Name)
 	if rec.Root != nil {
 		root, err := encodeLogical(rec.Root)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.PutBytesField(3, root)
 	}
 	b.PutVarintField(4, int64(rec.Fingerprint))
-	return b.Bytes(), nil
-}
-
-// DecodeChurnRecordBytes decodes one record encoded by
-// EncodeChurnRecordBytes.
-func DecodeChurnRecordBytes(body []byte) (*ChurnRecord, error) {
-	rec := &ChurnRecord{}
-	r := NewReader(body)
-	err := r.Fields(func(f, _ int) (err error) {
-		var v int64
-		var p []byte
-		switch f {
-		case 1:
-			v, err = r.Varint()
-			rec.Op = ChurnOp(v)
-		case 2:
-			rec.Name, err = r.String()
-		case 3:
-			if p, err = r.Bytes(); err == nil {
-				rec.Root, err = decodeLogical(p, 0)
-			}
-		case 4:
-			v, err = r.Varint()
-			rec.Fingerprint = uint64(v)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rec.Op != ChurnAdd && rec.Op != ChurnRemove {
-		return nil, corrupt("unknown churn op %d", rec.Op)
-	}
-	return rec, nil
-}
-
-// AppendChurnRecord writes one length-prefixed record to w.
-func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
-	body, err := EncodeChurnRecordBytes(rec)
-	if err != nil {
-		return err
-	}
 	var frame Buffer
-	frame.PutUvarint(uint64(len(body)))
+	frame.PutUvarint(uint64(b.Len()))
 	if _, err := w.Write(frame.Bytes()); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
@@ -359,9 +313,35 @@ func ReadChurnLog(rd io.Reader) ([]*ChurnRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, err := DecodeChurnRecordBytes(body)
+		rec := &ChurnRecord{}
+		sub := NewReader(body)
+		err = sub.Fields(func(f, _ int) (err error) {
+			var v int64
+			var p []byte
+			switch f {
+			case 1:
+				v, err = sub.Varint()
+				rec.Op = ChurnOp(v)
+			case 2:
+				rec.Name, err = sub.String()
+			case 3:
+				if p, err = sub.Bytes(); err == nil {
+					rec.Root, err = decodeLogical(p, 0)
+				}
+			case 4:
+				v, err = sub.Varint()
+				rec.Fingerprint = uint64(v)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case rec.Op != ChurnAdd && rec.Op != ChurnRemove:
+			return nil, corrupt("unknown churn op %d", rec.Op)
+		case rec.Op == ChurnAdd && rec.Root == nil:
+			return nil, corrupt("add of %q without a logical tree", rec.Name)
 		}
 		out = append(out, rec)
 	}

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -664,12 +663,7 @@ func EncodePlanBytes(s *core.PlanSnapshot) ([]byte, error) {
 		sb.PutBytesField(3, root)
 		b.PutBytesField(6, sb.Bytes())
 	}
-	qids := make([]int, 0, len(s.OutStream))
-	for qid := range s.OutStream {
-		qids = append(qids, qid)
-	}
-	sort.Ints(qids)
-	for _, qid := range qids {
+	for _, qid := range slices.Sorted(maps.Keys(s.OutStream)) {
 		var sb Buffer
 		sb.PutVarintField(1, int64(qid))
 		sb.PutVarintField(2, int64(s.OutStream[qid]))
@@ -685,15 +679,18 @@ func EncodePlanBytes(s *core.PlanSnapshot) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// PlanFingerprint is the 64-bit FNV-1a hash of an encoded plan snapshot
-// (EncodePlanBytes). Live maintenance is deterministic in the encoded
-// plan, so two replicas that replay the same churn on equal plans reach
-// equal fingerprints; a churn record carries the one its coordinator
-// reached.
-func PlanFingerprint(planBytes []byte) uint64 {
+// FingerprintPlan encodes p's snapshot (EncodePlanBytes) and returns the
+// encoding with its fingerprint, the encoding's 64-bit FNV-1a hash. Live
+// maintenance is deterministic in the encoded plan, so two replicas that
+// replay the same churn on equal plans reach equal fingerprints.
+func FingerprintPlan(p *core.Physical) ([]byte, uint64, error) {
+	planBytes, err := EncodePlanBytes(p.Snapshot())
+	if err != nil {
+		return nil, 0, err
+	}
 	h := fnv.New64a()
-	h.Write(planBytes)
-	return h.Sum64()
+	_, _ = h.Write(planBytes) // a hash.Hash never fails a Write
+	return planBytes, h.Sum64(), nil
 }
 
 // schemaField reads a nested schema message.
@@ -877,23 +874,13 @@ func EncodePartitionBytes(p *core.PartitionPlan) ([]byte, error) {
 	if p == nil {
 		return b.Bytes(), nil
 	}
-	names := make([]string, 0, len(p.Routes))
-	for name := range p.Routes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(p.Routes)) {
 		rt := p.Routes[name]
 		var sb Buffer
 		sb.PutStringField(1, name)
 		sb.PutVarintField(2, int64(rt.Mode))
 		sb.PutVarintField(3, int64(rt.Attr))
-		keys := make([]int64, 0, len(rt.Table))
-		for k := range rt.Table {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(rt.Table)) {
 			var eb Buffer
 			eb.PutVarintField(1, k)
 			eb.PutInt64sField(2, rt.Table[k])
@@ -911,12 +898,7 @@ func EncodePartitionBytes(p *core.PartitionPlan) ([]byte, error) {
 	if p.Table != nil {
 		var tb Buffer
 		tb.PutVarintField(1, int64(p.Table.Version))
-		mkeys := make([]int64, 0, len(p.Table.Moves))
-		for k := range p.Table.Moves {
-			mkeys = append(mkeys, k)
-		}
-		sort.Slice(mkeys, func(i, j int) bool { return mkeys[i] < mkeys[j] })
-		for _, k := range mkeys {
+		for _, k := range slices.Sorted(maps.Keys(p.Table.Moves)) {
 			var mb Buffer
 			mb.PutVarintField(1, k)
 			mb.PutIntsField(2, p.Table.Moves[k])

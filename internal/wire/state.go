@@ -81,8 +81,7 @@ func encodePayloadInto(b *Buffer, p *mop.StatePayload) {
 	}
 	b.PutVarintField(1, int64(p.Kind()))
 	b.PutVarintField(2, int64(p.Side()))
-	for _, it := range p.Items() {
-		item := it
+	for _, item := range p.Items() {
 		b.PutMsgField(3, func(ib *Buffer) {
 			ib.PutVarintField(1, item.Key)
 			ib.PutVarintField(2, item.TS)

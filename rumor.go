@@ -426,7 +426,7 @@ func (s *System) AddQueryLive(name string, root *Logical) error {
 		part = ext
 	}
 	s.remember(q)
-	ch := s.churn(d, wire.ChurnRecord{Op: wire.ChurnAdd, Name: name, Root: root})
+	ch := &shard.Churn{Delta: d, Rec: wire.ChurnRecord{Op: wire.ChurnAdd, Name: name, Root: root}, Options: s.ropts, Plan: s.plan}
 	if _, err := s.sh.ApplyDelta(ch, part, nil, s.resultHook(), rebalance); err != nil {
 		// The engine rejected (or rolled back) the delta; undo the name
 		// bookkeeping so the registered set matches what the engine serves.
@@ -475,7 +475,7 @@ func (s *System) RemoveQuery(name string) error {
 		}
 	}
 	s.forget(q)
-	ch := s.churn(d, wire.ChurnRecord{Op: wire.ChurnRemove, Name: name})
+	ch := &shard.Churn{Delta: d, Rec: wire.ChurnRecord{Op: wire.ChurnRemove, Name: name}, Options: s.ropts, Plan: s.plan}
 	if _, err := s.sh.ApplyDelta(ch, part, []int{q.ID}, s.resultHook(), false); err != nil {
 		s.remember(q)
 		return fmt.Errorf("rumor: %w", err)

@@ -208,12 +208,6 @@ func (s *System) SetChurnLog(w io.Writer) {
 	s.churnLog = w
 }
 
-// churn wraps one live operation's delta and record for the replicas.
-// Called with churnMu held, after the operation mutated the plan.
-func (s *System) churn(d *core.Delta, rec wire.ChurnRecord) *shard.Churn {
-	return &shard.Churn{Delta: d, Rec: rec, Options: s.ropts, Plan: s.plan}
-}
-
 // logChurn appends one record to the churn log. Called with churnMu held.
 func (s *System) logChurn(ch *shard.Churn) error {
 	if s.churnLog == nil {
@@ -227,17 +221,6 @@ func (s *System) logChurn(ch *shard.Churn) error {
 		return fmt.Errorf("rumor: churn log (operation applied, log incomplete): %w", err)
 	}
 	return nil
-}
-
-// planFingerprint is the fingerprint of the running plan's encoding.
-func (s *System) planFingerprint() (uint64, error) {
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	planBytes, err := wire.EncodePlanBytes(s.plan.Snapshot())
-	if err != nil {
-		return 0, err
-	}
-	return wire.PlanFingerprint(planBytes), nil
 }
 
 // ReplayChurnLog replays an incremental churn log (written via
@@ -259,9 +242,6 @@ func ReplayChurnLog(sys *System, r io.Reader) error {
 	for i, rec := range recs {
 		switch rec.Op {
 		case wire.ChurnAdd:
-			if rec.Root == nil {
-				return fmt.Errorf("rumor: churn record %d: add of %q has no plan", i, rec.Name)
-			}
 			err = sys.AddQueryLive(rec.Name, rec.Root)
 		case wire.ChurnRemove:
 			err = sys.RemoveQuery(rec.Name)
@@ -269,7 +249,9 @@ func ReplayChurnLog(sys *System, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("rumor: churn record %d: %w", i, err)
 		}
-		fp, err := sys.planFingerprint()
+		sys.churnMu.Lock()
+		_, fp, err := wire.FingerprintPlan(sys.plan)
+		sys.churnMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("rumor: churn record %d: %w", i, err)
 		}
