@@ -84,9 +84,6 @@ func Singleton(i int) *Set {
 	return FromIndices(i)
 }
 
-// inline reports whether the set content lives in the inline word.
-func (s *Set) inline() bool { return s.spill == nil }
-
 // FromWord returns a set whose bits 0..63 are the bits of w. It is the
 // inverse of InlineWord, used by the vectorized execution path to rebuild a
 // membership set from a block's packed membership-word column.

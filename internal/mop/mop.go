@@ -183,7 +183,9 @@ func (pm *portMap) outLoc(p *core.Physical, s *core.StreamRef) target {
 // Lower compiles a plan node into an executable m-op. tp is the engine's
 // tuple pool: every tuple the m-op builds or recycles goes through it, so
 // the engine's single-threaded execution domain never touches a shared
-// pool (tp may be nil; the m-op then falls back to the global pool).
+// pool (tp may be nil; the m-op then falls back to the global pool). A
+// source node has no m-op: the engine hands pushed tuples to its
+// consumers directly.
 func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 	if len(n.Ops) == 0 {
 		return nil, fmt.Errorf("node %d has no operators", n.ID)
@@ -194,8 +196,6 @@ func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 	}
 	var m MOp
 	switch n.Kind {
-	case core.KindSource:
-		m = newSourceMOp()
 	case core.KindSelect:
 		m, err = newSelectMOp(p, n, pm, tp)
 	case core.KindProject:
@@ -220,7 +220,7 @@ func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 		case core.KindProject, core.KindAgg:
 			// Outputs are freshly built; inputs are read and dropped.
 			uses[port] = PortReads
-		case core.KindSelect, core.KindSource:
+		case core.KindSelect:
 			// The input tuple itself may be re-emitted downstream.
 			uses[port] = PortForwards
 		case core.KindSeq, core.KindMu:
@@ -237,17 +237,6 @@ func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 		}
 	}
 	return &Lowered{MOp: m, InEdges: pm.inEdges, OutEdges: pm.outEdges, PortUses: uses}, nil
-}
-
-// sourceMOp forwards injected tuples to its single output port.
-type sourceMOp struct{}
-
-func newSourceMOp() MOp { return sourceMOp{} }
-
-// Process implements MOp.
-func (sourceMOp) Process(_ int, t *stream.Tuple, emit Emit) {
-	// A single forward: ownership (if any) travels with the tuple.
-	emit(0, t)
 }
 
 // chanEmitter accumulates, for channel output ports, the membership of one

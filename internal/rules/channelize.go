@@ -31,30 +31,37 @@ import (
 // that belong to multiple streams"): groups encoding fewer distinct
 // streams than the threshold are left alone. Cost-based selection is
 // future work in the paper and here.
+//
+// With Live set, channel encoding is append-only, the variant live
+// maintenance runs on a plan with running operator state (see live.go).
+// It requires an active delta recording on the plan (core.BeginDelta) to
+// tell delta-new edges from pre-existing ones.
 type Channelize struct {
 	MinStreams int
+	Live       bool
 }
 
 // Name implements Rule.
-func (Channelize) Name() string { return "channelize" }
+func (r Channelize) Name() string {
+	if r.Live {
+		return "channelize-live"
+	}
+	return "channelize"
+}
 
 // Apply implements Rule.
 func (r Channelize) Apply(p *core.Physical) (bool, error) {
-	return applyChannelize(p, nodesOf(p, notSource), r.MinStreams, false)
+	return r.applyNodes(p, nodesOf(p, notSource))
 }
 
 func (r Channelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	return applyChannelize(p, nodes, r.MinStreams, false)
+	return applyChannelize(p, nodes, r.MinStreams, r.Live)
 }
 
 // partners: channel partners consume the live streams of the input's ∼
 // share class (both sides for joins, which channelize both inputs), found
 // through the plan's share-class index.
-func (r Channelize) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
-	return channelPartners(o, dst)
-}
-
-func channelPartners(o *core.Op, dst []partnerSet) []partnerSet {
+func (Channelize) partners(_ *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
 	if len(o.In) == 0 {
 		return dst
 	}

@@ -9,42 +9,18 @@
 //     group, so stored state and query outputs always migrate toward the
 //     operator the engine already runs (this is the standard rule's
 //     behaviour, relied upon here).
-//   - Channel encoding is append-only (LiveChannelize): an existing
-//     channel may grow by the new streams, and new channels may form from
-//     delta-new edges, but a pre-existing plain edge is never re-encoded —
-//     stored plain tuples carry no membership, so re-encoding would make
-//     the running consumers' state unreadable. Growth first reclaims
+//   - Channel encoding is append-only (Channelize with Live set): an
+//     existing channel may grow by the new streams, and new channels may
+//     form from delta-new edges, but a pre-existing plain edge is never
+//     re-encoded — stored plain tuples carry no membership, so
+//     re-encoding would make the running consumers' state unreadable.
+//     Growth first reclaims
 //     tombstoned slots (EncodeChannel slot reuse, scrubbing their stored
 //     bits through a delta-recorded remap), so an add/remove/add cycle of
 //     the same query does not widen the membership words.
 package rules
 
 import "repro/internal/core"
-
-// LiveChannelize is the cτ rule family restricted to append-only channel
-// growth, safe to apply to a plan with running operator state. It requires
-// an active delta recording on the plan (core.BeginDelta) to tell
-// delta-new edges from pre-existing ones.
-type LiveChannelize struct {
-	MinStreams int
-}
-
-// Name implements Rule.
-func (LiveChannelize) Name() string { return "channelize-live" }
-
-// Apply implements Rule.
-func (r LiveChannelize) Apply(p *core.Physical) (bool, error) {
-	return applyChannelize(p, nodesOf(p, notSource), r.MinStreams, true)
-}
-
-func (r LiveChannelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	return applyChannelize(p, nodes, r.MinStreams, true)
-}
-
-// partners: same sharing partners as the offline channel rule.
-func (r LiveChannelize) partners(p *core.Physical, o *core.Op, dst []partnerSet) []partnerSet {
-	return channelPartners(o, dst)
-}
 
 // LiveRules returns the rule set for incremental optimization of a running
 // plan: the merge rules and the append-only channel rule, each seeded from
@@ -63,7 +39,7 @@ func LiveRules(opt Options) []Rule {
 		Seeded{MergeSeq{Kind: core.KindMu}},
 	}
 	if opt.Channels {
-		rs = append(rs, Seeded{LiveChannelize{MinStreams: opt.ChannelMinStreams}})
+		rs = append(rs, Seeded{Channelize{MinStreams: opt.ChannelMinStreams, Live: true}})
 	}
 	return rs
 }
