@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/live"
 	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -675,5 +676,51 @@ func TestWorkerReplyInPlace(t *testing.T) {
 		if retry := rc.callRaw(rc.callID, opBatch, call); !bytes.Equal(first, retry) {
 			t.Fatalf("batch %d: retried call answered with different bytes", i+1)
 		}
+	}
+}
+
+// A worker replays each churn record on its own plan and checks the
+// record's fingerprint: an add whose fingerprint is its twin plan's
+// applies, and a remove whose fingerprint names another plan fails the
+// call.
+func TestChurnChecksFingerprint(t *testing.T) {
+	w := buildWorkload(t)
+	lis := startWorker(t)
+	c, err := Dial(Config{
+		Dial:     func() (net.Conn, error) { return lis.Dial() },
+		ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
+		CallTimeout: 2 * time.Second, HeartbeatInterval: -1,
+	}, w.srcNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	twin, _, err := buildEngine(w.planBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := live.NewMaintainer(twin, rules.Options{})
+	churn := func(rec *wire.ChurnRecord, flip uint64) error {
+		planBytes, fp, err := wire.FingerprintPlan(twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Fingerprint = fp ^ flip
+		_, err = c.Churn(&ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources}, planBytes)
+		return err
+	}
+	q := core.NewQuery("again", twin.Queries[0].Root)
+	if _, err := m.AddQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := churn(&wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root}, 0); err != nil {
+		t.Fatalf("add with the twin's fingerprint: %v", err)
+	}
+	if _, err := m.RemoveQuery(q.ID); err != nil {
+		t.Fatal(err)
+	}
+	err = churn(&wire.ChurnRecord{Op: wire.ChurnRemove, Name: q.Name}, 1)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("remove with another plan's fingerprint: %v, want a fingerprint mismatch", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	rumor "repro"
@@ -507,6 +508,52 @@ func TestChurnLogReplay(t *testing.T) {
 			t.Fatal("no results; replay equivalence vacuous")
 		}
 	})
+}
+
+// A churn log replayed onto a checkpoint of another plan fails at its
+// first record, naming it: the checkpoint's plan has the same query names
+// (no add collides) plus one more base query, so the first replayed add
+// leaves a plan whose fingerprint is not the one the log recorded.
+func TestChurnLogReplayRejectsOtherPlan(t *testing.T) {
+	catalog, qs, _ := churnWorkload(t, "w2", 30, 0, 15)
+	build := func(base []*core.Query) *rumor.System {
+		sys := rumor.New()
+		declareAll(t, sys, catalog)
+		for _, q := range base {
+			if err := sys.AddQuery(q.Name, q.Root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.Optimize(rumor.Options{Channels: true}); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := build(qs[:10])
+	var log bytes.Buffer
+	sys.SetChurnLog(&log)
+	for i, q := range qs[10:14] {
+		if err := sys.AddQueryLive(fmt.Sprintf("post_%d", i), q.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.RemoveQuery("post_0"); err != nil {
+		t.Fatal(err)
+	}
+
+	other := build(append(qs[:10:10], qs[20]))
+	var snap bytes.Buffer
+	if err := other.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rumor.Restore(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rumor.ReplayChurnLog(res, bytes.NewReader(log.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), `churn record 0 ("post_0")`) {
+		t.Fatalf("replay onto another plan: %v, want a fingerprint mismatch at record 0", err)
+	}
 }
 
 // An injected checkpoint-write fault surfaces as an error and leaves the

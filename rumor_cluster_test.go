@@ -383,3 +383,82 @@ func TestRestoreShardedCrossCount(t *testing.T) {
 		}
 	}
 }
+
+// A ShardWorker serves a cluster as ServeShard does, and its Metrics,
+// read while it serves, show the batches it applied and its boot ID.
+func TestShardWorkerMetrics(t *testing.T) {
+	lis := transport.NewPipeListener()
+	sw := rumor.NewShardWorker()
+	done := make(chan error, 1)
+	go func() { done <- sw.Serve(lis) }()
+	sys := rumor.NewSharded(rumor.ShardConfig{})
+	if err := sys.ExecScript(perfScript); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{
+		Nodes:             []rumor.ClusterNode{{Dial: lis.Dial}},
+		HeartbeatInterval: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pushPerf(t, sys.Push, 0, 100)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	m := sw.Metrics()
+	if n := m.Counters["worker_batches_applied_total"]; n <= 0 {
+		t.Fatalf("worker_batches_applied_total = %d, want > 0", n)
+	}
+	if m.Gauges["worker_boot_id"] == 0 {
+		t.Fatal("worker_boot_id = 0, want the worker's boot ID")
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve after the coordinator's shutdown: %v", err)
+	}
+}
+
+// A stream declared after DialCluster reaches the workers with the first
+// live add that scans it: the churn call carries each source's
+// declaration, and the cluster counts what a single engine counts.
+func TestDialClusterLateStream(t *testing.T) {
+	nodes, _ := startPipeWorkers(t, 2)
+	sys := rumor.NewSharded(rumor.ShardConfig{})
+	ref := rumor.New()
+	for _, s := range []*rumor.System{sys, ref} {
+		if err := s.ExecScript(perfScript); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{Nodes: nodes, HeartbeatInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := ref.Optimize(rumor.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*rumor.System{sys, ref} {
+		if err := s.DeclareStream("MEM", "", "pid", "used"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddQueryLive("mem", rumor.Scan("MEM")); err != nil {
+			t.Fatal(err)
+		}
+		for ts := int64(0); ts < 50; ts++ {
+			if err := s.Push("MEM", ts, ts%7, ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pushPerf(t, s.Push, 50, 150)
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"mem", "hot", "warm"} {
+		if got, want := sys.ResultCount(q), ref.ResultCount(q); got != want || want == 0 {
+			t.Fatalf("query %s: cluster %d, single engine %d", q, got, want)
+		}
+	}
+}
