@@ -714,12 +714,8 @@ func (c *Client) Churn(call *ChurnCall, planBytes []byte) ([]mop.GroupRef, error
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(call.Sources))
-	for i, src := range call.Sources {
-		names[i] = src.Name
-	}
 	c.callMu.Lock()
-	c.srcNames = names
+	c.srcNames = call.srcNames()
 	c.callMu.Unlock()
 	c.mu.Lock()
 	c.cfg.PlanBytes = planBytes

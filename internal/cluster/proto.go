@@ -534,6 +534,15 @@ type ChurnCall struct {
 	Sources []core.SourceSnap
 }
 
+// srcNames is the call's source table: source ID → name.
+func (c *ChurnCall) srcNames() []string {
+	names := make([]string, len(c.Sources))
+	for i, src := range c.Sources {
+		names[i] = src.Name
+	}
+	return names
+}
+
 // churn body: {1: the record as a one-record churn log
 // (wire.AppendChurnRecord), 2: channels, 3: channelMinStreams, 4: the
 // source table as a plan snapshot of sources only}; reply: groups at

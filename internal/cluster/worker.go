@@ -290,14 +290,12 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(call.Sources))
-	for i, src := range call.Sources {
-		names[i] = src.Name
-		if _, ok := st.plan.Catalog[src.Name]; !ok {
-			st.plan.Catalog[src.Name] = decls[src.Name]
+	for name, decl := range decls {
+		if _, ok := st.plan.Catalog[name]; !ok {
+			st.plan.Catalog[name] = decl
 		}
 	}
-	st.srcNames = names
+	st.srcNames = call.srcNames()
 	rec := call.Rec
 	m := live.NewMaintainer(st.plan, call.Options)
 	var d *core.Delta
