@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/expr"
+	"repro/internal/live"
 	"repro/internal/mop"
 	"repro/internal/rules"
 	"repro/internal/wire"
@@ -29,7 +30,7 @@ import (
 // an intended change of decode outcomes:
 //
 //	go test ./internal/wire -run DecodeGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite internal/wire/testdata/decode.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens under internal/wire/testdata")
 
 // goldenDecoder is one decoder under the golden: the valid encodings its
 // corpus grows from, and a function that decodes p and re-encodes the
@@ -112,9 +113,9 @@ func checkDecodeGolden(t *testing.T, decoders []goldenDecoder) {
 	}
 }
 
-// optimizedSnapshot adds qs to a fresh plan, optimizes it with channels on,
-// and returns its snapshot.
-func optimizedSnapshot(t testing.TB, cat map[string]core.SourceDecl, qs []*core.Query) *core.PlanSnapshot {
+// optimizedPhysical adds qs to a fresh plan and optimizes it with channels
+// on.
+func optimizedPhysical(t testing.TB, cat map[string]core.SourceDecl, qs []*core.Query) *core.Physical {
 	t.Helper()
 	p := core.NewPhysical(cat)
 	for _, q := range qs {
@@ -125,19 +126,22 @@ func optimizedSnapshot(t testing.TB, cat map[string]core.SourceDecl, qs []*core.
 	if err := rules.Optimize(p, rules.Options{Channels: true}); err != nil {
 		t.Fatal(err)
 	}
-	return p.Snapshot()
+	return p
 }
 
-// w2Plan is Workload 2 at 20 queries, optimized with channels on.
-func w2Plan(t testing.TB) *core.PlanSnapshot {
+// w2Physical is Workload 2 at 20 queries, optimized with channels on.
+func w2Physical(t testing.TB) *core.Physical {
 	prm := workload.DefaultParams()
 	prm.NumQueries = 20
 	qs, err := workload.ToRUMOR(prm.Workload2Seq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return optimizedSnapshot(t, prm.Catalog(), qs)
+	return optimizedPhysical(t, prm.Catalog(), qs)
 }
+
+// w2Plan is w2Physical's snapshot.
+func w2Plan(t testing.TB) *core.PlanSnapshot { return w2Physical(t).Snapshot() }
 
 // cqlScript has every operator kind CQL can express: filter, project with
 // arithmetic, aggregate with BY, join, seq and µ with a keep filter.
@@ -157,14 +161,17 @@ QUERY ramp := FILTER(r_load > 9,
        WINDOW 3600));
 `
 
-// cqlPlan is cqlScript optimized with channels on.
-func cqlPlan(t testing.TB) *core.PlanSnapshot {
+// cqlPhysical is cqlScript optimized with channels on.
+func cqlPhysical(t testing.TB) *core.Physical {
 	s, err := cql.Parse(cqlScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return optimizedSnapshot(t, s.Catalog, s.Queries)
+	return optimizedPhysical(t, s.Catalog, s.Queries)
 }
+
+// cqlPlan is cqlPhysical's snapshot.
+func cqlPlan(t testing.TB) *core.PlanSnapshot { return cqlPhysical(t).Snapshot() }
 
 // goldenPartition sets every field of a partition plan.
 func goldenPartition() *core.PartitionPlan {
@@ -385,4 +392,69 @@ func wireDecoders(t testing.TB) []goldenDecoder {
 
 func TestDecodeGolden(t *testing.T) {
 	checkDecodeGolden(t, wireDecoders(t))
+}
+
+// The fingerprint golden pins wire.FingerprintPlan over the fixture plans
+// and the fingerprints a churn log records: a churn log written by one
+// build must replay on the next, which recomputes every fingerprint it
+// logged. The log is live maintenance on the CQL plan, one add and one
+// remove, each record carrying the fingerprint of the plan it left.
+// Regenerate only for an intended change of the plan encoding:
+//
+//	go test ./internal/wire -run FingerprintGolden -update
+func TestFingerprintGolden(t *testing.T) {
+	var b strings.Builder
+	fingerprint := func(p *core.Physical) uint64 {
+		t.Helper()
+		_, fp, err := wire.FingerprintPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	fmt.Fprintf(&b, "plan/w2 fingerprint=%016x\n", fingerprint(w2Physical(t)))
+	plan := cqlPhysical(t)
+	fmt.Fprintf(&b, "plan/cql fingerprint=%016x\n", fingerprint(plan))
+
+	m := live.NewMaintainer(plan, rules.Options{Channels: true})
+	var log bytes.Buffer
+	again := core.NewQuery("flt_again", plan.Queries[0].Root)
+	if _, err := m.AddQuery(again); err != nil {
+		t.Fatal(err)
+	}
+	recs := []*wire.ChurnRecord{{Op: wire.ChurnAdd, Name: again.Name, Root: again.Root, Fingerprint: fingerprint(plan)}}
+	gone := plan.Queries[1]
+	if _, err := m.RemoveQuery(gone.ID); err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, &wire.ChurnRecord{Op: wire.ChurnRemove, Name: gone.Name, Fingerprint: fingerprint(plan)})
+	for _, rec := range recs {
+		if err := wire.AppendChurnRecord(&log, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read, err := wire.ReadChurnLog(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range read {
+		fmt.Fprintf(&b, "churnlog record=%d op=%d name=%s fingerprint=%016x\n", i, rec.Op, rec.Name, rec.Fingerprint)
+	}
+	fmt.Fprintf(&b, "churnlog bytes=%d sha256=%x\n", log.Len(), sha256.Sum256(log.Bytes()))
+
+	got := b.String()
+	path := filepath.Join("testdata", "fingerprint.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != got {
+		t.Errorf("fingerprints differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
 }
