@@ -157,6 +157,36 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
+// TestOneCodec fails when a non-test file outside the codec core
+// (internal/wire/codec.go) uses (*wire.Reader).Fields. A message is
+// declared once, and encoding and decoding both walk that declaration; a
+// decoder written beside it as a loop over Fields is a second path the
+// declaration does not keep in step.
+func TestOneCodec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo analysis compiles every package; skipped in -short")
+	}
+	pkgs, err := LoadPackages(moduleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			core := p.ImportPath == "repro/internal/wire" && filepath.Base(p.Fset.Position(f.Pos()).Filename) == "codec.go"
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || core || p.Info.Uses[sel.Sel] == nil {
+					return true
+				}
+				if exportKey(p.Info.Uses[sel.Sel]) == "repro/internal/wire.Reader.Fields" {
+					t.Errorf("%s: (*wire.Reader).Fields outside the codec core; declare the message instead", p.Fset.Position(sel.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
 // exportKey names a package-level object or a method the same way whether
 // it was type-checked from source or read from export data: package path,
 // receiver type for a method, and name. Other objects get no key.

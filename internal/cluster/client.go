@@ -47,7 +47,9 @@ type Config struct {
 	// different epoch is rebuilt from scratch.
 	Epoch int64
 	// PlanBytes is the wire snapshot of the physical plan the worker
-	// lowers its replica from. Churn keeps it current.
+	// lowers its replica from at Dial. The worker then follows live churn
+	// on its own copy, and every later handshake resumes that replica, so
+	// the client drops PlanBytes once Dial has connected.
 	PlanBytes []byte
 
 	// CallTimeout bounds one RPC attempt (write + reply) and the
@@ -115,14 +117,16 @@ type Client struct {
 	rng        *rand.Rand
 	nextCallID int64
 	// callBuf holds the frame of the call in flight, encoded once and
-	// re-sent as is on retry; guarded by callMu and reused by the next
-	// call.
-	callBuf wire.Buffer
+	// re-sent as is on retry; replyCodec and reply decode its reply. All
+	// three are guarded by callMu and reused by the next call.
+	callBuf    wire.Buffer
+	replyCodec wire.Codec
+	reply      reply
 
 	// mu guards the connection and reachability state.
 	mu        sync.Mutex
 	conn      *transport.Conn
-	bootID    int64 // 0 = never connected / fresh build wanted
+	bootID    int64 // 0 = never connected
 	groups    []mop.GroupRef
 	down      bool
 	downSince time.Time
@@ -191,6 +195,7 @@ func Dial(cfg Config, srcNames []string) (*Client, error) {
 	}
 	c.callMu.Lock()
 	_, err := c.ensureConn()
+	c.cfg.PlanBytes = nil // every later handshake is a resume
 	c.callMu.Unlock()
 	if err != nil {
 		close(c.stopHB)
@@ -254,16 +259,13 @@ func (c *Client) Shutdown() error {
 	return c.Close()
 }
 
-// Revive clears the lost-worker state and connects again. With fresh
-// true the handshake is forced non-resume: the worker (old or
-// replacement) rebuilds an empty replica from the current plan, ready
-// for RecoverShard to migrate state into. With fresh false the client
-// keeps the old boot ID and attempts a resume — the right move after a
-// healed partition, where the surviving process still holds the intact
-// replica (a restarted process then fails the boot-ID check and the
-// worker is declared lost again). Returns an error when no worker
-// answers within FailTimeout.
-func (c *Client) Revive(fresh bool) error {
+// Revive clears the lost-worker state and connects again, resuming the
+// worker's replica — the right move after a healed partition, where the
+// surviving process still holds it intact. A restarted process, or one
+// that serves another epoch or shard by now, refuses the resume, and the
+// worker is declared lost again. Returns an error when no worker answers
+// within FailTimeout.
+func (c *Client) Revive() error {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	c.mu.Lock()
@@ -272,9 +274,6 @@ func (c *Client) Revive(fresh bool) error {
 		return ErrClosed
 	}
 	c.deadErr = nil
-	if fresh {
-		c.bootID = 0 // force a fresh (non-resume) handshake
-	}
 	wasDown := c.down
 	c.down = false
 	c.downSince = time.Time{}
@@ -315,19 +314,11 @@ func (c *Client) ensureConn() (*transport.Conn, error) {
 			c.mu.Unlock()
 			return conn, nil
 		}
-		resume := c.bootID != 0
 		prevBoot := c.bootID
 		attemptStart := c.downSince
 		c.mu.Unlock()
 
-		conn, ack, err := c.dialOnce(resume)
-		if err == nil && resume && ack.BootID != prevBoot {
-			// The process behind the address restarted: its replica state
-			// is gone, so resuming is impossible. Terminal.
-			_ = conn.Close()
-			err = fmt.Errorf("%w: worker restarted (boot %d -> %d), replica state lost",
-				ErrWorkerLost, prevBoot, ack.BootID)
-		}
+		conn, ack, err := c.dialOnce(prevBoot)
 		if err == nil {
 			c.mu.Lock()
 			if c.closed {
@@ -371,8 +362,10 @@ func (c *Client) ensureConn() (*transport.Conn, error) {
 	}
 }
 
-// dialOnce opens one connection and runs the handshake, deadline-bound.
-func (c *Client) dialOnce(resume bool) (*transport.Conn, *helloAck, error) {
+// dialOnce opens one connection and runs the handshake, deadline-bound: a
+// fresh one when prevBoot is 0 (never connected), else a resume of the
+// replica on worker prevBoot.
+func (c *Client) dialOnce(prevBoot int64) (*transport.Conn, *helloAck, error) {
 	c.dials.Add(1)
 	nc, err := c.cfg.Dial()
 	if err != nil {
@@ -380,16 +373,16 @@ func (c *Client) dialOnce(resume bool) (*transport.Conn, *helloAck, error) {
 	}
 	conn := transport.NewConn(nc, c.cfg.MaxFrame)
 	conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-	h := &hello{
+	h, _ := wire.Marshal(&hello{
 		Proto:      ProtoVersion,
 		ShardIdx:   c.cfg.ShardIdx,
 		ShardCount: c.cfg.ShardCount,
 		Epoch:      c.cfg.Epoch,
-		Resume:     resume,
+		Resume:     prevBoot != 0,
 		SrcNames:   c.srcNames,
 		PlanBytes:  c.cfg.PlanBytes,
-	}
-	if err := conn.WriteFrame(frameHello, encodeHello(h)); err != nil {
+	}, helloFields)
+	if err := conn.WriteFrame(frameHello, h); err != nil {
 		_ = conn.Close()
 		return nil, nil, fmt.Errorf("%w: sending hello: %v", ErrUnreachable, err)
 	}
@@ -402,19 +395,28 @@ func (c *Client) dialOnce(resume bool) (*transport.Conn, *helloAck, error) {
 		if typ != frameHelloAck {
 			continue // skip unknown frame types
 		}
-		ack, err := decodeHelloAck(payload)
-		if err != nil {
+		ack := &helloAck{}
+		if err := wire.Unmarshal(payload, ack, helloAckFields); err != nil {
 			_ = conn.Close()
 			return nil, nil, fmt.Errorf("%w: decoding hello ack: %v", ErrUnreachable, err)
 		}
-		if ack.Err != "" {
-			_ = conn.Close()
-			return nil, nil, fmt.Errorf("%w: %s", ErrBadHandshake, ack.Err)
+		switch {
+		case prevBoot != 0 && ack.BootID != prevBoot:
+			// The process behind the address restarted: its replica state
+			// is gone, so resuming is impossible. Terminal.
+			err = fmt.Errorf("%w: worker restarted (boot %d -> %d), replica state lost",
+				ErrWorkerLost, prevBoot, ack.BootID)
+		case prevBoot != 0 && ack.Err != "":
+			// The process no longer holds this client's replica.
+			err = fmt.Errorf("%w: resume refused: %s", ErrWorkerLost, ack.Err)
+		case ack.Err != "":
+			err = fmt.Errorf("%w: %s", ErrBadHandshake, ack.Err)
+		case ack.Proto != ProtoVersion:
+			err = fmt.Errorf("%w: worker protocol %d, client speaks %d", ErrBadHandshake, ack.Proto, ProtoVersion)
 		}
-		if ack.Proto != ProtoVersion {
+		if err != nil {
 			_ = conn.Close()
-			return nil, nil, fmt.Errorf("%w: worker protocol %d, client speaks %d",
-				ErrBadHandshake, ack.Proto, ProtoVersion)
+			return nil, nil, err
 		}
 		return conn, ack, nil
 	}
@@ -552,20 +554,21 @@ func (c *Client) awaitReply(conn *transport.Conn, callID int64) (*workerError, [
 		}
 		switch typ {
 		case frameReply:
-			id, errStr, corrupt, body, err := decodeReply(payload)
-			if err != nil {
+			m := &c.reply
+			*m = reply{}
+			if err := wire.Decode(&c.replyCodec, payload, m, replyFields); err != nil {
 				return nil, nil, err
 			}
-			if id < callID {
+			if m.ID < callID {
 				continue // stale reply from an abandoned attempt
 			}
-			if id != callID {
-				return nil, nil, fmt.Errorf("reply for call %d, want %d", id, callID)
+			if m.ID != callID {
+				return nil, nil, fmt.Errorf("reply for call %d, want %d", m.ID, callID)
 			}
-			if errStr != "" {
-				return &workerError{shard: c.cfg.ShardIdx, msg: errStr, corrupt: corrupt}, nil, nil
+			if m.Err != "" {
+				return &workerError{shard: c.cfg.ShardIdx, msg: m.Err, corrupt: m.Corrupt}, nil, nil
 			}
-			return nil, body, nil
+			return nil, m.Body, nil
 		case frameHeartbeatAck:
 			continue
 		default:
@@ -671,15 +674,23 @@ func rowsAsRuns(entries []Entry) []Entry {
 	return out
 }
 
+// callFor performs one RPC with an encoded body and decodes its reply
+// into v, as decl declares it.
+func callFor[T any](c *Client, op byte, body []byte, v *T, decl func(*wire.Codec, *T)) error {
+	reply, err := c.call(op, body)
+	if err != nil {
+		return err
+	}
+	return wire.Unmarshal(reply, v, decl)
+}
+
 // Drain returns the worker's per-query result counts, total, and sticky
 // first replay error (empty when none) — the remote form of the local
 // worker's quiesce snapshot.
 func (c *Client) Drain() (counts []int64, total int64, firstErr string, err error) {
-	reply, err := c.call(opDrain, nil)
-	if err != nil {
-		return nil, 0, "", err
-	}
-	return decodeDrainReply(reply)
+	var d drainReply
+	err = callFor(c, opDrain, nil, &d, drainFields)
+	return d.Counts, d.Total, d.FirstErr, err
 }
 
 // Stats pulls the worker's telemetry snapshot: the worker's own counters
@@ -688,37 +699,31 @@ func (c *Client) Drain() (counts []int64, total int64, firstErr string, err erro
 // numbers are consistent. The coordinator merges the snapshot into its
 // own (counters sum, gauges max, histograms add).
 func (c *Client) Stats() (*obs.Snapshot, error) {
-	reply, err := c.call(opStats, nil)
-	if err != nil {
+	var s stats
+	if err := callFor(c, opStats, nil, &s, statsFields); err != nil {
 		return nil, err
 	}
-	return decodeStatsReply(reply)
+	return s.snapshot(), nil
 }
 
 // Churn has the worker replay one live add or remove on its own plan and
 // splice the delta it computes there. The worker fails the call when its
 // post-op plan's fingerprint is not call.Rec's. The returned group table
-// replaces the cached one; planBytes, the coordinator's post-op plan
-// snapshot, and the call's source table become what a later fresh
-// handshake builds the worker from.
-func (c *Client) Churn(call *ChurnCall, planBytes []byte) ([]mop.GroupRef, error) {
+// replaces the cached one, and the call's source table becomes the one
+// batches name sources by.
+func (c *Client) Churn(call *ChurnCall) ([]mop.GroupRef, error) {
 	body, err := encodeChurnCall(call)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := c.call(opChurn, body)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := decodeGroupsReply(reply)
-	if err != nil {
+	var groups []mop.GroupRef
+	if err := callFor(c, opChurn, body, &groups, groupsFields); err != nil {
 		return nil, err
 	}
 	c.callMu.Lock()
 	c.srcNames = call.srcNames()
 	c.callMu.Unlock()
 	c.mu.Lock()
-	c.cfg.PlanBytes = planBytes
 	c.groups = groups
 	c.mu.Unlock()
 	return groups, nil
@@ -728,16 +733,10 @@ func (c *Client) Churn(call *ChurnCall, planBytes []byte) ([]mop.GroupRef, error
 // worker (nil when it stores nothing). Safe to retry: the worker's reply
 // cache re-sends the exported payload instead of re-exporting.
 func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
-	reply, err := c.call(opExport, encodeSideCall(opID, side, keyAttr))
-	if err != nil {
+	body, _ := wire.Marshal(&sideCall{OpID: opID, Side: side, KeyAttr: keyAttr}, sideCallFields)
+	var raw []byte
+	if err := callFor(c, opExport, body, &raw, exportReplyFields); err != nil {
 		return nil, err
-	}
-	raw, err := decodeBytesField1(reply)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) == 0 {
-		return nil, nil
 	}
 	return wire.DecodePayloadBytes(raw)
 }
@@ -747,26 +746,24 @@ func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
 // own decoded copy — so the caller keeps ownership (and any rollback
 // snapshots aliasing it stay valid).
 func (c *Client) Import(opID int, pl *mop.StatePayload) error {
-	var raw []byte
+	m := sideCall{OpID: opID}
 	if pl != nil && pl.Len() > 0 {
-		raw = wire.EncodePayloadBytes(pl)
+		m.Payload = wire.EncodePayloadBytes(pl)
 	}
-	_, err := c.call(opImport, encodeImportCall(opID, raw))
+	body, _ := wire.Marshal(&m, importCallFields)
+	_, err := c.call(opImport, body)
 	return err
 }
 
 // Histogram merges the worker's keyed-state histogram of one group side
 // into h.
 func (c *Client) Histogram(opID, side, keyAttr int, h map[int64]int64) error {
-	reply, err := c.call(opHistogram, encodeSideCall(opID, side, keyAttr))
-	if err != nil {
+	body, _ := wire.Marshal(&sideCall{OpID: opID, Side: side, KeyAttr: keyAttr}, sideCallFields)
+	var remote hist
+	if err := callFor(c, opHistogram, body, &remote, histFields); err != nil {
 		return err
 	}
-	remote, err := decodeHistReply(reply)
-	if err != nil {
-		return err
-	}
-	for k, v := range remote {
+	for k, v := range remote.histogram() {
 		h[k] += v
 	}
 	return nil

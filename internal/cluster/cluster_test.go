@@ -133,15 +133,15 @@ func dialRaw(t *testing.T, lis *transport.PipeListener, h *hello) (*rawConn, *he
 	}
 	fc := transport.NewConn(nc, 0)
 	t.Cleanup(func() { fc.Close() })
-	if err := fc.WriteFrame(frameHello, encodeHello(h)); err != nil {
+	if err := fc.WriteFrame(frameHello, marshal(h, helloFields)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := fc.ReadFrame()
 	if err != nil || typ != frameHelloAck {
 		t.Fatalf("handshake: typ=%d err=%v", typ, err)
 	}
-	ack, err := decodeHelloAck(payload)
-	if err != nil {
+	ack := &helloAck{}
+	if err := wire.Unmarshal(payload, ack, helloAckFields); err != nil {
 		t.Fatal(err)
 	}
 	return &rawConn{t: t, fc: fc}, ack
@@ -166,11 +166,11 @@ func (rc *rawConn) call(op byte, body []byte) (string, []byte) {
 	rc.t.Helper()
 	rc.callID++
 	raw := rc.callRaw(rc.callID, op, body)
-	id, errStr, _, reply, err := decodeReply(raw)
-	if err != nil || id != rc.callID {
-		rc.t.Fatalf("decoding reply: id=%d want %d err=%v", id, rc.callID, err)
+	m, err := decodeReply(raw)
+	if err != nil || m.ID != rc.callID {
+		rc.t.Fatalf("decoding reply: id=%d want %d err=%v", m.ID, rc.callID, err)
 	}
-	return errStr, reply
+	return m.Err, m.Body
 }
 
 func (rc *rawConn) drainEquals(w *testWorkload) error {
@@ -178,20 +178,20 @@ func (rc *rawConn) drainEquals(w *testWorkload) error {
 	if errStr != "" {
 		return fmt.Errorf("drain: %s", errStr)
 	}
-	counts, total, firstErr, err := decodeDrainReply(reply)
-	if err != nil {
+	var d drainReply
+	if err := wire.Unmarshal(reply, &d, drainFields); err != nil {
 		return err
 	}
-	if firstErr != "" {
-		return fmt.Errorf("sticky replay error: %s", firstErr)
+	if d.FirstErr != "" {
+		return fmt.Errorf("sticky replay error: %s", d.FirstErr)
 	}
-	if total != w.refTotal {
-		return fmt.Errorf("total %d, want %d", total, w.refTotal)
+	if d.Total != w.refTotal {
+		return fmt.Errorf("total %d, want %d", d.Total, w.refTotal)
 	}
-	if len(counts) != len(w.refCounts) {
-		return fmt.Errorf("%d counts, want %d", len(counts), len(w.refCounts))
+	if len(d.Counts) != len(w.refCounts) {
+		return fmt.Errorf("%d counts, want %d", len(d.Counts), len(w.refCounts))
 	}
-	for i, c := range counts {
+	for i, c := range d.Counts {
 		if c != w.refCounts[i] {
 			return fmt.Errorf("query %d: %d results, want %d", i, c, w.refCounts[i])
 		}
@@ -270,7 +270,7 @@ func TestWorkerReplyCache(t *testing.T) {
 	nonEmpty := 0
 	for _, g := range ack.Groups {
 		for _, side := range g.Sides {
-			body := encodeSideCall(g.OpID, side, -1)
+			body := marshal(&sideCall{OpID: g.OpID, Side: side, KeyAttr: -1}, sideCallFields)
 			rc.callID++
 			first := rc.callRaw(rc.callID, opExport, body)
 			retry := rc.callRaw(rc.callID, opExport, body)
@@ -278,15 +278,15 @@ func TestWorkerReplyCache(t *testing.T) {
 				t.Fatalf("group %d side %d: retried export reply differs (%d vs %d bytes)",
 					g.OpID, side, len(first), len(retry))
 			}
-			_, errStr, _, reply, err := decodeReply(first)
+			m, err := decodeReply(first)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if errStr != "" {
-				t.Fatalf("export group %d side %d: %s", g.OpID, side, errStr)
+			if m.Err != "" {
+				t.Fatalf("export group %d side %d: %s", g.OpID, side, m.Err)
 			}
-			raw, err := decodeBytesField1(reply)
-			if err != nil {
+			var raw []byte
+			if err := wire.Unmarshal(m.Body, &raw, exportReplyFields); err != nil {
 				t.Fatal(err)
 			}
 			if len(raw) > 0 {
@@ -294,7 +294,7 @@ func TestWorkerReplyCache(t *testing.T) {
 			}
 			// Put the state back so the final drain proves nothing was
 			// double-exported or lost.
-			if errStr, _ := rc.call(opImport, encodeImportCall(g.OpID, raw)); errStr != "" {
+			if errStr, _ := rc.call(opImport, marshal(&sideCall{OpID: g.OpID, Payload: raw}, importCallFields)); errStr != "" {
 				t.Fatalf("import group %d: %s", g.OpID, errStr)
 			}
 		}
@@ -570,10 +570,10 @@ func TestHeartbeatDetectsIdleOutage(t *testing.T) {
 	}
 }
 
-// TestReviveRebuildsFresh: after a loss, Revive hands back a freshly
-// built replica (fresh handshake) ready for state migration; replayed
-// catch-up batches baseline at their first seq.
-func TestReviveRebuildsFresh(t *testing.T) {
+// TestReviveResumesReplica: after a loss whose partition heals, Revive
+// resumes the worker's replica, intact; catch-up batches it already
+// applied are deduplicated by seq.
+func TestReviveResumesReplica(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
 	var gate atomic.Bool
@@ -606,11 +606,11 @@ func TestReviveRebuildsFresh(t *testing.T) {
 		t.Fatalf("got %v, want ErrWorkerLost", err)
 	}
 	gate.Store(false)
-	if err := c.Revive(true); err != nil {
+	if err := c.Revive(); err != nil {
 		t.Fatalf("revive: %v", err)
 	}
-	// The revived replica is empty: replay the FULL history, starting
-	// mid-WAL-style at seq 1..n again (fresh baseline).
+	// The revived replica holds batch 1: replay the whole history from
+	// seq 1, whose batch the worker skips.
 	for i, batch := range w.batches {
 		if err := c.Replay(int64(i+1), batch); err != nil {
 			t.Fatalf("catch-up batch %d: %v", i+1, err)
@@ -701,12 +701,12 @@ func TestChurnChecksFingerprint(t *testing.T) {
 	}
 	m := live.NewMaintainer(twin, rules.Options{})
 	churn := func(rec *wire.ChurnRecord, flip uint64) error {
-		planBytes, fp, err := wire.FingerprintPlan(twin)
+		fp, err := wire.FingerprintPlan(twin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.Fingerprint = fp ^ flip
-		_, err = c.Churn(&ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources}, planBytes)
+		_, err = c.Churn(&ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources})
 		return err
 	}
 	q := core.NewQuery("again", twin.Queries[0].Root)
@@ -722,5 +722,79 @@ func TestChurnChecksFingerprint(t *testing.T) {
 	err = churn(&wire.ChurnRecord{Op: wire.ChurnRemove, Name: q.Name}, 1)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("remove with another plan's fingerprint: %v, want a fingerprint mismatch", err)
+	}
+}
+
+// A worker refuses a resume it cannot honour, and builds nothing for it:
+// a process that never built the replica stays without one, and a process
+// that serves another epoch by now keeps that epoch's replica. The stale
+// client sees its worker lost.
+func TestWorkerRefusesStaleResume(t *testing.T) {
+	w := buildWorkload(t)
+	lis := startWorker(t)
+	stale := freshHello(w)
+	stale.Resume = true
+	for i := range 2 {
+		if _, ack := dialRaw(t, lis, stale); ack.Err == "" {
+			t.Fatalf("resume %d on a worker without a replica accepted (last applied %d)", i, ack.LastApplied)
+		}
+	}
+
+	// Epoch 1's client loses its link. While it is down, epoch 2's
+	// coordinator builds a replica on the same process and replays the
+	// workload into it.
+	var gate atomic.Bool
+	fs := transport.NewFaultSet()
+	c, err := Dial(Config{
+		Dial: func() (net.Conn, error) {
+			if gate.Load() {
+				return nil, errors.New("network partitioned")
+			}
+			nc, err := lis.Dial()
+			if err != nil {
+				return nil, err
+			}
+			return fs.Wrap("c0", nc), nil
+		},
+		ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
+		CallTimeout: 2 * time.Second, RetryMin: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		FailTimeout: 10 * time.Second, HeartbeatInterval: -1,
+	}, w.srcNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Replay(1, w.batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	gate.Store(true)
+	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	replayed := make(chan error, 1)
+	go func() { replayed <- c.Replay(2, w.batches[1]) }()
+	next := freshHello(w)
+	next.Epoch = 2
+	rc, ack := dialRaw(t, lis, next)
+	if ack.Err != "" {
+		t.Fatal(ack.Err)
+	}
+	for i, batch := range w.batches {
+		if errStr, _ := rc.call(opBatch, encodeBatch(int64(i+1), batch)); errStr != "" {
+			t.Fatalf("epoch 2 batch %d: %s", i+1, errStr)
+		}
+	}
+	rc.fc.Close()
+	gate.Store(false)
+
+	if err := <-replayed; !errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("stale client's replay: %v, want ErrWorkerLost", err)
+	}
+	next.Resume = true
+	rc, ack = dialRaw(t, lis, next)
+	if ack.Err != "" || ack.LastApplied != int64(len(w.batches)) {
+		t.Fatalf("epoch 2 resume: err %q, last applied %d; want its replica at %d", ack.Err, ack.LastApplied, len(w.batches))
+	}
+	rc.callID = int64(len(w.batches)) // the worker skips call IDs below its last one
+	if err := rc.drainEquals(w); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -29,9 +29,14 @@ func encodeBatch(seq int64, entries []Entry) []byte {
 
 // encodeCall encodes one call message around an encoded body.
 func encodeCall(callID int64, op byte, body []byte) []byte {
-	var b wire.Buffer
-	putCall(&b, callID, op, func(b *wire.Buffer) { b.Append(body) })
-	return b.Bytes()
+	return marshal(&call{ID: callID, Op: op, Body: body}, callFields)
+}
+
+// decodeReply decodes one reply message.
+func decodeReply(p []byte) (reply, error) {
+	var m reply
+	err := wire.Unmarshal(p, &m, replyFields)
+	return m, err
 }
 
 // entriesEqual compares decoded batches; nil and empty slices are equal.
@@ -147,7 +152,7 @@ func codecBatches() [][]Entry {
 // sent (field 2) is an unknown field now, skipped: that is why version 4
 // refuses older peers.
 func TestBatchCodecRoundTrip(t *testing.T) {
-	var d batchDecoder
+	var d batch
 	for i, batch := range codecBatches() {
 		seq, got, err := d.decode(encodeBatch(int64(i+1), batch))
 		if err != nil {
@@ -173,7 +178,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // columns and timestamps differ in length, with wire.ErrCorrupt.
 func TestBatchDecodeRejects(t *testing.T) {
 	for name, body := range corruptBatchBodies() {
-		var d batchDecoder
+		var d batch
 		if _, _, err := d.decode(body); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: %v, want wire.ErrCorrupt", name, err)
 		}
@@ -231,7 +236,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Fresh decoders: state carried between inputs would make coverage
 		// depend on input order, which stalls input minimization.
-		var d, d2 batchDecoder
+		var d, d2 batch
 		seq, entries, err := d.decode(raw)
 		if err != nil {
 			if !errors.Is(err, wire.ErrCorrupt) {
@@ -335,9 +340,9 @@ func TestWorkerRejectsCorruptCalls(t *testing.T) {
 	}
 	for name, body := range corruptBatchBodies() {
 		rc.callID++
-		_, errStr, corrupt, _, err := decodeReply(rc.callRaw(rc.callID, opBatch, body))
-		if err != nil || errStr == "" || !corrupt {
-			t.Fatalf("%s: reply err=%v errStr=%q corrupt=%v, want a corrupt-input error", name, err, errStr, corrupt)
+		m, err := decodeReply(rc.callRaw(rc.callID, opBatch, body))
+		if err != nil || m.Err == "" || !m.Corrupt {
+			t.Fatalf("%s: reply err=%v errStr=%q corrupt=%v, want a corrupt-input error", name, err, m.Err, m.Corrupt)
 		}
 	}
 
@@ -446,7 +451,7 @@ func TestHandshakeRefusesOlderVersions(t *testing.T) {
 			if _, _, err := fc.ReadFrame(); err != nil {
 				return
 			}
-			fc.WriteFrame(frameHelloAck, encodeHelloAck(&helloAck{Proto: proto, BootID: 7}))
+			fc.WriteFrame(frameHelloAck, marshal(&helloAck{Proto: proto, BootID: 7}, helloAckFields))
 			fc.ReadFrame() // hold the link until the client hangs up
 		}()
 		_, err := Dial(Config{
@@ -481,7 +486,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 	entries := []Entry{{Src: 0, Run: run}}
 	b.Run("run", func(b *testing.B) {
 		var buf wire.Buffer
-		var d batchDecoder
+		var d batch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
@@ -526,7 +531,7 @@ func randomColumn(rng *rand.Rand, n int) []int64 {
 // 128-value blocks.
 func TestBatchRunRoundTripSelected(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	var d batchDecoder
+	var d batch
 	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 700} {
 		for range 8 {
 			arity := rng.Intn(4)
@@ -597,7 +602,8 @@ func TestHistReplyMismatchCorrupt(t *testing.T) {
 	var b wire.Buffer
 	b.PutInt64sField(1, []int64{1, 2})
 	b.PutInt64sField(2, []int64{5})
-	if _, err := decodeHistReply(b.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+	var h hist
+	if err := wire.Unmarshal(b.Bytes(), &h, histFields); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("2 keys, 1 count: %v, want wire.ErrCorrupt", err)
 	}
 }
@@ -609,7 +615,7 @@ func TestHistReplyMismatchCorrupt(t *testing.T) {
 // selections are random over 1–700 rows, plus the empty and full ones.
 func TestEncodeBatchSelectedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var d batchDecoder
+	var d batch
 	for n := 1; n <= 700; n += 1 + rng.Intn(9) {
 		run := testRun(n, 3)
 		sels := [][]uint64{make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)}
@@ -688,7 +694,11 @@ func TestChurnCallSize(t *testing.T) {
 		if _, err := live.NewMaintainer(plan, opt).AddQuery(core.NewQuery(add.Name, add.Root)); err != nil {
 			t.Fatal(err)
 		}
-		planBytes, fp, err := wire.FingerprintPlan(plan)
+		fp, err := wire.FingerprintPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planBytes, err := wire.EncodePlanBytes(plan.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

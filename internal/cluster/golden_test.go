@@ -91,6 +91,28 @@ func goldenChurnCall() []byte {
 	return p
 }
 
+// marshal encodes v as decl declares it.
+func marshal[T any](v *T, decl func(*wire.Codec, *T)) []byte {
+	p, err := wire.Marshal(v, decl)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// roundTripOf decodes p into a new T as decl declares it, and re-encodes
+// the T.
+func roundTripOf[T any](decl func(*wire.Codec, *T)) func(p []byte) (any, []byte, error) {
+	return func(p []byte) (any, []byte, error) {
+		v := new(T)
+		if err := wire.Unmarshal(p, v, decl); err != nil {
+			return nil, nil, err
+		}
+		enc, err := wire.Marshal(v, decl)
+		return v, enc, err
+	}
+}
+
 // controlCodecs lists every control-message decoder: all but the batch
 // decoder, which FuzzDecodeBatch covers.
 func controlCodecs() []codec {
@@ -105,119 +127,66 @@ func controlCodecs() []codec {
 		b.PutInt64sField(3, []int64{-1, 2})
 	})
 	payload := []byte{0x08, 0x02, 0x10, 0x01}
+	groups := goldenGroups()
 	return []codec{
-		{"hello", [][]byte{encodeHello(&hello{
+		{"hello", [][]byte{marshal(&hello{
 			Proto: ProtoVersion, ShardIdx: 1, ShardCount: 4, Epoch: 9, Resume: true,
 			SrcNames: []string{"S", "T"}, PlanBytes: []byte("plan snapshot"),
-		})}, func(p []byte) (any, []byte, error) {
-			h, err := decodeHello(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return h, encodeHello(h), nil
-		}},
-		{"helloAck", [][]byte{encodeHelloAck(&helloAck{
+		}, helloFields)}, roundTripOf(helloFields)},
+		{"helloAck", [][]byte{marshal(&helloAck{
 			Proto: ProtoVersion, BootID: 77, LastApplied: 12, Err: "refused", Groups: goldenGroups(),
-		})}, func(p []byte) (any, []byte, error) {
-			a, err := decodeHelloAck(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return a, encodeHelloAck(a), nil
-		}},
+		}, helloAckFields)}, roundTripOf(helloAckFields)},
 		{"call", [][]byte{encodeCall(7, opBatch, batch.Bytes())}, func(p []byte) (any, []byte, error) {
-			callID, op, body, err := decodeCall(p)
-			if err != nil {
+			var m call
+			if err := wire.Unmarshal(p, &m, callFields); err != nil {
 				return nil, nil, err
 			}
 			return struct {
 				CallID int64
 				Op     byte
 				Body   []byte
-			}{callID, op, body}, encodeCall(callID, op, body), nil
+			}{m.ID, m.Op, m.Body}, encodeCall(m.ID, m.Op, m.Body), nil
 		}},
 		{"reply", [][]byte{
-			encodeReply(7, nil, encodeBytesField1(payload)),
+			encodeReply(7, nil, marshal(&payload, exportReplyFields)),
 			encodeReply(8, fmt.Errorf("%w: opcode 300", wire.ErrCorrupt), nil),
 		}, func(p []byte) (any, []byte, error) {
-			callID, errStr, corrupt, body, err := decodeReply(p)
-			if err != nil {
+			var m reply
+			if err := wire.Unmarshal(p, &m, replyFields); err != nil {
 				return nil, nil, err
 			}
 			var callErr error
-			if errStr != "" || corrupt {
-				callErr = replyError{errStr, corrupt}
+			if m.Err != "" || m.Corrupt {
+				callErr = replyError{m.Err, m.Corrupt}
 			}
 			return struct {
 				CallID  int64
 				ErrStr  string
 				Corrupt bool
 				Body    []byte
-			}{callID, errStr, corrupt, body}, encodeReply(callID, callErr, body), nil
+			}{m.ID, m.Err, m.Corrupt, m.Body}, encodeReply(m.ID, callErr, m.Body), nil
 		}},
-		{"drain", [][]byte{encodeDrainReply([]int64{3, 0, -1, math.MaxInt64}, 2, "replay: boom")}, func(p []byte) (any, []byte, error) {
-			counts, total, firstErr, err := decodeDrainReply(p)
-			if err != nil {
+		{"drain", [][]byte{marshal(&drainReply{[]int64{3, 0, -1, math.MaxInt64}, 2, "replay: boom"}, drainFields)}, roundTripOf(drainFields)},
+		{"churnCall", [][]byte{goldenChurnCall()}, roundTripOf(churnCallFields)},
+		{"groups", [][]byte{marshal(&groups, groupsFields)}, roundTripOf(groupsFields)},
+		{"sideCall", [][]byte{marshal(&sideCall{OpID: 3, Side: 1, KeyAttr: 2}, sideCallFields)}, roundTripOf(sideCallFields)},
+		{"bytesField1", [][]byte{marshal(&payload, exportReplyFields)}, roundTripOf(exportReplyFields)},
+		{"importCall", [][]byte{marshal(&sideCall{OpID: 3, Payload: payload}, importCallFields)}, roundTripOf(importCallFields)},
+		{"hist", [][]byte{marshal(histOf(map[int64]int64{-5: 7, 1: 2, 1 << 40: 3}), histFields)}, func(p []byte) (any, []byte, error) {
+			var m hist
+			if err := wire.Unmarshal(p, &m, histFields); err != nil {
 				return nil, nil, err
 			}
-			return struct {
-				Counts   []int64
-				Total    int64
-				FirstErr string
-			}{counts, total, firstErr}, encodeDrainReply(counts, total, firstErr), nil
+			h := m.histogram()
+			return h, marshal(histOf(h), histFields), nil
 		}},
-		{"churnCall", [][]byte{goldenChurnCall()}, func(p []byte) (any, []byte, error) {
-			call, err := decodeChurnCall(p)
-			if err != nil {
+		{"stats", [][]byte{marshal(statsOf(goldenStats()), statsFields)}, func(p []byte) (any, []byte, error) {
+			var m stats
+			if err := wire.Unmarshal(p, &m, statsFields); err != nil {
 				return nil, nil, err
 			}
-			enc, err := encodeChurnCall(call)
-			return call, enc, err
-		}},
-		{"groups", [][]byte{encodeGroupsReply(goldenGroups())}, func(p []byte) (any, []byte, error) {
-			groups, err := decodeGroupsReply(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return groups, encodeGroupsReply(groups), nil
-		}},
-		{"sideCall", [][]byte{encodeSideCall(3, 1, 2)}, func(p []byte) (any, []byte, error) {
-			opID, side, keyAttr, err := decodeSideCall(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return [3]int{opID, side, keyAttr}, encodeSideCall(opID, side, keyAttr), nil
-		}},
-		{"bytesField1", [][]byte{encodeBytesField1(payload)}, func(p []byte) (any, []byte, error) {
-			out, err := decodeBytesField1(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return out, encodeBytesField1(out), nil
-		}},
-		{"importCall", [][]byte{encodeImportCall(3, payload)}, func(p []byte) (any, []byte, error) {
-			opID, body, err := decodeImportCall(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return struct {
-				OpID int
-				Body []byte
-			}{opID, body}, encodeImportCall(opID, body), nil
-		}},
-		{"hist", [][]byte{encodeHistReply(map[int64]int64{-5: 7, 1: 2, 1 << 40: 3})}, func(p []byte) (any, []byte, error) {
-			h, err := decodeHistReply(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return h, encodeHistReply(h), nil
-		}},
-		{"stats", [][]byte{encodeStatsReply(goldenStats())}, func(p []byte) (any, []byte, error) {
-			s, err := decodeStatsReply(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return s, encodeStatsReply(s), nil
+			s := m.snapshot()
+			return s, marshal(statsOf(s), statsFields), nil
 		}},
 	}
 }
@@ -231,7 +200,7 @@ func batchCodec() codec {
 		}
 	}
 	return codec{"batch", seeds, func(p []byte) (any, []byte, error) {
-		var d batchDecoder
+		var d batch
 		seq, entries, err := d.decode(p)
 		if err != nil {
 			return nil, nil, err

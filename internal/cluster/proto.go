@@ -7,10 +7,15 @@
 //
 //   - A connection starts with a handshake: the coordinator sends Hello
 //     (protocol version, shard index/count, cluster epoch, source-name
-//     table, plan snapshot); the worker validates it, builds or keeps its
-//     engine, and answers HelloAck (its boot ID, last applied WAL seq, and
-//     state-group table). A version or shard-count mismatch is rejected in
-//     the ack and is terminal for the client.
+//     table, and at Dial the plan snapshot); the worker validates it,
+//     builds its engine for a fresh hello or keeps it for a resume, and
+//     answers HelloAck (its boot ID, last applied WAL seq, and state-group
+//     table). A version or shard-count mismatch, and a resume of a replica
+//     the worker does not hold, are refused in the ack and are terminal
+//     for the client.
+//
+//   - Every message is declared once (helloFields, callFields, ...), and
+//     encoding and decoding both walk the declaration (wire.Codec).
 //
 //   - All RPCs are Call/Reply frames with a client-chosen monotonically
 //     increasing call ID and exactly one call outstanding per connection.
@@ -143,7 +148,8 @@ func BatchRows(es []Entry) int64 {
 	return n
 }
 
-// hello is the coordinator's handshake.
+// hello is the coordinator's handshake. Only a fresh handshake, the one
+// Dial makes, carries the plan snapshot; a resume leaves PlanBytes empty.
 type hello struct {
 	Proto      int
 	ShardIdx   int
@@ -154,52 +160,14 @@ type hello struct {
 	PlanBytes  []byte
 }
 
-func encodeHello(h *hello) []byte {
-	var b wire.Buffer
-	b.PutVarintField(1, int64(h.Proto))
-	b.PutVarintField(2, int64(h.ShardIdx))
-	b.PutVarintField(3, int64(h.ShardCount))
-	b.PutVarintField(4, h.Epoch)
-	b.PutBoolField(5, h.Resume)
-	for _, name := range h.SrcNames {
-		b.PutStringField(6, name)
-	}
-	b.PutBytesField(7, h.PlanBytes)
-	return b.Bytes()
-}
-
-func decodeHello(p []byte) (*hello, error) {
-	h := &hello{}
-	r := wire.NewReader(p)
-	err := r.Fields(func(field, _ int) (err error) {
-		var v int64
-		var raw []byte
-		switch field {
-		case 1:
-			h.Proto, err = r.Int()
-		case 2:
-			h.ShardIdx, err = r.Int()
-		case 3:
-			h.ShardCount, err = r.Int()
-		case 4:
-			h.Epoch, err = r.Varint()
-		case 5:
-			v, err = r.Varint()
-			h.Resume = v != 0
-		case 6:
-			var name string
-			name, err = r.String()
-			h.SrcNames = append(h.SrcNames, name)
-		case 7:
-			raw, err = r.Bytes()
-			h.PlanBytes = append([]byte(nil), raw...)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
+func helloFields(c *wire.Codec, h *hello) {
+	wire.Varint(c, 1, &h.Proto)
+	wire.Varint(c, 2, &h.ShardIdx)
+	wire.Varint(c, 3, &h.ShardCount)
+	wire.Varint(c, 4, &h.Epoch)
+	c.Bool(5, &h.Resume)
+	c.Strings(6, &h.SrcNames)
+	c.Blob(7, &h.PlanBytes)
 }
 
 // helloAck is the worker's handshake answer.
@@ -211,80 +179,36 @@ type helloAck struct {
 	Groups      []mop.GroupRef
 }
 
-func encodeHelloAck(a *helloAck) []byte {
-	var b wire.Buffer
-	b.PutVarintField(1, int64(a.Proto))
-	b.PutVarintField(2, a.BootID)
-	b.PutVarintField(3, a.LastApplied)
-	if a.Err != "" {
-		b.PutStringField(4, a.Err)
-	}
-	putGroups(&b, 5, a.Groups)
-	return b.Bytes()
+func helloAckFields(c *wire.Codec, a *helloAck) {
+	wire.Varint(c, 1, &a.Proto)
+	wire.Varint(c, 2, &a.BootID)
+	wire.Varint(c, 3, &a.LastApplied)
+	c.String(4|wire.OmitEmpty, &a.Err)
+	wire.Msgs(c, 5, &a.Groups, groupFields)
 }
 
-func decodeHelloAck(p []byte) (*helloAck, error) {
-	a := &helloAck{}
-	r := wire.NewReader(p)
-	err := r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			a.Proto, err = r.Int()
-		case 2:
-			a.BootID, err = r.Varint()
-		case 3:
-			a.LastApplied, err = r.Varint()
-		case 4:
-			a.Err, err = r.String()
-		case 5:
-			var g mop.GroupRef
-			g, err = readGroup(r)
-			a.Groups = append(a.Groups, g)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+func groupFields(c *wire.Codec, g *mop.GroupRef) {
+	wire.Varint(c, 1, &g.OpID)
+	c.Ints(2, &g.OpIDs)
+	c.Ints(3, &g.Sides)
 }
 
-func putGroups(b *wire.Buffer, field int, groups []mop.GroupRef) {
-	for _, g := range groups {
-		b.PutMsgField(field, func(sub *wire.Buffer) {
-			sub.PutVarintField(1, int64(g.OpID))
-			sub.PutIntsField(2, g.OpIDs)
-			sub.PutIntsField(3, g.Sides)
-		})
-	}
+// groupsFields declares the group table a churn call replies with.
+func groupsFields(c *wire.Codec, groups *[]mop.GroupRef) { wire.Msgs(c, 1, groups, groupFields) }
+
+// call is one RPC: a client-chosen call ID, the opcode, and the body. An
+// encoder given put writes the body in place with it.
+type call struct {
+	ID   int64
+	Op   byte
+	Body []byte
+	put  func(*wire.Buffer)
 }
 
-func readGroup(r *wire.Reader) (mop.GroupRef, error) {
-	var g mop.GroupRef
-	sub, err := r.Msg()
-	if err != nil {
-		return g, err
-	}
-	err = sub.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			g.OpID, err = sub.Int()
-		case 2:
-			g.OpIDs, err = sub.Ints()
-		case 3:
-			g.Sides, err = sub.Ints()
-		}
-		return err
-	})
-	return g, err
-}
-
-// call frame: {1: callID, 2: op, 3: body}, the body written by body
-// straight into b.
-func putCall(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) {
-	b.PutVarintField(1, callID)
-	b.PutVarintField(2, int64(op))
-	b.PutMsgField(3, body)
+func callFields(c *wire.Codec, m *call) {
+	wire.Varint(c, 1, &m.ID)
+	wire.VarintIn(c, 2, &m.Op, 0, math.MaxUint8, "opcode")
+	c.Body(3, &m.Body, m.put)
 }
 
 // encodeFrame encodes a whole frame of type typ into b, which it resets:
@@ -302,224 +226,136 @@ func encodeFrame(b *wire.Buffer, typ byte, msg func(*wire.Buffer)) []byte {
 }
 
 // encodeCallFrame encodes the whole call frame into b, the call's body
-// written in place (see encodeFrame).
+// written in place by body (see encodeFrame).
 func encodeCallFrame(b *wire.Buffer, callID int64, op byte, body func(*wire.Buffer)) []byte {
-	return encodeFrame(b, frameCall, func(b *wire.Buffer) { putCall(b, callID, op, body) })
-}
-
-func decodeCall(p []byte) (callID int64, op byte, body []byte, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			callID, err = r.Varint()
-		case 2:
-			var v int64
-			v, err = r.Varint()
-			if err == nil && (v < 0 || v > math.MaxUint8) {
-				err = fmt.Errorf("%w: opcode %d", wire.ErrCorrupt, v)
-			}
-			op = byte(v)
-		case 3:
-			body, err = r.Bytes()
-		}
-		return err
+	return encodeFrame(b, frameCall, func(b *wire.Buffer) {
+		callFields(b, &call{ID: callID, Op: op, put: body})
 	})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return callID, op, body, nil
 }
 
-// reply frame: {1: callID, 2: errStr, 3: body, 4: corrupt}; corrupt
-// marks an error that rejected undecodable input (wire.ErrCorrupt). body
-// writes the reply body straight into b and returns the call's error. A
-// successful reply's body stays where it was written; an error reply
-// moves the body behind the error text, so the fields keep their order.
+// reply is the answer to one call. Corrupt marks an error that rejected
+// undecodable input (wire.ErrCorrupt). An encoder given put writes the
+// body in place with it.
+type reply struct {
+	ID      int64
+	Err     string
+	Body    []byte
+	Corrupt bool
+	put     func(*wire.Buffer)
+}
+
+func replyFields(c *wire.Codec, m *reply) {
+	wire.Varint(c, 1, &m.ID)
+	c.String(2|wire.OmitEmpty, &m.Err)
+	c.Body(3, &m.Body, m.put)
+	c.Bool(4|wire.OmitEmpty, &m.Corrupt)
+}
+
+// putReply writes the reply to call callID into b, its body written in
+// place by body, which returns the call's error. A successful reply's body
+// stays where it was written; an error reply is written again with the
+// body behind the error text, so the fields keep their order.
 func putReply(b *wire.Buffer, callID int64, body func(*wire.Buffer) error) {
-	b.PutVarintField(1, callID)
 	at := b.Len()
 	var callErr error
 	n := 0
-	b.PutMsgField(3, func(b *wire.Buffer) {
+	replyFields(b, &reply{ID: callID, put: func(b *wire.Buffer) {
 		start := b.Len()
 		callErr = body(b)
 		n = b.Len() - start
-	})
+	}})
 	if callErr == nil {
 		return
 	}
 	raw := bytes.Clone(b.Bytes()[b.Len()-n:])
 	b.Truncate(at)
-	b.PutStringField(2, callErr.Error())
-	b.PutBytesField(3, raw)
-	if errors.Is(callErr, wire.ErrCorrupt) {
-		b.PutBoolField(4, true)
-	}
+	replyFields(b, &reply{ID: callID, Err: callErr.Error(), Body: raw, Corrupt: errors.Is(callErr, wire.ErrCorrupt)})
 }
 
-func decodeReply(p []byte) (callID int64, errStr string, corrupt bool, body []byte, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			callID, err = r.Varint()
-		case 2:
-			errStr, err = r.String()
-		case 3:
-			body, err = r.Bytes()
-		case 4:
-			var v int64
-			v, err = r.Varint()
-			corrupt = v != 0
-		}
-		return err
-	})
-	if err != nil {
-		return 0, "", false, nil, err
-	}
-	return callID, errStr, corrupt, body, nil
-}
-
-// batch body: {1: seq, 3*: run{1: src, 2: ts, 3*: column}}, runs in
-// entry order; reply {1: completed}. Field 2 carried a row until protocol
-// version 4 and is not reused. A run's timestamps and each of its columns
-// are a bit-packed column (wire.PutBitPackedField: blocks of 128 values,
-// each a minimum, a bit width and the values less the minimum in that
-// many bits). A run carries only its selected rows, packed straight from
-// the selection, so a decoded run has a nil Sel.
-func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
-	b.PutVarintField(1, seq)
-	for i := range entries {
-		en := &entries[i]
-		b.PutMsgField(3, func(b *wire.Buffer) {
-			b.PutVarintField(1, int64(en.Src))
-			b.PutBitPackedField(2, en.Run.TS, en.Run.Sel)
-			for _, col := range en.Run.Cols {
-				b.PutBitPackedField(3, col, en.Run.Sel)
-			}
-		})
-	}
-}
-
-// batchDecoder decodes batch bodies into storage it reuses from one batch
-// to the next: the entry slice, the runs, and one slab that holds every
-// run's timestamps and columns. A decoded batch is valid until the next
-// decode. Reusing the slab is sound only because engine.PushColumnsSel
-// borrows a run's columns just until it returns.
-type batchDecoder struct {
+// batch is a WAL batch: its seq and its entries, each a column run.
+// Decoding into a batch reuses its storage from one batch to the next:
+// the entry slice, the runs, and one slab that holds every run's
+// timestamps and columns. A decoded batch is valid until the next decode.
+// Reusing the slab is sound only because engine.PushColumnsSel borrows a
+// run's columns just until it returns.
+type batch struct {
+	codec   wire.Codec // decoding state
+	seq     int64
 	entries []Entry
 	runs    []*Run
+	used    int // runs handed out by this decode
 	slab    []int64
 }
 
-// decode decodes one batch body. A source id outside [0, MaxInt32], or a
-// run whose columns differ in length from its timestamps, is corrupt.
-func (d *batchDecoder) decode(p []byte) (seq int64, entries []Entry, err error) {
-	clear(d.entries)
-	d.entries = d.entries[:0]
-	d.slab = d.slab[:0]
-	runs := 0
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			seq, err = r.Varint()
-		case 3:
-			if runs == len(d.runs) {
-				d.runs = append(d.runs, &Run{})
+// batch body: 1=seq 3=run (repeated), runs in entry order; reply
+// completedFields. Field 2 carried a row until protocol version 4 and is
+// not reused.
+func batchFields(c *wire.Codec, b *batch) {
+	wire.Varint(c, 1, &b.seq)
+	wire.Msgs(c, 3, &b.entries, b.runFields)
+}
+
+// run: 1=src 2=ts 3=column (repeated). The timestamps and each column are
+// a bit-packed column (wire.PutBitPackedField: blocks of 128 values, each
+// a minimum, a bit width and the values less the minimum in that many
+// bits). A run carries only its selected rows, packed straight from the
+// selection, so a decoded run has a nil Sel. A decoded source id outside
+// [0, MaxInt32], or a run whose columns differ in length from its
+// timestamps, is corrupt.
+func (b *batch) runFields(c *wire.Codec, en *Entry) {
+	c.Init(func() { en.Run = b.nextRun() })
+	wire.VarintIn(c, 1, &en.Src, 0, math.MaxInt32, "source id")
+	c.Column(2, &en.Run.TS, en.Run.Sel, &b.slab)
+	c.Columns(3, &en.Run.Cols, en.Run.Sel, &b.slab)
+	c.Check(func() error {
+		for a, col := range en.Run.Cols {
+			if len(col) != len(en.Run.TS) {
+				return fmt.Errorf("%w: run column %d has %d rows, %d timestamps", wire.ErrCorrupt, a, len(col), len(en.Run.TS))
 			}
-			run := d.runs[runs]
-			runs++
-			var src int32
-			src, err = d.decodeRun(r, run)
-			d.entries = append(d.entries, Entry{Src: src, Run: run})
 		}
-		return err
+		return nil
 	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, d.entries, nil
 }
 
-// srcID range-checks a decoded source id.
-func srcID(v int64) (int32, error) {
-	if v < 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: source id %d", wire.ErrCorrupt, v)
+// nextRun hands out the decode's next reusable run, emptied.
+func (b *batch) nextRun() *Run {
+	if b.used == len(b.runs) {
+		b.runs = append(b.runs, &Run{})
 	}
-	return int32(v), nil
-}
-
-// decodeRun decodes one run message into run, its slices cut from the
-// slab. Each slice is capped at its own length; a slab that grows
-// mid-batch leaves earlier slices in the old array, where they stay valid.
-func (d *batchDecoder) decodeRun(r *wire.Reader, run *Run) (src int32, err error) {
-	sub, err := r.Msg()
-	if err != nil {
-		return 0, err
-	}
+	run := b.runs[b.used]
+	b.used++
 	clear(run.Cols)
 	run.TS, run.Cols = nil, run.Cols[:0]
-	err = sub.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			var v int64
-			if v, err = sub.Varint(); err == nil {
-				src, err = srcID(v)
-			}
-		case 2, 3:
-			start := len(d.slab)
-			if d.slab, err = sub.AppendBitPacked(d.slab); err == nil {
-				vs := d.slab[start:len(d.slab):len(d.slab)]
-				if field == 2 {
-					run.TS = vs
-				} else {
-					run.Cols = append(run.Cols, vs)
-				}
-			}
-		}
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	for a, col := range run.Cols {
-		if len(col) != len(run.TS) {
-			return 0, fmt.Errorf("%w: run column %d has %d rows, %d timestamps", wire.ErrCorrupt, a, len(col), len(run.TS))
-		}
-	}
-	return src, nil
+	return run
 }
 
-// drain reply body: {1: counts, 2: total, 3: firstErr}.
-func encodeDrainReply(counts []int64, total int64, firstErr string) []byte {
-	var b wire.Buffer
-	b.PutInt64sField(1, counts)
-	b.PutVarintField(2, total)
-	if firstErr != "" {
-		b.PutStringField(3, firstErr)
-	}
-	return b.Bytes()
+// putBatch writes a batch body into b.
+func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
+	batchFields(b, &batch{seq: seq, entries: entries})
 }
 
-func decodeDrainReply(p []byte) (counts []int64, total int64, firstErr string, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			counts, err = r.Int64s()
-		case 2:
-			total, err = r.Varint()
-		case 3:
-			firstErr, err = r.String()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, 0, "", err
+// decode decodes one batch body into b.
+func (b *batch) decode(p []byte) (seq int64, entries []Entry, err error) {
+	clear(b.entries)
+	b.seq, b.entries, b.used, b.slab = 0, b.entries[:0], 0, b.slab[:0]
+	if err := wire.Decode(&b.codec, p, b, batchFields); err != nil {
+		return 0, nil, err
 	}
-	return counts, total, firstErr, nil
+	return b.seq, b.entries, nil
+}
+
+// drainReply is the drain call's answer: per-query result counts, their
+// total, and the sticky first replay error (empty when none).
+type drainReply struct {
+	Counts   []int64
+	Total    int64
+	FirstErr string
+}
+
+func drainFields(c *wire.Codec, d *drainReply) {
+	c.Int64s(1, &d.Counts)
+	wire.Varint(c, 2, &d.Total)
+	c.String(3|wire.OmitEmpty, &d.FirstErr)
 }
 
 // ChurnCall is one live add or remove as a worker replays it on its own
@@ -532,6 +368,8 @@ type ChurnCall struct {
 	Rec     *wire.ChurnRecord
 	Options rules.Options
 	Sources []core.SourceSnap
+
+	log []*wire.ChurnRecord // the records on the wire: Rec alone
 }
 
 // srcNames is the call's source table: source ID → name.
@@ -543,281 +381,194 @@ func (c *ChurnCall) srcNames() []string {
 	return names
 }
 
-// churn body: {1: the record as a one-record churn log
-// (wire.AppendChurnRecord), 2: channels, 3: channelMinStreams, 4: the
-// source table as a plan snapshot of sources only}; reply: groups at
-// field 1.
-func encodeChurnCall(c *ChurnCall) ([]byte, error) {
-	var rec bytes.Buffer
-	if err := wire.AppendChurnRecord(&rec, c.Rec); err != nil {
-		return nil, err
-	}
-	srcs, err := wire.EncodePlanBytes(&core.PlanSnapshot{Sources: c.Sources})
-	if err != nil {
-		return nil, err
-	}
-	var b wire.Buffer
-	b.PutBytesField(1, rec.Bytes())
-	b.PutBoolField(2, c.Options.Channels)
-	b.PutVarintField(3, int64(c.Options.ChannelMinStreams))
-	b.PutBytesField(4, srcs)
-	return b.Bytes(), nil
+// churn body: 1=the record, as a churn log of one record
+// (wire.AppendChurnRecord) 2=channels 3=channelMinStreams 4=the source
+// table, as a plan snapshot of sources only; reply: groups (groupsFields).
+func churnCallFields(c *wire.Codec, m *ChurnCall) {
+	wire.Nested(c, 1, &m.log, &churnLogConv)
+	c.Bool(2, &m.Options.Channels)
+	wire.Varint(c, 3, &m.Options.ChannelMinStreams)
+	wire.Nested(c, 4, &m.Sources, &sourcesConv)
+	c.Check(func() error {
+		if len(m.log) != 1 {
+			return fmt.Errorf("%w: churn call with %d records", wire.ErrCorrupt, len(m.log))
+		}
+		m.Rec = m.log[0]
+		return nil
+	})
 }
 
-func decodeChurnCall(p []byte) (*ChurnCall, error) {
-	c := &ChurnCall{}
-	var recs []*wire.ChurnRecord
-	r := wire.NewReader(p)
-	err := r.Fields(func(field, _ int) (err error) {
-		var sub []byte
-		var v int64
-		var snap *core.PlanSnapshot
-		switch field {
-		case 1:
-			if sub, err = r.Bytes(); err == nil {
-				recs, err = wire.ReadChurnLog(bytes.NewReader(sub))
-			}
-		case 2:
-			v, err = r.Varint()
-			c.Options.Channels = v != 0
-		case 3:
-			c.Options.ChannelMinStreams, err = r.Int()
-		case 4:
-			if sub, err = r.Bytes(); err == nil {
-				if snap, err = wire.DecodePlanBytes(sub); err == nil {
-					c.Sources = snap.Sources
+// encodeChurnCall encodes a churn call's body.
+func encodeChurnCall(call *ChurnCall) ([]byte, error) {
+	m := *call
+	m.log = []*wire.ChurnRecord{call.Rec}
+	return wire.Marshal(&m, churnCallFields)
+}
+
+var (
+	churnLogConv = wire.Conv[[]*wire.ChurnRecord]{
+		Enc: func(recs []*wire.ChurnRecord) ([]byte, error) {
+			var log bytes.Buffer
+			for _, rec := range recs {
+				if err := wire.AppendChurnRecord(&log, rec); err != nil {
+					return nil, err
 				}
 			}
+			return log.Bytes(), nil
+		},
+		Dec: func(_ *wire.Codec, p []byte) ([]*wire.ChurnRecord, error) {
+			return wire.ReadChurnLog(bytes.NewReader(p))
+		},
+	}
+	sourcesConv = wire.Conv[[]core.SourceSnap]{
+		Enc: func(srcs []core.SourceSnap) ([]byte, error) {
+			return wire.EncodePlanBytes(&core.PlanSnapshot{Sources: srcs})
+		},
+		Dec: func(_ *wire.Codec, p []byte) ([]core.SourceSnap, error) {
+			snap, err := wire.DecodePlanBytes(p)
+			if err != nil {
+				return nil, err
+			}
+			return snap.Sources, nil
+		},
+	}
+)
+
+// sideCall names one side of one state group: the export and histogram
+// calls' body. Import's body names the group and carries the payload.
+type sideCall struct {
+	OpID, Side, KeyAttr int
+	Payload             []byte
+}
+
+// sideCallFields declares the export and histogram calls' body.
+func sideCallFields(c *wire.Codec, m *sideCall) {
+	wire.Varint(c, 1, &m.OpID)
+	wire.Varint(c, 2, &m.Side)
+	wire.Varint(c, 3, &m.KeyAttr)
+}
+
+// importCallFields declares the import call's body; its reply is empty.
+func importCallFields(c *wire.Codec, m *sideCall) {
+	wire.Varint(c, 1, &m.OpID)
+	c.Blob(2, &m.Payload)
+}
+
+// exportReplyFields declares the export reply: the payload's bytes,
+// empty when the side stored nothing.
+func exportReplyFields(c *wire.Codec, p *[]byte) { c.Blob(1, p) }
+
+// completedFields declares the batch reply: the last WAL seq the worker
+// applied.
+func completedFields(c *wire.Codec, seq *int64) { wire.Varint(c, 1, seq) }
+
+// hist is a keyed-state histogram as the histogram call's reply carries
+// it: its keys in ascending order and each key's count.
+type hist struct {
+	keys, counts []int64
+}
+
+// histFields declares the histogram reply. Lists of different lengths
+// are corrupt.
+func histFields(c *wire.Codec, h *hist) {
+	c.Int64s(1, &h.keys)
+	c.Int64s(2, &h.counts)
+	c.Check(func() error {
+		if len(h.keys) != len(h.counts) {
+			return fmt.Errorf("%w: histogram reply: %d keys, %d counts", wire.ErrCorrupt, len(h.keys), len(h.counts))
 		}
-		return err
+		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// histogram is the histogram h carries.
+func (h *hist) histogram() map[int64]int64 {
+	out := make(map[int64]int64, len(h.keys))
+	for i, k := range h.keys {
+		out[k] = h.counts[i]
 	}
-	if len(recs) != 1 {
-		return nil, fmt.Errorf("%w: churn call with %d records", wire.ErrCorrupt, len(recs))
-	}
-	c.Rec = recs[0]
-	return c, nil
+	return out
 }
 
-func encodeGroupsReply(groups []mop.GroupRef) []byte {
-	var b wire.Buffer
-	putGroups(&b, 1, groups)
-	return b.Bytes()
-}
-
-func decodeGroupsReply(p []byte) ([]mop.GroupRef, error) {
-	r := wire.NewReader(p)
-	var groups []mop.GroupRef
-	err := r.Fields(func(field, _ int) error {
-		if field != 1 {
-			return nil
-		}
-		g, err := readGroup(r)
-		groups = append(groups, g)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return groups, nil
-}
-
-// export body: {1: opID, 2: side, 3: keyAttr}; reply {1: payloadBytes}
-// (absent/empty payload = the side stored nothing).
-// import body: {1: opID, 2: payloadBytes}; reply empty.
-// histogram body: {1: opID, 2: side, 3: keyAttr}; reply {1: keys, 2:
-// counts}.
-func encodeSideCall(opID, side, keyAttr int) []byte {
-	var b wire.Buffer
-	b.PutVarintField(1, int64(opID))
-	b.PutVarintField(2, int64(side))
-	b.PutVarintField(3, int64(keyAttr))
-	return b.Bytes()
-}
-
-func decodeSideCall(p []byte) (opID, side, keyAttr int, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			opID, err = r.Int()
-		case 2:
-			side, err = r.Int()
-		case 3:
-			keyAttr, err = r.Int()
-		}
-		return err
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return opID, side, keyAttr, nil
-}
-
-func encodeBytesField1(p []byte) []byte {
-	var b wire.Buffer
-	b.PutBytesField(1, p)
-	return b.Bytes()
-}
-
-func decodeBytesField1(p []byte) (out []byte, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		if field == 1 {
-			out, err = r.Bytes()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func encodeImportCall(opID int, payloadBytes []byte) []byte {
-	var b wire.Buffer
-	b.PutVarintField(1, int64(opID))
-	b.PutBytesField(2, payloadBytes)
-	return b.Bytes()
-}
-
-func decodeImportCall(p []byte) (opID int, payloadBytes []byte, err error) {
-	r := wire.NewReader(p)
-	err = r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			opID, err = r.Int()
-		case 2:
-			payloadBytes, err = r.Bytes()
-		}
-		return err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return opID, payloadBytes, nil
-}
-
-func encodeHistReply(h map[int64]int64) []byte {
-	// Deterministic order keeps retried replies byte-identical.
+// histOf is h's reply form, in key order, so a retried reply is
+// byte-identical.
+func histOf(h map[int64]int64) *hist {
 	keys := slices.Sorted(maps.Keys(h))
 	counts := make([]int64, len(keys))
 	for i, k := range keys {
 		counts[i] = h[k]
 	}
-	var b wire.Buffer
-	b.PutInt64sField(1, keys)
-	b.PutInt64sField(2, counts)
-	return b.Bytes()
+	return &hist{keys, counts}
 }
 
-func decodeHistReply(p []byte) (map[int64]int64, error) {
-	r := wire.NewReader(p)
-	var keys, counts []int64
-	err := r.Fields(func(field, _ int) (err error) {
-		switch field {
-		case 1:
-			keys, err = r.Int64s()
-		case 2:
-			counts, err = r.Int64s()
+// stats is a telemetry snapshot as the stats call's reply carries it,
+// each list in name order so that a retried reply served from the reply
+// cache is byte-identical to a fresh encode.
+type stats struct {
+	counters, gauges, hists []series
+}
+
+// series is one named counter, gauge (Count is its value) or histogram.
+type series struct {
+	Name    string
+	Count   int64
+	Sum     int64
+	Buckets []int64
+}
+
+// statsFields declares the stats reply.
+func statsFields(c *wire.Codec, s *stats) {
+	wire.Msgs(c, 1, &s.counters, seriesFields)
+	wire.Msgs(c, 2, &s.gauges, seriesFields)
+	wire.Msgs(c, 3, &s.hists, histSeriesFields)
+}
+
+// seriesFields declares a counter or a gauge; histSeriesFields adds a
+// histogram's sum and buckets.
+func seriesFields(c *wire.Codec, s *series) {
+	c.String(1, &s.Name)
+	wire.Varint(c, 2, &s.Count)
+}
+
+func histSeriesFields(c *wire.Codec, s *series) {
+	seriesFields(c, s)
+	wire.Varint(c, 3, &s.Sum)
+	c.Int64s(4, &s.Buckets)
+}
+
+// statsOf is s's reply form.
+func statsOf(s *obs.Snapshot) *stats {
+	values := func(m map[string]int64) (out []series) {
+		for _, name := range slices.Sorted(maps.Keys(m)) {
+			out = append(out, series{Name: name, Count: m[name]})
 		}
-		return err
-	})
-	if err != nil {
-		return nil, err
+		return out
 	}
-	if len(keys) != len(counts) {
-		return nil, fmt.Errorf("%w: histogram reply: %d keys, %d counts", wire.ErrCorrupt, len(keys), len(counts))
-	}
-	out := make(map[int64]int64, len(keys))
-	for i, k := range keys {
-		out[k] = counts[i]
-	}
-	return out, nil
-}
-
-// stats reply body: {1*: counter{1: name, 2: value}, 2*: gauge{1: name,
-// 2: value}, 3*: hist{1: name, 2: count, 3: sum, 4: buckets}}. Series are
-// emitted in sorted-name order so retried calls served from the reply
-// cache are byte-identical to a fresh encode.
-func encodeStatsReply(s *obs.Snapshot) []byte {
-	var b wire.Buffer
-	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
-		b.PutMsgField(1, func(sub *wire.Buffer) {
-			sub.PutStringField(1, name)
-			sub.PutVarintField(2, s.Counters[name])
-		})
-	}
-	for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
-		b.PutMsgField(2, func(sub *wire.Buffer) {
-			sub.PutStringField(1, name)
-			sub.PutVarintField(2, s.Gauges[name])
-		})
-	}
+	out := &stats{counters: values(s.Counters), gauges: values(s.Gauges)}
 	for _, name := range slices.Sorted(maps.Keys(s.Hists)) {
 		h := s.Hists[name]
-		b.PutMsgField(3, func(sub *wire.Buffer) {
-			sub.PutStringField(1, name)
-			sub.PutVarintField(2, h.Count)
-			sub.PutVarintField(3, h.Sum)
-			sub.PutInt64sField(4, h.Buckets[:])
-		})
+		out.hists = append(out.hists, series{Name: name, Count: h.Count, Sum: h.Sum, Buckets: h.Buckets[:]})
 	}
-	return b.Bytes()
+	return out
 }
 
-func decodeStatsReply(p []byte) (*obs.Snapshot, error) {
-	s := obs.NewSnapshot()
-	r := wire.NewReader(p)
-	err := r.Fields(func(field, _ int) error {
-		if field < 1 || field > 3 {
-			return nil
-		}
-		sub, err := r.Msg()
-		if err != nil {
-			return err
-		}
-		// A counter or gauge is {1: name, 2: value}; a histogram also has
-		// 3: sum and 4: buckets.
-		var name string
-		var d obs.HistData
-		var buckets []int64
-		isHist := field == 3
-		err = sub.Fields(func(f, _ int) (err error) {
-			switch {
-			case f == 1:
-				name, err = sub.String()
-			case f == 2:
-				d.Count, err = sub.Varint()
-			case f == 3 && isHist:
-				d.Sum, err = sub.Varint()
-			case f == 4 && isHist:
-				buckets, err = sub.Int64s()
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		switch field {
-		case 1:
-			s.AddCounter(name, d.Count)
-		case 2:
-			s.SetGauge(name, d.Count)
-		case 3:
-			// A peer with a different bucket count still merges: extra
-			// buckets collapse into the last one, missing buckets stay zero.
-			for i, v := range buckets {
-				d.Buckets[min(i, obs.NumBuckets-1)] += v
-			}
-			s.AddHist(name, d)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// snapshot is the telemetry snapshot s stands for. A peer with a
+// different bucket count still merges: extra buckets collapse into the
+// last one, missing buckets stay zero.
+func (s *stats) snapshot() *obs.Snapshot {
+	out := obs.NewSnapshot()
+	for _, c := range s.counters {
+		out.AddCounter(c.Name, c.Count)
 	}
-	return s, nil
+	for _, g := range s.gauges {
+		out.SetGauge(g.Name, g.Count)
+	}
+	for _, h := range s.hists {
+		d := obs.HistData{Count: h.Count, Sum: h.Sum}
+		for i, v := range h.Buckets {
+			d.Buckets[min(i, obs.NumBuckets-1)] += v
+		}
+		out.AddHist(h.Name, d)
+	}
+	return out
 }

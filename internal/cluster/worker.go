@@ -124,8 +124,10 @@ type workerState struct {
 	lastReply  []byte
 	replyBuf   wire.Buffer
 
-	// Batch decode scratch, reused across batches.
-	batch batchDecoder
+	// Decode scratch, reused across calls: the call frame and its batch.
+	codec wire.Codec
+	in    call
+	batch batch
 
 	// Telemetry. Atomics because Worker.Metrics reads them from an
 	// arbitrary goroutine while serveConn is live; everything else in this
@@ -166,13 +168,14 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 		st.logf("cluster: first frame type %d, want Hello", typ)
 		return false
 	}
-	h, err := decodeHello(payload)
-	if err != nil {
+	h := &hello{}
+	if err := wire.Unmarshal(payload, h, helloFields); err != nil {
 		st.logf("cluster: decoding Hello: %v", err)
 		return false
 	}
 	ack := st.handshake(h)
-	if err := fc.WriteFrame(frameHelloAck, encodeHelloAck(ack)); err != nil {
+	ackBytes, _ := wire.Marshal(ack, helloAckFields)
+	if err := fc.WriteFrame(frameHelloAck, ackBytes); err != nil {
 		st.logf("cluster: writing HelloAck: %v", err)
 		return false
 	}
@@ -194,11 +197,12 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 		case frameShutdown:
 			return true
 		case frameCall:
-			callID, op, body, err := decodeCall(payload)
-			if err != nil {
+			st.in = call{}
+			if err := wire.Decode(&st.codec, payload, &st.in, callFields); err != nil {
 				st.logf("cluster: decoding call: %v", err)
 				return false
 			}
+			callID := st.in.ID
 			if callID == st.lastCallID && st.lastReply != nil {
 				// Retried call: the previous execution's reply was lost in
 				// flight; re-send it without re-executing.
@@ -213,7 +217,7 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 				continue // stale duplicate of an already-superseded call
 			}
 			st.lastCallID = callID
-			st.lastReply = st.reply(callID, op, body)
+			st.lastReply = st.reply(callID, st.in.Op, st.in.Body)
 			if err := fc.WriteSealed(st.lastReply); err != nil {
 				return false
 			}
@@ -234,14 +238,20 @@ func (st *workerState) handshake(h *hello) *helloAck {
 		ack.Err = fmt.Sprintf("shard %d of %d out of range", h.ShardIdx, h.ShardCount)
 		return ack
 	}
-	if h.Resume && st.eng != nil && h.Epoch == st.epoch && h.ShardIdx == st.shardIdx && h.ShardCount == st.shardCount {
-		// Redial after a fault: keep the replica, report how far it got.
+	if h.Resume {
+		// Redial after a fault: keep the replica, report how far it got. A
+		// replica this process does not hold (it restarted, or serves
+		// another epoch or shard by now) cannot be resumed; building one
+		// would hand the client an empty replica and drop the one served.
+		if st.eng == nil || h.Epoch != st.epoch || h.ShardIdx != st.shardIdx || h.ShardCount != st.shardCount {
+			ack.Err = fmt.Sprintf("cannot resume epoch %d shard %d of %d: serving epoch %d shard %d of %d",
+				h.Epoch, h.ShardIdx, h.ShardCount, st.epoch, st.shardIdx, st.shardCount)
+			return ack
+		}
 		ack.LastApplied = st.lastApplied
 		ack.Groups = st.eng.StateRegistry().Groups()
 		return ack
 	}
-	// Fresh cluster (or a fresh process being offered a resume it cannot
-	// honour — the coordinator detects that by the boot ID change).
 	plan, eng, err := buildEngine(h.PlanBytes)
 	if err != nil {
 		ack.Err = err.Error()
@@ -257,7 +267,6 @@ func (st *workerState) handshake(h *hello) *helloAck {
 	st.firstErr = nil
 	st.lastCallID = 0
 	st.lastReply = nil
-	ack.LastApplied = 0
 	ack.Groups = eng.StateRegistry().Groups()
 	return ack
 }
@@ -312,7 +321,7 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, fp, err := wire.FingerprintPlan(st.plan)
+	fp, err := wire.FingerprintPlan(st.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -359,18 +368,17 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		} else {
 			st.dedupSkips.Add(1)
 		}
-		out.PutVarintField(1, st.lastApplied)
+		completedFields(out, &st.lastApplied)
 		return nil
 	case opDrain:
 		firstErr := ""
 		if st.firstErr != nil {
 			firstErr = st.firstErr.Error()
 		}
-		out.Append(encodeDrainReply(st.eng.SnapshotCounts(), st.eng.TotalResults(), firstErr))
-		return nil
+		return wire.Encode(out, &drainReply{st.eng.SnapshotCounts(), st.eng.TotalResults(), firstErr}, drainFields)
 	case opChurn:
-		call, err := decodeChurnCall(body)
-		if err != nil {
+		call := &ChurnCall{}
+		if err := wire.Unmarshal(body, call, churnCallFields); err != nil {
 			return err
 		}
 		d, err := st.replayChurn(call)
@@ -380,14 +388,14 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		if err := st.eng.ApplyDelta(d); err != nil {
 			return fmt.Errorf("applying delta: %w", err)
 		}
-		out.Append(encodeGroupsReply(st.eng.StateRegistry().Groups()))
-		return nil
+		groups := st.eng.StateRegistry().Groups()
+		return wire.Encode(out, &groups, groupsFields)
 	case opExport:
-		opID, side, keyAttr, err := decodeSideCall(body)
-		if err != nil {
+		var m sideCall
+		if err := wire.Unmarshal(body, &m, sideCallFields); err != nil {
 			return err
 		}
-		pl, err := st.eng.StateRegistry().Export(opID, side, keyAttr, func(int64, int) bool { return true })
+		pl, err := st.eng.StateRegistry().Export(m.OpID, m.Side, m.KeyAttr, func(int64, int) bool { return true })
 		if err != nil {
 			return err
 		}
@@ -396,17 +404,13 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		}
 		raw := wire.EncodePayloadBytes(pl)
 		pl.Discard()
-		out.Append(encodeBytesField1(raw))
-		return nil
+		return wire.Encode(out, &raw, exportReplyFields)
 	case opImport:
-		opID, payloadBytes, err := decodeImportCall(body)
-		if err != nil {
+		var m sideCall
+		if err := wire.Unmarshal(body, &m, importCallFields); err != nil {
 			return err
 		}
-		if len(payloadBytes) == 0 {
-			return nil
-		}
-		pl, err := wire.DecodePayloadBytes(payloadBytes)
+		pl, err := wire.DecodePayloadBytes(m.Payload)
 		if err != nil {
 			return fmt.Errorf("decoding payload: %w", err)
 		}
@@ -415,19 +419,15 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		}
 		// The decoded payload is this worker's own fresh copy; the store
 		// takes full ownership.
-		if err := st.eng.StateRegistry().Import(opID, pl, false); err != nil {
-			return err
-		}
-		return nil
+		return st.eng.StateRegistry().Import(m.OpID, pl, false)
 	case opHistogram:
-		opID, side, keyAttr, err := decodeSideCall(body)
-		if err != nil {
+		var m sideCall
+		if err := wire.Unmarshal(body, &m, sideCallFields); err != nil {
 			return err
 		}
 		h := make(map[int64]int64)
-		st.eng.StateRegistry().Histogram(opID, side, keyAttr, h)
-		out.Append(encodeHistReply(h))
-		return nil
+		st.eng.StateRegistry().Histogram(m.OpID, m.Side, m.KeyAttr, h)
+		return wire.Encode(out, histOf(h), histFields)
 	case opResetCounts:
 		st.eng.ResetCounts()
 		return nil
@@ -439,8 +439,7 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		s := obs.NewSnapshot()
 		st.countersInto(s)
 		st.eng.MetricsInto(s)
-		out.Append(encodeStatsReply(s))
-		return nil
+		return wire.Encode(out, statsOf(s), statsFields)
 	}
 	return fmt.Errorf("unknown opcode %d", op)
 }

@@ -140,7 +140,7 @@ type partStatus struct {
 	attr int
 }
 
-// analysis carries the per-plan state of one AnalyzePartition run.
+// analysis carries the per-plan state of one ExtendPartition run.
 type analysis struct {
 	p       *Physical
 	lineage map[int][]string // stream ID → sorted source names feeding it
@@ -149,57 +149,11 @@ type analysis struct {
 	multicastTried map[string]bool
 }
 
-// AnalyzePartition computes a safe shard routing for the plan's sources.
-// The result is deterministic for a given plan.
+// AnalyzePartition computes a safe shard routing for the plan's sources:
+// ExtendPartition with no route pinned. The result is deterministic for a
+// given plan.
 func AnalyzePartition(p *Physical) *PartitionPlan {
-	a := &analysis{p: p, lineage: make(map[int][]string), multicastTried: make(map[string]bool)}
-
-	// Phase 1: propose hash attributes from equi-join constraints.
-	modes := a.proposeRoutes()
-
-	// Phase 2: verify; on a conflict, first try upgrading the offending
-	// probe source to multicast routing, otherwise demote the offending
-	// input's sources to broadcast, and retry. Multicast upgrades happen
-	// at most once per source and each demotion strictly grows the
-	// broadcast set, so the loop terminates.
-	for range 2*len(modes) + 2 {
-		demote, changed := a.verify(modes)
-		if changed {
-			continue
-		}
-		if demote == nil {
-			break
-		}
-		progressed := false
-		for _, src := range demote {
-			if modes[src].Mode != PartitionBroadcast {
-				modes[src] = SourceRoute{Mode: PartitionBroadcast}
-				progressed = true
-			}
-		}
-		if !progressed {
-			// The conflicting input is already fully broadcast; the plan
-			// cannot be partitioned at all.
-			for src := range modes {
-				modes[src] = SourceRoute{Mode: PartitionBroadcast}
-			}
-			break
-		}
-	}
-
-	pp := &PartitionPlan{Routes: modes, ReplicatedSinks: make(map[int]bool)}
-	status := make(map[int]partStatus)
-	for _, q := range p.Queries {
-		out := p.OutputOf(q.ID)
-		if st, ok := a.status(out, modes, status); ok && st.kind == pRepl {
-			pp.ReplicatedSinks[q.ID] = true
-		}
-	}
-	for _, r := range modes {
-		if r.Mode != PartitionBroadcast {
-			pp.Parallel = true
-		}
-	}
+	pp, _ := ExtendPartition(p, &PartitionPlan{}) // nothing pinned: it cannot fail
 	return pp
 }
 
@@ -216,6 +170,8 @@ func AnalyzePartition(p *Physical) *PartitionPlan {
 // source (e.g. a new query needs a broadcast of a currently partitioned
 // stream), ExtendPartition returns an error and the caller must reject
 // the live operation; serving such a query requires an offline restart.
+// With no route pinned it never fails: a plan that cannot be partitioned
+// at all broadcasts every source.
 func ExtendPartition(p *Physical, prev *PartitionPlan) (*PartitionPlan, error) {
 	a := &analysis{p: p, lineage: make(map[int][]string), multicastTried: make(map[string]bool)}
 	modes := a.proposeRoutes()
@@ -254,6 +210,11 @@ func ExtendPartition(p *Physical, prev *PartitionPlan) (*PartitionPlan, error) {
 		}
 		modes[name] = SourceRoute{Mode: PartitionMulticast, Attr: r.Attr, Table: table, Always: always}
 	}
+	// Verify; on a conflict, first try upgrading the offending probe
+	// source to multicast routing, otherwise demote the offending input's
+	// sources to broadcast, and retry. Multicast upgrades happen at most
+	// once per source and each demotion strictly grows the broadcast set,
+	// so the loop terminates.
 	for range 2*len(modes) + 2 {
 		demote, changed := a.verify(modes)
 		if changed {
@@ -273,8 +234,16 @@ func ExtendPartition(p *Physical, prev *PartitionPlan) (*PartitionPlan, error) {
 				progressed = true
 			}
 		}
-		if !progressed {
+		if !progressed && len(pinned) > 0 {
 			return nil, fmt.Errorf("core: plan is not partitionable under the pinned routes; re-optimize offline")
+		}
+		if !progressed {
+			// The conflicting input is already fully broadcast; the plan
+			// cannot be partitioned at all.
+			for src := range modes {
+				modes[src] = SourceRoute{Mode: PartitionBroadcast}
+			}
+			break
 		}
 	}
 	// Defense in depth: a pinned source's mode/attr must have survived

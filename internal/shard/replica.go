@@ -117,27 +117,27 @@ type replica interface {
 // replica splices Delta, which the caller computed on Plan, the post-op
 // plan the local replicas share. A remote worker replays Rec on its own
 // copy of the plan under Options, splices the delta it computes there,
-// and checks the fingerprint that Snapshot sets in Rec.
+// and checks the fingerprint that Fingerprint sets in Rec.
 type Churn struct {
 	Delta   *core.Delta
 	Rec     wire.ChurnRecord
 	Options rules.Options
 	Plan    *core.Physical
-
-	planBytes []byte
 }
 
-// Snapshot encodes Plan once, sets Rec.Fingerprint from the encoding, and
-// returns it. Only a remote replica or a churn log asks for it, so a
-// system with neither encodes nothing per operation.
-func (c *Churn) Snapshot() ([]byte, error) {
-	if c.planBytes == nil {
-		var err error
-		if c.planBytes, c.Rec.Fingerprint, err = wire.FingerprintPlan(c.Plan); err != nil {
-			return nil, err
+// Fingerprint sets Rec.Fingerprint to Plan's (wire.FingerprintPlan),
+// which encodes Plan, and returns it; a fingerprint already set is kept.
+// Only a remote replica or a churn log asks for it, so a system with
+// neither encodes nothing per operation.
+func (c *Churn) Fingerprint() (uint64, error) {
+	if c.Rec.Fingerprint == 0 {
+		fp, err := wire.FingerprintPlan(c.Plan)
+		if err != nil {
+			return 0, err
 		}
+		c.Rec.Fingerprint = fp
 	}
-	return c.planBytes, nil
+	return c.Rec.Fingerprint, nil
 }
 
 // ---------------------------------------------------------------------
@@ -262,8 +262,7 @@ func (r *remoteReplica) totalResults() int64 {
 func (r *remoteReplica) registry() Registry { return &remoteRegistry{rep: r} }
 
 func (r *remoteReplica) applyDelta(ch *Churn, names []string) error {
-	planBytes, err := ch.Snapshot()
-	if err != nil {
+	if _, err := ch.Fingerprint(); err != nil {
 		return err
 	}
 	srcs := make([]core.SourceSnap, len(names))
@@ -272,7 +271,7 @@ func (r *remoteReplica) applyDelta(ch *Churn, names []string) error {
 		srcs[i] = core.SourceSnap{Name: name, Label: decl.Label,
 			Schema: core.SchemaSnap{Name: decl.Schema.Name, Attrs: decl.Schema.Attrs}}
 	}
-	_, err = r.cli.Churn(&cluster.ChurnCall{Rec: &ch.Rec, Options: ch.Options, Sources: srcs}, planBytes)
+	_, err := r.cli.Churn(&cluster.ChurnCall{Rec: &ch.Rec, Options: ch.Options, Sources: srcs})
 	return err
 }
 
@@ -297,7 +296,7 @@ func (r *remoteReplica) revive() error {
 	// Resume, not fresh: a healed partition finds the worker's replica
 	// intact. A restarted process fails the boot-ID check and stays lost —
 	// terminal, since the replica state recovery needs is gone with it.
-	err := r.cli.Revive(false)
+	err := r.cli.Revive()
 	if err != nil && remoteFatal(err) {
 		return fmt.Errorf("shard %d: %v: %w", r.idx, err, ErrShardDead)
 	}

@@ -65,149 +65,53 @@ type Checkpoint struct {
 	Groups     []GroupState
 }
 
-// envelope body: 1=shards 2=channels 3=channelMinStreams 4=plan
-//                5=partition 6=count 7=frozen 8=group 9=frozenByID
-// group:         1=shard 2=opID 3=payload
+func checkpointFields(c *Codec, ck *Checkpoint) {
+	Varint(c, 1, &ck.Shards)
+	c.Bool(2, &ck.Channels)
+	Varint(c, 3, &ck.ChannelMinStreams)
+	Ptr(c, 4, &ck.Plan, planFields)
+	Nested(c, 5, &ck.Partition, &partitionConv)
+	Msgs(c, 6, &ck.Counts, queryCountFields)
+	Msgs(c, 7, &ck.Frozen, namedCountFields)
+	Msgs(c, 8, &ck.Groups, groupStateFields)
+	Msgs(c, 9, &ck.FrozenByID, queryCountFields)
+}
+
+func queryCountFields(c *Codec, qc *QueryCount) {
+	Varint(c, 1, &qc.ID)
+	Varint(c, 2, &qc.Count)
+}
+
+func namedCountFields(c *Codec, fc *NamedCount) {
+	c.String(1, &fc.Name)
+	Varint(c, 2, &fc.Count)
+}
+
+func groupStateFields(c *Codec, gs *GroupState) {
+	Varint(c, 1, &gs.Shard)
+	Varint(c, 2, &gs.OpID)
+	Nested(c, 3, &gs.Payload, &payloadConv)
+}
+
+// A nil partition plan is absent; a nil payload is an empty message.
+var (
+	partitionConv = Conv[*core.PartitionPlan]{EncodePartitionBytes, func(_ *Codec, p []byte) (*core.PartitionPlan, error) { return DecodePartitionBytes(p) }}
+	payloadConv   = Conv[*mop.StatePayload]{
+		func(p *mop.StatePayload) ([]byte, error) { return EncodePayloadBytes(p), nil },
+		func(_ *Codec, p []byte) (*mop.StatePayload, error) { return DecodePayloadBytes(p) },
+	}
+)
 
 // EncodeCheckpointBytes encodes the envelope body (no framing).
-func EncodeCheckpointBytes(c *Checkpoint) ([]byte, error) {
-	var b Buffer
-	b.PutVarintField(1, int64(c.Shards))
-	b.PutBoolField(2, c.Channels)
-	b.PutVarintField(3, int64(c.ChannelMinStreams))
-	if c.Plan != nil {
-		plan, err := EncodePlanBytes(c.Plan)
-		if err != nil {
-			return nil, err
-		}
-		b.PutBytesField(4, plan)
-	}
-	if c.Partition != nil {
-		part, err := EncodePartitionBytes(c.Partition)
-		if err != nil {
-			return nil, err
-		}
-		b.PutBytesField(5, part)
-	}
-	for _, qc := range c.Counts {
-		b.PutMsgField(6, func(sub *Buffer) {
-			sub.PutVarintField(1, int64(qc.ID))
-			sub.PutVarintField(2, qc.Count)
-		})
-	}
-	for _, fc := range c.Frozen {
-		b.PutMsgField(7, func(sub *Buffer) {
-			sub.PutStringField(1, fc.Name)
-			sub.PutVarintField(2, fc.Count)
-		})
-	}
-	for _, gs := range c.Groups {
-		b.PutMsgField(8, func(sub *Buffer) {
-			sub.PutVarintField(1, int64(gs.Shard))
-			sub.PutVarintField(2, int64(gs.OpID))
-			EncodePayload(sub, 3, gs.Payload)
-		})
-	}
-	for _, qc := range c.FrozenByID {
-		b.PutMsgField(9, func(sub *Buffer) {
-			sub.PutVarintField(1, int64(qc.ID))
-			sub.PutVarintField(2, qc.Count)
-		})
-	}
-	return b.Bytes(), nil
-}
+func EncodeCheckpointBytes(c *Checkpoint) ([]byte, error) { return Marshal(c, checkpointFields) }
 
 // DecodeCheckpointBytes decodes an envelope body.
 func DecodeCheckpointBytes(p []byte) (*Checkpoint, error) {
-	r := NewReader(p)
 	c := &Checkpoint{}
-	err := r.Fields(func(f, _ int) (err error) {
-		var v int64
-		var sub []byte
-		var qc QueryCount
-		switch f {
-		case 1:
-			c.Shards, err = r.Int()
-		case 2:
-			v, err = r.Varint()
-			c.Channels = v != 0
-		case 3:
-			c.ChannelMinStreams, err = r.Int()
-		case 4:
-			if sub, err = r.Bytes(); err == nil {
-				c.Plan, err = DecodePlanBytes(sub)
-			}
-		case 5:
-			if sub, err = r.Bytes(); err == nil {
-				c.Partition, err = DecodePartitionBytes(sub)
-			}
-		case 6:
-			qc, err = decodeQueryCount(r)
-			c.Counts = append(c.Counts, qc)
-		case 9:
-			qc, err = decodeQueryCount(r)
-			c.FrozenByID = append(c.FrozenByID, qc)
-		case 7:
-			var fc NamedCount
-			msg, err := r.Msg()
-			if err != nil {
-				return err
-			}
-			err = msg.Fields(func(f, _ int) (err error) {
-				switch f {
-				case 1:
-					fc.Name, err = msg.String()
-				case 2:
-					fc.Count, err = msg.Varint()
-				}
-				return err
-			})
-			c.Frozen = append(c.Frozen, fc)
-			return err
-		case 8:
-			var gs GroupState
-			msg, err := r.Msg()
-			if err != nil {
-				return err
-			}
-			err = msg.Fields(func(f, _ int) (err error) {
-				switch f {
-				case 1:
-					gs.Shard, err = msg.Int()
-				case 2:
-					gs.OpID, err = msg.Int()
-				case 3:
-					gs.Payload, err = DecodePayload(msg)
-				}
-				return err
-			})
-			c.Groups = append(c.Groups, gs)
-			return err
-		}
-		return err
-	})
-	if err != nil {
+	if err := Unmarshal(p, c, checkpointFields); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-func decodeQueryCount(r *Reader) (QueryCount, error) {
-	var qc QueryCount
-	sub, err := r.Msg()
-	if err != nil {
-		return qc, err
-	}
-	err = sub.Fields(func(f, _ int) (err error) {
-		switch f {
-		case 1:
-			qc.ID, err = sub.Int()
-		case 2:
-			qc.Count, err = sub.Varint()
-		}
-		return err
-	})
-	return qc, err
 }
 
 // WriteCheckpoint frames and writes the envelope to w.
@@ -276,27 +180,32 @@ type ChurnRecord struct {
 	Fingerprint uint64
 }
 
-// record: 1=op 2=name 3=root 4=fingerprint
+func recordFields(c *Codec, rec *ChurnRecord) {
+	Varint(c, 1, &rec.Op)
+	c.String(2, &rec.Name)
+	Ptr(c, 3, &rec.Root, logicalFields)
+	Varint(c, 4, &rec.Fingerprint)
+	c.Check(func() error {
+		switch {
+		case rec.Op != ChurnAdd && rec.Op != ChurnRemove:
+			return corrupt("unknown churn op %d", rec.Op)
+		case rec.Op == ChurnAdd && rec.Root == nil:
+			return corrupt("add of %q without a logical tree", rec.Name)
+		}
+		return nil
+	})
+}
 
 // AppendChurnRecord writes one length-prefixed record to w.
 func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
-	var b Buffer
-	b.PutVarintField(1, int64(rec.Op))
-	b.PutStringField(2, rec.Name)
-	if rec.Root != nil {
-		root, err := encodeLogical(rec.Root)
-		if err != nil {
-			return err
-		}
-		b.PutBytesField(3, root)
-	}
-	b.PutVarintField(4, int64(rec.Fingerprint))
-	var frame Buffer
-	frame.PutUvarint(uint64(b.Len()))
-	if _, err := w.Write(frame.Bytes()); err != nil {
+	body, err := Marshal(rec, recordFields)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(b.Bytes())
+	var frame Buffer
+	frame.PutUvarint(uint64(len(body)))
+	frame.Append(body)
+	_, err = w.Write(frame.Bytes())
 	return err
 }
 
@@ -314,34 +223,8 @@ func ReadChurnLog(rd io.Reader) ([]*ChurnRecord, error) {
 			return nil, err
 		}
 		rec := &ChurnRecord{}
-		sub := NewReader(body)
-		err = sub.Fields(func(f, _ int) (err error) {
-			var v int64
-			var p []byte
-			switch f {
-			case 1:
-				v, err = sub.Varint()
-				rec.Op = ChurnOp(v)
-			case 2:
-				rec.Name, err = sub.String()
-			case 3:
-				if p, err = sub.Bytes(); err == nil {
-					rec.Root, err = decodeLogical(p, 0)
-				}
-			case 4:
-				v, err = sub.Varint()
-				rec.Fingerprint = uint64(v)
-			}
-			return err
-		})
-		if err != nil {
+		if err := Unmarshal(body, rec, recordFields); err != nil {
 			return nil, err
-		}
-		switch {
-		case rec.Op != ChurnAdd && rec.Op != ChurnRemove:
-			return nil, corrupt("unknown churn op %d", rec.Op)
-		case rec.Op == ChurnAdd && rec.Root == nil:
-			return nil, corrupt("add of %q without a logical tree", rec.Name)
 		}
 		out = append(out, rec)
 	}

@@ -381,7 +381,7 @@ func wireDecoders(t testing.TB) []goldenDecoder {
 			return wire.EncodeDef(d)
 		}},
 		{"logical", cqlRoots(), func(p []byte) ([]byte, error) {
-			l, err := wire.DecodeLogical(p, 0)
+			l, err := wire.DecodeLogical(p)
 			if err != nil {
 				return nil, err
 			}
@@ -406,7 +406,7 @@ func TestFingerprintGolden(t *testing.T) {
 	var b strings.Builder
 	fingerprint := func(p *core.Physical) uint64 {
 		t.Helper()
-		_, fp, err := wire.FingerprintPlan(p)
+		fp, err := wire.FingerprintPlan(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,15 @@
 // The format is protobuf-shaped without the dependency: a message is a
 // sequence of tagged fields, tag = fieldNum<<3 | wiretype, with two wire
 // types — 0 (zigzag varint) and 2 (length-delimited: strings, nested
-// messages, packed integer lists, bit-packed columns). Every decoder walks
-// a message through Reader.Fields, which skips the value of any field the
-// decoder does not read: that one loop is where unknown tags are skipped,
-// so fields can be added without breaking old readers (forward
-// compatibility); a leading magic + format version guards against
-// incompatible changes.
+// messages, packed integer lists, bit-packed columns). Each message is
+// declared once, as a function over a *Codec that names each field's
+// number, type and place in the message's value (codec.go); encoding and
+// decoding both walk that declaration, here and for the RPC messages of
+// package cluster. Decoding walks a message through Reader.Fields, which
+// skips the value of any field the declaration does not read: that one
+// loop is where unknown tags are skipped, so fields can be added without
+// breaking old readers (forward compatibility); a leading magic + format
+// version guards against incompatible changes.
 //
 // Decoding never panics on corrupt input: every primitive checks bounds
 // and returns ErrCorrupt, recursive structures carry a depth limit, and
@@ -52,13 +55,8 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // ---------------------------------------------------------------------------
-// Buffer: the encoder
+// Buffer: the encoder's primitives
 // ---------------------------------------------------------------------------
-
-// Buffer accumulates encoded bytes.
-type Buffer struct {
-	b []byte
-}
 
 // Bytes returns the encoded contents.
 func (b *Buffer) Bytes() []byte { return b.b }
@@ -96,15 +94,6 @@ func (b *Buffer) putTag(field, wt int) { b.PutUvarint(uint64(field)<<3 | uint64(
 func (b *Buffer) PutVarintField(field int, v int64) {
 	b.putTag(field, wtVarint)
 	b.PutVarint(v)
-}
-
-// PutBoolField appends a tagged boolean field.
-func (b *Buffer) PutBoolField(field int, v bool) {
-	n := int64(0)
-	if v {
-		n = 1
-	}
-	b.PutVarintField(field, n)
 }
 
 // PutBytesField appends a tagged length-delimited field.
@@ -236,12 +225,6 @@ func (r *Reader) Bytes() ([]byte, error) {
 	return p, nil
 }
 
-// Int reads a zigzag-encoded signed varint as an int.
-func (r *Reader) Int() (int, error) {
-	v, err := r.Varint()
-	return int(v), err
-}
-
 // String reads a length-delimited string.
 func (r *Reader) String() (string, error) {
 	p, err := r.Bytes()
@@ -291,15 +274,6 @@ func (r *Reader) skip(wt int) error {
 		return err
 	}
 	return corrupt("unknown wire type %d", wt)
-}
-
-// Msg reads a length-delimited field as a nested reader.
-func (r *Reader) Msg() (*Reader, error) {
-	p, err := r.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{b: p}, nil
 }
 
 // packedLen counts the values of a packed varint list: one per byte

@@ -213,7 +213,7 @@ func (s *System) logChurn(ch *shard.Churn) error {
 	if s.churnLog == nil {
 		return nil
 	}
-	_, err := ch.Snapshot() // fills in the record's fingerprint
+	_, err := ch.Fingerprint()
 	if err == nil {
 		err = wire.AppendChurnRecord(s.churnLog, &ch.Rec)
 	}
@@ -250,7 +250,7 @@ func ReplayChurnLog(sys *System, r io.Reader) error {
 			return fmt.Errorf("rumor: churn record %d: %w", i, err)
 		}
 		sys.churnMu.Lock()
-		_, fp, err := wire.FingerprintPlan(sys.plan)
+		fp, err := wire.FingerprintPlan(sys.plan)
 		sys.churnMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("rumor: churn record %d: %w", i, err)
