@@ -100,7 +100,7 @@ func Unmarshal[T any](p []byte, v *T, decl func(*Codec, *T)) error {
 }
 
 // fail records err, unless it is nil: a decoder writes c.err only on an
-// error.
+// error, which keeps pointer writes into the Codec off its common path.
 func (c *Codec) fail(err error) {
 	if err != nil {
 		c.err = err
