@@ -2,10 +2,13 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/mop"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -246,5 +249,72 @@ func TestChurnLogRoundTrip(t *testing.T) {
 	}
 	if out[1].Op != wire.ChurnRemove || out[1].Root != nil || out[1].Fingerprint != 7 {
 		t.Fatalf("remove record mismatch: %+v", out[1])
+	}
+}
+
+// Recursive messages decode up to 512 levels below their root and fail
+// one level deeper, with an error naming the tree: a logical tree (its
+// depth counted by the children field) and a predicate (by its nested
+// operands).
+func TestDecodeDepthLimits(t *testing.T) {
+	chain := func(nodes int) *core.Logical {
+		l := core.Scan("S")
+		for range nodes - 1 {
+			l = core.SelectL(expr.True{}, l)
+		}
+		return l
+	}
+	not := func(levels int) expr.Pred {
+		var p expr.Pred = expr.True{}
+		for range levels {
+			p = expr.Not{P: p}
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name   string
+		decode func() error
+		deep   string
+	}{
+		{"logical", func() error {
+			p, err := wire.EncodeLogical(chain(513))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = wire.DecodeLogical(p)
+			return err
+		}, ""},
+		{"logical", func() error {
+			p, err := wire.EncodeLogical(chain(514))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = wire.DecodeLogical(p)
+			return err
+		}, "logical tree too deep"},
+		{"pred", func() error {
+			p, err := wire.EncodePred(not(512))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = wire.DecodePred(p, 0)
+			return err
+		}, ""},
+		{"pred", func() error {
+			p, err := wire.EncodePred(not(513))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = wire.DecodePred(p, 0)
+			return err
+		}, "predicate nesting too deep"},
+	} {
+		err := c.decode()
+		if c.deep == "" && err != nil {
+			t.Fatalf("%s at the limit: %v", c.name, err)
+		}
+		if c.deep != "" && (!errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), c.deep)) {
+			t.Fatalf("%s past the limit: %v, want %q", c.name, err, c.deep)
+		}
 	}
 }
