@@ -43,8 +43,8 @@ type Config struct {
 
 	ShardIdx   int
 	ShardCount int
-	// Epoch identifies this cluster instantiation; a worker resuming a
-	// different epoch is rebuilt from scratch.
+	// Epoch identifies this cluster instantiation; a worker that serves
+	// another epoch refuses to resume this one.
 	Epoch int64
 	// PlanBytes is the wire snapshot of the physical plan the worker
 	// lowers its replica from at Dial. The worker then follows live churn

@@ -293,8 +293,8 @@ func (r *remoteReplica) unreachable() bool { return r.unreach.Load() }
 func (r *remoteReplica) downChan() <-chan struct{} { return r.down.Load().(chan struct{}) }
 
 func (r *remoteReplica) revive() error {
-	// Resume, not fresh: a healed partition finds the worker's replica
-	// intact. A restarted process fails the boot-ID check and stays lost —
+	// A healed partition finds the worker's replica intact and resumes
+	// it. A restarted process refuses the resume and stays lost —
 	// terminal, since the replica state recovery needs is gone with it.
 	err := r.cli.Revive()
 	if err != nil && remoteFatal(err) {
