@@ -5,7 +5,7 @@
 // that encode this repository's runtime invariants:
 //
 //   - poolown     — pooled stream.Tuple/stream.Block lifecycle: no use after
-//     Release/Put, Owned-flag writes only in annotated owner functions, no
+//     Put, Owned-flag writes only in annotated owner functions, no
 //     pooled value sent across a channel outside an owner function.
 //   - noalloc     — functions annotated //rumor:noalloc contain no
 //     allocating constructs (composite literals, make/new, append, closure

@@ -45,91 +45,16 @@ func TestNoDeadExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repo analysis compiles every package; skipped in -short")
 	}
-	pkgs, err := LoadPackages(moduleRoot(t), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each package is checked from source and its importers see it
-	// through export data, so objects are matched by name, and interface
-	// satisfaction by method names.
-	used := make(map[string]bool)
-	var ifaces [][]string
-	addIface := func(it *types.Interface) {
-		var names []string
-		for i := range it.NumMethods() {
-			names = append(names, it.Method(i).Name())
-		}
-		if len(names) > 0 {
-			ifaces = append(ifaces, names)
-		}
-	}
-	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	seen := make(map[string]bool)
-	var collect func(pkg *types.Package)
-	collect = func(pkg *types.Package) {
-		if seen[pkg.Path()] {
-			return
-		}
-		seen[pkg.Path()] = true
-		for _, name := range pkg.Scope().Names() {
-			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
-				addIface(it)
-			}
-		}
-		for _, imp := range pkg.Imports() {
-			collect(imp)
-		}
-	}
-	for _, p := range pkgs {
-		collect(p.Pkg)
-		for _, obj := range p.Info.Uses {
-			used[exportKey(obj)] = true
-		}
-		for _, tv := range p.Info.Types {
-			if it, ok := tv.Type.(*types.Interface); ok {
-				addIface(it)
-			}
-		}
-	}
-	satisfies := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		have := make(map[string]bool)
-		mset := types.NewMethodSet(types.NewPointer(recv))
-		for i := range mset.Len() {
-			have[mset.At(i).Obj().Name()] = true
-		}
-		for _, names := range ifaces {
-			if slices.Contains(names, fn.Name()) && !slices.ContainsFunc(names, func(n string) bool { return !have[n] }) {
-				return true
-			}
-		}
-		return false
-	}
+	m := loadModuleUses(t)
 	var dead []string
-	for _, p := range pkgs {
-		if !strings.HasPrefix(p.ImportPath, "repro/internal/") {
-			continue
-		}
-		pass := &Pass{Fset: p.Fset, Files: p.Files}
-		// A waiver sits on or above the declaration, or above the
-		// parenthesized group that holds it.
+	for _, p := range m.internal() {
 		check := func(id *ast.Ident, group *ast.GenDecl) {
-			obj := p.Info.Defs[id]
-			if obj == nil || !id.IsExported() || used[exportKey(obj)] {
+			if !id.IsExported() {
 				return
 			}
-			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfies(fn) {
-				return
+			if d := m.dead(p, id, group); d != "" {
+				dead = append(dead, d)
 			}
-			pos := p.Fset.Position(id.Pos())
-			dirs := pass.directives()
-			if dirs.allowed("deadexport", pos) || group != nil && group.Lparen.IsValid() && dirs.allowed("deadexport", p.Fset.Position(group.Pos())) {
-				return
-			}
-			dead = append(dead, pos.String()+": "+id.Name)
 		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -155,6 +80,147 @@ func TestNoDeadExports(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("%s is exported but no non-test file uses it; delete it or waive it with //rumor:allow deadexport and a reason", d)
 	}
+}
+
+// TestNoDeadFuncs fails on an unexported function or method under
+// internal/ that no non-test file calls or otherwise refers to: a helper
+// only tests reach is a second copy of behaviour the program does not
+// have. The exemptions of TestNoDeadExports apply: a method that
+// satisfies an interface, and //rumor:allow deadexport with a reason.
+func TestNoDeadFuncs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo analysis compiles every package; skipped in -short")
+	}
+	m := loadModuleUses(t)
+	var dead []string
+	for _, p := range m.internal() {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.IsExported() || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				if d := m.dead(p, fd.Name, nil); d != "" {
+					dead = append(dead, d)
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is called by no non-test file; delete it or waive it with //rumor:allow deadexport and a reason", d)
+	}
+}
+
+// moduleUses is what the dead-code guards know of the module's non-test
+// files: the packages, the key (exportKey) of every object they use, and
+// the method names of every interface they declare or use.
+type moduleUses struct {
+	pkgs   []*Package
+	used   map[string]bool
+	ifaces [][]string
+}
+
+// loadModuleUses type-checks every package of the module. Each package is
+// checked from source and its importers see it through export data, so
+// objects are matched by name, and interface satisfaction by method
+// names.
+func loadModuleUses(t *testing.T) *moduleUses {
+	t.Helper()
+	pkgs, err := LoadPackages(moduleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &moduleUses{pkgs: pkgs, used: make(map[string]bool)}
+	addIface := func(it *types.Interface) {
+		var names []string
+		for i := range it.NumMethods() {
+			names = append(names, it.Method(i).Name())
+		}
+		if len(names) > 0 {
+			m.ifaces = append(m.ifaces, names)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := make(map[string]bool)
+	var collect func(pkg *types.Package)
+	collect = func(pkg *types.Package) {
+		if seen[pkg.Path()] {
+			return
+		}
+		seen[pkg.Path()] = true
+		for _, name := range pkg.Scope().Names() {
+			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				addIface(it)
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			collect(imp)
+		}
+	}
+	for _, p := range pkgs {
+		collect(p.Pkg)
+		for _, obj := range p.Info.Uses {
+			m.used[exportKey(obj)] = true
+		}
+		for _, tv := range p.Info.Types {
+			if it, ok := tv.Type.(*types.Interface); ok {
+				addIface(it)
+			}
+		}
+	}
+	return m
+}
+
+// internal returns the packages under internal/.
+func (m *moduleUses) internal() []*Package {
+	var out []*Package
+	for _, p := range m.pkgs {
+		if strings.HasPrefix(p.ImportPath, "repro/internal/") {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// satisfies reports whether the method fn is one of an interface's
+// methods that fn's receiver type has all of.
+func (m *moduleUses) satisfies(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	have := make(map[string]bool)
+	mset := types.NewMethodSet(types.NewPointer(recv))
+	for i := range mset.Len() {
+		have[mset.At(i).Obj().Name()] = true
+	}
+	for _, names := range m.ifaces {
+		if slices.Contains(names, fn.Name()) && !slices.ContainsFunc(names, func(n string) bool { return !have[n] }) {
+			return true
+		}
+	}
+	return false
+}
+
+// dead returns "position: name" for the declaration id of p when no
+// non-test file uses it, it is no interface method, and no waiver covers
+// it, and "" otherwise. A waiver sits on or above the declaration, or
+// above the parenthesized group that holds it.
+func (m *moduleUses) dead(p *Package, id *ast.Ident, group *ast.GenDecl) string {
+	obj := p.Info.Defs[id]
+	if obj == nil || m.used[exportKey(obj)] {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && m.satisfies(fn) {
+		return ""
+	}
+	pos := p.Fset.Position(id.Pos())
+	dirs := (&Pass{Fset: p.Fset, Files: p.Files}).directives()
+	if dirs.allowed("deadexport", pos) || group != nil && group.Lparen.IsValid() && dirs.allowed("deadexport", p.Fset.Position(group.Pos())) {
+		return ""
+	}
+	return pos.String() + ": " + id.Name
 }
 
 // TestOneCodec fails when a non-test file outside the codec core

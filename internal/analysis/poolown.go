@@ -7,15 +7,15 @@ import (
 )
 
 // PoolOwn enforces the pooled-value ownership contract of
-// repro/internal/stream: Release/Put transfer the tuple or block (and its
-// buffers) back to a pool, so any later use of the same variable is a
+// repro/internal/stream: Put transfers the tuple or block (and its
+// buffers) back to its pool, so any later use of the same variable is a
 // use-after-free against recycled memory; the Owned flag is an exclusive-
 // ownership claim only the emitting constructor may make; and handing a
 // pooled value to another goroutine through a channel breaks the
 // single-threaded pool domain unless the function is a declared owner.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
-	Doc: "reports uses of a pooled stream.Tuple/stream.Block after Release/Put, " +
+	Doc: "reports uses of a pooled stream.Tuple/stream.Block after Put, " +
 		"Owned-flag writes outside //rumor:owner functions, and pooled values " +
 		"sent across channels outside //rumor:owner functions",
 	Run: runPoolOwn,
@@ -58,7 +58,7 @@ func runPoolOwn(pass *Pass) error {
 }
 
 // poolWalker tracks released pooled variables through one function body in
-// source order. Kills are branch-local: a Release inside an if body does
+// source order. Kills are branch-local: a Put inside an if body does
 // not poison the code after the if (conservative, no false positives on
 // conditional-release-and-return shapes).
 type poolWalker struct {
@@ -168,7 +168,7 @@ func (w *poolWalker) walkStmt(s ast.Stmt, killed map[*types.Var]token.Pos) {
 		w.checkSend(st)
 		w.recordKills(s, killed)
 	case *ast.DeferStmt, *ast.GoStmt:
-		// A deferred Release runs at function exit, and a go statement's
+		// A deferred Put runs at function exit, and a go statement's
 		// kills belong to the spawned goroutine: neither poisons the
 		// remainder of this body.
 		w.checkStmtUses(s, killed)
@@ -227,8 +227,8 @@ func (w *poolWalker) checkNode(n ast.Node, killed map[*types.Var]token.Pos) {
 	})
 }
 
-// recordKills scans s for Release()/Put(x) calls on pooled values and marks
-// the receiver/argument dead from this point on.
+// recordKills scans s for Put(x) calls on pooled values and marks the
+// argument dead from this point on.
 func (w *poolWalker) recordKills(s ast.Stmt, killed map[*types.Var]token.Pos) {
 	ast.Inspect(s, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -238,27 +238,14 @@ func (w *poolWalker) recordKills(s ast.Stmt, killed map[*types.Var]token.Pos) {
 		if !ok {
 			return true
 		}
+		// pool.Put(t) / bpool.Put(b) — the argument dies.
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || sel.Sel.Name != "Put" || len(call.Args) != 1 {
 			return true
 		}
-		switch sel.Sel.Name {
-		case "Release":
-			// t.Release() — the receiver dies.
-			if id, ok := sel.X.(*ast.Ident); ok && len(call.Args) == 0 {
-				if v, ok := w.pass.Info.Uses[id].(*types.Var); ok && pooledKind(v.Type()) != "" {
-					killed[v] = call.Pos()
-				}
-			}
-		case "Put":
-			// pool.Put(t) / bpool.Put(b) — the argument dies.
-			if len(call.Args) != 1 {
-				return true
-			}
-			if id, ok := call.Args[0].(*ast.Ident); ok {
-				if v, ok := w.pass.Info.Uses[id].(*types.Var); ok && pooledKind(v.Type()) != "" {
-					killed[v] = call.Pos()
-				}
+		if id, ok := call.Args[0].(*ast.Ident); ok {
+			if v, ok := w.pass.Info.Uses[id].(*types.Var); ok && pooledKind(v.Type()) != "" {
+				killed[v] = call.Pos()
 			}
 		}
 		return true

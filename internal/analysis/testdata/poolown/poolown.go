@@ -7,9 +7,9 @@ import "repro/internal/stream"
 var pool = stream.NewPool()
 var bp = stream.NewBlockPool()
 
-func useAfterRelease() int64 {
+func useAfterPutRead() int64 {
 	t := pool.Get(1, 2)
-	t.Release()
+	pool.Put(t)
 	return t.TS // want "used after it was released"
 }
 
@@ -25,34 +25,34 @@ func blockUseAfterPut() int {
 	return b.SelCount() // want "used after it was released"
 }
 
-func conditionalReleaseOK(flag bool) int64 {
+func conditionalPutOK(flag bool) int64 {
 	t := pool.Get(1, 2)
 	if flag {
-		t.Release()
+		pool.Put(t)
 		return 0
 	}
-	defer t.Release()
-	return t.TS // ok: the release stayed inside its branch
+	defer pool.Put(t)
+	return t.TS // ok: the Put stayed inside its branch
 }
 
 func reassignmentRevives() int64 {
 	t := pool.Get(1, 1)
-	t.Release()
+	pool.Put(t)
 	t = pool.Get(2, 1)
-	defer t.Release()
+	defer pool.Put(t)
 	return t.TS // ok: t was re-acquired
 }
 
-func deferredReleaseOK() int64 {
+func deferredPutOK() int64 {
 	t := pool.Get(1, 1)
-	defer t.Release()
-	return t.TS // ok: deferred release runs at exit
+	defer pool.Put(t)
+	return t.TS // ok: deferred Put runs at exit
 }
 
 func ownedOutsideOwner() {
 	t := pool.Get(1, 1)
 	t.Owned = true // want "Owned set outside"
-	t.Release()
+	pool.Put(t)
 }
 
 //rumor:owner
@@ -74,7 +74,7 @@ func sendPooledOwner(ch chan *stream.Tuple) {
 
 func waived() int64 {
 	t := pool.Get(1, 1)
-	t.Release()
+	pool.Put(t)
 	//rumor:allow poolown
 	return t.TS // ok: explicitly waived
 }

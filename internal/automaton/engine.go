@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/stream"
@@ -363,7 +364,7 @@ func (e *Engine) step(st *state, fe *fedge, in *inst, t *stream.Tuple) {
 	filterOK := st.filter != nil && st.filter.Eval2(in.vals, t)
 	switch {
 	case matched && filterOK:
-		stay := &inst{vals: in.vals.Clone(), ts0: in.ts0}
+		stay := &inst{vals: &stream.Tuple{TS: in.vals.TS, Vals: slices.Clone(in.vals.Vals)}, ts0: in.ts0}
 		st.insts = append(st.insts, stay)
 		st.rebindAndEmit(e, fe, in, t, inWindow)
 	case matched:

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rules"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -206,7 +207,8 @@ func w3Throughput(p workload.Params, k int, rounds int, channels bool) (float64,
 	return throughput(len(events)/perRound, perRound, func(r int) error {
 		round := events[r*perRound : (r+1)*perRound]
 		if channels {
-			if err := e.Push(round[0].Source, round[0].Tuple.WithMember(full)); err != nil {
+			t := &stream.Tuple{TS: round[0].Tuple.TS, Vals: round[0].Tuple.Vals, Member: full}
+			if err := e.Push(round[0].Source, t); err != nil {
 				return err
 			}
 		} else {

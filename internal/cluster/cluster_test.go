@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/live"
+	"repro/internal/mop"
 	"repro/internal/rules"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -722,6 +723,71 @@ func TestChurnChecksFingerprint(t *testing.T) {
 	err = churn(&wire.ChurnRecord{Op: wire.ChurnRemove, Name: q.Name}, 1)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("remove with another plan's fingerprint: %v, want a fingerprint mismatch", err)
+	}
+}
+
+// parentChurnCallFields declares a churn call as versions that still
+// wrote field 3 (a channel stream threshold) did, with the threshold at 3.
+func parentChurnCallFields(c *wire.Codec, m *ChurnCall) {
+	threshold := 3
+	wire.Nested(c, 1, &m.log, &churnLogConv)
+	c.Bool(2, &m.Options.Channels)
+	wire.Varint(c, 3, &threshold)
+	wire.Nested(c, 4, &m.Sources, &sourcesConv)
+}
+
+// A churn call that carries the retired field 3 decodes to the call
+// without it, and a worker replays it to the plan its twin reached
+// without the field: the worker checks the record's fingerprint, which
+// is the twin's.
+func TestChurnSkipsRetiredField3(t *testing.T) {
+	w := buildWorkload(t)
+	lis := startWorker(t)
+	c, err := Dial(Config{
+		Dial:     func() (net.Conn, error) { return lis.Dial() },
+		ShardIdx: 0, ShardCount: 1, Epoch: 1, PlanBytes: w.planBytes,
+		CallTimeout: 2 * time.Second, HeartbeatInterval: -1,
+	}, w.srcNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	twin, _, err := buildEngine(w.planBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.NewQuery("again", twin.Queries[0].Root)
+	if _, err := live.NewMaintainer(twin, rules.Options{}).AddQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := wire.FingerprintPlan(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root, Fingerprint: fp}
+	call := &ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources, log: []*wire.ChurnRecord{rec}}
+	old, err := wire.Marshal(call, parentChurnCallFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec ChurnCall
+	if err := wire.Unmarshal(old, &dec, churnCallFields); err != nil {
+		t.Fatal(err)
+	}
+	got, err := encodeChurnCall(&dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := encodeChurnCall(call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a churn call with field 3 decoded to another call than without it")
+	}
+	var groups []mop.GroupRef
+	if err := callFor(c, opChurn, old, &groups, groupsFields); err != nil {
+		t.Fatalf("worker replaying a churn call with field 3: %v", err)
 	}
 }
 

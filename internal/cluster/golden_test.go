@@ -82,7 +82,7 @@ func goldenChurnCall() []byte {
 	schema := func(name string) core.SchemaSnap { return core.SchemaSnap{Name: name, Attrs: []string{"a", "b"}} }
 	p, err := encodeChurnCall(&ChurnCall{
 		Rec:     &wire.ChurnRecord{Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 0xfedc_ba98_7654_3210},
-		Options: rules.Options{Channels: true, ChannelMinStreams: 3},
+		Options: rules.Options{Channels: true},
 		Sources: []core.SourceSnap{{Name: "S", Label: "grp", Schema: schema("S")}, {Name: "T", Schema: schema("T")}},
 	})
 	if err != nil {

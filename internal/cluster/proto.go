@@ -114,9 +114,9 @@ type Entry struct {
 // Run is a column-major run of rows of one source: TS[i] pairs with
 // Cols[a][i]. Sel, when non-nil, is a selection bitmap: the run stands
 // for row i only if Sel[i>>6] has bit i&63. A nil Sel selects every row.
-// The shard router builds a run of its own for the rows of Push and
-// PushBatch calls, appending each row to its destination shard's open run
-// of the row's source; for a PushColumns call it gives each destination
+// The shard router builds a run of its own for the rows of Push calls,
+// appending each row to its destination shard's open run of the row's
+// source; for a PushColumns call it gives each destination
 // shard a run that shares the pushed TS and Cols arrays and selects that
 // shard's rows, so those arrays stay referenced until every shard's WAL
 // has pruned its run. Runs held in a WAL are never mutated, so a
@@ -360,8 +360,8 @@ func drainFields(c *wire.Codec, d *drainReply) {
 
 // ChurnCall is one live add or remove as a worker replays it on its own
 // plan: the churn record, whose fingerprint is the coordinator's post-op
-// plan's; the rule options the plan is maintained under (Channels and
-// ChannelMinStreams cross the wire); and the post-op source table in
+// plan's; the rule options the plan is maintained under (Channels crosses
+// the wire); and the post-op source table in
 // source-ID order, each source with its declaration (a live add may scan
 // a stream declared after the worker's plan was built).
 type ChurnCall struct {
@@ -382,12 +382,12 @@ func (c *ChurnCall) srcNames() []string {
 }
 
 // churn body: 1=the record, as a churn log of one record
-// (wire.AppendChurnRecord) 2=channels 3=channelMinStreams 4=the source
-// table, as a plan snapshot of sources only; reply: groups (groupsFields).
+// (wire.AppendChurnRecord) 2=channels 4=the source table, as a plan
+// snapshot of sources only; field 3 (a channel stream threshold) is
+// retired and skipped on read; reply: groups (groupsFields).
 func churnCallFields(c *wire.Codec, m *ChurnCall) {
 	wire.Nested(c, 1, &m.log, &churnLogConv)
 	c.Bool(2, &m.Options.Channels)
-	wire.Varint(c, 3, &m.Options.ChannelMinStreams)
 	wire.Nested(c, 4, &m.Sources, &sourcesConv)
 	c.Check(func() error {
 		if len(m.log) != 1 {

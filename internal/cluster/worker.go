@@ -403,7 +403,6 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 			return nil
 		}
 		raw := wire.EncodePayloadBytes(pl)
-		pl.Discard()
 		return wire.Encode(out, &raw, exportReplyFields)
 	case opImport:
 		var m sideCall

@@ -65,7 +65,7 @@ func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel []uint64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
-			return fmt.Errorf("engine: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
+			return fmt.Errorf("engine: source %q: %w: %d timestamps, %d rows in column %d", source, ErrArity, len(ts), len(col), a)
 		}
 	}
 	si, ok := e.lookupSource(source)

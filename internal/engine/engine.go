@@ -100,8 +100,9 @@ type sourceInfo struct {
 }
 
 // ErrArity reports an ingested row whose number of values is not the
-// declared arity of its source. The call that returns it has ingested
-// nothing.
+// declared arity of its source: a row of the wrong width, or PushColumns
+// columns of differing lengths, which leave rows of differing widths. The
+// call that returns it has ingested nothing.
 var ErrArity = errors.New("row arity does not match the source schema")
 
 func arityErr(source string, want, got int) error {
@@ -319,6 +320,34 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 	return rn, nil
 }
 
+// releaseAnalysis decides what delivering an Owned tuple to the consumer
+// ports cs does to it. It is releasable when every port only reads
+// delivered tuples. Ownership may pass through exactly one forwarding
+// port (a selection re-emitting the tuple); with a storing port or
+// several forwarders, the tuple stops being singly referenced and
+// clearsOwned: it sheds its Owned flag at delivery. Sinks do not count: a
+// result callback only borrows the tuple, and it returns before any
+// consumer runs.
+func releaseAnalysis(cs []portRef) (releasable, clearsOwned bool) {
+	releasable = true
+	forwarders := 0
+	for _, c := range cs {
+		use := mop.PortStores
+		if c.port < len(c.node.uses) {
+			use = c.node.uses[c.port]
+		}
+		switch use {
+		case mop.PortStores:
+			clearsOwned = true
+			releasable = false
+		case mop.PortForwards:
+			forwarders++
+			releasable = false
+		}
+	}
+	return releasable, clearsOwned || forwarders > 1
+}
+
 // rebuildRoutes recomputes the dense routing state — per-edge consumer
 // lists, query sinks, source injection info, release analysis, and the
 // count-only output ports — from the current plan and runtime nodes; the
@@ -408,56 +437,14 @@ func (e *Engine) rebuildRoutes() {
 			}
 		}
 	}
-	// Release analysis. An edge is releasable when every consumer port
-	// only reads delivered tuples. Ownership may pass through exactly one
-	// forwarding consumer (a selection re-emitting the tuple); with a
-	// storing consumer or several forwarders, the tuple stops being singly
-	// referenced and sheds its Owned flag at delivery. Sinks do not count:
-	// a result callback only borrows the tuple, and it returns before any
-	// consumer runs.
+	// Release analysis over all consumers (deliver), and over the scalar
+	// ones alone for the pooled row tuples the block→scalar adapter
+	// materializes.
 	for i := range e.routes {
 		r := &e.routes[i]
 		r.hasSink = len(r.sinks) > 0
-		r.releasable = true
-		forwarders := 0
-		for _, c := range r.consumers {
-			use := mop.PortStores
-			if c.port < len(c.node.uses) {
-				use = c.node.uses[c.port]
-			}
-			switch use {
-			case mop.PortStores:
-				r.clearsOwned = true
-				r.releasable = false
-			case mop.PortForwards:
-				forwarders++
-				r.releasable = false
-			}
-		}
-		if forwarders > 1 {
-			r.clearsOwned = true
-		}
-		// Same analysis restricted to the scalar consumers: it governs the
-		// pooled row tuples the block→scalar adapter materializes.
-		r.rowReleasable = true
-		rowForwarders := 0
-		for _, c := range r.scalarConsumers {
-			use := mop.PortStores
-			if c.port < len(c.node.uses) {
-				use = c.node.uses[c.port]
-			}
-			switch use {
-			case mop.PortStores:
-				r.rowClearsOwned = true
-				r.rowReleasable = false
-			case mop.PortForwards:
-				rowForwarders++
-				r.rowReleasable = false
-			}
-		}
-		if rowForwarders > 1 {
-			r.rowClearsOwned = true
-		}
+		r.releasable, r.clearsOwned = releaseAnalysis(r.consumers)
+		r.rowReleasable, r.rowClearsOwned = releaseAnalysis(r.scalarConsumers)
 	}
 	// Count-only and sink-only output ports. A count-only port's results
 	// are counted, not delivered, while no result callback is installed;
@@ -721,7 +708,7 @@ func (e *Engine) Push(source string, t *stream.Tuple) error {
 		return arityErr(source, si.arity, len(t.Vals))
 	}
 	if si.member != nil && t.Member == nil {
-		t = t.WithMember(si.member)
+		t = e.pool.WithMember(t, si.member)
 	}
 	e.enqueue(si.edge, t)
 	e.drain()

@@ -95,12 +95,10 @@ func feedPush(t *testing.T, e *Engine, events []workload.Event) {
 	}
 }
 
-// feedBatch drives the same events as the runs a System.PushBatch call
-// of each maximal stretch of consecutive same-source events hands the
-// engine (cross-source order preserved): the stretch transposed into
-// columns and pushed through PushColumns. Stretches shorter than
-// blockMinRows take the scalar path.
-func feedBatch(t *testing.T, e *Engine, events []workload.Event) {
+// feedStretches drives the same events as one PushColumns call per
+// maximal stretch of consecutive same-source events (cross-source order
+// preserved). Stretches shorter than blockMinRows take the scalar path.
+func feedStretches(t *testing.T, e *Engine, events []workload.Event) {
 	t.Helper()
 	i := 0
 	for i < len(events) {
@@ -123,10 +121,11 @@ func feedBatch(t *testing.T, e *Engine, events []workload.Event) {
 	}
 }
 
-// checkBatchEquivalence runs the same query set over the same event
-// sequence once with per-tuple Push and once as PushBatch runs and requires
-// byte-identical per-query result streams.
-func checkBatchEquivalence(t *testing.T, catalog map[string]core.SourceDecl, qs []*core.Query, events []workload.Event, channels bool) {
+// checkStretchEquivalence runs the same query set over the same event
+// sequence once with per-tuple Push and once as one PushColumns call per
+// same-source stretch, and requires byte-identical per-query result
+// streams.
+func checkStretchEquivalence(t *testing.T, catalog map[string]core.SourceDecl, qs []*core.Query, events []workload.Event, channels bool) {
 	t.Helper()
 	one := optimizedEngine(t, catalog, qs, channels)
 	two := optimizedEngine(t, catalog, qs, channels)
@@ -134,9 +133,9 @@ func checkBatchEquivalence(t *testing.T, catalog map[string]core.SourceDecl, qs 
 	one.OnResult = lone.record
 	two.OnResult = ltwo.record
 	feedPush(t, one, events)
-	feedBatch(t, two, events)
+	feedStretches(t, two, events)
 	if d := lone.diff(ltwo); d != "" {
-		t.Fatalf("channels=%v: Push vs PushBatch diverged: %s", channels, d)
+		t.Fatalf("channels=%v: Push vs PushColumns stretches diverged: %s", channels, d)
 	}
 	if one.TotalResults() == 0 {
 		t.Fatal("workload produced no results; equivalence check is vacuous")
@@ -156,30 +155,30 @@ func automatonQueries(t *testing.T, aqs []*automaton.Query) []*core.Query {
 	return qs
 }
 
-func TestPushBatchEquivalenceWorkload1(t *testing.T) {
+func TestSourceStretchEquivalenceWorkload1(t *testing.T) {
 	for _, channels := range []bool{false, true} {
 		p, qs := w1Queries(t, 300)
-		checkBatchEquivalence(t, p.Catalog(), qs, p.GenStreams(6000), channels)
+		checkStretchEquivalence(t, p.Catalog(), qs, p.GenStreams(6000), channels)
 	}
 }
 
-func TestPushBatchEquivalenceWorkload2(t *testing.T) {
+func TestSourceStretchEquivalenceWorkload2(t *testing.T) {
 	for _, channels := range []bool{false, true} {
 		p := workload.DefaultParams()
 		p.NumQueries = 150
-		checkBatchEquivalence(t, p.Catalog(), automatonQueries(t, p.Workload2Seq()), p.GenStreams(4000), channels)
+		checkStretchEquivalence(t, p.Catalog(), automatonQueries(t, p.Workload2Seq()), p.GenStreams(4000), channels)
 		pm := workload.DefaultParams()
 		pm.NumQueries = 60
-		checkBatchEquivalence(t, pm.Catalog(), automatonQueries(t, pm.Workload2Mu()), pm.GenStreams(3000), channels)
+		checkStretchEquivalence(t, pm.Catalog(), automatonQueries(t, pm.Workload2Mu()), pm.GenStreams(3000), channels)
 	}
 }
 
-func TestPushBatchEquivalenceWorkload3(t *testing.T) {
+func TestSourceStretchEquivalenceWorkload3(t *testing.T) {
 	const k = 8
 	for _, channels := range []bool{false, true} {
 		p := workload.DefaultParams()
 		p.NumQueries = 200
-		checkBatchEquivalence(t, p.Workload3Catalog(k), p.Workload3(k), p.Workload3Rounds(k, 400), channels)
+		checkStretchEquivalence(t, p.Workload3Catalog(k), p.Workload3(k), p.Workload3Rounds(k, 400), channels)
 	}
 }
 

@@ -3,7 +3,7 @@
 // or dropping the operator state the surviving queries share.
 //
 // Adding a query plans it naively into the running physical plan (package
-// core) and re-runs the m-rule engine incrementally (rules.OptimizeLive):
+// core) and re-runs the batch m-rules, seeded by the delta (rules.Seeded):
 // the plan is already at fixpoint, so rules fire only where the new
 // query's operators create sharing opportunities, merging them into the
 // existing shared m-ops, growing channel memberships append-only, and
@@ -62,8 +62,8 @@ type Maintainer struct {
 }
 
 // NewMaintainer wraps an optimized plan for live maintenance. Opt must be
-// the options the plan was optimized with (the live rule set must agree
-// with the fixpoint in place).
+// the options the plan was optimized with (the rules must agree with the
+// fixpoint in place).
 func NewMaintainer(plan *core.Physical, opt rules.Options) *Maintainer {
 	return &Maintainer{Plan: plan, Opt: opt}
 }
@@ -92,7 +92,7 @@ func (m *Maintainer) AddQuery(q *core.Query) (*core.Delta, error) {
 		m.Plan.TakeDelta()
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if err := rules.OptimizeLive(m.Plan, m.Opt); err != nil {
+	if _, err := rules.NewOptimizer(m.Opt).Run(m.Plan); err != nil {
 		m.Plan.TakeDelta()
 		return nil, fmt.Errorf("live: incremental optimization: %w", err)
 	}

@@ -183,8 +183,7 @@ func (pm *portMap) outLoc(p *core.Physical, s *core.StreamRef) target {
 // Lower compiles a plan node into an executable m-op. tp is the engine's
 // tuple pool: every tuple the m-op builds or recycles goes through it, so
 // the engine's single-threaded execution domain never touches a shared
-// pool (tp may be nil; the m-op then falls back to the global pool). A
-// source node has no m-op: the engine hands pushed tuples to its
+// pool. A source node has no m-op: the engine hands pushed tuples to its
 // consumers directly.
 func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 	if len(n.Ops) == 0 {

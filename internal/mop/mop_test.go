@@ -15,6 +15,13 @@ import (
 	"repro/internal/stream"
 )
 
+// withMember gives t the channel membership m: a row that belongs to the
+// streams of m's positions.
+func withMember(t *stream.Tuple, m *bitset.Set) *stream.Tuple {
+	t.Member = m
+	return t
+}
+
 func catalog() map[string]core.SourceDecl {
 	c := map[string]core.SourceDecl{
 		"S": {Schema: stream.MustSchema("S", "a", "b")},
@@ -128,9 +135,9 @@ func TestChannelSelectMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Push("S1", stream.NewTuple(0, 7, 7).WithMember(bitset.FromIndices(0, 1)))
-	e.Push("S1", stream.NewTuple(1, 7, 7).WithMember(bitset.FromIndices(0)))
-	e.Push("S1", stream.NewTuple(2, 1, 1).WithMember(bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(0, 7, 7), bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(1, 7, 7), bitset.FromIndices(0)))
+	e.Push("S1", withMember(stream.NewTuple(2, 1, 1), bitset.FromIndices(0, 1)))
 	if e.ResultCount(qs[0].ID) != 2 || e.ResultCount(qs[1].ID) != 1 {
 		t.Fatalf("counts: %d, %d", e.ResultCount(qs[0].ID), e.ResultCount(qs[1].ID))
 	}
@@ -165,8 +172,8 @@ func TestSharedFragmentAggregation(t *testing.T) {
 		res = append(res, fmt.Sprintf("q%d:%s", q, tu.ContentKey()))
 	}
 	// ts0: both streams get value 5; ts1: only stream 1 gets value 3.
-	e.Push("S1", stream.NewTuple(0, 1, 5).WithMember(bitset.FromIndices(0, 1)))
-	e.Push("S1", stream.NewTuple(1, 1, 3).WithMember(bitset.FromIndices(0)))
+	e.Push("S1", withMember(stream.NewTuple(0, 1, 5), bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(1, 1, 3), bitset.FromIndices(0)))
 	sort.Strings(res)
 	want := []string{
 		fmt.Sprintf("q%d:@0|5", qs[0].ID),
@@ -215,9 +222,9 @@ func TestPrecisionSharingJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Push("S1", stream.NewTuple(0, 9, 1).WithMember(bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(0, 9, 1), bitset.FromIndices(0, 1)))
 	e.Push("T", stream.NewTuple(1, 9, 2)) // joins for both queries
-	e.Push("S1", stream.NewTuple(2, 8, 1).WithMember(bitset.FromIndices(1)))
+	e.Push("S1", withMember(stream.NewTuple(2, 8, 1), bitset.FromIndices(1)))
 	e.Push("T", stream.NewTuple(3, 8, 2)) // joins only for q2
 	if e.ResultCount(qs[0].ID) != 1 || e.ResultCount(qs[1].ID) != 2 {
 		t.Fatalf("counts: %d, %d", e.ResultCount(qs[0].ID), e.ResultCount(qs[1].ID))
@@ -316,7 +323,7 @@ func TestChannelSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tuple belongs to streams 0 and 2 only.
-	e.Push("S1", stream.NewTuple(0, 5, 0).WithMember(bitset.FromIndices(0, 2)))
+	e.Push("S1", withMember(stream.NewTuple(0, 5, 0), bitset.FromIndices(0, 2)))
 	e.Push("T", stream.NewTuple(1, 5, 0))
 	want := []int64{1, 0, 1, 0}
 	for i, q := range qs {
@@ -377,8 +384,8 @@ func TestProjectSharedOverChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Push("S1", stream.NewTuple(0, 1, 2).WithMember(bitset.FromIndices(0, 1)))
-	e.Push("S1", stream.NewTuple(1, 3, 4).WithMember(bitset.FromIndices(1)))
+	e.Push("S1", withMember(stream.NewTuple(0, 1, 2), bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(1, 3, 4), bitset.FromIndices(1)))
 	if e.ResultCount(qs[0].ID) != 1 || e.ResultCount(qs[1].ID) != 2 {
 		t.Fatalf("counts: %d, %d", e.ResultCount(qs[0].ID), e.ResultCount(qs[1].ID))
 	}
@@ -609,9 +616,9 @@ func TestFragmentAggMinMax(t *testing.T) {
 		res = append(res, fmt.Sprintf("q%d:%s", q, tu.ContentKey()))
 	}
 	// Both streams see 5; only stream 0 sees 9; then both see 7.
-	e.Push("S1", stream.NewTuple(0, 0, 5).WithMember(bitset.FromIndices(0, 1)))
-	e.Push("S1", stream.NewTuple(1, 0, 9).WithMember(bitset.FromIndices(0)))
-	e.Push("S1", stream.NewTuple(2, 0, 7).WithMember(bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(0, 0, 5), bitset.FromIndices(0, 1)))
+	e.Push("S1", withMember(stream.NewTuple(1, 0, 9), bitset.FromIndices(0)))
+	e.Push("S1", withMember(stream.NewTuple(2, 0, 7), bitset.FromIndices(0, 1)))
 	sort.Strings(res)
 	want := []string{
 		fmt.Sprintf("q%d:@0|5", qs[0].ID),

@@ -261,20 +261,6 @@ func (p *StatePayload) SplitBy(n int, dest func(key int64) int) []*StatePayload 
 	return out
 }
 
-// Discard releases payload-owned pooled state (the µ instance state tuples
-// of items that were never imported, or were imported by copy everywhere).
-func (p *StatePayload) Discard() {
-	if p == nil || p.kind != kindMuState {
-		return
-	}
-	for i := range p.items {
-		if st := p.items[i].State; st != nil {
-			st.Release()
-			p.items[i].State = nil
-		}
-	}
-}
-
 // mergeByTS merges two timestamp-ordered slices (stable: a's items win
 // ties), reusing a's backing array when possible.
 func mergeByTS[T any](a, b []T, ts func(T) int64) []T {
@@ -334,7 +320,7 @@ func NewStateRegistry(ms []MOp) *StateRegistry {
 // each new state group looks up the (single) old group serving any of its
 // operator IDs and adopts its state wholesale. A group whose operators all
 // are new starts empty; a group spanning two distinct old groups would
-// need a state merge the live rule set never produces and is an error.
+// need a state merge live maintenance never produces and is an error.
 func (r *StateRegistry) Adopt(l *Lowered) error {
 	sh, ok := l.MOp.(interface{ stateHolders() []stateHolder })
 	if !ok {

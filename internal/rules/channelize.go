@@ -25,37 +25,31 @@ import (
 // Action: encode the candidate input streams into a single channel and
 // merge the consumer operators into one m-op.
 //
-// MinStreams (default 2) is a lightweight profitability gate reflecting
-// the paper's §3.2 tradeoff discussion ("streams should only be mapped to
-// the same channel if there is a large enough fraction of channel tuples
-// that belong to multiple streams"): groups encoding fewer distinct
-// streams than the threshold are left alone. Cost-based selection is
+// A group must encode at least minChannelStreams distinct streams, the
+// paper's §3.2 tradeoff ("streams should only be mapped to the same
+// channel if there is a large enough fraction of channel tuples that
+// belong to multiple streams") at its least. Cost-based selection is
 // future work in the paper and here.
 //
-// With Live set, channel encoding is append-only, the variant live
-// maintenance runs on a plan with running operator state (see live.go).
-// It requires an active delta recording on the plan (core.BeginDelta) to
-// tell delta-new edges from pre-existing ones.
-type Channelize struct {
-	MinStreams int
-	Live       bool
-}
+// While a delta is recording (core.BeginDelta, which only live
+// maintenance starts), channel encoding is append-only: the plan has
+// running operator state, and the recording tells delta-new edges from
+// pre-existing ones (see the package doc).
+type Channelize struct{}
+
+// minChannelStreams is the fewest distinct streams a channel encodes.
+const minChannelStreams = 2
 
 // Name implements Rule.
-func (r Channelize) Name() string {
-	if r.Live {
-		return "channelize-live"
-	}
-	return "channelize"
-}
+func (Channelize) Name() string { return "channelize" }
 
 // Apply implements Rule.
 func (r Channelize) Apply(p *core.Physical) (bool, error) {
 	return r.applyNodes(p, nodesOf(p, notSource))
 }
 
-func (r Channelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
-	return applyChannelize(p, nodes, r.MinStreams, r.Live)
+func (Channelize) applyNodes(p *core.Physical, nodes []*core.Node) (bool, error) {
+	return applyChannelize(p, nodes)
 }
 
 // partners: channel partners consume the live streams of the input's ∼
@@ -98,10 +92,7 @@ func (k chanKey) String() string {
 	return s
 }
 
-func applyChannelize(p *core.Physical, nodes []*core.Node, minStreams int, live bool) (bool, error) {
-	if minStreams < 2 {
-		minStreams = 2
-	}
+func applyChannelize(p *core.Physical, nodes []*core.Node) (bool, error) {
 	groups := make(map[chanKey][]*core.Op)
 	for _, n := range nodes {
 		if n.Kind == core.KindSource {
@@ -124,14 +115,14 @@ func applyChannelize(p *core.Physical, nodes []*core.Node, minStreams int, live 
 		}
 	}
 	changed := false
-	for _, k := range fireable(groups, minStreams, chanKey.String) {
+	for _, k := range fireable(groups, minChannelStreams, chanKey.String) {
 		ops := groups[k]
 		sides := []int{0}
 		if k.kind == core.KindJoin {
 			sides = []int{0, 1}
 		}
 		for _, idx := range sides {
-			c, err := channelizeGroup(p, ops, idx, minStreams, live)
+			c, err := channelizeGroup(p, ops, idx)
 			if err != nil {
 				return changed, err
 			}
@@ -146,7 +137,7 @@ func applyChannelize(p *core.Physical, nodes []*core.Node, minStreams int, live 
 // channelized or fails a structural precondition (e.g. streams produced by
 // different non-source m-ops).
 //
-// In live mode (applied to a running plan) channel growth is append-only:
+// While a delta is recording (a running plan) channel growth is append-only:
 // the group may extend at most one pre-existing channel with streams whose
 // edges were created during the active delta, or form a brand-new channel
 // from delta-new edges exclusively. Re-encoding a pre-existing plain edge
@@ -155,7 +146,7 @@ func applyChannelize(p *core.Physical, nodes []*core.Node, minStreams int, live 
 // Extending a pre-existing channel hands its tombstoned slots to the new
 // streams first (EncodeChannel slot reuse), so membership words stay
 // bounded under add/remove churn.
-func channelizeGroup(p *core.Physical, ops []*core.Op, inIdx, minStreams int, live bool) (bool, error) {
+func channelizeGroup(p *core.Physical, ops []*core.Op, inIdx int) (bool, error) {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
 
 	// Distinct input streams and the edges carrying them.
@@ -170,10 +161,10 @@ func channelizeGroup(p *core.Physical, ops []*core.Op, inIdx, minStreams int, li
 		}
 		edgeIDs[p.StreamEdge(s).ID] = true
 	}
-	if len(streams) < minStreams {
+	if len(streams) < minChannelStreams {
 		return false, nil
 	}
-	if live && len(edgeIDs) > 1 {
+	if p.Recording() && len(edgeIDs) > 1 {
 		// Append-only gate: ≤1 pre-existing channel, no pre-existing plain
 		// edges, everything else delta-new.
 		existingChannels := 0

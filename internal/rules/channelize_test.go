@@ -60,8 +60,8 @@ func TestJoinBothSidesChannelize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Push("L1", stream.NewTuple(0, 5, 0).WithMember(bitset.FromIndices(0, 2)))
-	e.Push("R1", stream.NewTuple(1, 5, 0).WithMember(bitset.FromIndices(1, 2)))
+	e.Push("L1", withMember(stream.NewTuple(0, 5, 0), bitset.FromIndices(0, 2)))
+	e.Push("R1", withMember(stream.NewTuple(1, 5, 0), bitset.FromIndices(1, 2)))
 	want := []int64{0, 0, 1}
 	for i, q := range qs {
 		if e.ResultCount(q.ID) != want[i] {
@@ -70,32 +70,31 @@ func TestJoinBothSidesChannelize(t *testing.T) {
 	}
 }
 
-// TestChannelMinStreamsGate: raising the profitability threshold leaves
-// small groups un-channelized.
+// TestChannelMinStreamsGate: a channel encodes at least two streams; one
+// sequence over one stream stays on its own edge.
 func TestChannelMinStreamsGate(t *testing.T) {
-	build := func(minStreams int) core.Stats {
+	build := func(streams int) core.Stats {
 		p := core.NewPhysical(joinCatalog())
 		pred := expr.AttrCmp2{L: 0, Op: expr.Eq, R: 0}
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= streams; i++ {
 			q := core.NewQuery(fmt.Sprintf("q%d", i),
 				core.SeqL(pred, 100, core.Scan(fmt.Sprintf("L%d", i)), core.Scan("R1")))
 			if err := p.AddQuery(q); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := rules.Optimize(p, rules.Options{Channels: true, ChannelMinStreams: minStreams}); err != nil {
+		if err := rules.Optimize(p, rules.Options{Channels: true}); err != nil {
 			t.Fatal(err)
 		}
 		return p.Stats()
 	}
-	if got := build(0).Channels; got != 1 {
-		t.Fatalf("default gate: channels = %d, want 1", got)
-	}
-	if got := build(3).Channels; got != 1 {
-		t.Fatalf("gate 3 with 3 streams: channels = %d, want 1", got)
-	}
-	if got := build(4).Channels; got != 0 {
-		t.Fatalf("gate 4 with 3 streams: channels = %d, want 0", got)
+	for streams, want := range []int{1: 0, 2: 1, 3: 1} {
+		if streams == 0 {
+			continue
+		}
+		if got := build(streams).Channels; got != want {
+			t.Fatalf("%d streams: channels = %d, want %d", streams, got, want)
+		}
 	}
 }
 

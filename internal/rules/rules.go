@@ -31,6 +31,26 @@
 //
 // The optimizer applies rules in priority order to a fixpoint (§7's
 // conflict-resolution strategy).
+//
+// Live maintenance (package live) runs the same rules, seeded by the
+// delta: every rule is wrapped in Seeded, which scans the whole plan when
+// no delta is recording and, while one is, only the dirty nodes and their
+// sharing partners. The plan is already at the rules' fixpoint, so a
+// re-run after an added query only fires where the new operators create
+// sharing. Two properties keep running operator state valid:
+//
+//   - CSE keeps the lowest-ID (pre-existing) operator of a collapsed
+//     group, so stored state and query outputs always migrate toward the
+//     operator the engine already runs.
+//   - While a delta is recording, channel encoding is append-only
+//     (Channelize): an existing channel may grow by the new streams, and
+//     new channels may form from delta-new edges, but a pre-existing plain
+//     edge is never re-encoded — stored plain tuples carry no membership,
+//     so re-encoding would make the running consumers' state unreadable.
+//     Growth first reclaims tombstoned slots (EncodeChannel slot reuse,
+//     scrubbing their stored bits through a delta-recorded remap), so an
+//     add/remove/add cycle of the same query does not widen the
+//     membership words.
 package rules
 
 import (
@@ -56,27 +76,25 @@ type Options struct {
 	// Channels enables the cτ rules (§3.3/§4.4). Disabling them yields the
 	// paper's "without channel" comparison plans (Figures 10(c,d), 11).
 	Channels bool
-	// ChannelMinStreams is the minimum number of distinct sharable streams
-	// a candidate group must encode before the channel rules fire (§3.2's
-	// overhead tradeoff; 0 means the default, 2).
-	ChannelMinStreams int
-	// MaxRounds bounds fixpoint iteration (0 means the default, 32).
-	MaxRounds int
 }
 
-// Default returns the standard rule set in priority order.
+// maxRounds bounds fixpoint iteration.
+const maxRounds = 32
+
+// Default returns the standard rule set in priority order, each rule
+// seeded by the active delta (Seeded).
 func Default(opt Options) []Rule {
 	rs := []Rule{
-		CSE{},
-		MergeSameInput{Kind: core.KindSelect},
-		MergeSameInput{Kind: core.KindProject},
-		MergeAgg{},
-		MergeJoin{},
-		MergeSeq{Kind: core.KindSeq},
-		MergeSeq{Kind: core.KindMu},
+		Seeded{CSE{}},
+		Seeded{MergeSameInput{Kind: core.KindSelect}},
+		Seeded{MergeSameInput{Kind: core.KindProject}},
+		Seeded{MergeAgg{}},
+		Seeded{MergeJoin{}},
+		Seeded{MergeSeq{Kind: core.KindSeq}},
+		Seeded{MergeSeq{Kind: core.KindMu}},
 	}
 	if opt.Channels {
-		rs = append(rs, Channelize{MinStreams: opt.ChannelMinStreams})
+		rs = append(rs, Seeded{Channelize{}})
 	}
 	return rs
 }
@@ -94,15 +112,10 @@ func NewOptimizer(opt Options) *Optimizer {
 }
 
 // Run rewrites the plan until no rule applies (or the round cap is hit).
-// It returns the number of rounds in which at least one rule fired.
+// It returns the number of rounds in which at least one rule fired. It
+// does not validate the plan: Optimize does, and live maintenance does
+// once it has taken the delta.
 func (o *Optimizer) Run(p *core.Physical) (int, error) {
-	return o.run(p, 32)
-}
-
-func (o *Optimizer) run(p *core.Physical, maxRounds int) (int, error) {
-	if maxRounds <= 0 {
-		maxRounds = 32
-	}
 	rounds := 0
 	for r := 0; r < maxRounds; r++ {
 		changed := false

@@ -14,6 +14,13 @@ import (
 	"repro/internal/stream"
 )
 
+// withMember gives t the channel membership m: a row that belongs to the
+// streams of m's positions.
+func withMember(t *stream.Tuple, m *bitset.Set) *stream.Tuple {
+	t.Member = m
+	return t
+}
+
 func catalog() map[string]core.SourceDecl {
 	c := map[string]core.SourceDecl{
 		"S": {Schema: stream.MustSchema("S", "a", "b")},
@@ -200,7 +207,7 @@ func TestChannelizeLabelledSources(t *testing.T) {
 	for i := 0; i < n; i++ {
 		member.Set(i)
 	}
-	eng.Push("S1", stream.NewTuple(0, 7, 7).WithMember(member))
+	eng.Push("S1", withMember(stream.NewTuple(0, 7, 7), member))
 	eng.Push("T", stream.NewTuple(1, 7, 9))
 	for _, q := range qs {
 		if eng.ResultCount(q.ID) != 1 {

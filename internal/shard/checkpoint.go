@@ -145,11 +145,6 @@ func redistributeGroups(c *wire.Checkpoint, plan *core.Physical, part *core.Part
 		if _, err := place(k.op, d, part, srcs, home, regs); err != nil {
 			return fmt.Errorf("shard: restoring: %w", err)
 		}
-		if d.Dist == core.DistReplicated {
-			for _, g := range bucket {
-				g.Payload.Discard()
-			}
-		}
 	}
 	return nil
 }

@@ -44,7 +44,7 @@ type RebalanceStats struct {
 // typically differs only in its key-placement overlay; pass nil to let
 // the engine build a balanced overlay from the keyed-state histograms of
 // its replicas (steered by the observed per-key state weights). Concurrent
-// Push/PushBatch callers block for the duration; maintenance operations
+// Push/PushColumns callers block for the duration; maintenance operations
 // must be serialized by the caller.
 func (e *Engine) Rebalance(part *core.PartitionPlan) (RebalanceStats, error) {
 	e.mu.Lock()
@@ -165,9 +165,7 @@ func transitionTouches(od, nd core.SideDist) bool {
 // point referencing the very tuples in the stores. A mid-migration failure
 // then rolls the touched sides back to their snapshots and returns
 // ErrPartialMigration with the engine fully usable; the engine is poisoned
-// only if the rollback itself fails. Payload discards (which release µ
-// pooled state) are deferred until the whole migration has succeeded,
-// because the snapshots alias that state.
+// only if the rollback itself fails.
 func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDist, newPart *core.PartitionPlan) (RebalanceStats, error) {
 	var st RebalanceStats
 	if len(e.workers) == 1 {
@@ -199,18 +197,14 @@ func (e *Engine) migrateStateLocked(regs []Registry, oldD map[int][]core.SideDis
 	for i, reg := range regs {
 		dst[i] = importFault{reg}
 	}
-	var discards []*mop.StatePayload
 	for _, t := range touched {
-		if err := migrateGroupSide(regs, dst, t, newPart, &st, &discards); err != nil {
+		if err := migrateGroupSide(regs, dst, t, newPart, &st); err != nil {
 			if rbErr := rollbackMigration(regs, touched, snap); rbErr != nil {
 				e.stopLocked(false)
 				return st, fmt.Errorf("shard: state migration failed (%v), rollback failed, engine disabled: %w", err, rbErr)
 			}
 			return RebalanceStats{}, fmt.Errorf("%w: %w", ErrPartialMigration, err)
 		}
-	}
-	for _, pl := range discards {
-		pl.Discard()
 	}
 	return st, nil
 }
@@ -258,11 +252,8 @@ func rollbackMigration(regs []Registry, touched []touchedSide, snap map[[2]int][
 
 // migrateGroupSide applies the transition matrix to one (group, side):
 // it decides which items leave each replica, and place decides where they
-// go. Payloads whose pooled state must be released are appended to
-// discards instead of being discarded inline: the caller's rollback
-// snapshots alias that state, so releases only happen once the whole
-// migration commits.
-func migrateGroupSide(regs, dst []Registry, t touchedSide, part *core.PartitionPlan, st *RebalanceStats, discards *[]*mop.StatePayload) error {
+// go.
+func migrateGroupSide(regs, dst []Registry, t touchedSide, part *core.PartitionPlan, st *RebalanceStats) error {
 	n := len(regs)
 	keyAttr, from, drop := -1, 0, t.od.Dist == core.DistReplicated
 	var leaves func(i int, key int64, ord int) bool
@@ -303,14 +294,10 @@ func migrateGroupSide(regs, dst []Registry, t touchedSide, part *core.PartitionP
 		for _, pl := range srcs {
 			st.Dropped += pl.Len()
 		}
-		*discards = append(*discards, srcs...)
 		return nil
 	}
 	moved, err := place(t.ref.OpID, t.nd, part, srcs, nil, dst)
 	st.Moved += moved
-	if t.nd.Dist == core.DistReplicated {
-		*discards = append(*discards, srcs...) // imported by copy everywhere
-	}
 	return err
 }
 

@@ -57,7 +57,7 @@ type RecoverStats struct {
 // suffix into its engine, migrates its state to the surviving shards, and
 // resumes ingestion over the shrunken shard set. Exactly one worker must
 // be dead; recover repeatedly for multiple failures. Concurrent
-// Push/PushBatch callers block for the duration; maintenance operations
+// Push/PushColumns callers block for the duration; maintenance operations
 // must be serialized by the caller.
 func (e *Engine) RecoverShard() (RecoverStats, error) {
 	start := time.Now()
@@ -234,7 +234,6 @@ func (e *Engine) migrateForRecovery(dead int, newPart *core.PartitionPlan, st *R
 					// Every survivor already holds a full copy; the dead
 					// replica's copy dies with it.
 					st.Dropped += pl.Len()
-					pl.Discard()
 					continue
 				}
 				var nbytes int
@@ -254,8 +253,8 @@ func (e *Engine) migrateForRecovery(dead int, newPart *core.PartitionPlan, st *R
 }
 
 // reencodePayload ships a payload through the wire codec — encode, then
-// decode into fresh tuples and bitsets — and releases the original's
-// pooled state. This is the serialized state transport: the bytes in the
+// decode into fresh tuples and bitsets. This is the serialized state
+// transport: the bytes in the
 // middle are exactly what a cross-process recovery would put on the wire,
 // so every recovery exercises the codec end to end.
 func reencodePayload(pl *mop.StatePayload) (*mop.StatePayload, int, error) {
@@ -270,6 +269,5 @@ func reencodePayload(pl *mop.StatePayload) (*mop.StatePayload, int, error) {
 	if out.Len() != pl.Len() {
 		return nil, 0, fmt.Errorf("payload re-encode round trip: %d items in, %d out", pl.Len(), out.Len())
 	}
-	pl.Discard()
 	return out, len(raw), nil
 }

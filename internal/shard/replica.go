@@ -36,7 +36,7 @@ import (
 )
 
 // ErrShardUnreachable reports that a remote shard worker is currently
-// unreachable: its client is retrying with backoff, and Push/PushBatch
+// unreachable: its client is retrying with backoff, and Push/PushColumns
 // fail fast instead of blocking behind the outage. The state is
 // transient — ingestion resumes exactly where it stopped once the link
 // heals (nothing accepted before the outage is lost: it sits in the
@@ -420,7 +420,7 @@ func splitBySel(pl *mop.StatePayload, sel func(key int64, ord int) bool) (sent, 
 // in-process runtime; result callbacks (OnResult) are not supported
 // (results are counted worker-side and merged from drain snapshots).
 //
-// Failure semantics: a worker outage makes Push/PushBatch fail fast with
+// Failure semantics: a worker outage makes Push/PushColumns fail fast with
 // ErrShardUnreachable while the client retries with backoff; an outage
 // outlasting the node's FailTimeout (or a restarted worker process)
 // declares the shard dead — ErrShardDead — after which RecoverShard

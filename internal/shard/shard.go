@@ -97,21 +97,21 @@ func (c Config) withDefaults() Config {
 // WAL entries are cluster.Entry values, each a run of same-source rows
 // carried column-major, so the ingest queues, WAL, worker loop and wire
 // pay per run: one queue element and WAL record slot per shard for a
-// PushColumns batch, and for a stretch of same-source Push or PushBatch
-// rows, which are copied into runs their batch buffer owns (see batch). A
-// PushColumns run shares the caller's slices, which the shard engine owns
-// once routed; every shard's run selects its own rows of them.
+// PushColumns batch, and for a stretch of same-source Push rows, which
+// are copied into runs their batch buffer owns (see batch). A PushColumns
+// run shares the caller's slices, which the shard engine owns once
+// routed; every shard's run selects its own rows of them.
 
 // batch is a shard's buffer of WAL entries, pending and then staged. rows
 // counts the rows its entries stand for: a buffer fills by rows.
 //
-// The rows of Push and PushBatch go into runs the buffer builds. While the
-// buffer is pending, such a run's entry has a nil Run and its rows sit
-// row-major in vals, each its timestamp and then its values: appending a
-// row is one copy into memory only the router touches. seal transposes
-// them into the runs' columns, carved from cols, before the buffer is
-// staged. The arrays stay with the buffer when it is recycled, so a
-// buffer in steady state allocates nothing.
+// The rows of Push go into runs the buffer builds. While the buffer is
+// pending, such a run's entry has a nil Run and its rows sit row-major in
+// vals, each its timestamp and then its values: appending a row is one
+// copy into memory only the router touches. seal transposes them into
+// the runs' columns, carved from cols, before the buffer is staged. The
+// arrays stay with the buffer when it is recycled, so a buffer in steady
+// state allocates nothing.
 type batch struct {
 	entries []cluster.Entry
 	rows    int
@@ -248,15 +248,11 @@ type Engine struct {
 	// in-process replica, nil otherwise (see the package doc).
 	inline *engine.Engine
 
-	mu      sync.Mutex // guards pending, free, rr, closed, wal, walSeq, dead, cols
+	mu      sync.Mutex // guards pending, free, rr, closed, wal, walSeq, dead
 	pending []*batch
 	free    []*batch // recycled batch buffers
 	rr      uint64
 	closed  bool
-
-	// cols is an inline engine's PushBatch scratch: the batch's rows
-	// transposed into columns for PushColumns, reused from call to call.
-	cols [][]int64
 
 	// wal holds, per shard, the flushed batches not yet acknowledged by
 	// the worker (seq > worker.completed); walSeq is the last assigned
@@ -809,12 +805,8 @@ func (e *Engine) unreachableErr() error {
 	return nil
 }
 
-// Widths admitLocked checks besides a row width: a call that carries no
-// rows, and a batch whose rows differ in width (which no schema fits).
-const (
-	noRows = -1
-	ragged = -2
-)
+// noRows is the width admitLocked checks for a call that carries no rows.
+const noRows = -1
 
 // admitLocked resolves the route of source and checks that a call may
 // ingest into it: the engine is open, no shard is dead, no remote replica
@@ -839,28 +831,10 @@ func (e *Engine) admitLocked(source string, width int) (srcRoute, error) {
 			return sr, err
 		}
 	}
-	switch {
-	case width == ragged:
-		return sr, fmt.Errorf("shard: source %q: %w: rows of differing widths, schema has %d", source, engine.ErrArity, sr.arity)
-	case width != noRows && width != sr.arity:
+	if width != noRows && width != sr.arity {
 		return sr, fmt.Errorf("shard: source %q: %w: %d values, schema has %d", source, engine.ErrArity, width, sr.arity)
 	}
 	return sr, nil
-}
-
-// batchWidth returns the width every row of vals shares: noRows for an
-// empty batch, ragged when two rows differ.
-func batchWidth(vals [][]int64) int {
-	if len(vals) == 0 {
-		return noRows
-	}
-	w := len(vals[0])
-	for _, row := range vals[1:] {
-		if len(row) != w {
-			return ragged
-		}
-	}
-	return w
 }
 
 // Push injects one tuple into the named source stream. The engine takes
@@ -897,10 +871,9 @@ func (e *Engine) Push(source string, ts int64, vals []int64) error {
 // countInline counts the rows of an inline push the replica engine
 // accepted. The engine checks what the router's admission check would (an
 // unknown source or a row of the wrong width fails the call and ingests
-// nothing), so inline Push and PushShared leave that check to the engine;
-// inline PushBatch runs it, as it needs the source's arity to size its
-// column scratch. Pushes are serialized by mu, so the counter needs no
-// atomic add. Called with mu held.
+// nothing), so inline pushes leave that check to the engine. Pushes are
+// serialized by mu, so the counter needs no atomic add. Called with mu
+// held.
 func (e *Engine) countInline(rows int, err error) {
 	if err == nil {
 		n := &e.workers[0].tuples
@@ -965,40 +938,6 @@ func (e *Engine) multicastMask(sr srcRoute, v int64) uint64 {
 	return mask
 }
 
-// PushBatch injects a batch of tuples into one source stream under a
-// single routing lock acquisition. ts[i] pairs with vals[i]. The rows are
-// copied: a sharded engine routes each as Push does, and an inline engine
-// transposes the batch into reused column scratch for one PushColumns
-// call. The failure contract of Push applies.
-func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
-	if len(ts) != len(vals) {
-		return fmt.Errorf("shard: PushBatch length mismatch: %d timestamps, %d value rows", len(ts), len(vals))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sr, err := e.admitLocked(source, batchWidth(vals))
-	if err != nil {
-		return err
-	}
-	if eng := e.inline; eng != nil {
-		e.cols = slices.Grow(e.cols[:0], sr.arity)[:sr.arity]
-		for a := range e.cols {
-			col := slices.Grow(e.cols[a][:0], len(ts))[:len(ts)]
-			for i, row := range vals {
-				col[i] = row[a]
-			}
-			e.cols[a] = col
-		}
-		err := eng.PushColumns(source, ts, e.cols)
-		e.countInline(len(ts), err)
-		return err
-	}
-	for i := range ts {
-		e.routeRow(sr, ts[i], vals[i])
-	}
-	return nil
-}
-
 // PushColumns injects a batch given column-major — ts[i] pairs with
 // cols[a][i] — keeping it columnar end-to-end: every destination shard
 // gets one run entry sharing ts and cols, a partitioned source's run
@@ -1011,7 +950,7 @@ func (e *Engine) PushBatch(source string, ts []int64, vals [][]int64) error {
 func (e *Engine) PushColumns(source string, ts []int64, cols [][]int64) error {
 	for a, col := range cols {
 		if len(col) != len(ts) {
-			return fmt.Errorf("shard: PushColumns length mismatch: %d timestamps, %d rows in column %d", len(ts), len(col), a)
+			return fmt.Errorf("shard: source %q: %w: %d timestamps, %d rows in column %d", source, engine.ErrArity, len(ts), len(col), a)
 		}
 	}
 	width := len(cols)
@@ -1270,7 +1209,7 @@ func (e *Engine) quiesceLiveLocked() error {
 // live add that the pinned-route ExtendPartition would reject is served
 // without an offline restart.
 //
-// Concurrent Push/PushBatch callers block for the duration; maintenance
+// Concurrent Push/PushColumns callers block for the duration; maintenance
 // operations themselves must be serialized by the caller.
 func (e *Engine) ApplyDelta(ch *Churn, part *core.PartitionPlan, removed []int, onResult func(queryID int, t *stream.Tuple), rebalance bool) (RebalanceStats, error) {
 	start := time.Now()

@@ -231,17 +231,16 @@ func TestShardedConcurrentPushRace(t *testing.T) {
 	}
 }
 
-// TestShardedPushBatchEquivalence holds the router's row path to a
-// one-shard run and to PushColumns, over Workload 1 and over a plan with
-// hash, multicast, broadcast and round-robin sources. Each input's
-// interleaved feed is cut into windows in which each source's rows go as
-// calls of k rows, for k = 1, 3, 4 and 300. At 2 and 4 in-process shards
-// and at 2 pipe-cluster shards, the calls pushed row by row, as PushBatch
-// calls and as PushColumns calls must each give every query the count of
-// a one-shard run that pushes the same rows one by one; so must the
-// one-shard (inline) engine's PushBatch, which transposes each call into
-// reused column scratch, and its PushColumns.
-func TestShardedPushBatchEquivalence(t *testing.T) {
+// TestShardedIngestEquivalence holds both ingest entries, per-row Push
+// and PushColumns, to a one-shard per-row run, over Workload 1 and over a
+// plan with hash, multicast, broadcast and round-robin sources. Each
+// input's interleaved feed is cut into windows in which each source's rows
+// go as calls of k rows, for k = 1, 3, 4 and 300. At 2 and 4 in-process
+// shards and at 2 pipe-cluster shards, the calls pushed row by row and as
+// PushColumns calls must each give every query the count of a one-shard
+// run that pushes the same rows one by one; so must the one-shard
+// (inline) engine's PushColumns.
+func TestShardedIngestEquivalence(t *testing.T) {
 	p := workload.DefaultParams()
 	p.NumQueries = 100
 	w1, err := workload.ToRUMOR(p.Workload1())
@@ -280,7 +279,7 @@ func TestShardedPushBatchEquivalence(t *testing.T) {
 			if one.TotalResults() == 0 {
 				t.Fatalf("%s: no results; equivalence is vacuous", in.name)
 			}
-			for _, how := range []string{"rows", "batch", "columns"} {
+			for _, how := range []string{"rows", "columns"} {
 				for _, d := range []struct {
 					deploy string
 					shards int
@@ -347,8 +346,8 @@ func sourceCalls(events []workload.Event, k, sources int) []feedCall {
 	return calls
 }
 
-// pushCalls pushes calls into sh row by row ("rows"), one PushBatch per
-// call ("batch") or one PushColumns per call ("columns"), then drains.
+// pushCalls pushes calls into sh row by row ("rows") or one PushColumns
+// per call ("columns"), then drains.
 func pushCalls(t *testing.T, sh *Engine, calls []feedCall, how string) {
 	t.Helper()
 	for _, c := range calls {
@@ -363,8 +362,6 @@ func pushCalls(t *testing.T, sh *Engine, calls []feedCall, how string) {
 			for i := 0; i < len(ts) && err == nil; i++ {
 				err = sh.Push(c.src, ts[i], vals[i])
 			}
-		case "batch":
-			err = sh.PushBatch(c.src, ts, vals)
 		default:
 			cols := make([][]int64, len(vals[0]))
 			for a := range cols {

@@ -5,12 +5,16 @@
 // 64-bit integers and every tuple carries a timestamp. A channel tuple
 // additionally carries a membership component — a bit vector recording the
 // set of streams the tuple belongs to (§3.1).
+//
+// Tuples are recycled by one Pool per engine (pool.go); blocks by one
+// BlockPool per engine (block.go). There is no package-level pool: a tuple
+// built outside an engine is a plain literal (NewTuple) that the garbage
+// collector reclaims.
 package stream
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/bitset"
 )
@@ -38,69 +42,9 @@ type Tuple struct {
 	Owned bool
 }
 
-// tuplePool recycles Tuple headers (and their Vals capacity) between
-// GetTuple and Release, keeping batch ingestion and operator-private
-// buffers off the allocator.
-var tuplePool = sync.Pool{New: func() any { return new(Tuple) }}
-
 // NewTuple builds a plain stream tuple.
 func NewTuple(ts int64, vals ...int64) *Tuple {
 	return &Tuple{TS: ts, Vals: vals}
-}
-
-// GetTuple returns a pooled tuple with the given timestamp and a Vals slice
-// of length n whose contents are unspecified (callers overwrite every
-// slot). Pair with Release once the tuple is provably dead; a tuple that
-// was emitted into an engine may be retained by stateful m-ops and must NOT
-// be released by its producer.
-func GetTuple(ts int64, n int) *Tuple {
-	t := tuplePool.Get().(*Tuple)
-	t.TS = ts
-	t.Member = nil
-	t.Owned = false
-	if cap(t.Vals) < n {
-		t.Vals = make([]int64, n)
-	} else {
-		t.Vals = t.Vals[:n]
-	}
-	return t
-}
-
-// Release returns t to the tuple pool. The caller must own both t and its
-// Vals array exclusively: no other goroutine, m-op buffer, queue, or
-// shallow copy (WithMember shares Vals) may still reference either, since
-// the value capacity is recycled into future GetTuple results.
-//
-//rumor:noalloc
-func (t *Tuple) Release() {
-	t.Member = nil
-	t.Owned = false
-	t.Vals = t.Vals[:0]
-	tuplePool.Put(t)
-}
-
-// Clone returns a deep copy of t (values and membership). The copy is drawn
-// from the tuple pool, so cloning into a previously Released tuple reuses
-// its value capacity.
-func (t *Tuple) Clone() *Tuple {
-	c := GetTuple(t.TS, len(t.Vals))
-	copy(c.Vals, t.Vals)
-	if t.Member != nil {
-		c.Member = t.Member.Clone()
-	}
-	return c
-}
-
-// WithMember returns a shallow copy of t (sharing Vals) carrying the given
-// membership. Used by encoding steps that do not change tuple content. The
-// copy is drawn from the tuple pool.
-func (t *Tuple) WithMember(m *bitset.Set) *Tuple {
-	c := tuplePool.Get().(*Tuple)
-	c.TS = t.TS
-	c.Vals = t.Vals
-	c.Member = m
-	c.Owned = false
-	return c
 }
 
 // ContentEqual reports whether two tuples have the same timestamp and

@@ -12,7 +12,7 @@ func TestNewTupleAndClone(t *testing.T) {
 		t.Fatalf("bad tuple: %v", tu)
 	}
 	tu.Member = bitset.FromIndices(0, 2)
-	c := tu.Clone()
+	c := NewPool().Clone(tu)
 	c.Vals[0] = 99
 	c.Member.Set(5)
 	if tu.Vals[0] != 1 || tu.Member.Test(5) {
@@ -23,7 +23,7 @@ func TestNewTupleAndClone(t *testing.T) {
 func TestWithMemberShares(t *testing.T) {
 	tu := NewTuple(1, 10)
 	m := bitset.FromIndices(1)
-	w := tu.WithMember(m)
+	w := NewPool().WithMember(tu, m)
 	if w.Member != m {
 		t.Fatal("WithMember should carry the given set")
 	}

@@ -48,10 +48,9 @@ type Checkpoint struct {
 	// from (1 for a single-process system). Restore requires the same
 	// shard count, because keyed payloads are recorded per replica.
 	Shards int
-	// Channels / ChannelMinStreams reproduce the optimizer options the
-	// system was built with, so post-restore live churn behaves the same.
-	Channels          bool
-	ChannelMinStreams int
+	// Channels reproduces the optimizer option the system was built with,
+	// so post-restore live churn behaves the same.
+	Channels bool
 
 	Plan      *core.PlanSnapshot
 	Partition *core.PartitionPlan // nil for unsharded systems
@@ -68,7 +67,8 @@ type Checkpoint struct {
 func checkpointFields(c *Codec, ck *Checkpoint) {
 	Varint(c, 1, &ck.Shards)
 	c.Bool(2, &ck.Channels)
-	Varint(c, 3, &ck.ChannelMinStreams)
+	// Field 3 (a channel stream threshold) is retired; a decoder skips it
+	// in older checkpoints as an unknown field.
 	Ptr(c, 4, &ck.Plan, planFields)
 	Nested(c, 5, &ck.Partition, &partitionConv)
 	Msgs(c, 6, &ck.Counts, queryCountFields)

@@ -58,6 +58,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(wire.Magic))
 	f.Add([]byte{})
+	f.Add(withRetiredField3(f, goldenCheckpoint(f)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c, err := wire.ReadCheckpoint(bytes.NewReader(raw))
 		if err != nil {

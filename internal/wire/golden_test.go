@@ -229,15 +229,14 @@ func goldenCheckpoint(t testing.TB) *wire.Checkpoint {
 		t.Fatal(err)
 	}
 	return &wire.Checkpoint{
-		Shards:            2,
-		Channels:          true,
-		ChannelMinStreams: 3,
-		Plan:              cqlPlan(t),
-		Partition:         goldenPartition(),
-		Counts:            []wire.QueryCount{{ID: 0, Count: 12}, {ID: 7, Count: -1}},
-		Frozen:            []wire.NamedCount{{Name: "old", Count: 99}},
-		FrozenByID:        []wire.QueryCount{{ID: 3, Count: 98}},
-		Groups:            []wire.GroupState{{Shard: 1, OpID: 11, Payload: pl}},
+		Shards:     2,
+		Channels:   true,
+		Plan:       cqlPlan(t),
+		Partition:  goldenPartition(),
+		Counts:     []wire.QueryCount{{ID: 0, Count: 12}, {ID: 7, Count: -1}},
+		Frozen:     []wire.NamedCount{{Name: "old", Count: 99}},
+		FrozenByID: []wire.QueryCount{{ID: 3, Count: 98}},
+		Groups:     []wire.GroupState{{Shard: 1, OpID: 11, Payload: pl}},
 	}
 }
 

@@ -172,13 +172,12 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &wire.Checkpoint{
-		Shards:            4,
-		Channels:          true,
-		ChannelMinStreams: 3,
-		Counts:            []wire.QueryCount{{ID: 0, Count: 12}, {ID: 7, Count: -1}},
-		Frozen:            []wire.NamedCount{{Name: "old", Count: 99}},
-		FrozenByID:        []wire.QueryCount{{ID: 3, Count: 99}},
-		Groups:            []wire.GroupState{{Shard: 2, OpID: 11, Payload: pl}},
+		Shards:     4,
+		Channels:   true,
+		Counts:     []wire.QueryCount{{ID: 0, Count: 12}, {ID: 7, Count: -1}},
+		Frozen:     []wire.NamedCount{{Name: "old", Count: 99}},
+		FrozenByID: []wire.QueryCount{{ID: 3, Count: 99}},
+		Groups:     []wire.GroupState{{Shard: 2, OpID: 11, Payload: pl}},
 	}
 	var buf bytes.Buffer
 	if err := wire.WriteCheckpoint(&buf, in); err != nil {
@@ -188,7 +187,7 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Shards != in.Shards || out.Channels != in.Channels || out.ChannelMinStreams != in.ChannelMinStreams {
+	if out.Shards != in.Shards || out.Channels != in.Channels {
 		t.Fatalf("header mismatch: %+v", out)
 	}
 	if len(out.Counts) != 2 || out.Counts[1] != (wire.QueryCount{ID: 7, Count: -1}) {
@@ -203,6 +202,52 @@ func TestCheckpointEnvelopeRoundTrip(t *testing.T) {
 	if len(out.Groups) != 1 || out.Groups[0].Shard != 2 || out.Groups[0].OpID != 11 ||
 		out.Groups[0].Payload.Len() != 1 {
 		t.Fatalf("groups mismatch: %+v", out.Groups)
+	}
+}
+
+// withRetiredField3 frames c as a version that still wrote field 3 (a
+// channel stream threshold) did, with the threshold at 3: fields 1 and 2,
+// then field 3, then the rest.
+func withRetiredField3(tb testing.TB, c *wire.Checkpoint) []byte {
+	tb.Helper()
+	body, err := wire.EncodeCheckpointBytes(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var head, parent, framed wire.Buffer
+	head.PutVarintField(1, int64(c.Shards))
+	head.PutVarintField(2, map[bool]int64{false: 0, true: 1}[c.Channels])
+	if !bytes.HasPrefix(body, head.Bytes()) {
+		tb.Fatal("checkpoint body does not open with fields 1 and 2")
+	}
+	parent.Append(head.Bytes())
+	parent.PutVarintField(3, 3)
+	parent.Append(body[head.Len():])
+	framed.Append([]byte(wire.Magic))
+	framed.PutUvarint(wire.FormatVersion)
+	framed.PutUvarint(uint64(parent.Len()))
+	framed.Append(parent.Bytes())
+	return framed.Bytes()
+}
+
+// A checkpoint that carries the retired field 3 decodes to the checkpoint
+// without it: the decoder skips the field as unknown.
+func TestCheckpointSkipsRetiredField3(t *testing.T) {
+	in := goldenCheckpoint(t)
+	out, err := wire.ReadCheckpoint(bytes.NewReader(withRetiredField3(t, in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.EncodeCheckpointBytes(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wire.EncodeCheckpointBytes(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a checkpoint with field 3 decoded to another checkpoint than without it")
 	}
 }
 

@@ -90,13 +90,9 @@ const (
 
 // Options configures optimization.
 type Options struct {
-	// Channels enables the channel-based m-rules (cσ, cα, c⨝, c;, cµ).
+	// Channels enables the channel-based m-rules (cσ, cα, c⨝, c;, cµ). A
+	// channel encodes at least two distinct sharable streams.
 	Channels bool
-	// ChannelMinStreams gates the channel rules: a candidate operator
-	// group must cover at least this many distinct sharable streams
-	// (0 = the default of 2). Larger values trade sharing for lower
-	// membership overhead (§3.2).
-	ChannelMinStreams int
 }
 
 // PlanInfo summarizes the optimized plan.
@@ -163,7 +159,7 @@ type ShardConfig struct {
 // stateless operators), and broadcast otherwise. Results are merged from
 // per-shard counters; replicated sinks are attributed to shard 0 only.
 //
-// Push, PushBatch and PushColumns are safe for concurrent use, as are the
+// Push and PushColumns are safe for concurrent use, as are the
 // maintenance operations. With one in-process shard (New) a push is
 // processed before it returns; with more, tuples are processed
 // asynchronously: call Drain to wait for quiescence before reading
@@ -340,7 +336,7 @@ func (s *System) buildPlan(opt Options) (*core.Physical, error) {
 			return nil, err
 		}
 	}
-	ropts := rules.Options{Channels: opt.Channels, ChannelMinStreams: opt.ChannelMinStreams}
+	ropts := rules.Options{Channels: opt.Channels}
 	if err := rules.Optimize(plan, ropts); err != nil {
 		return nil, err
 	}
@@ -507,24 +503,6 @@ func (s *System) Push(streamName string, ts int64, vals ...int64) error {
 	return s.sh.Push(streamName, ts, vals)
 }
 
-// PushBatch injects a batch of tuples into one source stream under a
-// single routing pass. ts[i] pairs with vals[i]; timestamps must be
-// non-decreasing and must not precede tuples pushed later on other sources
-// that should be processed first — batching trades per-call overhead for
-// coarser interleaving with other sources. Per-query result streams match
-// per-tuple Push whenever every multi-input operator reads this source
-// through paths of equal operator depth (true of typical plans; a source
-// that feeds one join/sequence through paths of differing depth should
-// stick to Push), though OnResult calls for different queries may
-// interleave differently within a batch. The system takes ownership of the
-// vals slices.
-func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error {
-	if s.sh == nil {
-		return notOptimized("PushBatch")
-	}
-	return s.sh.PushBatch(streamName, ts, vals)
-}
-
 // PushColumns injects a batch given column-major: ts[i] pairs with
 // cols[a][i] (one slice per attribute). This is the zero-copy entry to the
 // vectorized execution path: the batch stays columnar through the router,
@@ -532,8 +510,17 @@ func (s *System) PushBatch(streamName string, ts []int64, vals [][]int64) error 
 // the slices into blocks, never exploding it into per-row tuples. At one
 // in-process shard the caller owns ts and cols again when the call
 // returns; with more, every shard's run shares them until that shard's WAL
-// prunes it, so the caller must not modify them. The ordering caveats of
-// PushBatch apply.
+// prunes it, so the caller must not modify them.
+//
+// Timestamps must be non-decreasing and must not precede tuples pushed
+// later on other sources that should be processed first: a batch trades
+// per-call overhead for coarser interleaving with other sources.
+// Per-query result streams match per-row Push whenever every multi-input
+// operator reads this source through paths of equal operator depth (true
+// of typical plans; a source that feeds one join/sequence through paths of
+// differing depth should stick to Push), though OnResult calls for
+// different queries may interleave differently within a batch. A caller
+// that collects rows batches them into columns for this call.
 func (s *System) PushColumns(streamName string, ts []int64, cols [][]int64) error {
 	if s.sh == nil {
 		return notOptimized("PushColumns")

@@ -61,10 +61,9 @@ func (s *System) Checkpoint(w io.Writer) error {
 	}
 	start := time.Now()
 	c := &wire.Checkpoint{
-		Shards:            s.sh.NumShards(),
-		Channels:          s.ropts.Channels,
-		ChannelMinStreams: s.ropts.ChannelMinStreams,
-		Plan:              s.plan.Snapshot(),
+		Shards:   s.sh.NumShards(),
+		Channels: s.ropts.Channels,
+		Plan:     s.plan.Snapshot(),
 	}
 	// An inline shard routes nothing, so it records no partition plan; its
 	// payloads still carry the key attributes the analysis assigns, so a
@@ -157,7 +156,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 		return nil, err
 	}
 	s.catalog = catalog
-	s.ropts = rules.Options{Channels: c.Channels, ChannelMinStreams: c.ChannelMinStreams}
+	s.ropts = rules.Options{Channels: c.Channels}
 	s.plan, s.sh = plan, sh
 	for _, q := range plan.Queries {
 		s.remember(q)

@@ -10,7 +10,9 @@ import (
 
 	rumor "repro"
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/faultpoint"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -644,6 +646,88 @@ func TestDeltaApplyFaultLeavesEngineUsable(t *testing.T) {
 	for _, q := range qs[:10] {
 		if got, want := sys.ResultCount(q.Name), ref.ResultCount(q.Name); got != want {
 			t.Fatalf("query %s: %d results after failed delta, want %d", q.Name, got, want)
+		}
+	}
+}
+
+// withRetiredField3 rewrites a framed checkpoint into the bytes a version
+// that still wrote field 3 (a channel stream threshold) made of the same
+// system: field 3, value 3, between fields 1–2 and the rest.
+func withRetiredField3(t *testing.T, raw []byte, shards int, channels bool) []byte {
+	t.Helper()
+	r := wire.NewReader(raw[len(wire.Magic):])
+	if ver, err := r.Uvarint(); err != nil || ver != wire.FormatVersion {
+		t.Fatalf("checkpoint version %d, %v", ver, err)
+	}
+	body, err := r.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head, old wire.Buffer
+	head.PutVarintField(1, int64(shards))
+	head.PutVarintField(2, map[bool]int64{false: 0, true: 1}[channels])
+	if !bytes.HasPrefix(body, head.Bytes()) {
+		t.Fatalf("checkpoint body does not open with fields 1 and 2: % x", body[:min(len(body), 8)])
+	}
+	var parent wire.Buffer
+	parent.Append(head.Bytes())
+	parent.PutVarintField(3, 3)
+	parent.Append(body[head.Len():])
+	old.Append([]byte(wire.Magic))
+	old.PutUvarint(wire.FormatVersion)
+	old.PutUvarint(uint64(parent.Len()))
+	old.Append(parent.Bytes())
+	return old.Bytes()
+}
+
+// A checkpoint written with the retired field 3 restores, through
+// RestoreSharded, to the system its bytes without the field restore to:
+// the same plan, routes and counts, and the same results and plan after
+// more pushes and a live add.
+func TestRestoreSkipsRetiredField3(t *testing.T) {
+	const shards = 2
+	sys := buildShardedPerf(t, shards)
+	defer sys.Close()
+	push := func(s *rumor.ShardedSystem, from, to int64) {
+		t.Helper()
+		for ts := from; ts < to; ts++ {
+			if err := s.Push("CPU", ts, ts%16, (ts*7)%101); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(sys, 0, 300)
+	var buf bytes.Buffer
+	if err := sys.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := make([]*rumor.ShardedSystem, 2)
+	for i, raw := range [][]byte{buf.Bytes(), withRetiredField3(t, buf.Bytes(), shards, true)} {
+		s, err := rumor.RestoreSharded(bytes.NewReader(raw), rumor.ShardConfig{BatchSize: 8})
+		if err != nil {
+			t.Fatalf("restore %d: %v", i, err)
+		}
+		defer s.Close()
+		push(s, 300, 600)
+		if err := s.AddQueryLive("cool", core.SelectL(expr.ConstCmp{Attr: 1, Op: expr.Lt, C: 10}, core.Scan("CPU"))); err != nil {
+			t.Fatal(err)
+		}
+		push(s, 600, 900)
+		restored[i] = s
+	}
+	cur, old := restored[0], restored[1]
+	if got, want := old.PlanInfo(), cur.PlanInfo(); got != want {
+		t.Fatalf("plan with field 3 %+v, without %+v", got, want)
+	}
+	if got, want := old.PartitionInfo(), cur.PartitionInfo(); got != want {
+		t.Fatalf("routes with field 3 %q, without %q", got, want)
+	}
+	for _, q := range []string{"hot", "warm", "cool"} {
+		if got, want := old.ResultCount(q), cur.ResultCount(q); got != want || want == 0 {
+			t.Fatalf("query %s: %d results with field 3, %d without", q, got, want)
 		}
 	}
 }

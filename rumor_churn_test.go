@@ -240,7 +240,7 @@ func TestChurnEquivalenceCluster(t *testing.T) {
 }
 
 // TestChurnConcurrentPush exercises AddQueryLive/RemoveQuery racing with
-// concurrent PushBatch callers on a sharded system (run under -race).
+// concurrent PushColumns callers on a sharded system (run under -race).
 func TestChurnConcurrentPush(t *testing.T) {
 	catalog, qs, events := churnWorkload(t, "w2", 20, 6000, 3)
 	sys := rumor.NewSharded(rumor.ShardConfig{Shards: 2, BatchSize: 32})
@@ -272,12 +272,14 @@ func TestChurnConcurrentPush(t *testing.T) {
 			}
 			for _, src := range order {
 				var ts []int64
-				var vals [][]int64
+				cols := make([][]int64, len(events[perSrc[src][0]].Tuple.Vals))
 				for _, i := range perSrc[src] {
 					ts = append(ts, events[i].Tuple.TS)
-					vals = append(vals, events[i].Tuple.Vals)
+					for a, v := range events[i].Tuple.Vals {
+						cols[a] = append(cols[a], v)
+					}
 				}
-				if err := sys.PushBatch(src, ts, vals); err != nil {
+				if err := sys.PushColumns(src, ts, cols); err != nil {
 					t.Error(err)
 					return
 				}

@@ -14,7 +14,7 @@ import (
 // other processes. Each remote node runs ServeShard on a listener; the
 // coordinator calls DialCluster instead of Optimize, handing it one dial
 // target per shard. Everything above the replica boundary is unchanged —
-// Push/PushBatch route and batch exactly as in-process sharding does,
+// Push/PushColumns route and batch exactly as in-process sharding does,
 // Drain is a cluster-wide barrier, live churn (AddQueryLive/RemoveQuery),
 // Rebalance, RecoverShard, and Checkpoint/RestoreSharded all operate over
 // the same RPCs the in-process path exercises through the wire codec.
@@ -24,7 +24,7 @@ import (
 //
 //   - ErrShardUnreachable: a worker link is down and the client is
 //     redialling with bounded exponential backoff. Transient —
-//     Push/PushBatch fail fast instead of buffering unboundedly, and the
+//     Push/PushColumns fail fast instead of buffering unboundedly, and the
 //     same call succeeds again once the link heals. Nothing was lost:
 //     batches are WAL-logged before shipment and delivered at-least-once
 //     (workers deduplicate by batch sequence).

@@ -131,11 +131,9 @@ func TestInlineConcurrentPushers(t *testing.T) {
 			defer wg.Done()
 			for i := range int64(rows) {
 				var err error
-				switch p % 3 {
+				switch p % 2 {
 				case 0:
 					err = sys.Push("S", i, i%7, 0)
-				case 1:
-					err = sys.PushBatch("S", []int64{i}, [][]int64{{i % 7, 0}})
 				default:
 					err = sys.PushColumns("S", []int64{i}, [][]int64{{i % 7}, {0}})
 				}

@@ -197,14 +197,13 @@ func TestShardedSystemBuildersUnkeyed(t *testing.T) {
 	}
 }
 
-// TestPushColumnsRejects holds PushColumns to the checks PushBatch makes,
-// on both systems and whatever the batch size: an unknown source and a
+// TestPushColumnsRejects holds PushColumns to the checks Push makes, on
+// both systems and whatever the batch size: an unknown source and a
 // closed engine are errors even for an empty batch, and an empty batch to
 // a known source of a running system is accepted.
 func TestPushColumnsRejects(t *testing.T) {
 	type pusher interface {
 		Push(streamName string, ts int64, vals ...int64) error
-		PushBatch(streamName string, ts []int64, vals [][]int64) error
 		PushColumns(streamName string, ts []int64, cols [][]int64) error
 		TotalResults() int64
 	}
@@ -247,17 +246,12 @@ func TestPushColumnsRejects(t *testing.T) {
 				sys := tc.mk(t)
 				ts := make([]int64, rows)
 				cols := [][]int64{make([]int64, rows), make([]int64, rows)}
-				vals := make([][]int64, rows)
-				for i := range vals {
-					ts[i] = int64(i)
-					vals[i] = []int64{int64(i), 95}
+				for i := range ts {
+					ts[i], cols[0][i], cols[1][i] = int64(i), int64(i), 95
 				}
 				colErr := sys.PushColumns(tc.source, ts, cols)
 				if (colErr == nil) != tc.ok {
 					t.Fatalf("PushColumns: err = %v, want ok = %v", colErr, tc.ok)
-				}
-				if batchErr := sys.PushBatch(tc.source, ts, vals); (batchErr == nil) != tc.ok {
-					t.Fatalf("PushBatch: err = %v, want ok = %v", batchErr, tc.ok)
 				}
 			})
 		}
@@ -289,11 +283,20 @@ func TestPushColumnsRejects(t *testing.T) {
 				push func(sys pusher) error
 			}{
 				{"push", func(sys pusher) error { return sys.Push("CPU", 0, row()...) }},
-				{"batch", func(sys pusher) error {
-					return sys.PushBatch("CPU", ts, [][]int64{row(), row(), row(), row()})
-				}},
 				{"ragged", func(sys pusher) error {
-					return sys.PushBatch("CPU", ts, [][]int64{{1, 95}, {2, 95}, {3, 95}, row()})
+					// Three rows of CPU's width and one of width values,
+					// transposed: one column per attribute some row has,
+					// holding the values of the rows that have it.
+					var cols [][]int64
+					for _, r := range [][]int64{{1, 95}, {2, 95}, {3, 95}, row()} {
+						for a, v := range r {
+							if a == len(cols) {
+								cols = append(cols, nil)
+							}
+							cols[a] = append(cols[a], v)
+						}
+					}
+					return sys.PushColumns("CPU", ts, cols)
 				}},
 				{"columns", func(sys pusher) error {
 					cols := make([][]int64, width)
@@ -322,34 +325,5 @@ func TestPushColumnsRejects(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkShardedPushBatch pushes perfScript's CPU stream into 2 shards
-// through PushBatch calls of 1 and 256 rows, draining at the end; one op
-// is one row, so ns/op and allocs/op are per row.
-func BenchmarkShardedPushBatch(b *testing.B) {
-	for _, rows := range []int{1, 256} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			sys := buildShardedPerf(b, 2)
-			defer sys.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += rows {
-				n := min(rows, b.N-i)
-				ts := make([]int64, n)
-				vals := make([][]int64, n)
-				for j := range n {
-					ts[j] = int64(i + j)
-					vals[j] = []int64{int64((i + j) % 64), int64((i + j) % 100)}
-				}
-				if err := sys.PushBatch("CPU", ts, vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := sys.Drain(); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }
