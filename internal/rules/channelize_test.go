@@ -88,12 +88,9 @@ func TestChannelMinStreamsGate(t *testing.T) {
 		}
 		return p.Stats()
 	}
-	for streams, want := range []int{1: 0, 2: 1, 3: 1} {
-		if streams == 0 {
-			continue
-		}
-		if got := build(streams).Channels; got != want {
-			t.Fatalf("%d streams: channels = %d, want %d", streams, got, want)
+	for _, c := range []struct{ streams, channels int }{{1, 0}, {2, 1}, {3, 1}} {
+		if got := build(c.streams).Channels; got != c.channels {
+			t.Fatalf("%d streams: channels = %d, want %d", c.streams, got, c.channels)
 		}
 	}
 }

@@ -214,9 +214,13 @@ func withRetiredField3(tb testing.TB, c *wire.Checkpoint) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var ch int64
+	if c.Channels {
+		ch = 1
+	}
 	var head, parent, framed wire.Buffer
 	head.PutVarintField(1, int64(c.Shards))
-	head.PutVarintField(2, map[bool]int64{false: 0, true: 1}[c.Channels])
+	head.PutVarintField(2, ch)
 	if !bytes.HasPrefix(body, head.Bytes()) {
 		tb.Fatal("checkpoint body does not open with fields 1 and 2")
 	}

@@ -663,9 +663,13 @@ func withRetiredField3(t *testing.T, raw []byte, shards int, channels bool) []by
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ch int64
+	if channels {
+		ch = 1
+	}
 	var head, old wire.Buffer
 	head.PutVarintField(1, int64(shards))
-	head.PutVarintField(2, map[bool]int64{false: 0, true: 1}[channels])
+	head.PutVarintField(2, ch)
 	if !bytes.HasPrefix(body, head.Bytes()) {
 		t.Fatalf("checkpoint body does not open with fields 1 and 2: % x", body[:min(len(body), 8)])
 	}
