@@ -112,6 +112,120 @@ func TestNoDeadFuncs(t *testing.T) {
 	}
 }
 
+// settings names the configuration structs TestNoUnsetSettings covers, by
+// package path and type name. An alias stands for the struct it names.
+var settings = [][2]string{
+	{"repro", "Options"},
+	{"repro", "ShardConfig"},
+	{"repro", "ClusterConfig"},
+	{"repro", "ClusterNode"},
+	{"repro/internal/rules", "Options"},
+	{"repro/internal/shard", "Config"},
+	{"repro/internal/cluster", "Config"},
+	{"repro/internal/cluster", "WorkerConfig"},
+}
+
+// TestNoUnsetSettings fails on an exported field of a settings struct
+// that no non-test file of the module writes, as a composite-literal key,
+// an assignment or by taking its address: a setting nothing sets is a
+// knob the program does not have. //rumor:allow unset, with a one-line
+// reason, on or above the field waives one that a deployment or a test
+// sets.
+func TestNoUnsetSettings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo analysis compiles every package; skipped in -short")
+	}
+	m := loadModuleUses(t)
+	written := make(map[string]bool)
+	for _, p := range m.pkgs {
+		selected := func(e ast.Expr) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			s := p.Info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			t := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				t = structOf(t).Underlying().(*types.Struct).Field(i).Type()
+			}
+			written[fieldKey(structOf(t), sel.Sel.Name)] = true
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[fieldKey(structOf(p.Info.TypeOf(n)), id.Name)] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						selected(lhs)
+					}
+				case *ast.IncDecStmt:
+					selected(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						selected(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	byPath := make(map[string]*Package)
+	for _, p := range m.pkgs {
+		byPath[p.ImportPath] = p
+	}
+	checked := make(map[string]bool)
+	for _, s := range settings {
+		obj := byPath[s[0]].Pkg.Scope().Lookup(s[1])
+		decl := structOf(obj.Type()).Obj() // the struct an alias names
+		key := fieldKey(structOf(decl.Type()), "")
+		if checked[key] {
+			continue
+		}
+		checked[key] = true
+		p := byPath[decl.Pkg().Path()]
+		named := structOf(p.Pkg.Scope().Lookup(decl.Name()).Type()) // from source
+		dirs := (&Pass{Fset: p.Fset, Files: p.Files}).directives()
+		st := named.Underlying().(*types.Struct)
+		for i := range st.NumFields() {
+			fld := st.Field(i)
+			pos := p.Fset.Position(fld.Pos())
+			if fld.Exported() && !written[fieldKey(named, fld.Name())] && !dirs.allowed("unset", pos) {
+				t.Errorf("%s: %s.%s is set by no non-test file; delete it or waive it with //rumor:allow unset and a reason", pos, decl.Name(), fld.Name())
+			}
+		}
+	}
+}
+
+// structOf returns the named type t is or points to, aliases resolved,
+// or nil.
+func structOf(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// fieldKey names a field of a named struct the same way whether the
+// struct was type-checked from source or read from export data.
+func fieldKey(named *types.Named, field string) string {
+	if named == nil || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field
+}
+
 // moduleUses is what the dead-code guards know of the module's non-test
 // files: the packages, the key (exportKey) of every object they use, and
 // the method names of every interface they declare or use.

@@ -53,7 +53,7 @@ type Config struct {
 	PlanBytes []byte
 
 	// CallTimeout bounds one RPC attempt (write + reply) and the
-	// handshake. 0 means 5s.
+	// handshake. 0 means DefaultCallTimeout.
 	CallTimeout time.Duration
 	// RetryMin/RetryMax bound the exponential reconnect backoff.
 	// 0 means 50ms / 2s.
@@ -66,9 +66,7 @@ type Config struct {
 	// negative disables the heartbeat loop (in-flight calls still detect
 	// failures).
 	HeartbeatInterval time.Duration
-	// MaxFrame bounds protocol frames; 0 means transport.DefaultMaxFrame.
-	MaxFrame int
-	// Seed makes the backoff jitter deterministic. 0 means 1.
+	// Seed makes the backoff jitter deterministic. 0 means DefaultSeed.
 	Seed int64
 	// OnDown, when set, observes reachability transitions: OnDown(true)
 	// when the link goes down, OnDown(false) when it comes back up or the
@@ -78,9 +76,15 @@ type Config struct {
 	OnDown func(down bool)
 }
 
+// The defaults of Config's CallTimeout and Seed.
+const (
+	DefaultCallTimeout = 5 * time.Second
+	DefaultSeed        = 1
+)
+
 func (cfg *Config) fillDefaults() {
 	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 5 * time.Second
+		cfg.CallTimeout = DefaultCallTimeout
 	}
 	if cfg.RetryMin == 0 {
 		cfg.RetryMin = 50 * time.Millisecond
@@ -95,7 +99,7 @@ func (cfg *Config) fillDefaults() {
 		cfg.HeartbeatInterval = time.Second
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = 1
+		cfg.Seed = DefaultSeed
 	}
 }
 
@@ -147,8 +151,7 @@ type Client struct {
 
 // Health is a point-in-time link-health snapshot: the per-worker state
 // the coordinator surfaces in WorkerHealth and the cluster_link_* metric
-// gauges. Previously the RTT and redial counts were computed inside the
-// client and dropped; now they are retained here.
+// gauges.
 type Health struct {
 	BootID     int64 // last-observed worker boot ID (0 = never connected)
 	Epoch      int64 // deployment epoch presented at the handshake
@@ -371,7 +374,7 @@ func (c *Client) dialOnce(prevBoot int64) (*transport.Conn, *helloAck, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: dial: %v", ErrUnreachable, err)
 	}
-	conn := transport.NewConn(nc, c.cfg.MaxFrame)
+	conn := transport.NewConn(nc, transport.DefaultMaxFrame)
 	conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	h, _ := wire.Marshal(&hello{
 		Proto:      ProtoVersion,
@@ -712,7 +715,7 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 // replaces the cached one, and the call's source table becomes the one
 // batches name sources by.
 func (c *Client) Churn(call *ChurnCall) ([]mop.GroupRef, error) {
-	body, err := encodeChurnCall(call)
+	body, err := wire.Marshal(call, churnCallFields)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/faultpoint"
 	"repro/internal/live"
 	"repro/internal/mop"
 	"repro/internal/rules"
@@ -314,12 +315,12 @@ func TestWorkerReplyCache(t *testing.T) {
 func TestClientRetryAcrossSevers(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	// Write 0 is the hello; each batch is one write (plus one extra hello
 	// per reconnect). Sever a prefix batch, one mid-stream, and one near
 	// the end.
 	for _, wr := range []int{3, 9, 15} {
-		fs.Add(transport.FaultRule{Link: "c0", Write: wr, Action: transport.FaultSever})
+		fs.Add(faultpoint.NetRule{Link: "c0", Write: wr, Action: faultpoint.NetSever})
 	}
 	c, err := Dial(Config{
 		Dial: func() (net.Conn, error) {
@@ -444,7 +445,7 @@ func TestWorkerRestartDeclaredLost(t *testing.T) {
 	lis2 := startWorker(t) // the "restarted" process: fresh state, fresh boot ID
 	var target atomic.Pointer[transport.PipeListener]
 	target.Store(lis1)
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	c, err := Dial(Config{
 		Dial: func() (net.Conn, error) {
 			nc, err := target.Load().Dial()
@@ -466,7 +467,7 @@ func TestWorkerRestartDeclaredLost(t *testing.T) {
 	}
 	// "Crash" worker 1 (sever the live link) and point the address at the
 	// replacement process.
-	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	fs.Add(faultpoint.NetRule{Link: "c0", Write: fs.Writes("c0"), Action: faultpoint.NetSever})
 	target.Store(lis2)
 	err = c.Replay(2, w.batches[1])
 	if !errors.Is(err, ErrWorkerLost) {
@@ -483,7 +484,7 @@ func TestFailTimeoutDeclaresLost(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
 	var gate atomic.Bool // false = dialling allowed
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	var mu sync.Mutex
 	var transitions []bool
 	c, err := Dial(Config{
@@ -514,7 +515,7 @@ func TestFailTimeoutDeclaresLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.Store(true)
-	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	fs.Add(faultpoint.NetRule{Link: "c0", Write: fs.Writes("c0"), Action: faultpoint.NetSever})
 	start := time.Now()
 	err = c.Replay(2, w.batches[1])
 	if !errors.Is(err, ErrWorkerLost) {
@@ -537,7 +538,7 @@ func TestHeartbeatDetectsIdleOutage(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
 	var gate atomic.Bool
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	c, err := Dial(Config{
 		Dial: func() (net.Conn, error) {
 			if gate.Load() {
@@ -558,7 +559,7 @@ func TestHeartbeatDetectsIdleOutage(t *testing.T) {
 	}
 	defer c.Close()
 	gate.Store(true)
-	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	fs.Add(faultpoint.NetRule{Link: "c0", Write: fs.Writes("c0"), Action: faultpoint.NetSever})
 	deadline := time.Now().Add(5 * time.Second)
 	for c.DeadErr() == nil {
 		if time.Now().After(deadline) {
@@ -578,7 +579,7 @@ func TestReviveResumesReplica(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
 	var gate atomic.Bool
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	c, err := Dial(Config{
 		Dial: func() (net.Conn, error) {
 			if gate.Load() {
@@ -602,7 +603,7 @@ func TestReviveResumesReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.Store(true)
-	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	fs.Add(faultpoint.NetRule{Link: "c0", Write: fs.Writes("c0"), Action: faultpoint.NetSever})
 	if err := c.Replay(2, w.batches[1]); !errors.Is(err, ErrWorkerLost) {
 		t.Fatalf("got %v, want ErrWorkerLost", err)
 	}
@@ -726,14 +727,15 @@ func TestChurnChecksFingerprint(t *testing.T) {
 	}
 }
 
-// parentChurnCallFields declares a churn call as versions that still
-// wrote field 3 (a channel stream threshold) did, with the threshold at 3.
-func parentChurnCallFields(c *wire.Codec, m *ChurnCall) {
+// field3ChurnCallFields declares a churn call in the current layout plus
+// field 3 (a channel stream threshold), as versions that still wrote it
+// placed it, with the threshold at 3.
+func field3ChurnCallFields(c *wire.Codec, m *ChurnCall) {
 	threshold := 3
-	wire.Nested(c, 1, &m.log, &churnLogConv)
+	wire.Ptr(c, 1, &m.Rec, wire.ChurnRecordFields)
 	c.Bool(2, &m.Options.Channels)
 	wire.Varint(c, 3, &threshold)
-	wire.Nested(c, 4, &m.Sources, &sourcesConv)
+	wire.Msgs(c, 4, &m.Sources, wire.SourceFields)
 }
 
 // A churn call that carries the retired field 3 decodes to the call
@@ -765,8 +767,8 @@ func TestChurnSkipsRetiredField3(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root, Fingerprint: fp}
-	call := &ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources, log: []*wire.ChurnRecord{rec}}
-	old, err := wire.Marshal(call, parentChurnCallFields)
+	call := &ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources}
+	old, err := wire.Marshal(call, field3ChurnCallFields)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,11 +776,11 @@ func TestChurnSkipsRetiredField3(t *testing.T) {
 	if err := wire.Unmarshal(old, &dec, churnCallFields); err != nil {
 		t.Fatal(err)
 	}
-	got, err := encodeChurnCall(&dec)
+	got, err := wire.Marshal(&dec, churnCallFields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := encodeChurnCall(call)
+	want, err := wire.Marshal(call, churnCallFields)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +812,7 @@ func TestWorkerRefusesStaleResume(t *testing.T) {
 	// coordinator builds a replica on the same process and replays the
 	// workload into it.
 	var gate atomic.Bool
-	fs := transport.NewFaultSet()
+	fs := faultpoint.NewNetFaultSet()
 	c, err := Dial(Config{
 		Dial: func() (net.Conn, error) {
 			if gate.Load() {
@@ -834,7 +836,7 @@ func TestWorkerRefusesStaleResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.Store(true)
-	fs.Add(transport.FaultRule{Link: "c0", Write: fs.Writes("c0"), Action: transport.FaultSever})
+	fs.Add(faultpoint.NetRule{Link: "c0", Write: fs.Writes("c0"), Action: faultpoint.NetSever})
 	replayed := make(chan error, 1)
 	go func() { replayed <- c.Replay(2, w.batches[1]) }()
 	next := freshHello(w)

@@ -416,16 +416,18 @@ func TestReplayRejectsUnknownSource(t *testing.T) {
 	}
 }
 
-// Older peers misread batches: a protocol version 1 worker skips column
+// Older peers misread calls: a protocol version 1 worker skips column
 // runs as an unknown field, a version 2 worker reads bit-packed columns
-// as varints, and a version 3 coordinator sends rows in a field a version
-// 4 worker skips. Neither side accepts an older peer: its hello is
-// refused by the worker, and a worker acknowledging it fails the
-// client's Dial.
+// as varints, a version 3 coordinator sends rows in a field a version 4
+// worker skips, a version 4 worker expects a plan snapshot and a delta
+// where a churn call holds a record, and a version 5 worker reads the
+// churn call's record as a churn log and its sources as a plan snapshot.
+// Neither side accepts an older peer: its hello is refused by the worker,
+// and a worker acknowledging it fails the client's Dial.
 func TestHandshakeRefusesOlderVersions(t *testing.T) {
 	w := buildWorkload(t)
 	lis := startWorker(t)
-	for _, proto := range []int{1, 2, 3} {
+	for proto := 1; proto < ProtoVersion; proto++ {
 		h := freshHello(w)
 		h.Proto = proto
 		if _, ack := dialRaw(t, lis, h); !strings.Contains(ack.Err, fmt.Sprintf("protocol version %d", proto)) {
@@ -702,11 +704,11 @@ func TestChurnCallSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := encodeChurnCall(&ChurnCall{
+		body, err := wire.Marshal(&ChurnCall{
 			Rec:     &wire.ChurnRecord{Op: wire.ChurnAdd, Name: add.Name, Root: add.Root, Fingerprint: fp},
 			Options: opt,
 			Sources: plan.Snapshot().Sources,
-		})
+		}, churnCallFields)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,11 +80,11 @@ func goldenStats() *obs.Snapshot {
 // goldenChurnCall encodes a churn call that sets every field.
 func goldenChurnCall() []byte {
 	schema := func(name string) core.SchemaSnap { return core.SchemaSnap{Name: name, Attrs: []string{"a", "b"}} }
-	p, err := encodeChurnCall(&ChurnCall{
+	p, err := wire.Marshal(&ChurnCall{
 		Rec:     &wire.ChurnRecord{Op: wire.ChurnAdd, Name: "q", Root: core.Scan("S"), Fingerprint: 0xfedc_ba98_7654_3210},
 		Options: rules.Options{Channels: true},
 		Sources: []core.SourceSnap{{Name: "S", Label: "grp", Schema: schema("S")}, {Name: "T", Schema: schema("T")}},
-	})
+	}, churnCallFields)
 	if err != nil {
 		panic(err)
 	}

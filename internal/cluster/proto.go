@@ -66,8 +66,10 @@ import (
 // 4 worker would skip a version 3 coordinator's rows as an unknown field.
 // Version 5 ships a live add or remove as a churn record the worker
 // replays on its own plan (opChurn), where version 4 shipped the post-op
-// plan snapshot and a delta under the same opcode.
-const ProtoVersion = 5
+// plan snapshot and a delta under the same opcode. Version 6 writes the
+// churn call's record and sources as messages of their own, where version
+// 5 wrapped them in a one-record churn log and a plan snapshot.
+const ProtoVersion = 6
 
 // Frame types.
 //
@@ -368,8 +370,6 @@ type ChurnCall struct {
 	Rec     *wire.ChurnRecord
 	Options rules.Options
 	Sources []core.SourceSnap
-
-	log []*wire.ChurnRecord // the records on the wire: Rec alone
 }
 
 // srcNames is the call's source table: source ID → name.
@@ -381,58 +381,21 @@ func (c *ChurnCall) srcNames() []string {
 	return names
 }
 
-// churn body: 1=the record, as a churn log of one record
-// (wire.AppendChurnRecord) 2=channels 4=the source table, as a plan
-// snapshot of sources only; field 3 (a channel stream threshold) is
-// retired and skipped on read; reply: groups (groupsFields).
+// churn body: 1=the record (wire.ChurnRecordFields) 2=channels 4=one
+// source of the source table (wire.SourceFields), repeated; field 3 (a
+// channel stream threshold) is retired and skipped on read; reply: groups
+// (groupsFields).
 func churnCallFields(c *wire.Codec, m *ChurnCall) {
-	wire.Nested(c, 1, &m.log, &churnLogConv)
+	wire.Ptr(c, 1, &m.Rec, wire.ChurnRecordFields)
 	c.Bool(2, &m.Options.Channels)
-	wire.Nested(c, 4, &m.Sources, &sourcesConv)
+	wire.Msgs(c, 4, &m.Sources, wire.SourceFields)
 	c.Check(func() error {
-		if len(m.log) != 1 {
-			return fmt.Errorf("%w: churn call with %d records", wire.ErrCorrupt, len(m.log))
+		if m.Rec == nil {
+			return fmt.Errorf("%w: churn call without a record", wire.ErrCorrupt)
 		}
-		m.Rec = m.log[0]
 		return nil
 	})
 }
-
-// encodeChurnCall encodes a churn call's body.
-func encodeChurnCall(call *ChurnCall) ([]byte, error) {
-	m := *call
-	m.log = []*wire.ChurnRecord{call.Rec}
-	return wire.Marshal(&m, churnCallFields)
-}
-
-var (
-	churnLogConv = wire.Conv[[]*wire.ChurnRecord]{
-		Enc: func(recs []*wire.ChurnRecord) ([]byte, error) {
-			var log bytes.Buffer
-			for _, rec := range recs {
-				if err := wire.AppendChurnRecord(&log, rec); err != nil {
-					return nil, err
-				}
-			}
-			return log.Bytes(), nil
-		},
-		Dec: func(_ *wire.Codec, p []byte) ([]*wire.ChurnRecord, error) {
-			return wire.ReadChurnLog(bytes.NewReader(p))
-		},
-	}
-	sourcesConv = wire.Conv[[]core.SourceSnap]{
-		Enc: func(srcs []core.SourceSnap) ([]byte, error) {
-			return wire.EncodePlanBytes(&core.PlanSnapshot{Sources: srcs})
-		},
-		Dec: func(_ *wire.Codec, p []byte) ([]core.SourceSnap, error) {
-			snap, err := wire.DecodePlanBytes(p)
-			if err != nil {
-				return nil, err
-			}
-			return snap.Sources, nil
-		},
-	}
-)
 
 // sideCall names one side of one state group: the export and histogram
 // calls' body. Import's body names the group and carries the payload.

@@ -16,13 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-// WorkerConfig tunes a shard worker process.
-type WorkerConfig struct {
-	// MaxFrame bounds a protocol frame; 0 means transport.DefaultMaxFrame.
-	MaxFrame int
-	// Logf, when set, receives connection lifecycle notes.
-	Logf func(format string, args ...any)
-}
+// WorkerConfig is Serve's configuration. It holds no setting: a worker
+// bounds frames by transport.DefaultMaxFrame, as a client does.
+type WorkerConfig struct{}
 
 // Serve runs one shard worker on the listener: it accepts the
 // coordinator's connection, performs the handshake (building an engine
@@ -35,8 +31,8 @@ type WorkerConfig struct {
 //
 // One Serve instance hosts exactly one shard replica; run one per process
 // (cmd/rumornode) or several on distinct listeners for in-process tests.
-func Serve(lis net.Listener, cfg WorkerConfig) error {
-	return NewWorker(cfg).Serve(lis)
+func Serve(lis net.Listener, _ WorkerConfig) error {
+	return NewWorker().Serve(lis)
 }
 
 // Worker is an addressable shard-worker instance: Serve in one goroutine,
@@ -46,8 +42,8 @@ type Worker struct {
 }
 
 // NewWorker creates a worker with a fresh boot ID; call Serve to run it.
-func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{st: &workerState{cfg: cfg, bootID: randomID()}}
+func NewWorker() *Worker {
+	return &Worker{st: &workerState{bootID: randomID()}}
 }
 
 // Serve accepts and serves coordinator connections until a Shutdown frame
@@ -58,7 +54,7 @@ func (w *Worker) Serve(lis net.Listener) error {
 		if err != nil {
 			return err
 		}
-		stop := w.st.serveConn(conn, w.st.cfg)
+		stop := w.st.serveConn(conn)
 		_ = conn.Close()
 		if stop {
 			return nil
@@ -95,7 +91,6 @@ func randomID() int64 {
 // workerState is the replica state that survives reconnects: the plan,
 // the engine that runs it, the dedup cursor, and the last-reply cache.
 type workerState struct {
-	cfg    WorkerConfig
 	bootID int64
 
 	epoch      int64
@@ -146,47 +141,28 @@ func (st *workerState) countersInto(s *obs.Snapshot) {
 	s.AddCounter("worker_reply_cache_hits_total", st.replyCacheHits.Load())
 }
 
-func (st *workerState) logf(format string, args ...any) {
-	if st.cfg.Logf != nil {
-		st.cfg.Logf(format, args...)
-	}
-}
-
 // serveConn handshakes and serves one connection. Returns true when a
-// Shutdown frame asks the worker to exit.
-func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
-	fc := transport.NewConn(conn, cfg.MaxFrame)
+// Shutdown frame asks the worker to exit. A connection that fails is
+// dropped: the client sees it lost and redials, or reads the refusal in
+// the ack's Err.
+func (st *workerState) serveConn(conn net.Conn) bool {
+	fc := transport.NewConn(conn, transport.DefaultMaxFrame)
 	typ, payload, err := fc.ReadFrame()
-	if err != nil {
-		st.logf("cluster: handshake read: %v", err)
-		return false
-	}
-	if typ == frameShutdown {
+	if err == nil && typ == frameShutdown {
 		return true
 	}
-	if typ != frameHello {
-		st.logf("cluster: first frame type %d, want Hello", typ)
-		return false
-	}
 	h := &hello{}
-	if err := wire.Unmarshal(payload, h, helloFields); err != nil {
-		st.logf("cluster: decoding Hello: %v", err)
+	if err != nil || typ != frameHello || wire.Unmarshal(payload, h, helloFields) != nil {
 		return false
 	}
 	ack := st.handshake(h)
 	ackBytes, _ := wire.Marshal(ack, helloAckFields)
-	if err := fc.WriteFrame(frameHelloAck, ackBytes); err != nil {
-		st.logf("cluster: writing HelloAck: %v", err)
-		return false
-	}
-	if ack.Err != "" {
-		st.logf("cluster: rejected handshake: %s", ack.Err)
+	if fc.WriteFrame(frameHelloAck, ackBytes) != nil || ack.Err != "" {
 		return false
 	}
 	for {
 		typ, payload, err := fc.ReadFrame()
 		if err != nil {
-			st.logf("cluster: connection lost: %v", err)
 			return false
 		}
 		switch typ {
@@ -198,8 +174,7 @@ func (st *workerState) serveConn(conn net.Conn, cfg WorkerConfig) bool {
 			return true
 		case frameCall:
 			st.in = call{}
-			if err := wire.Decode(&st.codec, payload, &st.in, callFields); err != nil {
-				st.logf("cluster: decoding call: %v", err)
+			if wire.Decode(&st.codec, payload, &st.in, callFields) != nil {
 				return false
 			}
 			callID := st.in.ID
@@ -278,7 +253,7 @@ func buildEngine(planBytes []byte) (*core.Physical, *engine.Engine, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("decoding plan snapshot: %w", err)
 	}
-	catalog, err := snap.CatalogDecls()
+	catalog, err := core.CatalogDecls(snap.Sources)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rebuilding catalog: %w", err)
 	}
@@ -295,7 +270,7 @@ func buildEngine(planBytes []byte) (*core.Physical, *engine.Engine, error) {
 // Live maintenance is deterministic in the encoded plan, so the two plans
 // stay equal; a fingerprint that differs from the record's fails the call.
 func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
-	decls, err := (&core.PlanSnapshot{Sources: call.Sources}).CatalogDecls()
+	decls, err := core.CatalogDecls(call.Sources)
 	if err != nil {
 		return nil, err
 	}

@@ -181,10 +181,10 @@ func (p *Physical) Snapshot() *PlanSnapshot {
 	return snap
 }
 
-// Catalog rebuilds the source catalog recorded in the snapshot.
-func (s *PlanSnapshot) CatalogDecls() (map[string]SourceDecl, error) {
-	out := make(map[string]SourceDecl, len(s.Sources))
-	for _, src := range s.Sources {
+// CatalogDecls rebuilds the source catalog of a source table.
+func CatalogDecls(srcs []SourceSnap) (map[string]SourceDecl, error) {
+	out := make(map[string]SourceDecl, len(srcs))
+	for _, src := range srcs {
 		sch, err := stream.NewSchema(src.Schema.Name, src.Schema.Attrs...)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot source %q: %w", src.Name, err)
@@ -195,7 +195,7 @@ func (s *PlanSnapshot) CatalogDecls() (map[string]SourceDecl, error) {
 }
 
 // RebuildPhysical reconstructs a Physical plan from a snapshot over the
-// given catalog (typically s.CatalogDecls()). The rebuilt plan has the
+// given catalog (typically CatalogDecls(s.Sources)). The rebuilt plan has the
 // exact node/op/stream/edge IDs and channel slot layout of the original,
 // so serialized operator state binds to the same groups.
 func RebuildPhysical(catalog map[string]SourceDecl, s *PlanSnapshot) (*Physical, error) {

@@ -72,6 +72,8 @@ type NetFaultSet struct {
 }
 
 // NewNetFaultSet returns an empty fault set.
+//
+//rumor:allow deadexport test instrument: network fault sets
 func NewNetFaultSet() *NetFaultSet {
 	return &NetFaultSet{writes: make(map[string]int), fired: make(map[string]int)}
 }

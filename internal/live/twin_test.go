@@ -120,7 +120,7 @@ func TestSnapshotTwinFollowsChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				twinCatalog, err := snap.CatalogDecls()
+				twinCatalog, err := core.CatalogDecls(snap.Sources)
 				if err != nil {
 					t.Fatal(err)
 				}

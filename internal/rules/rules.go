@@ -102,8 +102,6 @@ func Default(opt Options) []Rule {
 // Optimizer applies a rule list to a fixpoint.
 type Optimizer struct {
 	Rules []Rule
-	// Trace, if non-nil, receives one line per rule application.
-	Trace func(string)
 }
 
 // NewOptimizer builds an optimizer with the default rules for opt.
@@ -124,12 +122,7 @@ func (o *Optimizer) Run(p *core.Physical) (int, error) {
 			if err != nil {
 				return rounds, fmt.Errorf("rule %s: %w", rule.Name(), err)
 			}
-			if c {
-				changed = true
-				if o.Trace != nil {
-					o.Trace(rule.Name())
-				}
-			}
+			changed = changed || c
 		}
 		if !changed {
 			return rounds, nil

@@ -3,6 +3,7 @@ package rules_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -394,6 +395,21 @@ func TestOptimizedPlanEquivalence(t *testing.T) {
 	}
 }
 
+// firedRecorder is a rule that appends its rule's name to fired each time
+// the rule changes the plan.
+type firedRecorder struct {
+	rules.Rule
+	fired *[]string
+}
+
+func (r firedRecorder) Apply(p *core.Physical) (bool, error) {
+	c, err := r.Rule.Apply(p)
+	if c {
+		*r.fired = append(*r.fired, r.Name())
+	}
+	return c, err
+}
+
 func TestOptimizerTraceAndRounds(t *testing.T) {
 	p := core.NewPhysical(catalog())
 	for i := 0; i < 3; i++ {
@@ -404,13 +420,16 @@ func TestOptimizerTraceAndRounds(t *testing.T) {
 	}
 	var fired []string
 	o := rules.NewOptimizer(rules.Options{Channels: true})
-	o.Trace = func(s string) { fired = append(fired, s) }
+	for i, r := range o.Rules {
+		o.Rules[i] = firedRecorder{r, &fired}
+	}
 	rounds, err := o.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds < 1 || len(fired) == 0 {
-		t.Fatalf("rounds=%d fired=%v", rounds, fired)
+	// The three selections on S merge in one application of sσ.
+	if rounds < 1 || !slices.Equal(fired, []string{"sselect"}) {
+		t.Fatalf("rounds=%d fired=%q, want [\"sselect\"]", rounds, fired)
 	}
 	// Running again reaches fixpoint immediately.
 	rounds2, err := o.Run(p)

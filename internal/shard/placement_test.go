@@ -466,7 +466,7 @@ func placementRestore(t *testing.T, out *strings.Builder, seen map[string]bool, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := rc.Plan.CatalogDecls()
+	catalog, err := core.CatalogDecls(rc.Plan.Sources)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,10 +71,14 @@ var errClosed = errors.New("shard: engine closed")
 
 // Config sizes the sharded runtime.
 type Config struct {
-	// Shards is the number of engine replicas (default 1).
+	// Shards is the number of engine replicas (default 1). One replica
+	// runs inline, in the pusher's goroutine; more are fed by worker
+	// goroutines.
 	Shards int
 	// BatchSize is the number of tuples accumulated per shard before the
-	// buffer is handed to the worker (default 256).
+	// buffer is handed to the shard's worker goroutine (default 256).
+	// Larger batches amortize the cross-goroutine transfer at the cost of
+	// result latency.
 	BatchSize int
 	// QueueDepth bounds the batches buffered per shard; a full queue
 	// applies backpressure to pushers (default 8).
@@ -1444,21 +1448,16 @@ func (e *Engine) Metrics() (*obs.Snapshot, error) {
 	return s, firstErr
 }
 
-// WorkerHealth reports per-shard replica liveness. Local (in-process)
-// replicas have Remote false and zero link fields; remote replicas carry
-// the link's last-observed boot ID + epoch, heartbeat RTT, and redial
-// counts. Safe to call at any time — it reads only atomics behind the
-// replica interface (no barrier, no RPC).
+// WorkerHealth reports per-shard replica liveness: a remote replica's
+// link health (cluster.Health), whose Dead also holds when the router
+// declared the shard dead (ErrShardDead territory). Local (in-process)
+// replicas have Remote false and zero link fields. Safe to call at any
+// time — it reads only atomics behind the replica interface (no barrier,
+// no RPC).
 type WorkerHealth struct {
-	Shard      int
-	Remote     bool
-	Dead       bool // declared dead (ErrShardDead territory)
-	Down       bool // transient outage, redialing
-	BootID     int64
-	Epoch      int64
-	LastRTTNS  int64
-	Heartbeats int64
-	Redials    int64
+	Shard  int
+	Remote bool
+	cluster.Health
 }
 
 // WorkerHealth returns one entry per shard, in shard order.
@@ -1467,17 +1466,11 @@ func (e *Engine) WorkerHealth() []WorkerHealth {
 	defer e.mu.Unlock()
 	out := make([]WorkerHealth, len(e.workers))
 	for i, w := range e.workers {
-		wh := WorkerHealth{Shard: i, Dead: e.dead[i]}
+		wh := WorkerHealth{Shard: i}
 		if h := w.rep.health(); h != nil {
-			wh.Remote = true
-			wh.Down = h.Down
-			wh.Dead = wh.Dead || h.Dead
-			wh.BootID = h.BootID
-			wh.Epoch = h.Epoch
-			wh.LastRTTNS = h.LastRTTNS
-			wh.Heartbeats = h.Heartbeats
-			wh.Redials = h.Redials
+			wh.Remote, wh.Health = true, *h
 		}
+		wh.Dead = wh.Dead || e.dead[i]
 		out[i] = wh
 	}
 	return out

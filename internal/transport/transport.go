@@ -18,8 +18,8 @@
 // protocol grow without breaking old peers.
 //
 // Every frame is written with a single Write call on the underlying
-// connection, so the deterministic fault layer (FaultSet) can address
-// individual frames by per-link write index.
+// connection, so the deterministic fault layer (faultpoint.NetFaultSet)
+// can address individual frames by per-link write index.
 package transport
 
 import (

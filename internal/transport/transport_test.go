@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/faultpoint"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -122,9 +124,9 @@ func TestConnReadDeadline(t *testing.T) {
 }
 
 func TestFaultSet(t *testing.T) {
-	fs := NewFaultSet()
-	fs.Add(FaultRule{Link: "l", Write: 1, Action: FaultDrop})
-	fs.Add(FaultRule{Link: "l", Write: 3, Action: FaultDup})
+	fs := faultpoint.NewNetFaultSet()
+	fs.Add(faultpoint.NetRule{Link: "l", Write: 1, Action: faultpoint.NetDrop})
+	fs.Add(faultpoint.NetRule{Link: "l", Write: 3, Action: faultpoint.NetDup})
 	lis := NewPipeListener()
 	defer lis.Close()
 	var got [][]byte
@@ -174,8 +176,8 @@ func TestFaultSet(t *testing.T) {
 }
 
 func TestFaultSever(t *testing.T) {
-	fs := NewFaultSet()
-	fs.Add(FaultRule{Link: "x", Write: 0, Action: FaultSever})
+	fs := faultpoint.NewNetFaultSet()
+	fs.Add(faultpoint.NetRule{Link: "x", Write: 0, Action: faultpoint.NetSever})
 	a, b := net.Pipe()
 	defer b.Close()
 	fc := NewConn(fs.Wrap("x", a), 0)

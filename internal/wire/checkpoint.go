@@ -180,7 +180,9 @@ type ChurnRecord struct {
 	Fingerprint uint64
 }
 
-func recordFields(c *Codec, rec *ChurnRecord) {
+// ChurnRecordFields declares a churn record: the body of one churn log
+// entry, and a cluster churn call's record.
+func ChurnRecordFields(c *Codec, rec *ChurnRecord) {
 	Varint(c, 1, &rec.Op)
 	c.String(2, &rec.Name)
 	Ptr(c, 3, &rec.Root, logicalFields)
@@ -198,7 +200,7 @@ func recordFields(c *Codec, rec *ChurnRecord) {
 
 // AppendChurnRecord writes one length-prefixed record to w.
 func AppendChurnRecord(w io.Writer, rec *ChurnRecord) error {
-	body, err := Marshal(rec, recordFields)
+	body, err := Marshal(rec, ChurnRecordFields)
 	if err != nil {
 		return err
 	}
@@ -223,7 +225,7 @@ func ReadChurnLog(rd io.Reader) ([]*ChurnRecord, error) {
 			return nil, err
 		}
 		rec := &ChurnRecord{}
-		if err := Unmarshal(body, rec, recordFields); err != nil {
+		if err := Unmarshal(body, rec, ChurnRecordFields); err != nil {
 			return nil, err
 		}
 		out = append(out, rec)

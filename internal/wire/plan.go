@@ -421,7 +421,7 @@ func planFields(c *Codec, s *core.PlanSnapshot) {
 	if c.dec && c.f >= 0 && c.wt != wtBytes {
 		return // every plan field is a message; a decoder skips any other
 	}
-	Msgs(c, 1, &s.Sources, sourceFields)
+	Msgs(c, 1, &s.Sources, SourceFields)
 	Msgs(c, 2, &s.Streams, streamFields)
 	Msgs(c, 3, &s.Ops, opFields)
 	Msgs(c, 4, &s.Nodes, nodeFields)
@@ -440,7 +440,9 @@ func schemaFields(c *Codec, s *core.SchemaSnap) {
 	c.Strings(2, &s.Attrs)
 }
 
-func sourceFields(c *Codec, src *core.SourceSnap) {
+// SourceFields declares one source of a plan's source table: a plan
+// snapshot's, and a cluster churn call's.
+func SourceFields(c *Codec, src *core.SourceSnap) {
 	c.String(1, &src.Name)
 	c.String(2|OmitEmpty, &src.Label)
 	Msg(c, 3, &src.Schema, schemaFields)

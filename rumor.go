@@ -134,21 +134,9 @@ type PlanInfo struct {
 	BlocksProcessed int64
 }
 
-// ShardConfig sizes a System.
-type ShardConfig struct {
-	// Shards is the number of engine replicas (default 1). One replica
-	// runs inline, in the pusher's goroutine; more are fed by worker
-	// goroutines.
-	Shards int
-	// BatchSize is the number of tuples accumulated per shard before the
-	// buffer is handed to the shard's worker goroutine (default 256).
-	// Larger batches amortize the cross-goroutine transfer at the cost of
-	// result latency.
-	BatchSize int
-	// QueueDepth bounds the batches buffered per shard; a full queue
-	// applies backpressure to pushers (default 8).
-	QueueDepth int
-}
+// ShardConfig sizes a System: its shard count, batch size and queue
+// depth.
+type ShardConfig = shard.Config
 
 // System is a RUMOR instance executing one optimized plan across one or
 // more engine replicas. At Optimize a system of several shards analyzes
@@ -354,7 +342,7 @@ func (s *System) Optimize(opt Options) error {
 	if err != nil {
 		return err
 	}
-	sh, err := shard.New(plan, nil, shard.Config(s.cfg))
+	sh, err := shard.New(plan, nil, s.cfg)
 	if err != nil {
 		return err
 	}

@@ -121,7 +121,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 	if c.Plan == nil {
 		return nil, fmt.Errorf("rumor: checkpoint has no plan")
 	}
-	catalog, err := c.Plan.CatalogDecls()
+	catalog, err := core.CatalogDecls(c.Plan.Sources)
 	if err != nil {
 		return nil, fmt.Errorf("rumor: %w", err)
 	}
@@ -136,7 +136,8 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 		}
 		part = core.AnalyzePartition(plan)
 	}
-	s := NewSharded(ShardConfig{Shards: cmp.Or(cfg.Shards, c.Shards), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth})
+	cfg.Shards = cmp.Or(cfg.Shards, c.Shards)
+	s := NewSharded(cfg)
 	shards := s.cfg.Shards
 	if shards != c.Shards {
 		// The overlay's explicit key moves name shards of the old width;
@@ -147,7 +148,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 	if shards == 1 {
 		enginePart = nil // one in-process shard routes nothing
 	}
-	sh, err := shard.New(plan, enginePart, shard.Config(s.cfg))
+	sh, err := shard.New(plan, enginePart, s.cfg)
 	if err != nil {
 		return nil, err
 	}

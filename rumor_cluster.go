@@ -72,7 +72,7 @@ type ShardWorker struct {
 
 // NewShardWorker creates a shard worker; call Serve to run it.
 func NewShardWorker() *ShardWorker {
-	return &ShardWorker{w: cluster.NewWorker(cluster.WorkerConfig{})}
+	return &ShardWorker{w: cluster.NewWorker()}
 }
 
 // Serve runs the worker on the listener exactly as ServeShard does.
@@ -91,19 +91,21 @@ func (sw *ShardWorker) Metrics() *Metrics {
 // TCP) or Dial (any net.Conn factory — in-process pipes in tests) must be
 // set; Dial wins when both are.
 type ClusterNode struct {
-	Addr string
+	Addr string //rumor:allow unset deployment setting: the module's callers dial pipes
 	Dial func() (net.Conn, error)
 }
 
 // ClusterConfig sizes a distributed System. The shard count is
-// len(Nodes); node i hosts shard i.
+// len(Nodes); node i hosts shard i. Protocol frames are bounded by 64 MiB
+// (transport.DefaultMaxFrame), and the link to node i jitters its
+// reconnect backoff deterministically, with seed 1+i.
 type ClusterConfig struct {
 	// Nodes lists the shard workers, one per shard.
 	Nodes []ClusterNode
 
 	// BatchSize and QueueDepth mirror ShardConfig (defaults 256 / 8).
-	BatchSize  int
-	QueueDepth int
+	BatchSize  int //rumor:allow unset tests size a cluster's batches with it
+	QueueDepth int //rumor:allow unset tests size a cluster's queues with it
 
 	// CallTimeout bounds one RPC attempt (default 5s). RetryMin/RetryMax
 	// bound the reconnect backoff (defaults 50ms / 2s). FailTimeout is how
@@ -111,17 +113,11 @@ type ClusterConfig struct {
 	// ErrShardDead takes over from ErrShardUnreachable (default 15s).
 	// HeartbeatInterval paces idle-link liveness probes (default 1s;
 	// negative disables them).
-	CallTimeout       time.Duration
-	RetryMin          time.Duration
-	RetryMax          time.Duration
-	FailTimeout       time.Duration
-	HeartbeatInterval time.Duration
-
-	// MaxFrame bounds protocol frames (default 64 MiB).
-	MaxFrame int
-	// Seed makes backoff jitter deterministic (default 1); link i jitters
-	// with Seed+i.
-	Seed int64
+	CallTimeout       time.Duration //rumor:allow unset deployment setting, tuned to its network
+	RetryMin          time.Duration //rumor:allow unset deployment setting, tuned to its network
+	RetryMax          time.Duration //rumor:allow unset deployment setting, tuned to its network
+	FailTimeout       time.Duration //rumor:allow unset deployment setting, tuned to its network
+	HeartbeatInterval time.Duration //rumor:allow unset deployment setting, tuned to its network
 }
 
 // DialCluster plans the registered queries exactly as Optimize does, then
@@ -149,8 +145,7 @@ func (s *System) DialCluster(opt Options, cfg ClusterConfig) error {
 	if err != nil {
 		return err
 	}
-	seed := cmp.Or(cfg.Seed, 1)
-	timeout := cmp.Or(cfg.CallTimeout, 5*time.Second)
+	timeout := cmp.Or(cfg.CallTimeout, cluster.DefaultCallTimeout)
 	epoch := time.Now().UnixNano()
 	nodes := make([]cluster.Config, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
@@ -170,12 +165,11 @@ func (s *System) DialCluster(opt Options, cfg ClusterConfig) error {
 			RetryMax:          cfg.RetryMax,
 			FailTimeout:       cfg.FailTimeout,
 			HeartbeatInterval: cfg.HeartbeatInterval,
-			MaxFrame:          cfg.MaxFrame,
-			Seed:              seed + int64(i),
+			Seed:              cluster.DefaultSeed + int64(i),
 		}
 	}
 	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
-	sh, err := shard.NewCluster(plan, nil, shard.Config(s.cfg), nodes)
+	sh, err := shard.NewCluster(plan, nil, s.cfg, nodes)
 	if err != nil {
 		return err
 	}

@@ -110,8 +110,8 @@ func (s *System) Metrics() (*Metrics, error) {
 }
 
 // WorkerHealth reports one shard worker's link health as observed by the
-// coordinator. For in-process shards only Shard is meaningful (Remote is
-// false and the link fields stay zero).
+// coordinator. For in-process shards only Shard and Dead are meaningful
+// (Remote is false and the link fields stay zero).
 type WorkerHealth = shard.WorkerHealth
 
 // WorkerHealth reports per-shard link health. Cheap — no barrier, no
