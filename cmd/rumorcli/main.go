@@ -6,8 +6,9 @@
 //	stream,ts,v1,v2,...
 //
 // read from the file given with -events, or from stdin with "-events -".
-// With "-gen n" the tool instead generates n random tuples per declared
-// stream (uniform values in [0, -domain)), interleaved by timestamp.
+// With "-gen n" the tool instead generates n random tuples per stream the
+// script declares (uniform values in [0, -domain), as many as the stream's
+// attributes), interleaved by timestamp in stream-name order.
 //
 // Example:
 //
@@ -18,14 +19,16 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	rumor "repro"
+	"repro/internal/cql"
 	"repro/obshttp"
 )
 
@@ -102,22 +105,24 @@ func main() {
 		float64(n)/elapsed.Seconds(), sys.TotalResults())
 }
 
-// generate feeds random interleaved tuples to every stream declared in the
-// script (re-parsed here only for its stream list — the System does not
-// expose the catalog).
+// generate feeds random interleaved tuples to every stream the script
+// declares, in name order, each tuple as wide as its stream's schema.
 func generate(push pushFunc, src string, perStream, domain int, seed int64) int {
-	streams := declaredStreams(src)
-	sort.Slice(streams, func(i, j int) bool { return streams[i].name < streams[j].name })
+	parsed, err := cql.Parse(src)
+	if err != nil {
+		fail(err)
+	}
+	names := slices.Sorted(maps.Keys(parsed.Catalog))
 	r := rand.New(rand.NewSource(seed))
 	n := 0
 	ts := int64(0)
 	for i := 0; i < perStream; i++ {
-		for _, s := range streams {
-			vals := make([]int64, s.arity)
+		for _, name := range names {
+			vals := make([]int64, parsed.Catalog[name].Schema.Arity())
 			for j := range vals {
 				vals[j] = int64(r.Intn(domain))
 			}
-			if err := push(s.name, ts, vals...); err != nil {
+			if err := push(name, ts, vals...); err != nil {
 				fail(err)
 			}
 			ts++
@@ -125,40 +130,6 @@ func generate(push pushFunc, src string, perStream, domain int, seed int64) int 
 		}
 	}
 	return n
-}
-
-type streamDecl struct {
-	name  string
-	arity int
-}
-
-// declaredStreams extracts CREATE STREAM names and arities with a light
-// scan (the real parser already validated the script).
-func declaredStreams(src string) []streamDecl {
-	var out []streamDecl
-	upper := strings.ToUpper(src)
-	i := 0
-	for {
-		k := strings.Index(upper[i:], "CREATE")
-		if k < 0 {
-			break
-		}
-		i += k
-		rest := src[i:]
-		open := strings.Index(rest, "(")
-		closeP := strings.Index(rest, ")")
-		if open < 0 || closeP < open {
-			break
-		}
-		fields := strings.Fields(rest[:open])
-		if len(fields) >= 3 {
-			name := strings.TrimSpace(fields[2])
-			arity := len(strings.Split(rest[open+1:closeP], ","))
-			out = append(out, streamDecl{name: name, arity: arity})
-		}
-		i += closeP
-	}
-	return out
 }
 
 // feedCSV pushes stream,ts,v1,v2,... lines.

@@ -3,8 +3,9 @@
 // optimizer encodes the Si into one channel and merges the ; operators
 // into a single m-op that stores one instance per content tuple; without
 // channels, every stream is processed separately. The demo feeds identical
-// content both ways and prints the throughput gap (the paper reports
-// roughly an order of magnitude, Figure 10(c)).
+// content both ways, prints the throughput gap (the paper reports roughly
+// an order of magnitude, Figure 10(c)), and exits non-zero if the two
+// plans' result counts differ.
 //
 //	go run ./examples/channelsharing
 package main
@@ -61,6 +62,7 @@ func main() {
 	}
 
 	var tps [2]float64
+	var results [2]int64
 	for mode, channels := range []bool{false, true} {
 		sys := build(channels)
 		info := sys.PlanInfo()
@@ -90,12 +92,16 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		tps[mode] = float64(logical) / elapsed.Seconds()
+		results[mode] = sys.TotalResults()
 		label := "without channel"
 		if channels {
 			label = "with channel   "
 		}
 		fmt.Printf("%s: %2d m-ops, %d channels — %9.0f events/s (%d results)\n",
-			label, info.MOps, info.Channels, tps[mode], sys.TotalResults())
+			label, info.MOps, info.Channels, tps[mode], results[mode])
+	}
+	if results[0] != results[1] {
+		log.Fatalf("MISMATCH: %d results without channel vs %d with", results[0], results[1])
 	}
 	fmt.Printf("speedup from channel sharing: %.1fx\n", tps[1]/tps[0])
 }

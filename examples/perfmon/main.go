@@ -3,7 +3,8 @@
 // engine functionality) and detect monotonically rising load with the µ
 // pattern operator (event engine functionality). Runs n instances of
 // Query 2 over a synthetic performance-counter trace and compares the
-// channel-optimized plan with the plain plan.
+// channel-optimized plan with the plain plan; it exits non-zero if their
+// alert counts differ.
 //
 //	go run ./examples/perfmon
 package main
@@ -23,7 +24,8 @@ func main() {
 	trace := workload.D2(traceSeconds).Events()
 	fmt.Printf("trace: %d processes, %d seconds, %d samples\n", 28, traceSeconds, len(trace))
 
-	for _, channels := range []bool{false, true} {
+	var alerts [2]int64
+	for mode, channels := range []bool{false, true} {
 		sys := rumor.New()
 		if err := sys.DeclareStream("CPU", "", "pid", "load"); err != nil {
 			log.Fatal(err)
@@ -48,12 +50,16 @@ func main() {
 		}
 		elapsed := time.Since(start)
 
-		mode := "without channels"
+		alerts[mode] = sys.TotalResults()
+		label := "without channels"
 		if channels {
-			mode = "with channels   "
+			label = "with channels   "
 		}
 		fmt.Printf("%s: %2d m-ops (%3d operators, %d channels) — %7.0f events/s, %d ramp alerts\n",
-			mode, info.MOps, info.Operators, info.Channels,
-			float64(len(trace))/elapsed.Seconds(), sys.TotalResults())
+			label, info.MOps, info.Operators, info.Channels,
+			float64(len(trace))/elapsed.Seconds(), alerts[mode])
+	}
+	if alerts[0] != alerts[1] {
+		log.Fatalf("MISMATCH: %d ramp alerts without channels vs %d with", alerts[0], alerts[1])
 	}
 }

@@ -701,7 +701,6 @@ func TestChurnChecksFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := live.NewMaintainer(twin, rules.Options{})
 	churn := func(rec *wire.ChurnRecord, flip uint64) error {
 		fp, err := wire.FingerprintPlan(twin)
 		if err != nil {
@@ -712,13 +711,13 @@ func TestChurnChecksFingerprint(t *testing.T) {
 		return err
 	}
 	q := core.NewQuery("again", twin.Queries[0].Root)
-	if _, err := m.AddQuery(q); err != nil {
+	if _, err := live.AddQuery(twin, rules.Options{}, q); err != nil {
 		t.Fatal(err)
 	}
 	if err := churn(&wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root}, 0); err != nil {
 		t.Fatalf("add with the twin's fingerprint: %v", err)
 	}
-	if _, err := m.RemoveQuery(q.ID); err != nil {
+	if _, err := live.RemoveQuery(twin, q.ID); err != nil {
 		t.Fatal(err)
 	}
 	err = churn(&wire.ChurnRecord{Op: wire.ChurnRemove, Name: q.Name}, 1)
@@ -759,7 +758,7 @@ func TestChurnSkipsRetiredField3(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.NewQuery("again", twin.Queries[0].Root)
-	if _, err := live.NewMaintainer(twin, rules.Options{}).AddQuery(q); err != nil {
+	if _, err := live.AddQuery(twin, rules.Options{}, q); err != nil {
 		t.Fatal(err)
 	}
 	fp, err := wire.FingerprintPlan(twin)

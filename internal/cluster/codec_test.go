@@ -693,7 +693,7 @@ func TestChurnCallSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		add := qs[250]
-		if _, err := live.NewMaintainer(plan, opt).AddQuery(core.NewQuery(add.Name, add.Root)); err != nil {
+		if _, err := live.AddQuery(plan, opt, core.NewQuery(add.Name, add.Root)); err != nil {
 			t.Fatal(err)
 		}
 		fp, err := wire.FingerprintPlan(plan)

@@ -253,11 +253,7 @@ func buildEngine(planBytes []byte) (*core.Physical, *engine.Engine, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("decoding plan snapshot: %w", err)
 	}
-	catalog, err := core.CatalogDecls(snap.Sources)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rebuilding catalog: %w", err)
-	}
-	plan, err := core.RebuildPhysical(catalog, snap)
+	plan, err := core.RebuildPhysical(snap)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rebuilding plan: %w", err)
 	}
@@ -281,17 +277,16 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	}
 	st.srcNames = call.srcNames()
 	rec := call.Rec
-	m := live.NewMaintainer(st.plan, call.Options)
 	var d *core.Delta
 	switch rec.Op {
 	case wire.ChurnAdd:
-		d, err = m.AddQuery(core.NewQuery(rec.Name, rec.Root))
+		d, err = live.AddQuery(st.plan, call.Options, core.NewQuery(rec.Name, rec.Root))
 	case wire.ChurnRemove:
 		i := slices.IndexFunc(st.plan.Queries, func(q *core.Query) bool { return q.Name == rec.Name })
 		if i < 0 {
 			return nil, fmt.Errorf("remove of %q: no such query", rec.Name)
 		}
-		d, err = m.RemoveQuery(st.plan.Queries[i].ID)
+		d, err = live.RemoveQuery(st.plan, st.plan.Queries[i].ID)
 	}
 	if err != nil {
 		return nil, err

@@ -195,10 +195,14 @@ func CatalogDecls(srcs []SourceSnap) (map[string]SourceDecl, error) {
 }
 
 // RebuildPhysical reconstructs a Physical plan from a snapshot over the
-// given catalog (typically CatalogDecls(s.Sources)). The rebuilt plan has the
-// exact node/op/stream/edge IDs and channel slot layout of the original,
-// so serialized operator state binds to the same groups.
-func RebuildPhysical(catalog map[string]SourceDecl, s *PlanSnapshot) (*Physical, error) {
+// catalog of its source table. The rebuilt plan has the exact
+// node/op/stream/edge IDs and channel slot layout of the original, so
+// serialized operator state binds to the same groups.
+func RebuildPhysical(s *PlanSnapshot) (*Physical, error) {
+	catalog, err := CatalogDecls(s.Sources)
+	if err != nil {
+		return nil, err
+	}
 	p := NewPhysical(catalog)
 	p.nextStream = s.NextStream
 	p.nextOp = s.NextOp

@@ -43,19 +43,18 @@ func BenchmarkChurnAddRemove(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	m := NewMaintainer(plan, rules.Options{})
 	root := liveRoot(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := core.NewQuery("live_bench", root)
-		d, err := m.AddQuery(q)
+		d, err := AddQuery(plan, rules.Options{}, q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := e.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
-		d, err = m.RemoveQuery(q.ID)
+		d, err = RemoveQuery(plan, q.ID)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func BenchmarkChurnAddRemove(b *testing.B) {
 
 // BenchmarkAddQueryLive times the plan side of one live add on a Workload
 // 1 plan with channels on: the naive build, the incremental rule pass and
-// the validation of Maintainer.AddQuery. The engine splice is left to
+// the validation of AddQuery. The engine splice is left to
 // BenchmarkChurnAddRemove; the matching removal runs untimed. An add that
 // expands only its sharing partners keeps the 1000/250 time ratio near 4
 // (every Workload 1 query is a partner of every other).
@@ -77,16 +76,15 @@ func BenchmarkAddQueryLive(b *testing.B) {
 			opt := rules.Options{Channels: true}
 			p, qs := w1Queries(b, n)
 			plan, _ := buildEngine(b, p.Catalog(), opt, qs...)
-			m := NewMaintainer(plan, opt)
 			root := liveRoot(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := core.NewQuery("live_bench", root)
-				if _, err := m.AddQuery(q); err != nil {
+				if _, err := AddQuery(plan, opt, q); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if _, err := m.RemoveQuery(q.ID); err != nil {
+				if _, err := RemoveQuery(plan, q.ID); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

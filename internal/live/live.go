@@ -53,51 +53,38 @@ import (
 	"repro/internal/rules"
 )
 
-// Maintainer performs incremental maintenance operations on one physical
-// plan. It is not safe for concurrent use; callers serialize maintenance
-// operations (the public System type does).
-type Maintainer struct {
-	Plan *core.Physical
-	Opt  rules.Options
-}
-
-// NewMaintainer wraps an optimized plan for live maintenance. Opt must be
-// the options the plan was optimized with (the rules must agree with the
-// fixpoint in place).
-func NewMaintainer(plan *core.Physical, opt rules.Options) *Maintainer {
-	return &Maintainer{Plan: plan, Opt: opt}
-}
-
 // AddQuery plans q naively into the running plan, re-runs the rule engine
-// incrementally, and returns the recorded delta. The caller applies the
-// delta to its engines. The query tree is fully pre-validated, so a
-// rejected query leaves the plan untouched; an error from the rule engine
-// or the post-hoc plan validation itself signals a broken invariant — the
-// plan may then be partially rewritten and the system must be rebuilt,
-// which is why both paths are structurally unreachable for well-formed
-// plans.
-func (m *Maintainer) AddQuery(q *core.Query) (*core.Delta, error) {
+// incrementally, and returns the recorded delta. Opt must be the options
+// the plan was optimized with (the rules must agree with the fixpoint in
+// place). The caller applies the delta to its engines and serializes
+// maintenance operations (the public System type does). The query tree
+// is fully pre-validated, so a rejected query leaves the plan untouched;
+// an error from the rule engine or the post-hoc plan validation itself
+// signals a broken invariant — the plan may then be partially rewritten
+// and the system must be rebuilt, which is why both paths are
+// structurally unreachable for well-formed plans.
+func AddQuery(plan *core.Physical, opt rules.Options, q *core.Query) (*core.Delta, error) {
 	// Pre-validate the whole tree (sources, schemas) so the naive build
 	// cannot fail halfway and leave a partially mutated plan.
 	if err := q.Root.Validate(); err != nil {
 		return nil, fmt.Errorf("live: query %q: %w", q.Name, err)
 	}
-	if _, err := core.SchemaOf(q.Root, m.Plan.Catalog); err != nil {
+	if _, err := core.SchemaOf(q.Root, plan.Catalog); err != nil {
 		return nil, fmt.Errorf("live: query %q: %w", q.Name, err)
 	}
-	if err := m.Plan.BeginDelta(); err != nil {
+	if err := plan.BeginDelta(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if err := m.Plan.AddQuery(q); err != nil {
-		m.Plan.TakeDelta()
+	if err := plan.AddQuery(q); err != nil {
+		plan.TakeDelta()
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if _, err := rules.NewOptimizer(m.Opt).Run(m.Plan); err != nil {
-		m.Plan.TakeDelta()
+	if _, err := rules.NewOptimizer(opt).Run(plan); err != nil {
+		plan.TakeDelta()
 		return nil, fmt.Errorf("live: incremental optimization: %w", err)
 	}
-	d := m.Plan.TakeDelta()
-	if err := m.Plan.Validate(); err != nil {
+	d := plan.TakeDelta()
+	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("live: plan invalid after add: %w", err)
 	}
 	return d, nil
@@ -106,17 +93,17 @@ func (m *Maintainer) AddQuery(q *core.Query) (*core.Delta, error) {
 // RemoveQuery garbage-collects the query's exclusively owned operators
 // from the running plan, compacts any channel the removal leaves
 // tombstone-dominated, and returns the recorded delta.
-func (m *Maintainer) RemoveQuery(queryID int) (*core.Delta, error) {
-	if err := m.Plan.BeginDelta(); err != nil {
+func RemoveQuery(plan *core.Physical, queryID int) (*core.Delta, error) {
+	if err := plan.BeginDelta(); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if err := m.Plan.RemoveQuery(queryID); err != nil {
-		m.Plan.TakeDelta()
+	if err := plan.RemoveQuery(queryID); err != nil {
+		plan.TakeDelta()
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	m.Plan.CompactChannels()
-	d := m.Plan.TakeDelta()
-	if err := m.Plan.Validate(); err != nil {
+	plan.CompactChannels()
+	d := plan.TakeDelta()
+	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("live: plan invalid after remove: %w", err)
 	}
 	return d, nil

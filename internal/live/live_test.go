@@ -72,9 +72,8 @@ func TestAddQuerySharesAggState(t *testing.T) {
 	push(t, e, events[:20])
 	mid := e.ResultCount(0)
 
-	m := NewMaintainer(p, rules.Options{})
 	q1 := aggQ("q1")
-	d, err := m.AddQuery(q1)
+	d, err := AddQuery(p, rules.Options{}, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +115,8 @@ func TestAddSeqMergesIntoRunningGroup(t *testing.T) {
 	p, e := buildEngine(t, catalogST(), rules.Options{}, seqQ("q0", 100))
 	push(t, e, events[:30])
 
-	m := NewMaintainer(p, rules.Options{})
 	q1 := seqQ("q1", 50)
-	d, err := m.AddQuery(q1)
+	d, err := AddQuery(p, rules.Options{}, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +195,8 @@ func TestAddWindowVariantAggJoinsFamily(t *testing.T) {
 			p, e := buildEngine(t, catalogST(), rules.Options{}, aggQ("q0", baseWindow))
 			got := resultsOf(e)
 			push(t, e, events[:mid])
-			m := NewMaintainer(p, rules.Options{})
 			q1 := aggQ("q1", w)
-			d, err := m.AddQuery(q1)
+			d, err := AddQuery(p, rules.Options{}, q1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +216,7 @@ func TestAddWindowVariantAggJoinsFamily(t *testing.T) {
 			}
 
 			before := retained(e)
-			d, err = m.RemoveQuery(0)
+			d, err = RemoveQuery(p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,8 +266,7 @@ func TestRemoveQueryGCsExclusiveState(t *testing.T) {
 	dropFinal := e.ResultCount(1)
 	opsBefore := p.Stats().Ops
 
-	m := NewMaintainer(p, rules.Options{})
-	d, err := m.RemoveQuery(1)
+	d, err := RemoveQuery(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +294,8 @@ func TestAddBareScanRegistersSink(t *testing.T) {
 	p, e := buildEngine(t, catalogST(), rules.Options{}, selQ)
 	push(t, e, []ev{{"S", 0, []int64{1, 0}}})
 
-	m := NewMaintainer(p, rules.Options{})
 	raw := core.NewQuery("raw", core.Scan("S"))
-	d, err := m.AddQuery(raw)
+	d, err := AddQuery(p, rules.Options{}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +310,7 @@ func TestAddBareScanRegistersSink(t *testing.T) {
 		t.Fatalf("bare-scan query results = %d, want 2", got)
 	}
 	// And removal of a sink-only query unregisters it without touching ops.
-	d, err = m.RemoveQuery(raw.ID)
+	d, err = RemoveQuery(p, raw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +366,8 @@ func TestChannelGrowsAppendOnly(t *testing.T) {
 
 	// Declare a new sharable source and add a query over it.
 	catalog["S3"] = core.SourceDecl{Schema: stream.MustSchema("S3", "a", "b"), Label: "w3"}
-	m := NewMaintainer(p, opt)
 	q3 := seqQ("q3", "S3")
-	d, err := m.AddQuery(q3)
+	d, err := AddQuery(p, opt, q3)
 	if err != nil {
 		t.Fatal(err)
 	}

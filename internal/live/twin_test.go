@@ -120,11 +120,7 @@ func TestSnapshotTwinFollowsChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				twinCatalog, err := core.CatalogDecls(snap.Sources)
-				if err != nil {
-					t.Fatal(err)
-				}
-				twin, err := core.RebuildPhysical(twinCatalog, snap)
+				twin, err := core.RebuildPhysical(snap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,11 +129,10 @@ func TestSnapshotTwinFollowsChurn(t *testing.T) {
 				}
 				for i, op := range twinScript(base, pool, 128) {
 					for _, p := range []*core.Physical{orig, twin} {
-						m := NewMaintainer(p, opt)
 						if op.add != nil {
-							_, err = m.AddQuery(core.NewQuery(op.name, op.add.Root))
+							_, err = AddQuery(p, opt, core.NewQuery(op.name, op.add.Root))
 						} else {
-							_, err = m.RemoveQuery(queryID(t, p, op.name))
+							_, err = RemoveQuery(p, queryID(t, p, op.name))
 						}
 						if err != nil {
 							t.Fatalf("op %d (%s): %v", i, op.name, err)

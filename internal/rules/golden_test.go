@@ -159,7 +159,7 @@ func TestGoldenLiveDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := rules.Options{Channels: true}
-	m := live.NewMaintainer(optimizedPlan(t, prm.Catalog(), base, true), opt)
+	plan := optimizedPlan(t, prm.Catalog(), base, true)
 
 	pool := prm
 	pool.Seed, pool.NumQueries = 2, 32
@@ -188,20 +188,20 @@ func TestGoldenLiveDeltas(t *testing.T) {
 		switch {
 		case op%2 == 0:
 			q := adds[op/2]
-			if d, err = m.AddQuery(q); err != nil {
+			if d, err = live.AddQuery(plan, opt, q); err != nil {
 				t.Fatal(err)
 			}
 			added = append(added, q.ID)
 			fmt.Fprintf(&b, "add %s: ", q.Name)
 		case op%4 == 1 && len(added) > 0:
 			id := pick(&added)
-			if d, err = m.RemoveQuery(id); err != nil {
+			if d, err = live.RemoveQuery(plan, id); err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "remove q%d: ", id)
 		default:
 			id := pick(&baseLeft)
-			if d, err = m.RemoveQuery(id); err != nil {
+			if d, err = live.RemoveQuery(plan, id); err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&b, "remove q%d: ", id)
@@ -212,7 +212,7 @@ func TestGoldenLiveDeltas(t *testing.T) {
 			fmt.Fprintf(&b, "  remap e%d %v %v\n", r.EdgeID, r.Table, r.Ops)
 		}
 	}
-	sum := sha256.Sum256([]byte(planText(m.Plan)))
+	sum := sha256.Sum256([]byte(planText(plan)))
 	fmt.Fprintf(&b, "plan %s\n", hex.EncodeToString(sum[:]))
 	checkGolden(t, "live_deltas.txt", b.String())
 }

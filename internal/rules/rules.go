@@ -73,8 +73,10 @@ type Rule interface {
 
 // Options selects which rule families the optimizer uses.
 type Options struct {
-	// Channels enables the cτ rules (§3.3/§4.4). Disabling them yields the
-	// paper's "without channel" comparison plans (Figures 10(c,d), 11).
+	// Channels enables the channel-based m-rules, the cτ rules of
+	// §3.3/§4.4 (cσ, cα, c⨝, c;, cµ). A channel encodes at least two
+	// distinct sharable streams. Disabling them yields the paper's
+	// "without channel" comparison plans (Figures 10(c,d), 11).
 	Channels bool
 }
 

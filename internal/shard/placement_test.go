@@ -262,7 +262,7 @@ func placementOverlay(t *testing.T, out *strings.Builder, seen map[string]bool) 
 // stats.
 func liveAdd(t *testing.T, sh *Engine, q *core.Query) RebalanceStats {
 	t.Helper()
-	d, err := live.NewMaintainer(sh.plan, rules.Options{}).AddQuery(q)
+	d, err := live.AddQuery(sh.plan, rules.Options{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,11 +466,7 @@ func placementRestore(t *testing.T, out *strings.Builder, seen map[string]bool, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := core.CatalogDecls(rc.Plan.Sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rplan, err := core.RebuildPhysical(catalog, rc.Plan)
+	rplan, err := core.RebuildPhysical(rc.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

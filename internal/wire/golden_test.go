@@ -415,15 +415,14 @@ func TestFingerprintGolden(t *testing.T) {
 	plan := cqlPhysical(t)
 	fmt.Fprintf(&b, "plan/cql fingerprint=%016x\n", fingerprint(plan))
 
-	m := live.NewMaintainer(plan, rules.Options{Channels: true})
 	var log bytes.Buffer
 	again := core.NewQuery("flt_again", plan.Queries[0].Root)
-	if _, err := m.AddQuery(again); err != nil {
+	if _, err := live.AddQuery(plan, rules.Options{Channels: true}, again); err != nil {
 		t.Fatal(err)
 	}
 	recs := []*wire.ChurnRecord{{Op: wire.ChurnAdd, Name: again.Name, Root: again.Root, Fingerprint: fingerprint(plan)}}
 	gone := plan.Queries[1]
-	if _, err := m.RemoveQuery(gone.ID); err != nil {
+	if _, err := live.RemoveQuery(plan, gone.ID); err != nil {
 		t.Fatal(err)
 	}
 	recs = append(recs, &wire.ChurnRecord{Op: wire.ChurnRemove, Name: gone.Name, Fingerprint: fingerprint(plan)})

@@ -17,7 +17,7 @@ import (
 // sampleSource builds a snapshot exercising every render path: plain and
 // labeled scalars, and a histogram with observations in several buckets.
 func sampleSource() (*rumor.Metrics, error) {
-	h := rumor.Histogram{Count: 3, Sum: 1024 + 1023 + 1, Buckets: make([]int64, 32)}
+	h := &rumor.Histogram{Count: 3, Sum: 1024 + 1023 + 1}
 	h.Buckets[1] = 1  // value 1
 	h.Buckets[10] = 1 // value 1023
 	h.Buckets[11] = 1 // value 1024
@@ -31,7 +31,7 @@ func sampleSource() (*rumor.Metrics, error) {
 			"cluster_link_rtt_ns{shard=\"0\"}": 1500,
 			"worker_boot_id":                   7,
 		},
-		Hists: map[string]rumor.Histogram{"shard_flush_ns": h},
+		Hists: map[string]*rumor.Histogram{"shard_flush_ns": h},
 	}, nil
 }
 

@@ -165,7 +165,7 @@ func TestResultCountGolden(t *testing.T) {
 		writeCounts(&b, "w2/sharded2", sys, w2Names)
 	})
 	t.Run("cluster2", func(t *testing.T) {
-		sys := rumor.NewSharded(rumor.ShardConfig{})
+		sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 64})
 		defer sys.Close()
 		declareAll(t, sys, catalog)
 		for _, q := range w2 {
@@ -175,7 +175,7 @@ func TestResultCountGolden(t *testing.T) {
 		}
 		nodes, _ := startPipeWorkers(t, 2)
 		if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{
-			Nodes: nodes, BatchSize: 64, HeartbeatInterval: -1,
+			Nodes: nodes, HeartbeatInterval: -1,
 		}); err != nil {
 			t.Fatal(err)
 		}

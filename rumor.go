@@ -88,12 +88,8 @@ const (
 	Max   = core.AggMax
 )
 
-// Options configures optimization.
-type Options struct {
-	// Channels enables the channel-based m-rules (cσ, cα, c⨝, c;, cµ). A
-	// channel encodes at least two distinct sharable streams.
-	Channels bool
-}
+// Options configures optimization: which m-rule families apply.
+type Options = rules.Options
 
 // PlanInfo summarizes the optimized plan.
 type PlanInfo struct {
@@ -324,11 +320,10 @@ func (s *System) buildPlan(opt Options) (*core.Physical, error) {
 			return nil, err
 		}
 	}
-	ropts := rules.Options{Channels: opt.Channels}
-	if err := rules.Optimize(plan, ropts); err != nil {
+	if err := rules.Optimize(plan, opt); err != nil {
 		return nil, err
 	}
-	s.ropts = ropts
+	s.ropts = opt
 	return plan, nil
 }
 
@@ -390,7 +385,7 @@ func (s *System) AddQueryLive(name string, root *Logical) error {
 	}
 	start := time.Now()
 	q := core.NewQuery(name, root)
-	d, err := live.NewMaintainer(s.plan, s.ropts).AddQuery(q)
+	d, err := live.AddQuery(s.plan, s.ropts, q)
 	if err != nil {
 		return fmt.Errorf("rumor: %w", err)
 	}
@@ -445,7 +440,7 @@ func (s *System) RemoveQuery(name string) error {
 		return nil
 	}
 	start := time.Now()
-	d, err := live.NewMaintainer(s.plan, s.ropts).RemoveQuery(q.ID)
+	d, err := live.RemoveQuery(s.plan, q.ID)
 	if err != nil {
 		return fmt.Errorf("rumor: %w", err)
 	}

@@ -121,11 +121,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 	if c.Plan == nil {
 		return nil, fmt.Errorf("rumor: checkpoint has no plan")
 	}
-	catalog, err := core.CatalogDecls(c.Plan.Sources)
-	if err != nil {
-		return nil, fmt.Errorf("rumor: %w", err)
-	}
-	plan, err := core.RebuildPhysical(catalog, c.Plan)
+	plan, err := core.RebuildPhysical(c.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("rumor: rebuilding plan: %w", err)
 	}
@@ -156,7 +152,7 @@ func RestoreSharded(r io.Reader, cfg ShardConfig) (*System, error) {
 		_ = sh.Close()
 		return nil, err
 	}
-	s.catalog = catalog
+	s.catalog = plan.Catalog
 	s.ropts = rules.Options{Channels: c.Channels}
 	s.plan, s.sh = plan, sh
 	for _, q := range plan.Queries {

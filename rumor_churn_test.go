@@ -214,7 +214,7 @@ type clusterChurnSys struct {
 }
 
 func (c clusterChurnSys) Optimize(opt rumor.Options) error {
-	return c.DialCluster(opt, rumor.ClusterConfig{Nodes: c.nodes, BatchSize: 64, HeartbeatInterval: -1})
+	return c.DialCluster(opt, rumor.ClusterConfig{Nodes: c.nodes, HeartbeatInterval: -1})
 }
 
 // TestChurnEquivalenceCluster runs the churn scenario over two pipe
@@ -227,7 +227,7 @@ func TestChurnEquivalenceCluster(t *testing.T) {
 				catalog, surv, events := churnWorkload(t, wl, 40, 4200, 1)
 				_, trans, _ := churnWorkload(t, wl, 40, 0, 99)
 				nodes, _ := startPipeWorkers(t, 2)
-				sys := rumor.NewSharded(rumor.ShardConfig{})
+				sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 64})
 				defer sys.Close()
 				runChurn(t, clusterChurnSys{sys, nodes}, func() {
 					if err := sys.Drain(); err != nil {

@@ -65,27 +65,12 @@ func ServeShard(lis net.Listener) error {
 // ShardWorker is an addressable shard worker: like ServeShard, but the
 // handle exposes the worker's own telemetry while it serves, so a node
 // process (cmd/rumornode) can publish a metrics endpoint alongside the
-// protocol listener.
-type ShardWorker struct {
-	w *cluster.Worker
-}
+// protocol listener. Its Metrics holds only the worker-side counters;
+// engine detail is reported through the coordinator's System.Metrics.
+type ShardWorker = cluster.Worker
 
 // NewShardWorker creates a shard worker; call Serve to run it.
-func NewShardWorker() *ShardWorker {
-	return &ShardWorker{w: cluster.NewWorker()}
-}
-
-// Serve runs the worker on the listener exactly as ServeShard does.
-func (sw *ShardWorker) Serve(lis net.Listener) error { return sw.w.Serve(lis) }
-
-// Metrics snapshots the worker-side counters that are safe to read while
-// Serve runs: batches applied, entries replayed, dedup skips, reply-cache
-// hits, and the boot identity. Engine detail is reported through the
-// coordinator's System.Metrics instead (fetched at a quiesce
-// barrier over the stats RPC).
-func (sw *ShardWorker) Metrics() *Metrics {
-	return metricsFromSnapshot(sw.w.Metrics())
-}
+func NewShardWorker() *ShardWorker { return cluster.NewWorker() }
 
 // ClusterNode names one remote shard worker. Either Addr (dialed over
 // TCP) or Dial (any net.Conn factory — in-process pipes in tests) must be
@@ -96,16 +81,13 @@ type ClusterNode struct {
 }
 
 // ClusterConfig sizes a distributed System. The shard count is
-// len(Nodes); node i hosts shard i. Protocol frames are bounded by 64 MiB
-// (transport.DefaultMaxFrame), and the link to node i jitters its
-// reconnect backoff deterministically, with seed 1+i.
+// len(Nodes); node i hosts shard i. Batch size and queue depth come from
+// the ShardConfig the System was made with (NewSharded). Protocol frames
+// are bounded by 64 MiB (transport.DefaultMaxFrame), and the link to node
+// i jitters its reconnect backoff deterministically, with seed 1+i.
 type ClusterConfig struct {
 	// Nodes lists the shard workers, one per shard.
 	Nodes []ClusterNode
-
-	// BatchSize and QueueDepth mirror ShardConfig (defaults 256 / 8).
-	BatchSize  int //rumor:allow unset tests size a cluster's batches with it
-	QueueDepth int //rumor:allow unset tests size a cluster's queues with it
 
 	// CallTimeout bounds one RPC attempt (default 5s). RetryMin/RetryMax
 	// bound the reconnect backoff (defaults 50ms / 2s). FailTimeout is how
@@ -168,7 +150,7 @@ func (s *System) DialCluster(opt Options, cfg ClusterConfig) error {
 			Seed:              cluster.DefaultSeed + int64(i),
 		}
 	}
-	s.cfg = ShardConfig{Shards: len(cfg.Nodes), BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth}
+	s.cfg.Shards = len(cfg.Nodes)
 	sh, err := shard.NewCluster(plan, nil, s.cfg, nodes)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package rumor_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -58,14 +59,13 @@ func TestDialClusterEquivalence(t *testing.T) {
 	if err := ref.Optimize(rumor.Options{Channels: true}); err != nil {
 		t.Fatal(err)
 	}
-	sys := rumor.NewSharded(rumor.ShardConfig{})
+	sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 8})
 	if err := sys.ExecScript(perfScript); err != nil {
 		t.Fatal(err)
 	}
 	nodes, dones := startPipeWorkers(t, 2)
 	if err := sys.DialCluster(rumor.Options{Channels: true}, rumor.ClusterConfig{
 		Nodes:             nodes,
-		BatchSize:         8,
 		HeartbeatInterval: -1,
 	}); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestDialClusterTCP(t *testing.T) {
 	if err := ref.Optimize(rumor.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	sys := rumor.NewSharded(rumor.ShardConfig{})
+	sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 8})
 	if err := sys.ExecScript(perfScript); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDialClusterTCP(t *testing.T) {
 		})
 		nodes[i] = rumor.ClusterNode{Addr: lis.Addr().String()}
 	}
-	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{Nodes: nodes, BatchSize: 8}); err != nil {
+	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{Nodes: nodes}); err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
@@ -207,7 +207,7 @@ func TestDialClusterOutageSurfacesTypedError(t *testing.T) {
 	if err := ref.Optimize(rumor.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	sys := rumor.NewSharded(rumor.ShardConfig{})
+	sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 4, QueueDepth: 2})
 	if err := sys.ExecScript(perfScript); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,6 @@ func TestDialClusterOutageSurfacesTypedError(t *testing.T) {
 	}
 	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{
 		Nodes:             nodes,
-		BatchSize:         4,
-		QueueDepth:        2,
 		RetryMin:          time.Millisecond,
 		RetryMax:          5 * time.Millisecond,
 		FailTimeout:       30 * time.Second,
@@ -460,5 +458,39 @@ func TestDialClusterLateStream(t *testing.T) {
 		if got, want := sys.ResultCount(q), ref.ResultCount(q); got != want || want == 0 {
 			t.Fatalf("query %s: cluster %d, single engine %d", q, got, want)
 		}
+	}
+}
+
+// DialCluster keeps the batch size of the ShardConfig the System was made
+// with: at 4 rows a batch, 64 pushed rows stage at least 16 batches; at the
+// default of 256 each shard stages its rows as one batch at Drain.
+func TestDialClusterKeepsBatchSize(t *testing.T) {
+	withMetrics(t)
+	for _, tc := range []struct {
+		batch    int
+		min, max int64
+	}{{4, 16, 64}, {0, 2, 2}} {
+		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
+			sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: tc.batch})
+			if err := sys.ExecScript(perfScript); err != nil {
+				t.Fatal(err)
+			}
+			nodes, _ := startPipeWorkers(t, 2)
+			if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{Nodes: nodes, HeartbeatInterval: -1}); err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			pushPerf(t, sys.Push, 0, 64)
+			if err := sys.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := sys.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m.Counters["router_wal_batches_total"]; n < tc.min || n > tc.max {
+				t.Fatalf("router_wal_batches_total = %d, want %d..%d", n, tc.min, tc.max)
+			}
+		})
 	}
 }

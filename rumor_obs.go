@@ -18,7 +18,6 @@ package rumor
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"repro/internal/core"
@@ -36,22 +35,15 @@ func MetricsEnabled() bool { return obs.Enabled() }
 
 // Metrics is a merged point-in-time snapshot of the telemetry registry:
 // counters (monotone sums), gauges (point values; per-shard series carry
-// a `{shard="i"}` suffix in the name), and histograms.
-type Metrics struct {
-	Counters map[string]int64
-	Gauges   map[string]int64
-	Hists    map[string]Histogram
-}
+// a `{shard="i"}` suffix in the name), and histograms. Each call that
+// returns one builds it afresh; the caller owns it.
+type Metrics = obs.Snapshot
 
 // Histogram is a fixed-layout power-of-two histogram: Buckets[i] counts
 // observations whose value has bit-length i, i.e. v ≤ HistogramBucketBound(i)
 // and v > HistogramBucketBound(i-1). The layout is fixed so snapshots from
 // different shards merge element-wise.
-type Histogram struct {
-	Count   int64
-	Sum     int64
-	Buckets []int64
-}
+type Histogram = obs.HistData
 
 // HistogramBucketBound returns the inclusive upper bound of bucket i
 // (2^i - 1), or -1 for the final +Inf bucket.
@@ -68,19 +60,6 @@ type TraceEvent = obs.Event
 // ring holds the most recent 512 events; Seq exposes how many were ever
 // recorded, so gaps from wraparound are detectable.
 func TraceEvents() []TraceEvent { return obs.Trace.Events() }
-
-// metricsFromSnapshot converts an internal snapshot to the public type.
-func metricsFromSnapshot(s *obs.Snapshot) *Metrics {
-	m := &Metrics{
-		Counters: maps.Clone(s.Counters),
-		Gauges:   maps.Clone(s.Gauges),
-		Hists:    make(map[string]Histogram, len(s.Hists)),
-	}
-	for k, h := range s.Hists {
-		m.Hists[k] = Histogram{Count: h.Count, Sum: h.Sum, Buckets: append([]int64(nil), h.Buckets[:]...)}
-	}
-	return m
-}
 
 // Metrics snapshots the system's telemetry, merged across every replica:
 // engine counters per shard (tuples delivered, per-operator work,
@@ -106,7 +85,7 @@ func (s *System) Metrics() (*Metrics, error) {
 	}
 	obs.Default.Into(snap)
 	transport.MetricsInto(snap)
-	return metricsFromSnapshot(snap), nil
+	return snap, nil
 }
 
 // WorkerHealth reports one shard worker's link health as observed by the

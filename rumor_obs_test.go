@@ -1,7 +1,9 @@
 package rumor_test
 
 import (
+	"maps"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,14 +157,13 @@ func TestShardedMetricsLocal(t *testing.T) {
 // the stats RPC.
 func TestShardedMetricsPipeCluster(t *testing.T) {
 	withMetrics(t)
-	sys := rumor.NewSharded(rumor.ShardConfig{})
+	sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 8})
 	if err := sys.ExecScript(perfScript); err != nil {
 		t.Fatal(err)
 	}
 	nodes, _ := startPipeWorkers(t, 2)
 	if err := sys.DialCluster(rumor.Options{Channels: true}, rumor.ClusterConfig{
 		Nodes:             nodes,
-		BatchSize:         8,
 		HeartbeatInterval: -1,
 	}); err != nil {
 		t.Fatal(err)
@@ -194,14 +195,13 @@ func TestShardedMetricsPipeCluster(t *testing.T) {
 // The same merge must work over real TCP (acceptance: pipe AND TCP).
 func TestShardedMetricsTCPCluster(t *testing.T) {
 	withMetrics(t)
-	sys := rumor.NewSharded(rumor.ShardConfig{})
+	sys := rumor.NewSharded(rumor.ShardConfig{BatchSize: 8})
 	if err := sys.ExecScript(perfScript); err != nil {
 		t.Fatal(err)
 	}
 	nodes := startTCPWorkers(t, 2)
 	if err := sys.DialCluster(rumor.Options{Channels: true}, rumor.ClusterConfig{
 		Nodes:             nodes,
-		BatchSize:         8,
 		HeartbeatInterval: -1,
 	}); err != nil {
 		t.Fatal(err)
@@ -232,4 +232,72 @@ func TestPlanInfoTelemetryColumns(t *testing.T) {
 			t.Fatalf("tiny plan reports %d spilled channels", info.SpilledChannels)
 		}
 	})
+}
+
+// Two Metrics calls return independent snapshots, on a System and on a
+// ShardWorker: writing through the first (its counters, gauges and a
+// histogram) leaves the second as it was returned.
+func TestMetricsSnapshotsIndependent(t *testing.T) {
+	withMetrics(t)
+	check := func(t *testing.T, get func() *rumor.Metrics) {
+		t.Helper()
+		first, second := get(), get()
+		want := cloneMetrics(second)
+		for k := range first.Counters {
+			first.Counters[k] += 1000
+		}
+		for k := range first.Gauges {
+			first.Gauges[k] += 1000
+		}
+		for _, h := range first.Hists {
+			h.Count += 1000
+			h.Buckets[0] += 1000
+			break
+		}
+		first.Counters["added_total"] = 1
+		first.Gauges["added"] = 1
+		first.Hists["added"] = &rumor.Histogram{Count: 1}
+		if !reflect.DeepEqual(second, want) {
+			t.Fatal("writing through one Metrics snapshot changed another")
+		}
+	}
+	t.Run("system", func(t *testing.T) {
+		sys := buildShardedPerf(t, 2)
+		defer sys.Close()
+		pushPerf(t, sys.Push, 0, 100)
+		if err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, func() *rumor.Metrics {
+			m, err := sys.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Counters) == 0 || len(m.Gauges) == 0 || len(m.Hists) == 0 {
+				t.Fatalf("snapshot has %d counters, %d gauges, %d histograms; want some of each",
+					len(m.Counters), len(m.Gauges), len(m.Hists))
+			}
+			return m
+		})
+	})
+	t.Run("worker", func(t *testing.T) {
+		sw := rumor.NewShardWorker()
+		check(t, func() *rumor.Metrics {
+			m := sw.Metrics()
+			if len(m.Counters) == 0 || len(m.Gauges) == 0 {
+				t.Fatalf("worker snapshot has %d counters, %d gauges; want some of each", len(m.Counters), len(m.Gauges))
+			}
+			return m
+		})
+	})
+}
+
+// cloneMetrics deep-copies a snapshot.
+func cloneMetrics(m *rumor.Metrics) *rumor.Metrics {
+	c := &rumor.Metrics{Counters: maps.Clone(m.Counters), Gauges: maps.Clone(m.Gauges), Hists: map[string]*rumor.Histogram{}}
+	for k, h := range m.Hists {
+		hc := *h
+		c.Hists[k] = &hc
+	}
+	return c
 }
