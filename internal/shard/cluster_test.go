@@ -52,7 +52,7 @@ func (h *clusterHarness) cut(i int) {
 
 func (h *clusterHarness) heal(i int) { h.gates[i].Store(false) }
 
-func buildTorturePlan(t *testing.T, catalog map[string]core.SourceDecl, qs []*core.Query, channels bool) *core.Physical {
+func buildTorturePlan(t testing.TB, catalog map[string]core.SourceDecl, qs []*core.Query, channels bool) *core.Physical {
 	t.Helper()
 	plan := core.NewPhysical(catalog)
 	for _, q := range qs {
@@ -687,5 +687,62 @@ func TestClusterWorkerRestartStateLost(t *testing.T) {
 	// and a checkpoint restore (outside this test) is the way forward.
 	if err := sh.Drain(); !errors.Is(err, ErrShardDead) {
 		t.Fatalf("Drain after failed recovery: %v, want ErrShardDead", err)
+	}
+}
+
+// pipeWorkers starts n cluster workers on pipe listeners and returns their
+// listeners; the workers stop when the test ends.
+func pipeWorkers(tb testing.TB, n int) []*transport.PipeListener {
+	tb.Helper()
+	listeners := make([]*transport.PipeListener, n)
+	for i := range listeners {
+		lis := transport.NewPipeListener()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for cluster.Serve(lis, cluster.WorkerConfig{}) == nil {
+				// A coordinator's Close shuts the worker down; serve the next.
+			}
+		}()
+		tb.Cleanup(func() {
+			lis.Close()
+			<-done
+		})
+		listeners[i] = lis
+	}
+	return listeners
+}
+
+// pipeNodes is one node config per listener, without heartbeats.
+func pipeNodes(listeners []*transport.PipeListener) []cluster.Config {
+	nodes := make([]cluster.Config, len(listeners))
+	for i, lis := range listeners {
+		nodes[i] = cluster.Config{Dial: func() (net.Conn, error) { return lis.Dial() }, Epoch: 1, HeartbeatInterval: -1}
+	}
+	return nodes
+}
+
+// BenchmarkDialClusterW2 builds a 2-shard cluster engine over a 1 000-query
+// Workload 2 plan on pipe workers, each of which decodes the plan, rebuilds
+// it and lowers an engine before its Dial returns, and closes it again.
+func BenchmarkDialClusterW2(b *testing.B) {
+	prm := workload.DefaultParams()
+	qs, err := workload.ToRUMOR(prm.Workload2Seq())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := buildTorturePlan(b, prm.Catalog(), qs, true)
+	nodes := pipeNodes(pipeWorkers(b, 2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sh, err := NewCluster(plan, nil, Config{}, nodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := sh.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

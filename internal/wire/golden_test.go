@@ -129,10 +129,11 @@ func optimizedPhysical(t testing.TB, cat map[string]core.SourceDecl, qs []*core.
 	return p
 }
 
-// w2Physical is Workload 2 at 20 queries, optimized with channels on.
-func w2Physical(t testing.TB) *core.Physical {
+// w2Physical is Workload 2 at the given number of queries, optimized with
+// channels on. The goldens use 20.
+func w2Physical(t testing.TB, queries int) *core.Physical {
 	prm := workload.DefaultParams()
-	prm.NumQueries = 20
+	prm.NumQueries = queries
 	qs, err := workload.ToRUMOR(prm.Workload2Seq())
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +141,8 @@ func w2Physical(t testing.TB) *core.Physical {
 	return optimizedPhysical(t, prm.Catalog(), qs)
 }
 
-// w2Plan is w2Physical's snapshot.
-func w2Plan(t testing.TB) *core.PlanSnapshot { return w2Physical(t).Snapshot() }
+// w2Plan is the snapshot of w2Physical at 20 queries.
+func w2Plan(t testing.TB) *core.PlanSnapshot { return w2Physical(t, 20).Snapshot() }
 
 // cqlScript has every operator kind CQL can express: filter, project with
 // arithmetic, aggregate with BY, join, seq and µ with a keep filter.
@@ -411,7 +412,7 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 		return fp
 	}
-	fmt.Fprintf(&b, "plan/w2 fingerprint=%016x\n", fingerprint(w2Physical(t)))
+	fmt.Fprintf(&b, "plan/w2 fingerprint=%016x\n", fingerprint(w2Physical(t, 20)))
 	plan := cqlPhysical(t)
 	fmt.Fprintf(&b, "plan/cql fingerprint=%016x\n", fingerprint(plan))
 
