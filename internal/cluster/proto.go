@@ -127,6 +127,7 @@ type Run struct {
 	TS   []int64
 	Cols [][]int64
 	Sel  []uint64
+	slab []int64 // a decoded run's timestamps and columns
 }
 
 // Rows returns the number of rows the run stands for: its selected rows.
@@ -276,17 +277,14 @@ func putReply(b *wire.Buffer, callID int64, body func(*wire.Buffer) error) {
 
 // batch is a WAL batch: its seq and its entries, each a column run.
 // Decoding into a batch reuses its storage from one batch to the next:
-// the entry slice, the runs, and one slab that holds every run's
+// the entry slice, each entry's run, and the run's slab, which holds its
 // timestamps and columns. A decoded batch is valid until the next decode.
-// Reusing the slab is sound only because engine.PushColumnsSel borrows a
+// Reusing the slabs is sound only because engine.PushColumnsSel borrows a
 // run's columns just until it returns.
 type batch struct {
 	codec   wire.Codec // decoding state
 	seq     int64
 	entries []Entry
-	runs    []*Run
-	used    int // runs handed out by this decode
-	slab    []int64
 }
 
 // batch body: 1=seq 3=run (repeated), runs in entry order; reply
@@ -294,7 +292,7 @@ type batch struct {
 // not reused.
 func batchFields(c *wire.Codec, b *batch) {
 	wire.Varint(c, 1, &b.seq)
-	wire.Msgs(c, 3, &b.entries, b.runFields)
+	wire.Msgs(c, 3, &b.entries, runFields)
 }
 
 // run: 1=src 2=ts 3=column (repeated). The timestamps and each column are
@@ -303,13 +301,16 @@ func batchFields(c *wire.Codec, b *batch) {
 // bits). A run carries only its selected rows, packed straight from the
 // selection, so a decoded run has a nil Sel. A decoded source id outside
 // [0, MaxInt32], or a run whose columns differ in length from its
-// timestamps, is corrupt.
-func (b *batch) runFields(c *wire.Codec, en *Entry) {
-	c.Init(func() { en.Run = b.nextRun() })
+// timestamps, is corrupt. A decoder reuses the run an entry of an earlier
+// batch left.
+func runFields(c *wire.Codec, en *Entry) {
+	wire.Init(c, en, func(en *Entry) { *en = Entry{Run: en.Run.reuse()} })
 	wire.VarintIn(c, 1, &en.Src, 0, math.MaxInt32, "source id")
-	c.Column(2, &en.Run.TS, en.Run.Sel, &b.slab)
-	c.Columns(3, &en.Run.Cols, en.Run.Sel, &b.slab)
-	c.Check(func() error {
+	wire.Within(c, &en.Run, func(c *wire.Codec, r *Run) {
+		c.Column(2, &r.TS, r.Sel, &r.slab)
+		c.Columns(3, &r.Cols, r.Sel, &r.slab)
+	})
+	wire.Check(c, en, func(en *Entry) error {
 		for a, col := range en.Run.Cols {
 			if len(col) != len(en.Run.TS) {
 				return fmt.Errorf("%w: run column %d has %d rows, %d timestamps", wire.ErrCorrupt, a, len(col), len(en.Run.TS))
@@ -319,16 +320,14 @@ func (b *batch) runFields(c *wire.Codec, en *Entry) {
 	})
 }
 
-// nextRun hands out the decode's next reusable run, emptied.
-func (b *batch) nextRun() *Run {
-	if b.used == len(b.runs) {
-		b.runs = append(b.runs, &Run{})
+// reuse empties r for a decode, keeping its storage; a nil r is a new run.
+func (r *Run) reuse() *Run {
+	if r == nil {
+		return &Run{}
 	}
-	run := b.runs[b.used]
-	b.used++
-	clear(run.Cols)
-	run.TS, run.Cols = nil, run.Cols[:0]
-	return run
+	clear(r.Cols)
+	r.TS, r.Cols, r.slab = nil, r.Cols[:0], r.slab[:0]
+	return r
 }
 
 // putBatch writes a batch body into b.
@@ -338,8 +337,7 @@ func putBatch(b *wire.Buffer, seq int64, entries []Entry) {
 
 // decode decodes one batch body into b.
 func (b *batch) decode(p []byte) (seq int64, entries []Entry, err error) {
-	clear(b.entries)
-	b.seq, b.entries, b.used, b.slab = 0, b.entries[:0], 0, b.slab[:0]
+	b.seq, b.entries = 0, b.entries[:0]
 	if err := wire.Decode(&b.codec, p, b, batchFields); err != nil {
 		return 0, nil, err
 	}
@@ -389,7 +387,7 @@ func churnCallFields(c *wire.Codec, m *ChurnCall) {
 	wire.Ptr(c, 1, &m.Rec, wire.ChurnRecordFields)
 	c.Bool(2, &m.Options.Channels)
 	wire.Msgs(c, 4, &m.Sources, wire.SourceFields)
-	c.Check(func() error {
+	wire.Check(c, m, func(m *ChurnCall) error {
 		if m.Rec == nil {
 			return fmt.Errorf("%w: churn call without a record", wire.ErrCorrupt)
 		}
@@ -436,7 +434,7 @@ type hist struct {
 func histFields(c *wire.Codec, h *hist) {
 	c.Int64s(1, &h.keys)
 	c.Int64s(2, &h.counts)
-	c.Check(func() error {
+	wire.Check(c, h, func(h *hist) error {
 		if len(h.keys) != len(h.counts) {
 			return fmt.Errorf("%w: histogram reply: %d keys, %d counts", wire.ErrCorrupt, len(h.keys), len(h.counts))
 		}

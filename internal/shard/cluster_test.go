@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -744,5 +746,106 @@ func BenchmarkDialClusterW2(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// smallW2Plan is Workload 2 at 20 queries.
+func smallW2Plan(t *testing.T) *core.Physical {
+	t.Helper()
+	prm := workload.DefaultParams()
+	prm.NumQueries = 20
+	qs, err := workload.ToRUMOR(prm.Workload2Seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildTorturePlan(t, prm.Catalog(), qs, false)
+}
+
+// TestClusterDialsConcurrently holds NewCluster to dialling its nodes at
+// once: each node's Dial waits until all three dials have started, which
+// dials made one after another never reach, and fails after 5 s.
+func TestClusterDialsConcurrently(t *testing.T) {
+	nodes := pipeNodes(pipeWorkers(t, 3))
+	var started atomic.Int32
+	all := make(chan struct{})
+	for i := range nodes {
+		dial, once := nodes[i].Dial, new(sync.Once)
+		nodes[i].Dial = func() (net.Conn, error) {
+			once.Do(func() {
+				if started.Add(1) == int32(len(nodes)) {
+					close(all)
+				}
+			})
+			select {
+			case <-all:
+				return dial()
+			case <-time.After(5 * time.Second):
+				return nil, errors.New("the other nodes were not dialled meanwhile")
+			}
+		}
+		nodes[i].RetryMax, nodes[i].FailTimeout = time.Millisecond, time.Millisecond
+	}
+	sh, err := NewCluster(smallW2Plan(t), nil, Config{}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// acceptSignal is a listener that signals each Accept call before it
+// waits.
+type acceptSignal struct {
+	net.Listener
+	accepts chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	l.accepts <- struct{}{}
+	return l.Listener.Accept()
+}
+
+// TestClusterDialFailureClosesConnected: when nodes 1 and 2 cannot be
+// dialled, NewCluster reports shard 1, the lowest failing shard, and
+// closes the connection it made to worker 0, whose Serve goes back to
+// Accept, leaving no client heartbeat behind.
+func TestClusterDialFailureClosesConnected(t *testing.T) {
+	plan := smallW2Plan(t)
+	lis := acceptSignal{transport.NewPipeListener(), make(chan struct{}, 2)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cluster.Serve(lis, cluster.WorkerConfig{})
+	}()
+	t.Cleanup(func() {
+		lis.Close()
+		<-done
+	})
+	<-lis.accepts
+	before := runtime.NumGoroutine()
+	nodes := make([]cluster.Config, 3)
+	nodes[0] = cluster.Config{Dial: lis.Listener.(*transport.PipeListener).Dial, Epoch: 1, HeartbeatInterval: time.Millisecond}
+	for i := 1; i < 3; i++ {
+		nodes[i] = cluster.Config{
+			Dial:        func() (net.Conn, error) { return nil, fmt.Errorf("node %d is down", i) },
+			Epoch:       1,
+			RetryMin:    time.Millisecond,
+			RetryMax:    2 * time.Millisecond,
+			FailTimeout: 10 * time.Millisecond,
+		}
+	}
+	if _, err := NewCluster(plan, nil, Config{}, nodes); err == nil || !strings.HasPrefix(err.Error(), "shard 1: ") {
+		t.Fatalf("NewCluster: %v, want an error of shard 1", err)
+	}
+	select {
+	case <-lis.accepts:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker 0 still serves the connection NewCluster made")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before NewCluster", runtime.NumGoroutine(), before)
+		}
 	}
 }

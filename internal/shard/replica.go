@@ -420,6 +420,11 @@ func splitBySel(pl *mop.StatePayload, sel func(key int64, ord int) bool) (sent, 
 // in-process runtime; result callbacks (OnResult) are not supported
 // (results are counted worker-side and merged from drain snapshots).
 //
+// The nodes are dialled concurrently, so the workers decode the plan,
+// rebuild it and lower their engines side by side. If a dial fails,
+// NewCluster closes every connection it made and reports the lowest
+// failing shard.
+//
 // Failure semantics: a worker outage makes Push/PushColumns fail fast with
 // ErrShardUnreachable while the client retries with backoff; an outage
 // outlasting the node's FailTimeout (or a restarted worker process)
@@ -432,4 +437,60 @@ func NewCluster(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []
 	}
 	cfg.Shards = len(nodes)
 	return build(p, part, cfg, nodes)
+}
+
+// dial connects a remote replica to each node, all at once: each Dial
+// returns once its worker has decoded the plan, rebuilt it and lowered an
+// engine, so the workers do that side by side. If any dial fails, dial
+// closes every client that connected and reports the lowest failing shard.
+func (e *Engine) dial(nodes []cluster.Config) ([]*remoteReplica, error) {
+	planBytes, err := wire.EncodePlanBytes(e.plan.Snapshot())
+	if err != nil {
+		return nil, fmt.Errorf("shard: encoding plan snapshot: %w", err)
+	}
+	reps := make([]*remoteReplica, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, nc := range nodes {
+		nc.ShardIdx, nc.ShardCount, nc.PlanBytes = i, len(nodes), planBytes
+		rr := &remoteReplica{idx: i}
+		rr.down.Store(make(chan struct{}))
+		user := nc.OnDown
+		nc.OnDown = func(down bool) {
+			// Order keeps "counter > 0 ⇒ some flag set" (modulo benign
+			// transition races): flag before increment, decrement
+			// before clear. The client reports strict down/up
+			// alternation, so the close below never double-closes.
+			if down {
+				rr.unreach.Store(true)
+				close(rr.down.Load().(chan struct{}))
+				e.numUnreach.Add(1)
+			} else {
+				e.numUnreach.Add(-1)
+				rr.down.Store(make(chan struct{}))
+				rr.unreach.Store(false)
+			}
+			if user != nil {
+				user(down)
+			}
+		}
+		reps[i] = rr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rr.cli, errs[i] = cluster.Dial(nc, e.srcNames)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			for _, rr := range reps {
+				if rr.cli != nil {
+					rr.close(false)
+				}
+			}
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return reps, nil
 }

@@ -57,7 +57,6 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/wire"
 )
 
 // ErrShardDead reports that a shard's worker goroutine died (a crash caught
@@ -354,19 +353,18 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 			e.maxQuery = q.ID
 		}
 	}
-	var planBytes []byte
-	if nodes != nil {
-		pb, err := wire.EncodePlanBytes(p.Snapshot())
-		if err != nil {
-			return nil, fmt.Errorf("shard: encoding plan snapshot: %w", err)
-		}
-		planBytes = pb
-	}
 	fail := func(err error) (*Engine, error) {
 		for _, w := range e.workers {
 			w.rep.close(false)
 		}
 		return nil, err
+	}
+	var remotes []*remoteReplica
+	if nodes != nil {
+		var err error
+		if remotes, err = e.dial(nodes); err != nil {
+			return nil, err
+		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		var rep replica
@@ -377,37 +375,7 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 			}
 			rep = &localReplica{e: e, idx: i, eng: eng}
 		} else {
-			nc := nodes[i]
-			nc.ShardIdx = i
-			nc.ShardCount = cfg.Shards
-			nc.PlanBytes = planBytes
-			rr := &remoteReplica{idx: i}
-			rr.down.Store(make(chan struct{}))
-			user := nc.OnDown
-			nc.OnDown = func(down bool) {
-				// Order keeps "counter > 0 ⇒ some flag set" (modulo benign
-				// transition races): flag before increment, decrement
-				// before clear. The client reports strict down/up
-				// alternation, so the close below never double-closes.
-				if down {
-					rr.unreach.Store(true)
-					close(rr.down.Load().(chan struct{}))
-					e.numUnreach.Add(1)
-				} else {
-					e.numUnreach.Add(-1)
-					rr.down.Store(make(chan struct{}))
-					rr.unreach.Store(false)
-				}
-				if user != nil {
-					user(down)
-				}
-			}
-			cli, err := cluster.Dial(nc, e.srcNames)
-			if err != nil {
-				return fail(fmt.Errorf("shard %d: %w", i, err))
-			}
-			rr.cli = cli
-			rep = rr
+			rep = remotes[i]
 		}
 		w := &worker{idx: i, rep: rep}
 		e.workers = append(e.workers, w)

@@ -187,7 +187,7 @@ func ChurnRecordFields(c *Codec, rec *ChurnRecord) {
 	c.String(2, &rec.Name)
 	Ptr(c, 3, &rec.Root, logicalFields)
 	Varint(c, 4, &rec.Fingerprint)
-	c.Check(func() error {
+	Check(c, rec, func(rec *ChurnRecord) error {
 		switch {
 		case rec.Op != ChurnAdd && rec.Op != ChurnRemove:
 			return corrupt("unknown churn op %d", rec.Op)

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"maps"
 	"slices"
+	"sync"
+	"unsafe"
 )
 
 // A message is declared once, as a function over a *Codec and a pointer to
@@ -16,57 +18,145 @@ import (
 //		c.Ints(3, &g.Sides)
 //	}
 //
-// Encoding walks the declaration once and writes each field in the order of
-// its lines. Decoding walks it once per field of the input, inside
-// Reader.Fields: the one line whose number is the field's reads it, and a
-// field no line reads is skipped. A field that is repeated on the wire is
-// appended to, any other field is overwritten by its last occurrence.
+// Encoding walks the declaration once per message and writes each field in
+// the order of its lines. Decoding walks it once per Codec, over a zero
+// value, to record a table: for each line, the field it reads, the
+// reader of its values and its place as an offset into the message's
+// value. Reader.Fields then hands each field of a message to the line the
+// table has for its number, and skips a field no line reads. A field that
+// is repeated on the wire is appended to, any other field is overwritten
+// by its last occurrence.
 //
-// A field number or'ed with OmitEmpty is not written when its value is
-// empty (zero, "", nil or of length 0). Two hooks cover what a field list
-// cannot say: Init, a declaration's first line, sets a decoded message's
-// defaults before its fields are read, and Check validates it after. Tree
-// bounds the depth of a recursive message.
+// A line's pointer must therefore point into the message's value, or into
+// the value a Within names; a decoder panics on one that does not. A hook
+// gets the message as its argument and refers to nothing else: Init, a
+// declaration's first line, sets a decoded message's defaults before its
+// fields are read, and Check validates it after. MessagesOnly skips every
+// field that is not a nested message, and Tree bounds the depth of a
+// recursive message.
+//
+// A Codec keeps the table of each declaration it has decoded with, keyed
+// by the declaration's function value: a closure made anew for each
+// decode is a new declaration each time.
 
 // OmitEmpty marks a field of Varint, Bool, String, Blob, Ints or Int64s
 // that is not written when its value is empty.
 const OmitEmpty = 1 << 30
 
-// Decoding phases a declaration is walked in besides its fields: field
-// numbers on the wire are never negative.
+// The numbers of a table's hook lines; field numbers on the wire are never
+// negative.
 const (
-	fieldNone = -1 // a message without fields: its Init lines run
-	fieldEnd  = -2 // after the fields: its Check lines run
+	fieldCheck = -1
+	fieldInit  = -2
 )
 
-// Codec encodes a message into its bytes or decodes one, by walking the
-// message's declaration. A Codec that is not decoding is an encoder's
-// output buffer, which is why Buffer is its other name.
+// maxTables bounds the tables a Codec keeps.
+const maxTables = 256
+
+// Codec encodes a message into its bytes or decodes one. A Codec that is
+// not decoding is an encoder's output buffer, which is why Buffer is its
+// other name.
 type Codec struct {
 	b []byte // encoding: the bytes written
 
 	// Decoding state.
 	dec    bool
 	r      Reader // the message being read
-	f      int    // the number of the field at hand, or a phase
-	wt     int    // its wire type
-	first  bool   // the declaration's first walk over this message
-	checks bool   // the declaration has Check lines
-	depth  int    // the messages a Tree field encloses this one in
-	err    error  // the first error, decoding or encoding
+	wt     int    // the wire type of the field at hand
+	tables map[unsafe.Pointer]*table
+	slabs  []any // one *slab[T] per type of node the decode made
+	depth  int   // the messages a Tree field encloses this one in
+	err    error // the first error, decoding or encoding
+
+	// The walk recording a table: the table, the zero value walked, its
+	// size, and the offset of the pointer to it inside a Within.
+	rec  *table
+	base unsafe.Pointer
+	size uintptr
+	via  int32
 }
 
 // Buffer is a Codec used as an encoder's output.
 type Buffer = Codec
 
-// at reports whether a declaration's line for field acts: every line does
-// while encoding, the line of the field at hand while decoding. Each
-// primitive is this test, which the compiler inlines, around a body that
-// acts, so a decoder passes over a declaration's other lines cheaply.
-func (c *Codec) at(field int) bool { return !c.dec || c.f == field&^OmitEmpty }
+// A table is what a decoder records of a declaration: its field lines in
+// declaration order, its Init and Check lines, and whether MessagesOnly.
+type table struct {
+	lines, inits, checks []line
+	only                 bool
+}
 
-// on is at for a field that cannot be OmitEmpty.
-func (c *Codec) on(field int) bool { return !c.dec || c.f == field }
+// A line is one line of a table: the field it reads, its place as an
+// offset into the message's value (or, from a Within, into the value the
+// pointer at offset via points to), and the reader of its values, which
+// holds the declaration, Conv, hook or slab the line was given.
+type line struct {
+	field  int32
+	off    uint32
+	via    int32 // -1: the place is in the message's value
+	read   reader
+	lo, hi int64  // VarintIn's range
+	what   string // VarintIn's name for its value, Tree's depth error
+	child  *table // a nested message's table, found at its first occurrence
+}
+
+// A reader reads one occurrence of a line's field into the line's place p.
+type reader interface {
+	read(c *Codec, p unsafe.Pointer, l *line)
+}
+
+// offset returns p's offset into the value the recording walk is over.
+func (c *Codec) offset(p unsafe.Pointer) uintptr {
+	off := uintptr(p) - uintptr(c.base)
+	if off >= c.size {
+		panic("wire: a declaration's line points outside its message")
+	}
+	return off
+}
+
+// add records the line that reads field into the place p with r.
+func (c *Codec) add(field int, r reader, p unsafe.Pointer) *line {
+	lines := &c.rec.lines
+	switch field {
+	case fieldInit:
+		lines = &c.rec.inits
+	case fieldCheck:
+		lines = &c.rec.checks
+	}
+	*lines = append(*lines, line{field: int32(field &^ OmitEmpty), off: uint32(c.offset(p)), via: c.via, read: r})
+	return &(*lines)[len(*lines)-1]
+}
+
+// tableOf returns decl's table on c, recording it the first time.
+func tableOf[T any](c *Codec, decl func(*Codec, *T)) *table {
+	key := *(*unsafe.Pointer)(unsafe.Pointer(&decl))
+	if t := c.tables[key]; t != nil {
+		return t
+	}
+	if len(c.tables) >= maxTables || c.tables == nil {
+		c.tables = make(map[unsafe.Pointer]*table)
+	}
+	t := record(c, decl)
+	c.tables[key] = t
+	return t
+}
+
+// record walks decl over a zero T and returns the table it records.
+func record[T any](c *Codec, decl func(*Codec, *T)) *table {
+	t, zero := new(table), new(T)
+	c.rec, c.base, c.size, c.via = t, unsafe.Pointer(zero), unsafe.Sizeof(*zero), -1
+	decl(c, zero)
+	c.rec, c.base = nil, nil
+	return t
+}
+
+// place returns the place of l in the message at base.
+func (l *line) place(base unsafe.Pointer) unsafe.Pointer {
+	if l.via >= 0 {
+		base = *(*unsafe.Pointer)(unsafe.Add(base, l.via))
+	}
+	return unsafe.Add(base, l.off)
+}
 
 // Encode appends v's message, as decl declares it, to c and returns the
 // first encoding error.
@@ -84,19 +174,61 @@ func Marshal[T any](v *T, decl func(*Codec, *T)) ([]byte, error) {
 }
 
 // Decode decodes the message p into v as decl declares it, reusing c's
-// decoding state; c's encoded bytes are kept. Byte fields of v are views
-// into p.
+// decoding state and tables; c's encoded bytes are kept. Byte fields of v
+// are views into p.
 func Decode[T any](c *Codec, p []byte, v *T, decl func(*Codec, *T)) error {
 	c.dec, c.depth, c.err = true, 0, nil
 	err := sub(c, p, v, decl)
-	c.dec, c.r = false, Reader{}
+	clear(c.slabs)
+	c.dec, c.r, c.slabs = false, Reader{}, c.slabs[:0]
 	return err
 }
 
+// codecs holds the Codecs Unmarshal decodes on, with their tables.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
+
 // Unmarshal decodes the message p into v as decl declares it.
 func Unmarshal[T any](p []byte, v *T, decl func(*Codec, *T)) error {
-	var c Codec
-	return Decode(&c, p, v, decl)
+	c := codecs.Get().(*Codec)
+	defer codecs.Put(c)
+	return Decode(c, p, v, decl)
+}
+
+// sub decodes the message p into v on c, and returns c to its place in the
+// message it was decoding.
+func sub[T any](c *Codec, p []byte, v *T, decl func(*Codec, *T)) error {
+	return c.decode(p, unsafe.Pointer(v), tableOf(c, decl))
+}
+
+// decode decodes the message p into the value at base, as t lays it out:
+// its Init lines, then a line per field, then its Check lines.
+func (c *Codec) decode(p []byte, base unsafe.Pointer, t *table) error {
+	for i := range t.inits {
+		t.inits[i].read.read(c, base, &t.inits[i])
+	}
+	outer, at := c.r, 0 // at: the line of the field before; fields come in line order
+	c.r = Reader{b: p}
+	c.fail(c.r.Fields(func(f, wt int) error {
+		if t.only && wt != wtBytes {
+			return nil
+		}
+		for range t.lines {
+			if l := &t.lines[at]; int(l.field) == f {
+				c.wt = wt
+				l.read.read(c, l.place(base), l)
+				return c.err
+			}
+			if at++; at == len(t.lines) {
+				at = 0
+			}
+		}
+		return nil
+	}))
+	for i := 0; i < len(t.checks) && c.err == nil; i++ {
+		t.checks[i].read.read(c, base, &t.checks[i])
+	}
+	c.r = outer
+	return c.err
 }
 
 // fail records err, unless it is nil: a decoder writes c.err only on an
@@ -107,21 +239,48 @@ func (c *Codec) fail(err error) {
 	}
 }
 
-// Init runs fn before a decoder reads the message's fields: fn sets what
-// an absent field leaves in the message. It is a declaration's first line.
-func (c *Codec) Init(fn func()) {
-	if c.dec && c.first {
-		fn()
+// Init runs fn on the message v before a decoder reads its fields: fn sets
+// what an absent field leaves in the message. It is a declaration's first
+// line.
+func Init[T any](c *Codec, v *T, fn func(*T)) {
+	if c.dec {
+		c.add(fieldInit, hookOf[T]{func(v *T) error { fn(v); return nil }}, unsafe.Pointer(v))
 	}
 }
 
-// Check runs fn once a decoder has read all of the message's fields; an
-// error fn returns fails the decode.
-func (c *Codec) Check(fn func() error) {
-	if c.dec && c.f == fieldEnd {
-		c.fail(fn())
+// Check runs fn on the message v once a decoder has read all of its
+// fields; an error fn returns fails the decode.
+func Check[T any](c *Codec, v *T, fn func(*T) error) {
+	if c.dec {
+		c.add(fieldCheck, hookOf[T]{fn}, unsafe.Pointer(v))
 	}
-	c.checks = true
+}
+
+type hookOf[T any] struct{ fn func(*T) error }
+
+func (r hookOf[T]) read(c *Codec, p unsafe.Pointer, _ *line) { c.fail(r.fn((*T)(p))) }
+
+// MessagesOnly declares that every field of the message is a nested
+// message: a decoder skips a field of another wire type.
+func (c *Codec) MessagesOnly() {
+	if c.dec {
+		c.rec.only = true
+	}
+}
+
+// Within declares lines of the message at hand whose places lie in **v, a
+// value of its own (one the message's Init made, say), as decl declares
+// them.
+func Within[T any](c *Codec, v **T, decl func(*Codec, *T)) {
+	if !c.dec {
+		decl(c, *v)
+		return
+	}
+	zero, base, size := new(T), c.base, c.size
+	c.via = int32(c.offset(unsafe.Pointer(v)))
+	c.base, c.size = unsafe.Pointer(zero), unsafe.Sizeof(*zero)
+	decl(c, zero)
+	c.base, c.size, c.via = base, size, -1
 }
 
 type integer interface {
@@ -130,136 +289,122 @@ type integer interface {
 
 // Varint declares an integer field (a zigzag varint).
 func Varint[T integer](c *Codec, field int, p *T) {
-	if c.at(field) {
-		*p = T(c.varint(field, int64(*p)))
+	if c.dec {
+		c.add(field, varintOf[T]{}, unsafe.Pointer(p))
+	} else if *p != 0 || field&OmitEmpty == 0 {
+		c.PutVarintField(field&^OmitEmpty, int64(*p))
 	}
-}
-
-// varint writes v or, decoding, returns the field's value.
-func (c *Codec) varint(field int, v int64) int64 {
-	switch {
-	case c.dec:
-		var err error
-		v, err = c.r.Varint()
-		c.fail(err)
-	case v != 0 || field&OmitEmpty == 0:
-		c.PutVarintField(field&^OmitEmpty, v)
-	}
-	return v
 }
 
 // VarintIn declares an integer field whose value lies in [lo, hi]: a
 // decoded value outside it is corrupt, named what.
 func VarintIn[T integer](c *Codec, field int, p *T, lo, hi int64, what string) {
-	if !c.at(field) {
+	if !c.dec {
+		Varint(c, field, p)
 		return
 	}
-	v := c.varint(field, int64(*p))
-	if c.dec && c.err == nil && (v < lo || v > hi) {
-		c.err = corrupt("%s %d", what, v)
+	l := c.add(field, varintOf[T]{}, unsafe.Pointer(p))
+	l.lo, l.hi, l.what = lo, hi, what
+}
+
+// varintOf reads a Varint field, or a VarintIn field, which names its
+// value.
+type varintOf[T integer] struct{}
+
+func (varintOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
+	v, err := c.r.Varint()
+	switch {
+	case err != nil:
+		c.err = err
+	case l.what != "" && (v < l.lo || v > l.hi):
+		c.err = corrupt("%s %d", l.what, v)
 	}
-	*p = T(v)
+	*(*T)(p) = T(v)
+}
+
+// value declares a Bool, String, Strings, Blob, Ints or Int64s field: a
+// decoder records it, and an encoder is told whether to write it.
+func value[T any](c *Codec, field int, p *T, empty bool) bool {
+	if c.dec {
+		c.add(field, valueOf[T]{}, unsafe.Pointer(p))
+		return false
+	}
+	return !empty || field&OmitEmpty == 0
+}
+
+// valueOf reads the field of a value line, told apart by its type.
+type valueOf[T any] struct{}
+
+func (valueOf[T]) read(c *Codec, p unsafe.Pointer, _ *line) {
+	var err error
+	switch p := any((*T)(p)).(type) {
+	case *bool:
+		var v int64
+		v, err = c.r.Varint()
+		*p = v != 0
+	case *string:
+		*p, err = c.r.String()
+	case *[]string:
+		var s string
+		s, err = c.r.String()
+		*p = append(*p, s)
+	case *[]byte:
+		*p, err = c.r.Bytes()
+	case *[]int:
+		*p, err = c.r.Ints()
+	case *[]int64:
+		*p, err = c.r.Int64s()
+	}
+	c.fail(err)
 }
 
 // Bool declares a boolean field, a varint of 1 or 0.
 func (c *Codec) Bool(field int, p *bool) {
-	if c.at(field) {
+	if value(c, field, p, !*p) {
 		var v int64
 		if *p {
 			v = 1
 		}
-		*p = c.varint(field, v) != 0
+		c.PutVarintField(field&^OmitEmpty, v)
 	}
 }
 
 // String declares a string field.
 func (c *Codec) String(field int, p *string) {
-	if c.at(field) {
-		c.string(field, p)
-	}
-}
-
-func (c *Codec) string(field int, p *string) {
-	switch {
-	case c.dec:
-		var err error
-		*p, err = c.r.String()
-		c.fail(err)
-	case *p != "" || field&OmitEmpty == 0:
+	if value(c, field, p, *p == "") {
 		c.PutStringField(field&^OmitEmpty, *p)
 	}
 }
 
 // Strings declares a repeated string field.
 func (c *Codec) Strings(field int, p *[]string) {
-	if c.at(field) {
-		c.strings(field, p)
-	}
-}
-
-func (c *Codec) strings(field int, p *[]string) {
-	if !c.dec {
-		for i := range *p {
-			c.string(field, &(*p)[i])
+	if value(c, field, p, false) {
+		for _, s := range *p {
+			if s != "" || field&OmitEmpty == 0 {
+				c.PutStringField(field&^OmitEmpty, s)
+			}
 		}
-		return
 	}
-	var s string
-	c.string(field, &s)
-	*p = append(*p, s)
 }
 
 // Blob declares a byte-string field; a decoded one is a view into the
 // input.
 func (c *Codec) Blob(field int, p *[]byte) {
-	if c.at(field) {
-		c.blob(field, p)
-	}
-}
-
-func (c *Codec) blob(field int, p *[]byte) {
-	switch {
-	case c.dec:
-		var err error
-		*p, err = c.r.Bytes()
-		c.fail(err)
-	case len(*p) > 0 || field&OmitEmpty == 0:
+	if value(c, field, p, len(*p) == 0) {
 		c.PutBytesField(field&^OmitEmpty, *p)
 	}
 }
 
 // Ints declares a packed list of ints.
 func (c *Codec) Ints(field int, p *[]int) {
-	if c.at(field) {
-		c.ints(field, p)
-	}
-}
-
-func (c *Codec) ints(field int, p *[]int) {
-	switch {
-	case c.dec:
-		var err error
-		*p, err = c.r.Ints()
-		c.fail(err)
-	case len(*p) > 0 || field&OmitEmpty == 0:
+	if value(c, field, p, len(*p) == 0) {
 		c.PutIntsField(field&^OmitEmpty, *p)
 	}
 }
 
 // Int64s declares a packed list of int64s.
 func (c *Codec) Int64s(field int, p *[]int64) {
-	if c.at(field) {
-		c.int64s(field, p)
-	}
-}
-
-func (c *Codec) int64s(field int, p *[]int64) {
-	switch {
-	case c.dec:
-		var err error
-		*p, err = c.r.Int64s()
-		c.fail(err)
-	case len(*p) > 0 || field&OmitEmpty == 0:
+	if value(c, field, p, len(*p) == 0) {
 		c.PutInt64sField(field&^OmitEmpty, *p)
 	}
 }
@@ -269,33 +414,52 @@ func (c *Codec) int64s(field int, p *[]int64) {
 // to those values, capped at their length: a slab that grows later leaves
 // *p in its old array, where it stays valid.
 func (c *Codec) Column(field int, p *[]int64, sel []uint64, slab *[]int64) {
-	if !c.at(field) {
-		return
-	}
-	if !c.dec {
+	if c.dec {
+		c.add(field, columnOf{c.slab(unsafe.Pointer(p), slab)}, unsafe.Pointer(p))
+	} else {
 		c.PutBitPackedField(field, *p, sel)
-		return
 	}
-	start := len(*slab)
-	var err error
-	if *slab, err = c.r.AppendBitPacked(*slab); err != nil {
-		c.err = err
-		return
-	}
-	*p = (*slab)[start:len(*slab):len(*slab)]
 }
 
 // Columns declares a repeated bit-packed column, as Column does one.
 func (c *Codec) Columns(field int, p *[][]int64, sel []uint64, slab *[]int64) {
-	if !c.dec {
-		for i := range *p {
-			c.Column(field, &(*p)[i], sel, slab)
-		}
-	} else if c.at(field) {
-		var col []int64
-		c.Column(field, &col, sel, slab)
-		*p = append(*p, col)
+	if c.dec {
+		c.add(field, columnsOf{c.slab(unsafe.Pointer(p), slab)}, unsafe.Pointer(p))
+		return
 	}
+	for _, col := range *p {
+		c.PutBitPackedField(field, col, sel)
+	}
+}
+
+// slab returns the distance from a column's place p to its slab, which
+// lies in the same value.
+func (c *Codec) slab(p unsafe.Pointer, slab *[]int64) int {
+	return int(c.offset(unsafe.Pointer(slab))) - int(c.offset(p))
+}
+
+type columnOf struct{ slab int }
+
+func (r columnOf) read(c *Codec, p unsafe.Pointer, _ *line) {
+	*(*[]int64)(p) = column(c, (*[]int64)(unsafe.Add(p, r.slab)))
+}
+
+type columnsOf struct{ slab int }
+
+func (r columnsOf) read(c *Codec, p unsafe.Pointer, _ *line) {
+	cols := (*[][]int64)(p)
+	*cols = append(*cols, column(c, (*[]int64)(unsafe.Add(p, r.slab))))
+}
+
+// column reads a column onto slab and returns its values.
+func column(c *Codec, slab *[]int64) []int64 {
+	start := len(*slab)
+	var err error
+	if *slab, err = c.r.AppendBitPacked(*slab); err != nil {
+		c.err = err
+		return nil
+	}
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 // Body declares a nested message held as its encoded bytes. An encoder
@@ -314,114 +478,106 @@ func (c *Codec) Body(field int, p *[]byte, put func(*Codec)) {
 // whose fields must not carry over from an earlier occurrence resets *v
 // in its Init.
 func Msg[T any](c *Codec, field int, v *T, decl func(*Codec, *T)) {
-	if c.on(field) {
-		msg(c, field, v, decl)
+	if c.dec {
+		c.add(field, msgOf[T]{decl}, unsafe.Pointer(v))
+	} else {
+		c.PutMsgField(field, func(c *Codec) { decl(c, v) })
 	}
 }
 
-func msg[T any](c *Codec, field int, v *T, decl func(*Codec, *T)) {
-	if !c.dec {
-		c.PutMsgField(field, func(c *Codec) { decl(c, v) })
-		return
+type msgOf[T any] struct{ decl func(*Codec, *T) }
+
+func (r msgOf[T]) read(c *Codec, p unsafe.Pointer, l *line) { msg(c, p, l, r.decl) }
+
+// msg decodes the nested message at hand into the T at p, as decl
+// declares it; l keeps decl's table.
+func msg[T any](c *Codec, p unsafe.Pointer, l *line, decl func(*Codec, *T)) {
+	if l.child == nil {
+		l.child = tableOf(c, decl)
 	}
-	if p, err := c.r.Bytes(); err != nil {
+	if b, err := c.r.Bytes(); err != nil {
 		c.err = err
 	} else {
-		sub(c, p, v, decl)
+		c.decode(b, p, l.child)
 	}
-}
-
-// sub decodes the message p into v on c, and returns c to its place in the
-// message it was decoding. It walks decl once per field (its Init lines
-// in the first walk, or in a walk of their own for a message without
-// fields), then, if decl has Check lines, once more for them.
-func sub[T any](c *Codec, p []byte, v *T, decl func(*Codec, *T)) error {
-	outer, f, wt, first, checks := c.r, c.f, c.wt, c.first, c.checks
-	c.r, c.first, c.checks = Reader{b: p}, true, false
-	c.fail(c.r.Fields(func(f, wt int) error {
-		c.f, c.wt = f, wt
-		decl(c, v)
-		c.first = false
-		return c.err
-	}))
-	if c.err == nil && c.first {
-		c.f = fieldNone
-		decl(c, v)
-	}
-	if c.err == nil && c.checks {
-		c.f = fieldEnd
-		decl(c, v)
-	}
-	c.r, c.f, c.wt, c.first, c.checks = outer, f, wt, first, checks
-	return c.err
 }
 
 // Ptr declares a nested message field holding **p, absent when *p is nil.
 // A decoder decodes each occurrence into a new value.
 func Ptr[T any](c *Codec, field int, p **T, decl func(*Codec, *T)) {
-	if c.on(field) {
-		ptr(c, field, p, decl)
+	switch {
+	case c.dec:
+		c.add(field, ptrOf[T]{decl}, unsafe.Pointer(p))
+	case *p != nil:
+		Msg(c, field, *p, decl)
 	}
 }
 
-func ptr[T any](c *Codec, field int, p **T, decl func(*Codec, *T)) {
-	switch {
-	case c.dec:
-		v := new(T)
-		msg(c, field, v, decl)
-		*p = v
-	case *p != nil:
-		msg(c, field, *p, decl)
-	}
+type ptrOf[T any] struct{ decl func(*Codec, *T) }
+
+func (r ptrOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
+	v := node[T](c)
+	msg(c, unsafe.Pointer(v), l, r.decl)
+	*(**T)(p) = v
 }
 
 // Msgs declares a repeated nested message field, one message per element
-// of *p.
+// of *p. A decoder decodes each occurrence into the next element: one
+// that *p's capacity still holds from an earlier decode keeps its value
+// for the message's Init to reuse or reset, any other is a zero value.
 func Msgs[T any](c *Codec, field int, p *[]T, decl func(*Codec, *T)) {
-	if c.on(field) {
-		msgs(c, field, p, decl)
+	if c.dec {
+		c.add(field, msgsOf[T]{decl}, unsafe.Pointer(p))
+		return
+	}
+	for i := range *p {
+		Msg(c, field, &(*p)[i], decl)
 	}
 }
 
-func msgs[T any](c *Codec, field int, p *[]T, decl func(*Codec, *T)) {
-	if !c.dec {
-		for i := range *p {
-			msg(c, field, &(*p)[i], decl)
-		}
-		return
+type msgsOf[T any] struct{ decl func(*Codec, *T) }
+
+func (r msgsOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
+	s := (*[]T)(p)
+	if n := len(*s); n < cap(*s) {
+		*s = (*s)[:n+1]
+	} else {
+		*s = append(*s, *new(T))
 	}
-	var zero T
-	*p = append(*p, zero)
-	msg(c, field, &(*p)[len(*p)-1], decl)
+	msg(c, unsafe.Pointer(&(*s)[len(*s)-1]), l, r.decl)
 }
 
 // Tree declares a repeated nested message field of a recursive message:
 // each element is one level deeper than the message holding it. A decoder
 // fails an element more than maxDepth levels deep with the error deep.
 func Tree[T any](c *Codec, field int, p *[]*T, decl func(*Codec, *T), deep string) {
-	if c.on(field) {
-		tree(c, field, p, decl, deep)
+	if c.dec {
+		c.add(field, treeOf[T]{decl}, unsafe.Pointer(p)).what = deep
+		return
+	}
+	for _, v := range *p {
+		Msg(c, field, v, decl)
 	}
 }
 
-func tree[T any](c *Codec, field int, p *[]*T, decl func(*Codec, *T), deep string) {
-	if !c.dec {
-		for _, v := range *p {
-			msg(c, field, v, decl)
-		}
-		return
-	}
+type treeOf[T any] struct{ decl func(*Codec, *T) }
+
+func (r treeOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
 	if c.depth >= maxDepth {
 		if _, c.err = c.r.Bytes(); c.err == nil {
-			c.err = corrupt("%s", deep)
+			c.err = corrupt("%s", l.what)
 		}
 		return
 	}
-	v := new(T)
+	v := node[T](c)
 	c.depth++
-	msg(c, field, v, decl)
+	msg(c, unsafe.Pointer(v), l, r.decl)
 	c.depth--
-	*p = append(*p, v)
+	s := (*[]*T)(p)
+	if cap(*s) == 0 {
+		*s = node[[2]*T](c)[:0] // most nodes have one or two children
+	}
+	*s = append(*s, v)
 }
 
 // entry is one key and value of a Map field.
@@ -434,21 +590,26 @@ type entry[K, V any] struct {
 // key in ascending key order, whose fields decl declares over the key and
 // its value. A decoder makes *m when it finds the first entry.
 func Map[K cmp.Ordered, V any](c *Codec, field int, m *map[K]V, decl func(*Codec, *K, *V)) {
-	if c.on(field) {
-		mapField(c, field, m, decl)
-	}
-}
-
-func mapField[K cmp.Ordered, V any](c *Codec, field int, m *map[K]V, decl func(*Codec, *K, *V)) {
-	fields := func(c *Codec, e *entry[K, V]) { decl(c, &e.k, &e.v) }
-	if !c.dec {
-		for _, k := range slices.Sorted(maps.Keys(*m)) {
-			msg(c, field, &entry[K, V]{k, (*m)[k]}, fields)
-		}
+	if c.dec {
+		c.add(field, mapOf[K, V]{decl}, unsafe.Pointer(m))
 		return
 	}
 	var e entry[K, V]
-	msg(c, field, &e, fields)
+	for _, e.k = range slices.Sorted(maps.Keys(*m)) {
+		e.v = (*m)[e.k]
+		c.PutMsgField(field, func(c *Codec) { decl(c, &e.k, &e.v) })
+	}
+}
+
+type mapOf[K comparable, V any] struct{ decl func(*Codec, *K, *V) }
+
+func (r mapOf[K, V]) read(c *Codec, p unsafe.Pointer, l *line) {
+	if l.child == nil {
+		l.child = record(c, func(c *Codec, e *entry[K, V]) { r.decl(c, &e.k, &e.v) })
+	}
+	e := node[entry[K, V]](c)
+	msg[entry[K, V]](c, unsafe.Pointer(e), l, nil)
+	m := (*map[K]V)(p)
 	if *m == nil {
 		*m = make(map[K]V)
 	}
@@ -466,40 +627,80 @@ type Conv[V any] struct {
 // Nested declares a nested message field whose bytes conv translates to
 // and from *p. A nil interface value is absent.
 func Nested[V any](c *Codec, field int, p *V, conv *Conv[V]) {
-	if c.on(field) {
-		nestedBytes(c, field, p, conv)
-	}
-}
-
-func nestedBytes[V any](c *Codec, field int, p *V, conv *Conv[V]) {
-	var raw []byte
-	switch {
-	case c.dec:
-		raw, err := c.r.Bytes()
-		if err == nil {
-			*p, err = conv.Dec(c, raw)
-		}
-		c.fail(err)
-	case any(*p) != nil:
-		var err error
-		if raw, err = conv.Enc(*p); err != nil {
-			c.err = cmp.Or(c.err, err)
-		} else if raw != nil {
-			c.PutBytesField(field, raw)
-		}
+	if c.dec {
+		c.add(field, nestedOf[V]{conv}, unsafe.Pointer(p))
+	} else {
+		putNested(c, field, *p, conv)
 	}
 }
 
 // NestedList declares a repeated field of nested messages whose bytes conv
 // translates to and from the elements of *p.
 func NestedList[V any](c *Codec, field int, p *[]V, conv *Conv[V]) {
-	if !c.dec {
-		for i := range *p {
-			nestedBytes(c, field, &(*p)[i], conv)
-		}
-	} else if c.on(field) {
-		var v V
-		nestedBytes(c, field, &v, conv)
-		*p = append(*p, v)
+	if c.dec {
+		c.add(field, nestedListOf[V]{conv}, unsafe.Pointer(p))
+		return
 	}
+	for _, v := range *p {
+		putNested(c, field, v, conv)
+	}
+}
+
+func putNested[V any](c *Codec, field int, v V, conv *Conv[V]) {
+	if any(v) == nil {
+		return
+	}
+	if raw, err := conv.Enc(v); err != nil {
+		c.err = cmp.Or(c.err, err)
+	} else if raw != nil {
+		c.PutBytesField(field, raw)
+	}
+}
+
+type nestedOf[V any] struct{ conv *Conv[V] }
+
+func (r nestedOf[V]) read(c *Codec, p unsafe.Pointer, _ *line) {
+	raw, err := c.r.Bytes()
+	if err == nil {
+		*(*V)(p), err = r.conv.Dec(c, raw)
+	}
+	c.fail(err)
+}
+
+type nestedListOf[V any] struct{ conv *Conv[V] }
+
+func (r nestedListOf[V]) read(c *Codec, p unsafe.Pointer, l *line) {
+	var v V
+	nestedOf[V](r).read(c, unsafe.Pointer(&v), l)
+	s := (*[]V)(p)
+	*s = append(*s, v)
+}
+
+// A slab hands out the values one decode makes of one type: the nodes of
+// Ptr and Tree fields, and the map entries and forms read on the way.
+type slab[T any] struct {
+	free []T
+	next int // the length of the next chunk
+}
+
+// node returns a new zero T from c's slab of Ts. Chunks grow from 4 values
+// to 128, so a small message costs little and a large one few
+// allocations.
+func node[T any](c *Codec) *T {
+	var s *slab[T]
+	for _, a := range c.slabs {
+		if s, _ = a.(*slab[T]); s != nil {
+			break
+		}
+	}
+	if s == nil {
+		s = &slab[T]{next: 4}
+		c.slabs = append(c.slabs, s)
+	}
+	if len(s.free) == 0 {
+		s.free, s.next = make([]T, s.next), min(2*s.next, 128)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
 }

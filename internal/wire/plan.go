@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -75,27 +76,45 @@ type operands struct {
 // 2, 3 and 4 in order and its nested predicates repeated at field 2. A
 // decoder tells the two apart at field 2 by wire type.
 func operandFields(c *Codec, m *operands) {
-	c.Init(func() { m.ints, m.subs = m.ibuf[:0], m.sbuf[:0] })
+	Init(c, m, func(m *operands) { m.ints, m.subs = m.ibuf[:0], m.sbuf[:0] })
 	Varint(c, 1, &m.typ)
-	if !c.dec {
-		for i, v := range m.ints {
-			c.PutVarintField(2+i, v)
-		}
-		for _, s := range m.subs {
-			c.PutBytesField(2, s)
-		}
+	if c.dec {
+		c.add(2, operandOf{}, unsafe.Pointer(m))
+		c.add(3, appendOf{}, unsafe.Pointer(&m.ints))
+		c.add(4, appendOf{}, unsafe.Pointer(&m.ints))
 		return
 	}
-	switch {
-	case c.f == 2 && c.wt != wtVarint:
-		s, err := c.r.Bytes()
-		c.fail(err)
-		m.subs = append(m.subs, s)
-	case c.f >= 2 && c.f <= 4:
-		v, err := c.r.Varint()
-		c.fail(err)
-		m.ints = append(m.ints, v)
+	for i, v := range m.ints {
+		c.PutVarintField(2+i, v)
 	}
+	for _, s := range m.subs {
+		c.PutBytesField(2, s)
+	}
+}
+
+// operandOf reads field 2 of a predicate: a nested predicate, unless its
+// wire type is varint.
+type operandOf struct{}
+
+func (operandOf) read(c *Codec, p unsafe.Pointer, l *line) {
+	m := (*operands)(p)
+	if c.wt == wtVarint {
+		appendOf{}.read(c, unsafe.Pointer(&m.ints), l)
+		return
+	}
+	s, err := c.r.Bytes()
+	c.fail(err)
+	m.subs = append(m.subs, s)
+}
+
+// appendOf reads an integer onto the end of a []int64.
+type appendOf struct{}
+
+func (appendOf) read(c *Codec, p unsafe.Pointer, _ *line) {
+	v, err := c.r.Varint()
+	c.fail(err)
+	ints := (*[]int64)(p)
+	*ints = append(*ints, v)
 }
 
 // exprForm is the wire form of an expression: the type tag, its integer
@@ -109,14 +128,12 @@ type exprForm struct {
 
 func exprFields(c *Codec, m *exprForm) {
 	Varint(c, 1, &m.typ)
-	if !c.dec {
+	if c.dec {
+		c.add(2, appendOf{}, unsafe.Pointer(&m.args))
+	} else {
 		for _, v := range m.args {
 			c.PutVarintField(2, v)
 		}
-	} else if c.f == 2 {
-		v, err := c.r.Varint()
-		c.fail(err)
-		m.args = append(m.args, v)
 	}
 	c.Blob(3|OmitEmpty, &m.l)
 	c.Blob(4|OmitEmpty, &m.r)
@@ -135,16 +152,16 @@ func encodeSum[V, M any](v V, form func(V) (M, error), fields func(*Codec, *M)) 
 // nesting depth, and returns the value that value makes of it; a form
 // nested more than maxDepth deep fails with deep.
 func decodeSum[V, M any](c *Codec, p []byte, depth int, deep string, fields func(*Codec, *M), value func(*Codec, *M, int) (V, error)) (V, error) {
-	var m M
 	if depth > maxDepth {
 		var zero V
 		return zero, corrupt("%s", deep)
 	}
-	if err := sub(c, p, &m, fields); err != nil {
+	m := node[M](c)
+	if err := sub(c, p, m, fields); err != nil {
 		var zero V
 		return zero, err
 	}
-	return value(c, &m, depth)
+	return value(c, m, depth)
 }
 
 // nestedForm is the form of tag typ over parts, each encoded by enc.
@@ -404,7 +421,7 @@ func logicalFields(c *Codec, l *core.Logical) {
 	Ptr(c, 1, &l.Def, defFields)
 	c.String(2|OmitEmpty, &l.Source)
 	Tree(c, 3, &l.Children, logicalFields, "logical tree too deep")
-	c.Check(func() error {
+	Check(c, l, func(l *core.Logical) error {
 		if l.Def == nil {
 			return corrupt("logical node without definition")
 		}
@@ -417,10 +434,8 @@ func logicalFields(c *Codec, l *core.Logical) {
 // ---------------------------------------------------------------------------
 
 func planFields(c *Codec, s *core.PlanSnapshot) {
-	c.Init(func() { s.OutStream = make(map[int]int) })
-	if c.dec && c.f >= 0 && c.wt != wtBytes {
-		return // every plan field is a message; a decoder skips any other
-	}
+	Init(c, s, func(s *core.PlanSnapshot) { s.OutStream = make(map[int]int) })
+	c.MessagesOnly()
 	Msgs(c, 1, &s.Sources, SourceFields)
 	Msgs(c, 2, &s.Streams, streamFields)
 	Msgs(c, 3, &s.Ops, opFields)
@@ -435,7 +450,7 @@ func planFields(c *Codec, s *core.PlanSnapshot) {
 }
 
 func schemaFields(c *Codec, s *core.SchemaSnap) {
-	c.Init(func() { *s = core.SchemaSnap{} })
+	Init(c, s, func(s *core.SchemaSnap) { *s = core.SchemaSnap{} })
 	c.String(1, &s.Name)
 	c.Strings(2, &s.Attrs)
 }
@@ -449,7 +464,7 @@ func SourceFields(c *Codec, src *core.SourceSnap) {
 }
 
 func streamFields(c *Codec, ss *core.StreamSnap) {
-	c.Init(func() { ss.Producer = -1 })
+	Init(c, ss, func(ss *core.StreamSnap) { ss.Producer = -1 })
 	Varint(c, 1, &ss.ID)
 	Msg(c, 2, &ss.Schema, schemaFields)
 	Varint(c, 3, &ss.Producer)
@@ -459,14 +474,14 @@ func streamFields(c *Codec, ss *core.StreamSnap) {
 }
 
 func opFields(c *Codec, os *core.OpSnap) {
-	c.Init(func() { os.Out = -1 })
+	Init(c, os, func(os *core.OpSnap) { os.Out = -1 })
 	Varint(c, 1, &os.ID)
 	Varint(c, 2, &os.QueryID)
 	Ptr(c, 3, &os.Def, defFields)
 	c.Ints(4, &os.In)
 	Varint(c, 5, &os.Out)
 	Varint(c, 6, &os.Node)
-	c.Check(func() error {
+	Check(c, os, func(os *core.OpSnap) error {
 		if os.Def == nil {
 			return corrupt("op %d without definition", os.ID)
 		}
@@ -489,7 +504,7 @@ func queryFields(c *Codec, qs *core.QuerySnap) {
 	Varint(c, 1, &qs.ID)
 	c.String(2, &qs.Name)
 	Ptr(c, 3, &qs.Root, logicalFields)
-	c.Check(func() error {
+	Check(c, qs, func(qs *core.QuerySnap) error {
 		if qs.Root == nil {
 			return corrupt("query %d without a logical tree", qs.ID)
 		}
@@ -537,7 +552,7 @@ func FingerprintPlan(p *core.Physical) (uint64, error) {
 // ---------------------------------------------------------------------------
 
 func partitionFields(c *Codec, p *core.PartitionPlan) {
-	c.Init(func() {
+	Init(c, p, func(p *core.PartitionPlan) {
 		p.Routes = make(map[string]core.SourceRoute)
 		p.ReplicatedSinks = make(map[int]bool)
 	})
@@ -569,15 +584,20 @@ func tableFields(c *Codec, t *core.RoutingTable) {
 // intSet declares a set of ints as the packed list of its members in
 // ascending order. A decoder adds each member of the list to *set.
 func intSet(c *Codec, field int, set *map[int]bool) {
-	var ids []int
-	if !c.dec {
-		ids = slices.Sorted(maps.Keys(*set))
-	}
-	c.Ints(field, &ids)
 	if c.dec {
-		for _, id := range ids {
-			(*set)[id] = true
-		}
+		c.add(field, intSetOf{}, unsafe.Pointer(set))
+	} else if ids := slices.Sorted(maps.Keys(*set)); len(ids) > 0 || field&OmitEmpty == 0 {
+		c.PutIntsField(field&^OmitEmpty, ids)
+	}
+}
+
+type intSetOf struct{}
+
+func (intSetOf) read(c *Codec, p unsafe.Pointer, _ *line) {
+	ids, err := c.r.Ints()
+	c.fail(err)
+	for _, id := range ids {
+		(*(*map[int]bool)(p))[id] = true
 	}
 }
 

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"unsafe"
+
 	"repro/internal/bitset"
 	"repro/internal/mop"
 	"repro/internal/stream"
@@ -47,15 +49,17 @@ func tupleFields(c *Codec, t *stream.Tuple) {
 // indices, absent when the set is nil. A decoded index above 2^20 is
 // corrupt.
 func member(c *Codec, field int, p **bitset.Set) {
-	if !c.at(field) {
-		return
+	switch {
+	case c.dec:
+		c.add(field, memberOf{}, unsafe.Pointer(p))
+	case *p != nil:
+		c.PutIntsField(field, (*p).Indices())
 	}
-	if !c.dec {
-		if *p != nil {
-			c.PutIntsField(field, (*p).Indices())
-		}
-		return
-	}
+}
+
+type memberOf struct{}
+
+func (memberOf) read(c *Codec, p unsafe.Pointer, _ *line) {
 	idx, err := c.r.Ints()
 	if err != nil {
 		c.err = err
@@ -67,7 +71,7 @@ func member(c *Codec, field int, p **bitset.Set) {
 			return
 		}
 	}
-	*p = bitset.FromIndices(idx...)
+	*(**bitset.Set)(p) = bitset.FromIndices(idx...)
 }
 
 // EncodePayloadBytes encodes a standalone payload message. A nil payload
