@@ -399,8 +399,8 @@ func build(p *core.Physical, part *core.PartitionPlan, cfg Config, nodes []clust
 // partition plan. Existing sources keep their dense source IDs (pending
 // entries reference them); sources new to the plan are appended in
 // sorted-name order — deterministic so a source table projected ahead of
-// the rebuild (projectedSrcNamesLocked, shipped to remote workers inside
-// the delta RPC) assigns the same IDs.
+// the rebuild (projectedSrcNamesLocked, which a remote replica's churn
+// call ships to its worker with the churn record) assigns the same IDs.
 func (e *Engine) rebuildSourceRoutes(part *core.PartitionPlan) {
 	for _, name := range e.catalogSourceNames() {
 		route, ok := part.Routes[name]

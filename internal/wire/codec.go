@@ -20,56 +20,51 @@ import (
 //
 // Encoding walks the declaration once per message and writes each field in
 // the order of its lines. Decoding walks it once per Codec, over a zero
-// value, to record a table: for each line, the field it reads, the
-// reader of its values and its place as an offset into the message's
-// value. Reader.Fields then hands each field of a message to the line the
-// table has for its number, and skips a field no line reads. A field that
-// is repeated on the wire is appended to, any other field is overwritten
-// by its last occurrence.
+// value, and records a table: for each line, the field it reads, a reader
+// for its values and its place as an offset into the message's value.
+// Reader.Fields then hands each field of a message to the line the table
+// has for its number, and skips a field no line reads. A field that is
+// repeated on the wire is appended to, any other field is overwritten by
+// its last occurrence.
 //
-// A line's pointer must therefore point into the message's value, or into
-// the value a Within names; a decoder panics on one that does not. A hook
-// gets the message as its argument and refers to nothing else: Init, a
-// declaration's first line, sets a decoded message's defaults before its
-// fields are read, and Check validates it after. MessagesOnly skips every
-// field that is not a nested message, and Tree bounds the depth of a
+// A line's pointer must point into the message's value, or into the value
+// a Within names; recording a line that does not panics. A field number
+// or'ed with OmitEmpty is not written when its value is empty (zero, "",
+// nil or of length 0). Three hooks cover what a field list cannot say:
+// Init, a declaration's first line, sets a decoded message's defaults
+// before its fields are read, Check validates it after, and MessagesOnly
+// skips every field that is not a nested message. Init and Check are given
+// the message and refer to nothing else. Tree bounds the depth of a
 // recursive message.
-//
-// A Codec keeps the table of each declaration it has decoded with, keyed
-// by the declaration's function value: a closure made anew for each
-// decode is a new declaration each time.
 
 // OmitEmpty marks a field of Varint, Bool, String, Blob, Ints or Int64s
 // that is not written when its value is empty.
 const OmitEmpty = 1 << 30
 
-// The numbers of a table's hook lines; field numbers on the wire are never
+// The field numbers of Init and Check lines: those on the wire are never
 // negative.
 const (
 	fieldCheck = -1
 	fieldInit  = -2
 )
 
-// maxTables bounds the tables a Codec keeps.
-const maxTables = 256
-
-// Codec encodes a message into its bytes or decodes one. A Codec that is
-// not decoding is an encoder's output buffer, which is why Buffer is its
-// other name.
+// Codec encodes a message into its bytes or decodes one, by walking the
+// message's declaration. A Codec that is not decoding is an encoder's
+// output buffer, which is why Buffer is its other name.
 type Codec struct {
 	b []byte // encoding: the bytes written
 
 	// Decoding state.
 	dec    bool
-	r      Reader // the message being read
-	wt     int    // the wire type of the field at hand
-	tables map[unsafe.Pointer]*table
-	slabs  []any // one *slab[T] per type of node the decode made
-	depth  int   // the messages a Tree field encloses this one in
-	err    error // the first error, decoding or encoding
+	r      Reader                    // the message being read
+	wt     int                       // the wire type of the field at hand
+	tables map[unsafe.Pointer]*table // by declaration (tableOf)
+	slabs  []any                     // one *slab[T] per type of node the decode made
+	depth  int                       // the messages a Tree field encloses this one in
+	err    error                     // the first error, decoding or encoding
 
 	// The walk recording a table: the table, the zero value walked, its
-	// size, and the offset of the pointer to it inside a Within.
+	// size and, inside a Within, the offset of the pointer to it.
 	rec  *table
 	base unsafe.Pointer
 	size uintptr
@@ -79,75 +74,40 @@ type Codec struct {
 // Buffer is a Codec used as an encoder's output.
 type Buffer = Codec
 
-// A table is what a decoder records of a declaration: its field lines in
+// A table is a declaration as a decoder records it: its field lines in
 // declaration order, its Init and Check lines, and whether MessagesOnly.
 type table struct {
 	lines, inits, checks []line
 	only                 bool
 }
 
-// A line is one line of a table: the field it reads, its place as an
-// offset into the message's value (or, from a Within, into the value the
-// pointer at offset via points to), and the reader of its values, which
-// holds the declaration, Conv, hook or slab the line was given.
+// A line reads one occurrence of its field into its place: an offset into
+// the message's value or, from a Within, into the value that the pointer
+// at offset via (else -1) points to.
 type line struct {
-	field  int32
-	off    uint32
-	via    int32 // -1: the place is in the message's value
-	read   reader
-	lo, hi int64  // VarintIn's range
-	what   string // VarintIn's name for its value, Tree's depth error
-	child  *table // a nested message's table, found at its first occurrence
+	field, off, via int32
+	read            func(c *Codec, p unsafe.Pointer) error
 }
 
-// A reader reads one occurrence of a line's field into the line's place p.
-type reader interface {
-	read(c *Codec, p unsafe.Pointer, l *line)
-}
-
-// offset returns p's offset into the value the recording walk is over.
-func (c *Codec) offset(p unsafe.Pointer) uintptr {
-	off := uintptr(p) - uintptr(c.base)
-	if off >= c.size {
-		panic("wire: a declaration's line points outside its message")
-	}
-	return off
-}
-
-// add records the line that reads field into the place p with r.
-func (c *Codec) add(field int, r reader, p unsafe.Pointer) *line {
-	lines := &c.rec.lines
+// add records, while decoding, the line that reads field into p with read.
+func (c *Codec) add(field int, p unsafe.Pointer, read func(*Codec, unsafe.Pointer) error) {
+	l, lines := line{int32(field &^ OmitEmpty), c.offset(p), c.via, read}, &c.rec.lines
 	switch field {
 	case fieldInit:
 		lines = &c.rec.inits
 	case fieldCheck:
 		lines = &c.rec.checks
 	}
-	*lines = append(*lines, line{field: int32(field &^ OmitEmpty), off: uint32(c.offset(p)), via: c.via, read: r})
-	return &(*lines)[len(*lines)-1]
+	*lines = append(*lines, l)
 }
 
-// tableOf returns decl's table on c, recording it the first time.
-func tableOf[T any](c *Codec, decl func(*Codec, *T)) *table {
-	key := *(*unsafe.Pointer)(unsafe.Pointer(&decl))
-	if t := c.tables[key]; t != nil {
-		return t
+// offset returns p's offset into the value the recording walk is over.
+func (c *Codec) offset(p unsafe.Pointer) int32 {
+	off := uintptr(p) - uintptr(c.base)
+	if off >= c.size {
+		panic("wire: a declaration's line points outside its message")
 	}
-	if len(c.tables) >= maxTables || c.tables == nil {
-		c.tables = make(map[unsafe.Pointer]*table)
-	}
-	t := record(c, decl)
-	c.tables[key] = t
-	return t
-}
-
-// record walks decl over a zero T and returns the table it records.
-func record[T any](c *Codec, decl func(*Codec, *T)) *table {
-	t, zero := new(table), new(T)
-	c.rec, c.base, c.size, c.via = t, unsafe.Pointer(zero), unsafe.Sizeof(*zero), -1
-	decl(c, zero)
-	c.rec, c.base = nil, nil
-	return t
+	return int32(off)
 }
 
 // place returns the place of l in the message at base.
@@ -156,6 +116,31 @@ func (l *line) place(base unsafe.Pointer) unsafe.Pointer {
 		base = *(*unsafe.Pointer)(unsafe.Add(base, l.via))
 	}
 	return unsafe.Add(base, l.off)
+}
+
+// tableOf returns decl's table on c, recording it the first time c meets
+// decl. A declaration is known by its function value, so a closure made
+// anew for each decode is a new declaration each time; c keeps at most 256.
+func tableOf[T any](c *Codec, decl func(*Codec, *T)) *table {
+	key := *(*unsafe.Pointer)(unsafe.Pointer(&decl))
+	t := c.tables[key]
+	if t == nil {
+		if len(c.tables) >= 256 || c.tables == nil {
+			c.tables = make(map[unsafe.Pointer]*table)
+		}
+		t = record(c, decl)
+		c.tables[key] = t
+	}
+	return t
+}
+
+// record walks decl over a zero T and returns the table it records.
+func record[T any](c *Codec, decl func(*Codec, *T)) *table {
+	zero, t := new(T), new(table)
+	c.rec, c.base, c.size, c.via = t, unsafe.Pointer(zero), unsafe.Sizeof(*zero), -1
+	decl(c, zero)
+	c.rec = nil
+	return t
 }
 
 // Encode appends v's message, as decl declares it, to c and returns the
@@ -184,7 +169,7 @@ func Decode[T any](c *Codec, p []byte, v *T, decl func(*Codec, *T)) error {
 	return err
 }
 
-// codecs holds the Codecs Unmarshal decodes on, with their tables.
+// codecs are the Codecs Unmarshal decodes on, kept for their tables.
 var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
 // Unmarshal decodes the message p into v as decl declares it.
@@ -200,11 +185,11 @@ func sub[T any](c *Codec, p []byte, v *T, decl func(*Codec, *T)) error {
 	return c.decode(p, unsafe.Pointer(v), tableOf(c, decl))
 }
 
-// decode decodes the message p into the value at base, as t lays it out:
-// its Init lines, then a line per field, then its Check lines.
+// decode decodes the message p into the value at base as t lays it out:
+// its Init lines, a line per field, then its Check lines.
 func (c *Codec) decode(p []byte, base unsafe.Pointer, t *table) error {
-	for i := range t.inits {
-		t.inits[i].read.read(c, base, &t.inits[i])
+	for _, l := range t.inits {
+		c.fail(l.read(c, l.place(base)))
 	}
 	outer, at := c.r, 0 // at: the line of the field before; fields come in line order
 	c.r = Reader{b: p}
@@ -215,7 +200,7 @@ func (c *Codec) decode(p []byte, base unsafe.Pointer, t *table) error {
 		for range t.lines {
 			if l := &t.lines[at]; int(l.field) == f {
 				c.wt = wt
-				l.read.read(c, l.place(base), l)
+				c.fail(l.read(c, l.place(base)))
 				return c.err
 			}
 			if at++; at == len(t.lines) {
@@ -225,7 +210,7 @@ func (c *Codec) decode(p []byte, base unsafe.Pointer, t *table) error {
 		return nil
 	}))
 	for i := 0; i < len(t.checks) && c.err == nil; i++ {
-		t.checks[i].read.read(c, base, &t.checks[i])
+		c.fail(t.checks[i].read(c, t.checks[i].place(base)))
 	}
 	c.r = outer
 	return c.err
@@ -244,7 +229,7 @@ func (c *Codec) fail(err error) {
 // line.
 func Init[T any](c *Codec, v *T, fn func(*T)) {
 	if c.dec {
-		c.add(fieldInit, hookOf[T]{func(v *T) error { fn(v); return nil }}, unsafe.Pointer(v))
+		c.add(fieldInit, unsafe.Pointer(v), func(_ *Codec, p unsafe.Pointer) error { fn((*T)(p)); return nil })
 	}
 }
 
@@ -252,13 +237,9 @@ func Init[T any](c *Codec, v *T, fn func(*T)) {
 // fields; an error fn returns fails the decode.
 func Check[T any](c *Codec, v *T, fn func(*T) error) {
 	if c.dec {
-		c.add(fieldCheck, hookOf[T]{fn}, unsafe.Pointer(v))
+		c.add(fieldCheck, unsafe.Pointer(v), func(_ *Codec, p unsafe.Pointer) error { return fn((*T)(p)) })
 	}
 }
-
-type hookOf[T any] struct{ fn func(*T) error }
-
-func (r hookOf[T]) read(c *Codec, p unsafe.Pointer, _ *line) { c.fail(r.fn((*T)(p))) }
 
 // MessagesOnly declares that every field of the message is a nested
 // message: a decoder skips a field of another wire type.
@@ -268,19 +249,18 @@ func (c *Codec) MessagesOnly() {
 	}
 }
 
-// Within declares lines of the message at hand whose places lie in **v, a
-// value of its own (one the message's Init made, say), as decl declares
-// them.
+// Within declares, as decl declares them, lines of the message at hand
+// whose places lie in **v, a value of its own (one the message's Init
+// made, say).
 func Within[T any](c *Codec, v **T, decl func(*Codec, *T)) {
 	if !c.dec {
 		decl(c, *v)
 		return
 	}
 	zero, base, size := new(T), c.base, c.size
-	c.via = int32(c.offset(unsafe.Pointer(v)))
-	c.base, c.size = unsafe.Pointer(zero), unsafe.Sizeof(*zero)
+	c.via, c.base, c.size = c.offset(unsafe.Pointer(v)), unsafe.Pointer(zero), unsafe.Sizeof(*zero)
 	decl(c, zero)
-	c.base, c.size, c.via = base, size, -1
+	c.via, c.base, c.size = -1, base, size
 }
 
 type integer interface {
@@ -288,79 +268,43 @@ type integer interface {
 }
 
 // Varint declares an integer field (a zigzag varint).
-func Varint[T integer](c *Codec, field int, p *T) {
-	if c.dec {
-		c.add(field, varintOf[T]{}, unsafe.Pointer(p))
-	} else if *p != 0 || field&OmitEmpty == 0 {
-		c.PutVarintField(field&^OmitEmpty, int64(*p))
-	}
-}
+func Varint[T integer](c *Codec, field int, p *T) { VarintIn(c, field, p, 0, -1, "") }
 
 // VarintIn declares an integer field whose value lies in [lo, hi]: a
-// decoded value outside it is corrupt, named what.
+// decoded value outside it is corrupt, named what. An empty range, as
+// Varint's, is not checked.
 func VarintIn[T integer](c *Codec, field int, p *T, lo, hi int64, what string) {
 	if !c.dec {
-		Varint(c, field, p)
+		if *p != 0 || field&OmitEmpty == 0 {
+			c.PutVarintField(field&^OmitEmpty, int64(*p))
+		}
 		return
 	}
-	l := c.add(field, varintOf[T]{}, unsafe.Pointer(p))
-	l.lo, l.hi, l.what = lo, hi, what
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error {
+		v, err := c.r.Varint()
+		*(*T)(p) = T(v)
+		if err == nil && lo <= hi && (v < lo || v > hi) {
+			err = corrupt("%s %d", what, v)
+		}
+		return err
+	})
 }
 
-// varintOf reads a Varint field, or a VarintIn field, which names its
-// value.
-type varintOf[T integer] struct{}
-
-func (varintOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
-	v, err := c.r.Varint()
-	switch {
-	case err != nil:
-		c.err = err
-	case l.what != "" && (v < l.lo || v > l.hi):
-		c.err = corrupt("%s %d", l.what, v)
-	}
-	*(*T)(p) = T(v)
-}
-
-// value declares a Bool, String, Strings, Blob, Ints or Int64s field: a
-// decoder records it, and an encoder is told whether to write it.
-func value[T any](c *Codec, field int, p *T, empty bool) bool {
+// scalar declares a field that read reads into *p: a decoder records it,
+// and an encoder learns whether to write *p, which is empty or not.
+func scalar[T any](c *Codec, field int, p *T, empty bool, read func(*Reader) (T, error)) bool {
 	if c.dec {
-		c.add(field, valueOf[T]{}, unsafe.Pointer(p))
-		return false
+		c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) (err error) {
+			*(*T)(p), err = read(&c.r)
+			return err
+		})
 	}
-	return !empty || field&OmitEmpty == 0
-}
-
-// valueOf reads the field of a value line, told apart by its type.
-type valueOf[T any] struct{}
-
-func (valueOf[T]) read(c *Codec, p unsafe.Pointer, _ *line) {
-	var err error
-	switch p := any((*T)(p)).(type) {
-	case *bool:
-		var v int64
-		v, err = c.r.Varint()
-		*p = v != 0
-	case *string:
-		*p, err = c.r.String()
-	case *[]string:
-		var s string
-		s, err = c.r.String()
-		*p = append(*p, s)
-	case *[]byte:
-		*p, err = c.r.Bytes()
-	case *[]int:
-		*p, err = c.r.Ints()
-	case *[]int64:
-		*p, err = c.r.Int64s()
-	}
-	c.fail(err)
+	return !c.dec && (!empty || field&OmitEmpty == 0)
 }
 
 // Bool declares a boolean field, a varint of 1 or 0.
 func (c *Codec) Bool(field int, p *bool) {
-	if value(c, field, p, !*p) {
+	if scalar(c, field, p, !*p, func(r *Reader) (bool, error) { v, err := r.Varint(); return v != 0, err }) {
 		var v int64
 		if *p {
 			v = 1
@@ -371,18 +315,24 @@ func (c *Codec) Bool(field int, p *bool) {
 
 // String declares a string field.
 func (c *Codec) String(field int, p *string) {
-	if value(c, field, p, *p == "") {
+	if scalar(c, field, p, *p == "", (*Reader).String) {
 		c.PutStringField(field&^OmitEmpty, *p)
 	}
 }
 
 // Strings declares a repeated string field.
 func (c *Codec) Strings(field int, p *[]string) {
-	if value(c, field, p, false) {
-		for _, s := range *p {
-			if s != "" || field&OmitEmpty == 0 {
-				c.PutStringField(field&^OmitEmpty, s)
-			}
+	if c.dec {
+		c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error {
+			s, err := c.r.String()
+			*(*[]string)(p) = append(*(*[]string)(p), s)
+			return err
+		})
+		return
+	}
+	for _, s := range *p {
+		if s != "" || field&OmitEmpty == 0 {
+			c.PutStringField(field&^OmitEmpty, s)
 		}
 	}
 }
@@ -390,76 +340,66 @@ func (c *Codec) Strings(field int, p *[]string) {
 // Blob declares a byte-string field; a decoded one is a view into the
 // input.
 func (c *Codec) Blob(field int, p *[]byte) {
-	if value(c, field, p, len(*p) == 0) {
+	if scalar(c, field, p, len(*p) == 0, (*Reader).Bytes) {
 		c.PutBytesField(field&^OmitEmpty, *p)
 	}
 }
 
 // Ints declares a packed list of ints.
 func (c *Codec) Ints(field int, p *[]int) {
-	if value(c, field, p, len(*p) == 0) {
+	if scalar(c, field, p, len(*p) == 0, (*Reader).Ints) {
 		c.PutIntsField(field&^OmitEmpty, *p)
 	}
 }
 
 // Int64s declares a packed list of int64s.
 func (c *Codec) Int64s(field int, p *[]int64) {
-	if value(c, field, p, len(*p) == 0) {
+	if scalar(c, field, p, len(*p) == 0, (*Reader).Int64s) {
 		c.PutInt64sField(field&^OmitEmpty, *p)
 	}
 }
 
 // Column declares a bit-packed column (PutBitPackedField) of the values of
-// *p that sel selects. A decoder appends the column to *slab and sets *p
-// to those values, capped at their length: a slab that grows later leaves
-// *p in its old array, where it stays valid.
+// *p that sel selects. A decoder appends the column to *slab, which lies in
+// the same value as *p, and sets *p to those values, capped at their
+// length: a slab that grows later leaves *p in its old array, where it
+// stays valid.
 func (c *Codec) Column(field int, p *[]int64, sel []uint64, slab *[]int64) {
-	if c.dec {
-		c.add(field, columnOf{c.slab(unsafe.Pointer(p), slab)}, unsafe.Pointer(p))
-	} else {
+	if !c.dec {
 		c.PutBitPackedField(field, *p, sel)
+		return
 	}
+	at := int(c.offset(unsafe.Pointer(slab)) - c.offset(unsafe.Pointer(p)))
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) (err error) {
+		*(*[]int64)(p), err = column(c, (*[]int64)(unsafe.Add(p, at)))
+		return err
+	})
 }
 
 // Columns declares a repeated bit-packed column, as Column does one.
 func (c *Codec) Columns(field int, p *[][]int64, sel []uint64, slab *[]int64) {
-	if c.dec {
-		c.add(field, columnsOf{c.slab(unsafe.Pointer(p), slab)}, unsafe.Pointer(p))
+	if !c.dec {
+		for _, col := range *p {
+			c.PutBitPackedField(field, col, sel)
+		}
 		return
 	}
-	for _, col := range *p {
-		c.PutBitPackedField(field, col, sel)
-	}
+	at := int(c.offset(unsafe.Pointer(slab)) - c.offset(unsafe.Pointer(p)))
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error {
+		col, err := column(c, (*[]int64)(unsafe.Add(p, at)))
+		*(*[][]int64)(p) = append(*(*[][]int64)(p), col)
+		return err
+	})
 }
 
-// slab returns the distance from a column's place p to its slab, which
-// lies in the same value.
-func (c *Codec) slab(p unsafe.Pointer, slab *[]int64) int {
-	return int(c.offset(unsafe.Pointer(slab))) - int(c.offset(p))
-}
-
-type columnOf struct{ slab int }
-
-func (r columnOf) read(c *Codec, p unsafe.Pointer, _ *line) {
-	*(*[]int64)(p) = column(c, (*[]int64)(unsafe.Add(p, r.slab)))
-}
-
-type columnsOf struct{ slab int }
-
-func (r columnsOf) read(c *Codec, p unsafe.Pointer, _ *line) {
-	cols := (*[][]int64)(p)
-	*cols = append(*cols, column(c, (*[]int64)(unsafe.Add(p, r.slab))))
-}
-
-// column reads a column onto slab and returns its values.
-func column(c *Codec, slab *[]int64) []int64 {
+// column reads a column onto the end of *slab and returns its values.
+func column(c *Codec, slab *[]int64) ([]int64, error) {
 	start := len(*slab)
 	var err error
 	if *slab, err = c.r.AppendBitPacked(*slab); err != nil {
-		c.err = err
-		return nil
+		return nil, err
 	}
-	return (*slab)[start:len(*slab):len(*slab)]
+	return (*slab)[start:len(*slab):len(*slab)], nil
 }
 
 // Body declares a nested message held as its encoded bytes. An encoder
@@ -478,28 +418,34 @@ func (c *Codec) Body(field int, p *[]byte, put func(*Codec)) {
 // whose fields must not carry over from an earlier occurrence resets *v
 // in its Init.
 func Msg[T any](c *Codec, field int, v *T, decl func(*Codec, *T)) {
-	if c.dec {
-		c.add(field, msgOf[T]{decl}, unsafe.Pointer(v))
-	} else {
+	if !c.dec {
 		c.PutMsgField(field, func(c *Codec) { decl(c, v) })
+		return
 	}
+	nest(c, field, unsafe.Pointer(v), decl, func(_ *Codec, p unsafe.Pointer) (*T, error) { return (*T)(p), nil })
 }
 
-type msgOf[T any] struct{ decl func(*Codec, *T) }
-
-func (r msgOf[T]) read(c *Codec, p unsafe.Pointer, l *line) { msg(c, p, l, r.decl) }
-
-// msg decodes the nested message at hand into the T at p, as decl
-// declares it; l keeps decl's table.
-func msg[T any](c *Codec, p unsafe.Pointer, l *line, decl func(*Codec, *T)) {
-	if l.child == nil {
-		l.child = tableOf(c, decl)
-	}
-	if b, err := c.r.Bytes(); err != nil {
-		c.err = err
-	} else {
-		c.decode(b, p, l.child)
-	}
+// nest records, while decoding, the line of a nested message field whose
+// messages decl declares: elem returns the T that an occurrence of the
+// field, at place p, decodes into.
+func nest[T any](c *Codec, field int, p unsafe.Pointer, decl func(*Codec, *T), elem func(*Codec, unsafe.Pointer) (*T, error)) {
+	var t *table
+	c.add(field, p, func(c *Codec, p unsafe.Pointer) error {
+		b, err := c.r.Bytes()
+		if err != nil {
+			return err
+		}
+		depth := c.depth // elem counts a Tree element a level deeper
+		v, err := elem(c, p)
+		if err == nil {
+			if t == nil {
+				t = tableOf(c, decl)
+			}
+			err = c.decode(b, unsafe.Pointer(v), t)
+		}
+		c.depth = depth
+		return err
+	})
 }
 
 // Ptr declares a nested message field holding **p, absent when *p is nil.
@@ -507,77 +453,58 @@ func msg[T any](c *Codec, p unsafe.Pointer, l *line, decl func(*Codec, *T)) {
 func Ptr[T any](c *Codec, field int, p **T, decl func(*Codec, *T)) {
 	switch {
 	case c.dec:
-		c.add(field, ptrOf[T]{decl}, unsafe.Pointer(p))
+		nest(c, field, unsafe.Pointer(p), decl, func(c *Codec, p unsafe.Pointer) (*T, error) {
+			*(**T)(p) = node[T](c)
+			return *(**T)(p), nil
+		})
 	case *p != nil:
 		Msg(c, field, *p, decl)
 	}
 }
 
-type ptrOf[T any] struct{ decl func(*Codec, *T) }
-
-func (r ptrOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
-	v := node[T](c)
-	msg(c, unsafe.Pointer(v), l, r.decl)
-	*(**T)(p) = v
-}
-
 // Msgs declares a repeated nested message field, one message per element
-// of *p. A decoder decodes each occurrence into the next element: one
-// that *p's capacity still holds from an earlier decode keeps its value
-// for the message's Init to reuse or reset, any other is a zero value.
+// of *p. A decoder decodes each occurrence into the next element: one that
+// *p's capacity holds from an earlier decode keeps its value, for the
+// message's Init to reuse or reset; any other starts as a zero value.
 func Msgs[T any](c *Codec, field int, p *[]T, decl func(*Codec, *T)) {
-	if c.dec {
-		c.add(field, msgsOf[T]{decl}, unsafe.Pointer(p))
+	if !c.dec {
+		for i := range *p {
+			Msg(c, field, &(*p)[i], decl)
+		}
 		return
 	}
-	for i := range *p {
-		Msg(c, field, &(*p)[i], decl)
-	}
-}
-
-type msgsOf[T any] struct{ decl func(*Codec, *T) }
-
-func (r msgsOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
-	s := (*[]T)(p)
-	if n := len(*s); n < cap(*s) {
-		*s = (*s)[:n+1]
-	} else {
-		*s = append(*s, *new(T))
-	}
-	msg(c, unsafe.Pointer(&(*s)[len(*s)-1]), l, r.decl)
+	nest(c, field, unsafe.Pointer(p), decl, func(_ *Codec, p unsafe.Pointer) (*T, error) {
+		s := (*[]T)(p)
+		if n := len(*s); n < cap(*s) {
+			*s = (*s)[:n+1]
+		} else {
+			*s = append(*s, *new(T))
+		}
+		return &(*s)[len(*s)-1], nil
+	})
 }
 
 // Tree declares a repeated nested message field of a recursive message:
 // each element is one level deeper than the message holding it. A decoder
 // fails an element more than maxDepth levels deep with the error deep.
 func Tree[T any](c *Codec, field int, p *[]*T, decl func(*Codec, *T), deep string) {
-	if c.dec {
-		c.add(field, treeOf[T]{decl}, unsafe.Pointer(p)).what = deep
-		return
-	}
-	for _, v := range *p {
-		Msg(c, field, v, decl)
-	}
-}
-
-type treeOf[T any] struct{ decl func(*Codec, *T) }
-
-func (r treeOf[T]) read(c *Codec, p unsafe.Pointer, l *line) {
-	if c.depth >= maxDepth {
-		if _, c.err = c.r.Bytes(); c.err == nil {
-			c.err = corrupt("%s", l.what)
+	if !c.dec {
+		for _, v := range *p {
+			Msg(c, field, v, decl)
 		}
 		return
 	}
-	v := node[T](c)
-	c.depth++
-	msg(c, unsafe.Pointer(v), l, r.decl)
-	c.depth--
-	s := (*[]*T)(p)
-	if cap(*s) == 0 {
-		*s = node[[2]*T](c)[:0] // most nodes have one or two children
-	}
-	*s = append(*s, v)
+	nest(c, field, unsafe.Pointer(p), decl, func(c *Codec, p unsafe.Pointer) (*T, error) {
+		if c.depth++; c.depth > maxDepth {
+			return nil, corrupt("%s", deep)
+		}
+		v, s := node[T](c), (*[]*T)(p)
+		if cap(*s) == 0 {
+			*s = node[[2]*T](c)[:0] // most nodes have one child or two
+		}
+		*s = append(*s, v)
+		return v, nil
+	})
 }
 
 // entry is one key and value of a Map field.
@@ -590,30 +517,32 @@ type entry[K, V any] struct {
 // key in ascending key order, whose fields decl declares over the key and
 // its value. A decoder makes *m when it finds the first entry.
 func Map[K cmp.Ordered, V any](c *Codec, field int, m *map[K]V, decl func(*Codec, *K, *V)) {
-	if c.dec {
-		c.add(field, mapOf[K, V]{decl}, unsafe.Pointer(m))
+	fields := func(c *Codec, e *entry[K, V]) { decl(c, &e.k, &e.v) }
+	if !c.dec {
+		var e entry[K, V]
+		for _, e.k = range slices.Sorted(maps.Keys(*m)) {
+			e.v = (*m)[e.k]
+			Msg(c, field, &e, fields)
+		}
 		return
 	}
-	var e entry[K, V]
-	for _, e.k = range slices.Sorted(maps.Keys(*m)) {
-		e.v = (*m)[e.k]
-		c.PutMsgField(field, func(c *Codec) { decl(c, &e.k, &e.v) })
-	}
-}
-
-type mapOf[K comparable, V any] struct{ decl func(*Codec, *K, *V) }
-
-func (r mapOf[K, V]) read(c *Codec, p unsafe.Pointer, l *line) {
-	if l.child == nil {
-		l.child = record(c, func(c *Codec, e *entry[K, V]) { r.decl(c, &e.k, &e.v) })
-	}
-	e := node[entry[K, V]](c)
-	msg[entry[K, V]](c, unsafe.Pointer(e), l, nil)
-	m := (*map[K]V)(p)
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[e.k] = e.v
+	var t *table
+	c.add(field, unsafe.Pointer(m), func(c *Codec, p unsafe.Pointer) error {
+		b, err := c.r.Bytes()
+		if err != nil {
+			return err
+		}
+		if t == nil {
+			t = record(c, fields)
+		}
+		e, m := node[entry[K, V]](c), (*map[K]V)(p)
+		err = c.decode(b, unsafe.Pointer(e), t)
+		if *m == nil {
+			*m = make(map[K]V)
+		}
+		(*m)[e.k] = e.v
+		return err
+	})
 }
 
 // A Conv translates a value to and from the bytes of the nested message
@@ -627,23 +556,28 @@ type Conv[V any] struct {
 // Nested declares a nested message field whose bytes conv translates to
 // and from *p. A nil interface value is absent.
 func Nested[V any](c *Codec, field int, p *V, conv *Conv[V]) {
-	if c.dec {
-		c.add(field, nestedOf[V]{conv}, unsafe.Pointer(p))
-	} else {
+	if !c.dec {
 		putNested(c, field, *p, conv)
+		return
 	}
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error { return nested(c, (*V)(p), conv) })
 }
 
 // NestedList declares a repeated field of nested messages whose bytes conv
 // translates to and from the elements of *p.
 func NestedList[V any](c *Codec, field int, p *[]V, conv *Conv[V]) {
-	if c.dec {
-		c.add(field, nestedListOf[V]{conv}, unsafe.Pointer(p))
+	if !c.dec {
+		for _, v := range *p {
+			putNested(c, field, v, conv)
+		}
 		return
 	}
-	for _, v := range *p {
-		putNested(c, field, v, conv)
-	}
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error {
+		var v V
+		err := nested(c, &v, conv)
+		*(*[]V)(p) = append(*(*[]V)(p), v)
+		return err
+	})
 }
 
 func putNested[V any](c *Codec, field int, v V, conv *Conv[V]) {
@@ -657,35 +591,23 @@ func putNested[V any](c *Codec, field int, v V, conv *Conv[V]) {
 	}
 }
 
-type nestedOf[V any] struct{ conv *Conv[V] }
-
-func (r nestedOf[V]) read(c *Codec, p unsafe.Pointer, _ *line) {
+func nested[V any](c *Codec, p *V, conv *Conv[V]) error {
 	raw, err := c.r.Bytes()
 	if err == nil {
-		*(*V)(p), err = r.conv.Dec(c, raw)
+		*p, err = conv.Dec(c, raw)
 	}
-	c.fail(err)
+	return err
 }
 
-type nestedListOf[V any] struct{ conv *Conv[V] }
-
-func (r nestedListOf[V]) read(c *Codec, p unsafe.Pointer, l *line) {
-	var v V
-	nestedOf[V](r).read(c, unsafe.Pointer(&v), l)
-	s := (*[]V)(p)
-	*s = append(*s, v)
-}
-
-// A slab hands out the values one decode makes of one type: the nodes of
-// Ptr and Tree fields, and the map entries and forms read on the way.
+// A slab hands out the values of one type that a decode makes: the nodes
+// of Ptr and Tree fields, and the map entries and forms read on the way.
+// Its chunks grow from 4 values to 128.
 type slab[T any] struct {
 	free []T
 	next int // the length of the next chunk
 }
 
-// node returns a new zero T from c's slab of Ts. Chunks grow from 4 values
-// to 128, so a small message costs little and a large one few
-// allocations.
+// node returns a new zero T from c's slab of Ts.
 func node[T any](c *Codec) *T {
 	var s *slab[T]
 	for _, a := range c.slabs {

@@ -78,43 +78,33 @@ type operands struct {
 func operandFields(c *Codec, m *operands) {
 	Init(c, m, func(m *operands) { m.ints, m.subs = m.ibuf[:0], m.sbuf[:0] })
 	Varint(c, 1, &m.typ)
-	if c.dec {
-		c.add(2, operandOf{}, unsafe.Pointer(m))
-		c.add(3, appendOf{}, unsafe.Pointer(&m.ints))
-		c.add(4, appendOf{}, unsafe.Pointer(&m.ints))
+	if !c.dec {
+		for i, v := range m.ints {
+			c.PutVarintField(2+i, v)
+		}
+		for _, s := range m.subs {
+			c.PutBytesField(2, s)
+		}
 		return
 	}
-	for i, v := range m.ints {
-		c.PutVarintField(2+i, v)
-	}
-	for _, s := range m.subs {
-		c.PutBytesField(2, s)
-	}
+	c.add(2, unsafe.Pointer(m), func(c *Codec, p unsafe.Pointer) error {
+		m := (*operands)(p)
+		if c.wt == wtVarint {
+			return appendInt(c, unsafe.Pointer(&m.ints))
+		}
+		s, err := c.r.Bytes()
+		m.subs = append(m.subs, s)
+		return err
+	})
+	c.add(3, unsafe.Pointer(&m.ints), appendInt)
+	c.add(4, unsafe.Pointer(&m.ints), appendInt)
 }
 
-// operandOf reads field 2 of a predicate: a nested predicate, unless its
-// wire type is varint.
-type operandOf struct{}
-
-func (operandOf) read(c *Codec, p unsafe.Pointer, l *line) {
-	m := (*operands)(p)
-	if c.wt == wtVarint {
-		appendOf{}.read(c, unsafe.Pointer(&m.ints), l)
-		return
-	}
-	s, err := c.r.Bytes()
-	c.fail(err)
-	m.subs = append(m.subs, s)
-}
-
-// appendOf reads an integer onto the end of a []int64.
-type appendOf struct{}
-
-func (appendOf) read(c *Codec, p unsafe.Pointer, _ *line) {
+// appendInt reads an integer onto the end of the []int64 at p.
+func appendInt(c *Codec, p unsafe.Pointer) error {
 	v, err := c.r.Varint()
-	c.fail(err)
-	ints := (*[]int64)(p)
-	*ints = append(*ints, v)
+	*(*[]int64)(p) = append(*(*[]int64)(p), v)
+	return err
 }
 
 // exprForm is the wire form of an expression: the type tag, its integer
@@ -129,7 +119,7 @@ type exprForm struct {
 func exprFields(c *Codec, m *exprForm) {
 	Varint(c, 1, &m.typ)
 	if c.dec {
-		c.add(2, appendOf{}, unsafe.Pointer(&m.args))
+		c.add(2, unsafe.Pointer(&m.args), appendInt)
 	} else {
 		for _, v := range m.args {
 			c.PutVarintField(2, v)
@@ -584,21 +574,19 @@ func tableFields(c *Codec, t *core.RoutingTable) {
 // intSet declares a set of ints as the packed list of its members in
 // ascending order. A decoder adds each member of the list to *set.
 func intSet(c *Codec, field int, set *map[int]bool) {
-	if c.dec {
-		c.add(field, intSetOf{}, unsafe.Pointer(set))
-	} else if ids := slices.Sorted(maps.Keys(*set)); len(ids) > 0 || field&OmitEmpty == 0 {
-		c.PutIntsField(field&^OmitEmpty, ids)
+	if !c.dec {
+		if ids := slices.Sorted(maps.Keys(*set)); len(ids) > 0 || field&OmitEmpty == 0 {
+			c.PutIntsField(field&^OmitEmpty, ids)
+		}
+		return
 	}
-}
-
-type intSetOf struct{}
-
-func (intSetOf) read(c *Codec, p unsafe.Pointer, _ *line) {
-	ids, err := c.r.Ints()
-	c.fail(err)
-	for _, id := range ids {
-		(*(*map[int]bool)(p))[id] = true
-	}
+	c.add(field, unsafe.Pointer(set), func(c *Codec, p unsafe.Pointer) error {
+		ids, err := c.r.Ints()
+		for _, id := range ids {
+			(*(*map[int]bool)(p))[id] = true
+		}
+		return err
+	})
 }
 
 // EncodePartitionBytes serializes a partition plan; nil encodes as no

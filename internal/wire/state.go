@@ -49,29 +49,25 @@ func tupleFields(c *Codec, t *stream.Tuple) {
 // indices, absent when the set is nil. A decoded index above 2^20 is
 // corrupt.
 func member(c *Codec, field int, p **bitset.Set) {
-	switch {
-	case c.dec:
-		c.add(field, memberOf{}, unsafe.Pointer(p))
-	case *p != nil:
-		c.PutIntsField(field, (*p).Indices())
-	}
-}
-
-type memberOf struct{}
-
-func (memberOf) read(c *Codec, p unsafe.Pointer, _ *line) {
-	idx, err := c.r.Ints()
-	if err != nil {
-		c.err = err
+	if !c.dec {
+		if *p != nil {
+			c.PutIntsField(field, (*p).Indices())
+		}
 		return
 	}
-	for _, i := range idx {
-		if i < 0 || i > 1<<20 {
-			c.err = corrupt("bit index %d out of range", i)
-			return
+	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error {
+		idx, err := c.r.Ints()
+		if err != nil {
+			return err
 		}
-	}
-	*(**bitset.Set)(p) = bitset.FromIndices(idx...)
+		for _, i := range idx {
+			if i < 0 || i > 1<<20 {
+				return corrupt("bit index %d out of range", i)
+			}
+		}
+		*(**bitset.Set)(p) = bitset.FromIndices(idx...)
+		return nil
+	})
 }
 
 // EncodePayloadBytes encodes a standalone payload message. A nil payload

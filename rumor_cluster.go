@@ -104,9 +104,9 @@ type ClusterConfig struct {
 
 // DialCluster plans the registered queries exactly as Optimize does, then
 // deploys the replicas onto remote shard workers instead of in-process
-// goroutines: it connects to every node, ships the serialized plan in the
-// handshake, and starts ingestion. It must be called exactly once, in
-// place of Optimize.
+// goroutines: it connects to every node at once, ships the serialized plan
+// in the handshake, and starts ingestion. It must be called exactly once,
+// in place of Optimize.
 //
 // Result callbacks are not supported on a cluster deployment — results
 // are counted per shard and merged (ResultCount/TotalResults), not
