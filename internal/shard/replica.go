@@ -421,9 +421,9 @@ func splitBySel(pl *mop.StatePayload, sel func(key int64, ord int) bool) (sent, 
 // (results are counted worker-side and merged from drain snapshots).
 //
 // The nodes are dialled concurrently, so the workers decode the plan,
-// rebuild it and lower their engines side by side. If a dial fails,
-// NewCluster closes every connection it made and reports the lowest
-// failing shard.
+// rebuild it and lower their engines side by side, and one node's OnDown
+// may run while another node is dialled. If a dial fails, NewCluster
+// closes every connection it made and reports the lowest failing shard.
 //
 // Failure semantics: a worker outage makes Push/PushColumns fail fast with
 // ErrShardUnreachable while the client retries with backoff; an outage
