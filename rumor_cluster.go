@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -74,7 +75,9 @@ func NewShardWorker() *ShardWorker { return cluster.NewWorker() }
 
 // ClusterNode names one remote shard worker. Either Addr (dialed over
 // TCP) or Dial (any net.Conn factory — in-process pipes in tests) must be
-// set; Dial wins when both are.
+// set; Dial wins when both are. A System calls its nodes' Dial funcs one at
+// a time, so they may share state; the workers still build their replicas
+// side by side.
 type ClusterNode struct {
 	Addr string //rumor:allow unset deployment setting: the module's callers dial pipes
 	Dial func() (net.Conn, error)
@@ -130,9 +133,14 @@ func (s *System) DialCluster(opt Options, cfg ClusterConfig) error {
 	timeout := cmp.Or(cfg.CallTimeout, cluster.DefaultCallTimeout)
 	epoch := time.Now().UnixNano()
 	nodes := make([]cluster.Config, len(cfg.Nodes))
+	var dials sync.Mutex // held while a node's Dial func runs
 	for i, n := range cfg.Nodes {
-		dial := n.Dial
-		if dial == nil {
+		dial := func() (net.Conn, error) {
+			dials.Lock()
+			defer dials.Unlock()
+			return n.Dial()
+		}
+		if n.Dial == nil {
 			if n.Addr == "" {
 				return fmt.Errorf("rumor: cluster node %d has neither Addr nor Dial", i)
 			}

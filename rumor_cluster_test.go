@@ -494,3 +494,31 @@ func TestDialClusterKeepsBatchSize(t *testing.T) {
 		})
 	}
 }
+
+// DialCluster calls its nodes' Dial funcs one at a time, so they may share
+// state, here two plain counters that overlapping calls would race on.
+func TestDialClusterDialsOneAtATime(t *testing.T) {
+	sys := rumor.NewSharded(rumor.ShardConfig{})
+	if err := sys.ExecScript(perfScript); err != nil {
+		t.Fatal(err)
+	}
+	nodes, _ := startPipeWorkers(t, 3)
+	var inDial, most int
+	for i := range nodes {
+		dial := nodes[i].Dial
+		nodes[i].Dial = func() (net.Conn, error) {
+			inDial++
+			most = max(most, inDial)
+			time.Sleep(time.Millisecond) // a call long enough for another to start
+			inDial--
+			return dial()
+		}
+	}
+	if err := sys.DialCluster(rumor.Options{}, rumor.ClusterConfig{Nodes: nodes, HeartbeatInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if most != 1 {
+		t.Fatalf("%d Dial calls at once, want 1", most)
+	}
+}
