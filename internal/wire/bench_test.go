@@ -33,3 +33,17 @@ func BenchmarkPlanCodecW2(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFingerprintW2 fingerprints a 1 000-query Workload 2 plan, which
+// a cluster coordinator and each of its workers do on every live add or
+// remove.
+func BenchmarkFingerprintW2(b *testing.B) {
+	p := w2Physical(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.FingerprintPlan(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
