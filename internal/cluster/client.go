@@ -737,11 +737,11 @@ func (c *Client) Churn(call *ChurnCall) ([]mop.GroupRef, error) {
 // cache re-sends the exported payload instead of re-exporting.
 func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
 	body, _ := wire.Marshal(&sideCall{OpID: opID, Side: side, KeyAttr: keyAttr}, sideCallFields)
-	var raw []byte
-	if err := callFor(c, opExport, body, &raw, exportReplyFields); err != nil {
+	var m sideCall
+	if err := callFor(c, opExport, body, &m, exportReplyFields); err != nil {
 		return nil, err
 	}
-	return wire.DecodePayloadBytes(raw)
+	return wire.DecodePayloadBytes(m.Payload)
 }
 
 // Import ships a state payload into the worker's replica. The payload
@@ -751,10 +751,9 @@ func (c *Client) Export(opID, side, keyAttr int) (*mop.StatePayload, error) {
 func (c *Client) Import(opID int, pl *mop.StatePayload) error {
 	m := sideCall{OpID: opID}
 	if pl != nil && pl.Len() > 0 {
-		m.Payload = wire.EncodePayloadBytes(pl)
+		m.pl = pl
 	}
-	body, _ := wire.Marshal(&m, importCallFields)
-	_, err := c.call(opImport, body)
+	_, err := c.callWith(opImport, func(b *wire.Buffer) { importCallFields(b, &m) })
 	return err
 }
 

@@ -287,10 +287,11 @@ func TestWorkerReplyCache(t *testing.T) {
 			if m.Err != "" {
 				t.Fatalf("export group %d side %d: %s", g.OpID, side, m.Err)
 			}
-			var raw []byte
-			if err := wire.Unmarshal(m.Body, &raw, exportReplyFields); err != nil {
+			var exported sideCall
+			if err := wire.Unmarshal(m.Body, &exported, exportReplyFields); err != nil {
 				t.Fatal(err)
 			}
+			raw := exported.Payload
 			if len(raw) > 0 {
 				nonEmpty++
 			}

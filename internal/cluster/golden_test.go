@@ -148,7 +148,7 @@ func controlCodecs() []codec {
 			}{m.ID, m.Op, m.Body}, encodeCall(m.ID, m.Op, m.Body), nil
 		}},
 		{"reply", [][]byte{
-			encodeReply(7, nil, marshal(&payload, exportReplyFields)),
+			encodeReply(7, nil, marshal(&sideCall{Payload: payload}, exportReplyFields)),
 			encodeReply(8, fmt.Errorf("%w: opcode 300", wire.ErrCorrupt), nil),
 		}, func(p []byte) (any, []byte, error) {
 			var m reply
@@ -170,7 +170,7 @@ func controlCodecs() []codec {
 		{"churnCall", [][]byte{goldenChurnCall()}, roundTripOf(churnCallFields)},
 		{"groups", [][]byte{marshal(&groups, groupsFields)}, roundTripOf(groupsFields)},
 		{"sideCall", [][]byte{marshal(&sideCall{OpID: 3, Side: 1, KeyAttr: 2}, sideCallFields)}, roundTripOf(sideCallFields)},
-		{"bytesField1", [][]byte{marshal(&payload, exportReplyFields)}, roundTripOf(exportReplyFields)},
+		{"bytesField1", [][]byte{marshal(&sideCall{Payload: payload}, exportReplyFields)}, roundTripOf(exportReplyFields)},
 		{"importCall", [][]byte{marshal(&sideCall{OpID: 3, Payload: payload}, importCallFields)}, roundTripOf(importCallFields)},
 		{"hist", [][]byte{marshal(histOf(map[int64]int64{-5: 7, 1: 2, 1 << 40: 3}), histFields)}, func(p []byte) (any, []byte, error) {
 			var m hist

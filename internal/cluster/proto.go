@@ -396,10 +396,13 @@ func churnCallFields(c *wire.Codec, m *ChurnCall) {
 }
 
 // sideCall names one side of one state group: the export and histogram
-// calls' body. Import's body names the group and carries the payload.
+// calls' body. Import's body names the group and carries the payload, the
+// export reply the payload alone. An encoder given pl writes it in place
+// as the payload's bytes.
 type sideCall struct {
 	OpID, Side, KeyAttr int
 	Payload             []byte
+	pl                  *mop.StatePayload
 }
 
 // sideCallFields declares the export and histogram calls' body.
@@ -412,12 +415,22 @@ func sideCallFields(c *wire.Codec, m *sideCall) {
 // importCallFields declares the import call's body; its reply is empty.
 func importCallFields(c *wire.Codec, m *sideCall) {
 	wire.Varint(c, 1, &m.OpID)
-	c.Blob(2, &m.Payload)
+	payloadField(c, 2, m)
 }
 
 // exportReplyFields declares the export reply: the payload's bytes,
 // empty when the side stored nothing.
-func exportReplyFields(c *wire.Codec, p *[]byte) { c.Blob(1, p) }
+func exportReplyFields(c *wire.Codec, m *sideCall) { payloadField(c, 1, m) }
+
+// payloadField declares m's payload, which an encoder given m.pl writes in
+// place.
+func payloadField(c *wire.Codec, field int, m *sideCall) {
+	var put func(*wire.Buffer)
+	if m.pl != nil {
+		put = func(b *wire.Buffer) { wire.PutPayload(b, m.pl) }
+	}
+	c.Body(field, &m.Payload, put)
+}
 
 // completedFields declares the batch reply: the last WAL seq the worker
 // applied.

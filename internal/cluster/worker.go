@@ -372,8 +372,7 @@ func (st *workerState) handle(op byte, body []byte, out *wire.Buffer) error {
 		if pl == nil || pl.Len() == 0 {
 			return nil
 		}
-		raw := wire.EncodePayloadBytes(pl)
-		return wire.Encode(out, &raw, exportReplyFields)
+		return wire.Encode(out, &sideCall{pl: pl}, exportReplyFields)
 	case opImport:
 		var m sideCall
 		if err := wire.Unmarshal(body, &m, importCallFields); err != nil {

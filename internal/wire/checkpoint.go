@@ -70,7 +70,9 @@ func checkpointFields(c *Codec, ck *Checkpoint) {
 	// Field 3 (a channel stream threshold) is retired; a decoder skips it
 	// in older checkpoints as an unknown field.
 	Ptr(c, 4, &ck.Plan, planFields)
-	Nested(c, 5, &ck.Partition, &partitionConv)
+	if c.dec || ck.Partition != nil {
+		Nested(c, 5, &ck.Partition, &partitionConv)
+	}
 	Msgs(c, 6, &ck.Counts, queryCountFields)
 	Msgs(c, 7, &ck.Frozen, namedCountFields)
 	Msgs(c, 8, &ck.Groups, groupStateFields)
@@ -93,13 +95,11 @@ func groupStateFields(c *Codec, gs *GroupState) {
 	Nested(c, 3, &gs.Payload, &payloadConv)
 }
 
-// A nil partition plan is absent; a nil payload is an empty message.
+// A nil partition plan is absent (checkpointFields leaves it out); a nil
+// payload is an empty message.
 var (
-	partitionConv = Conv[*core.PartitionPlan]{EncodePartitionBytes, func(_ *Codec, p []byte) (*core.PartitionPlan, error) { return DecodePartitionBytes(p) }}
-	payloadConv   = Conv[*mop.StatePayload]{
-		func(p *mop.StatePayload) ([]byte, error) { return EncodePayloadBytes(p), nil },
-		func(_ *Codec, p []byte) (*mop.StatePayload, error) { return DecodePayloadBytes(p) },
-	}
+	partitionConv = Conv[*core.PartitionPlan]{partitionFields, func(_ *Codec, p []byte) (*core.PartitionPlan, error) { return DecodePartitionBytes(p) }}
+	payloadConv   = Conv[*mop.StatePayload]{PutPayload, func(_ *Codec, p []byte) (*mop.StatePayload, error) { return DecodePayloadBytes(p) }}
 )
 
 // EncodeCheckpointBytes encodes the envelope body (no framing).

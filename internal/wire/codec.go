@@ -545,16 +545,17 @@ func Map[K cmp.Ordered, V any](c *Codec, field int, m *map[K]V, decl func(*Codec
 	})
 }
 
-// A Conv translates a value to and from the bytes of the nested message
-// that holds it. Enc returning nil bytes leaves the field out. Dec is
-// given the decoding Codec, to decode the bytes on with sub.
+// A Conv translates a value to and from the nested message that holds it.
+// Put writes the value's message in place into the Codec it is given, and
+// records an error there as its encoding error. Dec is given the decoding
+// Codec, to decode the bytes on with sub.
 type Conv[V any] struct {
-	Enc func(V) ([]byte, error)
+	Put func(*Codec, V)
 	Dec func(*Codec, []byte) (V, error)
 }
 
-// Nested declares a nested message field whose bytes conv translates to
-// and from *p. A nil interface value is absent.
+// Nested declares a nested message field whose message conv writes from
+// and reads into *p. A nil interface value is absent.
 func Nested[V any](c *Codec, field int, p *V, conv *Conv[V]) {
 	if !c.dec {
 		putNested(c, field, *p, conv)
@@ -563,8 +564,8 @@ func Nested[V any](c *Codec, field int, p *V, conv *Conv[V]) {
 	c.add(field, unsafe.Pointer(p), func(c *Codec, p unsafe.Pointer) error { return nested(c, (*V)(p), conv) })
 }
 
-// NestedList declares a repeated field of nested messages whose bytes conv
-// translates to and from the elements of *p.
+// NestedList declares a repeated field of nested messages that conv
+// writes from and reads into the elements of *p.
 func NestedList[V any](c *Codec, field int, p *[]V, conv *Conv[V]) {
 	if !c.dec {
 		for _, v := range *p {
@@ -581,15 +582,13 @@ func NestedList[V any](c *Codec, field int, p *[]V, conv *Conv[V]) {
 }
 
 func putNested[V any](c *Codec, field int, v V, conv *Conv[V]) {
-	if any(v) == nil {
-		return
-	}
-	if raw, err := conv.Enc(v); err != nil {
-		c.err = cmp.Or(c.err, err)
-	} else if raw != nil {
-		c.PutBytesField(field, raw)
+	if any(v) != nil {
+		c.PutMsgField(field, func(c *Codec) { conv.Put(c, v) })
 	}
 }
+
+// failEncode records err as c's encoding error, unless an earlier one was.
+func (c *Codec) failEncode(err error) { c.err = cmp.Or(c.err, err) }
 
 func nested[V any](c *Codec, p *V, conv *Conv[V]) error {
 	raw, err := c.r.Bytes()

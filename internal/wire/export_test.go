@@ -6,11 +6,24 @@ import (
 )
 
 // The internal codecs, for the decode goldens.
-var (
-	EncodePred  = encodePred
-	EncodePred2 = encodePred2
-	EncodeExpr  = encodeExpr
-)
+func EncodePred(p expr.Pred) ([]byte, error)   { return put(p, putPred) }
+func EncodePred2(p expr.Pred2) ([]byte, error) { return put(p, putPred2) }
+func EncodeExpr(e expr.Expr) ([]byte, error)   { return put(e, putExpr) }
+
+// EncodePartitionBytes encodes a partition plan; nil encodes as no bytes.
+func EncodePartitionBytes(p *core.PartitionPlan) ([]byte, error) {
+	if p == nil {
+		return nil, nil
+	}
+	return Marshal(p, partitionFields)
+}
+
+// put returns the message that fn writes of v.
+func put[V any](v V, fn func(*Codec, V)) ([]byte, error) {
+	var c Codec
+	fn(&c, v)
+	return c.b, c.err
+}
 
 func DecodePred(p []byte, depth int) (expr.Pred, error) { return decodePred(decoder(), p, depth) }
 func DecodePred2(p []byte, depth int) (expr.Pred2, error) {

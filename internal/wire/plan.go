@@ -62,8 +62,8 @@ const (
 
 // operands is the wire form both predicate languages share: the type tag,
 // the integer operands and the nested operands, each an encoded predicate.
-// A decoded form's lists start in its own arrays, which hold as many
-// operands as a predicate takes but for And and Or.
+// A decoder reads a predicate into it; its lists start in its own arrays,
+// which hold as many operands as a predicate takes but for And and Or.
 type operands struct {
 	typ  int64
 	ints []int64
@@ -72,21 +72,13 @@ type operands struct {
 	sbuf [1][]byte
 }
 
-// operandFields declares a predicate: 1=type, then its integers at fields
-// 2, 3 and 4 in order and its nested predicates repeated at field 2. A
-// decoder tells the two apart at field 2 by wire type.
+// operandFields declares a predicate for a decoder: 1=type, then its
+// integers at fields 2, 3 and 4 in order and its nested predicates
+// repeated at field 2, told apart at field 2 by wire type. putForm and
+// putParts write it.
 func operandFields(c *Codec, m *operands) {
 	Init(c, m, func(m *operands) { m.ints, m.subs = m.ibuf[:0], m.sbuf[:0] })
 	Varint(c, 1, &m.typ)
-	if !c.dec {
-		for i, v := range m.ints {
-			c.PutVarintField(2+i, v)
-		}
-		for _, s := range m.subs {
-			c.PutBytesField(2, s)
-		}
-		return
-	}
 	c.add(2, unsafe.Pointer(m), func(c *Codec, p unsafe.Pointer) error {
 		m := (*operands)(p)
 		if c.wt == wtVarint {
@@ -107,35 +99,45 @@ func appendInt(c *Codec, p unsafe.Pointer) error {
 	return err
 }
 
-// exprForm is the wire form of an expression: the type tag, its integer
-// argument (a column, a literal or an operator; the last one counts), and
-// an operator's operands, each an encoded expression.
+// exprForm is the wire form of an expression as a decoder reads it: the
+// type tag, its integer argument (a column, a literal or an operator; the
+// last one counts), and an operator's operands, each an encoded
+// expression.
 type exprForm struct {
 	typ  int64
 	args []int64
 	l, r []byte
 }
 
+// exprFields declares an expression for a decoder; putExpr writes it.
 func exprFields(c *Codec, m *exprForm) {
 	Varint(c, 1, &m.typ)
-	if c.dec {
-		c.add(2, unsafe.Pointer(&m.args), appendInt)
-	} else {
-		for _, v := range m.args {
-			c.PutVarintField(2, v)
-		}
-	}
-	c.Blob(3|OmitEmpty, &m.l)
-	c.Blob(4|OmitEmpty, &m.r)
+	c.add(2, unsafe.Pointer(&m.args), appendInt)
+	c.Blob(3, &m.l)
+	c.Blob(4, &m.r)
 }
 
-// encodeSum encodes v's wire form, which form gives and fields declares.
-func encodeSum[V, M any](v V, form func(V) (M, error), fields func(*Codec, *M)) ([]byte, error) {
-	m, err := form(v)
-	if err != nil {
-		return nil, err
+// putForm writes the form of tag typ with the integers ints, at fields 2,
+// 3 and 4 in order.
+func putForm(c *Codec, typ int64, ints ...int64) {
+	c.PutVarintField(1, typ)
+	for i, v := range ints {
+		c.PutVarintField(2+i, v)
 	}
-	return Marshal(&m, fields)
+}
+
+// putParts writes the form of tag typ over parts, each a message at field
+// 2 that put writes.
+func putParts[V any](c *Codec, typ int64, put func(*Codec, V), parts ...V) {
+	c.PutVarintField(1, typ)
+	for _, part := range parts {
+		c.PutMsgField(2, func(c *Codec) { put(c, part) })
+	}
+}
+
+// unserializable records that v, a what, has no wire form.
+func unserializable(c *Codec, what string, v any) {
+	c.failEncode(fmt.Errorf("wire: unserializable %s type %T", what, v))
 }
 
 // decodeSum decodes the wire form p, which fields declares, on c at
@@ -152,19 +154,6 @@ func decodeSum[V, M any](c *Codec, p []byte, depth int, deep string, fields func
 		return zero, err
 	}
 	return value(c, m, depth)
-}
-
-// nestedForm is the form of tag typ over parts, each encoded by enc.
-func nestedForm[V any](typ int64, enc func(V) ([]byte, error), parts ...V) (operands, error) {
-	m := operands{typ: typ}
-	for _, part := range parts {
-		sub, err := enc(part)
-		if err != nil {
-			return m, err
-		}
-		m.subs = append(m.subs, sub)
-	}
-	return m, nil
 }
 
 // decodeOne decodes the one nested operand of m on c at depth; a form with
@@ -190,30 +179,29 @@ func decodeParts[V any](c *Codec, m *operands, depth int, dec func(*Codec, []byt
 	return parts, nil
 }
 
-func encodePred(p expr.Pred) ([]byte, error) { return encodeSum(p, predForm, operandFields) }
-
 func decodePred(c *Codec, p []byte, depth int) (expr.Pred, error) {
 	return decodeSum(c, p, depth, "predicate nesting too deep", operandFields, predValue)
 }
 
-func predForm(p expr.Pred) (operands, error) {
+func putPred(c *Codec, p expr.Pred) {
 	switch q := p.(type) {
 	case expr.ConstCmp:
-		return operands{typ: predConstCmp, ints: []int64{int64(q.Attr), int64(q.Op), q.C}}, nil
+		putForm(c, predConstCmp, int64(q.Attr), int64(q.Op), q.C)
 	case expr.AttrCmp:
-		return operands{typ: predAttrCmp, ints: []int64{int64(q.A), int64(q.Op), int64(q.B)}}, nil
+		putForm(c, predAttrCmp, int64(q.A), int64(q.Op), int64(q.B))
 	case expr.True:
-		return operands{typ: predTrue}, nil
+		putForm(c, predTrue)
 	case expr.False:
-		return operands{typ: predFalse}, nil
+		putForm(c, predFalse)
 	case expr.And:
-		return nestedForm(predAnd, encodePred, q.Parts...)
+		putParts(c, predAnd, putPred, q.Parts...)
 	case expr.Or:
-		return nestedForm(predOr, encodePred, q.Parts...)
+		putParts(c, predOr, putPred, q.Parts...)
 	case expr.Not:
-		return nestedForm(predNot, encodePred, q.P)
+		putParts(c, predNot, putPred, q.P)
+	default:
+		unserializable(c, "predicate", p)
 	}
-	return operands{}, fmt.Errorf("wire: unserializable predicate type %T", p)
 }
 
 func predValue(c *Codec, m *operands, depth int) (expr.Pred, error) {
@@ -250,34 +238,33 @@ func predValue(c *Codec, m *operands, depth int) (expr.Pred, error) {
 	return nil, corrupt("unknown predicate type %d", m.typ)
 }
 
-func encodePred2(p expr.Pred2) ([]byte, error) { return encodeSum(p, pred2Form, operandFields) }
-
 func decodePred2(c *Codec, p []byte, depth int) (expr.Pred2, error) {
 	return decodeSum(c, p, depth, "binary predicate nesting too deep", operandFields, pred2Value)
 }
 
-func pred2Form(p expr.Pred2) (operands, error) {
+func putPred2(c *Codec, p expr.Pred2) {
 	switch q := p.(type) {
 	case expr.AttrCmp2:
-		return operands{typ: pred2AttrCmp, ints: []int64{int64(q.L), int64(q.Op), int64(q.R)}}, nil
+		putForm(c, pred2AttrCmp, int64(q.L), int64(q.Op), int64(q.R))
 	case expr.Left:
-		return nestedForm(pred2Left, encodePred, q.P)
+		putParts(c, pred2Left, putPred, q.P)
 	case expr.Right:
-		return nestedForm(pred2Right, encodePred, q.P)
+		putParts(c, pred2Right, putPred, q.P)
 	case expr.Duration:
-		return operands{typ: pred2Duration, ints: []int64{q.W}}, nil
+		putForm(c, pred2Duration, q.W)
 	case expr.True2:
-		return operands{typ: pred2True}, nil
+		putForm(c, pred2True)
 	case expr.False2:
-		return operands{typ: pred2False}, nil
+		putForm(c, pred2False)
 	case expr.And2:
-		return nestedForm(pred2And, encodePred2, q.Parts...)
+		putParts(c, pred2And, putPred2, q.Parts...)
 	case expr.Or2:
-		return nestedForm(pred2Or, encodePred2, q.Parts...)
+		putParts(c, pred2Or, putPred2, q.Parts...)
 	case expr.Not2:
-		return nestedForm(pred2Not, encodePred2, q.P)
+		putParts(c, pred2Not, putPred2, q.P)
+	default:
+		unserializable(c, "binary predicate", p)
 	}
-	return operands{}, fmt.Errorf("wire: unserializable binary predicate type %T", p)
 }
 
 func pred2Value(c *Codec, m *operands, depth int) (expr.Pred2, error) {
@@ -325,29 +312,25 @@ func pred2Value(c *Codec, m *operands, depth int) (expr.Pred2, error) {
 	return nil, corrupt("unknown binary predicate type %d", m.typ)
 }
 
-func encodeExpr(e expr.Expr) ([]byte, error) { return encodeSum(e, exprFormOf, exprFields) }
-
 func decodeExpr(c *Codec, p []byte, depth int) (expr.Expr, error) {
 	return decodeSum(c, p, depth, "expression nesting too deep", exprFields, exprValue)
 }
 
-func exprFormOf(e expr.Expr) (exprForm, error) {
+func putExpr(c *Codec, e expr.Expr) {
 	switch q := e.(type) {
 	case expr.Col:
-		return exprForm{typ: exprCol, args: []int64{int64(q.I)}}, nil
+		putForm(c, exprCol, int64(q.I))
 	case expr.Lit:
-		return exprForm{typ: exprLit, args: []int64{q.C}}, nil
+		putForm(c, exprLit, q.C)
 	case expr.TS:
-		return exprForm{typ: exprTS}, nil
+		putForm(c, exprTS)
 	case expr.Arith:
-		l, err := encodeExpr(q.L)
-		if err != nil {
-			return exprForm{}, err
-		}
-		r, err := encodeExpr(q.R)
-		return exprForm{typ: exprArith, args: []int64{int64(q.Op)}, l: l, r: r}, err
+		putForm(c, exprArith, int64(q.Op))
+		c.PutMsgField(3, func(c *Codec) { putExpr(c, q.L) })
+		c.PutMsgField(4, func(c *Codec) { putExpr(c, q.R) })
+	default:
+		unserializable(c, "expression", e)
 	}
-	return exprForm{}, fmt.Errorf("wire: unserializable expression type %T", e)
 }
 
 func exprValue(c *Codec, m *exprForm, depth int) (expr.Expr, error) {
@@ -382,9 +365,9 @@ func exprValue(c *Codec, m *exprForm, depth int) (expr.Expr, error) {
 // The fields of a definition that hold a predicate or an expression; each
 // starts at depth 0.
 var (
-	predConv  = Conv[expr.Pred]{encodePred, func(c *Codec, p []byte) (expr.Pred, error) { return decodePred(c, p, 0) }}
-	pred2Conv = Conv[expr.Pred2]{encodePred2, func(c *Codec, p []byte) (expr.Pred2, error) { return decodePred2(c, p, 0) }}
-	exprConv  = Conv[expr.Expr]{encodeExpr, func(c *Codec, p []byte) (expr.Expr, error) { return decodeExpr(c, p, 0) }}
+	predConv  = Conv[expr.Pred]{putPred, func(c *Codec, p []byte) (expr.Pred, error) { return decodePred(c, p, 0) }}
+	pred2Conv = Conv[expr.Pred2]{putPred2, func(c *Codec, p []byte) (expr.Pred2, error) { return decodePred2(c, p, 0) }}
+	exprConv  = Conv[expr.Expr]{putExpr, func(c *Codec, p []byte) (expr.Expr, error) { return decodeExpr(c, p, 0) }}
 )
 
 func schemaMapFields(c *Codec, m *expr.SchemaMap) {
@@ -587,15 +570,6 @@ func intSet(c *Codec, field int, set *map[int]bool) {
 		}
 		return err
 	})
-}
-
-// EncodePartitionBytes serializes a partition plan; nil encodes as no
-// bytes.
-func EncodePartitionBytes(p *core.PartitionPlan) ([]byte, error) {
-	if p == nil {
-		return nil, nil
-	}
-	return Marshal(p, partitionFields)
 }
 
 // DecodePartitionBytes deserializes a partition plan; empty input yields

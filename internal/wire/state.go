@@ -70,14 +70,20 @@ func member(c *Codec, field int, p **bitset.Set) {
 	})
 }
 
+// PutPayload writes p's message into c, in place; a nil payload writes
+// nothing, an empty message.
+func PutPayload(c *Codec, p *mop.StatePayload) {
+	if p != nil {
+		payloadFields(c, &payloadForm{int64(p.Kind()), int64(p.Side()), p.Items()})
+	}
+}
+
 // EncodePayloadBytes encodes a standalone payload message. A nil payload
 // encodes as an empty message.
 func EncodePayloadBytes(p *mop.StatePayload) []byte {
-	if p == nil {
-		return []byte{}
-	}
-	b, _ := Marshal(&payloadForm{int64(p.Kind()), int64(p.Side()), p.Items()}, payloadFields)
-	return b
+	c := Codec{b: []byte{}}
+	PutPayload(&c, p)
+	return c.b
 }
 
 // DecodePayloadBytes decodes a standalone payload message. Returns nil for
