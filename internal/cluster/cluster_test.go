@@ -703,12 +703,8 @@ func TestChurnChecksFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn := func(rec *wire.ChurnRecord, flip uint64) error {
-		fp, err := wire.FingerprintPlan(twin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Fingerprint = fp ^ flip
-		_, err = c.Churn(&ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources})
+		rec.Fingerprint = twin.Fingerprint() ^ flip
+		_, err := c.Churn(&ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources})
 		return err
 	}
 	q := core.NewQuery("again", twin.Queries[0].Root)
@@ -762,11 +758,7 @@ func TestChurnSkipsRetiredField3(t *testing.T) {
 	if _, err := live.AddQuery(twin, rules.Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := wire.FingerprintPlan(twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root, Fingerprint: fp}
+	rec := &wire.ChurnRecord{Op: wire.ChurnAdd, Name: q.Name, Root: q.Root, Fingerprint: twin.Fingerprint()}
 	call := &ChurnCall{Rec: rec, Sources: twin.Snapshot().Sources}
 	old, err := wire.Marshal(call, field3ChurnCallFields)
 	if err != nil {

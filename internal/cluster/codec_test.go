@@ -696,10 +696,7 @@ func TestChurnCallSize(t *testing.T) {
 		if _, err := live.AddQuery(plan, opt, core.NewQuery(add.Name, add.Root)); err != nil {
 			t.Fatal(err)
 		}
-		fp, err := wire.FingerprintPlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := plan.Fingerprint()
 		planBytes, err := wire.EncodePlanBytes(plan.Snapshot())
 		if err != nil {
 			t.Fatal(err)

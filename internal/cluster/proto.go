@@ -68,8 +68,11 @@ import (
 // replays on its own plan (opChurn), where version 4 shipped the post-op
 // plan snapshot and a delta under the same opcode. Version 6 writes the
 // churn call's record and sources as messages of their own, where version
-// 5 wrapped them in a one-record churn log and a plan snapshot.
-const ProtoVersion = 6
+// 5 wrapped them in a one-record churn log and a plan snapshot. Version 7
+// checks a churn call against core.(*Physical).Fingerprint, a walk of the
+// plan, where version 6 hashed the plan snapshot's encoding: the two
+// disagree on every plan.
+const ProtoVersion = 7
 
 // Frame types.
 //

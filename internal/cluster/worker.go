@@ -291,11 +291,7 @@ func (st *workerState) replayChurn(call *ChurnCall) (*core.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, err := wire.FingerprintPlan(st.plan)
-	if err != nil {
-		return nil, err
-	}
-	if fp != rec.Fingerprint {
+	if fp := st.plan.Fingerprint(); fp != rec.Fingerprint {
 		return nil, fmt.Errorf("churn of %q: plan fingerprint %016x, coordinator's %016x", rec.Name, fp, rec.Fingerprint)
 	}
 	return d, nil

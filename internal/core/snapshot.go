@@ -10,11 +10,16 @@ import (
 // This file implements plan snapshots: a self-contained DTO capturing a
 // Physical plan's exact shape — including IDs, tombstoned channel slots,
 // and the allocation counters — so a checkpoint can rebuild the identical
-// plan in a fresh process. Serializing the plan directly (rather than
-// replaying the churn log through the rule engine) is deliberate: rule
-// application order depends on map iteration, so a replay could assign
-// different operator and stream IDs, breaking both PlanInfo equality and
-// the operator-ID identity that binds serialized m-op state to its group.
+// plan in a fresh process. Planning is deterministic: batch Optimize pins
+// its IDs across runs (internal/rules/testdata/plans.sha256), and every
+// cluster worker replays live maintenance through the rules and checks
+// the coordinator's Fingerprint. The snapshot ships structure because the
+// handshake and the checkpoint carry no record of how the plan came to
+// be: its shape is the set-up Optimize over the queries of that time,
+// then each live add and remove in order, and no batch Optimize of the
+// surviving queries reproduces its tombstoned slots and counters. A
+// set-up that ships the declarations and the churn log and replays them
+// could rebuild the plan instead (ROADMAP item 34(b)).
 
 // SchemaSnap captures a stream schema by value.
 type SchemaSnap struct {

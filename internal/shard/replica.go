@@ -125,19 +125,15 @@ type Churn struct {
 	Plan    *core.Physical
 }
 
-// Fingerprint sets Rec.Fingerprint to Plan's (wire.FingerprintPlan),
-// which encodes Plan, and returns it; a fingerprint already set is kept.
-// Only a remote replica or a churn log asks for it, so a system with
-// neither encodes nothing per operation.
-func (c *Churn) Fingerprint() (uint64, error) {
+// Fingerprint sets Rec.Fingerprint to Plan's (core.(*Physical).Fingerprint,
+// a walk of Plan) and returns it; a fingerprint already set is kept. Only
+// a remote replica or a churn log asks for it, so a system with neither
+// walks nothing per operation.
+func (c *Churn) Fingerprint() uint64 {
 	if c.Rec.Fingerprint == 0 {
-		fp, err := wire.FingerprintPlan(c.Plan)
-		if err != nil {
-			return 0, err
-		}
-		c.Rec.Fingerprint = fp
+		c.Rec.Fingerprint = c.Plan.Fingerprint()
 	}
-	return c.Rec.Fingerprint, nil
+	return c.Rec.Fingerprint
 }
 
 // ---------------------------------------------------------------------
@@ -262,9 +258,7 @@ func (r *remoteReplica) totalResults() int64 {
 func (r *remoteReplica) registry() Registry { return &remoteRegistry{rep: r} }
 
 func (r *remoteReplica) applyDelta(ch *Churn, names []string) error {
-	if _, err := ch.Fingerprint(); err != nil {
-		return err
-	}
+	ch.Fingerprint()
 	srcs := make([]core.SourceSnap, len(names))
 	for i, name := range names {
 		decl := ch.Plan.Catalog[name]

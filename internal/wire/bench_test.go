@@ -42,8 +42,6 @@ func BenchmarkFingerprintW2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.FingerprintPlan(p); err != nil {
-			b.Fatal(err)
-		}
+		p.Fingerprint()
 	}
 }

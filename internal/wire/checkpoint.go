@@ -169,10 +169,12 @@ const (
 )
 
 // ChurnRecord is one live maintenance operation: the query name, its
-// logical tree (adds only), and the fingerprint (FingerprintPlan) of the
-// plan the operation left behind. The churn log holds one per operation,
-// and a cluster worker receives one per operation to replay on its own
-// plan; either replayer checks that it reached the same fingerprint.
+// logical tree (adds only), and the fingerprint of the plan the operation
+// left behind (core.(*Physical).Fingerprint, a walk of the plan). The
+// churn log holds one per operation, and a cluster worker receives one per
+// operation to replay on its own plan; either replayer checks that it
+// reached the same fingerprint. The fingerprint is the build's own, so a
+// churn log is replayed by the build that wrote it.
 type ChurnRecord struct {
 	Op          ChurnOp
 	Name        string

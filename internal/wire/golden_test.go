@@ -394,24 +394,17 @@ func TestDecodeGolden(t *testing.T) {
 	checkDecodeGolden(t, wireDecoders(t))
 }
 
-// The fingerprint golden pins wire.FingerprintPlan over the fixture plans
-// and the fingerprints a churn log records: a churn log written by one
-// build must replay on the next, which recomputes every fingerprint it
-// logged. The log is live maintenance on the CQL plan, one add and one
-// remove, each record carrying the fingerprint of the plan it left.
-// Regenerate only for an intended change of the plan encoding:
+// The fingerprint golden pins core.(*Physical).Fingerprint over the
+// fixture plans and the fingerprints a churn log records: a churn log
+// written by one build must replay on the next, which recomputes every
+// fingerprint it logged. The log is live maintenance on the CQL plan, one
+// add and one remove, each record carrying the fingerprint of the plan it
+// left. Regenerate only for an intended change of the plan fingerprint:
 //
 //	go test ./internal/wire -run FingerprintGolden -update
 func TestFingerprintGolden(t *testing.T) {
 	var b strings.Builder
-	fingerprint := func(p *core.Physical) uint64 {
-		t.Helper()
-		fp, err := wire.FingerprintPlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fp
-	}
+	fingerprint := (*core.Physical).Fingerprint
 	fmt.Fprintf(&b, "plan/w2 fingerprint=%016x\n", fingerprint(w2Physical(t, 20)))
 	plan := cqlPhysical(t)
 	fmt.Fprintf(&b, "plan/cql fingerprint=%016x\n", fingerprint(plan))

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"slices"
 	"unsafe"
@@ -504,20 +503,6 @@ func DecodePlanBytes(p []byte) (*core.PlanSnapshot, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// FingerprintPlan returns the fingerprint of p: the 64-bit FNV-1a hash of
-// its snapshot's encoding (EncodePlanBytes). Live maintenance is
-// deterministic in the encoded plan, so two replicas that replay the same
-// churn on equal plans reach equal fingerprints.
-func FingerprintPlan(p *core.Physical) (uint64, error) {
-	planBytes, err := EncodePlanBytes(p.Snapshot())
-	if err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(planBytes) // a hash.Hash never fails a Write
-	return h.Sum64(), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 // Package wire implements the versioned, self-describing binary codec
 // behind RUMOR's checkpoint/restore and state-transport paths: operator
-// state payloads (mop.StatePayload), plan snapshots and their
-// fingerprints, partition plans, churn records, and the checkpoint
-// envelope tying them together.
+// state payloads (mop.StatePayload), plan snapshots, partition plans,
+// churn records, and the checkpoint envelope tying them together.
 //
 // The format is protobuf-shaped without the dependency: a message is a
 // sequence of tagged fields, tag = fieldNum<<3 | wiretype, with two wire

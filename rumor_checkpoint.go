@@ -209,11 +209,8 @@ func (s *System) logChurn(ch *shard.Churn) error {
 	if s.churnLog == nil {
 		return nil
 	}
-	_, err := ch.Fingerprint()
-	if err == nil {
-		err = wire.AppendChurnRecord(s.churnLog, &ch.Rec)
-	}
-	if err != nil {
+	ch.Fingerprint()
+	if err := wire.AppendChurnRecord(s.churnLog, &ch.Rec); err != nil {
 		return fmt.Errorf("rumor: churn log (operation applied, log incomplete): %w", err)
 	}
 	return nil
@@ -246,11 +243,8 @@ func ReplayChurnLog(sys *System, r io.Reader) error {
 			return fmt.Errorf("rumor: churn record %d: %w", i, err)
 		}
 		sys.churnMu.Lock()
-		fp, err := wire.FingerprintPlan(sys.plan)
+		fp := sys.plan.Fingerprint()
 		sys.churnMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("rumor: churn record %d: %w", i, err)
-		}
 		if fp != rec.Fingerprint {
 			return fmt.Errorf("rumor: churn record %d (%q): replayed plan fingerprint %016x, log recorded %016x", i, rec.Name, fp, rec.Fingerprint)
 		}
