@@ -96,16 +96,8 @@ func (d *Delta) Empty() bool {
 
 // String renders the delta for logs and tests.
 func (d *Delta) String() string {
-	ids := func(m map[int]bool) []int {
-		out := make([]int, 0, len(m))
-		for id := range m {
-			out = append(out, id)
-		}
-		sort.Ints(out)
-		return out
-	}
 	return fmt.Sprintf("delta{dirty:%v removed:%v edges:-%v +%v remaps:%d queries:-%v}",
-		ids(d.Dirty), ids(d.Removed), ids(d.RemovedEdges), ids(d.NewEdges), len(d.Remaps), d.RemovedQueries)
+		sortedKeys(d.Dirty), sortedKeys(d.Removed), sortedKeys(d.RemovedEdges), sortedKeys(d.NewEdges), len(d.Remaps), d.RemovedQueries)
 }
 
 // BeginDelta starts recording plan mutations. Exactly one recording may be
@@ -142,12 +134,7 @@ func (p *Physical) DirtyNodes() []int {
 	if p.rec == nil {
 		return nil
 	}
-	ids := make([]int, 0, len(p.rec.Dirty))
-	for id := range p.rec.Dirty {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return sortedKeys(p.rec.Dirty)
 }
 
 func (p *Physical) noteDirty(nodeID int) {
@@ -267,12 +254,7 @@ func (p *Physical) RemoveQuery(queryID int) error {
 	}
 
 	// Sweep nodes in ID order for a deterministic delta.
-	ids := make([]int, 0, len(p.Nodes))
-	for id := range p.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(p.Nodes) {
 		n := p.Nodes[id]
 		if n.Kind == KindSource {
 			continue

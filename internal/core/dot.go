@@ -22,11 +22,7 @@ func (p *Physical) Dot() string {
 	}
 
 	refs := p.OpRefcounts()
-	nodeIDs := make([]int, 0, len(p.Nodes))
-	for id := range p.Nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Ints(nodeIDs)
+	nodeIDs := sortedKeys(p.Nodes)
 	for _, id := range nodeIDs {
 		n := p.Nodes[id]
 		// refs: live query references across the node's operators — the
@@ -43,12 +39,7 @@ func (p *Physical) Dot() string {
 					names[o.Out.Source] = true
 				}
 			}
-			var ns []string
-			for name := range names {
-				ns = append(ns, name)
-			}
-			sort.Strings(ns)
-			label = fmt.Sprintf("source %s", strings.Join(ns, ","))
+			label = fmt.Sprintf("source %s", strings.Join(sortedKeys(names), ","))
 			fmt.Fprintf(&b, "  n%d [label=\"%s\", shape=ellipse];\n", n.ID, label)
 			continue
 		}

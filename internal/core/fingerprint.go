@@ -1,41 +1,25 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // Fingerprint returns the plan's identity: the 64-bit FNV-1a hash of one
-// ordered walk over everything a snapshot holds but the queries' logical
-// trees. The walk takes the source table in name order; the nodes in ID
-// order, each with its ops in node order (ID, query, definition key, input
-// and output streams); the edges in ID order, each with its streams in
-// slot order (ID, schema, source, share class, tombstone); the live
-// queries with their output streams; and the ID counters. A live stream's
-// producer is the op that outputs it; a tombstone's is the removed op,
-// which a plan rebuilt from a snapshot does not keep, so the walk leaves
-// producers out. Live maintenance is deterministic in these, so two
-// replicas that replay the same churn on equal plans reach equal
-// fingerprints.
+// ordered walk over what a snapshot holds but query trees and producers.
+// The walk takes the source table in name order; the nodes in ID order,
+// each with its ops in node order (ID, query, definition key, input and
+// output streams); the edges in ID order, each with its streams in slot
+// order (ID, schema, source, share class, tombstone); the live queries
+// with their output streams; and the ID counters. A live stream's producer
+// is the op that outputs it; a tombstone's is the removed op, which a plan
+// rebuilt from a snapshot does not keep.
 func (p *Physical) Fingerprint() uint64 {
-	h := fnv64(fnvOffset)
-	names := make([]string, 0, len(p.Catalog))
-	for name := range p.Catalog {
-		names = append(names, name)
-	}
-	slices.Sort(names)
+	h := fnv64(14695981039346656037) // the FNV-1a 64 offset basis
+	names := sortedKeys(p.Catalog)
 	h = h.int(len(names))
 	for _, name := range names {
 		decl := p.Catalog[name]
 		h = h.string(name).string(decl.Label).schema(decl.Schema)
 	}
-
-	ids := make([]int, 0, max(len(p.Nodes), len(p.Edges)))
-	for id := range p.Nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	ids := sortedKeys(p.Nodes)
 	h = h.int(len(ids))
 	for _, id := range ids {
 		n := p.Nodes[id]
@@ -45,15 +29,10 @@ func (p *Physical) Fingerprint() uint64 {
 			for _, in := range o.In {
 				h = h.int(in.ID)
 			}
-			h = h.stream(o.Out)
+			h = h.int(o.Out.ID)
 		}
 	}
-
-	ids = ids[:0]
-	for id := range p.Edges {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	ids = sortedKeys(p.Edges)
 	h = h.int(len(ids))
 	for _, id := range ids {
 		e := p.Edges[id]
@@ -62,31 +41,22 @@ func (p *Physical) Fingerprint() uint64 {
 			h = h.int(s.ID).schema(s.Schema).string(s.Source).string(s.ShareClass).bool(s.Dead)
 		}
 	}
-
 	h = h.int(len(p.Queries))
 	for _, q := range p.Queries {
-		h = h.int(q.ID).string(q.Name).stream(p.outStream[q.ID])
+		h = h.int(q.ID).string(q.Name).int(p.outStream[q.ID].ID)
 	}
 	return uint64(h.int(p.nextStream).int(p.nextOp).int(p.nextNode).int(p.nextEdge).int(p.nextQuery))
 }
 
-// The FNV-1a 64 parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // fnv64 is an FNV-1a 64 hash that a walk writes to; each method returns
 // the hash with its value written. Every value is self-delimiting: an
-// integer is a zigzag varint, and a string or a list follows its length,
-// so two walks hash equal only when they wrote equal values.
+// integer is a zigzag varint, and a string or a list follows its length.
 type fnv64 uint64
 
-func (h fnv64) byte(b byte) fnv64 { return (h ^ fnv64(b)) * fnvPrime }
+func (h fnv64) byte(b byte) fnv64 { return (h ^ fnv64(b)) * 1099511628211 } // the FNV 64 prime
 
 func (h fnv64) int(v int) fnv64 {
-	x := int64(v)
-	u := uint64(x<<1) ^ uint64(x>>63)
+	u := uint64(int64(v)<<1) ^ uint64(int64(v)>>63)
 	for ; u >= 0x80; u >>= 7 {
 		h = h.byte(byte(u) | 0x80)
 	}
@@ -114,12 +84,4 @@ func (h fnv64) schema(s *stream.Schema) fnv64 {
 		h = h.string(a)
 	}
 	return h
-}
-
-// stream writes s's ID, or -1 for none.
-func (h fnv64) stream(s *StreamRef) fnv64 {
-	if s == nil {
-		return h.int(-1)
-	}
-	return h.int(s.ID)
 }

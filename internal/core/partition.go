@@ -96,13 +96,8 @@ type PartitionPlan struct {
 
 // String renders the partition plan for inspection.
 func (pp *PartitionPlan) String() string {
-	names := make([]string, 0, len(pp.Routes))
-	for n := range pp.Routes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
+	for _, n := range sortedKeys(pp.Routes) {
 		r := pp.Routes[n]
 		switch r.Mode {
 		case PartitionHash:
@@ -114,12 +109,7 @@ func (pp *PartitionPlan) String() string {
 		}
 	}
 	if len(pp.ReplicatedSinks) > 0 {
-		ids := make([]int, 0, len(pp.ReplicatedSinks))
-		for id := range pp.ReplicatedSinks {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		fmt.Fprintf(&b, "replicated sinks: %v\n", ids)
+		fmt.Fprintf(&b, "replicated sinks: %v\n", sortedKeys(pp.ReplicatedSinks))
 	}
 	return b.String()
 }
@@ -807,11 +797,7 @@ func (a *analysis) sources(s *StreamRef) []string {
 		}
 	}
 	walk(s)
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(set)
 	a.lineage[s.ID] = names
 	return names
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -935,12 +936,7 @@ func (p *Physical) Validate() error {
 // String renders a compact plan description, deterministic across runs.
 func (p *Physical) String() string {
 	var b strings.Builder
-	ids := make([]int, 0, len(p.Nodes))
-	for id := range p.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(p.Nodes) {
 		n := p.Nodes[id]
 		fmt.Fprintf(&b, "node %d [%s] ops=%d\n", n.ID, n.Kind, len(n.Ops))
 		for _, o := range n.Ops {
@@ -952,12 +948,7 @@ func (p *Physical) String() string {
 				o.ID, o.QueryID, o.Def.Key(), strings.Join(ins, ","), o.Out.ID)
 		}
 	}
-	eids := make([]int, 0, len(p.Edges))
-	for id := range p.Edges {
-		eids = append(eids, id)
-	}
-	sort.Ints(eids)
-	for _, id := range eids {
+	for _, id := range sortedKeys(p.Edges) {
 		e := p.Edges[id]
 		ss := make([]string, len(e.Streams))
 		for i, s := range e.Streams {
@@ -969,4 +960,14 @@ func (p *Physical) String() string {
 		fmt.Fprintf(&b, "edge %d {%s}\n", e.ID, strings.Join(ss, ","))
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

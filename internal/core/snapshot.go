@@ -10,16 +10,13 @@ import (
 // This file implements plan snapshots: a self-contained DTO capturing a
 // Physical plan's exact shape — including IDs, tombstoned channel slots,
 // and the allocation counters — so a checkpoint can rebuild the identical
-// plan in a fresh process. Planning is deterministic: batch Optimize pins
-// its IDs across runs (internal/rules/testdata/plans.sha256), and every
-// cluster worker replays live maintenance through the rules and checks
-// the coordinator's Fingerprint. The snapshot ships structure because the
-// handshake and the checkpoint carry no record of how the plan came to
-// be: its shape is the set-up Optimize over the queries of that time,
-// then each live add and remove in order, and no batch Optimize of the
-// surviving queries reproduces its tombstoned slots and counters. A
-// set-up that ships the declarations and the churn log and replays them
-// could rebuild the plan instead (ROADMAP item 34(b)).
+// plan in a fresh process. Planning is deterministic (plans.sha256 pins
+// batch Optimize's IDs; cluster workers replay live churn and check the
+// Fingerprint), but a plan's shape is its history: the set-up Optimize,
+// then each live add and remove, whose tombstones and counters no batch
+// Optimize of the surviving queries reproduces. The handshake and the
+// checkpoint carry no such history, so they ship the structure; shipping
+// the declarations and the churn log to replay is ROADMAP item 34(b).
 
 // SchemaSnap captures a stream schema by value.
 type SchemaSnap struct {
@@ -108,12 +105,7 @@ func (p *Physical) Snapshot() *PlanSnapshot {
 		NextQuery:  p.nextQuery,
 	}
 
-	names := make([]string, 0, len(p.Catalog))
-	for name := range p.Catalog {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(p.Catalog) {
 		decl := p.Catalog[name]
 		snap.Sources = append(snap.Sources, SourceSnap{
 			Name: name, Label: decl.Label, Schema: snapSchema(decl.Schema),
@@ -122,13 +114,8 @@ func (p *Physical) Snapshot() *PlanSnapshot {
 
 	// Every stream lives on exactly one edge (tombstones included), so the
 	// edges enumerate the stream population.
-	eids := make([]int, 0, len(p.Edges))
-	for id := range p.Edges {
-		eids = append(eids, id)
-	}
-	sort.Ints(eids)
 	seen := make(map[int]bool)
-	for _, id := range eids {
+	for _, id := range sortedKeys(p.Edges) {
 		e := p.Edges[id]
 		es := EdgeSnap{ID: e.ID, Streams: make([]int, len(e.Streams))}
 		for i, s := range e.Streams {
@@ -154,12 +141,7 @@ func (p *Physical) Snapshot() *PlanSnapshot {
 	}
 	sort.Slice(snap.Streams, func(i, j int) bool { return snap.Streams[i].ID < snap.Streams[j].ID })
 
-	nids := make([]int, 0, len(p.Nodes))
-	for id := range p.Nodes {
-		nids = append(nids, id)
-	}
-	sort.Ints(nids)
-	for _, id := range nids {
+	for _, id := range sortedKeys(p.Nodes) {
 		n := p.Nodes[id]
 		ns := NodeSnap{ID: n.ID, Kind: n.Kind, Ops: make([]int, len(n.Ops))}
 		for i, o := range n.Ops {
@@ -298,12 +280,7 @@ func RebuildPhysical(s *PlanSnapshot) (*Physical, error) {
 	}
 
 	// Secondary indexes, in deterministic (ID-sorted) order.
-	oids := make([]int, 0, len(ops))
-	for id := range ops {
-		oids = append(oids, id)
-	}
-	sort.Ints(oids)
-	for _, id := range oids {
+	for _, id := range sortedKeys(ops) {
 		o := ops[id]
 		for _, in := range o.In {
 			p.consumersOf[in.ID] = append(p.consumersOf[in.ID], o)
