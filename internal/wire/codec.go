@@ -587,9 +587,6 @@ func putNested[V any](c *Codec, field int, v V, conv *Conv[V]) {
 	}
 }
 
-// failEncode records err as c's encoding error, unless an earlier one was.
-func (c *Codec) failEncode(err error) { c.err = cmp.Or(c.err, err) }
-
 func nested[V any](c *Codec, p *V, conv *Conv[V]) error {
 	raw, err := c.r.Bytes()
 	if err == nil {

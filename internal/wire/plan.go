@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -134,9 +135,10 @@ func putParts[V any](c *Codec, typ int64, put func(*Codec, V), parts ...V) {
 	}
 }
 
-// unserializable records that v, a what, has no wire form.
+// unserializable records, as c's first encoding error, that v, a what,
+// has no wire form.
 func unserializable(c *Codec, what string, v any) {
-	c.failEncode(fmt.Errorf("wire: unserializable %s type %T", what, v))
+	c.err = cmp.Or(c.err, fmt.Errorf("wire: unserializable %s type %T", what, v))
 }
 
 // decodeSum decodes the wire form p, which fields declares, on c at

@@ -367,3 +367,27 @@ func TestDecodeDepthLimits(t *testing.T) {
 		}
 	}
 }
+
+// A predicate or expression with no wire form fails its encoding, however
+// deep it is nested, and the first one met is the error reported.
+func TestEncodeRejectsUnserializable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		enc  func() ([]byte, error)
+		want string
+	}{
+		{"predicate", func() ([]byte, error) {
+			return wire.EncodeDef(core.SelectDef(expr.And{Parts: []expr.Pred{expr.True{}, expr.Not{}}}))
+		}, "unserializable predicate type <nil>"},
+		{"binary predicate", func() ([]byte, error) {
+			return wire.EncodeDef(core.MuDef(expr.Not2{}, expr.Left{}, 10))
+		}, "unserializable binary predicate type <nil>"},
+		{"expression", func() ([]byte, error) {
+			return wire.EncodeSchemaMap(&expr.SchemaMap{Cols: []expr.Expr{expr.Col{I: 0}, expr.Arith{L: expr.Lit{C: 1}}}})
+		}, "unserializable expression type <nil>"},
+	} {
+		if _, err := tc.enc(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: encoding error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
