@@ -92,3 +92,61 @@ func BenchmarkAddQueryLive(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyDelta times the engine half of one live add + remove
+// cycle on a Workload 1 plan with channels on and warm operator state:
+// the two ApplyDelta calls only, with AddQuery and RemoveQuery (the plan
+// half, BenchmarkAddQueryLive's subject) untimed. after=2000 runs the
+// same cycle once 2 000 earlier cycles have gone by, so a cost that grows
+// with the plan's history, not its size, shows as the ratio to after=0.
+func BenchmarkApplyDelta(b *testing.B) {
+	for _, c := range []struct{ base, after int }{{250, 0}, {250, 2000}, {1000, 0}} {
+		b.Run(fmt.Sprintf("base=%d/after=%d", c.base, c.after), func(b *testing.B) {
+			opt := rules.Options{Channels: true}
+			p, qs := w1Queries(b, c.base)
+			plan, e := buildEngine(b, p.Catalog(), opt, qs...)
+			for _, ev := range p.GenStreams(2000) {
+				if err := e.Push(ev.Source, ev.Tuple); err != nil {
+					b.Fatal(err)
+				}
+			}
+			root := liveRoot(b)
+			cycle := func(timed bool) {
+				q := core.NewQuery("live_bench", root)
+				d, err := AddQuery(plan, opt, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if timed {
+					b.StartTimer()
+				}
+				if err := e.ApplyDelta(d); err != nil {
+					b.Fatal(err)
+				}
+				if timed {
+					b.StopTimer()
+				}
+				if d, err = RemoveQuery(plan, q.ID); err != nil {
+					b.Fatal(err)
+				}
+				if timed {
+					b.StartTimer()
+				}
+				if err := e.ApplyDelta(d); err != nil {
+					b.Fatal(err)
+				}
+				if timed {
+					b.StopTimer()
+				}
+			}
+			for i := 0; i < c.after; i++ {
+				cycle(false)
+			}
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				cycle(true)
+			}
+		})
+	}
+}
