@@ -129,7 +129,7 @@ func TestEncodeChannelSlotReuse(t *testing.T) {
 	if len(ch.Streams) != 3 || ch.LiveStreams() != 3 {
 		t.Fatalf("reuse produced %d slots (%d live), want 3 (3 live)", len(ch.Streams), ch.LiveStreams())
 	}
-	if pos := ch.Pos(out); pos != 1 {
+	if e, pos := p.EdgeOf(out); e != ch || pos != 1 {
 		t.Fatalf("new stream landed at position %d, want the tombstoned slot 1", pos)
 	}
 	if len(d.Remaps) != 1 {

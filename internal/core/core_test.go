@@ -346,8 +346,11 @@ func TestEncodeChannel(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ch.Pos(s1) != 0 || ch.Pos(&StreamRef{ID: 999}) != -1 {
-		t.Fatal("Pos wrong")
+	if e, pos := p.EdgeOf(s1); e != ch || pos != 0 {
+		t.Fatalf("EdgeOf(s1) = %v,%d", e, pos)
+	}
+	if e, pos := p.EdgeOf(&StreamRef{ID: 999}); e != nil || pos != -1 {
+		t.Fatalf("EdgeOf(unknown) = %v,%d", e, pos)
 	}
 }
 

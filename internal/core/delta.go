@@ -299,14 +299,17 @@ func (p *Physical) removeDeadOp(o *Op) {
 	}
 	if o.Out != nil {
 		dead := o.Out
-		dead.Dead = true
+		// A tombstone keeps its slot but not its producer: the removed op
+		// stays unreachable, and the tombstone is what a plan rebuilt from
+		// the snapshot has too.
+		dead.Dead, dead.Producer = true, nil
 		p.dropClassStreams(dead.ShareClass, func(s *StreamRef) bool { return s == dead })
 		p.noteDroppedStream(dead.ID)
 		delete(p.consumersOf, dead.ID)
-		if e := p.streamEdge[dead.ID]; e != nil {
+		if e := p.StreamEdge(dead); e != nil {
 			if e.LiveStreams() == 0 {
 				for _, s := range e.Streams {
-					delete(p.streamEdge, s.ID)
+					delete(p.streamAt, s.ID)
 				}
 				delete(p.Edges, e.ID)
 				p.noteRemovedEdge(e.ID)

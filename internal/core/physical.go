@@ -72,16 +72,6 @@ func (e *Edge) LiveStreams() int {
 	return n
 }
 
-// Pos returns the membership index of stream s on the edge, or -1.
-func (e *Edge) Pos(s *StreamRef) int {
-	for i, t := range e.Streams {
-		if t == s {
-			return i
-		}
-	}
-	return -1
-}
-
 // Physical is a multi-query physical plan: a DAG of m-op Nodes connected
 // by channel Edges, implementing all currently active queries (§2.1).
 type Physical struct {
@@ -92,7 +82,10 @@ type Physical struct {
 
 	Queries []*Query
 
-	streamEdge  map[int]*Edge // stream ID → carrying edge
+	// streamAt is, per stream ID, the carrying edge and the stream's
+	// membership position on it; every change to an edge's Streams reseats
+	// the streams it moves (seat).
+	streamAt    map[int]streamSlot
 	consumersOf map[int][]*Op // stream ID → consuming ops
 	sourceRef   map[string]*StreamRef
 	outStream   map[int]*StreamRef // query ID → output stream
@@ -117,12 +110,25 @@ func NewPhysical(catalog map[string]SourceDecl) *Physical {
 		Catalog:      catalog,
 		Nodes:        make(map[int]*Node),
 		Edges:        make(map[int]*Edge),
-		streamEdge:   make(map[int]*Edge),
+		streamAt:     make(map[int]streamSlot),
 		consumersOf:  make(map[int][]*Op),
 		sourceRef:    make(map[string]*StreamRef),
 		outStream:    make(map[int]*StreamRef),
 		outQueries:   make(map[int][]int),
 		classStreams: make(map[string][]*StreamRef),
+	}
+}
+
+// streamSlot is where a stream travels: its edge and membership position.
+type streamSlot struct {
+	edge *Edge
+	pos  int
+}
+
+// seat indexes the streams of e from position from on.
+func (p *Physical) seat(e *Edge, from int) {
+	for i := from; i < len(e.Streams); i++ {
+		p.streamAt[e.Streams[i].ID] = streamSlot{edge: e, pos: i}
 	}
 }
 
@@ -262,7 +268,7 @@ func (p *Physical) addEdge(s *StreamRef) *Edge {
 	e := &Edge{ID: p.nextEdge, Streams: []*StreamRef{s}}
 	p.nextEdge++
 	p.Edges[e.ID] = e
-	p.streamEdge[s.ID] = e
+	p.seat(e, 0)
 	p.noteNewEdge(e.ID)
 	return e
 }
@@ -355,18 +361,17 @@ func OutputSchema(d *Def, ins []*stream.Schema) (*stream.Schema, error) {
 // ---------------------------------------------------------------------------
 
 // EdgeOf returns the edge carrying stream s and the stream's membership
-// position on it.
+// position on it ((nil, -1) if none).
 func (p *Physical) EdgeOf(s *StreamRef) (*Edge, int) {
-	e := p.streamEdge[s.ID]
-	if e == nil {
+	at, ok := p.streamAt[s.ID]
+	if !ok {
 		return nil, -1
 	}
-	return e, e.Pos(s)
+	return at.edge, at.pos
 }
 
-// StreamEdge returns the edge carrying stream s (nil if none): EdgeOf
-// without the position scan over the edge's streams.
-func (p *Physical) StreamEdge(s *StreamRef) *Edge { return p.streamEdge[s.ID] }
+// StreamEdge returns the edge carrying stream s (nil if none).
+func (p *Physical) StreamEdge(s *StreamRef) *Edge { return p.streamAt[s.ID].edge }
 
 // Consumers returns the operators reading stream s.
 func (p *Physical) Consumers(s *StreamRef) []*Op {
@@ -518,10 +523,10 @@ func (p *Physical) CollapseGroups(groups [][]*Op) error {
 				p.outQueries[keep.Out.ID] = append(p.outQueries[keep.Out.ID], qids...)
 				delete(p.outQueries, dead.ID)
 			}
-			if e := p.streamEdge[dead.ID]; e != nil {
+			if e := p.StreamEdge(dead); e != nil {
 				edges[e] = true
 			}
-			delete(p.streamEdge, dead.ID)
+			delete(p.streamAt, dead.ID)
 			nodes[o.Node] = true
 		}
 	}
@@ -548,6 +553,7 @@ func (p *Physical) CollapseGroups(groups [][]*Op) error {
 			delete(p.Edges, e.ID)
 			p.noteRemovedEdge(e.ID)
 		}
+		p.seat(e, 0)
 	}
 	// Remove the dead ops from their nodes; an emptied node goes.
 	for n := range nodes {
@@ -603,7 +609,7 @@ func (p *Physical) EncodeChannel(streams []*StreamRef) (*Edge, error) {
 	seenEdge := map[int]bool{}
 	var edges []*Edge
 	for _, s := range streams {
-		e := p.streamEdge[s.ID]
+		e := p.StreamEdge(s)
 		if e == nil {
 			return nil, fmt.Errorf("EncodeChannel: stream %d has no edge", s.ID)
 		}
@@ -636,7 +642,7 @@ func (p *Physical) EncodeChannel(streams []*StreamRef) (*Edge, error) {
 						}
 					}
 					table[i] = -1
-					delete(p.streamEdge, old.ID)
+					delete(p.streamAt, old.ID)
 					slots[i] = s
 					placed = true
 					break
@@ -682,8 +688,8 @@ func (p *Physical) EncodeChannel(streams []*StreamRef) (*Edge, error) {
 	if allNew {
 		p.noteNewEdge(ch.ID)
 	}
+	p.seat(ch, 0)
 	for _, s := range all {
-		p.streamEdge[s.ID] = ch
 		if s.Dead {
 			continue // tombstone: producer GC'd, no consumers
 		}
@@ -759,7 +765,7 @@ func (p *Physical) compactEdge(e *Edge, live int) {
 				continue
 			}
 			table[i] = -1
-			delete(p.streamEdge, s.ID)
+			delete(p.streamAt, s.ID)
 			continue
 		}
 		table[i] = len(kept)
@@ -767,6 +773,7 @@ func (p *Physical) compactEdge(e *Edge, live int) {
 	}
 	p.noteRemap(e.ID, table, e.Streams)
 	e.Streams = kept
+	p.seat(e, 0)
 	// Re-lower everything wired to the channel: membership positions (and
 	// the channel's width) changed.
 	for _, s := range kept {
@@ -857,7 +864,7 @@ func (p *Physical) Stats() Stats {
 		}
 		for _, o := range n.Ops {
 			for _, in := range o.In {
-				if ed := p.streamEdge[in.ID]; ed != nil {
+				if ed := p.StreamEdge(in); ed != nil {
 					capable[ed.ID] = false
 				}
 			}
@@ -884,11 +891,11 @@ func (p *Physical) Validate() error {
 				return fmt.Errorf("node %d kind %s holds op %d of kind %s", n.ID, n.Kind, o.ID, o.Def.Kind)
 			}
 			for _, in := range o.In {
-				if p.streamEdge[in.ID] == nil {
+				if p.StreamEdge(in) == nil {
 					return fmt.Errorf("op %d reads stream %d with no edge", o.ID, in.ID)
 				}
 			}
-			if o.Out != nil && p.streamEdge[o.Out.ID] == nil {
+			if o.Out != nil && p.StreamEdge(o.Out) == nil {
 				return fmt.Errorf("op %d writes stream %d with no edge", o.ID, o.Out.ID)
 			}
 		}
@@ -898,7 +905,7 @@ func (p *Physical) Validate() error {
 		if out == nil {
 			return fmt.Errorf("query %d has no output stream", q.ID)
 		}
-		if p.streamEdge[out.ID] == nil {
+		if p.StreamEdge(out) == nil {
 			return fmt.Errorf("query %d output stream %d has no edge", q.ID, out.ID)
 		}
 	}

@@ -274,8 +274,8 @@ func RebuildPhysical(s *PlanSnapshot) (*Physical, error) {
 				return nil, fmt.Errorf("core: snapshot edge %d carries unknown stream %d", es.ID, sid)
 			}
 			e.Streams = append(e.Streams, st)
-			p.streamEdge[st.ID] = e
 		}
+		p.seat(e, 0)
 		p.Edges[e.ID] = e
 	}
 

@@ -97,11 +97,27 @@ func queryID(t *testing.T, p *core.Physical, name string) int {
 	return -1
 }
 
+// rebuildTwin rebuilds a plan from p's encoded snapshot.
+func rebuildTwin(t *testing.T, p *core.Physical) *core.Physical {
+	t.Helper()
+	snap, err := wire.DecodePlanBytes(planBytes(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.RebuildPhysical(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
 // TestSnapshotTwinFollowsChurn holds live maintenance to a function of
 // the plan's encoded snapshot: a plan and its twin rebuilt from that
 // snapshot, given the same 128 adds and removes, encode to the same bytes
 // after every one. A cluster worker relies on this when it replays churn
-// on its own rebuilt plan and checks the coordinator's fingerprint.
+// on its own rebuilt plan and checks the coordinator's fingerprint. A
+// second twin, rebuilt mid-script after op 15 (when the plan holds
+// tombstones), must encode like the plan from then on too.
 func TestSnapshotTwinFollowsChurn(t *testing.T) {
 	for _, wl := range []string{"w1", "w2", "w2mu", "w3"} {
 		for _, channels := range []bool{false, true} {
@@ -117,19 +133,17 @@ func TestSnapshotTwinFollowsChurn(t *testing.T) {
 				if err := rules.Optimize(orig, opt); err != nil {
 					t.Fatal(err)
 				}
-				snap, err := wire.DecodePlanBytes(planBytes(t, orig))
-				if err != nil {
-					t.Fatal(err)
-				}
-				twin, err := core.RebuildPhysical(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
+				twin := rebuildTwin(t, orig)
 				if !bytes.Equal(planBytes(t, orig), planBytes(t, twin)) {
 					t.Fatal("rebuilt twin encodes differently before any churn")
 				}
+				var late *core.Physical
 				for i, op := range twinScript(base, pool, 128) {
-					for _, p := range []*core.Physical{orig, twin} {
+					for _, p := range []*core.Physical{orig, twin, late} {
+						if p == nil {
+							continue
+						}
+						var err error
 						if op.add != nil {
 							_, err = AddQuery(p, opt, core.NewQuery(op.name, op.add.Root))
 						} else {
@@ -139,8 +153,15 @@ func TestSnapshotTwinFollowsChurn(t *testing.T) {
 							t.Fatalf("op %d (%s): %v", i, op.name, err)
 						}
 					}
-					if !bytes.Equal(planBytes(t, orig), planBytes(t, twin)) {
+					want := planBytes(t, orig)
+					if !bytes.Equal(want, planBytes(t, twin)) {
 						t.Fatalf("op %d (%s, add=%v): plan and twin encode differently", i, op.name, op.add != nil)
+					}
+					if late != nil && !bytes.Equal(want, planBytes(t, late)) {
+						t.Fatalf("op %d (%s, add=%v): plan and the twin rebuilt after op 15 encode differently", i, op.name, op.add != nil)
+					}
+					if i == 15 {
+						late = rebuildTwin(t, orig)
 					}
 				}
 			})
@@ -320,6 +341,66 @@ func TestFingerprintSensitivity(t *testing.T) {
 	for i, m := range fingerprintMutations {
 		if applied[i] == 0 {
 			t.Errorf("%s: no plan had anything to mutate", m.name)
+		}
+	}
+}
+
+// TestEdgeOfMatchesScan holds the plan's stream index to a scan of its
+// edges after every operation of the churn script: EdgeOf of every stream
+// the script has put on an edge is where a scan finds it, and (nil, -1)
+// once no edge carries it.
+func TestEdgeOfMatchesScan(t *testing.T) {
+	for _, wl := range []string{"w1", "w2", "w2mu", "w3"} {
+		for _, channels := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/channels=%v", wl, channels), func(t *testing.T) {
+				catalog, base, pool := twinWorkload(t, wl)
+				opt := rules.Options{Channels: channels}
+				p := core.NewPhysical(catalog)
+				for _, q := range base {
+					if err := p.AddQuery(core.NewQuery(q.Name, q.Root)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rules.Optimize(p, opt); err != nil {
+					t.Fatal(err)
+				}
+				seen := map[*core.StreamRef]bool{}
+				check := func(step string) {
+					type at struct {
+						e   *core.Edge
+						pos int
+					}
+					scan := map[*core.StreamRef]at{}
+					for _, e := range p.Edges {
+						for i, s := range e.Streams {
+							scan[s] = at{e, i}
+							seen[s] = true
+						}
+					}
+					for s := range seen {
+						want, ok := scan[s]
+						if !ok {
+							want = at{nil, -1}
+						}
+						if e, pos := p.EdgeOf(s); e != want.e || pos != want.pos {
+							t.Fatalf("%s: EdgeOf(stream %d) = (%v, %d), a scan finds (%v, %d)", step, s.ID, e, pos, want.e, want.pos)
+						}
+					}
+				}
+				check("optimized")
+				for i, op := range twinScript(base, pool, 128) {
+					var err error
+					if op.add != nil {
+						_, err = AddQuery(p, opt, core.NewQuery(op.name, op.add.Root))
+					} else {
+						_, err = RemoveQuery(p, queryID(t, p, op.name))
+					}
+					if err != nil {
+						t.Fatalf("op %d (%s): %v", i, op.name, err)
+					}
+					check(fmt.Sprintf("op %d (%s)", i, op.name))
+				}
+			})
 		}
 	}
 }
