@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -28,9 +27,9 @@ const blockMinRows = 4
 // blocks alike).
 func (e *Engine) BlocksProcessed() int64 { return e.blocksProcessed }
 
-func (e *Engine) enqueueBlock(edge *core.Edge, b *stream.Block) {
+func (e *Engine) enqueueBlock(route int, b *stream.Block) {
 	e.qHasBlocks = true
-	e.queue = append(e.queue, queued{edge: edge, b: b})
+	e.queue = append(e.queue, queued{route: route, b: b})
 }
 
 // PushColumns injects a batch given column-major — ts[i] pairs with
@@ -88,7 +87,7 @@ func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel [
 				t.Vals[a] = col[i]
 			}
 			t.Member, t.Owned = si.member, true
-			e.enqueue(si.edge, t)
+			e.enqueue(si.route, t)
 		}
 		e.drain()
 		return nil
@@ -108,7 +107,7 @@ func (e *Engine) PushColumnsSel(source string, ts []int64, cols [][]int64, sel [
 			}
 		}
 		fillMember(e.bpool, b, memberWord)
-		e.enqueueBlock(si.edge, b)
+		e.enqueueBlock(si.route, b)
 	}
 	e.drain()
 	return nil
@@ -139,8 +138,8 @@ func fillMember(bp *stream.BlockPool, b *stream.Block, word uint64) {
 // bulk, one add per sink, batch consumers get the whole block, and scalar
 // consumers (or a result callback) get materialized rows through the
 // adapter.
-func (e *Engine) deliverBlock(edge *core.Edge, b *stream.Block) {
-	r := &e.routes[edge.ID]
+func (e *Engine) deliverBlock(route int, b *stream.Block) {
+	r := &e.routes[route]
 	e.blocksProcessed++
 	live := int64(b.SelCount())
 	rowSinks := r.hasSink && e.OnResult != nil

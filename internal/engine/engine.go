@@ -6,16 +6,17 @@
 // metric (§5). Results on an edge that no m-op consumes skip the queue:
 // they reach their sinks when the activation that built them returns.
 //
-// The delivery fast path is allocation-free: edge routing uses dense
-// slices indexed by edge ID (no map lookups per delivery), source
+// The delivery fast path is allocation-free: edge routing uses a dense
+// table with one entry per live edge (no map lookups per delivery), source
 // memberships are interned singletons computed at lowering time, and the
 // work queue's backing array is recycled across drains.
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,12 +35,25 @@ type portRef struct {
 }
 
 type runtimeNode struct {
-	id   int
-	m    mop.MOp
-	in   []*core.Edge  // input port → edge (consumer registration)
-	out  []*core.Edge  // output port → edge
-	emit mop.Emit      // built once at lowering: enqueues on out[port]
-	uses []mop.PortUse // input port → how delivered tuples are used
+	id int
+	m  mop.MOp
+	// in and out map ports to edges; a port a spliced m-op freed is nil.
+	// outR is each output port's route (-1 for a free port).
+	in   []*core.Edge
+	out  []*core.Edge
+	outR []int
+	// inR is each input port's route. linkedIn, linkedOut, linkedUses,
+	// linkedID and linkedBlock are the port edges, port uses, ID and block
+	// path the route entries were last patched for (relink); outChanged,
+	// when not nil, lists the only output ports whose edge may differ.
+	inR                 []int
+	linkedIn, linkedOut []*core.Edge
+	linkedUses          []mop.PortUse
+	linkedID            int
+	linkedBlock         bool
+	outChanged          []int
+	emit                mop.Emit      // built once at lowering: enqueues on outR[port]
+	uses                []mop.PortUse // input port → how delivered tuples are used
 	// sinkOnly is, per output port, whether the edge has sinks and no
 	// consumer: emit parks a tuple bound for such a port in Engine.results
 	// instead of enqueueing it. count is, per output port, the result
@@ -49,8 +63,9 @@ type runtimeNode struct {
 	// delivery). A window-prefix m-op (prefix) is bound to both: its plain
 	// groups whose every port is count-only count a match without building
 	// it, and fold the counts into these counters when the drain ends
-	// (Engine.bindSinks). rebuildRoutes resets both for every node, and
-	// the next drain rebinds, since count points into routes.
+	// (Engine.bindSinks). A route patch resets both for the ports of the
+	// edges it patches, and the next drain rebinds, since count points into
+	// routes.
 	sinkOnly []bool
 	count    []*int64
 	// ports[i] is i, so a parked result names one port as ports[i:i+1].
@@ -60,10 +75,10 @@ type runtimeNode struct {
 	prefix mop.PrefixMOp
 	park   func(t *stream.Tuple, ports []int)
 	// bm is non-nil when the m-op takes the vectorized path (implements
-	// BatchMOp and reported BlockReady at lowering); emitB is its block
-	// emission closure, handed to ProcessBlock beside emit. Edges into a bm
-	// node carry blocks, everything else goes through the block→scalar
-	// adapter (see block.go).
+	// BatchMOp and reported BlockReady at lowering or its last splice);
+	// emitB is its block emission closure, handed to ProcessBlock beside
+	// emit. Edges into a bm node carry blocks, everything else goes through
+	// the block→scalar adapter (see block.go).
 	bm        mop.BatchMOp
 	emitB     mop.EmitBlock
 	processed int64 // tuples delivered to this m-op
@@ -80,21 +95,23 @@ const busyMask = 1<<10 - 1
 
 // sink records that a stream on an edge is the output of some queries.
 // Results are counted per sink, not per query: n is what the sink
-// delivered since the routes were last rebuilt, shared by all its queries,
-// and a query's count is its folded base plus its current sink's n, summed
-// on read (ResultCount).
+// delivered since its edge's route was last patched, shared by all its
+// queries, and a query's count is its folded base plus its current sink's
+// n, summed on read (ResultCount).
 type sink struct {
-	pos     int // membership position on the edge, -1 for plain
+	edge    int             // edge ID
+	out     *core.StreamRef // the queries' output stream
+	pos     int             // membership position on the edge, -1 for plain
 	queries []int
 	n       int64
 }
 
-// sourceInfo is the precomputed per-source injection state: the carrying
-// edge, the declared arity every ingested row must have and, when the
-// source has been encoded into a channel, the interned singleton
+// sourceInfo is the precomputed per-source injection state: the route of
+// the carrying edge, the declared arity every ingested row must have and,
+// when the source has been encoded into a channel, the interned singleton
 // membership of its position.
 type sourceInfo struct {
-	edge   *core.Edge
+	route  int
 	arity  int
 	member *bitset.Set // nil for plain (non-channel) source edges
 }
@@ -129,10 +146,15 @@ func (e *Engine) lookupSource(name string) (sourceInfo, bool) {
 }
 
 // edgeRoute is the dense per-edge routing entry: the query sinks and the
-// consuming m-op ports of one edge, resolved once at lowering time.
+// consuming m-op ports of one edge, resolved at lowering time and patched
+// by every live delta that touches the edge. producers lists the output
+// ports writing the edge, whose sink-only and count-only flags the entry
+// decides.
 type edgeRoute struct {
+	edge      *core.Edge // nil for an entry freed by the patch in progress
 	sinks     []sink
 	consumers []portRef
+	producers []portRef
 	// releasable: every consumer port only reads delivered tuples, so an
 	// Owned tuple can return to the tuple pool after its delivery. A result
 	// callback only borrows the tuple until it returns.
@@ -159,15 +181,23 @@ type edgeRoute struct {
 type Engine struct {
 	plan *core.Physical
 
-	// routes is the dense routing table indexed by edge ID: every delivery
-	// costs one slice load instead of two map lookups.
+	// routes is the dense routing table, one entry per live edge: every
+	// delivery costs one slice load instead of two map lookups. route maps
+	// an edge ID to its entry; only lowering and live deltas read it.
 	routes []edgeRoute
+	route  map[int]int
+	// touched and resort collect, for the patch in progress, the edges
+	// whose entries it patches and the entries whose consumer order and
+	// release analysis alone it redoes (relink).
+	touched map[int]bool
+	resort  []int
 
 	sources map[string]sourceInfo
 	// srcList mirrors sources for plans with few source streams: a linear
 	// scan with pointer-fast string compares beats a map hash per Push.
 	srcList []namedSource
-	nodes   []*runtimeNode
+	nodes   []*runtimeNode // sorted by ID
+	byID    map[int]*runtimeNode
 
 	// OnResult, if set, receives every query result tuple, once per query
 	// of the sink that delivered it. The tuple is borrowed, and so are its
@@ -182,9 +212,9 @@ type Engine struct {
 	// drain ends, so counts are exact whenever the engine is quiescent.
 	OnResult func(queryID int, t *stream.Tuple)
 
-	// base is, per query ID (dense), the count folded in from the sinks of
-	// earlier routing tables; sinkOf is the query's current sink, nil once
-	// the query is removed.
+	// base is, per query ID (dense), the count folded in from the query's
+	// sinks, less its sink's count when it joined the sink; sinkOf is the
+	// query's current sink, nil once the query is removed.
 	base   []int64
 	sinkOf []*sink
 	// results holds the tuples emitted onto sink-only edges by the
@@ -239,9 +269,9 @@ type Engine struct {
 }
 
 type queued struct {
-	edge *core.Edge
-	t    *stream.Tuple
-	b    *stream.Block // non-nil for a block delivery (t is then nil)
+	route int
+	t     *stream.Tuple
+	b     *stream.Block // non-nil for a block delivery (t is then nil)
 }
 
 // parked is a result held until its activation returns, bound for the
@@ -264,7 +294,8 @@ func New(p *core.Physical) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: invalid plan: %w", err)
 	}
-	e := &Engine{plan: p, pool: stream.NewPool(), parkPool: stream.NewPool(), bpool: stream.NewBlockPool()}
+	e := &Engine{plan: p, pool: stream.NewPool(), parkPool: stream.NewPool(), bpool: stream.NewBlockPool(),
+		route: make(map[int]int), byID: make(map[int]*runtimeNode), touched: make(map[int]bool)}
 	for _, n := range p.Nodes {
 		if n.Kind == core.KindSource {
 			continue // sources are injected directly onto their edges
@@ -274,9 +305,20 @@ func New(p *core.Physical) (*Engine, error) {
 			return nil, err
 		}
 		e.nodes = append(e.nodes, rn)
+		e.byID[rn.id] = rn
 	}
-	sort.Slice(e.nodes, func(i, j int) bool { return e.nodes[i].id < e.nodes[j].id })
-	e.rebuildRoutes()
+	slices.SortFunc(e.nodes, func(a, b *runtimeNode) int { return cmp.Compare(a.id, b.id) })
+	// The routes are a patch of every edge into an empty table.
+	for _, rn := range e.nodes {
+		e.relink(rn)
+	}
+	for id := range p.Edges {
+		e.touched[id] = true
+	}
+	for _, q := range p.Queries {
+		e.growQueries(q.ID)
+	}
+	e.patch()
 	return e, nil
 }
 
@@ -288,15 +330,11 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	rn := &runtimeNode{id: n.ID, m: low.MOp, in: low.InEdges, out: low.OutEdges, uses: low.PortUses}
-	rn.ports = make([]int, len(rn.out))
-	for i := range rn.ports {
-		rn.ports[i] = i
-	}
 	rn.emit = func(outPort int, out *stream.Tuple) {
 		rn.emitted++
 		switch {
 		case !rn.sinkOnly[outPort]:
-			e.enqueue(rn.out[outPort], out)
+			e.enqueue(rn.outR[outPort], out)
 		case e.OnResult == nil && rn.count[outPort] != nil:
 			e.countEmitted(rn.count[outPort], out)
 		default:
@@ -310,14 +348,22 @@ func (e *Engine) lowerNode(n *core.Node) (*runtimeNode, error) {
 			e.results = append(e.results, parked{t: out, node: rn, ports: ports, once: true})
 		}
 	}
-	if bm, ok := low.MOp.(mop.BatchMOp); ok && bm.BlockReady() {
-		rn.bm = bm
+	if _, ok := low.MOp.(mop.BatchMOp); ok {
 		rn.emitB = func(outPort int, b *stream.Block) {
 			rn.emitted += int64(b.SelCount())
-			e.enqueueBlock(rn.out[outPort], b)
+			e.enqueueBlock(rn.outR[outPort], b)
 		}
 	}
+	rn.refreshBlockPath()
 	return rn, nil
+}
+
+// refreshBlockPath takes the vectorized path when the m-op offers it.
+func (rn *runtimeNode) refreshBlockPath() {
+	rn.bm = nil
+	if bm, ok := rn.m.(mop.BatchMOp); ok && bm.BlockReady() {
+		rn.bm = bm
+	}
 }
 
 // releaseAnalysis decides what delivering an Owned tuple to the consumer
@@ -348,47 +394,324 @@ func releaseAnalysis(cs []portRef) (releasable, clearsOwned bool) {
 	return releasable, clearsOwned || forwarders > 1
 }
 
-// rebuildRoutes recomputes the dense routing state — per-edge consumer
-// lists, query sinks, source injection info, release analysis, and the
-// count-only output ports — from the current plan and runtime nodes; the
-// next drain binds the window-prefix m-ops to them. It runs at lowering
-// time and once per live plan delta, never on the push path.
-func (e *Engine) rebuildRoutes() {
-	p := e.plan
-	e.foldSinks()
-	maxEdge, maxQuery := -1, len(e.base)-1
-	for id := range p.Edges {
-		if id > maxEdge {
-			maxEdge = id
+// relink moves rn's port registrations in the route entries from the
+// edges its ports had when last linked (linkedIn, linkedOut) to their
+// current ones, and marks every entry it changed touched. An input edge
+// rn keeps is queued in resort when rn's ID (among other consumers), its
+// block path or its use of the port changed: the entry's consumer order
+// and release analysis are then redone, and nothing else of it.
+func (e *Engine) relink(rn *runtimeNode) {
+	touched := e.touched
+	block := rn.bm != nil
+	for port := range max(len(rn.linkedIn), len(rn.in)) {
+		was, cur := portEdge(rn.linkedIn, port), portEdge(rn.in, port)
+		if was == cur {
+			if cur != nil && (block != rn.linkedBlock || rn.uses[port] != rn.linkedUses[port] ||
+				rn.id != rn.linkedID && len(e.routes[rn.inR[port]].consumers) > 1) {
+				e.resort = append(e.resort, rn.inR[port])
+			}
+			continue
+		}
+		if was != nil {
+			r := &e.routes[rn.inR[port]]
+			r.consumers = slices.DeleteFunc(r.consumers, func(c portRef) bool { return c.node == rn && c.port == port })
+			touched[was.ID] = true
+		}
+		if cur != nil {
+			ri := e.routeOf(cur)
+			e.routes[ri].consumers = append(e.routes[ri].consumers, portRef{node: rn, port: port})
+			rn.inR = setAt(rn.inR, port, ri)
+			touched[cur.ID] = true
+		}
+		rn.linkedIn = setAt(rn.linkedIn, port, cur)
+	}
+	rn.linkedIn = rn.linkedIn[:len(rn.in)]
+	rn.linkedUses = append(rn.linkedUses[:0], rn.uses...)
+	rn.linkedID, rn.linkedBlock = rn.id, block
+	for len(rn.outR) < len(rn.out) {
+		rn.outR, rn.count, rn.sinkOnly = append(rn.outR, -1), append(rn.count, nil), append(rn.sinkOnly, false)
+		rn.ports = append(rn.ports, len(rn.ports))
+	}
+	outs := rn.outChanged
+	if outs == nil {
+		outs = make([]int, max(len(rn.linkedOut), len(rn.out)))
+		for i := range outs {
+			outs[i] = i
 		}
 	}
-	for _, q := range p.Queries {
-		if q.ID > maxQuery {
-			maxQuery = q.ID
+	rn.outChanged = nil
+	for _, port := range outs {
+		was, cur := portEdge(rn.linkedOut, port), portEdge(rn.out, port)
+		if was == cur {
+			continue
 		}
+		if was != nil {
+			r := &e.routes[rn.outR[port]]
+			r.producers = slices.DeleteFunc(r.producers, func(c portRef) bool { return c.node == rn && c.port == port })
+			touched[was.ID] = true
+		}
+		rn.outR[port], rn.count[port], rn.sinkOnly[port] = -1, nil, false
+		if cur != nil {
+			ri := e.routeOf(cur)
+			e.routes[ri].producers = append(e.routes[ri].producers, portRef{node: rn, port: port})
+			rn.outR[port] = ri
+			touched[cur.ID] = true
+		}
+		for len(rn.linkedOut) <= port {
+			rn.linkedOut = append(rn.linkedOut, nil)
+		}
+		rn.linkedOut[port] = cur
 	}
-	e.routes = make([]edgeRoute, maxEdge+1)
-	// Folded counts are kept across deltas: a removed query's slot holds
-	// its final count, a query added live starts at zero.
-	if maxQuery+1 > len(e.base) {
-		e.base = append(e.base, make([]int64, maxQuery+1-len(e.base))...)
-		e.sinkOf = append(e.sinkOf, make([]*sink, maxQuery+1-len(e.sinkOf))...)
+	rn.linkedOut = rn.linkedOut[:len(rn.out)]
+}
+
+// setAt sets s[i] to v, growing s by one when i is its length.
+func setAt[T any](s []T, i int, v T) []T {
+	if i < len(s) {
+		s[i] = v
+		return s
 	}
-	clear(e.sinkOf)
-	for _, rn := range e.nodes {
-		for port, in := range rn.in {
-			r := &e.routes[in.ID]
-			r.consumers = append(r.consumers, portRef{node: rn, port: port})
-			if rn.bm != nil {
-				r.batchConsumers = append(r.batchConsumers, portRef{node: rn, port: port})
-			} else {
-				r.scalarConsumers = append(r.scalarConsumers, portRef{node: rn, port: port})
+	return append(s, v)
+}
+
+func portEdge(edges []*core.Edge, port int) *core.Edge {
+	if port < len(edges) {
+		return edges[port]
+	}
+	return nil
+}
+
+// routeOf returns the route entry of ed, appending one if it has none.
+func (e *Engine) routeOf(ed *core.Edge) int {
+	ri, ok := e.route[ed.ID]
+	if !ok {
+		ri = len(e.routes)
+		e.routes = append(e.routes, edgeRoute{edge: ed})
+		e.route[ed.ID] = ri
+	}
+	return ri
+}
+
+// patch brings the route entries of the touched edges, and of the edges
+// queued in resort, in line with the plan; no other entry is read. A
+// touched entry's sinks fold their counts into their queries' base counts
+// and are rebuilt from the plan (a query whose output has moved to an
+// untouched edge takes that edge along); an edge the plan no longer has
+// frees its entry, and the table is compacted to the live edges. Every
+// entry patched has its consumers sorted and analyzed, and its producers'
+// flags follow it (routeConsumers). The next drain rebinds the
+// window-prefix m-ops.
+func (e *Engine) patch() {
+	p, touched := e.plan, e.touched
+	ids := make([]int, 0, len(touched))
+	for id := range touched {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for i := 0; i < len(ids); i++ {
+		ri, ok := e.route[ids[i]]
+		if !ok {
+			continue
+		}
+		for j := range e.routes[ri].sinks {
+			s := &e.routes[ri].sinks[j]
+			e.foldSink(s)
+			for _, qid := range s.queries {
+				e.sinkOf[qid] = nil
+			}
+			// A live stream takes its queries along to its edge; the
+			// queries of a stream that died were removed or moved to
+			// another stream's edge.
+			if ed := p.StreamEdge(s.out); ed != nil {
+				ids = touch(touched, ids, ed.ID)
+				continue
+			}
+			for _, qid := range s.queries {
+				if out := p.OutputOf(qid); out != nil {
+					ids = touch(touched, ids, p.StreamEdge(out).ID)
+				}
 			}
 		}
 	}
-	// Source edges, indexed by every source name they carry, with the
-	// membership each plain Push must attach precomputed.
-	e.sources = make(map[string]sourceInfo)
+	var freed []int
+	sources := false
+	for _, id := range ids {
+		ri, ok := e.route[id]
+		ed := p.Edges[id]
+		if ed == nil {
+			if ok {
+				e.routes[ri] = edgeRoute{}
+				delete(e.route, id)
+				freed = append(freed, ri)
+			}
+			continue
+		}
+		if !ok {
+			ri = e.routeOf(ed)
+		}
+		e.routeSinks(&e.routes[ri])
+		e.routeConsumers(&e.routes[ri])
+		sources = sources || slices.ContainsFunc(ed.Streams, func(s *core.StreamRef) bool { return s.Source != "" })
+	}
+	for _, ri := range e.resort {
+		if !touched[e.routes[ri].edge.ID] {
+			e.routeConsumers(&e.routes[ri])
+		}
+	}
+	e.resort = e.resort[:0]
+	clear(touched)
+	if e.compactRoutes(freed) || sources {
+		e.routeSources()
+	}
+	e.bound = false
+}
+
+// routeConsumers sorts r's consumers by node, redoes its release
+// analysis, and sets its producers' sink-only and count-only flags.
+func (e *Engine) routeConsumers(r *edgeRoute) {
+	slices.SortFunc(r.consumers, func(a, b portRef) int {
+		return cmp.Or(cmp.Compare(a.node.id, b.node.id), cmp.Compare(a.port, b.port))
+	})
+	// Release analysis over all consumers (deliver), and over the scalar
+	// ones alone for the pooled row tuples the block→scalar adapter
+	// materializes.
+	r.batchConsumers, r.scalarConsumers = r.batchConsumers[:0], r.scalarConsumers[:0]
+	for _, c := range r.consumers {
+		if c.node.bm != nil {
+			r.batchConsumers = append(r.batchConsumers, c)
+		} else {
+			r.scalarConsumers = append(r.scalarConsumers, c)
+		}
+	}
+	r.releasable, r.clearsOwned = releaseAnalysis(r.consumers)
+	r.rowReleasable, r.rowClearsOwned = releaseAnalysis(r.scalarConsumers)
+	// A count-only port's results are counted, not delivered, while no
+	// result callback is installed; a window-prefix m-op's group whose
+	// every port is count-only then builds no result at all (bindSinks).
+	for _, pr := range r.producers {
+		rn := pr.node
+		rn.sinkOnly[pr.port] = r.hasSink && len(r.consumers) == 0
+		rn.count[pr.port] = nil
+		if rn.sinkOnly[pr.port] && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
+			rn.count[pr.port] = &r.sinks[0].n
+		}
+	}
+}
+
+// sinkNew registers new query qid, whose output is stream out: it joins
+// the sink of out on an edge the patch leaves untouched, with its base
+// count set to minus the sink's count so it starts at zero. A new sink, or
+// one the query would head (sinks are ordered by their first query),
+// touches the edge.
+func (e *Engine) sinkNew(qid int, out *core.StreamRef) {
+	touched := e.touched
+	ed := e.plan.StreamEdge(out)
+	if touched[ed.ID] {
+		return
+	}
+	r := &e.routes[e.route[ed.ID]]
+	i := slices.IndexFunc(r.sinks, func(s sink) bool { return s.out == out })
+	if i < 0 || qid < r.sinks[i].queries[0] {
+		touched[ed.ID] = true
+		return
+	}
+	s := &r.sinks[i]
+	j, _ := slices.BinarySearch(s.queries, qid)
+	s.queries = slices.Insert(s.queries, j, qid)
+	e.base[qid] -= s.n
+	e.sinkOf[qid] = s
+}
+
+// unsink drops removed query qid from its sink, folding the sink's count
+// into its base count. A sink left empty touches its edge.
+func (e *Engine) unsink(qid int) {
+	touched := e.touched
+	s := e.sinkOf[qid]
+	if touched[s.edge] || len(s.queries) == 1 {
+		touched[s.edge] = true
+		return
+	}
+	s.queries = slices.DeleteFunc(s.queries, func(q int) bool { return q == qid })
+	e.base[qid] += s.n
+	e.sinkOf[qid] = nil
+}
+
+// foldSink moves s's count into its queries' base counts.
+func (e *Engine) foldSink(s *sink) {
+	for _, qid := range s.queries {
+		e.base[qid] += s.n
+	}
+	s.n = 0
+}
+
+// touch marks edge id touched, adding it to ids when it was not.
+func touch(touched map[int]bool, ids []int, id int) []int {
+	if !touched[id] {
+		touched[id] = true
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// routeSinks rebuilds r's sinks from the queries whose outputs its edge
+// carries, ordered by their first query as a scan of the plan's queries
+// would meet them.
+func (e *Engine) routeSinks(r *edgeRoute) {
+	ed := r.edge
+	r.sinks = r.sinks[:0]
+	for pos, st := range ed.Streams {
+		if qs := e.plan.OutputQueries(st); len(qs) > 0 {
+			if !ed.IsChannel() {
+				pos = -1
+			}
+			r.sinks = append(r.sinks, sink{edge: ed.ID, out: st, pos: pos, queries: qs})
+		}
+	}
+	slices.SortFunc(r.sinks, func(a, b sink) int { return cmp.Compare(a.queries[0], b.queries[0]) })
+	for i := range r.sinks {
+		for _, qid := range r.sinks[i].queries {
+			e.sinkOf[qid] = &r.sinks[i]
+		}
+	}
+	r.hasSink = len(r.sinks) > 0
+}
+
+// compactRoutes moves the last live entries into the freed ones, so the
+// table holds exactly the live edges, and reports whether it moved one.
+func (e *Engine) compactRoutes(freed []int) bool {
+	slices.Sort(freed)
+	n, last, moved := len(e.routes)-len(freed), len(e.routes)-1, false
+	for _, to := range freed {
+		if to >= n {
+			break
+		}
+		for e.routes[last].edge == nil {
+			last--
+		}
+		e.routes[to], e.routes[last] = e.routes[last], edgeRoute{}
+		e.route[e.routes[to].edge.ID] = to
+		for _, pr := range e.routes[to].producers {
+			pr.node.outR[pr.port] = to
+		}
+		for _, c := range e.routes[to].consumers {
+			c.node.inR[c.port] = to
+		}
+		last--
+		moved = true
+	}
+	clear(e.routes[n:])
+	e.routes = e.routes[:n]
+	return moved
+}
+
+// routeSources indexes the source edges by every source name they carry,
+// with the membership each plain Push must attach precomputed.
+func (e *Engine) routeSources() {
+	p := e.plan
+	if e.sources == nil {
+		e.sources = make(map[string]sourceInfo)
+	}
+	clear(e.sources)
 	e.srcList = e.srcList[:0]
 	for name := range p.Catalog {
 		s := p.SourceStream(name)
@@ -396,7 +719,7 @@ func (e *Engine) rebuildRoutes() {
 			continue
 		}
 		edge, pos := p.EdgeOf(s)
-		si := sourceInfo{edge: edge, arity: p.Catalog[name].Schema.Arity()}
+		si := sourceInfo{route: e.route[edge.ID], arity: p.Catalog[name].Schema.Arity()}
 		if edge.IsChannel() {
 			si.member = bitset.Singleton(pos)
 		}
@@ -407,64 +730,16 @@ func (e *Engine) rebuildRoutes() {
 			e.srcList = append(e.srcList, namedSource{name: name, info: si})
 		}
 	}
-	// Query sinks.
-	for _, q := range p.Queries {
-		out := p.OutputOf(q.ID)
-		edge, pos := p.EdgeOf(out)
-		if !edge.IsChannel() {
-			pos = -1
-		}
-		r := &e.routes[edge.ID]
-		found := false
-		for i := range r.sinks {
-			if r.sinks[i].pos == pos {
-				r.sinks[i].queries = append(r.sinks[i].queries, q.ID)
-				found = true
-				break
-			}
-		}
-		if !found {
-			r.sinks = append(r.sinks, sink{pos: pos, queries: []int{q.ID}})
-		}
+}
+
+// growQueries sizes the per-query counts for query ID qid. Folded counts
+// are kept across deltas: a removed query's slot holds its final count, a
+// query added live starts at zero.
+func (e *Engine) growQueries(qid int) {
+	if qid >= len(e.base) {
+		e.base = append(e.base, make([]int64, qid+1-len(e.base))...)
+		e.sinkOf = append(e.sinkOf, make([]*sink, qid+1-len(e.sinkOf))...)
 	}
-	// Only now are the sinks in place: appending to an edge's sinks may
-	// move them.
-	for i := range e.routes {
-		for j := range e.routes[i].sinks {
-			s := &e.routes[i].sinks[j]
-			for _, qid := range s.queries {
-				e.sinkOf[qid] = s
-			}
-		}
-	}
-	// Release analysis over all consumers (deliver), and over the scalar
-	// ones alone for the pooled row tuples the block→scalar adapter
-	// materializes.
-	for i := range e.routes {
-		r := &e.routes[i]
-		r.hasSink = len(r.sinks) > 0
-		r.releasable, r.clearsOwned = releaseAnalysis(r.consumers)
-		r.rowReleasable, r.rowClearsOwned = releaseAnalysis(r.scalarConsumers)
-	}
-	// Count-only and sink-only output ports. A count-only port's results
-	// are counted, not delivered, while no result callback is installed;
-	// a window-prefix m-op's group whose every port is count-only then
-	// builds no result at all (bindSinks).
-	for _, rn := range e.nodes {
-		if len(rn.count) != len(rn.out) {
-			rn.count = make([]*int64, len(rn.out))
-			rn.sinkOnly = make([]bool, len(rn.out))
-		}
-		for port, out := range rn.out {
-			r := &e.routes[out.ID]
-			rn.count[port] = nil
-			rn.sinkOnly[port] = r.hasSink && len(r.consumers) == 0
-			if rn.sinkOnly[port] && len(r.sinks) == 1 && r.sinks[0].pos < 0 {
-				rn.count[port] = &r.sinks[0].n
-			}
-		}
-	}
-	e.bound = false
 }
 
 // bindSinks binds every window-prefix m-op to its output ports' sinks and
@@ -489,100 +764,224 @@ func (e *Engine) bindSinks() {
 	}
 }
 
-// foldSinks moves every sink's count into its queries' base counts before
-// the routing table that holds the sinks is replaced.
+// foldSinks moves every sink's count into its queries' base counts.
 func (e *Engine) foldSinks() {
 	for i := range e.routes {
 		for j := range e.routes[i].sinks {
-			s := &e.routes[i].sinks[j]
-			for _, qid := range s.queries {
-				e.base[qid] += s.n
-			}
-			s.n = 0
+			e.foldSink(&e.routes[i].sinks[j])
 		}
 	}
 }
 
 // ApplyDelta splices a live plan delta into the running engine: channel
 // position remaps recorded by compaction / slot reuse are pushed through
-// the stored memberships of the running m-ops, runtime nodes of removed
-// plan nodes are dropped (their unadopted operator state is discarded),
-// dirty nodes are re-lowered with their predecessors' state migrated in
-// (package mop), freshly merged channel members replay the shared stores
-// they joined, and the dense routing tables are recomputed. The engine
-// must be quiescent (no in-flight drain); the push path itself is
-// untouched by delta application.
+// the stored memberships of the running m-ops; a dirty ;/µ node whose
+// operators one running m-op of its kind serves gains and loses operators
+// in that m-op (mop.Splice); other dirty nodes are lowered afresh with
+// their predecessors' state migrated in (package mop); runtime nodes of
+// removed plan nodes are dropped (their unadopted operator state is
+// discarded); freshly merged channel members replay the shared stores they
+// joined; and the route entries of the edges the delta touches are
+// patched. The engine must be quiescent (no in-flight drain); the push
+// path itself is untouched by delta application. An error signals a
+// broken plan invariant and leaves the engine to be rebuilt.
 func (e *Engine) ApplyDelta(d *core.Delta) error {
-	if d == nil || d.Empty() {
+	if d.Empty() {
 		return nil
 	}
-	affected := make(map[int]bool, len(d.Dirty)+len(d.Removed))
-	for id := range d.Dirty {
-		affected[id] = true
-	}
-	for id := range d.Removed {
-		affected[id] = true
-	}
-	var olds []mop.MOp
-	counters := make(map[int]*runtimeNode)
-	// kept is a fresh slice: e.nodes must stay intact until the delta is
-	// known to apply cleanly, so an error return leaves the engine in its
-	// pre-delta state (stale vs the plan, but internally consistent).
-	kept := make([]*runtimeNode, 0, len(e.nodes))
-	for _, rn := range e.nodes {
-		if affected[rn.id] {
-			olds = append(olds, rn.m)
-			counters[rn.id] = rn
-		} else {
-			kept = append(kept, rn)
+	p := e.plan
+	var olds []*runtimeNode
+	for _, ids := range []map[int]bool{d.Removed, d.Dirty} {
+		for id := range ids {
+			if rn := e.byID[id]; rn != nil {
+				olds = append(olds, rn)
+			}
 		}
 	}
-	reg := mop.NewStateRegistry(olds)
+	slices.SortFunc(olds, func(a, b *runtimeNode) int { return cmp.Compare(a.id, b.id) })
 	// Channel compaction / slot reuse: rewrite the memberships stored
-	// against the re-encoded channels before the state migrates into the
-	// re-lowered consumers. Remaps apply in recording order (a channel may
-	// be compacted and then grown within one delta).
-	for _, cr := range d.Remaps {
-		rm := mop.NewRemap(cr.Table)
-		for _, t := range cr.Ops {
-			reg.RemapMemberships(t.OpID, t.Side, rm)
+	// against the re-encoded channels before the state moves on. Remaps
+	// apply in recording order (a channel may be compacted and then grown
+	// within one delta).
+	if len(d.Remaps) > 0 {
+		reg := mop.NewStateRegistry(mops(olds))
+		for _, cr := range d.Remaps {
+			rm := mop.NewRemap(cr.Table)
+			for _, t := range cr.Ops {
+				reg.RemapMemberships(t.OpID, t.Side, rm)
+			}
 		}
 	}
-	dirty := make([]int, 0, len(d.Dirty))
+	var dirty []*core.Node
 	for id := range d.Dirty {
-		dirty = append(dirty, id)
-	}
-	sort.Ints(dirty)
-	lowered := make(map[int]*runtimeNode, len(dirty))
-	for _, id := range dirty {
-		n, ok := e.plan.Nodes[id]
+		n, ok := p.Nodes[id]
 		if !ok {
 			return fmt.Errorf("engine: dirty node %d not in plan", id)
 		}
-		if n.Kind == core.KindSource {
+		if n.Kind != core.KindSource {
+			dirty = append(dirty, n)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *core.Node) int { return cmp.Compare(a.ID, b.ID) })
+	touched := e.touched
+	// gained lists, per spliced or freshly lowered node, the operators it
+	// gained, for the new-member replay.
+	type gain struct {
+		rn  *runtimeNode
+		ops []*core.Op
+	}
+	var spliced []*runtimeNode
+	var gained []gain
+	var fresh []*core.Node
+	for i, rn := range splicePlans(dirty, olds) {
+		n := dirty[i]
+		if rn == nil {
+			fresh = append(fresh, n)
 			continue
 		}
+		low := &mop.Lowered{MOp: rn.m, InEdges: rn.in, OutEdges: rn.out, PortUses: rn.uses}
+		added, ok, err := mop.Splice(p, d, n, low)
+		if err != nil {
+			return fmt.Errorf("engine: node %d: %w", n.ID, err)
+		}
+		if !ok {
+			fresh = append(fresh, n)
+			continue
+		}
+		delete(e.byID, rn.id)
+		rn.id, rn.in, rn.out, rn.uses, rn.outChanged = n.ID, low.InEdges, low.OutEdges, low.PortUses, low.OutChanged
+		rn.refreshBlockPath()
+		e.byID[rn.id] = rn
+		e.relink(rn)
+		spliced = append(spliced, rn)
+		gained = append(gained, gain{rn, added})
+	}
+	// The other dirty nodes are lowered afresh and adopt their
+	// predecessors' state; state no successor adopts is discarded.
+	olds = slices.DeleteFunc(olds, func(rn *runtimeNode) bool { return slices.Contains(spliced, rn) })
+	var reg *mop.StateRegistry
+	if len(olds) > 0 {
+		reg = mop.NewStateRegistry(mops(olds))
+	}
+	var lowered []*runtimeNode
+	for _, n := range fresh {
 		rn, err := e.lowerNode(n)
 		if err != nil {
 			return err
 		}
-		if err := reg.Adopt(&mop.Lowered{MOp: rn.m, InEdges: rn.in, OutEdges: rn.out, PortUses: rn.uses}); err != nil {
-			return fmt.Errorf("engine: node %d: %w", id, err)
+		if reg != nil {
+			if err := reg.Adopt(&mop.Lowered{MOp: rn.m, InEdges: rn.in, OutEdges: rn.out, PortUses: rn.uses}); err != nil {
+				return fmt.Errorf("engine: node %d: %w", n.ID, err)
+			}
 		}
-		if old := counters[rn.id]; old != nil {
+		if old := e.byID[n.ID]; old != nil && !slices.Contains(spliced, old) {
 			rn.processed, rn.emitted, rn.busyNS = old.processed, old.emitted, old.busyNS
 		}
-		lowered[id] = rn
-		kept = append(kept, rn)
+		lowered = append(lowered, rn)
+		gained = append(gained, gain{rn, n.Ops})
 	}
-	reg.DiscardRest()
-	if err := e.replayNewMembers(d, lowered); err != nil {
-		return err
+	if reg != nil {
+		reg.DiscardRest()
 	}
-	e.nodes = kept
-	sort.Slice(e.nodes, func(i, j int) bool { return e.nodes[i].id < e.nodes[j].id })
-	e.rebuildRoutes()
+	for _, rn := range olds {
+		rn.in, rn.out = nil, nil
+		e.relink(rn)
+		if e.byID[rn.id] == rn {
+			delete(e.byID, rn.id)
+		}
+	}
+	for _, rn := range lowered {
+		e.byID[rn.id] = rn
+		e.relink(rn)
+	}
+	if len(olds)+len(lowered) > 0 {
+		e.nodes = slices.DeleteFunc(e.nodes, func(rn *runtimeNode) bool { return e.byID[rn.id] != rn })
+		e.nodes = append(e.nodes, lowered...)
+	}
+	slices.SortFunc(e.nodes, func(a, b *runtimeNode) int { return cmp.Compare(a.id, b.id) })
+	for _, ids := range []map[int]bool{d.NewEdges, d.RemovedEdges} {
+		for id := range ids {
+			touched[id] = true
+		}
+	}
+	for _, qid := range d.RemovedQueries {
+		if qid < len(e.sinkOf) && e.sinkOf[qid] != nil {
+			e.unsink(qid)
+		}
+	}
+	for _, qid := range d.NewQueries {
+		e.growQueries(qid)
+		if out := p.OutputOf(qid); out != nil {
+			e.sinkNew(qid, out)
+		}
+	}
+	e.patch()
+	if len(d.NewStreams) > 0 {
+		for _, g := range gained {
+			if err := e.replayNewMembers(d, g.rn, g.ops); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
+}
+
+func mops(rns []*runtimeNode) []mop.MOp {
+	ms := make([]mop.MOp, len(rns))
+	for i, rn := range rns {
+		ms[i] = rn.m
+	}
+	return ms
+}
+
+// splicePlans finds, for each dirty ;/µ node, the one running ;/µ node
+// that serves any of its operators, provided no other dirty node takes
+// operators from it; the result is parallel to dirty, nil where a node is
+// lowered afresh. A node whose operators two running nodes serve absorbs
+// a running node's state, and is lowered afresh with that state migrated,
+// as is every node the same running node would feed. With one running
+// and one dirty ;/µ node, as a live add or remove that changes one shared
+// ;/µ m-op makes, that pair is the plan: operators the dirty node has
+// beyond the running one's were created by the delta.
+func splicePlans(dirty []*core.Node, olds []*runtimeNode) []*runtimeNode {
+	plans := make([]*runtimeNode, len(dirty))
+	var seqs []*runtimeNode
+	for _, rn := range olds {
+		if _, ok := rn.m.(*mop.SeqMOp); ok {
+			seqs = append(seqs, rn)
+		}
+	}
+	if len(seqs) == 0 {
+		return plans
+	}
+	isSeq := func(n *core.Node) bool { return n.Kind == core.KindSeq || n.Kind == core.KindMu }
+	if i := slices.IndexFunc(dirty, isSeq); len(seqs) == 1 && i >= 0 && !slices.ContainsFunc(dirty[i+1:], isSeq) {
+		plans[i] = seqs[0]
+		return plans
+	}
+	claims := make(map[*runtimeNode]int)
+	for i, n := range dirty {
+		if !isSeq(n) {
+			continue
+		}
+		var from []*runtimeNode
+		for _, o := range n.Ops {
+			j := slices.IndexFunc(seqs, func(rn *runtimeNode) bool { return rn.m.(*mop.SeqMOp).Serves(o.ID) })
+			if j >= 0 && !slices.Contains(from, seqs[j]) {
+				from = append(from, seqs[j])
+				claims[seqs[j]]++
+			}
+		}
+		if len(from) == 1 {
+			plans[i] = from[0]
+		}
+	}
+	for i, rn := range plans {
+		if rn != nil && claims[rn] > 1 {
+			plans[i] = nil
+		}
+	}
+	return plans
 }
 
 // replayNewMembers implements full-window state replay on live re-merge:
@@ -592,6 +991,8 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 // items carry enough content to re-evaluate the operator's gating chain,
 // the group replays them under the new member's bit, so a mid-stream
 // subscriber observes the full retained window from its first batch.
+// added lists the operators rn gained: an operator a splice kept reads the
+// streams it read before.
 //
 // Soundness gate: the channel's share class must be a single-source class
 // ("src#..."), so every stream on it is that source or a selection chain
@@ -602,45 +1003,32 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 // Channels over multi-source share labels ("src:...") or over derived
 // operators are skipped: their stored contents differ per stream, so a
 // replay would fabricate history (the member starts cold, as before).
-func (e *Engine) replayNewMembers(d *core.Delta, lowered map[int]*runtimeNode) error {
-	if len(d.NewStreams) == 0 {
+func (e *Engine) replayNewMembers(d *core.Delta, rn *runtimeNode, added []*core.Op) error {
+	switch e.plan.Nodes[rn.id].Kind {
+	case core.KindAgg, core.KindJoin, core.KindSeq, core.KindMu:
+	default:
 		return nil
 	}
-	for id, rn := range lowered {
-		n := e.plan.Nodes[id]
-		if n == nil {
-			continue
-		}
-		switch n.Kind {
-		case core.KindAgg, core.KindJoin, core.KindSeq, core.KindMu:
-		default:
-			continue
-		}
-		var reg *mop.StateRegistry
-		for _, o := range n.Ops {
-			for side, in := range o.In {
-				if !d.NewStreams[in.ID] {
-					continue
-				}
-				edge, pos := e.plan.EdgeOf(in)
-				if edge == nil || !edge.IsChannel() || pos < 0 {
-					continue
-				}
-				keep, ok := replayKeep(o, in)
-				if !ok {
-					continue
-				}
-				if reg == nil {
-					reg = mop.NewStateRegistry([]mop.MOp{rn.m})
-				}
-				cnt, err := reg.ReplayMember(o.ID, side, pos, keep)
-				if err != nil {
-					return fmt.Errorf("engine: replay op %d: %w", o.ID, err)
-				}
-				// Replays happen at churn rate, not tuple rate: count the
-				// replayed window size unconditionally.
-				e.replayedItems += int64(cnt)
+	for _, o := range added {
+		for side, in := range o.In {
+			if !d.NewStreams[in.ID] {
+				continue
 			}
+			edge, pos := e.plan.EdgeOf(in)
+			if edge == nil || !edge.IsChannel() || pos < 0 {
+				continue
+			}
+			keep, ok := replayKeep(o, in)
+			if !ok {
+				continue
+			}
+			cnt, err := mop.ReplayMember(rn.m, o.ID, side, pos, keep)
+			if err != nil {
+				return fmt.Errorf("engine: replay op %d: %w", o.ID, err)
+			}
+			// Replays happen at churn rate, not tuple rate: count the
+			// replayed window size unconditionally.
+			e.replayedItems += int64(cnt)
 		}
 	}
 	return nil
@@ -710,13 +1098,13 @@ func (e *Engine) Push(source string, t *stream.Tuple) error {
 	if si.member != nil && t.Member == nil {
 		t = e.pool.WithMember(t, si.member)
 	}
-	e.enqueue(si.edge, t)
+	e.enqueue(si.route, t)
 	e.drain()
 	return nil
 }
 
-func (e *Engine) enqueue(edge *core.Edge, t *stream.Tuple) {
-	e.queue = append(e.queue, queued{edge: edge, t: t})
+func (e *Engine) enqueue(route int, t *stream.Tuple) {
+	e.queue = append(e.queue, queued{route: route, t: t})
 }
 
 // toSinks hands t to the sinks of its edge: each sink whose membership
@@ -767,7 +1155,7 @@ func (e *Engine) deliverResults() {
 	for _, q := range e.results {
 		for _, port := range q.ports {
 			e.observeUnqueued(q.t)
-			e.toSinks(&e.routes[q.node.out[port].ID], q.t)
+			e.toSinks(&e.routes[q.node.outR[port]], q.t)
 		}
 		if q.once {
 			e.parkPool.Put(q.t)
@@ -791,9 +1179,9 @@ func (e *Engine) drain() {
 	for i := 0; i < len(e.queue); i++ {
 		q := e.queue[i]
 		if q.b != nil {
-			e.deliverBlock(q.edge, q.b)
+			e.deliverBlock(q.route, q.b)
 		} else {
-			e.deliver(q.edge, q.t)
+			e.deliver(q.route, q.t)
 		}
 	}
 	for _, rn := range e.counting {
@@ -832,8 +1220,8 @@ func (e *Engine) drain() {
 	e.queue = e.queue[:0]
 }
 
-func (e *Engine) deliver(edge *core.Edge, t *stream.Tuple) {
-	r := &e.routes[edge.ID]
+func (e *Engine) deliver(route int, t *stream.Tuple) {
+	r := &e.routes[route]
 	if e.obsOn && t.Member != nil && t.Member.Spilled() {
 		e.memberSpills++
 	}

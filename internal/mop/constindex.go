@@ -1,23 +1,50 @@
 package mop
 
+import "slices"
+
 // constIndex is an equality-constant lookup table used by the predicate
 // index ([10,16]) and the AN/FR indexes (§4.3): it maps an attribute
 // constant to the groups registered under it. Lookups are the per-tuple
 // hot path, so after construction the index is sealed: when the constants
 // are small non-negative integers (the common case — benchmark constant
 // domains are dense, §5.1) the map is converted to a direct-mapped dense
-// array, turning every probe into a bounds check and a slice load.
-type constIndex[T any] struct {
+// array, turning every probe into a bounds check and a slice load. A
+// sealed index takes adds and removes (live splicing); an add outside the
+// dense array moves the index back to the map until the next seal.
+type constIndex[T comparable] struct {
 	dense [][]T
 	m     map[int64][]T
 }
 
-// add registers v under constant c. Only valid before seal.
+// add registers v under constant c.
 func (ci *constIndex[T]) add(c int64, v T) {
+	if ci.dense != nil && c >= 0 && c < int64(len(ci.dense)) {
+		ci.dense[c] = append(ci.dense[c], v)
+		return
+	}
 	if ci.m == nil {
 		ci.m = make(map[int64][]T)
 	}
+	for dc, vs := range ci.dense {
+		if len(vs) > 0 {
+			ci.m[int64(dc)] = vs
+		}
+	}
+	ci.dense = nil
 	ci.m[c] = append(ci.m[c], v)
+}
+
+// remove unregisters v from constant c.
+func (ci *constIndex[T]) remove(c int64, v T) {
+	vs := slices.DeleteFunc(ci.get(c), func(x T) bool { return x == v })
+	switch {
+	case ci.dense != nil:
+		ci.dense[c] = vs
+	case len(vs) == 0:
+		delete(ci.m, c)
+	default:
+		ci.m[c] = vs
+	}
 }
 
 // denseLimit bounds the direct-mapped table: constants must lie in

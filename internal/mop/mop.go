@@ -98,6 +98,9 @@ type Lowered struct {
 	// port i (see PortUse). The engine releases Owned tuples back to the
 	// tuple pool after delivery to edges whose consumers only read.
 	PortUses []PortUse
+	// OutChanged lists, after a splice, the output ports whose edge it
+	// changed; nil when any may have.
+	OutChanged []int
 }
 
 // target identifies where an operator's output goes: the m-op output port
@@ -107,8 +110,8 @@ type target struct {
 	pos  int
 }
 
-// ports assigns input and output ports for a node. Binary kinds place all
-// left edges first and the single right edge last.
+// ports assigns input and output ports for a node. A join places all left
+// edges first and the single right edge last.
 type portMap struct {
 	inEdges   []*core.Edge
 	outEdges  []*core.Edge
@@ -124,7 +127,7 @@ func buildPorts(p *core.Physical, n *core.Node) (*portMap, error) {
 			pm.inEdges = append(pm.inEdges, e)
 		}
 	}
-	binary := n.Kind == core.KindJoin || n.Kind == core.KindSeq || n.Kind == core.KindMu
+	binary := n.Kind == core.KindJoin
 	for _, o := range n.Ops {
 		for i, in := range o.In {
 			if binary && i == 1 {
@@ -165,19 +168,13 @@ func buildPorts(p *core.Physical, n *core.Node) (*portMap, error) {
 // inLoc returns the port and membership position of an op input stream.
 func (pm *portMap) inLoc(p *core.Physical, s *core.StreamRef) (port, pos int) {
 	e, i := p.EdgeOf(s)
-	if !e.IsChannel() {
-		i = -1
-	}
-	return pm.inPortOf[e.ID], i
+	return pm.inPortOf[e.ID], channelPos(e, i)
 }
 
 // outLoc returns the target of an op output stream.
 func (pm *portMap) outLoc(p *core.Physical, s *core.StreamRef) target {
 	e, i := p.EdgeOf(s)
-	if !e.IsChannel() {
-		i = -1
-	}
-	return target{port: pm.outPortOf[e.ID], pos: i}
+	return target{port: pm.outPortOf[e.ID], pos: channelPos(e, i)}
 }
 
 // Lower compiles a plan node into an executable m-op. tp is the engine's
@@ -188,6 +185,13 @@ func (pm *portMap) outLoc(p *core.Physical, s *core.StreamRef) target {
 func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 	if len(n.Ops) == 0 {
 		return nil, fmt.Errorf("node %d has no operators", n.ID)
+	}
+	if n.Kind == core.KindSeq || n.Kind == core.KindMu {
+		l := &Lowered{MOp: newSeqMOp(tp, n.Kind == core.KindMu)}
+		if _, _, err := Splice(p, nil, n, l); err != nil {
+			return nil, fmt.Errorf("node %d (%s): %w", n.ID, n.Kind, err)
+		}
+		return l, nil
 	}
 	pm, err := buildPorts(p, n)
 	if err != nil {
@@ -203,10 +207,6 @@ func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 		m, err = newAggMOp(p, n, pm, tp)
 	case core.KindJoin:
 		m, err = newJoinMOp(p, n, pm, tp)
-	case core.KindSeq:
-		m, err = newSeqMOp(p, n, pm, tp, false)
-	case core.KindMu:
-		m, err = newSeqMOp(p, n, pm, tp, true)
 	default:
 		err = fmt.Errorf("cannot lower node kind %s", n.Kind)
 	}
@@ -222,16 +222,8 @@ func Lower(p *core.Physical, n *core.Node, tp *stream.Pool) (*Lowered, error) {
 		case core.KindSelect:
 			// The input tuple itself may be re-emitted downstream.
 			uses[port] = PortForwards
-		case core.KindSeq, core.KindMu:
-			// Left tuples are stored as instances; right tuples only feed
-			// freshly built concatenations.
-			if m.(*SeqMOp).retainsPort(port) {
-				uses[port] = PortStores
-			} else {
-				uses[port] = PortReads
-			}
 		default:
-			// Joins buffer both sides; unknown kinds stay conservative.
+			// Joins buffer both sides.
 			uses[port] = PortStores
 		}
 	}

@@ -2,6 +2,7 @@ package mop
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -31,6 +32,12 @@ type seqInst struct {
 type stateGroup struct {
 	prefixEmitter
 	mu bool
+	// key and info say where the group is registered (splice.go).
+	key  groupKey
+	info seqGroupInfo
+	// resealed marks the group within one splice as already queued for
+	// resealing.
+	resealed bool
 
 	pred   expr.Pred2 // residual predicate over (state, event)
 	filter expr.Pred2 // µ filter-edge predicate θf
@@ -71,24 +78,29 @@ type stateGroup struct {
 }
 
 // seal orders the operators for window-prefix emission (keeping opIDs
-// aligned) and builds the membership→operator index once all ops are
-// registered.
+// aligned), derives the store's expiry horizon and builds the
+// membership→operator index; it runs again whenever a splice changes the
+// group's operators.
 func (g *stateGroup) seal() {
+	g.unbounded, g.maxWindow = false, 0
+	for _, o := range g.ops {
+		if o.window <= 0 {
+			g.unbounded = true // one unbounded operator pins the whole store
+		} else if !g.unbounded && o.window > g.maxWindow {
+			g.maxWindow = o.window
+		}
+	}
 	if g.unbounded {
 		g.maxWindow = 0
 	}
 	g.opIDs = permuteInts(g.opIDs, g.prefixEmitter.seal())
-	for i := range g.ops {
-		if g.ops[i].leftPos < 0 {
-			g.posOps = nil
-			return
-		}
-	}
+	g.posOps, g.leftMask = nil, nil
 	maxPos := 0
 	for i := range g.ops {
-		if g.ops[i].leftPos > maxPos {
-			maxPos = g.ops[i].leftPos
+		if g.ops[i].leftPos < 0 {
+			return
 		}
+		maxPos = max(maxPos, g.ops[i].leftPos)
 	}
 	g.posOps = make([][]int, maxPos+1)
 	g.leftMask = bitset.New(maxPos + 1)
@@ -100,174 +112,89 @@ func (g *stateGroup) seal() {
 }
 
 // groupIndex is one per-attribute index from constants to groups, dense
-// direct-mapped when the constants allow (see constIndex).
+// direct-mapped when the constants allow (see constIndex); n counts the
+// groups registered.
 type groupIndex struct {
 	attr    int
+	n       int
 	byConst constIndex[*stateGroup]
 }
 
-// addTo registers a group under (attr, c) in an index list.
-func addGroupIndex(list []groupIndex, attr int, c int64, g *stateGroup) []groupIndex {
-	for i := range list {
-		if list[i].attr == attr {
-			list[i].byConst.add(c, g)
-			return list
+// dispatch routes an incoming tuple to candidate groups: an index maps
+// equality constants of the tuple to groups (FR on the left, §4.3; AN on
+// the right [7,8]); groups without an indexable constant are scanned
+// sequentially.
+type dispatch struct {
+	idx  []groupIndex
+	rest []*stateGroup
+}
+
+// add registers g, under attribute attr's constant c when indexed.
+func (d *dispatch) add(g *stateGroup, indexed bool, attr int, c int64) {
+	if !indexed {
+		d.rest = append(d.rest, g)
+		return
+	}
+	i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == attr })
+	if i < 0 {
+		d.idx = append(d.idx, groupIndex{attr: attr})
+		i = len(d.idx) - 1
+	}
+	d.idx[i].n++
+	d.idx[i].byConst.add(c, g)
+}
+
+// drop unregisters g and reports whether d is left empty.
+func (d *dispatch) drop(g *stateGroup, indexed bool, attr int, c int64) bool {
+	if !indexed {
+		d.rest = slices.DeleteFunc(d.rest, func(x *stateGroup) bool { return x == g })
+	} else if i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == attr }); i >= 0 {
+		d.idx[i].byConst.remove(c, g)
+		if d.idx[i].n--; d.idx[i].n == 0 {
+			d.idx = slices.Delete(d.idx, i, i+1)
 		}
 	}
-	list = append(list, groupIndex{attr: attr})
-	list[len(list)-1].byConst.add(c, g)
-	return list
+	return len(d.idx) == 0 && len(d.rest) == 0
 }
 
-// sealGroupIndexes freezes the constant lookup tables for probing.
-func sealGroupIndexes(list []groupIndex) {
-	for i := range list {
-		list[i].byConst.seal()
+// seal freezes the constant lookup tables for probing.
+func (d *dispatch) seal() {
+	for i := range d.idx {
+		d.idx[i].byConst.seal()
 	}
-}
-
-// rightDispatch routes an incoming right tuple to candidate groups: the AN
-// (active node) index maps right-side equality constants to groups [7,8];
-// groups without an AN-indexable constant are scanned sequentially.
-type rightDispatch struct {
-	an   []groupIndex
-	rest []*stateGroup
-}
-
-// leftDispatch routes an incoming left tuple: the FR index maps left-side
-// equality constants to groups; the rest are checked sequentially.
-type leftDispatch struct {
-	fr   []groupIndex
-	rest []*stateGroup
 }
 
 // SeqMOp executes a set of Cayuga sequence (;) or iteration (µ) operators.
+// It is built by splicing its node's operators into an empty m-op, and
+// live maintenance splices the operators a node gains and loses into the
+// running m-op (splice.go), so its stores, hash indexes and dispatch
+// tables stay in place.
 type SeqMOp struct {
 	mu bool
-	// lefts and rights are indexed by input port; an entry is nil when no
-	// operator reads the port on that side.
-	lefts   []*leftDispatch
-	rights  []*rightDispatch
+	// lefts and rights are indexed by input port (the FR and AN dispatch);
+	// an entry is nil when no operator reads the port on that side.
+	lefts   []*dispatch
+	rights  []*dispatch
 	ce      *chanEmitter
 	pool    *stream.Pool
 	counted countFlush
 
-	// Vectorized dispatch (seq_block.go). vec is decided once at lowering
-	// time: every membership position within the inline word. probe is the
-	// scratch tuple the block kernels materialize one row at a time into.
+	// Vectorized dispatch (seq_block.go). vec holds while every membership
+	// position is within the inline word (wide counts the operators past
+	// it). probe is the scratch tuple the block kernels materialize one row
+	// at a time into.
 	vec   bool
+	wide  int
 	probe stream.Tuple
-}
 
-func newSeqMOp(p *core.Physical, n *core.Node, pm *portMap, tp *stream.Pool, mu bool) (*SeqMOp, error) {
-	m := &SeqMOp{
-		mu:     mu,
-		lefts:  make([]*leftDispatch, len(pm.inEdges)),
-		rights: make([]*rightDispatch, len(pm.inEdges)),
-		ce:     newChanEmitter(len(pm.outEdges), tp),
-		pool:   tp,
-		vec:    true,
-	}
-	type gkey struct {
-		lport, rport int
-		def          string
-	}
-	groups := make(map[gkey]*stateGroup)
-	for _, o := range n.Ops {
-		lport, lpos := pm.inLoc(p, o.In[0])
-		rport, rpos := pm.inLoc(p, o.In[1])
-		if lport == rport {
-			return nil, fmt.Errorf("seq op %d reads both inputs from one edge", o.ID)
-		}
-		k := gkey{lport: lport, rport: rport, def: o.Def.KeyModuloWindow()}
-		g, ok := groups[k]
-		if !ok {
-			g = &stateGroup{
-				prefixEmitter: prefixEmitter{pool: tp},
-				mu:            mu,
-				startArity:    o.In[0].Schema.Arity(),
-				rightArity:    o.In[1].Schema.Arity(),
-				filter:        o.Def.Filter2,
-			}
-			var info seqGroupInfo
-			pred := o.Def.Pred2
-			// Peel off the AN-indexable right constant.
-			if a, c, res, isRC := expr.RightIndexableEq(pred); isRC {
-				info.rightConstA, info.rightConstV, info.hasRight = a, c, true
-				pred = res
-			}
-			// Peel off insertion-time left predicates (; only: for µ the
-			// state tuple mutates, so left conjuncts must stay in the
-			// residual unless they reference the immutable start part —
-			// we keep it simple and only extract for ;).
-			if !mu {
-				pred = g.extractLeftPred(pred, &info)
-			}
-			// Peel off the AI-indexable equi-join conjunct.
-			if la, ra, res, isEq := expr.EqJoinParts(pred); isEq {
-				g.hasEq, g.lAttr, g.rAttr = true, la, ra
-				g.hashStable = !mu || la < g.startArity
-				if g.hashStable {
-					g.hash = newHashIndex[*seqInst]()
-				}
-				pred = res
-			}
-			g.pred = pred
-			groups[k] = g
-			// Register with the left dispatcher.
-			ld := m.lefts[lport]
-			if ld == nil {
-				ld = &leftDispatch{}
-				m.lefts[lport] = ld
-			}
-			if info.hasLeftConst {
-				ld.fr = addGroupIndex(ld.fr, info.leftConstA, info.leftConstV, g)
-			} else {
-				ld.rest = append(ld.rest, g)
-			}
-			// Register with the right dispatcher.
-			rd := m.rights[rport]
-			if rd == nil {
-				rd = &rightDispatch{}
-				m.rights[rport] = rd
-			}
-			if info.hasRight {
-				rd.an = addGroupIndex(rd.an, info.rightConstA, info.rightConstV, g)
-			} else {
-				rd.rest = append(rd.rest, g)
-			}
-		}
-		if o.Def.Window <= 0 {
-			g.unbounded = true // one unbounded operator pins the whole store
-		} else if o.Def.Window > g.maxWindow {
-			g.maxWindow = o.Def.Window
-		}
-		g.ops = append(g.ops, windowOp{
-			window:   o.Def.Window,
-			leftPos:  lpos,
-			rightPos: rpos,
-			tg:       pm.outLoc(p, o.Out),
-		})
-		g.opIDs = append(g.opIDs, o.ID)
-		// Blocks pack memberships one word per row.
-		if lpos >= 64 || rpos >= 64 {
-			m.vec = false
-		}
-	}
-	for _, g := range groups {
-		g.seal()
-	}
-	for _, ld := range m.lefts {
-		if ld != nil {
-			sealGroupIndexes(ld.fr)
-		}
-	}
-	for _, rd := range m.rights {
-		if rd != nil {
-			sealGroupIndexes(rd.an)
-		}
-	}
-	return m, nil
+	// The splice state: the port layout, the groups by key, and every
+	// operator's wiring as spliced in.
+	in, out portSet
+	byKey   map[groupKey]*stateGroup
+	ops     map[int]*seqOp
+	last    []*core.Op // the node's operators at the last splice
+	maxOp   int        // the largest operator ID the m-op has run
+	epoch   int
 }
 
 // seqGroupInfo collects the indexable parts peeled off a group's predicate
@@ -313,12 +240,6 @@ func (g *stateGroup) extractLeftPred(pred expr.Pred2, info *seqGroupInfo) expr.P
 	return expr.NewAnd2(rest...)
 }
 
-// retainsPort reports whether tuples arriving on the port may be stored:
-// left tuples become instances; right tuples only feed fresh outputs.
-func (m *SeqMOp) retainsPort(port int) bool {
-	return m.lefts[port] != nil
-}
-
 // BindSinks implements PrefixMOp.
 func (m *SeqMOp) BindSinks(s Sinks) bool {
 	n := 0
@@ -347,9 +268,9 @@ func (m *SeqMOp) Process(port int, t *stream.Tuple, emit Emit) {
 // processLeft inserts the arriving tuple as a new instance into every
 // group whose insertion predicate it satisfies; with own each instance
 // stores a pooled copy of t that it owns instead of t itself.
-func (m *SeqMOp) processLeft(ld *leftDispatch, t *stream.Tuple, own bool) {
-	for i := range ld.fr {
-		idx := &ld.fr[i]
+func (m *SeqMOp) processLeft(ld *dispatch, t *stream.Tuple, own bool) {
+	for i := range ld.idx {
+		idx := &ld.idx[i]
 		if idx.attr >= len(t.Vals) {
 			continue
 		}
@@ -432,9 +353,9 @@ func (g *stateGroup) insert(t *stream.Tuple, own bool) {
 
 // processRight matches the arriving tuple against stored instances of all
 // candidate groups: those found via the AN index plus the unindexed rest.
-func (m *SeqMOp) processRight(rd *rightDispatch, t *stream.Tuple, emit Emit) {
-	for i := range rd.an {
-		idx := &rd.an[i]
+func (m *SeqMOp) processRight(rd *dispatch, t *stream.Tuple, emit Emit) {
+	for i := range rd.idx {
+		idx := &rd.idx[i]
 		if idx.attr >= len(t.Vals) {
 			continue
 		}
@@ -636,8 +557,8 @@ func (m *SeqMOp) forEachGroup(fn func(g *stateGroup)) {
 		for _, g := range ld.rest {
 			fn(g)
 		}
-		for i := range ld.fr {
-			ld.fr[i].byConst.forEach(fn)
+		for i := range ld.idx {
+			ld.idx[i].byConst.forEach(fn)
 		}
 	}
 }

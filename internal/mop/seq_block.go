@@ -38,7 +38,7 @@ func (m *SeqMOp) ProcessBlock(port int, b *stream.Block, bp *stream.BlockPool, e
 // their right side.
 //
 //rumor:noalloc
-func (m *SeqMOp) storeBlock(ld *leftDispatch, rd *rightDispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
+func (m *SeqMOp) storeBlock(ld *dispatch, rd *dispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
 	for wi, w := range b.Sel {
 		base := wi << 6
 		for w != 0 {
@@ -59,7 +59,7 @@ func (m *SeqMOp) storeBlock(ld *leftDispatch, rd *rightDispatch, b *stream.Block
 // hit and no unindexed group) cost one index probe on the column each.
 //
 //rumor:noalloc
-func (m *SeqMOp) probeBlock(rd *rightDispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
+func (m *SeqMOp) probeBlock(rd *dispatch, b *stream.Block, bp *stream.BlockPool, emit Emit) {
 	always := len(rd.rest) > 0
 	for wi, w := range b.Sel {
 		base := wi << 6
@@ -92,9 +92,9 @@ func (m *SeqMOp) scratchRow(b *stream.Block, i int, bp *stream.BlockPool) *strea
 // anHit reports whether some AN index names a group for row i of b.
 //
 //rumor:noalloc
-func (rd *rightDispatch) anHit(b *stream.Block, i int) bool {
-	for ai := range rd.an {
-		idx := &rd.an[ai]
+func (rd *dispatch) anHit(b *stream.Block, i int) bool {
+	for ai := range rd.idx {
+		idx := &rd.idx[ai]
 		if idx.attr < len(b.Cols) && len(idx.byConst.get(b.Cols[idx.attr][i])) > 0 {
 			return true
 		}

@@ -155,12 +155,12 @@ func TestSeqBlockFixtureCoverage(t *testing.T) {
 				t.Fatalf("cfg %d node %d is not block-ready", cfg, n.ID)
 			}
 			for _, ld := range m.lefts {
-				fr = fr || (ld != nil && len(ld.fr) > 0)
+				fr = fr || (ld != nil && len(ld.idx) > 0)
 			}
 			for _, rd := range m.rights {
 				if rd != nil {
-					an = an || len(rd.an) > 0
-					anOnly = anOnly || (len(rd.an) > 1 && len(rd.rest) == 0)
+					an = an || len(rd.idx) > 0
+					anOnly = anOnly || (len(rd.idx) > 1 && len(rd.rest) == 0)
 					restR = restR || len(rd.rest) > 0
 				}
 			}
