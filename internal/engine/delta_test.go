@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -187,7 +188,7 @@ func checkFresh(t *testing.T, step string, e *Engine) {
 		if err := mop.NewStateRegistry([]mop.MOp{rn.m}).Adopt(low); err != nil {
 			t.Fatalf("%s: node %d: a fresh lowering cannot adopt the running state: %v", step, n.ID, err)
 		}
-		if g, w := mop.Describe(rn.m, rn.in, rn.out), mop.Describe(low.MOp, low.InEdges, low.OutEdges); g != w {
+		if g, w := describeSeq(rn.m, rn.in, rn.out), describeSeq(low.MOp, low.InEdges, low.OutEdges); g != w {
 			t.Fatalf("%s: node %d: the running m-op differs from a fresh lowering\n got: %s\nwant: %s", step, n.ID, g, w)
 		}
 	}
@@ -202,4 +203,117 @@ func queryNamed(t *testing.T, p *core.Physical, name string) int {
 	}
 	t.Fatalf("query %q not in plan", name)
 	return -1
+}
+
+// describeSeq renders a ;/µ m-op (mop.SeqMOp, read by reflection) for
+// comparison with another lowering of the same node: each state group
+// with its operators, windows, wiring, predicates, membership index,
+// dispatch and stored instances, and the m-op's block path and port uses.
+// Ports are named by the edges in and out give them, and operators and
+// groups are listed in a canonical order, so two m-ops that behave alike
+// describe alike whatever their port numbering and registration order.
+func describeSeq(m mop.MOp, in, out []*core.Edge) string {
+	v := reflect.ValueOf(m).Elem()
+	edge := func(edges []*core.Edge, port reflect.Value) int {
+		if i := int(port.Int()); i < len(edges) && edges[i] != nil {
+			return edges[i].ID
+		}
+		return -1
+	}
+	ints := func(s reflect.Value) []int {
+		out := make([]int, s.Len())
+		for i := range out {
+			out[i] = int(s.Index(i).Int())
+		}
+		return out
+	}
+	// A group is named by its sorted operator IDs.
+	name := func(g reflect.Value) string {
+		return fmt.Sprint(slices.Sorted(slices.Values(ints(g.Elem().FieldByName("opIDs")))))
+	}
+	var lines []string
+	for it := v.FieldByName("byKey").MapRange(); it.Next(); {
+		g, k := it.Value().Elem(), it.Key()
+		ids := ints(g.FieldByName("opIDs"))
+		var b strings.Builder
+		fmt.Fprintf(&b, "group %s l=%d r=%d", name(it.Value()), edge(in, k.FieldByName("lport")), edge(in, k.FieldByName("rport")))
+		for _, f := range []string{"maxWindow", "unbounded", "hasEq", "lAttr", "rAttr", "hashStable", "pred", "filter", "leftPred", "left", "right", "leftMask"} {
+			fmt.Fprintf(&b, " %s=%v", f, g.FieldByName(f))
+		}
+		fmt.Fprintf(&b, " plain=%v hash=%v", g.FieldByName("prefixEmitter").FieldByName("plain"), !g.FieldByName("hash").IsNil())
+		var ops []string
+		wops := g.FieldByName("ops")
+		for i := range wops.Len() {
+			o, id := wops.Index(i), -1
+			if i < len(ids) {
+				id = ids[i]
+			}
+			tg := o.FieldByName("tg")
+			ops = append(ops, fmt.Sprintf("op %d w=%d l=%d r=%d out=%d@%d", id, o.FieldByName("window").Int(),
+				o.FieldByName("leftPos").Int(), o.FieldByName("rightPos").Int(), edge(out, tg.FieldByName("port")), tg.FieldByName("pos").Int()))
+		}
+		slices.Sort(ops)
+		fmt.Fprintf(&b, "\n  %s", strings.Join(ops, "\n  "))
+		posOps := g.FieldByName("posOps")
+		for pos := range posOps.Len() {
+			var at []int
+			for _, i := range ints(posOps.Index(pos)) {
+				at = append(at, ids[i])
+			}
+			slices.Sort(at)
+			fmt.Fprintf(&b, "\n  pos %d: %v", pos, at)
+		}
+		insts := g.FieldByName("insts")
+		for i := range insts.Len() {
+			inst := insts.Index(i).Elem()
+			if !inst.FieldByName("dead").Bool() {
+				st, sv := inst.FieldByName("start").Elem(), inst.FieldByName("state").Elem()
+				fmt.Fprintf(&b, "\n  inst @%d %v state %v member %v", st.FieldByName("TS").Int(), st.FieldByName("Vals"),
+					sv.FieldByName("Vals"), inst.FieldByName("member"))
+			}
+		}
+		lines = append(lines, b.String())
+	}
+	// Dispatch: per input edge and side, the groups indexed under each
+	// constant and the unindexed rest.
+	for _, side := range []string{"lefts", "rights"} {
+		ds := v.FieldByName(side)
+		for port := range ds.Len() {
+			d := ds.Index(port)
+			if d.IsNil() {
+				continue
+			}
+			var reg []string
+			idx := d.Elem().FieldByName("idx")
+			for i := range idx.Len() {
+				ci := idx.Index(i).FieldByName("byConst")
+				attr := idx.Index(i).FieldByName("attr").Int()
+				for c := range ci.FieldByName("dense").Len() {
+					for _, g := range listOf(ci.FieldByName("dense").Index(c)) {
+						reg = append(reg, fmt.Sprintf("%d=%d:%s", attr, c, name(g)))
+					}
+				}
+				for it := ci.FieldByName("m").MapRange(); it.Next(); {
+					for _, g := range listOf(it.Value()) {
+						reg = append(reg, fmt.Sprintf("%d=%d:%s", attr, it.Key().Int(), name(g)))
+					}
+				}
+			}
+			for _, g := range listOf(d.Elem().FieldByName("rest")) {
+				reg = append(reg, "rest:"+name(g))
+			}
+			slices.Sort(reg)
+			lines = append(lines, fmt.Sprintf("%s %d: %v", side, edge(in, reflect.ValueOf(port)), reg))
+		}
+	}
+	slices.Sort(lines)
+	return fmt.Sprintf("vec=%v\n%s", v.FieldByName("vec"), strings.Join(lines, "\n"))
+}
+
+func listOf(s reflect.Value) []reflect.Value {
+	out := make([]reflect.Value, s.Len())
+	for i := range out {
+		out[i] = s.Index(i)
+	}
+	return out
 }

@@ -37,23 +37,19 @@ type portRef struct {
 type runtimeNode struct {
 	id int
 	m  mop.MOp
-	// in and out map ports to edges; a port a spliced m-op freed is nil.
-	// outR is each output port's route (-1 for a free port).
-	in   []*core.Edge
-	out  []*core.Edge
-	outR []int
-	// inR is each input port's route. linkedIn, linkedOut, linkedUses,
-	// linkedID and linkedBlock are the port edges, port uses, ID and block
-	// path the route entries were last patched for (relink); outChanged,
-	// when not nil, lists the only output ports whose edge may differ.
-	inR                 []int
-	linkedIn, linkedOut []*core.Edge
-	linkedUses          []mop.PortUse
-	linkedID            int
-	linkedBlock         bool
-	outChanged          []int
-	emit                mop.Emit      // built once at lowering: enqueues on outR[port]
-	uses                []mop.PortUse // input port → how delivered tuples are used
+	// in and out map ports to edges (nil: a port a spliced m-op freed),
+	// inR and outR to their routes (-1: none). linkedUses, linkedID and
+	// linkedBlock are the port uses, ID and block path the route entries
+	// were last patched for, and outChanged, when set, lists the only
+	// output ports whose edge may have changed since (relink).
+	in, out     []*core.Edge
+	inR, outR   []int
+	linkedUses  []mop.PortUse
+	linkedID    int
+	linkedBlock bool
+	outChanged  []int
+	emit        mop.Emit      // built once at lowering: enqueues on outR[port]
+	uses        []mop.PortUse // input port → how delivered tuples are used
 	// sinkOnly is, per output port, whether the edge has sinks and no
 	// consumer: emit parks a tuple bound for such a port in Engine.results
 	// instead of enqueueing it. count is, per output port, the result
@@ -295,7 +291,8 @@ func New(p *core.Physical) (*Engine, error) {
 		return nil, fmt.Errorf("engine: invalid plan: %w", err)
 	}
 	e := &Engine{plan: p, pool: stream.NewPool(), parkPool: stream.NewPool(), bpool: stream.NewBlockPool(),
-		route: make(map[int]int), byID: make(map[int]*runtimeNode), touched: make(map[int]bool)}
+		route: make(map[int]int), byID: make(map[int]*runtimeNode), touched: make(map[int]bool),
+		sources: make(map[string]sourceInfo)}
 	for _, n := range p.Nodes {
 		if n.Kind == core.KindSource {
 			continue // sources are injected directly onto their edges
@@ -395,90 +392,71 @@ func releaseAnalysis(cs []portRef) (releasable, clearsOwned bool) {
 }
 
 // relink moves rn's port registrations in the route entries from the
-// edges its ports had when last linked (linkedIn, linkedOut) to their
-// current ones, and marks every entry it changed touched. An input edge
-// rn keeps is queued in resort when rn's ID (among other consumers), its
-// block path or its use of the port changed: the entry's consumer order
-// and release analysis are then redone, and nothing else of it.
+// edges of its ports' routes (inR, outR) to its current port edges, and
+// marks every entry it changed touched; of the output ports it visits
+// outChanged alone when set. An input edge rn keeps is queued in resort
+// when rn's ID (among other consumers), its block path or its use of the
+// port changed: the entry's consumer order and release analysis are then
+// redone, and nothing else of it.
 func (e *Engine) relink(rn *runtimeNode) {
-	touched := e.touched
 	block := rn.bm != nil
-	for port := range max(len(rn.linkedIn), len(rn.in)) {
-		was, cur := portEdge(rn.linkedIn, port), portEdge(rn.in, port)
+	e.relinkPorts(rn, rn.in, &rn.inR, nil, func(r *edgeRoute) *[]portRef { return &r.consumers }, func(port, ri int) {
+		if block != rn.linkedBlock || rn.uses[port] != rn.linkedUses[port] ||
+			rn.id != rn.linkedID && len(e.routes[ri].consumers) > 1 {
+			e.resort = append(e.resort, ri)
+		}
+	})
+	rn.linkedUses, rn.linkedID, rn.linkedBlock = append(rn.linkedUses[:0], rn.uses...), rn.id, block
+	for len(rn.count) < len(rn.out) {
+		rn.count, rn.sinkOnly, rn.ports = append(rn.count, nil), append(rn.sinkOnly, false), append(rn.ports, len(rn.ports))
+	}
+	e.relinkPorts(rn, rn.out, &rn.outR, rn.outChanged, func(r *edgeRoute) *[]portRef { return &r.producers }, nil)
+	rn.outChanged = nil
+}
+
+// relinkPorts moves the registrations of rn's ports (every port when
+// ports is nil) in the route lists list selects from the edges of their
+// routes to edges; kept sees each port whose edge stayed.
+func (e *Engine) relinkPorts(rn *runtimeNode, edges []*core.Edge, routes *[]int, ports []int, list func(*edgeRoute) *[]portRef, kept func(port, ri int)) {
+	for len(*routes) < len(edges) {
+		*routes = append(*routes, -1)
+	}
+	if ports == nil {
+		ports = make([]int, len(*routes))
+		for i := range ports {
+			ports[i] = i
+		}
+	}
+	for _, port := range ports {
+		var was, cur *core.Edge
+		ri := (*routes)[port]
+		if ri >= 0 {
+			was = e.routes[ri].edge
+		}
+		if port < len(edges) {
+			cur = edges[port]
+		}
 		if was == cur {
-			if cur != nil && (block != rn.linkedBlock || rn.uses[port] != rn.linkedUses[port] ||
-				rn.id != rn.linkedID && len(e.routes[rn.inR[port]].consumers) > 1) {
-				e.resort = append(e.resort, rn.inR[port])
+			if cur != nil && kept != nil {
+				kept(port, ri)
 			}
 			continue
 		}
 		if was != nil {
-			r := &e.routes[rn.inR[port]]
-			r.consumers = slices.DeleteFunc(r.consumers, func(c portRef) bool { return c.node == rn && c.port == port })
-			touched[was.ID] = true
+			l := list(&e.routes[ri])
+			*l = slices.DeleteFunc(*l, func(c portRef) bool { return c.node == rn && c.port == port })
+			e.touched[was.ID] = true
 		}
+		(*routes)[port] = -1
 		if cur != nil {
-			ri := e.routeOf(cur)
-			e.routes[ri].consumers = append(e.routes[ri].consumers, portRef{node: rn, port: port})
-			rn.inR = setAt(rn.inR, port, ri)
-			touched[cur.ID] = true
-		}
-		rn.linkedIn = setAt(rn.linkedIn, port, cur)
-	}
-	rn.linkedIn = rn.linkedIn[:len(rn.in)]
-	rn.linkedUses = append(rn.linkedUses[:0], rn.uses...)
-	rn.linkedID, rn.linkedBlock = rn.id, block
-	for len(rn.outR) < len(rn.out) {
-		rn.outR, rn.count, rn.sinkOnly = append(rn.outR, -1), append(rn.count, nil), append(rn.sinkOnly, false)
-		rn.ports = append(rn.ports, len(rn.ports))
-	}
-	outs := rn.outChanged
-	if outs == nil {
-		outs = make([]int, max(len(rn.linkedOut), len(rn.out)))
-		for i := range outs {
-			outs[i] = i
+			ri = e.routeOf(cur)
+			l := list(&e.routes[ri])
+			*l = append(*l, portRef{node: rn, port: port})
+			(*routes)[port] = ri
+			e.touched[cur.ID] = true
 		}
 	}
-	rn.outChanged = nil
-	for _, port := range outs {
-		was, cur := portEdge(rn.linkedOut, port), portEdge(rn.out, port)
-		if was == cur {
-			continue
-		}
-		if was != nil {
-			r := &e.routes[rn.outR[port]]
-			r.producers = slices.DeleteFunc(r.producers, func(c portRef) bool { return c.node == rn && c.port == port })
-			touched[was.ID] = true
-		}
-		rn.outR[port], rn.count[port], rn.sinkOnly[port] = -1, nil, false
-		if cur != nil {
-			ri := e.routeOf(cur)
-			e.routes[ri].producers = append(e.routes[ri].producers, portRef{node: rn, port: port})
-			rn.outR[port] = ri
-			touched[cur.ID] = true
-		}
-		for len(rn.linkedOut) <= port {
-			rn.linkedOut = append(rn.linkedOut, nil)
-		}
-		rn.linkedOut[port] = cur
-	}
-	rn.linkedOut = rn.linkedOut[:len(rn.out)]
-}
-
-// setAt sets s[i] to v, growing s by one when i is its length.
-func setAt[T any](s []T, i int, v T) []T {
-	if i < len(s) {
-		s[i] = v
-		return s
-	}
-	return append(s, v)
-}
-
-func portEdge(edges []*core.Edge, port int) *core.Edge {
-	if port < len(edges) {
-		return edges[port]
-	}
-	return nil
+	*routes = (*routes)[:len(edges)]
 }
 
 // routeOf returns the route entry of ed, appending one if it has none.
@@ -708,9 +686,6 @@ func (e *Engine) compactRoutes(freed []int) bool {
 // with the membership each plain Push must attach precomputed.
 func (e *Engine) routeSources() {
 	p := e.plan
-	if e.sources == nil {
-		e.sources = make(map[string]sourceInfo)
-	}
 	clear(e.sources)
 	e.srcList = e.srcList[:0]
 	for name := range p.Catalog {
@@ -823,48 +798,34 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 		}
 	}
 	slices.SortFunc(dirty, func(a, b *core.Node) int { return cmp.Compare(a.ID, b.ID) })
-	touched := e.touched
-	// gained lists, per spliced or freshly lowered node, the operators it
-	// gained, for the new-member replay.
-	type gain struct {
-		rn  *runtimeNode
-		ops []*core.Op
-	}
-	var spliced []*runtimeNode
-	var gained []gain
-	var fresh []*core.Node
-	for i, rn := range splicePlans(dirty, olds) {
-		n := dirty[i]
-		if rn == nil {
-			fresh = append(fresh, n)
-			continue
-		}
+	// gained holds the operators each spliced or lowered node gained, for
+	// the new-member replay.
+	gained := make(map[*runtimeNode][]*core.Op)
+	if n, rn := splicePred(dirty, olds); n != nil {
 		low := &mop.Lowered{MOp: rn.m, InEdges: rn.in, OutEdges: rn.out, PortUses: rn.uses}
 		added, ok, err := mop.Splice(p, d, n, low)
 		if err != nil {
 			return fmt.Errorf("engine: node %d: %w", n.ID, err)
 		}
-		if !ok {
-			fresh = append(fresh, n)
-			continue
+		if ok {
+			delete(e.byID, rn.id)
+			rn.id, rn.in, rn.out, rn.uses, rn.outChanged = n.ID, low.InEdges, low.OutEdges, low.PortUses, low.OutChanged
+			rn.refreshBlockPath()
+			e.byID[rn.id] = rn
+			e.relink(rn)
+			gained[rn] = added
+			dirty = slices.DeleteFunc(dirty, func(x *core.Node) bool { return x == n })
+			olds = slices.DeleteFunc(olds, func(x *runtimeNode) bool { return x == rn })
 		}
-		delete(e.byID, rn.id)
-		rn.id, rn.in, rn.out, rn.uses, rn.outChanged = n.ID, low.InEdges, low.OutEdges, low.PortUses, low.OutChanged
-		rn.refreshBlockPath()
-		e.byID[rn.id] = rn
-		e.relink(rn)
-		spliced = append(spliced, rn)
-		gained = append(gained, gain{rn, added})
 	}
 	// The other dirty nodes are lowered afresh and adopt their
 	// predecessors' state; state no successor adopts is discarded.
-	olds = slices.DeleteFunc(olds, func(rn *runtimeNode) bool { return slices.Contains(spliced, rn) })
 	var reg *mop.StateRegistry
 	if len(olds) > 0 {
 		reg = mop.NewStateRegistry(mops(olds))
 	}
 	var lowered []*runtimeNode
-	for _, n := range fresh {
+	for _, n := range dirty {
 		rn, err := e.lowerNode(n)
 		if err != nil {
 			return err
@@ -874,11 +835,11 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 				return fmt.Errorf("engine: node %d: %w", n.ID, err)
 			}
 		}
-		if old := e.byID[n.ID]; old != nil && !slices.Contains(spliced, old) {
+		if old := e.byID[n.ID]; old != nil {
 			rn.processed, rn.emitted, rn.busyNS = old.processed, old.emitted, old.busyNS
 		}
 		lowered = append(lowered, rn)
-		gained = append(gained, gain{rn, n.Ops})
+		gained[rn] = n.Ops
 	}
 	if reg != nil {
 		reg.DiscardRest()
@@ -894,14 +855,11 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 		e.byID[rn.id] = rn
 		e.relink(rn)
 	}
-	if len(olds)+len(lowered) > 0 {
-		e.nodes = slices.DeleteFunc(e.nodes, func(rn *runtimeNode) bool { return e.byID[rn.id] != rn })
-		e.nodes = append(e.nodes, lowered...)
-	}
+	e.nodes = append(slices.DeleteFunc(e.nodes, func(rn *runtimeNode) bool { return e.byID[rn.id] != rn }), lowered...)
 	slices.SortFunc(e.nodes, func(a, b *runtimeNode) int { return cmp.Compare(a.id, b.id) })
 	for _, ids := range []map[int]bool{d.NewEdges, d.RemovedEdges} {
 		for id := range ids {
-			touched[id] = true
+			e.touched[id] = true
 		}
 	}
 	for _, qid := range d.RemovedQueries {
@@ -916,11 +874,9 @@ func (e *Engine) ApplyDelta(d *core.Delta) error {
 		}
 	}
 	e.patch()
-	if len(d.NewStreams) > 0 {
-		for _, g := range gained {
-			if err := e.replayNewMembers(d, g.rn, g.ops); err != nil {
-				return err
-			}
+	for rn, ops := range gained {
+		if err := e.replayNewMembers(d, rn, ops); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -934,54 +890,29 @@ func mops(rns []*runtimeNode) []mop.MOp {
 	return ms
 }
 
-// splicePlans finds, for each dirty ;/µ node, the one running ;/µ node
-// that serves any of its operators, provided no other dirty node takes
-// operators from it; the result is parallel to dirty, nil where a node is
-// lowered afresh. A node whose operators two running nodes serve absorbs
-// a running node's state, and is lowered afresh with that state migrated,
-// as is every node the same running node would feed. With one running
-// and one dirty ;/µ node, as a live add or remove that changes one shared
-// ;/µ m-op makes, that pair is the plan: operators the dirty node has
-// beyond the running one's were created by the delta.
-func splicePlans(dirty []*core.Node, olds []*runtimeNode) []*runtimeNode {
-	plans := make([]*runtimeNode, len(dirty))
-	var seqs []*runtimeNode
-	for _, rn := range olds {
-		if _, ok := rn.m.(*mop.SeqMOp); ok {
-			seqs = append(seqs, rn)
-		}
-	}
-	if len(seqs) == 0 {
-		return plans
-	}
+// splicePred returns the running ;/µ node a dirty ;/µ node is spliced
+// into, nil when there is none: with one running and one dirty ;/µ node,
+// as a live add or remove that changes one shared ;/µ m-op makes, the
+// dirty node's operators are the running one's with some dropped and the
+// ones the delta created appended (mop.Splice checks), and no other dirty
+// node takes operators or state from the running one. Otherwise every
+// dirty node is lowered afresh with its predecessors' state migrated.
+func splicePred(dirty []*core.Node, olds []*runtimeNode) (*core.Node, *runtimeNode) {
 	isSeq := func(n *core.Node) bool { return n.Kind == core.KindSeq || n.Kind == core.KindMu }
-	if i := slices.IndexFunc(dirty, isSeq); len(seqs) == 1 && i >= 0 && !slices.ContainsFunc(dirty[i+1:], isSeq) {
-		plans[i] = seqs[0]
-		return plans
-	}
-	claims := make(map[*runtimeNode]int)
-	for i, n := range dirty {
-		if !isSeq(n) {
-			continue
-		}
-		var from []*runtimeNode
-		for _, o := range n.Ops {
-			j := slices.IndexFunc(seqs, func(rn *runtimeNode) bool { return rn.m.(*mop.SeqMOp).Serves(o.ID) })
-			if j >= 0 && !slices.Contains(from, seqs[j]) {
-				from = append(from, seqs[j])
-				claims[seqs[j]]++
+	var rn *runtimeNode
+	for _, o := range olds {
+		if _, ok := o.m.(*mop.SeqMOp); ok {
+			if rn != nil {
+				return nil, nil
 			}
-		}
-		if len(from) == 1 {
-			plans[i] = from[0]
+			rn = o
 		}
 	}
-	for i, rn := range plans {
-		if rn != nil && claims[rn] > 1 {
-			plans[i] = nil
-		}
+	i := slices.IndexFunc(dirty, isSeq)
+	if rn == nil || i < 0 || slices.ContainsFunc(dirty[i+1:], isSeq) {
+		return nil, nil
 	}
-	return plans
+	return dirty[i], rn
 }
 
 // replayNewMembers implements full-window state replay on live re-merge:

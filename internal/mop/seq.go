@@ -32,12 +32,9 @@ type seqInst struct {
 type stateGroup struct {
 	prefixEmitter
 	mu bool
-	// key and info say where the group is registered (splice.go).
-	key  groupKey
-	info seqGroupInfo
-	// resealed marks the group within one splice as already queued for
-	// resealing.
-	resealed bool
+	// key and the FR and AN constants say where the group is registered.
+	key         groupKey
+	left, right indexKey
 
 	pred   expr.Pred2 // residual predicate over (state, event)
 	filter expr.Pred2 // µ filter-edge predicate θf
@@ -129,27 +126,27 @@ type dispatch struct {
 	rest []*stateGroup
 }
 
-// add registers g, under attribute attr's constant c when indexed.
-func (d *dispatch) add(g *stateGroup, indexed bool, attr int, c int64) {
-	if !indexed {
+// add registers g under k.
+func (d *dispatch) add(g *stateGroup, k indexKey) {
+	if !k.on {
 		d.rest = append(d.rest, g)
 		return
 	}
-	i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == attr })
+	i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == k.attr })
 	if i < 0 {
-		d.idx = append(d.idx, groupIndex{attr: attr})
+		d.idx = append(d.idx, groupIndex{attr: k.attr})
 		i = len(d.idx) - 1
 	}
 	d.idx[i].n++
-	d.idx[i].byConst.add(c, g)
+	d.idx[i].byConst.add(k.c, g)
 }
 
-// drop unregisters g and reports whether d is left empty.
-func (d *dispatch) drop(g *stateGroup, indexed bool, attr int, c int64) bool {
-	if !indexed {
+// drop unregisters g from k and reports whether d is left empty.
+func (d *dispatch) drop(g *stateGroup, k indexKey) bool {
+	if !k.on {
 		d.rest = slices.DeleteFunc(d.rest, func(x *stateGroup) bool { return x == g })
-	} else if i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == attr }); i >= 0 {
-		d.idx[i].byConst.remove(c, g)
+	} else if i := slices.IndexFunc(d.idx, func(x groupIndex) bool { return x.attr == k.attr }); i >= 0 {
+		d.idx[i].byConst.remove(k.c, g)
 		if d.idx[i].n--; d.idx[i].n == 0 {
 			d.idx = slices.Delete(d.idx, i, i+1)
 		}
@@ -194,25 +191,20 @@ type SeqMOp struct {
 	ops     map[int]*seqOp
 	last    []*core.Op // the node's operators at the last splice
 	maxOp   int        // the largest operator ID the m-op has run
-	epoch   int
 }
 
-// seqGroupInfo collects the indexable parts peeled off a group's predicate
-// during construction: the AN-indexable right constant and the
-// FR-indexable left constant.
-type seqGroupInfo struct {
-	rightConstA  int
-	rightConstV  int64
-	hasRight     bool
-	leftConstA   int
-	leftConstV   int64
-	hasLeftConst bool
+// indexKey is the equality constant a group is dispatched under, when it
+// has one: attribute attr of an arriving tuple equals c.
+type indexKey struct {
+	on   bool
+	attr int
+	c    int64
 }
 
 // extractLeftPred removes Left(...) conjuncts from pred, folding them into
 // g.leftPred (evaluated once when a left tuple is inserted) and recording
-// an FR-indexable constant in info if present.
-func (g *stateGroup) extractLeftPred(pred expr.Pred2, info *seqGroupInfo) expr.Pred2 {
+// an FR-indexable constant in g.left if present.
+func (g *stateGroup) extractLeftPred(pred expr.Pred2) expr.Pred2 {
 	var leftParts []expr.Pred
 	var rest []expr.Pred2
 	parts := []expr.Pred2{pred}
@@ -231,7 +223,7 @@ func (g *stateGroup) extractLeftPred(pred expr.Pred2, info *seqGroupInfo) expr.P
 	}
 	lp := expr.NewAnd(leftParts...)
 	if attr, c, res, ok := expr.IndexableEq(lp); ok {
-		info.leftConstA, info.leftConstV, info.hasLeftConst = attr, c, true
+		g.left = indexKey{true, attr, c}
 		lp = res
 	}
 	if _, isTrue := lp.(expr.True); !isTrue {

@@ -2,8 +2,8 @@ package mop
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -26,29 +26,25 @@ type groupKey struct {
 	def          string
 }
 
-// seqOp is one operator as spliced in: its group, and its ports and
-// membership positions.
+// seqOp is one operator as spliced in: its group, ports and positions.
 type seqOp struct {
 	g            *stateGroup
 	lport, rport int
 	lpos, rpos   int
 	tg           target
-	epoch        int // the last ID-matched splice that found it in its node
 }
 
-// portSet is one side of a spliced m-op's port layout. edges[i] is port
-// i's edge (nil: the port is free), users[i] the operator sides using it
-// and width[i] the edge's stream count when last seen, so an edge that
-// changed under its ports is noticed. of maps an edge ID to its port.
+// portSet is one side of a spliced m-op's port layout: edges[i] is port
+// i's edge (nil: free), users[i] the operator sides using it, width[i] the
+// edge's stream count when last seen, and of maps an edge ID to its port.
+// Within a splice, moved holds the ports whose edge is being replaced and
+// changed lists the ports whose edge changed.
 type portSet struct {
-	edges []*core.Edge
-	users []int
-	width []int
-	of    map[int]int
-	// moved holds the ports whose edge a splice in progress replaces, and
-	// changed lists the ports whose edge it changed.
+	edges   []*core.Edge
+	users   []int
+	width   []int
+	of      map[int]int
 	moved   map[int]*core.Edge
-	gone    []int
 	changed []int
 }
 
@@ -57,8 +53,7 @@ type portSet struct {
 func (ps *portSet) take(e *core.Edge) int {
 	port, ok := ps.of[e.ID]
 	if !ok {
-		port = slices.Index(ps.edges, nil)
-		if port < 0 {
+		if port = slices.Index(ps.edges, nil); port < 0 {
 			port = len(ps.edges)
 			ps.edges, ps.users, ps.width = append(ps.edges, nil), append(ps.users, 0), append(ps.width, 0)
 		}
@@ -78,68 +73,52 @@ func (ps *portSet) release(port int) {
 	}
 }
 
-// follow finds where the edges of the given ports (every port when all)
-// went; see followPort. It reports false when one of them changed in a
-// way a splice does not follow.
+// follow finds where the edges of the given ports (all ports when all)
+// went. A port whose edge the plan still has, at its width, stays. A port
+// whose edge was rebuilt (a channel grown into a new edge) moves to the
+// edge that now carries every live stream of the old one at the same
+// membership position. An edge left with no live stream serves only
+// operators the splice drops. It reports false for any other change: an
+// edge rewritten in place (compacted), or streams that split, shifted or
+// left a channel.
 func (ps *portSet) follow(p *core.Physical, all bool, ports []int) bool {
 	if all {
-		for i, e := range ps.edges {
-			if e != nil && !ps.followPort(p, i) {
-				return false
-			}
+		ports = ports[:0]
+		for i := range ps.edges {
+			ports = append(ports, i)
 		}
-		return true
 	}
 	for _, i := range ports {
-		if !ps.followPort(p, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// followPort finds where port i's edge went. A port whose edge the plan
-// still has, at its width, stays. A port whose edge was rebuilt (a channel
-// grown into a new edge) moves, in moved, to the edge that now carries
-// every live stream of the old one at the same membership position. A port
-// whose edge carried no live stream any more is noted in gone: only
-// operators the splice drops can use it. It reports false for any other
-// change: an edge rewritten in place (compacted), or streams that split,
-// shifted or left a channel.
-func (ps *portSet) followPort(p *core.Physical, i int) bool {
-	e := ps.edges[i]
-	if p.Edges[e.ID] == e {
-		return len(e.Streams) == ps.width[i]
-	}
-	var to *core.Edge
-	for j, s := range e.Streams {
-		if s.Dead {
+		e := ps.edges[i]
+		if e == nil {
 			continue
 		}
-		ne, pos := p.EdgeOf(s)
-		if to == nil {
+		if p.Edges[e.ID] == e {
+			if len(e.Streams) != ps.width[i] {
+				return false
+			}
+			continue
+		}
+		var to *core.Edge
+		for j, s := range e.Streams {
+			if s.Dead {
+				continue
+			}
+			ne, pos := p.EdgeOf(s)
+			if ne == nil || pos != j || to != nil && ne != to {
+				return false
+			}
 			to = ne
 		}
-		if ne == nil || ne != to || pos != j {
+		if to == nil {
+			continue // only operators the splice drops use the port
+		}
+		if _, taken := ps.of[to.ID]; taken || to.IsChannel() != e.IsChannel() ||
+			slices.Contains(slices.Collect(maps.Values(ps.moved)), to) {
 			return false
 		}
+		ps.moved[i] = to
 	}
-	if to == nil {
-		ps.gone = append(ps.gone, i)
-		return true
-	}
-	if to.IsChannel() != e.IsChannel() {
-		return false
-	}
-	if _, taken := ps.of[to.ID]; taken {
-		return false
-	}
-	for _, m := range ps.moved {
-		if m == to {
-			return false
-		}
-	}
-	ps.moved[i] = to
 	return true
 }
 
@@ -174,37 +153,37 @@ func newSeqMOp(tp *stream.Pool, mu bool) *SeqMOp {
 	}
 }
 
-// Serves reports whether the m-op runs operator opID.
-func (m *SeqMOp) Serves(opID int) bool { return m.ops[opID] != nil }
-
 // Splice brings l, the running lowering of a ; or µ node, in line with n
 // after the plan delta d (nil for a fresh lowering): the m-op gains n's
 // operators it does not run, which Splice returns, and drops the ones n no
 // longer has, and l's port wiring is refreshed. It reports false, having
-// changed nothing, when l is not of n's kind, when an operator both share
-// was rewired to another stream, or when an edge under its ports changed
-// in a way that moves operators to other membership positions (see
-// portSet.follow); the caller then lowers n afresh.
+// changed nothing, when l is not of n's kind, when n's operator list is not
+// the last one with operators dropped and new ones appended, or when an
+// edge under its ports changed in a way follow refuses; the caller then
+// lowers n afresh. An operator rewired to another input stream read a
+// stream that died, and so an edge that follow refuses.
 func Splice(p *core.Physical, d *core.Delta, n *core.Node, l *Lowered) ([]*core.Op, bool, error) {
 	m, ok := l.MOp.(*SeqMOp)
 	if !ok || m.mu != (n.Kind == core.KindMu) {
 		return nil, false, nil
 	}
-	added, ok, err := m.splice(p, d, n)
-	if !ok || err != nil {
-		return nil, ok, err
+	// A walk against the last splice's operator list finds the dropped
+	// operators; the new ones were created by the delta, so their IDs are
+	// above every ID the m-op has run.
+	var removed []*core.Op
+	j := 0
+	for _, o := range m.last {
+		if j < len(n.Ops) && n.Ops[j] == o {
+			j++
+		} else {
+			removed = append(removed, o)
+		}
 	}
-	l.InEdges, l.OutEdges, l.PortUses, l.OutChanged = m.in.edges, m.out.edges, m.portUses(), m.out.changed
-	return added, true, nil
-}
-
-func (m *SeqMOp) splice(p *core.Physical, d *core.Delta, n *core.Node) ([]*core.Op, bool, error) {
-	m.out.changed = m.out.changed[:0]
-	added, removed, ok := m.diff(n.Ops)
-	if !ok {
+	added := n.Ops[j:]
+	if slices.ContainsFunc(added, func(o *core.Op) bool { return o.ID <= m.maxOp }) {
 		return nil, false, nil
 	}
-	// Input ports are few and all checked. Of the output ports, those of
+	// Input ports are few and all followed; of the output ports, those of
 	// the edges the delta dropped or compacted are, unless an operator
 	// left: an edge can then lose a stream in place.
 	var outs []int
@@ -220,37 +199,27 @@ func (m *SeqMOp) splice(p *core.Physical, d *core.Delta, n *core.Node) ([]*core.
 			}
 		}
 	}
+	m.out.changed = m.out.changed[:0]
 	if !m.in.follow(p, true, nil) || !m.out.follow(p, d == nil || len(removed) > 0, outs) {
-		for _, ps := range []*portSet{&m.in, &m.out} {
-			clear(ps.moved)
-			ps.gone = ps.gone[:0]
-		}
+		clear(m.in.moved)
+		clear(m.out.moved)
 		return nil, false, nil
 	}
 	var touched []*stateGroup
 	touch := func(g *stateGroup) {
-		if !g.resealed {
-			g.resealed = true
+		if !slices.Contains(touched, g) {
 			touched = append(touched, g)
 		}
 	}
-	for _, id := range removed {
-		m.dropOp(id, m.ops[id], touch)
+	for _, o := range removed {
+		m.dropOp(o.ID, touch)
 	}
-	if len(removed) > 0 || len(m.last)+len(added) != len(n.Ops) {
-		m.last = append(m.last[:0], n.Ops...)
-	} else {
-		m.last = append(m.last, added...)
+	if len(removed) > 0 {
+		m.last = append(m.last[:0], n.Ops[:j]...)
 	}
-	for _, ps := range []*portSet{&m.in, &m.out} {
-		for _, port := range ps.gone {
-			if ps.edges[port] != nil {
-				return nil, false, fmt.Errorf("a kept operator reads or writes edge %d, which carries no live stream", ps.edges[port].ID)
-			}
-		}
-		ps.gone = ps.gone[:0]
-		ps.settle()
-	}
+	m.last = append(m.last, added...)
+	m.in.settle()
+	m.out.settle()
 	// Ports are taken in lowering order: every left edge, then every right
 	// edge, then the outputs.
 	recs := make([]seqOp, len(added))
@@ -275,7 +244,6 @@ func (m *SeqMOp) splice(p *core.Physical, d *core.Delta, n *core.Node) ([]*core.
 		}
 	}
 	for _, g := range touched {
-		g.resealed = false
 		if len(g.ops) > 0 {
 			g.seal()
 		}
@@ -288,53 +256,8 @@ func (m *SeqMOp) splice(p *core.Physical, d *core.Delta, n *core.Node) ([]*core.
 		}
 	}
 	m.vec = m.wide == 0
+	l.InEdges, l.OutEdges, l.PortUses, l.OutChanged = m.in.edges, m.out.edges, m.portUses(), m.out.changed
 	return added, true, nil
-}
-
-// diff splits ops, the node's operators, into those the m-op runs and
-// those it gains, and lists the IDs of those it loses. A delta drops
-// operators in place and appends those it creates, so a walk against the
-// list of the last splice (last) compares pointers only; a node whose
-// list changed otherwise is matched by ID. An operator the m-op does not
-// run was created by the delta, so its ID is above every ID the m-op has
-// run. An operator rewired to another input stream read a stream that
-// died: its edge went or lost the stream in place, which the input ports'
-// check refuses. ok is false when the m-op runs an operator under an ID it
-// cannot find in ops.
-func (m *SeqMOp) diff(ops []*core.Op) (added []*core.Op, removed []int, ok bool) {
-	j := 0
-	for _, o := range m.last {
-		if j < len(ops) && ops[j] == o {
-			j++
-		} else {
-			removed = append(removed, o.ID)
-		}
-	}
-	added = ops[j:]
-	if !slices.ContainsFunc(added, func(o *core.Op) bool { return o.ID <= m.maxOp }) {
-		return added, removed, true
-	}
-	added, removed = nil, nil
-	m.epoch++
-	found := 0
-	for _, o := range ops {
-		if r := m.ops[o.ID]; r != nil {
-			r.epoch = m.epoch
-			found++
-		} else if o.ID > m.maxOp {
-			added = append(added, o)
-		}
-	}
-	if found+len(added) != len(ops) {
-		return nil, nil, false
-	}
-	for id, r := range m.ops {
-		if r.epoch != m.epoch {
-			removed = append(removed, id)
-		}
-	}
-	slices.Sort(removed)
-	return added, removed, true
 }
 
 // addOp splices in operator o, whose ports r already holds.
@@ -368,16 +291,17 @@ func (m *SeqMOp) addOp(p *core.Physical, o *core.Op, r *seqOp, touch func(*state
 
 // dropOp splices out operator id; its group goes, with its stored state,
 // when no operator is left in it.
-func (m *SeqMOp) dropOp(id int, r *seqOp, touch func(*stateGroup)) {
+func (m *SeqMOp) dropOp(id int, touch func(*stateGroup)) {
+	r := m.ops[id]
 	g := r.g
 	i := slices.Index(g.opIDs, id)
 	g.ops, g.opIDs = slices.Delete(g.ops, i, i+1), slices.Delete(g.opIDs, i, i+1)
 	touch(g)
 	if len(g.ops) == 0 {
-		if m.lefts[g.key.lport].drop(g, g.info.hasLeftConst, g.info.leftConstA, g.info.leftConstV) {
+		if m.lefts[g.key.lport].drop(g, g.left) {
 			m.lefts[g.key.lport] = nil
 		}
-		if m.rights[g.key.rport].drop(g, g.info.hasRight, g.info.rightConstA, g.info.rightConstV) {
+		if m.rights[g.key.rport].drop(g, g.right) {
 			m.rights[g.key.rport] = nil
 		}
 		delete(m.byKey, g.key)
@@ -407,13 +331,13 @@ func (m *SeqMOp) newGroup(o *core.Op, k groupKey) *stateGroup {
 	}
 	pred := o.Def.Pred2
 	if a, c, res, isRC := expr.RightIndexableEq(pred); isRC {
-		g.info.rightConstA, g.info.rightConstV, g.info.hasRight = a, c, true
+		g.right = indexKey{true, a, c}
 		pred = res
 	}
 	// Insertion-time left predicates are peeled off for ; only: a µ
 	// state tuple mutates, so its left conjuncts stay in the residual.
 	if !m.mu {
-		pred = g.extractLeftPred(pred, &g.info)
+		pred = g.extractLeftPred(pred)
 	}
 	if la, ra, res, isEq := expr.EqJoinParts(pred); isEq {
 		g.hasEq, g.lAttr, g.rAttr = true, la, ra
@@ -425,23 +349,13 @@ func (m *SeqMOp) newGroup(o *core.Op, k groupKey) *stateGroup {
 	}
 	g.pred = pred
 	m.byKey[k] = g
-	for _, side := range []struct {
-		ds      *[]*dispatch
-		port    int
-		indexed bool
-		attr    int
-		c       int64
-	}{
-		{&m.lefts, k.lport, g.info.hasLeftConst, g.info.leftConstA, g.info.leftConstV},
-		{&m.rights, k.rport, g.info.hasRight, g.info.rightConstA, g.info.rightConstV},
-	} {
-		d := (*side.ds)[side.port]
-		if d == nil {
-			d = &dispatch{}
-			(*side.ds)[side.port] = d
+	for _, d := range []**dispatch{&m.lefts[k.lport], &m.rights[k.rport]} {
+		if *d == nil {
+			*d = &dispatch{}
 		}
-		d.add(g, side.indexed, side.attr, side.c)
 	}
+	m.lefts[k.lport].add(g, g.left)
+	m.rights[k.rport].add(g, g.right)
 	return g
 }
 
@@ -464,66 +378,4 @@ func ReplayMember(m MOp, opID, side, pos int, keep func(*stream.Tuple) bool) (in
 		return sm.ops[opID].g.replayMember(side, pos, keep), nil
 	}
 	return NewStateRegistry([]MOp{m}).ReplayMember(opID, side, pos, keep)
-}
-
-// Describe renders a ;/µ m-op for comparison with another lowering of
-// the same node: its groups, each with its operators, windows, wiring,
-// predicates, dispatch and stored instances, with ports named by the
-// edges in and out give them. Two m-ops that behave alike describe alike
-// whatever their port numbering and registration order; other m-ops
-// describe as "".
-//
-//rumor:allow deadexport test instrument: the engine's twin test compares spliced and freshly lowered m-ops
-func Describe(mo MOp, in, out []*core.Edge) string {
-	m, ok := mo.(*SeqMOp)
-	if !ok {
-		return ""
-	}
-	edge := func(edges []*core.Edge, port int) int {
-		if port < len(edges) && edges[port] != nil {
-			return edges[port].ID
-		}
-		return -1
-	}
-	var lines []string
-	m.forEachGroup(func(g *stateGroup) {
-		ids := slices.Sorted(slices.Values(g.opIDs))
-		var b strings.Builder
-		fmt.Fprintf(&b, "group ops=%v l=%d r=%d max=%d unbounded=%v plain=%v hash=%v eq=%v/%d/%d left=%v pred=%v filter=%v leftMask=%v",
-			ids, edge(in, g.key.lport), edge(in, g.key.rport), g.maxWindow, g.unbounded, g.plain, g.hash != nil,
-			g.hasEq, g.lAttr, g.rAttr, g.leftPred, g.pred, g.filter, g.leftMask)
-		fmt.Fprintf(&b, " dispatch=%v", g.info)
-		var ops []string
-		for i, o := range g.ops {
-			id := -1
-			if i < len(g.opIDs) {
-				id = g.opIDs[i]
-			}
-			ops = append(ops, fmt.Sprintf("w=%d/%d l=%d r=%d out=%d@%d", o.window, id, o.leftPos, o.rightPos, edge(out, o.tg.port), o.tg.pos))
-		}
-		slices.Sort(ops)
-		fmt.Fprintf(&b, "\n  ops %v", ops)
-		for p, is := range g.posOps {
-			var at []int
-			for _, i := range is {
-				at = append(at, g.opIDs[i])
-			}
-			if len(at) > 0 {
-				fmt.Fprintf(&b, "\n  pos %d: %v", p, slices.Sorted(slices.Values(at)))
-			}
-		}
-		for _, inst := range g.insts {
-			if !inst.dead {
-				fmt.Fprintf(&b, "\n  inst %v state=%v member=%v", inst.start, inst.state, inst.member)
-			}
-		}
-		lines = append(lines, b.String())
-	})
-	for port, u := range m.portUses() {
-		if e := edge(in, port); e >= 0 {
-			lines = append(lines, fmt.Sprintf("in %d: %v", e, u))
-		}
-	}
-	slices.Sort(lines)
-	return fmt.Sprintf("vec=%v\n%s", m.vec, strings.Join(lines, "\n"))
 }
