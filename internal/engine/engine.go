@@ -291,8 +291,8 @@ func New(p *core.Physical) (*Engine, error) {
 		return nil, fmt.Errorf("engine: invalid plan: %w", err)
 	}
 	e := &Engine{plan: p, pool: stream.NewPool(), parkPool: stream.NewPool(), bpool: stream.NewBlockPool(),
-		route: make(map[int]int), byID: make(map[int]*runtimeNode), touched: make(map[int]bool),
-		sources: make(map[string]sourceInfo)}
+		routes: make([]edgeRoute, 0, len(p.Edges)), route: make(map[int]int, len(p.Edges)),
+		byID: make(map[int]*runtimeNode), touched: make(map[int]bool, len(p.Edges)), sources: make(map[string]sourceInfo)}
 	for _, n := range p.Nodes {
 		if n.Kind == core.KindSource {
 			continue // sources are injected directly onto their edges
@@ -407,7 +407,10 @@ func (e *Engine) relink(rn *runtimeNode) {
 		}
 	})
 	rn.linkedUses, rn.linkedID, rn.linkedBlock = append(rn.linkedUses[:0], rn.uses...), rn.id, block
-	for len(rn.count) < len(rn.out) {
+	for n := len(rn.out); len(rn.count) < n; {
+		if rn.count == nil {
+			rn.count, rn.sinkOnly, rn.ports = make([]*int64, 0, n), make([]bool, 0, n), make([]int, 0, n)
+		}
 		rn.count, rn.sinkOnly, rn.ports = append(rn.count, nil), append(rn.sinkOnly, false), append(rn.ports, len(rn.ports))
 	}
 	e.relinkPorts(rn, rn.out, &rn.outR, rn.outChanged, func(r *edgeRoute) *[]portRef { return &r.producers }, nil)
@@ -418,6 +421,7 @@ func (e *Engine) relink(rn *runtimeNode) {
 // ports is nil) in the route lists list selects from the edges of their
 // routes to edges; kept sees each port whose edge stayed.
 func (e *Engine) relinkPorts(rn *runtimeNode, edges []*core.Edge, routes *[]int, ports []int, list func(*edgeRoute) *[]portRef, kept func(port, ri int)) {
+	*routes = slices.Grow(*routes, max(0, len(edges)-len(*routes)))
 	for len(*routes) < len(edges) {
 		*routes = append(*routes, -1)
 	}

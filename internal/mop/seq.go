@@ -32,9 +32,11 @@ type seqInst struct {
 type stateGroup struct {
 	prefixEmitter
 	mu bool
-	// key and the FR and AN constants say where the group is registered.
+	// key and the FR and AN constants say where the group is registered;
+	// resealed marks it queued for resealing within a splice.
 	key         groupKey
 	left, right indexKey
+	resealed    bool
 
 	pred   expr.Pred2 // residual predicate over (state, event)
 	filter expr.Pred2 // µ filter-edge predicate θf

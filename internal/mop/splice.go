@@ -43,6 +43,7 @@ type portSet struct {
 	edges   []*core.Edge
 	users   []int
 	width   []int
+	free    int // free ports
 	of      map[int]int
 	moved   map[int]*core.Edge
 	changed []int
@@ -53,8 +54,9 @@ type portSet struct {
 func (ps *portSet) take(e *core.Edge) int {
 	port, ok := ps.of[e.ID]
 	if !ok {
-		if port = slices.Index(ps.edges, nil); port < 0 {
-			port = len(ps.edges)
+		if port = len(ps.edges); ps.free > 0 {
+			port, ps.free = slices.Index(ps.edges, nil), ps.free-1
+		} else {
 			ps.edges, ps.users, ps.width = append(ps.edges, nil), append(ps.users, 0), append(ps.width, 0)
 		}
 		ps.edges[port], ps.width[port], ps.of[e.ID] = e, len(e.Streams), port
@@ -69,6 +71,7 @@ func (ps *portSet) release(port int) {
 	if ps.users[port]--; ps.users[port] == 0 {
 		delete(ps.of, ps.edges[port].ID)
 		ps.edges[port] = nil
+		ps.free++
 		ps.changed = append(ps.changed, port)
 	}
 }
@@ -207,7 +210,8 @@ func Splice(p *core.Physical, d *core.Delta, n *core.Node, l *Lowered) ([]*core.
 	}
 	var touched []*stateGroup
 	touch := func(g *stateGroup) {
-		if !slices.Contains(touched, g) {
+		if !g.resealed {
+			g.resealed = true
 			touched = append(touched, g)
 		}
 	}
@@ -223,6 +227,9 @@ func Splice(p *core.Physical, d *core.Delta, n *core.Node, l *Lowered) ([]*core.
 	// Ports are taken in lowering order: every left edge, then every right
 	// edge, then the outputs.
 	recs := make([]seqOp, len(added))
+	if len(m.ops) == 0 {
+		m.ops = make(map[int]*seqOp, len(added))
+	}
 	for i, o := range added {
 		recs[i].lport = m.in.take(p.StreamEdge(o.In[0]))
 	}
@@ -244,7 +251,7 @@ func Splice(p *core.Physical, d *core.Delta, n *core.Node, l *Lowered) ([]*core.
 		}
 	}
 	for _, g := range touched {
-		if len(g.ops) > 0 {
+		if g.resealed = false; len(g.ops) > 0 {
 			g.seal()
 		}
 	}
