@@ -516,7 +516,6 @@ func (e *Engine) patch() {
 		}
 	}
 	var freed []int
-	sources := false
 	for _, id := range ids {
 		ri, ok := e.route[id]
 		ed := p.Edges[id]
@@ -533,7 +532,6 @@ func (e *Engine) patch() {
 		}
 		e.routeSinks(&e.routes[ri])
 		e.routeConsumers(&e.routes[ri])
-		sources = sources || slices.ContainsFunc(ed.Streams, func(s *core.StreamRef) bool { return s.Source != "" })
 	}
 	for _, ri := range e.resort {
 		if !touched[e.routes[ri].edge.ID] {
@@ -542,9 +540,8 @@ func (e *Engine) patch() {
 	}
 	e.resort = e.resort[:0]
 	clear(touched)
-	if e.compactRoutes(freed) || sources {
-		e.routeSources()
-	}
+	e.compactRoutes(freed)
+	e.routeSources()
 	e.bound = false
 }
 
@@ -659,10 +656,10 @@ func (e *Engine) routeSinks(r *edgeRoute) {
 }
 
 // compactRoutes moves the last live entries into the freed ones, so the
-// table holds exactly the live edges, and reports whether it moved one.
-func (e *Engine) compactRoutes(freed []int) bool {
+// table holds exactly the live edges.
+func (e *Engine) compactRoutes(freed []int) {
 	slices.Sort(freed)
-	n, last, moved := len(e.routes)-len(freed), len(e.routes)-1, false
+	n, last := len(e.routes)-len(freed), len(e.routes)-1
 	for _, to := range freed {
 		if to >= n {
 			break
@@ -679,11 +676,9 @@ func (e *Engine) compactRoutes(freed []int) bool {
 			c.node.inR[c.port] = to
 		}
 		last--
-		moved = true
 	}
 	clear(e.routes[n:])
 	e.routes = e.routes[:n]
-	return moved
 }
 
 // routeSources indexes the source edges by every source name they carry,
