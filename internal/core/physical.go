@@ -125,10 +125,10 @@ type streamSlot struct {
 	pos  int
 }
 
-// seat indexes the streams of e from position from on.
-func (p *Physical) seat(e *Edge, from int) {
-	for i := from; i < len(e.Streams); i++ {
-		p.streamAt[e.Streams[i].ID] = streamSlot{edge: e, pos: i}
+// seat indexes the streams of e at their positions.
+func (p *Physical) seat(e *Edge) {
+	for i, s := range e.Streams {
+		p.streamAt[s.ID] = streamSlot{edge: e, pos: i}
 	}
 }
 
@@ -268,7 +268,7 @@ func (p *Physical) addEdge(s *StreamRef) *Edge {
 	e := &Edge{ID: p.nextEdge, Streams: []*StreamRef{s}}
 	p.nextEdge++
 	p.Edges[e.ID] = e
-	p.seat(e, 0)
+	p.seat(e)
 	p.noteNewEdge(e.ID)
 	return e
 }
@@ -553,7 +553,7 @@ func (p *Physical) CollapseGroups(groups [][]*Op) error {
 			delete(p.Edges, e.ID)
 			p.noteRemovedEdge(e.ID)
 		}
-		p.seat(e, 0)
+		p.seat(e)
 	}
 	// Remove the dead ops from their nodes; an emptied node goes.
 	for n := range nodes {
@@ -688,7 +688,7 @@ func (p *Physical) EncodeChannel(streams []*StreamRef) (*Edge, error) {
 	if allNew {
 		p.noteNewEdge(ch.ID)
 	}
-	p.seat(ch, 0)
+	p.seat(ch)
 	for _, s := range all {
 		if s.Dead {
 			continue // tombstone: producer GC'd, no consumers
@@ -773,7 +773,7 @@ func (p *Physical) compactEdge(e *Edge, live int) {
 	}
 	p.noteRemap(e.ID, table, e.Streams)
 	e.Streams = kept
-	p.seat(e, 0)
+	p.seat(e)
 	// Re-lower everything wired to the channel: membership positions (and
 	// the channel's width) changed.
 	for _, s := range kept {

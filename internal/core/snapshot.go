@@ -275,7 +275,7 @@ func RebuildPhysical(s *PlanSnapshot) (*Physical, error) {
 			}
 			e.Streams = append(e.Streams, st)
 		}
-		p.seat(e, 0)
+		p.seat(e)
 		p.Edges[e.ID] = e
 	}
 
