@@ -85,7 +85,7 @@ func (g *stateGroup) seal() {
 	for _, o := range g.ops {
 		if o.window <= 0 {
 			g.unbounded = true // one unbounded operator pins the whole store
-		} else if !g.unbounded && o.window > g.maxWindow {
+		} else if o.window > g.maxWindow {
 			g.maxWindow = o.window
 		}
 	}
