@@ -583,15 +583,14 @@ func (e *Engine) routeConsumers(r *edgeRoute) {
 // one the query would head (sinks are ordered by their first query),
 // touches the edge.
 func (e *Engine) sinkNew(qid int, out *core.StreamRef) {
-	touched := e.touched
 	ed := e.plan.StreamEdge(out)
-	if touched[ed.ID] {
+	if e.touched[ed.ID] {
 		return
 	}
 	r := &e.routes[e.route[ed.ID]]
 	i := slices.IndexFunc(r.sinks, func(s sink) bool { return s.out == out })
 	if i < 0 || qid < r.sinks[i].queries[0] {
-		touched[ed.ID] = true
+		e.touched[ed.ID] = true
 		return
 	}
 	s := &r.sinks[i]
@@ -604,10 +603,9 @@ func (e *Engine) sinkNew(qid int, out *core.StreamRef) {
 // unsink drops removed query qid from its sink, folding the sink's count
 // into its base count. A sink left empty touches its edge.
 func (e *Engine) unsink(qid int) {
-	touched := e.touched
 	s := e.sinkOf[qid]
-	if touched[s.edge] || len(s.queries) == 1 {
-		touched[s.edge] = true
+	if e.touched[s.edge] || len(s.queries) == 1 {
+		e.touched[s.edge] = true
 		return
 	}
 	s.queries = slices.DeleteFunc(s.queries, func(q int) bool { return q == qid })
